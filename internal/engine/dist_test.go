@@ -204,6 +204,76 @@ func TestDistQueryMatchesSingleProcess(t *testing.T) {
 	}
 }
 
+// TestDistLateParticipant starts one participant well after the rest of
+// a default-config (Retry nil) dist cluster has begun a repartitioning
+// query, so its peers' first frames arrive before it has registered its
+// inboxes and are dropped. The processes have no rendezvous, so this
+// ordering is ordinary; NewClusterDist runs the reliable protocol for
+// that reason, and the query must complete with the full result.
+func TestDistLateParticipant(t *testing.T) {
+	const nNodes, coord, late = 3, 0, 2
+	cfg := Config{CoresPerNode: 2, BlockSize: 2048, ExchangeBuffer: 8}
+	var clusters []*Cluster
+	for i := 0; i < nNodes; i++ {
+		clusters = append(clusters, buildDistCluster(t, i, nNodes, cfg))
+	}
+	defer func() {
+		for _, c := range clusters {
+			c.Close()
+		}
+	}()
+	meshDist(clusters)
+	refC := buildDistReference(t, nNodes)
+	defer refC.Close()
+
+	sql := `SELECT acct_id, sum(trade_volume) FROM trades GROUP BY acct_id`
+	want, err := refC.Run(sql)
+	if err != nil {
+		t.Fatal(err)
+	}
+	spec := ExecSpec{
+		QID: clusters[coord].NextQueryID(), SQL: sql,
+		Coordinator: coord, DataNodes: []int{0, 1, 2},
+	}
+	partErrs := make(chan error, nNodes)
+	for i, c := range clusters {
+		if i == coord {
+			continue
+		}
+		go func(i int, c *Cluster) {
+			if i == late {
+				time.Sleep(150 * time.Millisecond)
+			}
+			partErrs <- c.RunParticipant(context.Background(), spec)
+		}(i, c)
+	}
+	type outcome struct {
+		res *Result
+		err error
+	}
+	done := make(chan outcome, 1)
+	go func() {
+		res, err := clusters[coord].RunCoordinated(context.Background(), spec, nil)
+		done <- outcome{res, err}
+	}()
+	select {
+	case o := <-done:
+		if o.err != nil {
+			t.Fatalf("coordinator: %v", o.err)
+		}
+		if got, exp := sortedRows(o.res), sortedRows(want); !equalStrings(got, exp) {
+			t.Fatalf("result diverges: %d rows vs %d", len(got), len(exp))
+		}
+	case <-time.After(20 * time.Second):
+		t.Fatal("query hung: frames sent before the late participant registered its inboxes were lost")
+	}
+	for i := 0; i < nNodes-1; i++ {
+		if err := <-partErrs; err != nil {
+			t.Fatalf("participant: %v", err)
+		}
+	}
+}
+
 // buildDistReference is the all-in-one-process control group: same
 // catalog, same deterministic dataset, classic execution.
 func buildDistReference(t *testing.T, nNodes int) *Cluster {

@@ -96,7 +96,8 @@ type Config struct {
 	Faults *faults.Injector
 	// Retry overrides the transports' reliable-send policy. Setting it
 	// forces the reliable (ack + retransmit) protocol on even without an
-	// injector; leave nil outside recovery tests.
+	// injector; leave nil outside recovery tests. NewClusterDist always
+	// runs the reliable protocol (nil means network.DefaultRetryPolicy).
 	Retry *network.RetryPolicy
 	// Wire tunes the TCP fabric (connection pool size, send window,
 	// coalescing). Nil uses network.DefaultWireConfig; ignored by the

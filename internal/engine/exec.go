@@ -9,6 +9,7 @@ import (
 
 	"repro/internal/block"
 	"repro/internal/elastic"
+	"repro/internal/expr"
 	"repro/internal/iterator"
 	"repro/internal/network"
 	"repro/internal/plan"
@@ -586,23 +587,16 @@ func (e *exec) instantiate(seg *plan.Segment, node int) (*segInst, error) {
 	})
 
 	// Output: the segment's exchange, or the result collector.
-	var outbox iterator.Outbox
-	var part iterator.PartitionFn
-	sch := seg.Root.Schema()
+	// Nil partition keys make the sender a gather: blocks forward whole.
+	ex := e.resultEx
+	var partKeys []expr.Expr
 	if seg.Out != nil {
-		ex := e.exchanges[seg.Out.Exchange]
-		outbox = ex.Outbox(node)
-		if seg.Out.PartKeys != nil {
-			part = iterator.HashPartitioner(seg.Out.PartKeys)
-		} else {
-			part = iterator.GatherPartitioner()
-		}
-	} else {
-		outbox = e.resultEx.Outbox(node)
-		part = iterator.GatherPartitioner()
+		ex = e.exchanges[seg.Out.Exchange]
+		partKeys = seg.Out.PartKeys
 	}
-	inst.sender = iterator.NewSender(inst.el, sch, outbox, part)
+	inst.sender = iterator.NewSender(inst.el, seg.Root.Schema(), ex.Outbox(node), partKeys)
 	inst.sender.SetBlockSize(e.c.cfg.BlockSize)
+	inst.sender.ReuseStaging = ex.SendCopies()
 	return inst, nil
 }
 

@@ -207,8 +207,9 @@ func equalSel(a, b []int32) bool {
 }
 
 // TestBatchKeyEncoderMatchesRowEncoder requires byte-identical keys and
-// hashes between EncodeBlock and the row-at-a-time KeyEncoder — the
-// invariant that lets batch-built and row-built hash state interoperate.
+// hashes between EncodeBlock — of the kernel-backed encoder and of the
+// forced-row one — and the row-at-a-time KeyEncoder: the invariant that
+// lets batch-built and row-built hash state interoperate.
 func TestBatchKeyEncoderMatchesRowEncoder(t *testing.T) {
 	sch := batchTestSchema()
 	blk := fillBatchBlock(sch, 203, 3)
@@ -229,30 +230,31 @@ func TestBatchKeyEncoderMatchesRowEncoder(t *testing.T) {
 	}
 	for ki, keys := range keySets {
 		row := NewKeyEncoder(keys)
-		benc := NewBatchKeyEncoder(keys, sch)
-		for _, tc := range []struct {
-			name string
-			sel  []int32
-		}{{"all", nil}, {"sparse", sparse}} {
-			cnt := benc.EncodeBlock(blk, tc.sel)
-			wantN := blk.NumTuples()
-			if tc.sel != nil {
-				wantN = len(tc.sel)
-			}
-			if cnt != wantN {
-				t.Fatalf("keys %d %s: EncodeBlock = %d rows, want %d", ki, tc.name, cnt, wantN)
-			}
-			for j := 0; j < cnt; j++ {
-				r := j
+		for _, benc := range []*BatchKeyEncoder{NewBatchKeyEncoder(keys, sch), NewRowKeyEncoder(keys, sch)} {
+			for _, tc := range []struct {
+				name string
+				sel  []int32
+			}{{"all", nil}, {"sparse", sparse}} {
+				cnt := benc.EncodeBlock(blk, tc.sel)
+				wantN := blk.NumTuples()
 				if tc.sel != nil {
-					r = int(tc.sel[j])
+					wantN = len(tc.sel)
 				}
-				want := row.Encode(blk.Row(r), sch)
-				if got := benc.Key(j); !bytes.Equal(got, want) {
-					t.Fatalf("keys %d %s row %d: key %x, want %x", ki, tc.name, r, got, want)
+				if cnt != wantN {
+					t.Fatalf("keys %d %s: EncodeBlock = %d rows, want %d", ki, tc.name, cnt, wantN)
 				}
-				if got, want := benc.Hash(j), Hash64(want); got != want {
-					t.Fatalf("keys %d %s row %d: hash %x, want %x", ki, tc.name, r, got, want)
+				for j := 0; j < cnt; j++ {
+					r := j
+					if tc.sel != nil {
+						r = int(tc.sel[j])
+					}
+					want := row.Encode(blk.Row(r), sch)
+					if got := benc.Key(j); !bytes.Equal(got, want) {
+						t.Fatalf("keys %d %s row %d: key %x, want %x", ki, tc.name, r, got, want)
+					}
+					if got, want := benc.Hash(j), row.Hash(blk.Row(r), sch); got != want {
+						t.Fatalf("keys %d %s row %d: hash %x, want %x", ki, tc.name, r, got, want)
+					}
 				}
 			}
 		}

@@ -1,6 +1,7 @@
 package expr
 
 import (
+	"math/rand"
 	"testing"
 	"testing/quick"
 
@@ -255,6 +256,78 @@ func TestHashInt64Distribution(t *testing.T) {
 		if c < 500 || c > 1500 {
 			t.Errorf("bucket %d has %d of 16000 keys; poor distribution", b, c)
 		}
+	}
+}
+
+// TestHash64Distribution guards the bits callers take from Hash64:
+// h%n routes a tuple to one of n exchange destinations, h&63 picks the
+// join or aggregation shard, and (h>>6)&(2^k-1) the join bucket inside
+// the shard. Each key family must land within ±5 % of uniform on the
+// first three and ±20 % on 1024 buckets.
+func TestHash64Distribution(t *testing.T) {
+	const n = 1_000_000
+	rng := rand.New(rand.NewSource(1))
+	seen := make(map[string]bool)
+	families := []struct {
+		name string
+		// key appends the i-th key to buf, or returns nil to skip i.
+		key func(i int, buf []byte) []byte
+	}{
+		{"sequential int", func(i int, buf []byte) []byte {
+			return appendValue(buf, types.IntVal(int64(i+1)))
+		}},
+		{"two columns", func(i int, buf []byte) []byte {
+			buf = appendValue(buf, types.IntVal(int64(i%1000)))
+			return appendValue(buf, types.IntVal(int64(i/1000)))
+		}},
+		{"strings of 1-32 bytes", func(i int, buf []byte) []byte {
+			var s [32]byte
+			l := 1 + i%32
+			for j := 0; j < l; j++ {
+				s[j] = byte('a' + rng.Intn(26))
+			}
+			// Short random strings repeat; a repeated key says nothing
+			// about the hash, so only distinct ones are counted.
+			if l < 6 {
+				if seen[string(s[:l])] {
+					return nil
+				}
+				seen[string(s[:l])] = true
+			}
+			return appendValue(buf, types.StrVal(string(s[:l])))
+		}},
+	}
+	for _, f := range families {
+		var mod3 [3]int
+		var mod7 [7]int
+		var shard [64]int
+		var bucket [1024]int
+		var buf []byte
+		keys := 0
+		for i := 0; i < n; i++ {
+			if buf = f.key(i, buf[:0]); buf == nil {
+				continue
+			}
+			keys++
+			h := Hash64(buf)
+			mod3[h%3]++
+			mod7[h%7]++
+			shard[h&63]++
+			bucket[(h>>6)&1023]++
+		}
+		check := func(what string, counts []int, tol float64) {
+			want := float64(keys) / float64(len(counts))
+			for b, c := range counts {
+				if d := (float64(c) - want) / want; d < -tol || d > tol {
+					t.Errorf("%s, %s: bucket %d holds %d keys, %.1f%% off the uniform %.0f",
+						f.name, what, b, c, 100*d, want)
+				}
+			}
+		}
+		check("h%3", mod3[:], 0.05)
+		check("h%7", mod7[:], 0.05)
+		check("h&63", shard[:], 0.05)
+		check("(h>>6)&1023", bucket[:], 0.20)
 	}
 }
 

@@ -5,6 +5,7 @@ import (
 	"math"
 	"testing"
 
+	"repro/internal/block"
 	"repro/internal/types"
 )
 
@@ -42,8 +43,9 @@ func FuzzLikeMatch(f *testing.F) {
 
 // FuzzKeyEncoder checks the invariants the hash join, aggregation and
 // repartitioning layers rely on: encoding is deterministic, Hash is
-// exactly Hash64 over the encoded key, null is distinguishable from any
-// value, and -0.0 keys equal +0.0 keys.
+// exactly Hash64 over the encoded key, the batch encoder produces the
+// same key and hash, null is distinguishable from any value, and -0.0
+// keys equal +0.0 keys.
 func FuzzKeyEncoder(f *testing.F) {
 	f.Add(int64(0), 0.0)
 	f.Add(int64(-1), math.Inf(1))
@@ -65,6 +67,14 @@ func FuzzKeyEncoder(f *testing.F) {
 		}
 		if h, want := enc.Hash(rec, sch), Hash64(key); h != want {
 			t.Fatalf("Hash = %#x, Hash64(Encode) = %#x", h, want)
+		}
+		blk := block.New(sch, sch.Stride(), nil)
+		blk.AppendRow(rec)
+		benc := NewBatchKeyEncoder(enc.Exprs, sch)
+		benc.EncodeBlock(blk, nil)
+		if !bytes.Equal(benc.Key(0), key) || benc.Hash(0) != enc.Hash(rec, sch) {
+			t.Fatalf("batch key %x hash %#x, row key %x hash %#x",
+				benc.Key(0), benc.Hash(0), key, enc.Hash(rec, sch))
 		}
 
 		// Equal floats must produce equal keys even across the two zeros.

@@ -3,6 +3,7 @@ package iterator
 import (
 	"testing"
 
+	"repro/internal/block"
 	"repro/internal/expr"
 	"repro/internal/types"
 )
@@ -72,7 +73,10 @@ func BenchmarkHashAggShared(b *testing.B) {
 	b.ReportMetric(float64(b.N)*rows/b.Elapsed().Seconds(), "tuples/s")
 }
 
-func BenchmarkHashJoinBuildProbe(b *testing.B) {
+// benchHashJoin times the chosen phases of a 20k-row build probed by
+// 200k rows, half of which match: the build (Open), the probe (the Next
+// loop), or both.
+func benchHashJoin(b *testing.B, rowExec, timeBuild, timeProbe bool) {
 	const buildRows, probeRows = 20_000, 200_000
 	sch, _ := benchPartition(b, 1)
 	bp := buildPartition(sch, buildRows, 64*1024, func(i int, rec []byte) {
@@ -81,12 +85,68 @@ func BenchmarkHashJoinBuildProbe(b *testing.B) {
 	pp := buildPartition(sch, probeRows, 64*1024, func(i int, rec []byte) {
 		types.PutValue(rec, sch, 0, types.IntVal(int64(i%(buildRows*2))))
 	})
+	ctx := &Ctx{Term: &TermFlag{}}
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		drainAll(b, NewHashJoin(NewScan(bp), NewScan(pp), sch, sch,
-			[]expr.Expr{expr.NewCol(0, "k")}, []expr.Expr{expr.NewCol(0, "k")}))
+		hj := NewHashJoin(NewScan(bp), NewScan(pp), sch, sch,
+			[]expr.Expr{expr.NewCol(0, "k")}, []expr.Expr{expr.NewCol(0, "k")})
+		hj.RowExec = rowExec
+		if !timeBuild {
+			b.StopTimer()
+		}
+		if st := hj.Open(ctx); st != OK {
+			b.Fatal(st)
+		}
+		if timeProbe {
+			b.StartTimer()
+		} else {
+			b.StopTimer()
+		}
+		for {
+			if _, st := hj.Next(ctx); st != OK {
+				break
+			}
+		}
+		b.StopTimer()
+		hj.Close()
+		b.StartTimer()
 	}
-	b.ReportMetric(float64(b.N)*probeRows/b.Elapsed().Seconds(), "probe-tuples/s")
+	if timeBuild {
+		b.ReportMetric(float64(b.N)*buildRows/b.Elapsed().Seconds(), "build-tuples/s")
+	}
+	if timeProbe {
+		b.ReportMetric(float64(b.N)*probeRows/b.Elapsed().Seconds(), "probe-tuples/s")
+	}
+}
+
+func BenchmarkHashJoinBuild(b *testing.B) { benchHashJoin(b, false, true, false) }
+func BenchmarkHashJoinProbe(b *testing.B) { benchHashJoin(b, false, false, true) }
+
+// BenchmarkSenderRepartition routes lineitem-shaped 64 KB blocks by
+// l_partkey to three destinations, into an outbox that (like a socket
+// transport) has copied each block when Send returns.
+func BenchmarkSenderRepartition(b *testing.B) {
+	sch, blocks := lineitemBlocks(16)
+	s := NewSender(nil, sch, discardOutbox{3}, []expr.Expr{expr.NewCol(1, "l_partkey")})
+	s.ReuseStaging = true
+	s.pending = make([]*block.Block, 3)
+	s.sent = make([]int64, 3)
+	var bytes int64
+	for _, blk := range blocks {
+		bytes += int64(len(blk.Bytes()))
+	}
+	b.SetBytes(bytes)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for _, blk := range blocks {
+			if err := s.route(blk); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+	b.ReportMetric(float64(s.total)/b.Elapsed().Seconds(), "tuples/s")
 }
 
 func BenchmarkSort(b *testing.B) {
@@ -163,21 +223,4 @@ func BenchmarkHashAggSharedRowExec(b *testing.B) {
 	b.ReportMetric(float64(b.N)*rows/b.Elapsed().Seconds(), "tuples/s")
 }
 
-func BenchmarkHashJoinBuildProbeRowExec(b *testing.B) {
-	const buildRows, probeRows = 20_000, 200_000
-	sch, _ := benchPartition(b, 1)
-	bp := buildPartition(sch, buildRows, 64*1024, func(i int, rec []byte) {
-		types.PutValue(rec, sch, 0, types.IntVal(int64(i)))
-	})
-	pp := buildPartition(sch, probeRows, 64*1024, func(i int, rec []byte) {
-		types.PutValue(rec, sch, 0, types.IntVal(int64(i%(buildRows*2))))
-	})
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		hj := NewHashJoin(NewScan(bp), NewScan(pp), sch, sch,
-			[]expr.Expr{expr.NewCol(0, "k")}, []expr.Expr{expr.NewCol(0, "k")})
-		hj.RowExec = true
-		drainAll(b, hj)
-	}
-	b.ReportMetric(float64(b.N)*probeRows/b.Elapsed().Seconds(), "probe-tuples/s")
-}
+func BenchmarkHashJoinBuildProbeRowExec(b *testing.B) { benchHashJoin(b, true, true, true) }

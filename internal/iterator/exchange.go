@@ -45,35 +45,21 @@ type Inbox interface {
 	Recv(cancel <-chan struct{}) (b *block.Block, st RecvStatus)
 }
 
-// PartitionFn routes a tuple to a destination instance.
-type PartitionFn func(rec []byte, sch *types.Schema, destinations int) int
-
-// HashPartitioner routes by the hash of key expressions — repartitioning
-// for joins and aggregations.
-func HashPartitioner(keys []expr.Expr) PartitionFn {
-	return func(rec []byte, sch *types.Schema, n int) int {
-		enc := expr.NewKeyEncoder(keys)
-		return int(enc.Hash(rec, sch) % uint64(n))
-	}
-}
-
-// GatherPartitioner routes everything to instance 0 (the master
-// collector).
-func GatherPartitioner() PartitionFn {
-	return func([]byte, *types.Schema, int) int { return 0 }
-}
-
 // Sender drains its child (the segment's elastic iterator), repartitions
 // tuples into per-destination blocks, and ships them (Appendix
 // Algorithm 4). It is always driven by the single segment-driver thread,
-// never by the worker pool, so it needs no internal synchronization.
+// never by the worker pool, so it needs no internal synchronization —
+// and its per-tuple cost is serial, which is why it works a block at a
+// time: one key-encoding pass, one hash scatter into per-destination
+// selection vectors, one bulk copy per destination.
 // Visit-rate tails are scaled by each destination's partition fraction
 // (Section 4.3, Figure 7).
 type Sender struct {
 	child     Iterator
 	sch       *types.Schema
 	out       Outbox
-	part      PartitionFn
+	keys      *expr.BatchKeyEncoder // nil: gather, blocks forward whole
+	scatter   scatter
 	blockSize int
 	pending   []*block.Block
 	sent      []int64 // tuples sent per destination
@@ -81,13 +67,26 @@ type Sender struct {
 
 	// BytesSent counts payload bytes shipped, for network accounting.
 	BytesSent atomic.Int64
+
+	// ReuseStaging lets the sender refill a staging block right after
+	// shipping it instead of drawing a fresh one. Set it (before Run)
+	// only when the outbox's Send has copied the block by the time it
+	// returns — true of the socket transports, which serialize into
+	// their own buffers, and false of the in-process one, which hands
+	// the consumer the pointer.
+	ReuseStaging bool
 }
 
-// NewSender builds a sender. The partition function decides routing;
-// use HashPartitioner for repartition exchanges and GatherPartitioner
-// for result collection.
-func NewSender(child Iterator, sch *types.Schema, out Outbox, part PartitionFn) *Sender {
-	return &Sender{child: child, sch: sch, out: out, part: part}
+// NewSender builds a sender. With partition keys, tuple i of every
+// block goes to destination Hash64(key_i) % Destinations() —
+// repartitioning for joins and aggregations; with nil keys every block
+// is forwarded whole to destination 0 (result collection, gathers).
+func NewSender(child Iterator, sch *types.Schema, out Outbox, partKeys []expr.Expr) *Sender {
+	s := &Sender{child: child, sch: sch, out: out}
+	if partKeys != nil {
+		s.keys = expr.NewBatchKeyEncoder(partKeys, sch)
+	}
+	return s
 }
 
 // SetBlockSize overrides the payload size of repartitioned blocks
@@ -130,29 +129,42 @@ func (s *Sender) Run(ctx *Ctx) error {
 
 func (s *Sender) route(b *block.Block) error {
 	n := s.out.Destinations()
-	if n == 1 {
-		// Gather fast path: forward whole blocks.
+	if s.keys == nil || n == 1 {
+		// Nothing to split: forward the block whole.
 		s.sent[0] += int64(b.NumTuples())
 		s.total += int64(b.NumTuples())
 		return s.ship(0, b)
 	}
-	for i := 0; i < b.NumTuples(); i++ {
-		rec := b.Row(i)
-		d := s.part(rec, s.sch, n)
-		p := s.pending[d]
-		if p == nil {
-			p = block.New(s.sch, s.blockSize, nil)
-			p.VisitRate = b.VisitRate
-			s.pending[d] = p
-		}
-		p.AppendRow(rec)
-		s.sent[d]++
-		s.total++
-		if p.Full() {
+	rows := s.keys.EncodeBlock(b, nil)
+	for d, sel := range s.scatter.split(s.keys, rows, n) {
+		s.sent[d] += int64(len(sel))
+		s.total += int64(len(sel))
+		for len(sel) > 0 {
+			p := s.pending[d]
+			if p == nil {
+				p = block.New(s.sch, s.blockSize, nil)
+				s.pending[d] = p
+			}
+			if p.NumTuples() == 0 {
+				p.VisitRate = b.VisitRate
+			}
+			k := p.Cap() - p.NumTuples()
+			if k > len(sel) {
+				k = len(sel)
+			}
+			p.AppendSelected(b, sel[:k])
+			sel = sel[k:]
+			if !p.Full() {
+				continue
+			}
 			if err := s.ship(d, p); err != nil {
 				return err
 			}
-			s.pending[d] = nil
+			if s.ReuseStaging {
+				p.Reset()
+			} else {
+				s.pending[d] = nil
+			}
 		}
 	}
 	return nil

@@ -234,6 +234,9 @@ type HashAgg struct {
 	// the argument is COUNT(*) or falls outside the fused shapes (those
 	// stay row-evaluated even on the batch path).
 	argKerns []expr.BatchExpr
+	// vectorized: the keys and every aggregate argument avoid the row
+	// fallback; see Vectorized.
+	vectorized bool
 
 	// Mem wires the aggregation into memory governance (set by the
 	// engine before Open; nil runs unbudgeted and never spills).
@@ -290,12 +293,15 @@ func NewHashAgg(child Iterator, inSch *types.Schema, keys []expr.Expr,
 	}
 	ha.groupBytes = int64(112 + 56*len(specs) + 32*len(keys))
 	ha.argKerns = make([]expr.BatchExpr, len(specs))
+	ha.vectorized = expr.NewBatchKeyEncoder(keys, inSch).Vectorized()
 	for j, s := range specs {
 		if s.Arg == nil {
 			continue
 		}
 		if k := expr.CompileBatch(s.Arg, inSch); k.Fused() {
 			ha.argKerns[j] = k
+		} else {
+			ha.vectorized = false
 		}
 	}
 	if len(keys) == 0 {
@@ -331,17 +337,7 @@ func (ha *HashAgg) Schema() *types.Schema { return ha.outSch }
 
 // Vectorized reports whether the group keys and every aggregate
 // argument avoid the row-at-a-time fallback (plan display).
-func (ha *HashAgg) Vectorized() bool {
-	if !expr.NewBatchKeyEncoder(ha.keys, ha.inSch).Vectorized() {
-		return false
-	}
-	for j, s := range ha.specs {
-		if s.Arg != nil && ha.argKerns[j] == nil {
-			return false
-		}
-	}
-	return true
-}
+func (ha *HashAgg) Vectorized() bool { return ha.vectorized }
 
 // Groups returns the current number of groups in the global table.
 func (ha *HashAgg) Groups() int64 { return ha.memGroups.Load() }

@@ -17,10 +17,13 @@ import (
 // (Section 3): a new worker joins the build mid-flight and a departing
 // worker leaves no state to migrate.
 //
-// The table is sharded by key hash; each shard has its own lock and row
-// pages, so concurrent builders rarely contend (the paper's "lock-free
-// structures ... to avoid the latching cost" amounts to the same
-// contention-avoidance goal; sharding is the idiomatic Go equivalent).
+// The table is sharded by key hash; each shard has its own lock, row
+// pages and chained index (joinTable), so concurrent builders rarely
+// contend (the paper's "lock-free structures ... to avoid the latching
+// cost" amounts to the same contention-avoidance goal; sharding is the
+// idiomatic Go equivalent). A builder scatters each input block's rows
+// by shard first and takes every shard lock once per block, not once
+// per row.
 //
 // Build rows live in fixed-size arena pages charged to the operator's
 // budget account (Mem). When a page reservation is refused, the largest
@@ -39,24 +42,24 @@ type HashJoin struct {
 	buildKeys    []expr.Expr
 	probeKeys    []expr.Expr
 
-	// RowExec forces row-at-a-time key computation (set before Open).
-	// The default computes build and probe keys block-at-a-time through
-	// a BatchKeyEncoder: one vectorized pass per key column per block
-	// instead of an Eval + encode + hash round trip per tuple. Both
-	// paths produce byte-identical keys and Hash64 placements, so they
-	// interoperate freely — including against spilled rows, which are
-	// always re-keyed row-at-a-time.
+	// RowExec forces row-at-a-time key computation (set before Open):
+	// every key expression is Eval'd per tuple. The default computes
+	// build and probe keys through the kernels of a BatchKeyEncoder,
+	// one vectorized pass per key column per block. Both produce
+	// byte-identical keys and Hash64 placements, so they interoperate
+	// freely — including against spilled rows, which are always
+	// re-keyed row-at-a-time.
 	RowExec bool
 
 	// Mem wires the join into memory governance (set by the engine
 	// before Open; nil runs unbudgeted and never spills).
 	Mem *MemConfig
 
-	pageBytes int
-	pageRows  int
+	vectorized bool // both key sets avoid the row fallback; see Vectorized
+	pageBytes  int
+	pageRows   int
 
 	shards     []joinShard
-	shardMask  uint64
 	built      *Barrier
 	probeDone  *Barrier
 	buildRows  atomic.Int64
@@ -66,30 +69,38 @@ type HashJoin struct {
 	// shards (frozen once the build barrier passes).
 	spillMu  sync.Mutex
 	nSpilled atomic.Int32
-	// probeEnded records workers (by their persistent Ctx) that already
-	// arrived at probeDone, so the buffered-output protocol in Next
-	// arrives exactly once per worker.
-	probeEnded sync.Map
-	postOnce   once
-	spillCur   atomic.Int64
+	// workers holds each worker's probe-side state, keyed by the
+	// worker's persistent Ctx: Next is re-entered once per output
+	// block, and the state must outlive the call.
+	workers  sync.Map // *Ctx → *joinWorker
+	postOnce once
+	spillCur atomic.Int64
 
 	errMu    sync.Mutex
 	spillErr error
 }
 
+// joinWorker is one worker's private probe state.
+type joinWorker struct {
+	keys *expr.BatchKeyEncoder // probe keys; its buffers are reused block after block
+	// probeEnded records that the worker already arrived at probeDone,
+	// so the buffered-output protocol in Next arrives exactly once.
+	probeEnded bool
+}
+
 type joinShard struct {
 	mu    sync.Mutex
-	table map[string][]int32 // key → row ids (page-major offsets)
-	pages [][]byte           // arena-backed fixed-stride row pages
-	nrows int                // rows resident in pages
-	bytes int64              // resident page bytes
+	tab   joinTable // key → row ids (page-major offsets)
+	pages [][]byte  // arena-backed fixed-stride row pages
+	nrows int       // rows resident in pages
+	bytes int64     // resident page bytes
 
 	spilled bool
 	build   *spillFile // build rows of a spilled shard
 	probes  *spillFile // deferred probe rows for a spilled shard
 }
 
-const joinShards = 64
+const joinShards = 1 << joinShardBits
 
 // joinPageTarget sizes build-side row pages. Small pages (an arena
 // class) keep the per-shard floor low — a join pins at most
@@ -107,19 +118,17 @@ func NewHashJoin(build, probe Iterator, buildSch, probeSch *types.Schema,
 		outSch:    buildSch.Concat(probeSch),
 		buildKeys: buildKeys, probeKeys: probeKeys,
 		shards:    make([]joinShard, joinShards),
-		shardMask: joinShards - 1,
 		built:     NewBarrier(),
 		probeDone: NewBarrier(),
 	}
+	hj.vectorized = expr.NewBatchKeyEncoder(buildKeys, buildSch).Vectorized() &&
+		expr.NewBatchKeyEncoder(probeKeys, probeSch).Vectorized()
 	stride := buildSch.Stride()
 	hj.pageRows = joinPageTarget / stride
 	if hj.pageRows < 1 {
 		hj.pageRows = 1
 	}
 	hj.pageBytes = hj.pageRows * stride
-	for i := range hj.shards {
-		hj.shards[i].table = make(map[string][]int32)
-	}
 	return hj
 }
 
@@ -128,9 +137,14 @@ func (hj *HashJoin) Schema() *types.Schema { return hj.outSch }
 
 // Vectorized reports whether both key sets avoid the row-at-a-time
 // fallback when computed batch-at-a-time (plan display).
-func (hj *HashJoin) Vectorized() bool {
-	return expr.NewBatchKeyEncoder(hj.buildKeys, hj.buildSch).Vectorized() &&
-		expr.NewBatchKeyEncoder(hj.probeKeys, hj.probeSch).Vectorized()
+func (hj *HashJoin) Vectorized() bool { return hj.vectorized }
+
+// newKeys builds a worker's key encoder for one side of the join.
+func (hj *HashJoin) newKeys(keys []expr.Expr, sch *types.Schema) *expr.BatchKeyEncoder {
+	if hj.RowExec {
+		return expr.NewRowKeyEncoder(keys, sch)
+	}
+	return expr.NewBatchKeyEncoder(keys, sch)
 }
 
 // BuildRows returns the number of rows inserted into the hash table.
@@ -171,15 +185,9 @@ func (hj *HashJoin) Open(ctx *Ctx) Status {
 		ctx.BroadcastExit()
 		return Terminated
 	}
-	// Each worker owns its key encoder; the table inserts stay per-row
-	// under the shard locks either way.
-	var enc *expr.KeyEncoder
-	var benc *expr.BatchKeyEncoder
-	if hj.RowExec {
-		enc = expr.NewKeyEncoder(hj.buildKeys)
-	} else {
-		benc = expr.NewBatchKeyEncoder(hj.buildKeys, hj.buildSch)
-	}
+	// Each worker owns its key encoder and scatter scratch.
+	keys := hj.newKeys(hj.buildKeys, hj.buildSch)
+	var byShard scatter
 	for {
 		b, st := hj.build.Next(ctx)
 		if st == Terminated {
@@ -189,24 +197,13 @@ func (hj *HashJoin) Open(ctx *Ctx) Status {
 		if st == End {
 			break
 		}
-		n := b.NumTuples()
-		if !hj.RowExec {
-			benc.EncodeBlock(b, nil)
-		}
-		for i := 0; i < n; i++ {
-			rec := b.Row(i)
-			var key []byte
-			var h uint64
-			if hj.RowExec {
-				key = enc.Encode(rec, hj.buildSch)
-				h = expr.Hash64(key)
-			} else {
-				key = benc.Key(i)
-				h = benc.Hash(i)
+		rows := keys.EncodeBlock(b, nil)
+		for shi, sel := range byShard.split(keys, rows, joinShards) {
+			if len(sel) > 0 {
+				hj.insertBuild(&hj.shards[shi], b, sel, keys)
 			}
-			hj.insertBuild(int(h&hj.shardMask), key, rec)
 		}
-		hj.buildRows.Add(int64(n))
+		hj.buildRows.Add(int64(rows))
 	}
 	hj.built.Arrive()
 	// The probe child's Open is itself thread-safe; every worker passes
@@ -218,50 +215,62 @@ func (hj *HashJoin) Open(ctx *Ctx) Status {
 	return OK
 }
 
-// insertBuild adds one build row to its shard: to the spill file when
-// the shard is spilled, otherwise into the shard's pages, allocating a
-// new page through the budget when full. A refused page reservation
-// sheds the largest resident shard and retries.
-func (hj *HashJoin) insertBuild(shi int, key, rec []byte) {
-	sh := &hj.shards[shi]
+// insertBuild adds the rows sel of b — all hashing to shard sh, keyed
+// by keys' last EncodeBlock — under one acquisition of the shard lock:
+// to the spill file when the shard is spilled, otherwise into the
+// shard's pages and table.
+func (hj *HashJoin) insertBuild(sh *joinShard, b *block.Block, sel []int32, keys *expr.BatchKeyEncoder) {
 	stride := hj.buildSch.Stride()
 	sh.mu.Lock()
-	for {
-		if sh.spilled {
-			err := sh.build.add(rec)
-			sh.mu.Unlock()
-			if err != nil {
+	defer sh.mu.Unlock()
+	for _, i := range sel {
+		rec := b.Row(int(i))
+		if !hj.ensurePage(sh) {
+			if err := sh.build.add(rec); err != nil {
 				hj.setSpillErr(err)
+				return
 			}
-			return
-		}
-		if sh.nrows == len(sh.pages)*hj.pageRows {
-			if hj.Mem.enabled() && !hj.Mem.reserveSmall(int64(hj.pageBytes)) {
-				if hj.Mem.canSpill() {
-					sh.mu.Unlock()
-					spilt := hj.spillOne()
-					sh.mu.Lock()
-					if spilt {
-						continue
-					}
-				}
-				// Nothing left to shed (or nowhere to spill): take the
-				// soft path so the build completes; the scheduler's
-				// watermark reaction absorbs the excess.
-				hj.Mem.forceSmall(int64(hj.pageBytes))
-			} else if !hj.Mem.enabled() {
-				hj.Mem.forceSmall(int64(hj.pageBytes)) // no-op when Mem is nil
-			}
-			sh.pages = append(sh.pages, block.GetBuf(hj.pageBytes))
-			sh.bytes += int64(hj.pageBytes)
-			hj.memTracked.Add(int64(hj.pageBytes))
+			continue
 		}
 		pg := sh.pages[sh.nrows/hj.pageRows]
 		copy(pg[(sh.nrows%hj.pageRows)*stride:], rec)
-		sh.table[string(key)] = append(sh.table[string(key)], int32(sh.nrows))
+		sh.tab.insert(keys.Hash(int(i)), keys.Key(int(i)))
 		sh.nrows++
-		sh.mu.Unlock()
-		return
+	}
+}
+
+// ensurePage makes room in sh (locked by the caller) for one more
+// resident row, allocating a new page through the budget when the last
+// one is full. A refused page reservation sheds the largest resident
+// shard and retries; the shard lock is dropped around that. It reports
+// false when sh is spilled — before the call or by it — and the row
+// belongs in the spill file.
+func (hj *HashJoin) ensurePage(sh *joinShard) bool {
+	for {
+		if sh.spilled {
+			return false
+		}
+		if sh.nrows < len(sh.pages)*hj.pageRows {
+			return true
+		}
+		if hj.Mem.enabled() && !hj.Mem.reserveSmall(int64(hj.pageBytes)) {
+			if hj.Mem.canSpill() {
+				sh.mu.Unlock()
+				spilt := hj.spillOne()
+				sh.mu.Lock()
+				if spilt {
+					continue
+				}
+			}
+			// Nothing left to shed (or nowhere to spill): take the
+			// soft path so the build completes; the scheduler's
+			// watermark reaction absorbs the excess.
+			hj.Mem.forceSmall(int64(hj.pageBytes))
+		}
+		sh.pages = append(sh.pages, block.GetBuf(hj.pageBytes))
+		sh.bytes += int64(hj.pageBytes)
+		hj.memTracked.Add(int64(hj.pageBytes))
+		return true
 	}
 }
 
@@ -312,7 +321,7 @@ func (hj *HashJoin) spillOne() bool {
 	for _, pg := range sh.pages {
 		block.PutBuf(pg)
 	}
-	sh.pages, sh.table = nil, nil
+	sh.pages, sh.tab = nil, joinTable{}
 	sh.nrows, sh.bytes = 0, 0
 	sh.spilled = true
 	sh.build = sf
@@ -328,14 +337,7 @@ func (hj *HashJoin) spillOne() bool {
 // locking is needed; rows hashing to spilled shards are deferred to
 // per-shard probe files and re-joined after the probe input drains.
 func (hj *HashJoin) Next(ctx *Ctx) (*block.Block, Status) {
-	var enc *expr.KeyEncoder
-	var benc *expr.BatchKeyEncoder
-	if hj.RowExec {
-		enc = expr.NewKeyEncoder(hj.probeKeys)
-	} else {
-		benc = expr.NewBatchKeyEncoder(hj.probeKeys, hj.probeSch)
-	}
-	bStride := hj.buildSch.Stride()
+	w := hj.worker(ctx)
 	target := block.DefaultSize/hj.outSch.Stride()/2 + 1
 	var out *block.Block
 	for {
@@ -345,7 +347,7 @@ func (hj *HashJoin) Next(ctx *Ctx) (*block.Block, Status) {
 				return out, OK
 			}
 			if st == End {
-				return hj.endProbe(ctx)
+				return hj.endProbe(ctx, w)
 			}
 			return nil, st
 		}
@@ -354,38 +356,15 @@ func (hj *HashJoin) Next(ctx *Ctx) (*block.Block, Status) {
 			out.Seq = in.Seq
 			out.Socket = in.Socket
 		}
-		n := in.NumTuples()
-		if !hj.RowExec {
-			benc.EncodeBlock(in, nil)
-		}
+		n := w.keys.EncodeBlock(in, nil)
 		for i := 0; i < n; i++ {
-			rec := in.Row(i)
-			var key []byte
-			var h uint64
-			if hj.RowExec {
-				key = enc.Encode(rec, hj.probeSch)
-				h = expr.Hash64(key)
-			} else {
-				key = benc.Key(i)
-				h = benc.Hash(i)
-			}
-			sh := &hj.shards[h&hj.shardMask]
+			h := w.keys.Hash(i)
+			sh := &hj.shards[h&(joinShards-1)]
 			if sh.spilled {
-				hj.deferProbe(sh, rec)
+				hj.deferProbe(sh, in.Row(i))
 				continue
 			}
-			offs, hit := sh.table[string(key)]
-			if !hit {
-				continue
-			}
-			out.EnsureRoom(len(offs))
-			for _, off := range offs {
-				pg := sh.pages[int(off)/hj.pageRows]
-				po := (int(off) % hj.pageRows) * bStride
-				dst := out.AppendRowTo()
-				copy(dst[:bStride], pg[po:po+bStride])
-				copy(dst[bStride:], rec)
-			}
+			hj.emitMatches(out, &sh.tab, sh.pages, h, w.keys.Key(i), in.Row(i))
 		}
 		sel := 1.0
 		if n > 0 {
@@ -395,6 +374,31 @@ func (hj *HashJoin) Next(ctx *Ctx) (*block.Block, Status) {
 		if out.NumTuples() >= target {
 			return out, OK
 		}
+	}
+}
+
+// worker returns the calling worker's probe state, created on its
+// first Next.
+func (hj *HashJoin) worker(ctx *Ctx) *joinWorker {
+	if w, ok := hj.workers.Load(ctx); ok {
+		return w.(*joinWorker)
+	}
+	w := &joinWorker{keys: hj.newKeys(hj.probeKeys, hj.probeSch)}
+	hj.workers.Store(ctx, w)
+	return w
+}
+
+// emitMatches appends to out the concatenation of probe row rec with
+// every build row of t (stored in pages) whose key equals key.
+func (hj *HashJoin) emitMatches(out *block.Block, t *joinTable, pages [][]byte, h uint64, key, rec []byte) {
+	stride := hj.buildSch.Stride()
+	for id := t.lookup(h, key); id >= 0; id = t.after(id, h, key) {
+		pg := pages[int(id)/hj.pageRows]
+		po := (int(id) % hj.pageRows) * stride
+		out.EnsureRoom(1)
+		dst := out.AppendRowTo()
+		copy(dst[:stride], pg[po:po+stride])
+		copy(dst[stride:], rec)
 	}
 }
 
@@ -423,11 +427,12 @@ func (hj *HashJoin) deferProbe(sh *joinShard, rec []byte) {
 // one past frees the resident shards — no further probes can touch
 // them — and then spilled shards are claimed one per call and
 // re-joined from their files.
-func (hj *HashJoin) endProbe(ctx *Ctx) (*block.Block, Status) {
+func (hj *HashJoin) endProbe(ctx *Ctx, w *joinWorker) (*block.Block, Status) {
 	if hj.nSpilled.Load() == 0 {
 		return nil, End
 	}
-	if _, arrived := hj.probeEnded.LoadOrStore(ctx, true); !arrived {
+	if !w.probeEnded {
+		w.probeEnded = true
 		hj.probeDone.Arrive()
 	}
 	if hj.postOnce.First() {
@@ -467,7 +472,7 @@ func (hj *HashJoin) freeResident() {
 			block.PutBuf(pg)
 		}
 		freed += sh.bytes
-		sh.pages, sh.table = nil, nil
+		sh.pages, sh.tab = nil, joinTable{}
 		sh.nrows, sh.bytes = 0, 0
 	}
 	if freed > 0 {
@@ -488,7 +493,7 @@ func (hj *HashJoin) processSpilledShard(ctx *Ctx, sh *joinShard) *block.Block {
 		return nil
 	}
 	stride := hj.buildSch.Stride()
-	table := make(map[string][]int32)
+	var tab joinTable
 	var pages [][]byte
 	var pbytes int64
 	nr := 0
@@ -505,7 +510,7 @@ func (hj *HashJoin) processSpilledShard(ctx *Ctx, sh *joinShard) *block.Block {
 		}
 		copy(pages[nr/hj.pageRows][(nr%hj.pageRows)*stride:], rec)
 		key := benc.Encode(rec, hj.buildSch)
-		table[string(key)] = append(table[string(key)], int32(nr))
+		tab.insert(expr.Hash64(key), key)
 		nr++
 		return nil
 	})
@@ -524,18 +529,7 @@ func (hj *HashJoin) processSpilledShard(ctx *Ctx, sh *joinShard) *block.Block {
 	penc := expr.NewKeyEncoder(hj.probeKeys)
 	err = probes.iterate(func(rec []byte) error {
 		key := penc.Encode(rec, hj.probeSch)
-		offs, hit := table[string(key)]
-		if !hit {
-			return nil
-		}
-		out.EnsureRoom(len(offs))
-		for _, off := range offs {
-			pg := pages[int(off)/hj.pageRows]
-			po := (int(off) % hj.pageRows) * stride
-			dst := out.AppendRowTo()
-			copy(dst[:stride], pg[po:po+stride])
-			copy(dst[stride:], rec)
-		}
+		hj.emitMatches(out, &tab, pages, expr.Hash64(key), key, rec)
 		return nil
 	})
 	free()
@@ -557,7 +551,7 @@ func (hj *HashJoin) Close() {
 			block.PutBuf(pg)
 		}
 		freed += sh.bytes
-		sh.pages, sh.table = nil, nil
+		sh.pages, sh.tab = nil, joinTable{}
 		sh.nrows, sh.bytes = 0, 0
 		sh.build.drop()
 		sh.probes.drop()

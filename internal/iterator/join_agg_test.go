@@ -288,3 +288,30 @@ func TestAggAlgorithmsAgree(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestKeyVectorizedFlags: Vectorized is answered from the constructor;
+// it must still tell column and fused keys from ones that fall back to
+// row-at-a-time Eval (CASE), on both operators.
+func TestKeyVectorizedFlags(t *testing.T) {
+	sch := types.NewSchema(types.Col("k", types.Int64), types.Col("v", types.Int64))
+	k, v := expr.NewCol(0, "k"), expr.NewCol(1, "v")
+	caseKey := expr.NewCase([]expr.When{{Cond: expr.NewCmp(expr.GT, k, v), Then: k}}, v)
+	for _, tc := range []struct {
+		keys []expr.Expr
+		want bool
+	}{
+		{[]expr.Expr{k}, true},
+		{[]expr.Expr{expr.NewArith(expr.Add, k, v)}, true},
+		{[]expr.Expr{k, caseKey}, false},
+	} {
+		hj := NewHashJoin(nil, nil, sch, sch, []expr.Expr{k}, tc.keys)
+		if hj.Vectorized() != tc.want {
+			t.Errorf("HashJoin probe keys %v: Vectorized = %v", tc.keys, !tc.want)
+		}
+		names := make([]string, len(tc.keys))
+		ha := NewHashAgg(nil, sch, tc.keys, names, []AggSpec{{Func: Sum, Arg: v, Name: "s"}}, SharedAgg)
+		if ha.Vectorized() != tc.want {
+			t.Errorf("HashAgg keys %v: Vectorized = %v", tc.keys, !tc.want)
+		}
+	}
+}

@@ -1,0 +1,115 @@
+package iterator
+
+import "bytes"
+
+// joinShardBits is the number of low hash bits that pick a join shard;
+// a shard's table indexes its buckets with the bits above them, so the
+// rows of one shard still spread over all of its buckets.
+const joinShardBits = 6
+
+// joinTableMinBuckets is a table's first bucket count. A build of a
+// few thousand rows leaves some tens in each of the 64 shards, which
+// this covers without a rehash.
+const joinTableMinBuckets = 64
+
+// joinTable indexes the build rows of one shard (or of one spilled
+// shard being re-joined) by key: a chained hash table laid out in flat
+// arrays. Row ids are dense insertion numbers — the caller stores row i
+// at slot i of its pages — and everything the table holds is integers
+// and key bytes, so the garbage collector has nothing to trace in it
+// and an insert allocates nothing until an array fills (the table then
+// doubles). Not safe for concurrent mutation: the join inserts under
+// the shard lock and probes only after the build barrier.
+type joinTable struct {
+	rows    []joinRow // by row id
+	keys    []byte    // key bytes, in row order
+	buckets []int32   // chain heads, -1 when empty; len is a power of two
+}
+
+// joinRow is what the table keeps per build row. The three fields sit
+// together so that a step along a chain touches one cache line, and a
+// doubling reallocates one array.
+type joinRow struct {
+	hash   uint64 // Hash64 of the row's key
+	next   int32  // the row after this one on its bucket's chain, -1 at the end
+	keyEnd uint32 // the key is keys[rows[id-1].keyEnd:keyEnd]
+}
+
+func (t *joinTable) bucket(h uint64) uint64 {
+	return (h >> joinShardBits) & uint64(len(t.buckets)-1)
+}
+
+// insert adds the next row (id = number of rows so far) under key,
+// whose Hash64 is h.
+func (t *joinTable) insert(h uint64, key []byte) {
+	id := len(t.rows)
+	if id == len(t.buckets) {
+		t.grow(len(key))
+	}
+	b := t.bucket(h)
+	t.keys = append(t.keys, key...)
+	t.rows = append(t.rows, joinRow{hash: h, next: t.buckets[b], keyEnd: uint32(len(t.keys))})
+	t.buckets[b] = int32(id)
+}
+
+// grow doubles the bucket array and the row array's capacity (the load
+// factor stays at most one row per bucket), then relinks every row from
+// its stored hash. The key slab gets room for that many keys of the
+// length seen so far (keyLen, the incoming key's, for the first);
+// longer ones fall back on append's own growth.
+func (t *joinTable) grow(keyLen int) {
+	n := 2 * len(t.buckets)
+	if n == 0 {
+		n = joinTableMinBuckets
+	}
+	if rows := len(t.rows); rows > 0 {
+		keyLen = (len(t.keys) + rows - 1) / rows
+	}
+	t.rows = append(make([]joinRow, 0, n), t.rows...)
+	if cap(t.keys) < n*keyLen {
+		t.keys = append(make([]byte, 0, n*keyLen), t.keys...)
+	}
+	t.buckets = make([]int32, n)
+	for b := range t.buckets {
+		t.buckets[b] = -1
+	}
+	for id := range t.rows {
+		b := t.bucket(t.rows[id].hash)
+		t.rows[id].next = t.buckets[b]
+		t.buckets[b] = int32(id)
+	}
+}
+
+// lookup returns the first row whose key equals key (Hash64 h), or -1.
+// Further matches follow with after.
+func (t *joinTable) lookup(h uint64, key []byte) int32 {
+	if len(t.buckets) == 0 {
+		return -1
+	}
+	return t.match(t.buckets[t.bucket(h)], h, key)
+}
+
+// after returns the next row after id with the same key, or -1.
+func (t *joinTable) after(id int32, h uint64, key []byte) int32 {
+	return t.match(t.rows[id].next, h, key)
+}
+
+// match walks a chain from id to the first row with hash h and key
+// bytes equal to key. Equal hashes do not imply equal keys, so the
+// bytes decide; unequal hashes skip the comparison.
+func (t *joinTable) match(id int32, h uint64, key []byte) int32 {
+	for ; id >= 0; id = t.rows[id].next {
+		r := &t.rows[id]
+		if r.hash != h {
+			continue
+		}
+		start := uint32(0)
+		if id > 0 {
+			start = t.rows[id-1].keyEnd
+		}
+		if bytes.Equal(t.keys[start:r.keyEnd], key) {
+			return id
+		}
+	}
+	return -1
+}

@@ -1,0 +1,39 @@
+package iterator
+
+import "repro/internal/expr"
+
+// scatter buckets the rows of one block by key hash into per-bucket
+// selection vectors: the repartitioning Sender splits a block across
+// destinations with it, the hash join's build across table shards. The
+// vectors are scratch owned by the scatter and reused block after
+// block, so a warm one allocates nothing.
+type scatter struct {
+	sels [][]int32
+}
+
+// split returns, for each of n buckets, the ascending row indexes i
+// (of the rows keys last encoded) with keys.Hash(i) % n == bucket. The
+// result is valid until the next call.
+func (s *scatter) split(keys *expr.BatchKeyEncoder, rows, n int) [][]int32 {
+	if len(s.sels) < n {
+		// First use: carve every vector's starting capacity — twice an
+		// even share of this block — out of one allocation. A vector
+		// that outgrows it falls back on append's own growth.
+		c := 2*rows/n + 16
+		backing := make([]int32, n*c)
+		s.sels = make([][]int32, n)
+		for d := range s.sels {
+			s.sels[d] = backing[d*c : d*c : (d+1)*c]
+		}
+	}
+	sels := s.sels[:n]
+	for d := range sels {
+		sels[d] = sels[d][:0]
+	}
+	m := uint64(n)
+	for i := 0; i < rows; i++ {
+		d := keys.Hash(i) % m
+		sels[d] = append(sels[d], int32(i))
+	}
+	return sels
+}

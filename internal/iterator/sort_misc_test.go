@@ -168,65 +168,6 @@ func TestLimitParallelNeverExceeds(t *testing.T) {
 	}
 }
 
-func TestSenderHashPartitioning(t *testing.T) {
-	sch := types.NewSchema(types.Col("k", types.Int64))
-	p := buildPartition(sch, 3000, 512, func(i int, rec []byte) {
-		types.PutValue(rec, sch, 0, types.IntVal(int64(i)))
-	})
-	out := newChanOutbox(4)
-	s := NewSender(NewScan(p), sch, out, HashPartitioner([]expr.Expr{expr.NewCol(0, "k")}))
-	ctx := &Ctx{Term: &TermFlag{}}
-	if err := s.Run(ctx); err != nil {
-		t.Fatal(err)
-	}
-	if !out.closed.Load() {
-		t.Fatal("sender did not close streams")
-	}
-	// All tuples must arrive, each key consistently at one destination.
-	seen := make(map[int64]int)
-	total := 0
-	for d, blocks := range out.dests {
-		for _, b := range blocks {
-			for i := 0; i < b.NumTuples(); i++ {
-				k := b.Get(i, 0).I
-				if prev, ok := seen[k]; ok && prev != d {
-					t.Fatalf("key %d routed to both %d and %d", k, prev, d)
-				}
-				seen[k] = d
-				total++
-			}
-		}
-		if len(blocks) == 0 {
-			t.Errorf("destination %d received nothing", d)
-		}
-	}
-	if total != 3000 {
-		t.Fatalf("delivered %d tuples, want 3000", total)
-	}
-	if s.BytesSent.Load() == 0 {
-		t.Error("BytesSent not accounted")
-	}
-}
-
-func TestSenderGatherFastPath(t *testing.T) {
-	sch := types.NewSchema(types.Col("k", types.Int64))
-	p := buildPartition(sch, 100, 256, func(i int, rec []byte) {
-		types.PutValue(rec, sch, 0, types.IntVal(int64(i)))
-	})
-	out := newChanOutbox(1)
-	s := NewSender(NewScan(p), sch, out, GatherPartitioner())
-	if err := s.Run(&Ctx{Term: &TermFlag{}}); err != nil {
-		t.Fatal(err)
-	}
-	total := 0
-	for _, b := range out.dests[0] {
-		total += b.NumTuples()
-	}
-	if total != 100 {
-		t.Fatalf("gather delivered %d", total)
-	}
-}
-
 func TestMerger(t *testing.T) {
 	sch := types.NewSchema(types.Col("k", types.Int64))
 	ch := make(chan *block.Block, 8)

@@ -99,6 +99,10 @@ type distExchange struct {
 // Inbox implements FabricExchange; nil for instances on remote nodes.
 func (e *distExchange) Inbox(i int) *Inbox { return e.inboxes[i] }
 
+// SendCopies implements FabricExchange: the same TCPOutbox as
+// TCPFabric's.
+func (e *distExchange) SendCopies() bool { return true }
+
 // Abort implements FabricExchange for the local side of the dataflow.
 func (e *distExchange) Abort() {
 	e.fabric.node.AbortExchange(e.query, e.id)

@@ -36,6 +36,11 @@ type Fabric interface {
 type FabricExchange interface {
 	Inbox(i int) *Inbox
 	Outbox(producerNode int) iterator.Outbox
+	// SendCopies reports whether an outbox's Send has copied the block
+	// by the time it returns, so the caller may overwrite it. The socket
+	// transports serialize into their own buffers (true); the
+	// in-process transport hands the consumer the pointer (false).
+	SendCopies() bool
 	// Abort abandons the exchange after a query failure: inboxes
 	// unblock and discard, pending reliable sends fail fast. Idempotent;
 	// safe to call concurrently with senders and receivers.
@@ -166,6 +171,9 @@ type inprocExchange struct {
 func (e inprocExchange) Inbox(i int) *Inbox { return e.ex.Inbox(i) }
 
 func (e inprocExchange) Abort() { e.ex.Abort() }
+
+// SendCopies implements FabricExchange: blocks move by pointer.
+func (e inprocExchange) SendCopies() bool { return false }
 
 // Release implements FabricExchange. The in-process transport holds no
 // per-query registry — the exchange object itself is the only state,
@@ -372,6 +380,10 @@ type tcpExchange struct {
 
 // Inbox implements FabricExchange.
 func (e *tcpExchange) Inbox(i int) *Inbox { return e.inboxes[i] }
+
+// SendCopies implements FabricExchange: TCPOutbox.Send encodes the
+// block into the staged batch (or a window slot) before returning.
+func (e *tcpExchange) SendCopies() bool { return true }
 
 // Abort implements FabricExchange: every node of the fabric abandons
 // the exchange, so senders, read loops and consumers all unwedge.

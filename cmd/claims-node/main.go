@@ -23,12 +23,6 @@
 // configured deadline; the in-flight query fails with a typed node-lost
 // verdict ("node_lost" in the reply names the victim), and a restarted
 // process re-joins under a new incarnation and serves again.
-//
-// The legacy single-dataflow mesh mode (block-shipping throughput test,
-// no membership) is kept behind -peers:
-//
-//	claims-node -id 0 -listen :7100 -peers 0=localhost:7100,1=localhost:7101 &
-//	claims-node -id 1 -listen :7101 -peers 0=localhost:7100,1=localhost:7101 -drive
 package main
 
 import (
@@ -43,27 +37,21 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
-	"sort"
 	"strconv"
 	"strings"
 	"sync"
 	"syscall"
 	"time"
 
-	"repro/internal/block"
 	"repro/internal/catalog"
 	"repro/internal/cluster"
 	"repro/internal/engine"
-	"repro/internal/expr"
 	"repro/internal/faults"
-	"repro/internal/iterator"
 	"repro/internal/network"
 	"repro/internal/obs"
-	"repro/internal/plan"
 	"repro/internal/sql"
 	"repro/internal/sse"
 	"repro/internal/telemetry"
-	"repro/internal/types"
 )
 
 func main() {
@@ -90,11 +78,6 @@ func main() {
 		// Wire fabric tuning (see DESIGN.md §15). 0 keeps the default.
 		netWindow   = flag.Int("net-window", 0, "reliable-mode send window in frames per stream (0 = default)")
 		netCoalesce = flag.Int("net-coalesce", 0, "wire batch coalescing threshold in bytes; 1 disables coalescing (0 = default)")
-
-		// Legacy mesh mode.
-		peerStr   = flag.String("peers", "", "legacy mesh mode: comma-separated id=host:port list (all nodes); disables membership")
-		drive     = flag.Bool("drive", false, "(mesh) drive a throughput test against the mesh")
-		driveRows = flag.Int("drive-rows", 2_000_000, "(mesh) rows to ship in the throughput test")
 	)
 	flag.Parse()
 
@@ -133,10 +116,6 @@ func main() {
 		wire.CoalesceBytes = *netCoalesce
 	}
 
-	if *peerStr != "" {
-		runMesh(*id, *listen, *ctl, *peerStr, *drive, *driveRows, wire, reg)
-		return
-	}
 	runClusterNode(clusterNodeConfig{
 		id: *id, listen: *listen, ctl: *ctl, seed: *seed,
 		nodes: *nodes, workload: *workload, rows: *rows, genSeed: *genSeed,
@@ -442,7 +421,7 @@ func (s *ctlServer) handleQuery(w http.ResponseWriter, r *http.Request) {
 	stmt, explain, analyze := sql.StripExplain(strings.TrimSuffix(strings.TrimSpace(req.SQL), ";"))
 	if explain && !analyze {
 		// Plan only — nothing executes, so no fan-out.
-		p, err := plan.Compile(stmt, c.Catalog())
+		p, _, err := c.CompileCached(stmt)
 		if err != nil {
 			writeJSONStatus(w, http.StatusBadRequest,
 				queryResponse{Coordinator: s.selfID, NodeLost: -1, Error: err.Error()})
@@ -482,20 +461,9 @@ func (s *ctlServer) handleQuery(w http.ResponseWriter, r *http.Request) {
 	}
 
 	start := time.Now()
-	var res *engine.Result
-	var an *engine.Analysis
-	var err error
-	if analyze {
-		res, an, err = c.RunCoordinatedAnalyze(r.Context(), spec, nil)
-	} else {
-		res, err = c.RunCoordinated(r.Context(), spec, nil)
-	}
+	res, err := c.Exec(r.Context(), engine.Request{Dist: &spec})
 	resp := queryResponse{Coordinator: s.selfID, DataNodes: alive, NodeLost: -1,
 		DurationMS: float64(time.Since(start)) / float64(time.Millisecond)}
-	if an != nil {
-		resp.Analysis = an.Render()
-		resp.PerNode = an.NodeBreakdowns()
-	}
 	if err != nil {
 		resp.Error = err.Error()
 		var nl *engine.NodeLostError
@@ -513,6 +481,10 @@ func (s *ctlServer) handleQuery(w http.ResponseWriter, r *http.Request) {
 		}
 		writeJSONStatus(w, http.StatusInternalServerError, resp)
 		return
+	}
+	if an := res.Analysis; an != nil {
+		resp.Analysis = an.Render()
+		resp.PerNode = an.NodeBreakdowns()
 	}
 	resp.Columns = res.Names
 	resp.RowCount = res.NumRows()
@@ -541,20 +513,15 @@ func (s *ctlServer) handleExec(w http.ResponseWriter, r *http.Request) {
 			QID: req.QID, SQL: req.SQL, Coordinator: req.Coordinator, DataNodes: req.DataNodes,
 			Analyze: req.Analyze, TraceID: req.TraceID,
 		}
-		var err error
-		if req.Analyze {
-			// Run instrumented and ship the scope snapshot back so the
-			// coordinator's EXPLAIN ANALYZE covers this node.
-			var snap *telemetry.ScopeSnapshot
-			snap, err = c.RunParticipantStats(context.Background(), spec)
-			if err == nil && req.CoordinatorCtl != "" {
-				if perr := s.postJSON(req.CoordinatorCtl, "/stats",
-					statsRequest{QID: req.QID, Snapshot: snap}); perr != nil {
-					log.Printf("qid %d: stats return to %s failed: %v", req.QID, req.CoordinatorCtl, perr)
-				}
+		res, err := c.Exec(context.Background(), engine.Request{Dist: &spec})
+		if err == nil && res.Snapshot != nil && req.CoordinatorCtl != "" {
+			// The fragment ran instrumented (an analyzed query): ship the
+			// scope snapshot back so the coordinator's EXPLAIN ANALYZE
+			// covers this node.
+			if perr := s.postJSON(req.CoordinatorCtl, "/stats",
+				statsRequest{QID: req.QID, Snapshot: res.Snapshot}); perr != nil {
+				log.Printf("qid %d: stats return to %s failed: %v", req.QID, req.CoordinatorCtl, perr)
 			}
-		} else {
-			err = c.RunParticipant(context.Background(), spec)
 		}
 		if err != nil && !errors.Is(err, engine.ErrNodeLost) {
 			// A local failure the coordinator cannot see (compile error,
@@ -652,117 +619,4 @@ func containsInt(v []int, x int) bool {
 		}
 	}
 	return false
-}
-
-// runMesh is the legacy static-peers mode: one fixed dataflow shipping
-// hash-partitioned blocks across the mesh, reporting bandwidth. Its
-// exchange lives in the reserved tool namespace (MeshQueryID), so it
-// can never collide with an engine query's exchanges.
-func runMesh(id int, listen, ctl, peerStr string, drive bool, rows int,
-	wire network.WireConfig, reg *telemetry.Registry) {
-	peers, err := network.ParsePeers(peerStr)
-	if err != nil {
-		log.Fatal(err)
-	}
-	if len(peers) == 0 {
-		log.Fatal("at least one peer (this node) is required")
-	}
-
-	srv, err := obs.Serve(ctl, reg)
-	if err != nil {
-		log.Fatal(err)
-	}
-	defer srv.Close()
-
-	node, err := network.NewTCPNode(id, listen, peers)
-	if err != nil {
-		log.Fatal(err)
-	}
-	defer node.Close()
-	node.SetWireConfig(wire)
-	log.Printf("node %d listening on %s, %d peers", id, node.Addr(), len(peers))
-
-	sch := types.NewSchema(
-		types.Col("k", types.Int64),
-		types.Col("payload", types.Float64),
-	)
-
-	// Every node registers an inbox for the mesh tool's reserved
-	// exchange and counts arrivals.
-	inbox := node.RegisterInbox(network.MeshQueryID, network.MeshExchangeID, id, len(peers), sch, 256, nil)
-	recvDone := make(chan int64)
-	go func() {
-		var tuples int64
-		for {
-			b, st := inbox.Recv(nil)
-			if st != iterator.RecvOK {
-				recvDone <- tuples
-				return
-			}
-			tuples += int64(b.NumTuples())
-		}
-	}()
-
-	fmt.Printf("CLAIMS_NODE_READY id=%d addr=%s ctl=%s\n", id, node.Addr(), srv.Addr())
-
-	if !drive {
-		log.Printf("serving; ^C to stop")
-		sig := make(chan os.Signal, 1)
-		signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
-		select {
-		case <-sig:
-		case n := <-recvDone:
-			log.Printf("received %d tuples, all producers closed", n)
-		}
-		return
-	}
-
-	// Driver: every peer is a destination instance; hash-partition the
-	// stream across them (instance i lives on node i).
-	dests := make([]int, 0, len(peers))
-	for pid := range peers {
-		dests = append(dests, pid)
-	}
-	sort.Ints(dests)
-	outbox := node.NewOutbox(network.MeshQueryID, network.MeshExchangeID, dests)
-
-	log.Printf("driving %d rows across %d destinations...", rows, len(dests))
-	part := expr.NewKeyEncoder([]expr.Expr{expr.NewCol(0, "k")})
-	start := time.Now()
-	byDest := make([]*block.Block, len(dests))
-	var sent int64
-	flush := func(d int) {
-		if byDest[d] == nil || byDest[d].NumTuples() == 0 {
-			return
-		}
-		if err := outbox.Send(d, byDest[d]); err != nil {
-			log.Fatalf("send: %v", err)
-		}
-		sent += int64(byDest[d].NumTuples())
-		byDest[d] = nil
-	}
-	rec := make([]byte, sch.Stride())
-	for i := 0; i < rows; i++ {
-		types.PutValue(rec, sch, 0, types.IntVal(int64(i)))
-		types.PutValue(rec, sch, 1, types.FloatVal(float64(i)))
-		d := int(part.Hash(rec, sch) % uint64(len(dests)))
-		if byDest[d] == nil {
-			byDest[d] = block.New(sch, 64*1024, nil)
-		}
-		byDest[d].AppendRow(rec)
-		if byDest[d].Full() {
-			flush(d)
-		}
-	}
-	for d := range dests {
-		flush(d)
-	}
-	if err := outbox.CloseSend(); err != nil {
-		log.Fatal(err)
-	}
-	elapsed := time.Since(start)
-	nbytes := float64(sent) * float64(sch.Stride())
-	fmt.Printf("shipped %d tuples (%.1f MB) in %v — %.1f MB/s\n",
-		sent, nbytes/1e6, elapsed.Round(time.Millisecond),
-		nbytes/1e6/elapsed.Seconds())
 }

@@ -403,12 +403,12 @@ func runQuery(c *engine.Cluster, q string) {
 	case explain && analyze:
 		// Execute with instrumentation and print the annotated plan
 		// instead of the rows.
-		_, an, err := c.ExplainAnalyze(stmt)
+		res, err := c.Exec(context.Background(), engine.Request{SQL: stmt, Analyze: true})
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "error: %v\n", err)
 			return
 		}
-		fmt.Print(an.Render())
+		fmt.Print(res.Analysis.Render())
 		return
 	case explain:
 		p, err := plan.Compile(stmt, c.Catalog())

@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"context"
 	"fmt"
 	"time"
 
@@ -67,7 +68,10 @@ func ObsOverhead() (*Report, error) {
 		if err != nil {
 			return nil, fmt.Errorf("%s plain: %v", id, err)
 		}
-		analyzed, err := best(func() error { _, _, err := c.ExplainAnalyze(q); return err }, anHist)
+		analyzed, err := best(func() error {
+			_, err := c.Exec(context.Background(), engine.Request{SQL: q, Analyze: true})
+			return err
+		}, anHist)
 		if err != nil {
 			return nil, fmt.Errorf("%s analyzed: %v", id, err)
 		}

@@ -13,35 +13,18 @@ import (
 	"repro/internal/telemetry"
 )
 
-// ExplainAnalyze compiles and executes a query with per-operator
-// instrumentation on, returning the result together with an Analysis:
-// the physical plan annotated with measured rows, blocks, operator
-// time, exchange traffic and worker parallelism. Every number in the
-// analysis is read back from the query's telemetry scope — the same
-// counters, gauges and events any attached sink observes — so the
-// annotated plan cannot drift from the telemetry stream.
-func (c *Cluster) ExplainAnalyze(query string) (*Result, *Analysis, error) {
-	return c.ExplainAnalyzeScoped(query, newQueryScope())
-}
-
-// ExplainAnalyzeScoped is ExplainAnalyze under a caller-owned scope.
+// ExplainAnalyzeScoped is Exec with Analyze set, under a caller-owned
+// scope: the query runs with per-operator instrumentation on and the
+// Analysis comes back beside the result. Every number in the analysis
+// is read back from the query's telemetry scope — the same counters,
+// gauges and events any attached sink observes — so the annotated plan
+// cannot drift from the telemetry stream.
 func (c *Cluster) ExplainAnalyzeScoped(query string, sc *telemetry.Scope) (*Result, *Analysis, error) {
-	p, hit, err := c.CompileCached(query)
+	res, err := c.Exec(context.Background(), Request{SQL: query, Scope: sc, Analyze: true})
 	if err != nil {
 		return nil, nil, err
 	}
-	az := &analyzeState{}
-	res, err := c.runPlan(context.Background(), p, sc, query, az)
-	if err != nil {
-		return nil, nil, err
-	}
-	if az.an != nil {
-		az.an.CacheState = "miss"
-		if hit {
-			az.an.CacheState = "hit"
-		}
-	}
-	return res, az.an, nil
+	return res, res.Analysis, nil
 }
 
 // analyzeState collects the extra measurements EXPLAIN ANALYZE reports
@@ -50,7 +33,9 @@ func (c *Cluster) ExplainAnalyzeScoped(query string, sc *telemetry.Scope) (*Resu
 // per-segment gauge snapshot packaged as an Analysis.
 type analyzeState struct {
 	sent *telemetry.MemSink
-	an   *Analysis
+	// spans retains a distributed participant's spans for its snapshot;
+	// nil everywhere else.
+	spans *telemetry.MemSink
 	// perNode holds the per-participant scope snapshots of an analyzed
 	// distributed query — the coordinator's own share first (taken before
 	// the merge), then every remote snapshot the control plane shipped in
@@ -58,26 +43,16 @@ type analyzeState struct {
 	perNode []*telemetry.ScopeSnapshot
 }
 
-// nodeBreakdowns summarizes the per-node snapshots for the registry's
-// slow-query log: each participant's cumulative operator rows and busy
-// time, memory peak, and cross-node traffic. Nil when the query ran
-// without stats shipping.
-func (az *analyzeState) nodeBreakdowns() []telemetry.NodeBreakdown {
-	return breakdownsFromSnaps(az.perNode)
-}
-
-// NodeBreakdowns is the analysis's per-node summary (same shape the
-// slow-query log records); nil on single-process runs.
+// NodeBreakdowns summarizes the per-node snapshots — the shape the
+// registry's slow-query log records: each participant's cumulative
+// operator rows and busy time, memory peak, and cross-node traffic. Nil
+// when the query ran without stats shipping (single-process runs).
 func (a *Analysis) NodeBreakdowns() []telemetry.NodeBreakdown {
-	return breakdownsFromSnaps(a.perNode)
-}
-
-func breakdownsFromSnaps(perNode []*telemetry.ScopeSnapshot) []telemetry.NodeBreakdown {
-	if perNode == nil {
+	if a.perNode == nil {
 		return nil
 	}
-	out := make([]telemetry.NodeBreakdown, 0, len(perNode))
-	for _, snap := range perNode {
+	out := make([]telemetry.NodeBreakdown, 0, len(a.perNode))
+	for _, snap := range a.perNode {
 		bd := telemetry.NodeBreakdown{
 			Node:     snap.Node,
 			NetBytes: snap.Counter(telemetry.CtrNetBytes),
@@ -123,14 +98,21 @@ func parseIDCtr(name, prefix string) (id int, what string, ok bool) {
 	return n, rest[dot+1:], true
 }
 
-// attach hooks the state into a starting execution.
+// attach hooks the state into a starting execution. A distributed
+// participant additionally runs span-enabled, so the spans it ships
+// put its fragment on the coordinator's trace.
 func (az *analyzeState) attach(e *exec) {
 	az.sent = telemetry.NewMemSink(telemetry.KindBlockSent)
 	e.scope.Attach(az.sent)
+	if e.participant() {
+		e.scope.EnableSpans()
+		az.spans = telemetry.NewMemSink(telemetry.KindSpan)
+		e.scope.Attach(az.spans)
+	}
 }
 
 // finish snapshots the completed execution into an Analysis.
-func (az *analyzeState) finish(e *exec) {
+func (az *analyzeState) finish(e *exec) *Analysis {
 	an := &Analysis{
 		Plan:        e.p,
 		Scope:       e.scope,
@@ -225,7 +207,7 @@ func (az *analyzeState) finish(e *exec) {
 			an.segMean[name] = float64(peak)
 		}
 	}
-	az.an = an
+	return an
 }
 
 // Analysis is the measured view of one executed plan, rendered by
@@ -240,7 +222,7 @@ type Analysis struct {
 	// Duration is the wall-clock execution time.
 	Duration time.Duration
 	// CacheState reports whether the plan came from the plan cache
-	// ("hit" / "miss"); empty when the entry point bypassed the cache.
+	// ("hit" / "miss"); empty when the request carried its own Plan.
 	CacheState string
 
 	ops      map[plan.PhysOp]int
@@ -265,7 +247,7 @@ type Analysis struct {
 
 // PerNode returns each participant's scope snapshot, sorted by node id
 // — the coordinator's own share included. Nil unless the query ran
-// distributed with stats shipping (RunCoordinatedAnalyze).
+// distributed with stats shipping (an analyzed coordinated Request).
 func (a *Analysis) PerNode() []*telemetry.ScopeSnapshot {
 	return a.perNode
 }

@@ -2,6 +2,7 @@ package engine
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"strings"
@@ -15,12 +16,21 @@ import (
 // per-operator number EXPLAIN ANALYZE renders is the value of the
 // corresponding telemetry counter — same scope, same instrument — so
 // the annotated plan and any attached sink can never disagree.
+// analyze runs q through Exec with Analyze set.
+func analyze(c *Cluster, q string) (*Result, *Analysis, error) {
+	res, err := c.Exec(context.Background(), Request{SQL: q, Analyze: true})
+	if err != nil {
+		return nil, nil, err
+	}
+	return res, res.Analysis, nil
+}
+
 func TestExplainAnalyzeMatchesTelemetry(t *testing.T) {
 	c, ref := buildTestCluster(t, EP, 2)
 	q := `SELECT t.acct_id a, sum(t.trade_volume)
 		FROM trades t JOIN securities s ON t.acct_id = s.acct_id
 		GROUP BY t.acct_id`
-	res, an, err := c.ExplainAnalyze(q)
+	res, an, err := analyze(c, q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -112,7 +122,7 @@ func TestExplainAnalyzeMatchesPlainRun(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	azRes, an, err := c.ExplainAnalyze(q)
+	azRes, an, err := analyze(c, q)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,7 +1,6 @@
 package engine
 
 import (
-	"context"
 	"errors"
 	"fmt"
 	"sync"
@@ -180,27 +179,4 @@ func TestRunAfterClose(t *testing.T) {
 		t.Fatalf("Run after Close: err = %v, want ErrClosed", err)
 	}
 	c.Close() // idempotent
-}
-
-// TestRunContextCancel: cancelling the context tears the query down
-// through exec.fail and surfaces the context error.
-func TestRunContextCancel(t *testing.T) {
-	c := buildFaultCluster(t, faultBaseConfig(EP, 2), false)
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel() // cancelled before the dataflow starts: must not hang
-	if _, err := c.RunContext(ctx, metamorphicQueries[2]); !errors.Is(err, context.Canceled) {
-		t.Fatalf("err = %v, want context.Canceled", err)
-	}
-	// A live cancellation mid-flight must also unwind promptly.
-	ctx2, cancel2 := context.WithTimeout(context.Background(), 2*time.Millisecond)
-	defer cancel2()
-	if _, err := c.RunContext(ctx2, metamorphicQueries[2]); err != nil {
-		if !errors.Is(err, context.DeadlineExceeded) {
-			t.Fatalf("err = %v, want DeadlineExceeded or success", err)
-		}
-	}
-	// The cluster stays healthy for later queries.
-	if _, err := c.Run(metamorphicQueries[0]); err != nil {
-		t.Fatalf("query after cancellation: %v", err)
-	}
 }

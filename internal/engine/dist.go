@@ -1,7 +1,6 @@
 package engine
 
 import (
-	"context"
 	"errors"
 	"fmt"
 	"sync"
@@ -9,7 +8,6 @@ import (
 
 	"repro/internal/catalog"
 	"repro/internal/network"
-	"repro/internal/plan"
 	"repro/internal/storage"
 	"repro/internal/telemetry"
 )
@@ -40,18 +38,19 @@ func (e *NodeLostError) Unwrap() error { return ErrNodeLost }
 // ExecSpec is the control-plane description of one distributed query:
 // what to run, under which cluster-unique id, who coordinates (hosting
 // the master segments and collecting the result), and which data nodes
-// participate. The coordinator builds one, runs RunCoordinated with it
-// locally, and broadcasts it verbatim to every other participant, which
-// runs RunParticipant. Because plan compilation is deterministic over
-// slices (never map iteration) and every process agreed on the catalog
-// at join time, all participants derive the identical plan — same
-// segment ids, same exchange ids — and each instantiates only the
+// participate. The coordinator builds one and broadcasts it verbatim;
+// every process named in it — the coordinator included — runs
+// Exec(Request{Dist: &spec}). Because plan compilation is deterministic
+// over slices (never map iteration) and every process agreed on the
+// catalog at join time, all participants derive the identical plan —
+// same segment ids, same exchange ids — and each instantiates only the
 // segment instances placed on its own node.
 type ExecSpec struct {
 	// QID is the cluster-unique query id (from the coordinator's
 	// NextQueryID); it namespaces every exchange of the dataflow.
 	QID int
-	// SQL is the query text, compiled independently by each participant.
+	// SQL is the query text, compiled independently (through its own
+	// plan cache) by each participant.
 	SQL string
 	// Coordinator is the data-node id of the coordinating process. It
 	// doubles as the query's master node: master-resident segments and
@@ -67,7 +66,7 @@ type ExecSpec struct {
 	// Analyze requests the cluster-wide observability plane: every
 	// participant runs its fragment span-enabled with per-operator
 	// instrumentation and ships a serialized scope snapshot back to the
-	// coordinator at fragment end (RunParticipantStats → control plane →
+	// coordinator at fragment end (Result.Snapshot → control plane →
 	// DeliverStats), so the coordinator's EXPLAIN ANALYZE and Chrome
 	// trace describe all nodes, not just its own.
 	Analyze bool
@@ -77,12 +76,26 @@ type ExecSpec struct {
 	TraceID string
 }
 
+// places reports whether the spec puts anything on the given node: it
+// coordinates, or runs data segments.
+func (s *ExecSpec) places(node int) bool {
+	if node == s.Coordinator {
+		return true
+	}
+	for _, n := range s.DataNodes {
+		if n == node {
+			return true
+		}
+	}
+	return false
+}
+
 // distState is the extra state of a distributed-mode cluster: one
 // process among several, owning one data node's partition of every
 // table and exchanging blocks with its peers over the wire.
 type distState struct {
-	local  int // this process's data node id
-	fabric *network.DistFabric
+	local int              // this process's data node id
+	node  *network.TCPNode // its transport endpoint
 
 	mu       sync.Mutex
 	inflight map[int]*exec // qid → running query (this process's side)
@@ -169,14 +182,14 @@ func NewClusterDist(cfg Config, cat *catalog.Catalog, node *network.TCPNode) (*C
 		retry = *cfg.Retry
 	}
 	node.SetRetryPolicy(retry)
-	df := network.NewDistFabric(node)
+	hosted := map[int]*network.TCPNode{node.ID(): node}
 	c := &Cluster{
 		cfg: cfg, cat: cat, faultInj: inj,
-		fabric:   df,
-		tcpNodes: map[int]*network.TCPNode{node.ID(): node},
+		fabric:   network.NewTCPFabric(hosted),
+		tcpNodes: hosted,
 		dist: &distState{
 			local:    node.ID(),
-			fabric:   df,
+			node:     node,
 			inflight: make(map[int]*exec),
 			lost:     make(map[int]bool),
 		},
@@ -200,10 +213,7 @@ func (c *Cluster) LocalNode() int {
 // distributed mode ids must be unique across every process that can
 // coordinate, so the low byte carries the local node id (+1, so a
 // distributed id is never mistaken for a pre-dist plain sequence
-// number) under a per-process sequence. Ids stay below
-// network.ReservedQueryIDBase by construction, so they can never
-// collide with out-of-band tool dataflows (the claims-node mesh
-// exerciser) that share the transport.
+// number) under a per-process sequence.
 func (c *Cluster) NextQueryID() int {
 	seq := querySeq.Add(1)
 	if c.dist == nil {
@@ -212,76 +222,24 @@ func (c *Cluster) NextQueryID() int {
 	return int(seq%(1<<21))<<8 | (c.dist.local + 1)
 }
 
-// RunCoordinated executes a distributed query from the coordinator
-// side: compile spec.SQL, host the master segments and the result
-// collector, run the locally-placed data segments, and return the
-// assembled result. The caller must have broadcast the same spec to
-// every other node in spec.DataNodes (RunParticipant) — the dataflow
-// completes only when all sides run.
-func (c *Cluster) RunCoordinated(ctx context.Context, spec ExecSpec, sc *telemetry.Scope) (*Result, error) {
-	if c.dist == nil {
-		return nil, fmt.Errorf("engine: RunCoordinated on a non-distributed cluster")
-	}
-	if spec.Coordinator != c.dist.local {
-		return nil, fmt.Errorf("engine: spec names node %d as coordinator, this is node %d",
-			spec.Coordinator, c.dist.local)
-	}
-	p, err := plan.Compile(spec.SQL, c.cat)
-	if err != nil {
-		return nil, err
-	}
-	if sc == nil {
-		sc = newQueryScope()
-	}
-	return c.runPlanOpts(ctx, p, sc, spec.SQL, nil, specOpts(spec, c.dist.local))
+// participant reports whether this process runs the query as a
+// distributed participant: placed by a spec that names another node as
+// coordinator.
+func (e *exec) participant() bool {
+	return e.spec != nil && e.spec.Coordinator != e.c.dist.local
 }
 
-// RunParticipant executes this process's share of a distributed query
-// coordinated elsewhere: compile the same SQL, instantiate the segment
-// instances placed on the local node, stream blocks to the wire, and
-// return when the local side has drained. The result flows to the
-// coordinator; participants return only an error.
-func (c *Cluster) RunParticipant(ctx context.Context, spec ExecSpec) error {
-	if c.dist == nil {
-		return fmt.Errorf("engine: RunParticipant on a non-distributed cluster")
-	}
-	p, err := plan.Compile(spec.SQL, c.cat)
-	if err != nil {
-		return err
-	}
-	_, err = c.runPlanOpts(ctx, p, newQueryScope(), spec.SQL, nil, specOpts(spec, c.dist.local))
-	return err
-}
-
-// RunParticipantStats is RunParticipant for an analyzed query: the
-// fragment runs under a span-enabled scope with per-operator
-// instrumentation, and the scope is serialized into a snapshot —
-// counters, gauges with peaks, histograms, spans stamped with this
-// node's id, per-exchange traffic folded from BlockSent events — for
-// the control plane to ship back to the coordinator (DeliverStats on
-// the coordinating process).
-func (c *Cluster) RunParticipantStats(ctx context.Context, spec ExecSpec) (*telemetry.ScopeSnapshot, error) {
-	if c.dist == nil {
-		return nil, fmt.Errorf("engine: RunParticipantStats on a non-distributed cluster")
-	}
-	p, err := plan.Compile(spec.SQL, c.cat)
-	if err != nil {
-		return nil, err
-	}
-	sc := newQueryScope()
-	sc.EnableSpans() // turns on per-operator instrumentation in runPlanOpts
-	spanSink := telemetry.NewMemSink(telemetry.KindSpan)
-	sentSink := telemetry.NewMemSink(telemetry.KindBlockSent)
-	sc.Attach(spanSink)
-	sc.Attach(sentSink)
-	if _, err := c.runPlanOpts(ctx, p, sc, spec.SQL, nil, specOpts(spec, c.dist.local)); err != nil {
-		return nil, err
-	}
-	snap := sc.Snapshot(c.dist.local)
-	snap.TraceID = spec.TraceID
-	snap.AddSpans(spanSink.Events())
-	foldBlockSent(snap, sentSink.Events())
-	return snap, nil
+// snapshot serializes an analyzed participant's fragment — counters,
+// gauges with peaks, histograms, spans stamped with this node's id,
+// per-exchange traffic folded from BlockSent events — for the control
+// plane to ship back to the coordinator (DeliverStats on the
+// coordinating process).
+func (az *analyzeState) snapshot(e *exec) *telemetry.ScopeSnapshot {
+	snap := e.scope.Snapshot(e.local)
+	snap.TraceID = e.spec.TraceID
+	snap.AddSpans(az.spans.Events())
+	foldBlockSent(snap, az.sent.Events())
+	return snap
 }
 
 // foldBlockSent folds a fragment's cross-node BlockSent events into a
@@ -318,45 +276,6 @@ func (c *Cluster) DeliverStats(qid int, snap *telemetry.ScopeSnapshot) bool {
 		return true
 	default:
 		return false
-	}
-}
-
-// RunCoordinatedAnalyze is RunCoordinated with the cluster observability
-// plane on: the coordinator's fragment is instrumented, participants'
-// snapshots (shipped by the control plane via DeliverStats) are merged
-// into the query scope, and the returned Analysis renders per-operator
-// stats per node plus per-exchange skew. The caller must broadcast the
-// same spec — with Analyze set — to every other participant.
-func (c *Cluster) RunCoordinatedAnalyze(ctx context.Context, spec ExecSpec, sc *telemetry.Scope) (*Result, *Analysis, error) {
-	if c.dist == nil {
-		return nil, nil, fmt.Errorf("engine: RunCoordinatedAnalyze on a non-distributed cluster")
-	}
-	if spec.Coordinator != c.dist.local {
-		return nil, nil, fmt.Errorf("engine: spec names node %d as coordinator, this is node %d",
-			spec.Coordinator, c.dist.local)
-	}
-	p, err := plan.Compile(spec.SQL, c.cat)
-	if err != nil {
-		return nil, nil, err
-	}
-	if sc == nil {
-		sc = newQueryScope()
-	}
-	az := &analyzeState{}
-	res, err := c.runPlanOpts(ctx, p, sc, spec.SQL, az, specOpts(spec, c.dist.local))
-	if err != nil {
-		return nil, nil, err
-	}
-	return res, az.an, nil
-}
-
-// specOpts lowers a control-plane spec into the exec placement options.
-func specOpts(spec ExecSpec, local int) *runOpts {
-	return &runOpts{
-		qid:       spec.QID,
-		master:    spec.Coordinator,
-		dataNodes: spec.DataNodes,
-		local:     local,
 	}
 }
 
@@ -420,12 +339,12 @@ func (c *Cluster) NodeLost(node int) {
 	d.lost[node] = true
 	var victims []*exec
 	for _, e := range d.inflight {
-		if e.usesNode(node) {
+		if e.spec.places(node) {
 			victims = append(victims, e)
 		}
 	}
 	d.mu.Unlock()
-	d.fabric.Node().DropPeer(node)
+	d.node.DropPeer(node)
 	for _, e := range victims {
 		e.failWithNodeLost(node)
 	}
@@ -443,7 +362,7 @@ func (c *Cluster) NodeRestored(node int, addr string) {
 	d.mu.Lock()
 	delete(d.lost, node)
 	d.mu.Unlock()
-	d.fabric.Node().SetPeer(node, addr)
+	d.node.SetPeer(node, addr)
 }
 
 // FailQuery aborts one in-flight distributed query by id — the /abort
@@ -500,19 +419,6 @@ func (d *distState) unregister(qid int) {
 	d.mu.Lock()
 	delete(d.inflight, qid)
 	d.mu.Unlock()
-}
-
-// usesNode reports whether the query fans out to the given node.
-func (e *exec) usesNode(node int) bool {
-	if node == e.master {
-		return true
-	}
-	for _, n := range e.dataNodes {
-		if n == node {
-			return true
-		}
-	}
-	return false
 }
 
 // failWithNodeLost tears the query down under the failure detector's

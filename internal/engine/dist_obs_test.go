@@ -11,9 +11,9 @@ import (
 )
 
 // runDistAnalyzed fans one analyzed query out over all clusters:
-// participants run RunParticipantStats and deliver their snapshots to
+// participants run their fragments and deliver their snapshots to
 // the coordinator (as the claims-node control plane does over /stats),
-// while the coordinator runs RunCoordinatedAnalyze.
+// while the coordinator runs its own — every side the same Exec.
 func runDistAnalyzed(t *testing.T, clusters []*Cluster, coord int, sql string) (*Result, *Analysis) {
 	t.Helper()
 	dataNodes := make([]int, len(clusters))
@@ -34,17 +34,17 @@ func runDistAnalyzed(t *testing.T, clusters []*Cluster, coord int, sql string) (
 		wg.Add(1)
 		go func(c *Cluster) {
 			defer wg.Done()
-			snap, err := c.RunParticipantStats(context.Background(), spec)
+			pres, err := c.Exec(context.Background(), Request{Dist: &spec})
 			if err != nil {
 				errs <- err
 				return
 			}
-			if !clusters[coord].DeliverStats(spec.QID, snap) {
-				t.Errorf("node %d: snapshot delivery refused", snap.Node)
+			if !clusters[coord].DeliverStats(spec.QID, pres.Snapshot) {
+				t.Errorf("node %d: snapshot delivery refused", pres.Snapshot.Node)
 			}
 		}(c)
 	}
-	res, an, err := clusters[coord].RunCoordinatedAnalyze(context.Background(), spec, nil)
+	res, err := clusters[coord].Exec(context.Background(), Request{Dist: &spec})
 	wg.Wait()
 	close(errs)
 	for perr := range errs {
@@ -53,7 +53,7 @@ func runDistAnalyzed(t *testing.T, clusters []*Cluster, coord int, sql string) (
 	if err != nil {
 		t.Fatalf("coordinator: %v", err)
 	}
-	return res, an
+	return res, res.Analysis
 }
 
 // TestDistAnalyzeMergesPerNodeStats is the serialize→merge round-trip
@@ -79,7 +79,7 @@ func TestDistAnalyzeMergesPerNodeStats(t *testing.T) {
 	defer refC.Close()
 
 	sql := `SELECT acct_id, sum(trade_volume) FROM trades GROUP BY acct_id`
-	refRes, refAn, err := refC.ExplainAnalyze(sql)
+	refRes, refAn, err := analyze(refC, sql)
 	if err != nil {
 		t.Fatalf("reference analyze: %v", err)
 	}
@@ -206,15 +206,23 @@ func TestDistAnalyzeSpansCoverAllNodes(t *testing.T) {
 		wg.Add(1)
 		go func(c *Cluster) {
 			defer wg.Done()
-			snap, err := c.RunParticipantStats(context.Background(), spec)
+			pres, err := c.Exec(context.Background(), Request{Dist: &spec})
 			if err != nil {
 				t.Errorf("participant: %v", err)
 				return
 			}
-			clusters[0].DeliverStats(spec.QID, snap)
+			// The fragment's own top-level span ships with the rest.
+			hasQuery := false
+			for _, se := range pres.Snapshot.Spans {
+				hasQuery = hasQuery || se.Name == "query"
+			}
+			if !hasQuery {
+				t.Errorf("node %d: snapshot has no query span", pres.Snapshot.Node)
+			}
+			clusters[0].DeliverStats(spec.QID, pres.Snapshot)
 		}(clusters[i])
 	}
-	_, _, err := clusters[0].RunCoordinatedAnalyze(context.Background(), spec, sc)
+	_, err := clusters[0].Exec(context.Background(), Request{Dist: &spec, Scope: sc})
 	wg.Wait()
 	if err != nil {
 		t.Fatalf("coordinator: %v", err)

@@ -13,6 +13,7 @@ import (
 
 	"repro/internal/catalog"
 	"repro/internal/network"
+	"repro/internal/plan"
 	"repro/internal/types"
 )
 
@@ -93,8 +94,8 @@ func loadDistData(t *testing.T, c *Cluster, trades, secs *types.Schema) {
 func meshDist(clusters []*Cluster) {
 	for _, c := range clusters {
 		for _, peer := range clusters {
-			pn := peer.dist.fabric.Node()
-			c.dist.fabric.Node().SetPeer(pn.ID(), pn.Addr())
+			pn := peer.dist.node
+			c.dist.node.SetPeer(pn.ID(), pn.Addr())
 		}
 	}
 }
@@ -122,7 +123,7 @@ func runDistQuery(clusters []*Cluster, coord int, sql string) (*Result, error, e
 		wg.Add(1)
 		go func(c *Cluster) {
 			defer wg.Done()
-			if err := c.RunParticipant(context.Background(), spec); err != nil {
+			if _, err := c.Exec(context.Background(), Request{Dist: &spec}); err != nil {
 				partMu.Lock()
 				if partErr == nil {
 					partErr = err
@@ -131,7 +132,7 @@ func runDistQuery(clusters []*Cluster, coord int, sql string) (*Result, error, e
 			}
 		}(c)
 	}
-	res, err := clusters[coord].RunCoordinated(context.Background(), spec, nil)
+	res, err := clusters[coord].Exec(context.Background(), Request{Dist: &spec})
 	wg.Wait()
 	return res, err, partErr
 }
@@ -244,7 +245,8 @@ func TestDistLateParticipant(t *testing.T) {
 			if i == late {
 				time.Sleep(150 * time.Millisecond)
 			}
-			partErrs <- c.RunParticipant(context.Background(), spec)
+			_, err := c.Exec(context.Background(), Request{Dist: &spec})
+			partErrs <- err
 		}(i, c)
 	}
 	type outcome struct {
@@ -253,7 +255,7 @@ func TestDistLateParticipant(t *testing.T) {
 	}
 	done := make(chan outcome, 1)
 	go func() {
-		res, err := clusters[coord].RunCoordinated(context.Background(), spec, nil)
+		res, err := clusters[coord].Exec(context.Background(), Request{Dist: &spec})
 		done <- outcome{res, err}
 	}()
 	select {
@@ -345,11 +347,12 @@ func TestDistNodeLostMidQuery(t *testing.T) {
 	}
 	results := make(chan outcome, 2)
 	go func() {
-		_, err := clusters[coord].RunCoordinated(context.Background(), spec, nil)
+		_, err := clusters[coord].Exec(context.Background(), Request{Dist: &spec})
 		results <- outcome{"coordinator", err}
 	}()
 	go func() {
-		results <- outcome{"participant", clusters[1].RunParticipant(context.Background(), spec)}
+		_, err := clusters[1].Exec(context.Background(), Request{Dist: &spec})
+		results <- outcome{"participant", err}
 	}()
 
 	// Let the survivors wire up and block on the victim's silence, then
@@ -379,10 +382,10 @@ func TestDistNodeLostMidQuery(t *testing.T) {
 
 	// Queries launched after the death fail immediately — the lost list
 	// closes the notification/registration race.
-	if _, err := clusters[coord].RunCoordinated(context.Background(), ExecSpec{
+	if _, err := clusters[coord].Exec(context.Background(), Request{Dist: &ExecSpec{
 		QID: clusters[coord].NextQueryID(), SQL: spec.SQL,
 		Coordinator: coord, DataNodes: dataNodes,
-	}, nil); !errors.Is(err, ErrNodeLost) {
+	}}); !errors.Is(err, ErrNodeLost) {
 		t.Fatalf("post-death query: got %v, want ErrNodeLost", err)
 	}
 
@@ -392,7 +395,7 @@ func TestDistNodeLostMidQuery(t *testing.T) {
 	clusters[victim] = revived
 	meshDist(clusters)
 	for _, i := range []int{coord, 1} {
-		clusters[i].NodeRestored(victim, revived.dist.fabric.Node().Addr())
+		clusters[i].NodeRestored(victim, revived.dist.node.Addr())
 	}
 	res, cerr, perr := runDistQuery(clusters, coord, spec.SQL)
 	if cerr != nil || perr != nil {
@@ -426,5 +429,49 @@ func TestDistNodeLostMidQuery(t *testing.T) {
 			t.Fatalf("goroutines leaked: %d before, %d after\n%s", before, after, buf[:n])
 		}
 		time.Sleep(50 * time.Millisecond)
+	}
+}
+
+// TestDistRepeatedStatementHitsPlanCache: distributed runs compile
+// through the same front half as every other request, so the second
+// coordinated run of one text parses and plans nowhere — a plan-cache
+// hit on the coordinator and on each participant.
+func TestDistRepeatedStatementHitsPlanCache(t *testing.T) {
+	const nNodes, coord = 3, 0
+	cfg := Config{CoresPerNode: 2, BlockSize: 2048, ExchangeBuffer: 8}
+	var clusters []*Cluster
+	for i := 0; i < nNodes; i++ {
+		clusters = append(clusters, buildDistCluster(t, i, nNodes, cfg))
+	}
+	defer func() {
+		for _, c := range clusters {
+			c.Close()
+		}
+	}()
+	meshDist(clusters)
+
+	const sql = `SELECT acct_id, sum(trade_volume) FROM trades GROUP BY acct_id`
+	var rows [2]int
+	for round := 0; round < 2; round++ {
+		before := make([]plan.CacheStats, nNodes)
+		for i, c := range clusters {
+			before[i] = c.PlanCacheStats()
+		}
+		res, err, perr := runDistQuery(clusters, coord, sql)
+		if err != nil || perr != nil {
+			t.Fatalf("round %d: coordinator %v, participant %v", round, err, perr)
+		}
+		rows[round] = res.NumRows()
+		for i, c := range clusters {
+			after := c.PlanCacheStats()
+			hits, misses := after.Hits-before[i].Hits, after.Misses-before[i].Misses
+			if wantHits := int64(round); hits != wantHits || misses != 1-wantHits {
+				t.Errorf("round %d, node %d: plan cache hits +%d misses +%d, want +%d/+%d",
+					round, i, hits, misses, wantHits, 1-wantHits)
+			}
+		}
+	}
+	if rows[0] == 0 || rows[0] != rows[1] {
+		t.Fatalf("cached-plan run returned %d rows, first run %d", rows[1], rows[0])
 	}
 }

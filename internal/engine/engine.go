@@ -32,7 +32,7 @@ import (
 	"repro/internal/types"
 )
 
-// ErrClosed is returned by Run and its variants after Cluster.Close:
+// ErrClosed is returned by Exec (and its wrappers) after Cluster.Close:
 // the fabric and cluster schedulers are torn down, so starting a query
 // would race the shutdown.
 var ErrClosed = errors.New("engine: cluster is closed")
@@ -131,9 +131,9 @@ type Config struct {
 	StatsWait time.Duration
 	// PlanCacheSize bounds the cluster's LRU plan cache (normalized
 	// SQL + catalog version -> compiled physical plan), consulted by
-	// Run/RunContext/RunScoped and the prepared-statement path so
-	// repeated statements skip parse+plan entirely. 0 means the
-	// default (256); negative disables caching.
+	// every statement compiled from text so repeated statements skip
+	// parse+plan entirely. 0 means the default (256); negative disables
+	// caching.
 	PlanCacheSize int
 	// FastPath enables the serial fast-path executor for small
 	// gather-only plans (point lookups): eligible queries run on the
@@ -219,6 +219,11 @@ type Cluster struct {
 	// version; shared by every execution entry point of the cluster.
 	planCache *plan.Cache
 
+	// allNodes lists the data nodes 0..Nodes-1: the shared, read-only
+	// data-segment placement of every query that is not placed by a
+	// distributed spec.
+	allNodes []int
+
 	// leases[n] is node n's core-slot pool (slaves 0..Nodes-1 plus the
 	// master at index Nodes), shared by every concurrent query.
 	leases []*coreLease
@@ -260,6 +265,10 @@ func (c *Cluster) initShared() {
 	c.planCache = plan.NewCache(size)
 	c.bus = sched.NewMasterBus()
 	c.activeEP = make(map[*telemetry.Scope]struct{})
+	c.allNodes = make([]int, c.cfg.Nodes)
+	for i := range c.allNodes {
+		c.allNodes[i] = i
+	}
 	for i := 0; i <= c.cfg.Nodes; i++ {
 		mb := block.NewBudget(fmt.Sprintf("node%d", i), c.cfg.MemoryPerNode)
 		c.memBudgets = append(c.memBudgets, mb)
@@ -361,7 +370,7 @@ func NewClusterTCP(cfg Config, cat *catalog.Catalog) (*Cluster, error) {
 	return c, nil
 }
 
-// Close shuts the cluster down: subsequent Run/Serve calls fail with
+// Close shuts the cluster down: subsequent Exec calls fail with
 // ErrClosed, the resident scheduler loop (if running) is stopped, and a
 // TCP-backed cluster's sockets are released. Closing twice is a no-op.
 func (c *Cluster) Close() {
@@ -546,9 +555,17 @@ type Result struct {
 	Blocks []*block.Block
 	Stats  ExecStats
 	// Scope is the query's telemetry stream: the counters, gauges and
-	// events Stats was derived from. Attach sinks before running (via
-	// RunScoped/RunPlanScoped) to observe the live stream.
+	// events Stats was derived from. To observe the live stream, pass
+	// your own as Request.Scope with sinks attached. Nil only for an
+	// untracked fast-path query (no caller scope, no process registry).
 	Scope *telemetry.Scope
+	// Analysis is the measured plan of a Request.Analyze run; nil
+	// otherwise, and on a distributed participant.
+	Analysis *Analysis
+	// Snapshot is an analyzed distributed participant's serialized
+	// scope, to be shipped to the coordinator's DeliverStats; nil
+	// otherwise.
+	Snapshot *telemetry.ScopeSnapshot
 }
 
 // NumRows returns the result cardinality.

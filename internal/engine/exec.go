@@ -2,6 +2,7 @@ package engine
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"sync"
 	"sync/atomic"
@@ -13,7 +14,9 @@ import (
 	"repro/internal/iterator"
 	"repro/internal/network"
 	"repro/internal/plan"
+	"repro/internal/storage"
 	"repro/internal/telemetry"
+	"repro/internal/types"
 )
 
 // querySeq hands out process-unique query ids. Every fabric exchange is
@@ -22,34 +25,121 @@ import (
 // never cross.
 var querySeq atomic.Int64
 
-// Run compiles and executes a SQL query.
-func (c *Cluster) Run(query string) (*Result, error) {
-	p, _, err := c.CompileCached(query)
-	if err != nil {
-		return nil, err
-	}
-	return c.runAuto(context.Background(), p, nil, query)
+// Request is one statement handed to Cluster.Exec: what to run (SQL, or
+// a compiled Plan, with Args), how to observe it (Scope, Analyze), and —
+// on a multi-process cluster — where (Dist). Every way of executing a
+// query is a Request; EP, SP and ME, the serial fast path and the
+// coordinator/participant split are driver and placement choices Exec
+// makes from the request, the plan and the cluster.
+type Request struct {
+	// SQL is the statement text. With Plan nil it is compiled through
+	// the plan cache (CompileCached); with Plan set it only labels the
+	// query in the process registry and the slow-query log.
+	SQL string
+	// Plan, when set, is executed instead of compiling SQL — the
+	// prepared-statement path, where a session pinned the (possibly
+	// parameterized, always shared and never mutated) template.
+	Plan *plan.Plan
+	// Args bind the plan's $n slots. The specialized instance comes
+	// from the template's bound-plan pool and returns there after a
+	// successful run, so steady-state EXECUTEs skip the copy-on-write
+	// clone.
+	Args []types.Value
+	// Scope receives the query's telemetry; attach sinks to it before
+	// the call to observe the live stream. Nil gives the query a scope
+	// of its own (Result.Scope).
+	Scope *telemetry.Scope
+	// Analyze turns per-operator instrumentation on and returns the
+	// measured plan as Result.Analysis (EXPLAIN ANALYZE).
+	Analyze bool
+	// Dist places the query explicitly across the processes of a
+	// multi-process cluster (NewClusterDist); required there, rejected
+	// elsewhere. The spec is the unit every participant must agree on,
+	// so its SQL and Analyze are what runs. This process coordinates —
+	// hosts the master segments and returns the rows — when
+	// Dist.Coordinator == LocalNode(), and otherwise runs its share as a
+	// participant and returns no rows (an analyzed participant's
+	// Result.Snapshot carries its telemetry for the control plane to
+	// ship to the coordinator's DeliverStats).
+	Dist *ExecSpec
 }
 
-// RunContext is Run under a context: cancellation (or deadline expiry)
+// Exec executes one request. Cancelling ctx (or its deadline expiring)
 // routes into the query's fail-fast teardown, aborting every exchange
 // so no worker stays wedged, and the call returns the context's error.
-func (c *Cluster) RunContext(ctx context.Context, query string) (*Result, error) {
-	p, _, err := c.CompileCached(query)
-	if err != nil {
-		return nil, err
+func (c *Cluster) Exec(ctx context.Context, r Request) (*Result, error) {
+	if ctx == nil {
+		ctx = context.Background()
 	}
-	return c.runAuto(ctx, p, nil, query)
+	if (r.Dist != nil) != (c.dist != nil) {
+		return nil, fmt.Errorf("engine: Request.Dist is required on a distributed cluster and only there")
+	}
+	if r.Dist != nil {
+		if !r.Dist.places(c.dist.local) {
+			return nil, fmt.Errorf("engine: spec (coordinator %d, data nodes %v) places nothing on node %d",
+				r.Dist.Coordinator, r.Dist.DataNodes, c.dist.local)
+		}
+		r.SQL, r.Analyze = r.Dist.SQL, r.Dist.Analyze
+	}
+	tmpl, cacheState := r.Plan, ""
+	if tmpl == nil {
+		p, hit, err := c.CompileCached(r.SQL)
+		if err != nil {
+			return nil, err
+		}
+		tmpl, cacheState = p, "miss"
+		if hit {
+			cacheState = "hit"
+		}
+	}
+	p := tmpl
+	if len(r.Args) > 0 {
+		var err error
+		if p, err = tmpl.AcquireBound(r.Args); err != nil {
+			return nil, err
+		}
+	}
+	res, err := c.run(ctx, p, &r, cacheState)
+	if err == nil && !r.Analyze {
+		// Error paths may leave teardown stragglers that still hold the
+		// instance's iterators, and an Analysis keeps rendering its plan;
+		// only a cleanly joined, unanalyzed run recycles the instance.
+		tmpl.ReleaseBound(p)
+	}
+	return res, err
 }
 
-// RunScoped compiles and executes a SQL query under the given telemetry
-// scope, so callers can attach sinks before execution starts.
-func (c *Cluster) RunScoped(query string, sc *telemetry.Scope) (*Result, error) {
-	p, _, err := c.CompileCached(query)
+// Run compiles (through the plan cache) and executes a SQL query.
+func (c *Cluster) Run(query string) (*Result, error) {
+	return c.Exec(context.Background(), Request{SQL: query})
+}
+
+// run takes a fully bound plan through the stages every query shares —
+// begin → place → admit → wire → drive → collect — under the driver
+// the plan and the cluster select: the serial one for fast-path
+// eligible plans (no exchanges to wire, nothing to admit), else the
+// pipelined (EP, SP) or materialized (ME) parallel dataflow.
+func (c *Cluster) run(ctx context.Context, p *plan.Plan, r *Request, cacheState string) (res *Result, err error) {
+	e := &exec{c: c, p: p, spec: r.Dist, serial: !r.Analyze && c.fastEligible(p)}
+	if err := e.begin(r); err != nil {
+		return nil, err
+	}
+	defer func() { e.end(err) }()
+	e.place()
+	if !e.serial {
+		if err := e.admit(); err != nil {
+			return nil, err
+		}
+		defer e.release()
+		if err := e.wire(); err != nil {
+			return nil, err
+		}
+	}
+	blocks, err := e.drive(ctx)
 	if err != nil {
 		return nil, err
 	}
-	return c.runAuto(context.Background(), p, sc, query)
+	return e.collect(blocks, cacheState), nil
 }
 
 // queryScopeSeq numbers the auto-created query scopes of a process.
@@ -70,35 +160,42 @@ type segInst struct {
 	done    chan struct{}
 }
 
-// runOpts places a query explicitly — the distributed execution path.
-// Nil means the classic all-in-one-process placement: master segments
-// on the cluster's master node, data segments on every data node, all
-// instantiated locally.
-type runOpts struct {
-	// qid is the externally assigned, cluster-unique query id.
-	qid int
-	// master hosts master-resident segments and the result collector.
-	master int
-	// dataNodes is the (alive) subset of data nodes scanning their
-	// partitions, in ascending order on every participant.
-	dataNodes []int
-	// local is the only node this process instantiates segments for.
-	local int
-}
-
 // exec carries one query's runtime state. All measurement flows through
 // the telemetry scope; ExecStats is derived from it after completion.
 type exec struct {
-	c   *Cluster
-	p   *plan.Plan
-	qid int // cluster-unique query id: the exchange namespace
+	c *Cluster
+	p *plan.Plan
+	// serial selects the serial driver; every field below feeds belongs
+	// to the parallel dataflow and then stays zero.
+	serial bool
+	// spec is the explicit placement of a distributed query (nil on a
+	// single-process cluster).
+	spec *ExecSpec
+	qid  int // cluster-unique query id: the exchange namespace
 	// master is the node hosting master segments and the result
-	// collector; dataNodes are the nodes running data segments; local
+	// collector; dataNodes are the nodes running data segments (the alive
+	// subset, ascending and identical on every participant); local
 	// restricts instantiation to one node (-1 = instantiate all, the
 	// single-process cluster).
 	master    int
 	dataNodes []int
 	local     int
+
+	reg   *telemetry.Registry
+	qrec  *telemetry.QueryRecord
+	qsp   *telemetry.Span
+	began time.Time
+	// scope is nil only under the serial driver with neither a caller
+	// scope nor a process registry: an untracked microsecond-scale query
+	// has no one to report to.
+	scope   *telemetry.Scope
+	startAt time.Duration // scope clock when execution began
+	az      *analyzeState // non-nil on analyzed runs
+
+	// feeds[ex] is the serial driver's exchange edge: the producer
+	// segment's whole output, replayed at the consumer's merger position.
+	feeds map[int][]*block.Block
+
 	// resultExID is the result collector's exchange id, derived as one
 	// past the plan's highest exchange id — unique within the query's
 	// namespace, no reserved constant to collide on.
@@ -110,10 +207,10 @@ type exec struct {
 	// compose through one hierarchy.
 	qmem      []*block.Tracker
 	exchanges map[int]network.FabricExchange
-	consNodes  map[int][]int
-	insts      []*segInst
-	resultEx   network.FabricExchange
-	stop       chan struct{}
+	consNodes map[int][]int
+	insts     []*segInst
+	resultEx  network.FabricExchange
+	stop      chan struct{}
 
 	// failOnce/failErr implement fail-fast teardown: the first error
 	// aborts every exchange so no sender, receiver or worker stays
@@ -122,10 +219,8 @@ type exec struct {
 	failMu   sync.Mutex
 	failErr  error
 
-	scope     *telemetry.Scope
 	memGauge  *telemetry.Gauge
 	traceSink *telemetry.MemSink // retains ParallelismSample events
-	startAt   time.Duration      // scope clock when execution began
 
 	// opMemSum/opMemN accumulate the sampler's per-operator mem_bytes
 	// readings for EXPLAIN ANALYZE's mean column. Written only by the
@@ -224,77 +319,75 @@ func (e *exec) hosts(node int) bool {
 }
 
 // newQueryScope creates the auto-named telemetry scope of one query.
-func newQueryScope() *telemetry.Scope {
-	return telemetry.NewScope(fmt.Sprintf("q%d", queryScopeSeq.Add(1)))
+func newQueryScope(opts ...telemetry.Option) *telemetry.Scope {
+	return telemetry.NewScope(fmt.Sprintf("q%d", queryScopeSeq.Add(1)), opts...)
 }
 
-// RunPlan executes a compiled plan under the cluster's mode, with a
-// fresh telemetry scope per query.
-func (c *Cluster) RunPlan(p *plan.Plan) (*Result, error) {
-	return c.RunPlanScoped(p, newQueryScope())
+// begin opens the query: refuses a closed cluster or an unbound
+// template, settles the telemetry scope, records the query in the
+// process registry and starts its span. Analyzed runs hook their extra
+// sinks in before the first event can fire.
+func (e *exec) begin(r *Request) error {
+	if e.c.closed.Load() {
+		return ErrClosed
+	}
+	if e.p.NumParams > 0 {
+		return fmt.Errorf("engine: plan has %d unbound parameters; use PREPARE/EXECUTE or pass arguments", e.p.NumParams)
+	}
+	e.reg = telemetry.DefaultRegistry()
+	e.scope = r.Scope
+	switch {
+	case e.scope != nil:
+	case !e.serial:
+		e.scope = newQueryScope()
+	case e.reg != nil:
+		// Ring-less scope: the event ring is a debugging window whose
+		// allocation would dominate a microsecond-scale query. With no
+		// registry either, the query is untracked and needs no scope at
+		// all — the serving loop's steady state.
+		e.scope = newQueryScope(telemetry.WithRingSize(0))
+	}
+	if r.Analyze {
+		e.az = &analyzeState{}
+		e.az.attach(e)
+	}
+	e.qrec = e.reg.Begin(e.scope, r.SQL)
+	e.began = time.Now()
+	if e.scope != nil {
+		e.qsp = e.scope.StartSpan("query", "query")
+		e.startAt = e.scope.Elapsed()
+	}
+	return nil
 }
 
-// RunPlanScoped executes a compiled plan under the cluster's mode,
-// recording all measurements on the given scope.
-func (c *Cluster) RunPlanScoped(p *plan.Plan, sc *telemetry.Scope) (*Result, error) {
-	return c.runPlan(context.Background(), p, sc, "", nil)
+// end closes what begin opened, on every exit path.
+func (e *exec) end(err error) {
+	e.qsp.End()
+	e.reg.Finish(e.qrec, err)
 }
 
-// runPlan is the single execution entry point behind Run/RunScoped/
-// RunContext/RunPlan/RunPlanScoped and ExplainAnalyze. sqlText (when
-// known) labels the query in the process registry; az non-nil collects
-// the extra per-exchange measurements EXPLAIN ANALYZE reports; ctx
-// cancellation routes into the fail-fast teardown.
-func (c *Cluster) runPlan(ctx context.Context, p *plan.Plan, sc *telemetry.Scope, sqlText string, az *analyzeState) (res *Result, err error) {
-	return c.runPlanOpts(ctx, p, sc, sqlText, az, nil)
+// place fixes where segments run. A distributed query's placement is
+// the spec every participant agreed on; otherwise it is the classic
+// all-in-one-process one: master segments on the cluster's master node,
+// data segments on every data node, all instantiated here.
+func (e *exec) place() {
+	if e.spec != nil {
+		e.qid, e.master, e.dataNodes, e.local = e.spec.QID, e.spec.Coordinator, e.spec.DataNodes, e.c.dist.local
+		return
+	}
+	e.qid, e.master, e.dataNodes, e.local = e.c.NextQueryID(), e.c.master(), e.c.allNodes, -1
 }
 
-// runPlanOpts is runPlan with explicit placement — the distributed
-// path, where each participating process runs it against the same plan
-// under the same opts and instantiates only its local share.
-func (c *Cluster) runPlanOpts(ctx context.Context, p *plan.Plan, sc *telemetry.Scope, sqlText string, az *analyzeState, opts *runOpts) (res *Result, err error) {
-	if c.closed.Load() {
-		return nil, ErrClosed
-	}
-	if p.NumParams > 0 {
-		return nil, fmt.Errorf("engine: plan has %d unbound parameters; use PREPARE/EXECUTE or pass arguments", p.NumParams)
-	}
-	qrec := telemetry.DefaultRegistry().Begin(sc, sqlText)
-	defer func() { telemetry.DefaultRegistry().Finish(qrec, err) }()
-	qsp := sc.StartSpan("query", "query")
-	defer qsp.End()
-
-	e := &exec{
-		c: c, p: p,
-		tracker:   block.NewTracker(),
-		exchanges: make(map[int]network.FabricExchange),
-		consNodes: make(map[int][]int),
-		stop:      make(chan struct{}),
-		scope:     sc,
-		memGauge:  sc.Gauge(telemetry.GaugeMemBytes),
-		traceSink: telemetry.NewMemSink(telemetry.KindParallelismSample),
-		startAt:   sc.Elapsed(),
-	}
-	if opts != nil {
-		e.qid, e.master, e.dataNodes, e.local = opts.qid, opts.master, opts.dataNodes, opts.local
-	} else {
-		e.qid, e.master, e.local = c.NextQueryID(), c.master(), -1
-		e.dataNodes = make([]int, c.cfg.Nodes)
-		for i := range e.dataNodes {
-			e.dataNodes[i] = i
-		}
-	}
-	sc.Attach(e.traceSink)
-	if az != nil {
-		az.attach(e)
-	}
-
-	// Memory admission: open the query's per-node accounts, prepaying
-	// the estimated working memory (capped at half the node budget so a
-	// single large query is always admittable — it completes by
-	// spilling). With no node budget configured the accounts still
-	// track, so stats and observability work unconstrained.
-	estSlave, estMaster := c.estimateQueryMemory(p)
+// admit opens the query's per-node memory accounts, prepaying the
+// estimated working memory (capped at half the node budget so a single
+// large query is always admittable — it completes by spilling). With no
+// node budget configured the accounts still track, so stats and
+// observability work unconstrained.
+func (e *exec) admit() error {
+	c := e.c
+	e.tracker = block.NewTracker()
+	e.memGauge = e.scope.Gauge(telemetry.GaugeMemBytes)
+	estSlave, estMaster := c.estimateQueryMemory(e.p)
 	for i := 0; i <= c.cfg.Nodes; i++ {
 		est := estSlave
 		if i == c.master() {
@@ -307,28 +400,55 @@ func (c *Cluster) runPlanOpts(ctx context.Context, p *plan.Plan, sc *telemetry.S
 				prepaid = half
 			}
 		}
-		qt, qerr := c.memBudgets[i].SubReserve(
+		qt, err := c.memBudgets[i].SubReserve(
 			fmt.Sprintf("q%d", e.qid), prepaid, c.cfg.MemoryPerQuery)
-		if qerr != nil {
-			for _, t := range e.qmem {
-				t.Drop()
-			}
-			return nil, fmt.Errorf("%w: node %d: %v", ErrMemoryBudget, i, qerr)
+		if err != nil {
+			e.release()
+			return fmt.Errorf("%w: node %d: %v", ErrMemoryBudget, i, err)
 		}
 		e.qmem = append(e.qmem, qt)
 	}
-	// Drop covers every exit path: refunds the prepaid reservation and
-	// any charge a failed query's operators never freed.
-	defer func() {
-		for _, t := range e.qmem {
-			t.Drop()
-		}
-	}()
+	return nil
+}
+
+// release undoes admit and wire once the query is fully torn down (all
+// senders, readers and samplers joined), on every exit path: the query
+// leaves the distributed inflight table, its exchange state is dropped
+// from the transport so a long-lived serving cluster does not accrete
+// per-query registries, and dropping the memory accounts refunds the
+// prepaid reservation and any charge a failed query's operators never
+// freed.
+func (e *exec) release() {
+	if e.spec != nil {
+		e.c.dist.unregister(e.qid)
+	}
+	for _, ex := range e.exchanges {
+		ex.Release()
+	}
+	if e.resultEx != nil {
+		e.resultEx.Release()
+	}
+	for _, t := range e.qmem {
+		t.Drop()
+	}
+}
+
+// wire builds the dataflow: one fabric exchange per plan exchange plus
+// the result collector, then the segment instances this process hosts
+// (all of them for a single-process cluster, the local node's share in
+// distributed mode).
+func (e *exec) wire() error {
+	c, p, sc := e.c, e.p, e.scope
+	e.exchanges = make(map[int]network.FabricExchange)
+	e.consNodes = make(map[int][]int)
+	e.stop = make(chan struct{})
+	e.traceSink = telemetry.NewMemSink(telemetry.KindParallelismSample)
+	sc.Attach(e.traceSink)
 	// Per-operator instrumentation is keyed off the same switch that
 	// turns on spans: analyzed queries and span-traced queries get the
 	// iterator.Instrumented wrappers, everything else runs the bare
 	// iterator chain.
-	if az != nil || sc.SpansEnabled() {
+	if e.az != nil || sc.SpansEnabled() {
 		e.ops = make(map[plan.PhysOp]int)
 		for _, s := range p.Segments {
 			plan.Walk(s.Root, func(op plan.PhysOp) {
@@ -342,33 +462,27 @@ func (c *Cluster) runPlanOpts(ctx context.Context, p *plan.Plan, sc *telemetry.S
 	}
 	sc.Emit(telemetry.QueryPhase{Phase: "start", Detail: c.cfg.Mode.String()})
 	wireSp := sc.StartSpan("wire", "query")
+	defer wireSp.End()
 
-	segByID := make(map[int]*plan.Segment)
-	for _, s := range p.Segments {
-		segByID[s.ID] = s
-	}
-
-	// Wire exchanges. ME mode stages entire intermediate results in
-	// unbounded inboxes (the materialization of Section 5.4).
+	// ME mode stages entire intermediate results in unbounded inboxes
+	// (the materialization of Section 5.4).
 	buf := c.cfg.ExchangeBuffer
 	if c.cfg.Mode == ME {
 		buf = 0
 	}
 	maxExID := 0
 	for _, ex := range p.Exchanges {
-		prod, okP := segByID[ex.Producer]
-		cons, okC := segByID[ex.Consumer]
-		if !okP || !okC {
-			return nil, fmt.Errorf("engine: exchange %d is dangling", ex.ID)
+		prod, cons := p.Segment(ex.Producer), p.Segment(ex.Consumer)
+		if prod == nil || cons == nil {
+			return fmt.Errorf("engine: exchange %d is dangling", ex.ID)
 		}
 		if ex.ID > maxExID {
 			maxExID = ex.ID
 		}
-		prodNodes := e.nodesOf(prod)
 		consNodes := e.nodesOf(cons)
 		e.consNodes[ex.ID] = consNodes
-		e.exchanges[ex.ID] = c.fabric.NewExchange(e.qid, ex.ID, len(prodNodes), consNodes,
-			ex.Sch, buf, e.tracker, e.scope)
+		e.exchanges[ex.ID] = c.fabric.NewExchange(e.qid, ex.ID, len(e.nodesOf(prod)), consNodes,
+			ex.Sch, buf, e.tracker, sc)
 	}
 
 	// The result collector: final segment gathers to the master. Its
@@ -376,23 +490,9 @@ func (c *Cluster) runPlanOpts(ctx context.Context, p *plan.Plan, sc *telemetry.S
 	// unique within this query's (qid-keyed) namespace with no reserved
 	// constant that concurrent queries could collide on.
 	e.resultExID = maxExID + 1
-	finalNodes := e.nodesOf(p.Final)
-	e.resultEx = c.fabric.NewExchange(e.qid, e.resultExID, len(finalNodes),
-		[]int{e.master}, p.Final.Root.Schema(), buf, e.tracker, e.scope)
+	e.resultEx = c.fabric.NewExchange(e.qid, e.resultExID, len(e.nodesOf(p.Final)),
+		[]int{e.master}, p.Final.Root.Schema(), buf, e.tracker, sc)
 
-	// When the query is fully torn down (all senders, readers and
-	// samplers joined), drop its exchange state from the transport so a
-	// long-lived serving cluster does not accrete per-query registries.
-	defer func() {
-		for _, ex := range e.exchanges {
-			ex.Release()
-		}
-		e.resultEx.Release()
-	}()
-
-	// Instantiate the segments this process hosts on their nodes (all of
-	// them for a single-process cluster, the local node's share in
-	// distributed mode).
 	for _, seg := range p.Segments {
 		for _, node := range e.nodesOf(seg) {
 			if !e.hosts(node) {
@@ -400,35 +500,46 @@ func (c *Cluster) runPlanOpts(ctx context.Context, p *plan.Plan, sc *telemetry.S
 			}
 			inst, err := e.instantiate(seg, node)
 			if err != nil {
-				return nil, err
+				return err
 			}
 			e.insts = append(e.insts, inst)
 		}
 	}
-	wireSp.End()
 
 	// Distributed queries enroll in the inflight table only now that the
 	// dataflow is fully wired: NodeLost tears execs down concurrently,
 	// and it must never observe a half-built one. A death notification
 	// that raced the wiring is caught here by the lost list instead.
-	if opts != nil && c.dist != nil {
-		if rerr := c.dist.register(e); rerr != nil {
-			e.fail(rerr)
+	if e.spec != nil {
+		if err := c.dist.register(e); err != nil {
+			e.fail(err)
 			for _, inst := range e.insts {
 				inst.el.Close()
 			}
 			close(e.stop)
-			return nil, rerr
+			return err
 		}
-		defer c.dist.unregister(e.qid)
 	}
-	execSp := sc.StartSpan("execute", "query")
+	return nil
+}
+
+// drive runs the wired dataflow to completion under the cluster's mode
+// and returns the result blocks the master collected (none on a
+// distributed participant, whose final blocks stream to the
+// coordinator). The serial driver needs none of the machinery here.
+func (e *exec) drive(ctx context.Context) ([]*block.Block, error) {
+	if e.serial {
+		return e.runSerial(ctx)
+	}
+	c := e.c
+	execSp := e.scope.StartSpan("execute", "query")
+	defer execSp.End()
 
 	// Route caller cancellation into the fail-fast teardown: aborting
 	// the exchanges unwedges every worker, and the query returns the
 	// context's error. The watcher exits with the query (e.stop closes
-	// on every post-instantiation path).
-	if ctx != nil && ctx.Done() != nil {
+	// below on every path).
+	if ctx.Done() != nil {
 		go func() {
 			select {
 			case <-ctx.Done():
@@ -440,8 +551,7 @@ func (c *Cluster) runPlanOpts(ctx context.Context, p *plan.Plan, sc *telemetry.S
 
 	// Result reader drains the collector concurrently so bounded
 	// buffers never stall the final senders. Only the master-hosting
-	// process has the collector inbox; participants of a distributed
-	// query stream their final blocks to the coordinator instead.
+	// process has the collector inbox.
 	var resBlocks []*block.Block
 	resDone := make(chan struct{})
 	if e.hosts(e.master) {
@@ -474,16 +584,12 @@ func (c *Cluster) runPlanOpts(ctx context.Context, p *plan.Plan, sc *telemetry.S
 		go e.watchdog(watchdogDone)
 	}
 
-	// Execute under the selected mode.
-	switch c.cfg.Mode {
-	case ME:
-		err = e.runMaterialized()
-	default:
-		err = e.runPipelined()
+	if c.cfg.Mode == ME {
+		e.runMaterialized()
+	} else {
+		e.runPipelined()
 	}
-	if err == nil {
-		err = e.err()
-	}
+	err := e.err()
 	if err == nil {
 		// A half-written spill partition would silently drop rows; a
 		// spill I/O failure therefore fails the query rather than
@@ -500,8 +606,7 @@ func (c *Cluster) runPlanOpts(ctx context.Context, p *plan.Plan, sc *telemetry.S
 		// collector's inboxes.
 		e.fail(err)
 		<-resDone
-		execSp.End()
-		if opts != nil && c.dist != nil {
+		if e.spec != nil {
 			// Give the failure detector its grace to upgrade a transport
 			// symptom into the typed NodeLostError verdict.
 			err = e.resolveDistError(err)
@@ -509,8 +614,27 @@ func (c *Cluster) runPlanOpts(ctx context.Context, p *plan.Plan, sc *telemetry.S
 		return nil, err
 	}
 	<-resDone
-	execSp.End()
+	return resBlocks, nil
+}
 
+// collect packages a successful run: the result, its stats view, and —
+// for analyzed runs — the measured plan (or, on a distributed
+// participant, the scope snapshot the coordinator merges).
+func (e *exec) collect(blocks []*block.Block, cacheState string) *Result {
+	res := &Result{
+		Names:  e.p.OutputNames,
+		Schema: e.p.Final.Root.Schema(),
+		Blocks: blocks,
+		Scope:  e.scope,
+	}
+	e.qrec.SetRows(int64(res.NumRows()))
+	if e.serial {
+		if e.reg != nil {
+			e.reg.Counter(telemetry.CtrFastPathQueries).Inc()
+		}
+		res.Stats.Duration = time.Since(e.began)
+		return res
+	}
 	// Final peak estimate: the exchange tracker and the per-node query
 	// accounts each record their own high-water marks, covering queries
 	// shorter than one sampling interval.
@@ -520,27 +644,27 @@ func (c *Cluster) runPlanOpts(ctx context.Context, p *plan.Plan, sc *telemetry.S
 	}
 	e.memGauge.Set(finalMem) // raises the gauge peak if exceeded
 	e.scope.Emit(telemetry.QueryPhase{Phase: "end"})
-	if az != nil {
+	if e.az != nil && e.participant() {
+		// The fragment's query span belongs on the coordinator's trace:
+		// close it before the scope is serialized (end's End is then a
+		// no-op on the nil span).
+		e.qsp.End()
+		e.qsp = nil
+		res.Snapshot = e.az.snapshot(e)
+	} else if e.az != nil {
 		// Analyzed distributed queries first gather the participants'
-		// shipped scope snapshots, so the analysis below reads the merged
+		// shipped scope snapshots, so the analysis reads the merged
 		// cluster-wide counters and keeps each node's share for per-node
 		// rendering and skew.
-		if opts != nil && c.dist != nil {
-			e.gatherDistStats(az)
+		if e.spec != nil {
+			e.gatherDistStats(e.az)
 		}
-		az.finish(e)
-		qrec.SetNodeBreakdown(az.nodeBreakdowns())
+		res.Analysis = e.az.finish(e)
+		res.Analysis.CacheState = cacheState
+		e.qrec.SetNodeBreakdown(res.Analysis.NodeBreakdowns())
 	}
-
-	res = &Result{
-		Names:  p.OutputNames,
-		Schema: p.Final.Root.Schema(),
-		Blocks: resBlocks,
-		Stats:  e.stats(),
-		Scope:  e.scope,
-	}
-	qrec.SetRows(int64(res.NumRows()))
-	return res, nil
+	res.Stats = e.stats()
+	return res
 }
 
 // stats derives the ExecStats view from the query's telemetry scope.
@@ -564,7 +688,7 @@ func (e *exec) stats() ExecStats {
 // instantiate builds one segment instance on a node.
 func (e *exec) instantiate(seg *plan.Segment, node int) (*segInst, error) {
 	inst := &segInst{seg: seg, node: node, done: make(chan struct{})}
-	root, err := e.buildOp(seg.Root, node, inst)
+	root, err := e.buildOp(seg.Root, buildEnv{seg: seg, node: node, inst: inst})
 	if err != nil {
 		return nil, err
 	}
@@ -600,116 +724,176 @@ func (e *exec) instantiate(seg *plan.Segment, node int) (*segInst, error) {
 	return inst, nil
 }
 
-// buildOp lowers a physical operator template into iterators on a
-// node, wrapping each operator in per-operator accounting when the
-// query is analyzed or span-traced (e.ops non-nil). The wrapper writes
-// the op.<id>.* counters EXPLAIN ANALYZE reads, so the annotated plan
-// and the telemetry stream cannot disagree.
-func (e *exec) buildOp(op plan.PhysOp, node int, inst *segInst) (iterator.Iterator, error) {
-	it, err := e.buildOpInner(op, node, inst)
+// buildEnv is what differs between the drivers when a segment's
+// operator templates are lowered into iterators: where scans and
+// mergers read, and whether stateful operators are governed.
+//
+// With inst set — the parallel drivers — the tree is one node's
+// instance of the segment: a scan reads that node's partition, a merger
+// reads its fabric inbox, stateful operators charge a memory account
+// and may spill, and what the scheduler adapter and the spill check
+// need later (mergers, inboxes, joins, aggregates) is recorded on inst.
+//
+// With inst nil — the serial driver — the tree is the segment's single
+// fused instance over every node it is placed on: a scan chains those
+// nodes' partitions, a merger replays the finished producer's blocks
+// (exec.feeds), and stateful operators run unaccounted and unsharded
+// (the FastPathRows cap bounds their state; one worker has no
+// contention to shard for). Fusing is what makes the serial driver
+// fast: hash tables, barriers and compiled kernels are built once per
+// segment instead of once per node, and a serial drive makes the
+// union-of-partitions input equivalent to the per-node instances for
+// the algebraic operators fastEligible admits.
+type buildEnv struct {
+	seg  *plan.Segment
+	node int
+	inst *segInst
+}
+
+// errNotSerial is the builder's answer for an operator the serial
+// driver's eligibility rule excludes.
+var errNotSerial = errors.New("engine: operator is not eligible for the serial driver")
+
+// buildOp lowers a physical operator template into iterators — the one
+// place iterators are constructed, for every driver. Each operator is
+// wrapped in per-operator accounting when the query is analyzed or
+// span-traced (e.ops non-nil). The wrapper writes the op.<id>.*
+// counters EXPLAIN ANALYZE reads, so the annotated plan and the
+// telemetry stream cannot disagree.
+func (e *exec) buildOp(op plan.PhysOp, env buildEnv) (iterator.Iterator, error) {
+	it, err := e.buildBare(op, env)
 	if err != nil || e.ops == nil {
 		return it, err
 	}
 	return iterator.Instrument(it, e.scope, e.ops[op], plan.OpLabel(op),
-		fmt.Sprintf("S%d", inst.seg.ID), node), nil
+		fmt.Sprintf("S%d", env.seg.ID), env.node), nil
 }
 
-func (e *exec) buildOpInner(op plan.PhysOp, node int, inst *segInst) (iterator.Iterator, error) {
+func (e *exec) buildBare(op plan.PhysOp, env buildEnv) (iterator.Iterator, error) {
+	rowExec := e.c.cfg.RowExec
 	switch n := op.(type) {
 	case *plan.PScan:
-		part, err := e.c.store(node).Partition(n.Table.Name)
-		if err != nil {
-			return nil, err
+		var it iterator.Iterator
+		if env.inst != nil {
+			part, err := e.c.store(env.node).Partition(n.Table.Name)
+			if err != nil {
+				return nil, err
+			}
+			env.inst.hasScan = true
+			it = iterator.NewScanWithSchema(part, n.Sch)
+		} else {
+			nodes := e.nodesOf(env.seg)
+			parts := make([]*storage.Partition, len(nodes))
+			for i, node := range nodes {
+				part, err := e.c.store(node).Partition(n.Table.Name)
+				if err != nil {
+					return nil, err
+				}
+				parts[i] = part
+			}
+			it = iterator.NewSerialScan(parts, n.Sch)
 		}
-		inst.hasScan = true
-		var it iterator.Iterator = iterator.NewScanWithSchema(part, n.Sch)
 		if n.Pred != nil {
 			f := iterator.NewFilter(it, n.Sch, n.Pred)
-			f.RowExec = e.c.cfg.RowExec
+			f.RowExec = rowExec
 			it = f
 		}
 		return it, nil
 
 	case *plan.PMerger:
-		consNodes := e.consNodes[n.Exchange]
+		if env.inst == nil {
+			return &blockFeed{blocks: e.feeds[n.Exchange]}, nil
+		}
 		instIdx := -1
-		for i, cn := range consNodes {
-			if cn == node {
+		for i, cn := range e.consNodes[n.Exchange] {
+			if cn == env.node {
 				instIdx = i
 			}
 		}
 		if instIdx < 0 {
-			return nil, fmt.Errorf("engine: node %d is not a consumer of exchange %d", node, n.Exchange)
+			return nil, fmt.Errorf("engine: node %d is not a consumer of exchange %d", env.node, n.Exchange)
 		}
 		inbox := e.exchanges[n.Exchange].Inbox(instIdx)
 		m := iterator.NewMerger(inbox, n.Sch)
-		inst.mergers = append(inst.mergers, m)
-		inst.inboxes = append(inst.inboxes, inbox)
+		env.inst.mergers = append(env.inst.mergers, m)
+		env.inst.inboxes = append(env.inst.inboxes, inbox)
 		return m, nil
 
 	case *plan.PFilter:
-		child, err := e.buildOp(n.Child, node, inst)
+		child, err := e.buildOp(n.Child, env)
 		if err != nil {
 			return nil, err
 		}
 		f := iterator.NewFilter(child, n.Child.Schema(), n.Pred)
-		f.RowExec = e.c.cfg.RowExec
+		f.RowExec = rowExec
 		return f, nil
 
 	case *plan.PProject:
-		child, err := e.buildOp(n.Child, node, inst)
+		child, err := e.buildOp(n.Child, env)
 		if err != nil {
 			return nil, err
 		}
 		pr := iterator.NewProject(child, n.Child.Schema(), n.Sch, n.Exprs)
-		pr.RowExec = e.c.cfg.RowExec
+		pr.RowExec = rowExec
 		return pr, nil
 
 	case *plan.PHashJoin:
-		build, err := e.buildOp(n.Build, node, inst)
+		if env.inst == nil {
+			// fastEligible admits no join, so the serial driver reaching one
+			// is a driver-selection bug: refuse rather than fuse a shape
+			// nobody has shown equivalent.
+			return nil, fmt.Errorf("%w: %s", errNotSerial, plan.OpLabel(op))
+		}
+		build, err := e.buildOp(n.Build, env)
 		if err != nil {
 			return nil, err
 		}
-		probe, err := e.buildOp(n.Probe, node, inst)
+		probe, err := e.buildOp(n.Probe, env)
 		if err != nil {
 			return nil, err
 		}
 		hj := iterator.NewHashJoin(build, probe, n.Build.Schema(), n.Probe.Schema(),
 			n.BuildKeys, n.ProbeKeys)
-		hj.RowExec = e.c.cfg.RowExec
-		hj.Mem = e.opMem(n, "hashjoin", node)
-		inst.joins = append(inst.joins, hj)
+		hj.RowExec = rowExec
+		hj.Mem = e.opMem(n, "hashjoin", env.node)
+		env.inst.joins = append(env.inst.joins, hj)
 		return hj, nil
 
 	case *plan.PHashAgg:
-		child, err := e.buildOp(n.Child, node, inst)
+		child, err := e.buildOp(n.Child, env)
 		if err != nil {
 			return nil, err
 		}
 		ha := iterator.NewHashAgg(child, n.Child.Schema(), n.Keys, n.KeyNames, n.Specs, n.Algo)
-		ha.RowExec = e.c.cfg.RowExec
-		ha.Mem = e.opMem(n, "hashagg", node)
-		inst.aggs = append(inst.aggs, ha)
+		ha.RowExec = rowExec
+		if env.inst == nil {
+			ha.Serial()
+			return ha, nil
+		}
+		ha.Mem = e.opMem(n, "hashagg", env.node)
+		env.inst.aggs = append(env.inst.aggs, ha)
 		return ha, nil
 
 	case *plan.PSort:
-		child, err := e.buildOp(n.Child, node, inst)
+		child, err := e.buildOp(n.Child, env)
 		if err != nil {
 			return nil, err
 		}
 		so := iterator.NewSort(child, n.Child.Schema(), n.Keys)
-		so.Mem = e.opMem(n, "sort", node)
+		if env.inst != nil {
+			so.Mem = e.opMem(n, "sort", env.node)
+		}
 		return so, nil
 
 	case *plan.PTopN:
-		child, err := e.buildOp(n.Child, node, inst)
+		child, err := e.buildOp(n.Child, env)
 		if err != nil {
 			return nil, err
 		}
 		return iterator.NewTopN(child, n.Child.Schema(), n.Keys, int(n.N)), nil
 
 	case *plan.PLimit:
-		child, err := e.buildOp(n.Child, node, inst)
+		child, err := e.buildOp(n.Child, env)
 		if err != nil {
 			return nil, err
 		}
@@ -825,7 +1009,7 @@ func (e *exec) expand(inst *segInst, must bool) bool {
 }
 
 // runPipelined starts every segment at once (EP and SP).
-func (e *exec) runPipelined() error {
+func (e *exec) runPipelined() {
 	initial := 1
 	if e.c.cfg.Mode == SP {
 		initial = e.c.cfg.FixedParallelism
@@ -847,64 +1031,25 @@ func (e *exec) runPipelined() error {
 	for _, inst := range e.insts {
 		<-inst.done
 	}
-	return nil
 }
 
-// runMaterialized executes segments stage-at-a-time in topological
-// order: a consumer starts only after all its producers finished, with
-// the full intermediate result staged in the exchange inbox.
-func (e *exec) runMaterialized() error {
-	order, err := e.topoOrder()
-	if err != nil {
-		return err
-	}
-	instsBySeg := make(map[int][]*segInst)
-	for _, inst := range e.insts {
-		instsBySeg[inst.seg.ID] = append(instsBySeg[inst.seg.ID], inst)
-	}
-	for _, segID := range order {
-		for _, inst := range instsBySeg[segID] {
-			e.startInst(inst, e.c.cfg.FixedParallelism)
+// runMaterialized executes segments stage-at-a-time: a consumer starts
+// only after all its producers finished, with the full intermediate
+// result staged in the exchange inbox. e.insts is in plan order, and
+// the plan's segments are producers-first, so each segment's instances
+// are one contiguous run.
+func (e *exec) runMaterialized() {
+	for i := 0; i < len(e.insts); {
+		j := i
+		for j < len(e.insts) && e.insts[j].seg == e.insts[i].seg {
+			e.startInst(e.insts[j], e.c.cfg.FixedParallelism)
+			j++
 		}
-		for _, inst := range instsBySeg[segID] {
+		for _, inst := range e.insts[i:j] {
 			<-inst.done
 		}
+		i = j
 	}
-	return nil
-}
-
-// topoOrder sorts segment ids producers-first.
-func (e *exec) topoOrder() ([]int, error) {
-	indeg := make(map[int]int)
-	succ := make(map[int][]int)
-	for _, s := range e.p.Segments {
-		indeg[s.ID] += 0
-	}
-	for _, ex := range e.p.Exchanges {
-		succ[ex.Producer] = append(succ[ex.Producer], ex.Consumer)
-		indeg[ex.Consumer]++
-	}
-	var queue, order []int
-	for _, s := range e.p.Segments {
-		if indeg[s.ID] == 0 {
-			queue = append(queue, s.ID)
-		}
-	}
-	for len(queue) > 0 {
-		id := queue[0]
-		queue = queue[1:]
-		order = append(order, id)
-		for _, s := range succ[id] {
-			indeg[s]--
-			if indeg[s] == 0 {
-				queue = append(queue, s)
-			}
-		}
-	}
-	if len(order) != len(e.p.Segments) {
-		return nil, fmt.Errorf("engine: cyclic segment graph")
-	}
-	return order, nil
 }
 
 // sampler records the materialized-memory gauge and the parallelism

@@ -1,0 +1,192 @@
+package engine
+
+import (
+	"context"
+	"errors"
+	"fmt"
+	"runtime"
+	"testing"
+	"time"
+
+	"repro/internal/telemetry"
+	"repro/internal/types"
+)
+
+// TestExecRequestEquivalence: the ways a Request can name and observe a
+// statement — text, template plan + args, analyzed, under a caller's
+// scope — return fingerprint-identical rows, whichever driver runs them:
+// fast-path and parallel clusters, in EP, SP and ME. One statement is
+// fast-path eligible (a point lookup), one is not (it repartitions).
+func TestExecRequestEquivalence(t *testing.T) {
+	statements := []struct {
+		text, tmpl string
+		args       []types.Value
+	}{
+		{"SELECT acct_id, trade_volume FROM trades WHERE sec_code = 3",
+			"SELECT acct_id, trade_volume FROM trades WHERE sec_code = $1",
+			[]types.Value{types.IntVal(3)}},
+		{"SELECT acct_id, sum(trade_volume) AS vol FROM trades WHERE sec_code < 7 GROUP BY acct_id",
+			"SELECT acct_id, sum(trade_volume) AS vol FROM trades WHERE sec_code < $1 GROUP BY acct_id",
+			[]types.Value{types.IntVal(7)}},
+	}
+	want := make([]string, len(statements))
+	ctx := context.Background()
+	for _, mode := range []Mode{EP, SP, ME} {
+		for _, fast := range []bool{false, true} {
+			c := buildFixture(t, Config{Nodes: 3, CoresPerNode: 2, Mode: mode, FastPath: fast})
+			for si, st := range statements {
+				tmpl, _, err := c.CompileCached(st.tmpl)
+				if err != nil {
+					t.Fatal(err)
+				}
+				sc := telemetry.NewScope("caller")
+				variants := []struct {
+					name string
+					r    Request
+				}{
+					{"SQL", Request{SQL: st.text}},
+					{"SQL+Args", Request{SQL: st.tmpl, Args: st.args}},
+					{"Plan+Args", Request{Plan: tmpl, Args: st.args}},
+					{"Plan+Args recycled", Request{Plan: tmpl, Args: st.args}},
+					{"Analyze", Request{SQL: st.text, Analyze: true}},
+					{"Plan+Args+Analyze", Request{Plan: tmpl, Args: st.args, Analyze: true}},
+					{"Scope", Request{SQL: st.text, Scope: sc}},
+				}
+				for _, v := range variants {
+					label := fmt.Sprintf("%s fast=%v statement %d %s", mode, fast, si, v.name)
+					res, err := c.Exec(ctx, v.r)
+					if err != nil {
+						t.Fatalf("%s: %v", label, err)
+					}
+					if want[si] == "" {
+						want[si] = fpFingerprint(res)
+						if res.NumRows() == 0 {
+							t.Fatalf("%s: no rows; the comparison would be vacuous", label)
+						}
+					}
+					if got := fpFingerprint(res); got != want[si] {
+						t.Errorf("%s: rows differ from the first variant:\n%s\nvs\n%s", label, got, want[si])
+					}
+					if (res.Analysis != nil) != v.r.Analyze {
+						t.Errorf("%s: Analysis present=%v", label, res.Analysis != nil)
+					}
+					if v.r.Scope != nil && res.Scope != v.r.Scope {
+						t.Errorf("%s: Result.Scope is not the caller's scope", label)
+					}
+				}
+			}
+			c.Close()
+		}
+	}
+}
+
+// TestExecCancelLeavesNothingBehind: a cancelled ctx tears the query
+// down through exec.fail and returns the context's error, and once Exec
+// has returned the query holds nothing — no exchange registration on
+// any socket node (observable on the TCP fabric), no tracked byte on
+// any node's memory budget, no goroutine — on either fabric.
+func TestExecCancelLeavesNothingBehind(t *testing.T) {
+	for _, tcp := range []bool{false, true} {
+		t.Run(fmt.Sprintf("tcp=%v", tcp), func(t *testing.T) { cancelLeavesNothingBehind(t, tcp) })
+	}
+}
+
+func cancelLeavesNothingBehind(t *testing.T, tcp bool) {
+	c := buildFaultCluster(t, faultBaseConfig(EP, 2), tcp)
+	defer c.Close()
+	join := metamorphicQueries[2]
+	if _, err := c.Run(join); err != nil { // dial the pools, warm the arenas
+		t.Fatal(err)
+	}
+	runtime.GC()
+	baseline := runtime.NumGoroutine()
+
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	if _, err := c.Exec(ctx, Request{SQL: join}); !errors.Is(err, context.Canceled) {
+		t.Fatalf("pre-cancelled: err = %v, want context.Canceled", err)
+	}
+	for i := 0; i < 5; i++ {
+		ctx, cancel := context.WithTimeout(context.Background(), time.Duration(i+1)*500*time.Microsecond)
+		_, err := c.Exec(ctx, Request{SQL: join})
+		cancel()
+		if err != nil && !errors.Is(err, context.DeadlineExceeded) {
+			t.Fatalf("mid-flight deadline %d: err = %v, want DeadlineExceeded or success", i, err)
+		}
+	}
+
+	if n := c.OpenExchanges(); n != 0 {
+		t.Errorf("%d exchange registrations left open", n)
+	}
+	for node := 0; node <= c.Config().Nodes; node++ {
+		if cur, _, _ := c.NodeMemory(node); cur != 0 {
+			t.Errorf("node %d: %d bytes still tracked", node, cur)
+		}
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for runtime.NumGoroutine() > baseline {
+		if time.Now().After(deadline) {
+			buf := make([]byte, 1<<16)
+			t.Fatalf("goroutines: %d at baseline, %d after cancelled queries\n%s",
+				baseline, runtime.NumGoroutine(), buf[:runtime.Stack(buf, true)])
+		}
+		time.Sleep(20 * time.Millisecond)
+	}
+	if _, err := c.Run(metamorphicQueries[0]); err != nil {
+		t.Fatalf("query after cancellations: %v", err)
+	}
+}
+
+// TestExecRejectsMisplacedDist: the placement guard exists once, in
+// Exec — a spec on a single-process cluster is refused before anything
+// is compiled.
+func TestExecRejectsMisplacedDist(t *testing.T) {
+	c := buildFixture(t, Config{Nodes: 3, CoresPerNode: 2})
+	defer c.Close()
+	_, err := c.Exec(context.Background(), Request{Dist: &ExecSpec{QID: 1, SQL: "SELECT count(*) FROM trades"}})
+	if err == nil {
+		t.Fatal("Request.Dist accepted on a single-process cluster")
+	}
+	if st := c.PlanCacheStats(); st.Hits+st.Misses != 0 {
+		t.Errorf("refused request still compiled: %+v", st)
+	}
+}
+
+// TestExecPreparedLookupAllocs pins the serving path's garbage: one
+// Exec(Request{Plan, Args}) of the prepared point lookup on a FastPath
+// cluster, bound-plan pool warm. The ceiling is what Cluster.RunBound
+// measured on this fixture at the commit before Exec existed (38
+// allocations, five runs of 500, no spread), so neither the Request
+// struct nor the shared stages and builder can quietly add
+// per-statement allocations.
+func TestExecPreparedLookupAllocs(t *testing.T) {
+	const parentAllocs = 38
+	if raceEnabled {
+		t.Skip("allocation counts are not reproducible under the race detector")
+	}
+	c := fastFixture(t, true)
+	defer c.Close()
+	p, _, err := c.CompileCached("SELECT acct_id, trade_volume FROM trades WHERE sec_code = $1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	req := Request{SQL: "execute", Plan: p, Args: []types.Value{types.IntVal(3)}}
+	ctx := context.Background()
+	run := func() {
+		res, err := c.Exec(ctx, req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.NumRows() == 0 {
+			t.Fatal("lookup returned no rows")
+		}
+	}
+	for i := 0; i < 10; i++ {
+		run() // warm the bound-plan pool and the arenas
+	}
+	if got := testing.AllocsPerRun(500, run); got > parentAllocs {
+		t.Errorf("Exec of the prepared lookup allocates %v per statement, parent RunBound allocated %d", got, parentAllocs)
+	} else {
+		t.Logf("%v allocs per Exec (parent RunBound: %d)", got, parentAllocs)
+	}
+}

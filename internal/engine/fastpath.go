@@ -2,14 +2,10 @@ package engine
 
 import (
 	"context"
-	"fmt"
-	"time"
 
 	"repro/internal/block"
 	"repro/internal/iterator"
 	"repro/internal/plan"
-	"repro/internal/storage"
-	"repro/internal/telemetry"
 )
 
 // The serial fast path. High-QPS point lookups spend microseconds in
@@ -17,12 +13,14 @@ import (
 // machinery around them: elastic pools, exchange staging, sampler and
 // scheduler goroutines, memory admission. For a small, gather-only
 // plan none of that machinery changes the answer, so an opted-in
-// cluster (Config.FastPath) runs eligible plans to completion on the
-// calling goroutine: segments execute in dependency order, data
-// segments once per data node, and exchange edges become in-memory
-// block hand-offs. Anything the fast path cannot prove harmless —
-// distribution, fault injection, repartition exchanges, joins, scans
-// above Config.FastPathRows — falls back to the regular executor.
+// cluster (Config.FastPath) drives eligible plans serially, on the
+// calling goroutine. It is a driver of the one executor, not a second
+// one: the same stages open and close the query, the same builder
+// lowers the operators (under the serial buildEnv), and only admission
+// and exchange wiring are skipped because there is nothing to admit or
+// wire. Anything the fast path cannot prove harmless — distribution,
+// fault injection, repartition exchanges, joins, scans above
+// Config.FastPathRows — takes the parallel drivers.
 
 // fastEligible reports whether the plan can take the serial fast path
 // on this cluster.
@@ -58,94 +56,45 @@ func (c *Cluster) fastEligible(p *plan.Plan) bool {
 	// Every exchange must gather into a master-resident consumer: a
 	// data-node consumer would mean broadcast, which the single-pass
 	// segment loop does not model.
-	segByID := make(map[int]*plan.Segment, len(p.Segments))
-	for _, seg := range p.Segments {
-		segByID[seg.ID] = seg
-	}
 	for _, ex := range p.Exchanges {
-		cons, exists := segByID[ex.Consumer]
-		if !exists || !cons.OnMaster {
+		if cons := p.Segment(ex.Consumer); cons == nil || !cons.OnMaster {
 			return false
 		}
 	}
 	return true
 }
 
-// runFast executes an eligible bound plan serially. The middle return
-// reports whether the fast path ran; (nil, false, nil) means the
-// caller should fall back to the parallel executor.
-func (c *Cluster) runFast(ctx context.Context, p *plan.Plan, sc *telemetry.Scope, sqlText string) (*Result, bool, error) {
-	reg := telemetry.DefaultRegistry()
-	if sc == nil && reg != nil {
-		// Ring-less scope: the event ring is a debugging window whose
-		// allocation would dominate a microsecond-scale query. With no
-		// registry either, the query is untracked and needs no scope at
-		// all — the serving loop's steady state.
-		sc = telemetry.NewScope(fmt.Sprintf("q%d", queryScopeSeq.Add(1)), telemetry.WithRingSize(0))
-	}
-	qrec := reg.Begin(sc, sqlText)
-	start := time.Now()
-	res, err := c.runFastInner(ctx, p)
-	reg.Finish(qrec, err)
-	if err != nil {
-		return nil, true, err
-	}
-	if reg != nil {
-		reg.Counter(telemetry.CtrFastPathQueries).Inc()
-	}
-	res.Stats.Duration = time.Since(start)
-	res.Scope = sc
-	return res, true, nil
-}
-
-func (c *Cluster) runFastInner(ctx context.Context, p *plan.Plan) (*Result, error) {
-	// Exchange edges become accumulated block slices; feeds[ex] is
-	// replayed by the consumer's merger position.
-	feeds := make(map[int][]*block.Block)
-	order, err := fastTopoOrder(p)
-	if err != nil {
-		return nil, err
-	}
+// runSerial is the serial driver: segments run to completion one after
+// another in plan order (producers-first, fixed at compile time), each
+// as one fused iterator tree (the serial buildEnv) drained on the
+// calling goroutine, with exchange edges as in-memory block hand-offs.
+func (e *exec) runSerial(ctx context.Context) ([]*block.Block, error) {
 	var final []*block.Block
-	for _, seg := range order {
-		nodes := []int{c.master()}
-		if !seg.OnMaster {
-			nodes = nodes[:0]
-			for n := 0; n < c.cfg.Nodes; n++ {
-				nodes = append(nodes, n)
-			}
-		}
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		segOut, err := c.fastRunSegment(ctx, seg, nodes, feeds)
+	for _, seg := range e.p.Segments {
+		out, err := e.runSegmentSerial(ctx, seg)
 		if err != nil {
 			return nil, err
 		}
 		if seg.Out != nil {
-			feeds[seg.Out.Exchange] = append(feeds[seg.Out.Exchange], segOut...)
+			if e.feeds == nil {
+				e.feeds = make(map[int][]*block.Block)
+			}
+			e.feeds[seg.Out.Exchange] = out
 		}
-		if seg == p.Final {
-			final = segOut
+		if seg == e.p.Final {
+			final = out
 		}
 	}
-	return &Result{
-		Names:  p.OutputNames,
-		Schema: p.Final.Root.Schema(),
-		Blocks: final,
-	}, nil
+	return final, nil
 }
 
-// fastRunSegment builds the segment's iterator tree — one tree for
-// all nodes, partition scans serialized — and drains it with a single worker
-// context. Fusing the per-node instances is what makes the fast path
-// fast: operator construction (hash tables, barriers, compiled
-// kernels) happens once per segment instead of once per node, and the
-// serial drive makes the union-of-partitions input equivalent to the
-// parallel per-node instances for the algebraic operators admitted by
-// fastEligible.
-func (c *Cluster) fastRunSegment(ctx context.Context, seg *plan.Segment, nodes []int, feeds map[int][]*block.Block) ([]*block.Block, error) {
-	it, err := c.buildFast(seg.Root, nodes, feeds)
+// runSegmentSerial builds the segment's fused tree and drains it with
+// a single worker context, polling ctx between blocks.
+func (e *exec) runSegmentSerial(ctx context.Context, seg *plan.Segment) ([]*block.Block, error) {
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
+	it, err := e.buildOp(seg.Root, buildEnv{seg: seg})
 	if err != nil {
 		return nil, err
 	}
@@ -169,125 +118,8 @@ func (c *Cluster) fastRunSegment(ctx context.Context, seg *plan.Segment, nodes [
 	}
 }
 
-// buildFast mirrors buildOpInner without the parallel machinery:
-// scans expand to a chain over every node's partition, mergers read
-// materialized upstream blocks, stateful operators run unaccounted
-// (the row cap bounds their state).
-func (c *Cluster) buildFast(op plan.PhysOp, nodes []int, feeds map[int][]*block.Block) (iterator.Iterator, error) {
-	switch n := op.(type) {
-	case *plan.PScan:
-		parts := make([]*storage.Partition, len(nodes))
-		for i, node := range nodes {
-			part, err := c.store(node).Partition(n.Table.Name)
-			if err != nil {
-				return nil, err
-			}
-			parts[i] = part
-		}
-		var it iterator.Iterator = iterator.NewSerialScan(parts, n.Sch)
-		if n.Pred != nil {
-			f := iterator.NewFilter(it, n.Sch, n.Pred)
-			f.RowExec = c.cfg.RowExec
-			it = f
-		}
-		return it, nil
-
-	case *plan.PMerger:
-		return &blockFeed{blocks: feeds[n.Exchange]}, nil
-
-	case *plan.PFilter:
-		child, err := c.buildFast(n.Child, nodes, feeds)
-		if err != nil {
-			return nil, err
-		}
-		f := iterator.NewFilter(child, n.Child.Schema(), n.Pred)
-		f.RowExec = c.cfg.RowExec
-		return f, nil
-
-	case *plan.PProject:
-		child, err := c.buildFast(n.Child, nodes, feeds)
-		if err != nil {
-			return nil, err
-		}
-		pr := iterator.NewProject(child, n.Child.Schema(), n.Sch, n.Exprs)
-		pr.RowExec = c.cfg.RowExec
-		return pr, nil
-
-	case *plan.PHashAgg:
-		child, err := c.buildFast(n.Child, nodes, feeds)
-		if err != nil {
-			return nil, err
-		}
-		ha := iterator.NewHashAgg(child, n.Child.Schema(), n.Keys, n.KeyNames, n.Specs, n.Algo)
-		ha.RowExec = c.cfg.RowExec
-		ha.Serial()
-		return ha, nil
-
-	case *plan.PSort:
-		child, err := c.buildFast(n.Child, nodes, feeds)
-		if err != nil {
-			return nil, err
-		}
-		return iterator.NewSort(child, n.Child.Schema(), n.Keys), nil
-
-	case *plan.PTopN:
-		child, err := c.buildFast(n.Child, nodes, feeds)
-		if err != nil {
-			return nil, err
-		}
-		return iterator.NewTopN(child, n.Child.Schema(), n.Keys, int(n.N)), nil
-
-	case *plan.PLimit:
-		child, err := c.buildFast(n.Child, nodes, feeds)
-		if err != nil {
-			return nil, err
-		}
-		return iterator.NewLimit(child, n.Child.Schema(), n.N), nil
-	}
-	return nil, fmt.Errorf("engine: fast path cannot instantiate %T", op)
-}
-
-// fastTopoOrder orders segments so every exchange's producer runs
-// before its consumer.
-func fastTopoOrder(p *plan.Plan) ([]*plan.Segment, error) {
-	prodOf := make(map[int][]int) // consumer segment ID → producer segment IDs
-	for _, ex := range p.Exchanges {
-		prodOf[ex.Consumer] = append(prodOf[ex.Consumer], ex.Producer)
-	}
-	done := make(map[int]bool, len(p.Segments))
-	segByID := make(map[int]*plan.Segment, len(p.Segments))
-	for _, seg := range p.Segments {
-		segByID[seg.ID] = seg
-	}
-	var order []*plan.Segment
-	for len(order) < len(p.Segments) {
-		progressed := false
-		for _, seg := range p.Segments {
-			if done[seg.ID] {
-				continue
-			}
-			ready := true
-			for _, prod := range prodOf[seg.ID] {
-				if !done[prod] {
-					ready = false
-					break
-				}
-			}
-			if ready {
-				done[seg.ID] = true
-				order = append(order, seg)
-				progressed = true
-			}
-		}
-		if !progressed {
-			return nil, fmt.Errorf("engine: exchange cycle in plan")
-		}
-	}
-	return order, nil
-}
-
 // blockFeed replays materialized upstream blocks as an iterator — the
-// fast path's stand-in for a merger reading a network inbox.
+// serial driver's stand-in for a merger reading a network inbox.
 type blockFeed struct {
 	blocks []*block.Block
 	i      int

@@ -11,18 +11,23 @@ import (
 	"repro/internal/types"
 )
 
-// buildFastFixture loads one deterministic trades table into a cluster
+// fastFixture loads one deterministic trades table into a cluster
 // with the given FastPath setting.
-func buildFastFixture(t *testing.T, fast bool) *Cluster {
+func fastFixture(t *testing.T, fast bool) *Cluster {
+	return buildFixture(t, Config{Nodes: 3, CoresPerNode: 2, FastPath: fast})
+}
+
+// buildFixture is fastFixture under a caller-chosen Config.
+func buildFixture(t *testing.T, cfg Config) *Cluster {
 	t.Helper()
-	cat := catalog.New(3)
+	cat := catalog.New(cfg.Nodes)
 	trades := types.NewSchema(
 		types.Col("acct_id", types.Int64),
 		types.Col("sec_code", types.Int64),
 		types.Col("trade_volume", types.Float64),
 	)
 	cat.MustAdd(&catalog.Table{Name: "trades", Schema: trades, PartKey: []int{1}})
-	c := NewCluster(Config{Nodes: 3, CoresPerNode: 2, FastPath: fast}, cat)
+	c := NewCluster(cfg, cat)
 	tl, err := c.NewTableLoader("trades")
 	if err != nil {
 		t.Fatal(err)
@@ -61,9 +66,9 @@ func TestFastPathMatchesFullExecutor(t *testing.T) {
 	telemetry.SetDefaultRegistry(reg)
 	defer telemetry.SetDefaultRegistry(nil)
 
-	fastC := buildFastFixture(t, true)
+	fastC := fastFixture(t, true)
 	defer fastC.Close()
-	fullC := buildFastFixture(t, false)
+	fullC := fastFixture(t, false)
 	defer fullC.Close()
 
 	// fast marks queries eligible for the serial path. GROUP BY acct_id
@@ -104,7 +109,7 @@ func TestFastPathMatchesFullExecutor(t *testing.T) {
 // directly: a prepared EXECUTE's result is fingerprint-identical to
 // the equivalent ad-hoc SQL.
 func TestFastPathPreparedMatchesAdHoc(t *testing.T) {
-	c := buildFastFixture(t, true)
+	c := fastFixture(t, true)
 	defer c.Close()
 
 	p, _, err := c.CompileCached("SELECT acct_id, trade_volume FROM trades WHERE sec_code = $1")
@@ -130,7 +135,7 @@ func TestFastPathPreparedMatchesAdHoc(t *testing.T) {
 // TestPlanCacheInvalidationOnCatalogBump is the stale-plan regression
 // test: a cached plan must not survive a catalog-version bump.
 func TestPlanCacheInvalidationOnCatalogBump(t *testing.T) {
-	c := buildFastFixture(t, false)
+	c := fastFixture(t, false)
 	defer c.Close()
 
 	q := "SELECT count(*) FROM trades"
@@ -154,18 +159,18 @@ func TestPlanCacheInvalidationOnCatalogBump(t *testing.T) {
 // TestExplainAnalyzeCacheAnnotation checks that EXPLAIN ANALYZE
 // renders the plan-cache outcome.
 func TestExplainAnalyzeCacheAnnotation(t *testing.T) {
-	c := buildFastFixture(t, false)
+	c := fastFixture(t, false)
 	defer c.Close()
 
 	q := "SELECT count(*) FROM trades WHERE sec_code = 5"
-	_, an, err := c.ExplainAnalyze(q)
+	_, an, err := analyze(c, q)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !strings.Contains(an.Render(), "plan-cache=miss") {
 		t.Errorf("first analyze should render plan-cache=miss:\n%s", an.Render())
 	}
-	_, an, err = c.ExplainAnalyze(q)
+	_, an, err = analyze(c, q)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"os"
@@ -149,7 +150,7 @@ func TestMetamorphicFaultSchedules(t *testing.T) {
 				c := buildFaultCluster(t, cfg, fabric == "tcp")
 				for qi, q := range metamorphicQueries {
 					scope := telemetry.NewScope(fmt.Sprintf("meta-%d-%s-%d", si, fabric, qi))
-					res, err := c.RunScoped(q, scope)
+					res, err := c.Exec(context.Background(), Request{SQL: q, Scope: scope})
 					if err != nil {
 						t.Fatalf("query %d under %s: %v", qi, fc.String(), err)
 					}
@@ -188,7 +189,7 @@ func TestAcceptanceDropDelayTCP(t *testing.T) {
 	var retries int64
 	for qi, q := range metamorphicQueries {
 		scope := telemetry.NewScope(fmt.Sprintf("accept-%d", qi))
-		res, err := c.RunScoped(q, scope)
+		res, err := c.Exec(context.Background(), Request{SQL: q, Scope: scope})
 		if err != nil {
 			t.Fatalf("query %d: %v", qi, err)
 		}
@@ -235,7 +236,7 @@ func TestWorkerCrashDegradesGracefully(t *testing.T) {
 			scope := telemetry.NewScope("crash-" + tc.name)
 			mem := telemetry.NewMemSink(telemetry.KindRecovery, telemetry.KindFaultInjected)
 			scope.Attach(mem)
-			res, err := c.RunScoped(metamorphicQueries[joinQuery], scope)
+			res, err := c.Exec(context.Background(), Request{SQL: metamorphicQueries[joinQuery], Scope: scope})
 			if err != nil {
 				t.Fatalf("crashed-worker query: %v", err)
 			}

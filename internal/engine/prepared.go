@@ -2,7 +2,6 @@ package engine
 
 import (
 	"context"
-	"fmt"
 
 	"repro/internal/plan"
 	"repro/internal/sql"
@@ -15,14 +14,15 @@ import (
 // the catalog version it was planned against, so repeated statements —
 // whether re-submitted ad hoc or EXECUTEd through a session — skip
 // parse and plan entirely. Cached plans may be parameterized templates
-// (expr.Param slots for $n); RunBound specializes them copy-on-write
+// (expr.Param slots for $n); Exec specializes them copy-on-write
 // before execution, so one template serves concurrent EXECUTEs.
 
 // CompileCached compiles query against the current catalog, consulting
 // the cluster's plan cache first. The returned bool reports a cache
 // hit. The plan may be a parameterized template (NumParams > 0): it is
-// shared and must not be mutated — pass it through plan.Bind (or
-// RunBound) to execute.
+// shared and must not be mutated — hand it to Exec as Request.Plan with
+// Request.Args to execute. Every compile in the engine goes through
+// here, distributed coordinators and participants included.
 func (c *Cluster) CompileCached(query string) (*plan.Plan, bool, error) {
 	cache := c.planCache
 	if cache == nil {
@@ -65,56 +65,8 @@ func (c *Cluster) CatalogVersion() int64 {
 	return c.cat.Version()
 }
 
-// RunBound binds args into the (possibly cached, possibly
-// parameterized) plan and executes it. This is the EXECUTE path: the
-// template stays untouched; the specialized instance comes from the
-// template's bound-plan pool and returns there after a successful run,
-// so steady-state EXECUTEs skip the copy-on-write clone. sqlText
-// labels telemetry and errors.
+// RunBound is the EXECUTE path: Exec of a (possibly cached, possibly
+// parameterized) plan with args. sqlText labels telemetry and errors.
 func (c *Cluster) RunBound(ctx context.Context, p *plan.Plan, args []types.Value, sqlText string) (*Result, error) {
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	bound, err := p.AcquireBound(args)
-	if err != nil {
-		return nil, err
-	}
-	res, err := c.runAuto(ctx, bound, nil, sqlText)
-	if err == nil {
-		// Error paths may leave teardown stragglers that still hold the
-		// instance's iterators; only a cleanly joined run recycles it.
-		p.ReleaseBound(bound)
-	}
-	return res, err
-}
-
-// RunPrepared is CompileCached + RunBound in one call: the ad-hoc
-// serving path for drivers that send text + args without an explicit
-// PREPARE round trip.
-func (c *Cluster) RunPrepared(ctx context.Context, query string, args []types.Value) (*Result, error) {
-	p, _, err := c.CompileCached(query)
-	if err != nil {
-		return nil, err
-	}
-	return c.RunBound(ctx, p, args, query)
-}
-
-// runAuto executes a fully bound plan, taking the serial fast path
-// when the cluster opted in and the plan is eligible, else the regular
-// parallel dataflow. sc may be nil: each path then creates the scope
-// that suits it (the fast path's is ring-less), so entry points that
-// don't hand scopes to callers skip the allocation.
-func (c *Cluster) runAuto(ctx context.Context, p *plan.Plan, sc *telemetry.Scope, sqlText string) (*Result, error) {
-	if p.NumParams > 0 {
-		return nil, fmt.Errorf("engine: plan has %d unbound parameters; use PREPARE/EXECUTE or pass arguments", p.NumParams)
-	}
-	if c.fastEligible(p) {
-		if res, ok, err := c.runFast(ctx, p, sc, sqlText); ok {
-			return res, err
-		}
-	}
-	if sc == nil {
-		sc = newQueryScope()
-	}
-	return c.runPlan(ctx, p, sc, sqlText, nil)
+	return c.Exec(ctx, Request{SQL: sqlText, Plan: p, Args: args})
 }

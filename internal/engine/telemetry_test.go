@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 	"time"
@@ -19,8 +20,8 @@ func TestExecStatsDerivedFromScope(t *testing.T) {
 	scope := telemetry.NewScope("q-test")
 	mem := telemetry.NewMemSink()
 	scope.Attach(mem)
-	res, err := c.RunScoped(
-		"SELECT acct_id, sum(trade_volume) FROM trades GROUP BY acct_id", scope)
+	res, err := c.Exec(context.Background(), Request{
+		SQL: "SELECT acct_id, sum(trade_volume) FROM trades GROUP BY acct_id", Scope: scope})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -90,7 +91,7 @@ func TestInProcAndTCPReportSameNetworkTraffic(t *testing.T) {
 		scope := telemetry.NewScope("q-net")
 		mem := telemetry.NewMemSink(telemetry.KindBlockSent)
 		scope.Attach(mem)
-		res, err := c.RunScoped(q, scope)
+		res, err := c.Exec(context.Background(), Request{SQL: q, Scope: scope})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -181,8 +182,8 @@ func TestCrossSubstrateEventKinds(t *testing.T) {
 	scope := telemetry.NewScope("q-engine")
 	engMem := telemetry.NewMemSink()
 	scope.Attach(engMem)
-	if _, err := c.RunScoped(
-		"SELECT acct_id, sum(trade_volume) FROM trades GROUP BY acct_id", scope); err != nil {
+	if _, err := c.Exec(context.Background(), Request{
+		SQL: "SELECT acct_id, sum(trade_volume) FROM trades GROUP BY acct_id", Scope: scope}); err != nil {
 		t.Fatal(err)
 	}
 

@@ -10,8 +10,9 @@ import (
 // TestEphemeralPortsMeshViaSetPeer is the multi-process wiring pattern
 // in miniature: two nodes listen on :0 knowing nobody, learn each
 // other's bound addresses afterwards (as the membership plane would
-// push them), and exchange blocks through DistFabric — each side only
-// registers its own inboxes, exactly like two separate processes.
+// push them), and exchange blocks through one single-node TCPFabric
+// each — each side only registers its own inboxes, exactly like two
+// separate processes.
 func TestEphemeralPortsMeshViaSetPeer(t *testing.T) {
 	n0, err := NewTCPNode(0, "127.0.0.1:0", nil)
 	if err != nil {
@@ -28,7 +29,8 @@ func TestEphemeralPortsMeshViaSetPeer(t *testing.T) {
 		n.SetPeer(1, n1.Addr())
 	}
 
-	f0, f1 := NewDistFabric(n0), NewDistFabric(n1)
+	f0 := NewTCPFabric(map[int]*TCPNode{0: n0})
+	f1 := NewTCPFabric(map[int]*TCPNode{1: n1})
 	const query, exID = 42, 3
 	consumers := []int{0, 1}
 	ex0 := f0.NewExchange(query, exID, 2, consumers, sch, 8, nil, nil)
@@ -67,58 +69,6 @@ func TestEphemeralPortsMeshViaSetPeer(t *testing.T) {
 	if n0.OpenExchanges() != 0 || n1.OpenExchanges() != 0 {
 		t.Fatalf("registrations left after release: node0=%d node1=%d",
 			n0.OpenExchanges(), n1.OpenExchanges())
-	}
-}
-
-// TestMeshToolIDsAvoidQueryNamespace is the regression test for the
-// claims-node mesh tool squatting on query id 0: its dataflow now
-// lives in the reserved id range, so a served query's exchanges —
-// including one literally keyed (query just below the reserved base,
-// exchange MeshExchangeID) — never share an inbox with it.
-func TestMeshToolIDsAvoidQueryNamespace(t *testing.T) {
-	n0, err := NewTCPNode(0, "127.0.0.1:0", nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer n0.Close()
-	n1, err := NewTCPNode(1, "127.0.0.1:0", nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer n1.Close()
-	for _, n := range []*TCPNode{n0, n1} {
-		n.SetPeer(0, n0.Addr())
-		n.SetPeer(1, n1.Addr())
-	}
-
-	// The mesh tool's inbox, as claims-node -drive registers it…
-	meshIn := n1.RegisterInbox(MeshQueryID, MeshExchangeID, 1, 1, sch, 8, nil)
-	// …and a served query reusing the same plan exchange id.
-	const servedQID = ReservedQueryIDBase - 1
-	queryIn := n1.RegisterInbox(servedQID, MeshExchangeID, 1, 1, sch, 8, nil)
-
-	meshOb := n0.NewOutbox(MeshQueryID, MeshExchangeID, []int{1, 1})
-	queryOb := n0.NewOutbox(servedQID, MeshExchangeID, []int{1, 1})
-	for i := 0; i < 3; i++ {
-		if err := meshOb.Send(1, mkBlock(int64(i), int64(i+1))); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := queryOb.Send(1, mkBlock(500, 501)); err != nil {
-		t.Fatal(err)
-	}
-	if err := meshOb.CloseSend(); err != nil {
-		t.Fatal(err)
-	}
-	if err := queryOb.CloseSend(); err != nil {
-		t.Fatal(err)
-	}
-
-	if got := drainCount(t, meshIn, 5*time.Second); got != 6 {
-		t.Fatalf("mesh inbox received %d tuples, want 6", got)
-	}
-	if got := drainCount(t, queryIn, 5*time.Second); got != 2 {
-		t.Fatalf("query inbox received %d tuples, want 2", got)
 	}
 }
 

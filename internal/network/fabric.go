@@ -3,7 +3,6 @@ package network
 import (
 	"fmt"
 	"strconv"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/block"
@@ -28,8 +27,6 @@ type Fabric interface {
 	// BlockSent events — identically on every transport.
 	NewExchange(query, id, producers int, consumerNodes []int, sch *types.Schema,
 		bufBlocks int, tracker *block.Tracker, scope *telemetry.Scope) FabricExchange
-	// NodeEgressBytes reports bytes a node pushed into the fabric.
-	NodeEgressBytes(node int) int64
 }
 
 // FabricExchange is one wired exchange.
@@ -152,11 +149,6 @@ func (f InProcFabric) NewExchange(query, id, producers int, consumerNodes []int,
 		inj:           f.Faults,
 		pol:           pol,
 	}
-}
-
-// NodeEgressBytes implements Fabric.
-func (f InProcFabric) NodeEgressBytes(node int) int64 {
-	return f.T.NodeEgressBytes(node)
 }
 
 type inprocExchange struct {
@@ -319,54 +311,46 @@ func (o *faultyOutbox) emitFault(kind string, to int, seq uint64, d time.Duratio
 
 // --- TCP fabric ---------------------------------------------------------------
 
-// TCPFabric runs every exchange over real sockets: one TCPNode per
-// cluster node (including the master), typically on loopback within one
-// process, or across machines when the peer map says so. Blocks pass
-// through the block wire codec on every hop.
+// TCPFabric runs every exchange over real sockets, through the block
+// wire codec on every hop. It is built over the TCPNodes THIS process
+// hosts: all of them (every cluster node on loopback, master included)
+// for a single-process cluster, or the one node a process of a
+// multi-process cluster owns. Each process runs the same wiring code
+// against its own fabric: inboxes are registered for the consumer
+// instances placed on hosted nodes only, outboxes exist for hosted
+// producers only, and Abort/Release tear down the hosted side — the
+// union across processes reproduces the full exchange (a coordinator
+// broadcasts aborts over the control plane).
+//
+// Peer addressing is dynamic: the membership plane pushes view updates
+// into TCPNode.SetPeer/DropPeer, so a node that rejoined on a fresh
+// ephemeral port is redialed at its new address.
 type TCPFabric struct {
-	nodes  map[int]*TCPNode
-	egress map[int]*atomic.Int64
+	nodes map[int]*TCPNode
 }
 
-// NewTCPFabric builds a fabric over the given nodes (node id → TCPNode).
+// NewTCPFabric builds a fabric over the hosted nodes (node id → TCPNode).
 func NewTCPFabric(nodes map[int]*TCPNode) *TCPFabric {
-	f := &TCPFabric{nodes: nodes, egress: make(map[int]*atomic.Int64)}
-	for id := range nodes {
-		f.egress[id] = &atomic.Int64{}
-	}
-	return f
+	return &TCPFabric{nodes: nodes}
 }
 
-// NewExchange implements Fabric.
+// NewExchange implements Fabric. Inbox(i) of a consumer instance placed
+// on a node another process hosts is nil (the engine never asks — it
+// only reads inboxes of segments it instantiated locally).
 func (f *TCPFabric) NewExchange(query, id, producers int, consumerNodes []int,
 	sch *types.Schema, bufBlocks int, tracker *block.Tracker,
 	scope *telemetry.Scope) FabricExchange {
-	ex := &tcpExchange{fabric: f, query: query, id: id, consumerNodes: consumerNodes, scope: scope}
+	ex := &tcpExchange{fabric: f, query: query, id: id, consumerNodes: consumerNodes,
+		scope: scope, inboxes: make([]*Inbox, len(consumerNodes))}
 	for i, cn := range consumerNodes {
 		node, ok := f.nodes[cn]
 		if !ok {
-			panic(fmt.Sprintf("network: TCP fabric has no node %d", cn))
+			continue
 		}
 		node.SetExchangeScope(query, id, scope)
-		ex.inboxes = append(ex.inboxes,
-			node.RegisterInbox(query, id, i, producers, sch, bufBlocks, tracker))
+		ex.inboxes[i] = node.RegisterInbox(query, id, i, producers, sch, bufBlocks, tracker)
 	}
 	return ex
-}
-
-// SetFaults attaches one injector to every node of the fabric.
-func (f *TCPFabric) SetFaults(j *faults.Injector) {
-	for _, n := range f.nodes {
-		n.SetFaults(j)
-	}
-}
-
-// NodeEgressBytes implements Fabric.
-func (f *TCPFabric) NodeEgressBytes(node int) int64 {
-	if c, ok := f.egress[node]; ok {
-		return c.Load()
-	}
-	return 0
 }
 
 type tcpExchange struct {
@@ -378,60 +362,39 @@ type tcpExchange struct {
 	inboxes       []*Inbox
 }
 
-// Inbox implements FabricExchange.
+// Inbox implements FabricExchange; nil for instances on nodes this
+// process does not host.
 func (e *tcpExchange) Inbox(i int) *Inbox { return e.inboxes[i] }
 
 // SendCopies implements FabricExchange: TCPOutbox.Send encodes the
 // block into the staged batch (or a window slot) before returning.
 func (e *tcpExchange) SendCopies() bool { return true }
 
-// Abort implements FabricExchange: every node of the fabric abandons
-// the exchange, so senders, read loops and consumers all unwedge.
+// Abort implements FabricExchange: every hosted node abandons the
+// exchange, so senders, read loops and consumers all unwedge.
 func (e *tcpExchange) Abort() {
 	for _, n := range e.fabric.nodes {
 		n.AbortExchange(e.query, e.id)
 	}
 }
 
-// Release implements FabricExchange: every node drops the exchange's
-// per-query registrations.
+// Release implements FabricExchange: every hosted node drops the
+// exchange's per-query registrations.
 func (e *tcpExchange) Release() {
 	for _, n := range e.fabric.nodes {
 		n.ReleaseExchange(e.query, e.id)
 	}
 }
 
-// Outbox implements FabricExchange.
+// Outbox implements FabricExchange. Producers only ever run where they
+// were instantiated, so asking for an unhosted node's outbox is a
+// wiring bug, not a runtime condition.
 func (e *tcpExchange) Outbox(producerNode int) iterator.Outbox {
 	node, ok := e.fabric.nodes[producerNode]
 	if !ok {
-		panic(fmt.Sprintf("network: TCP fabric has no node %d", producerNode))
+		panic(fmt.Sprintf("network: TCP fabric does not host node %d", producerNode))
 	}
 	ob := node.NewOutbox(e.query, e.id, e.consumerNodes)
 	ob.SetScope(e.scope)
-	inner := &countingOutbox{
-		inner:   ob,
-		counter: e.fabric.egress[producerNode],
-	}
-	return wrapOutbox(inner, e.scope, e.id, producerNode, e.consumerNodes)
+	return wrapOutbox(ob, e.scope, e.id, producerNode, e.consumerNodes)
 }
-
-// countingOutbox tracks raw socket egress bytes around a TCPOutbox (the
-// per-fabric NodeEgressBytes view; telemetry counting is layered on top
-// by the shared scopedOutbox).
-type countingOutbox struct {
-	inner   *TCPOutbox
-	counter *atomic.Int64
-}
-
-// Destinations implements iterator.Outbox.
-func (o *countingOutbox) Destinations() int { return o.inner.Destinations() }
-
-// Send implements iterator.Outbox.
-func (o *countingOutbox) Send(dest int, b *block.Block) error {
-	o.counter.Add(int64(b.WireSize()))
-	return o.inner.Send(dest, b)
-}
-
-// CloseSend implements iterator.Outbox.
-func (o *countingOutbox) CloseSend() error { return o.inner.CloseSend() }

@@ -42,9 +42,11 @@ type stageKey struct {
 }
 
 // stager returns (creating on first use) the stager for one flow's
-// traffic to a peer. The first creator's scope sticks; concurrent
-// outboxes of the same exchange share the stager and therefore the
-// batch buffer.
+// traffic to a peer. Concurrent outboxes of the same exchange share the
+// stager and therefore the batch buffer. The creator's scope is the
+// stager's for life: the coalesce-deadline timer reads it under s.mu
+// while senders come through here under n.mu, so it is never written
+// after creation.
 func (n *TCPNode) stager(peer, query, exchange int, scope *telemetry.Scope) *stager {
 	k := stageKey{peer, query, exchange}
 	n.mu.Lock()
@@ -53,13 +55,11 @@ func (n *TCPNode) stager(peer, query, exchange int, scope *telemetry.Scope) *sta
 	if !ok {
 		s = &stager{
 			n: n, peer: peer,
-			flow: flowKey{query, exchange},
-			hash: flowHash(query, exchange),
+			flow:  flowKey{query, exchange},
+			hash:  flowHash(query, exchange),
+			scope: scope,
 		}
 		n.stagers[k] = s
-	}
-	if s.scope == nil {
-		s.scope = scope
 	}
 	return s
 }

@@ -451,6 +451,12 @@ const (
 func (n *TCPNode) applyOnce(k streamKey, seq uint64) (applyVerdict, uint64) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
+	if _, live := n.inboxes[inboxKey{k.query, k.exchange, k.instance}]; !live {
+		// Released between handleFrame's inbox lookup and here (a
+		// cancelled query's frames are still on the wire when it tears
+		// down): recording a watermark now would outlive the exchange.
+		return applyIgnore, 0
+	}
 	next, ok := n.streams[k]
 	switch {
 	case !ok:

@@ -65,7 +65,54 @@ func LowerOpts(root Logical, opts Options) (*Plan, error) {
 		annotateVec(seg.Root)
 	}
 	lw.plan.NumParams = countParams(&lw.plan)
+	if err := lw.plan.orderSegments(); err != nil {
+		return nil, err
+	}
 	return &lw.plan, nil
+}
+
+// orderSegments leaves p.Segments producers-first: every exchange's
+// producer stands before its consumer, so an executor that runs one
+// segment at a time (materialized execution, the serial driver) just
+// ranges over the plan. The order is fixed here, once per compiled
+// plan; Bind copies segments index for index and so keeps it. Lowering
+// closes producers before their consumers, which makes this a
+// verification pass for the planner's own output (the sort is stable),
+// but the executors rely on the property, so it is established rather
+// than assumed — and a dangling or cyclic exchange graph is rejected at
+// compile time instead of wedging a query.
+func (p *Plan) orderSegments() error {
+	for _, ex := range p.Exchanges {
+		if p.Segment(ex.Producer) == nil || p.Segment(ex.Consumer) == nil {
+			return fmt.Errorf("plan: exchange %d is dangling", ex.ID)
+		}
+	}
+	ordered := make([]*Segment, 0, len(p.Segments))
+	placed := make(map[int]bool, len(p.Segments))
+	for len(ordered) < len(p.Segments) {
+		before := len(ordered)
+		for _, seg := range p.Segments {
+			if placed[seg.ID] {
+				continue
+			}
+			ready := true
+			for _, ex := range p.Exchanges {
+				if ex.Consumer == seg.ID && !placed[ex.Producer] {
+					ready = false
+					break
+				}
+			}
+			if ready {
+				placed[seg.ID] = true
+				ordered = append(ordered, seg)
+			}
+		}
+		if len(ordered) == before {
+			return fmt.Errorf("plan: exchange graph is cyclic")
+		}
+	}
+	p.Segments = ordered
+	return nil
 }
 
 // annotateVec records, per operator, whether its expression work

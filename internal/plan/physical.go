@@ -158,6 +158,8 @@ type ExchangeSpec struct {
 
 // Plan is the distributed physical plan.
 type Plan struct {
+	// Segments are producers-first: every exchange's producer stands
+	// before its consumer (fixed by Compile, kept by Bind).
 	Segments  []*Segment
 	Exchanges []*ExchangeSpec
 	// Final is the segment whose output is the query result.
@@ -183,6 +185,17 @@ type Plan struct {
 	// carrying the Const sites to overwrite on reuse.
 	bindPool sync.Pool
 	bound    *boundMeta
+}
+
+// Segment returns the segment with the given id, or nil. Plans hold a
+// handful of segments, so a scan is cheaper than an id map per query.
+func (p *Plan) Segment(id int) *Segment {
+	for _, s := range p.Segments {
+		if s.ID == id {
+			return s
+		}
+	}
+	return nil
 }
 
 // String renders the plan for inspection (the EXPLAIN output).

@@ -315,3 +315,42 @@ func TestPlanLowCardinalityUsesPartialAgg(t *testing.T) {
 		t.Fatalf("segment 0 root = %T, want partial agg for 3 groups\n%s", p.Segments[0].Root, p)
 	}
 }
+
+// TestOrderSegmentsRejectsCycle: the producers-first order is
+// established (and a graph that has none rejected) at compile time, so
+// executors never sort or detect cycles per query.
+func TestOrderSegmentsRejectsCycle(t *testing.T) {
+	sch := types.NewSchema(types.Col("k", types.Int64))
+	seg := func(id, in, out int) *Segment {
+		return &Segment{ID: id, Root: &PMerger{Exchange: in, Sch: sch}, Out: &OutSpec{Exchange: out}}
+	}
+	// Consumer listed before its producer: reordered, not rejected.
+	p := &Plan{
+		Segments:  []*Segment{seg(1, 0, 9), {ID: 0, Root: &PMerger{Exchange: 8, Sch: sch}, Out: &OutSpec{Exchange: 0}}},
+		Exchanges: []*ExchangeSpec{{ID: 0, Producer: 0, Consumer: 1, Sch: sch}},
+	}
+	if err := p.orderSegments(); err != nil {
+		t.Fatalf("acyclic plan rejected: %v", err)
+	}
+	if p.Segments[0].ID != 0 || p.Segments[1].ID != 1 {
+		t.Fatalf("segments not producers-first: %d, %d", p.Segments[0].ID, p.Segments[1].ID)
+	}
+	// 0 -> 1 -> 0.
+	cyclic := &Plan{
+		Segments: []*Segment{seg(0, 1, 0), seg(1, 0, 1)},
+		Exchanges: []*ExchangeSpec{
+			{ID: 0, Producer: 0, Consumer: 1, Sch: sch},
+			{ID: 1, Producer: 1, Consumer: 0, Sch: sch},
+		},
+	}
+	if err := cyclic.orderSegments(); err == nil {
+		t.Fatal("cyclic exchange graph accepted")
+	}
+	dangling := &Plan{
+		Segments:  []*Segment{seg(0, 1, 0)},
+		Exchanges: []*ExchangeSpec{{ID: 0, Producer: 0, Consumer: 7, Sch: sch}},
+	}
+	if err := dangling.orderSegments(); err == nil {
+		t.Fatal("dangling exchange accepted")
+	}
+}

@@ -110,7 +110,7 @@ func (s *Server) CatalogVersion() int64 { return s.c.CatalogVersion() }
 // turning a thundering herd of large queries into an orderly drain.
 func (s *Server) Query(ctx context.Context, sql string) (*engine.Result, error) {
 	return s.serve(ctx, func(ctx context.Context) (*engine.Result, error) {
-		return s.c.RunContext(ctx, sql)
+		return s.c.Exec(ctx, engine.Request{SQL: sql})
 	})
 }
 
@@ -119,7 +119,7 @@ func (s *Server) Query(ctx context.Context, sql string) (*engine.Result, error) 
 // memory-budget retry loop. sqlText labels telemetry and errors.
 func (s *Server) QueryBound(ctx context.Context, p *plan.Plan, args []types.Value, sqlText string) (*engine.Result, error) {
 	return s.serve(ctx, func(ctx context.Context) (*engine.Result, error) {
-		return s.c.RunBound(ctx, p, args, sqlText)
+		return s.c.Exec(ctx, engine.Request{SQL: sqlText, Plan: p, Args: args})
 	})
 }
 

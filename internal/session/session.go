@@ -54,12 +54,12 @@ func (d Direct) CatalogVersion() int64 { return d.C.CatalogVersion() }
 
 // Query implements Backend.
 func (d Direct) Query(ctx context.Context, sqlText string) (*engine.Result, error) {
-	return d.C.RunContext(ctx, sqlText)
+	return d.C.Exec(ctx, engine.Request{SQL: sqlText})
 }
 
 // QueryBound implements Backend.
 func (d Direct) QueryBound(ctx context.Context, p *plan.Plan, args []types.Value, sqlText string) (*engine.Result, error) {
-	return d.C.RunBound(ctx, p, args, sqlText)
+	return d.C.Exec(ctx, engine.Request{SQL: sqlText, Plan: p, Args: args})
 }
 
 // prepStmt is one named prepared statement: the plan template pinned

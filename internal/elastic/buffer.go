@@ -51,10 +51,10 @@ func NewBuffer(capBlocks int, ordered bool) *Buffer {
 
 type seqHeap []*block.Block
 
-func (h seqHeap) Len() int            { return len(h) }
-func (h seqHeap) Less(i, j int) bool  { return h[i].Seq < h[j].Seq }
-func (h seqHeap) Swap(i, j int)       { h[i], h[j] = h[j], h[i] }
-func (h *seqHeap) Push(x any)         { *h = append(*h, x.(*block.Block)) }
+func (h seqHeap) Len() int           { return len(h) }
+func (h seqHeap) Less(i, j int) bool { return h[i].Seq < h[j].Seq }
+func (h seqHeap) Swap(i, j int)      { h[i], h[j] = h[j], h[i] }
+func (h *seqHeap) Push(x any)        { *h = append(*h, x.(*block.Block)) }
 func (h *seqHeap) Pop() any {
 	old := *h
 	x := old[len(old)-1]

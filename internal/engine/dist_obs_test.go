@@ -197,8 +197,8 @@ func TestDistAnalyzeSpansCoverAllNodes(t *testing.T) {
 
 	dataNodes := []int{0, 1, 2}
 	spec := ExecSpec{
-		QID: clusters[0].NextQueryID(),
-		SQL: `SELECT count(*) FROM trades`,
+		QID:         clusters[0].NextQueryID(),
+		SQL:         `SELECT count(*) FROM trades`,
 		Coordinator: 0, DataNodes: dataNodes, Analyze: true,
 	}
 	var wg sync.WaitGroup

@@ -336,8 +336,8 @@ func TestDistNodeLostMidQuery(t *testing.T) {
 
 	dataNodes := []int{0, 1, 2}
 	spec := ExecSpec{
-		QID: clusters[coord].NextQueryID(),
-		SQL: `SELECT acct_id, sum(trade_volume) FROM trades GROUP BY acct_id`,
+		QID:         clusters[coord].NextQueryID(),
+		SQL:         `SELECT acct_id, sum(trade_volume) FROM trades GROUP BY acct_id`,
 		Coordinator: coord, DataNodes: dataNodes,
 	}
 

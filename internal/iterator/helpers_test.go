@@ -90,8 +90,8 @@ func (c *chanInbox) Recv(cancel <-chan struct{}) (*block.Block, RecvStatus) {
 
 // chanOutbox is a test Outbox collecting sent blocks per destination.
 type chanOutbox struct {
-	dests [][]*block.Block
-	mu    sync.Mutex
+	dests  [][]*block.Block
+	mu     sync.Mutex
 	closed atomic.Bool
 }
 

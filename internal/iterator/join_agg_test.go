@@ -189,10 +189,10 @@ func checkAggResult(t *testing.T, algo AggAlgorithm, workers int) {
 	}
 }
 
-func TestHashAggSharedSingle(t *testing.T)      { checkAggResult(t, SharedAgg, 1) }
-func TestHashAggSharedParallel(t *testing.T)    { checkAggResult(t, SharedAgg, 6) }
-func TestHashAggIndependent(t *testing.T)       { checkAggResult(t, IndependentAgg, 4) }
-func TestHashAggHybrid(t *testing.T)            { checkAggResult(t, HybridAgg, 4) }
+func TestHashAggSharedSingle(t *testing.T)   { checkAggResult(t, SharedAgg, 1) }
+func TestHashAggSharedParallel(t *testing.T) { checkAggResult(t, SharedAgg, 6) }
+func TestHashAggIndependent(t *testing.T)    { checkAggResult(t, IndependentAgg, 4) }
+func TestHashAggHybrid(t *testing.T)         { checkAggResult(t, HybridAgg, 4) }
 
 func TestHashAggLargeCardinalityHybridOverflow(t *testing.T) {
 	// More groups than maxPrivateGroups forces the overflow path.

@@ -122,8 +122,8 @@ func shallowStamp(src *block.Block, seq uint64) *block.Block {
 // machinery would be pure construction overhead; for a lone worker the
 // two produce the same stream of stamped blocks.
 type SerialScan struct {
-	parts []*storage.Partition
-	sch   *types.Schema // optional display-name override
+	parts  []*storage.Partition
+	sch    *types.Schema // optional display-name override
 	pi, bi int
 	seq    uint64
 }

@@ -21,9 +21,9 @@ type TopN struct {
 	keys  []SortKey
 	n     int
 
-	pool    *ContextPool
-	done    *Barrier
-	merged  *Barrier
+	pool      *ContextPool
+	done      *Barrier
+	merged    *Barrier
 	mergeOnce once
 
 	mu     sync.Mutex
@@ -43,8 +43,8 @@ func (h *topHeap) Less(i, j int) bool {
 	// Max-heap on the key order: the root is the worst retained row.
 	return compareKeys(h.keys, h.rows[i].vals, h.rows[j].vals) > 0
 }
-func (h *topHeap) Swap(i, j int)      { h.rows[i], h.rows[j] = h.rows[j], h.rows[i] }
-func (h *topHeap) Push(x any)         { h.rows = append(h.rows, x.(rowRef)) }
+func (h *topHeap) Swap(i, j int) { h.rows[i], h.rows[j] = h.rows[j], h.rows[i] }
+func (h *topHeap) Push(x any)    { h.rows = append(h.rows, x.(rowRef)) }
 func (h *topHeap) Pop() any {
 	old := h.rows
 	x := old[len(old)-1]

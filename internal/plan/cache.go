@@ -13,9 +13,9 @@ import (
 // makes every older entry unreachable; stale entries age out through
 // normal LRU eviction.
 type Cache struct {
-	mu   sync.Mutex
-	cap  int
-	lru  *list.List // front = most recent; values are *cacheEntry
+	mu    sync.Mutex
+	cap   int
+	lru   *list.List // front = most recent; values are *cacheEntry
 	byKey map[cacheKey]*list.Element
 
 	hits, misses, evictions int64

@@ -113,7 +113,9 @@ func TestPlanSimpleFilterScan(t *testing.T) {
 // SSE-Q9 must decompose into the paper's three segments (Figure 1b):
 // S1 = scan T + filter + repartition(acct_id);
 // S2 = merger + join build, local scan S + filter probe, partial agg +
-//      repartition(group keys);
+//
+//	repartition(group keys);
+//
 // S3 = final aggregation + projection (the result).
 func TestPlanSSEQ9ThreeSegments(t *testing.T) {
 	q := `SELECT sec_code, acct_id, sum(trade_volume), sum(entry_volume)

@@ -374,7 +374,7 @@ func TestVisitRatePropagation(t *testing.T) {
 		t.Fatalf("S2 build visit rate = %f, want ≈ %f", q0.visit, 1.0/60)
 	}
 	q1 := s.queues[[2]int{1, 0}] // S2 → S3
-	want := 1.0 / 60 * 0.9 // probe stage sel = filterSel × 0.9 over local V=1... group-level δ
+	want := 1.0 / 60 * 0.9       // probe stage sel = filterSel × 0.9 over local V=1... group-level δ
 	if q1.visit <= 0 || q1.visit > want*3 {
 		t.Fatalf("S3 visit rate = %f, want ≈ %f", q1.visit, want)
 	}

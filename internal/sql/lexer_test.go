@@ -58,10 +58,10 @@ func TestStringEscapes(t *testing.T) {
 		want string
 	}{
 		{`'plain'`, "plain"},
-		{`'a\\b'`, `a\b`},         // \\ -> backslash
-		{`'it\'s'`, "it's"},       // \' -> quote
+		{`'a\\b'`, `a\b`},            // \\ -> backslash
+		{`'it\'s'`, "it's"},          // \' -> quote
 		{`'say \"hi\"'`, `say "hi"`}, // \" -> double quote
-		{`'\d'`, `\d`},            // unknown escape passes through verbatim
+		{`'\d'`, `\d`},               // unknown escape passes through verbatim
 		{`'tab\there'`, `tab\there`},
 	}
 	for _, c := range cases {

@@ -126,8 +126,8 @@ type parser struct {
 	input string
 }
 
-func (p *parser) peek() token  { return p.toks[p.pos] }
-func (p *parser) next() token  { t := p.toks[p.pos]; p.pos++; return t }
+func (p *parser) peek() token { return p.toks[p.pos] }
+func (p *parser) next() token { t := p.toks[p.pos]; p.pos++; return t }
 func (p *parser) errf(format string, args ...any) error {
 	return fmt.Errorf("sql: "+format, args...)
 }

@@ -26,8 +26,8 @@ func DaysFromCivil(y, m, d int) int64 {
 	} else {
 		mp = int64(m) + 9
 	}
-	doy := (153*mp+2)/5 + int64(d) - 1                 // [0, 365]
-	doe := yoe*365 + yoe/4 - yoe/100 + doy             // [0, 146096]
+	doy := (153*mp+2)/5 + int64(d) - 1     // [0, 365]
+	doe := yoe*365 + yoe/4 - yoe/100 + doy // [0, 146096]
 	return era*146097 + doe - 719468
 }
 
@@ -40,11 +40,11 @@ func CivilFromDays(z int64) (y, m, d int) {
 	} else {
 		era = (z - 146096) / 146097
 	}
-	doe := z - era*146097                              // [0, 146096]
+	doe := z - era*146097 // [0, 146096]
 	yoe := (doe - doe/1460 + doe/36524 - doe/146096) / 365
 	yy := yoe + era*400
-	doy := doe - (365*yoe + yoe/4 - yoe/100)           // [0, 365]
-	mp := (5*doy + 2) / 153                            // [0, 11]
+	doy := doe - (365*yoe + yoe/4 - yoe/100) // [0, 365]
+	mp := (5*doy + 2) / 153                  // [0, 11]
 	d = int(doy - (153*mp+2)/5 + 1)
 	if mp < 10 {
 		m = int(mp + 3)

@@ -129,7 +129,11 @@ func TestDateRoundTripProperty(t *testing.T) {
 }
 
 func TestAddMonths(t *testing.T) {
-	cases := []struct{ in string; n int; want string }{
+	cases := []struct {
+		in   string
+		n    int
+		want string
+	}{
 		{"1998-12-01", -3, "1998-09-01"},
 		{"1995-01-31", 1, "1995-02-28"},
 		{"1996-01-31", 1, "1996-02-29"},

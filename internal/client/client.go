@@ -15,6 +15,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"math"
 	"net"
 
 	"repro/internal/block"
@@ -65,6 +66,17 @@ func (c *Conn) ready() error {
 	return nil
 }
 
+// fitsU16 refuses a length the protocol's u16 length fields cannot
+// carry. The encoders would write it modulo 65536 and the server would
+// run the statement on the truncated remainder, so the request fails
+// here, before anything is written; the connection stays usable.
+func fitsU16(what string, n int) error {
+	if n > math.MaxUint16 {
+		return fmt.Errorf("client: %s %d exceeds the protocol's limit of %d", what, n, math.MaxUint16)
+	}
+	return nil
+}
+
 // roundTrip writes one request frame and reads the first response
 // frame.
 func (c *Conn) roundTrip(typ byte, payload []byte) (byte, []byte, error) {
@@ -99,6 +111,9 @@ func (c *Conn) Prepare(name, sql string) (int, error) {
 	if err := c.ready(); err != nil {
 		return 0, err
 	}
+	if err := fitsU16("statement name", len(name)); err != nil {
+		return 0, err
+	}
 	c.scratch = protocol.AppendString(c.scratch[:0], name)
 	c.scratch = append(c.scratch, sql...)
 	typ, pl, err := c.roundTrip(protocol.MsgPrepare, c.scratch)
@@ -122,9 +137,20 @@ func (c *Conn) Execute(name string, args ...types.Value) (*Rows, error) {
 	if err := c.ready(); err != nil {
 		return nil, err
 	}
+	if err := fitsU16("statement name", len(name)); err != nil {
+		return nil, err
+	}
+	if err := fitsU16("argument count", len(args)); err != nil {
+		return nil, err
+	}
 	c.scratch = protocol.AppendString(c.scratch[:0], name)
 	c.scratch = binary.LittleEndian.AppendUint16(c.scratch, uint16(len(args)))
-	for _, v := range args {
+	for i, v := range args {
+		if v.Kind == types.String && !v.Null {
+			if err := fitsU16(fmt.Sprintf("string argument $%d", i+1), len(v.S)); err != nil {
+				return nil, err
+			}
+		}
 		c.scratch = protocol.AppendValue(c.scratch, v)
 	}
 	return c.finishQuery(c.roundTrip(protocol.MsgExecute, c.scratch))
@@ -133,6 +159,9 @@ func (c *Conn) Execute(name string, args ...types.Value) (*Rows, error) {
 // Deallocate drops a prepared statement.
 func (c *Conn) Deallocate(name string) error {
 	if err := c.ready(); err != nil {
+		return err
+	}
+	if err := fitsU16("statement name", len(name)); err != nil {
 		return err
 	}
 	c.scratch = protocol.AppendString(c.scratch[:0], name)

@@ -14,7 +14,6 @@ import (
 	"repro/internal/plan"
 	"repro/internal/sse"
 	"repro/internal/tpch"
-	"repro/internal/types"
 )
 
 // The suite-wide tests of the executor collapse: every TPC-H and SSE
@@ -177,7 +176,7 @@ func producersFirst(p *plan.Plan) int {
 
 // TestSegmentOrderInvariant: every compiled suite plan has Segments
 // producers-first — what runMaterialized and the serial driver range
-// over — and so does every Bind / AcquireBound instance of a template.
+// over. A prepared statement runs that same plan, never a copy of it.
 func TestSegmentOrderInvariant(t *testing.T) {
 	c := suiteCluster(t)
 	for _, q := range suiteQueries() {
@@ -187,42 +186,6 @@ func TestSegmentOrderInvariant(t *testing.T) {
 		}
 		if ex := producersFirst(p); ex >= 0 {
 			t.Errorf("%.60s: exchange %d's producer does not precede its consumer", q, ex)
-		}
-	}
-	templates := []struct {
-		q    string
-		args []types.Value
-	}{
-		{"SELECT acct_id, sum(trade_volume) FROM trades WHERE sec_code = $1 GROUP BY acct_id", []types.Value{types.IntVal(600016)}},
-		{`SELECT T.sec_code, count(*) FROM trades T, securities S
-		  WHERE T.acct_id = S.acct_id AND S.entry_volume < $1 GROUP BY T.sec_code`, []types.Value{types.FloatVal(600)}},
-		{"SELECT l_returnflag, count(*) FROM lineitem WHERE l_quantity < $1 GROUP BY l_returnflag", []types.Value{types.FloatVal(10)}},
-	}
-	for _, tc := range templates {
-		tmpl, _, err := c.CompileCached(tc.q)
-		if err != nil {
-			t.Fatalf("%.60s: %v", tc.q, err)
-		}
-		if len(tmpl.Exchanges) == 0 {
-			t.Fatalf("%.60s: template has no exchange; the check would be vacuous", tc.q)
-		}
-		bound, err := plan.Bind(tmpl, tc.args)
-		if err != nil {
-			t.Fatal(err)
-		}
-		first, err := tmpl.AcquireBound(tc.args)
-		if err != nil {
-			t.Fatal(err)
-		}
-		tmpl.ReleaseBound(first)
-		recycled, err := tmpl.AcquireBound(tc.args)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for name, b := range map[string]*plan.Plan{"template": tmpl, "Bind": bound, "AcquireBound": first, "recycled AcquireBound": recycled} {
-			if ex := producersFirst(b); ex >= 0 {
-				t.Errorf("%.60s: %s: exchange %d's producer does not precede its consumer", tc.q, name, ex)
-			}
 		}
 	}
 }

@@ -40,10 +40,11 @@ type Request struct {
 	// prepared-statement path, where a session pinned the (possibly
 	// parameterized, always shared and never mutated) template.
 	Plan *plan.Plan
-	// Args bind the plan's $n slots. The specialized instance comes
-	// from the template's bound-plan pool and returns there after a
-	// successful run, so steady-state EXECUTEs skip the copy-on-write
-	// clone.
+	// Args are the values of the plan's $n slots ($1 is Args[0]), one
+	// per slot. They are converted to the slots' kinds (plan.CoerceArgs)
+	// and substituted as constants into each expression at the moment an
+	// iterator is built from it; the plan is never copied, and Args is
+	// not written to.
 	Args []types.Value
 	// Scope receives the query's telemetry; attach sinks to it before
 	// the call to observe the live stream. Nil gives the query a scope
@@ -92,21 +93,11 @@ func (c *Cluster) Exec(ctx context.Context, r Request) (*Result, error) {
 			cacheState = "hit"
 		}
 	}
-	p := tmpl
-	if len(r.Args) > 0 {
-		var err error
-		if p, err = tmpl.AcquireBound(r.Args); err != nil {
-			return nil, err
-		}
+	args, err := tmpl.CoerceArgs(r.Args)
+	if err != nil {
+		return nil, err
 	}
-	res, err := c.run(ctx, p, &r, cacheState)
-	if err == nil && !r.Analyze {
-		// Error paths may leave teardown stragglers that still hold the
-		// instance's iterators, and an Analysis keeps rendering its plan;
-		// only a cleanly joined, unanalyzed run recycles the instance.
-		tmpl.ReleaseBound(p)
-	}
-	return res, err
+	return c.run(ctx, tmpl, args, &r, cacheState)
 }
 
 // Run compiles (through the plan cache) and executes a SQL query.
@@ -114,13 +105,14 @@ func (c *Cluster) Run(query string) (*Result, error) {
 	return c.Exec(context.Background(), Request{SQL: query})
 }
 
-// run takes a fully bound plan through the stages every query shares —
-// begin → place → admit → wire → drive → collect — under the driver
-// the plan and the cluster select: the serial one for fast-path
-// eligible plans (no exchanges to wire, nothing to admit), else the
-// pipelined (EP, SP) or materialized (ME) parallel dataflow.
-func (c *Cluster) run(ctx context.Context, p *plan.Plan, r *Request, cacheState string) (res *Result, err error) {
-	e := &exec{c: c, p: p, spec: r.Dist, serial: !r.Analyze && c.fastEligible(p)}
+// run takes a plan and the coerced values of its slots through the
+// stages every query shares — begin → place → admit → wire → drive →
+// collect — under the driver the plan and the cluster select: the
+// serial one for fast-path eligible plans (no exchanges to wire, nothing
+// to admit), else the pipelined (EP, SP) or materialized (ME) parallel
+// dataflow.
+func (c *Cluster) run(ctx context.Context, p *plan.Plan, args []types.Value, r *Request, cacheState string) (res *Result, err error) {
+	e := &exec{c: c, p: p, args: args, spec: r.Dist, serial: !r.Analyze && c.fastEligible(p)}
 	if err := e.begin(r); err != nil {
 		return nil, err
 	}
@@ -164,7 +156,12 @@ type segInst struct {
 // the telemetry scope; ExecStats is derived from it after completion.
 type exec struct {
 	c *Cluster
-	p *plan.Plan
+	// p is the compiled plan — for a prepared statement the shared
+	// template, slots and all, so operator ids and the analyzed rendering
+	// name `$1`, not a value. args are the slots' values, one per slot
+	// and already of the slots' kinds; bind puts them in.
+	p    *plan.Plan
+	args []types.Value
 	// serial selects the serial driver; every field below feeds belongs
 	// to the parallel dataflow and then stays zero.
 	serial bool
@@ -323,16 +320,13 @@ func newQueryScope(opts ...telemetry.Option) *telemetry.Scope {
 	return telemetry.NewScope(fmt.Sprintf("q%d", queryScopeSeq.Add(1)), opts...)
 }
 
-// begin opens the query: refuses a closed cluster or an unbound
-// template, settles the telemetry scope, records the query in the
-// process registry and starts its span. Analyzed runs hook their extra
-// sinks in before the first event can fire.
+// begin opens the query: refuses a closed cluster, settles the
+// telemetry scope, records the query in the process registry and starts
+// its span. Analyzed runs hook their extra sinks in before the first
+// event can fire.
 func (e *exec) begin(r *Request) error {
 	if e.c.closed.Load() {
 		return ErrClosed
-	}
-	if e.p.NumParams > 0 {
-		return fmt.Errorf("engine: plan has %d unbound parameters; use PREPARE/EXECUTE or pass arguments", e.p.NumParams)
 	}
 	e.reg = telemetry.DefaultRegistry()
 	e.scope = r.Scope
@@ -716,7 +710,9 @@ func (e *exec) instantiate(seg *plan.Segment, node int) (*segInst, error) {
 	var partKeys []expr.Expr
 	if seg.Out != nil {
 		ex = e.exchanges[seg.Out.Exchange]
-		partKeys = seg.Out.PartKeys
+		if partKeys, err = bindEach(e, seg.Out.PartKeys, exprOf); err != nil {
+			return nil, err
+		}
 	}
 	inst.sender = iterator.NewSender(inst.el, seg.Root.Schema(), ex.Outbox(node), partKeys)
 	inst.sender.SetBlockSize(e.c.cfg.BlockSize)
@@ -794,7 +790,11 @@ func (e *exec) buildBare(op plan.PhysOp, env buildEnv) (iterator.Iterator, error
 			it = iterator.NewSerialScan(parts, n.Sch)
 		}
 		if n.Pred != nil {
-			f := iterator.NewFilter(it, n.Sch, n.Pred)
+			pred, err := e.bind(n.Pred)
+			if err != nil {
+				return nil, err
+			}
+			f := iterator.NewFilter(it, n.Sch, pred)
 			f.RowExec = rowExec
 			it = f
 		}
@@ -824,7 +824,11 @@ func (e *exec) buildBare(op plan.PhysOp, env buildEnv) (iterator.Iterator, error
 		if err != nil {
 			return nil, err
 		}
-		f := iterator.NewFilter(child, n.Child.Schema(), n.Pred)
+		pred, err := e.bind(n.Pred)
+		if err != nil {
+			return nil, err
+		}
+		f := iterator.NewFilter(child, n.Child.Schema(), pred)
 		f.RowExec = rowExec
 		return f, nil
 
@@ -833,7 +837,11 @@ func (e *exec) buildBare(op plan.PhysOp, env buildEnv) (iterator.Iterator, error
 		if err != nil {
 			return nil, err
 		}
-		pr := iterator.NewProject(child, n.Child.Schema(), n.Sch, n.Exprs)
+		exprs, err := bindEach(e, n.Exprs, exprOf)
+		if err != nil {
+			return nil, err
+		}
+		pr := iterator.NewProject(child, n.Child.Schema(), n.Sch, exprs)
 		pr.RowExec = rowExec
 		return pr, nil
 
@@ -852,8 +860,16 @@ func (e *exec) buildBare(op plan.PhysOp, env buildEnv) (iterator.Iterator, error
 		if err != nil {
 			return nil, err
 		}
+		buildKeys, err := bindEach(e, n.BuildKeys, exprOf)
+		if err != nil {
+			return nil, err
+		}
+		probeKeys, err := bindEach(e, n.ProbeKeys, exprOf)
+		if err != nil {
+			return nil, err
+		}
 		hj := iterator.NewHashJoin(build, probe, n.Build.Schema(), n.Probe.Schema(),
-			n.BuildKeys, n.ProbeKeys)
+			buildKeys, probeKeys)
 		hj.RowExec = rowExec
 		hj.Mem = e.opMem(n, "hashjoin", env.node)
 		env.inst.joins = append(env.inst.joins, hj)
@@ -864,7 +880,15 @@ func (e *exec) buildBare(op plan.PhysOp, env buildEnv) (iterator.Iterator, error
 		if err != nil {
 			return nil, err
 		}
-		ha := iterator.NewHashAgg(child, n.Child.Schema(), n.Keys, n.KeyNames, n.Specs, n.Algo)
+		keys, err := bindEach(e, n.Keys, exprOf)
+		if err != nil {
+			return nil, err
+		}
+		specs, err := bindEach(e, n.Specs, aggArgOf)
+		if err != nil {
+			return nil, err
+		}
+		ha := iterator.NewHashAgg(child, n.Child.Schema(), keys, n.KeyNames, specs, n.Algo)
 		ha.RowExec = rowExec
 		if env.inst == nil {
 			ha.Serial()
@@ -879,7 +903,11 @@ func (e *exec) buildBare(op plan.PhysOp, env buildEnv) (iterator.Iterator, error
 		if err != nil {
 			return nil, err
 		}
-		so := iterator.NewSort(child, n.Child.Schema(), n.Keys)
+		keys, err := bindEach(e, n.Keys, sortKeyOf)
+		if err != nil {
+			return nil, err
+		}
+		so := iterator.NewSort(child, n.Child.Schema(), keys)
 		if env.inst != nil {
 			so.Mem = e.opMem(n, "sort", env.node)
 		}
@@ -890,7 +918,11 @@ func (e *exec) buildBare(op plan.PhysOp, env buildEnv) (iterator.Iterator, error
 		if err != nil {
 			return nil, err
 		}
-		return iterator.NewTopN(child, n.Child.Schema(), n.Keys, int(n.N)), nil
+		keys, err := bindEach(e, n.Keys, sortKeyOf)
+		if err != nil {
+			return nil, err
+		}
+		return iterator.NewTopN(child, n.Child.Schema(), keys, int(n.N)), nil
 
 	case *plan.PLimit:
 		child, err := e.buildOp(n.Child, env)
@@ -901,6 +933,50 @@ func (e *exec) buildBare(op plan.PhysOp, env buildEnv) (iterator.Iterator, error
 	}
 	return nil, fmt.Errorf("engine: cannot instantiate %T", op)
 }
+
+// bind and bindEach are where a query's arguments meet its plan: each
+// returns what it was given with the arguments substituted as constants
+// for the $n slots. buildBare and instantiate pass every expression they
+// hand to an iterator through one of them — the same fields plan's
+// walkOpExprs visits — so an iterator never sees a slot and the shared
+// plan never sees a value. A query without arguments (every ad-hoc and
+// analytic statement) gets its input back untouched, and so does an
+// expression, or a whole list, that holds no slot: substitution shares
+// what it does not change.
+func (e *exec) bind(x expr.Expr) (expr.Expr, error) {
+	if len(e.args) == 0 {
+		return x, nil
+	}
+	return expr.SubstParams(x, e.args)
+}
+
+// bindEach binds the expression at(&xs[i]) of every element, copying xs
+// only once an element changes.
+func bindEach[T any](e *exec, xs []T, at func(*T) *expr.Expr) ([]T, error) {
+	if len(e.args) == 0 {
+		return xs, nil
+	}
+	out := xs
+	for i := range xs {
+		x := *at(&xs[i])
+		b, err := expr.SubstParams(x, e.args)
+		if err != nil {
+			return nil, err
+		}
+		if b != x {
+			if &out[0] == &xs[0] {
+				out = append([]T(nil), xs...)
+			}
+			*at(&out[i]) = b
+		}
+	}
+	return out, nil
+}
+
+// The expression inside each kind of element bindEach is used on.
+func exprOf(x *expr.Expr) *expr.Expr           { return x }
+func aggArgOf(s *iterator.AggSpec) *expr.Expr  { return &s.Arg }
+func sortKeyOf(k *iterator.SortKey) *expr.Expr { return &k.E }
 
 // startInst launches a segment instance with the given parallelism and
 // its sender driver.

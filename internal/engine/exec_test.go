@@ -18,64 +18,98 @@ import (
 // fast-path and parallel clusters, in EP, SP and ME. One statement is
 // fast-path eligible (a point lookup), one is not (it repartitions).
 func TestExecRequestEquivalence(t *testing.T) {
-	statements := []struct {
-		text, tmpl string
-		args       []types.Value
-	}{
-		{"SELECT acct_id, trade_volume FROM trades WHERE sec_code = 3",
-			"SELECT acct_id, trade_volume FROM trades WHERE sec_code = $1",
-			[]types.Value{types.IntVal(3)}},
-		{"SELECT acct_id, sum(trade_volume) AS vol FROM trades WHERE sec_code < 7 GROUP BY acct_id",
-			"SELECT acct_id, sum(trade_volume) AS vol FROM trades WHERE sec_code < $1 GROUP BY acct_id",
-			[]types.Value{types.IntVal(7)}},
+	statements := []execStatement{
+		{text: "SELECT acct_id, trade_volume FROM trades WHERE sec_code = 3",
+			tmpl: "SELECT acct_id, trade_volume FROM trades WHERE sec_code = $1",
+			args: []types.Value{types.IntVal(3)}},
+		{text: "SELECT acct_id, sum(trade_volume) AS vol FROM trades WHERE sec_code < 7 GROUP BY acct_id",
+			tmpl: "SELECT acct_id, sum(trade_volume) AS vol FROM trades WHERE sec_code < $1 GROUP BY acct_id",
+			args: []types.Value{types.IntVal(7)}},
 	}
-	want := make([]string, len(statements))
-	ctx := context.Background()
 	for _, mode := range []Mode{EP, SP, ME} {
 		for _, fast := range []bool{false, true} {
 			c := buildFixture(t, Config{Nodes: 3, CoresPerNode: 2, Mode: mode, FastPath: fast})
-			for si, st := range statements {
-				tmpl, _, err := c.CompileCached(st.tmpl)
-				if err != nil {
-					t.Fatal(err)
-				}
-				sc := telemetry.NewScope("caller")
-				variants := []struct {
-					name string
-					r    Request
-				}{
-					{"SQL", Request{SQL: st.text}},
-					{"SQL+Args", Request{SQL: st.tmpl, Args: st.args}},
-					{"Plan+Args", Request{Plan: tmpl, Args: st.args}},
-					{"Plan+Args recycled", Request{Plan: tmpl, Args: st.args}},
-					{"Analyze", Request{SQL: st.text, Analyze: true}},
-					{"Plan+Args+Analyze", Request{Plan: tmpl, Args: st.args, Analyze: true}},
-					{"Scope", Request{SQL: st.text, Scope: sc}},
-				}
-				for _, v := range variants {
-					label := fmt.Sprintf("%s fast=%v statement %d %s", mode, fast, si, v.name)
-					res, err := c.Exec(ctx, v.r)
-					if err != nil {
-						t.Fatalf("%s: %v", label, err)
-					}
-					if want[si] == "" {
-						want[si] = fpFingerprint(res)
-						if res.NumRows() == 0 {
-							t.Fatalf("%s: no rows; the comparison would be vacuous", label)
-						}
-					}
-					if got := fpFingerprint(res); got != want[si] {
-						t.Errorf("%s: rows differ from the first variant:\n%s\nvs\n%s", label, got, want[si])
-					}
-					if (res.Analysis != nil) != v.r.Analyze {
-						t.Errorf("%s: Analysis present=%v", label, res.Analysis != nil)
-					}
-					if v.r.Scope != nil && res.Scope != v.r.Scope {
-						t.Errorf("%s: Result.Scope is not the caller's scope", label)
-					}
-				}
+			for si := range statements {
+				statements[si].checkVariants(t, c, fmt.Sprintf("%s fast=%v statement %d", mode, fast, si))
 			}
 			c.Close()
+		}
+	}
+}
+
+// TestExecRequestEquivalenceEverySite is the same check for a statement
+// with a slot at every kind of site at once — a pushed-down filter, a
+// projection, an aggregate argument and a sort key, around a
+// repartitioning join and a group-by — in EP, SP and ME on both fabrics.
+func TestExecRequestEquivalenceEverySite(t *testing.T) {
+	const shape = `SELECT T.sec_code, T.sec_code + %s AS shifted, sum(S.entry_volume * %s) AS vol
+		FROM trades T, securities S
+		WHERE T.acct_id = S.acct_id AND S.entry_volume < %s
+		GROUP BY T.sec_code
+		ORDER BY vol * %s DESC`
+	st := execStatement{
+		text: fmt.Sprintf(shape, "100", "2.0", "600.0", "-1.0"),
+		tmpl: fmt.Sprintf(shape, "$1", "$2", "$3", "$4"),
+		args: []types.Value{types.IntVal(100), types.FloatVal(2), types.FloatVal(600), types.FloatVal(-1)},
+	}
+	for _, mode := range []Mode{EP, SP, ME} {
+		for _, tcp := range []bool{false, true} {
+			c := buildFaultCluster(t, faultBaseConfig(mode, 2), tcp)
+			st.checkVariants(t, c, fmt.Sprintf("%s tcp=%v", mode, tcp))
+			if !tcp {
+				c.Close() // buildFaultCluster closes the TCP one itself
+			}
+		}
+	}
+}
+
+// execStatement is one statement as ad-hoc text and as a template with
+// its arguments; want is the first fingerprint any variant on any
+// cluster returned, which every later one must equal.
+type execStatement struct {
+	text, tmpl string
+	args       []types.Value
+	want       string
+}
+
+func (st *execStatement) checkVariants(t *testing.T, c *Cluster, where string) {
+	t.Helper()
+	tmpl, _, err := c.CompileCached(st.tmpl)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sc := telemetry.NewScope("caller")
+	variants := []struct {
+		name string
+		r    Request
+	}{
+		{"SQL", Request{SQL: st.text}},
+		{"SQL+Args", Request{SQL: st.tmpl, Args: st.args}},
+		{"Plan+Args", Request{Plan: tmpl, Args: st.args}},
+		{"Analyze", Request{SQL: st.text, Analyze: true}},
+		{"Plan+Args+Analyze", Request{Plan: tmpl, Args: st.args, Analyze: true}},
+		{"Scope", Request{SQL: st.text, Scope: sc}},
+	}
+	for _, v := range variants {
+		label := where + " " + v.name
+		res, err := c.Exec(context.Background(), v.r)
+		if err != nil {
+			t.Fatalf("%s: %v", label, err)
+		}
+		if st.want == "" {
+			st.want = fpFingerprint(res)
+			if res.NumRows() == 0 {
+				t.Fatalf("%s: no rows; the comparison would be vacuous", label)
+			}
+		}
+		if got := fpFingerprint(res); got != st.want {
+			t.Errorf("%s: rows differ from the first variant:\n%s\nvs\n%s", label, got, st.want)
+		}
+		if (res.Analysis != nil) != v.r.Analyze {
+			t.Errorf("%s: Analysis present=%v", label, res.Analysis != nil)
+		}
+		if v.r.Scope != nil && res.Scope != v.r.Scope {
+			t.Errorf("%s: Result.Scope is not the caller's scope", label)
 		}
 	}
 }
@@ -154,7 +188,7 @@ func TestExecRejectsMisplacedDist(t *testing.T) {
 
 // TestExecPreparedLookupAllocs pins the serving path's garbage: one
 // Exec(Request{Plan, Args}) of the prepared point lookup on a FastPath
-// cluster, bound-plan pool warm. The ceiling is what Cluster.RunBound
+// cluster, arenas warm. The ceiling is what Cluster.RunBound
 // measured on this fixture at the commit before Exec existed (38
 // allocations, five runs of 500, no spread), so neither the Request
 // struct nor the shared stages and builder can quietly add
@@ -182,7 +216,7 @@ func TestExecPreparedLookupAllocs(t *testing.T) {
 		}
 	}
 	for i := 0; i < 10; i++ {
-		run() // warm the bound-plan pool and the arenas
+		run() // warm the arenas
 	}
 	if got := testing.AllocsPerRun(500, run); got > parentAllocs {
 		t.Errorf("Exec of the prepared lookup allocates %v per statement, parent RunBound allocated %d", got, parentAllocs)

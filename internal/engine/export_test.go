@@ -2,6 +2,7 @@ package engine
 
 import (
 	"repro/internal/plan"
+	"repro/internal/types"
 )
 
 // ErrNotSerial exposes the builder's typed refusal to external tests.
@@ -15,29 +16,40 @@ type OpBuild struct {
 	Parallel, Serial error
 }
 
-// BuildUnderBothEnvs wires p exactly as a parallel query would — place,
-// admit, wire, so exchanges, inboxes and memory accounts are real —
-// then lowers every operator of every segment once more under the
-// parallel environment and once under the serial one, without running
-// anything, and tears the wiring down. The suite-wide builder-parity
-// test lives in an external test package (the TPC-H and SSE suites
-// import this one) and reads the builder through here.
-func (c *Cluster) BuildUnderBothEnvs(p *plan.Plan) ([]OpBuild, error) {
-	e := &exec{c: c, p: p, scope: newQueryScope()}
+// wireOnly wires p exactly as a parallel query with the given argument
+// values would — place, admit, wire, so exchanges, inboxes, memory
+// accounts and every hosted segment instance are real — without running
+// anything. The returned func tears the wiring down.
+func (c *Cluster) wireOnly(p *plan.Plan, args []types.Value) (*exec, func(), error) {
+	e := &exec{c: c, p: p, args: args, scope: newQueryScope()}
 	e.place()
 	if err := e.admit(); err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	defer e.release()
 	if err := e.wire(); err != nil {
-		return nil, err
+		e.release()
+		return nil, nil, err
 	}
-	defer func() {
+	return e, func() {
 		for _, inst := range e.insts {
 			inst.el.Close()
 		}
 		close(e.stop)
-	}()
+		e.release()
+	}, nil
+}
+
+// BuildUnderBothEnvs wires p, then lowers every operator of every
+// segment once more under the parallel environment and once under the
+// serial one. The suite-wide builder-parity test lives in an external
+// test package (the TPC-H and SSE suites import this one) and reads the
+// builder through here.
+func (c *Cluster) BuildUnderBothEnvs(p *plan.Plan) ([]OpBuild, error) {
+	e, teardown, err := c.wireOnly(p, nil)
+	if err != nil {
+		return nil, err
+	}
+	defer teardown()
 	var out []OpBuild
 	for _, seg := range p.Segments {
 		node := e.nodesOf(seg)[0]

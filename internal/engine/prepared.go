@@ -14,8 +14,9 @@ import (
 // the catalog version it was planned against, so repeated statements —
 // whether re-submitted ad hoc or EXECUTEd through a session — skip
 // parse and plan entirely. Cached plans may be parameterized templates
-// (expr.Param slots for $n); Exec specializes them copy-on-write
-// before execution, so one template serves concurrent EXECUTEs.
+// (expr.Param slots for $n); Exec carries an EXECUTE's argument values
+// beside the template and substitutes them as it builds iterators, so
+// one template, never copied or written, serves concurrent EXECUTEs.
 
 // CompileCached compiles query against the current catalog, consulting
 // the cluster's plan cache first. The returned bool reports a cache

@@ -2,8 +2,8 @@
 // expressions evaluated row-at-a-time against fixed-stride records. It
 // covers the SQL surface exercised by the paper's evaluation queries —
 // arithmetic, comparisons, boolean logic, LIKE / NOT LIKE, BETWEEN, IN,
-// CASE WHEN, and EXTRACT(YEAR/MONTH) — plus key extraction used by hash
-// join, hash aggregation and repartitioning.
+// CASE WHEN, EXTRACT(YEAR/MONTH) and date ± month intervals — plus key
+// extraction used by hash join, hash aggregation and repartitioning.
 package expr
 
 import (
@@ -474,4 +474,30 @@ func (e *Extract) String() string {
 		p = "MONTH"
 	}
 	return fmt.Sprintf("EXTRACT(%s FROM %s)", p, e.E)
+}
+
+// AddMonths shifts a date expression by calendar months (date ±
+// INTERVAL 'n' MONTH|YEAR).
+type AddMonths struct {
+	E      Expr
+	Months int
+}
+
+// NewAddMonths builds a month-shift node.
+func NewAddMonths(e Expr, months int) *AddMonths { return &AddMonths{E: e, Months: months} }
+
+// Eval implements Expr.
+func (a *AddMonths) Eval(rec []byte, sch *types.Schema) types.Value {
+	v := a.E.Eval(rec, sch)
+	if v.Null {
+		return v
+	}
+	return types.DateVal(types.AddMonths(v.I, a.Months))
+}
+
+// Kind implements Expr.
+func (a *AddMonths) Kind(*types.Schema) types.Kind { return types.Date }
+
+func (a *AddMonths) String() string {
+	return fmt.Sprintf("(%s %+d months)", a.E, a.Months)
 }

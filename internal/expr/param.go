@@ -1,11 +1,14 @@
 package expr
 
 // This file implements prepared-statement parameters. A Param is a
-// bindable constant slot left in a compiled plan by PREPARE; EXECUTE
-// substitutes a Const for every slot (SubstParams) before the plan
-// reaches the engine, so the shared cached plan is never mutated and
-// the batch kernels see plain constants. An unbound Param must never
-// be evaluated — the engine refuses plans that still contain one.
+// constant slot ($n) left in a compiled plan by PREPARE. The plan is a
+// shared template and stays one: an EXECUTE carries its argument values
+// beside it, and the executor calls SubstParams on each expression at
+// the moment it hands that expression to an iterator constructor, so
+// the template is never mutated or cloned and the batch kernels compile
+// against plain constants. WalkParams and substParams are the only two
+// switches that know where a Param can sit; both are closed over every
+// Expr type in this package, so a new node must join both.
 
 import (
 	"fmt"
@@ -17,8 +20,8 @@ import (
 type Param struct {
 	N int
 	// K is the kind inferred from the parameter's comparison context at
-	// bind time; Typed records whether inference succeeded. Untyped
-	// parameters default to Int64.
+	// compile time; Typed records whether inference succeeded. Untyped
+	// parameters advertise Int64.
 	K     types.Kind
 	Typed bool
 }
@@ -26,8 +29,9 @@ type Param struct {
 // NewParam builds an (as yet untyped) parameter slot.
 func NewParam(n int) *Param { return &Param{N: n} }
 
-// Eval implements Expr. An unbound parameter yields NULL; execution
-// never reaches here because the engine rejects unbound plans.
+// Eval implements Expr. An unsubstituted parameter yields NULL;
+// execution never reaches here because the executor substitutes every
+// expression it builds an iterator from.
 func (p *Param) Eval([]byte, *types.Schema) types.Value { return types.NullVal(p.Kind(nil)) }
 
 // Kind implements Expr.
@@ -47,19 +51,8 @@ func (p *Param) SetKind(k types.Kind) {
 	}
 }
 
-// ParamBinder lets expression types defined outside this package take
-// part in parameter walking and substitution (the planner's internal
-// date-arithmetic node implements it).
-type ParamBinder interface {
-	// WalkParams visits every parameter slot under the node.
-	WalkParams(fn func(*Param))
-	// BindParams returns the node with parameters substituted by
-	// constants, sharing unchanged subtrees; it must not mutate the
-	// receiver.
-	BindParams(vals []types.Value) (Expr, error)
-}
-
-// WalkParams visits every Param in the tree.
+// WalkParams visits every Param in the tree. It runs at compile time
+// only (slot count and kinds); nothing on the EXECUTE path walks.
 func WalkParams(e Expr, fn func(*Param)) {
 	switch n := e.(type) {
 	case nil:
@@ -98,71 +91,19 @@ func WalkParams(e Expr, fn func(*Param)) {
 		WalkParams(n.Else, fn)
 	case *Extract:
 		WalkParams(n.E, fn)
+	case *AddMonths:
+		WalkParams(n.E, fn)
 	default:
-		if pb, ok := e.(ParamBinder); ok {
-			pb.WalkParams(fn)
-		}
+		// A slot the walk cannot see would run unsubstituted and read as
+		// NULL: refuse loudly instead.
+		panic(fmt.Sprintf("expr: WalkParams does not know %T", e))
 	}
-}
-
-// HasParam reports whether any parameter slot appears in e. It walks
-// directly instead of through WalkParams so the per-EXECUTE Bind path
-// pays no closure allocation for the common parameter-free subtrees.
-func HasParam(e Expr) bool {
-	switch n := e.(type) {
-	case nil:
-		return false
-	case *Param:
-		return true
-	case *Col, *Const:
-		return false
-	case *Arith:
-		return HasParam(n.L) || HasParam(n.R)
-	case *Cmp:
-		return HasParam(n.L) || HasParam(n.R)
-	case *And:
-		for _, t := range n.Terms {
-			if HasParam(t) {
-				return true
-			}
-		}
-		return false
-	case *Or:
-		for _, t := range n.Terms {
-			if HasParam(t) {
-				return true
-			}
-		}
-		return false
-	case *Not:
-		return HasParam(n.E)
-	case *Like:
-		return HasParam(n.E)
-	case *Between:
-		return HasParam(n.E) || HasParam(n.Lo) || HasParam(n.Hi)
-	case *In:
-		return HasParam(n.E)
-	case *Case:
-		for _, w := range n.Whens {
-			if HasParam(w.Cond) || HasParam(w.Then) {
-				return true
-			}
-		}
-		return HasParam(n.Else)
-	case *Extract:
-		return HasParam(n.E)
-	}
-	found := false
-	if pb, ok := e.(ParamBinder); ok {
-		pb.WalkParams(func(*Param) { found = true })
-	}
-	return found
 }
 
 // SubstParams returns the expression with every Param replaced by the
 // corresponding constant from vals (vals[N-1] binds $N). Subtrees
-// without parameters are shared, not copied, so substitution on the
-// typical plan clones only the spine above each slot. The input tree
+// without parameters are shared, not copied — and cost no allocation —
+// so substitution clones only the spine above each slot. The input tree
 // is never mutated — it may be a cached, concurrently shared plan.
 func SubstParams(e Expr, vals []types.Value) (Expr, error) {
 	out, _, err := substParams(e, vals)
@@ -178,6 +119,8 @@ func substParams(e Expr, vals []types.Value) (Expr, bool, error) {
 			return nil, false, fmt.Errorf("expr: no value bound for $%d (%d bound)", n.N, len(vals))
 		}
 		return NewConst(vals[n.N-1]), true, nil
+	case *Col, *Const:
+		return e, false, nil
 	case *Arith:
 		l, cl, err := substParams(n.L, vals)
 		if err != nil {
@@ -267,8 +210,7 @@ func substParams(e Expr, vals []types.Value) (Expr, bool, error) {
 		}
 		return NewIn(c, n.List), true, nil
 	case *Case:
-		changed := false
-		whens := make([]When, len(n.Whens))
+		whens, changed := n.Whens, false
 		for i, w := range n.Whens {
 			cond, cc, err := substParams(w.Cond, vals)
 			if err != nil {
@@ -278,8 +220,12 @@ func substParams(e Expr, vals []types.Value) (Expr, bool, error) {
 			if err != nil {
 				return nil, false, err
 			}
-			whens[i] = When{Cond: cond, Then: then}
-			changed = changed || cc || ct
+			if cc || ct {
+				if !changed {
+					whens, changed = append([]When(nil), n.Whens...), true
+				}
+				whens[i] = When{Cond: cond, Then: then}
+			}
 		}
 		els, ce, err := substParams(n.Else, vals)
 		if err != nil {
@@ -298,123 +244,33 @@ func substParams(e Expr, vals []types.Value) (Expr, bool, error) {
 			return e, false, nil
 		}
 		return NewExtract(n.Part, c), true, nil
-	default:
-		if pb, ok := e.(ParamBinder); ok {
-			has := false
-			pb.WalkParams(func(*Param) { has = true })
-			if !has {
-				return e, false, nil
-			}
-			out, err := pb.BindParams(vals)
-			if err != nil {
-				return nil, false, err
-			}
-			return out, true, nil
+	case *AddMonths:
+		c, changed, err := substParams(n.E, vals)
+		if err != nil {
+			return nil, false, err
 		}
-		return e, false, nil
+		if !changed {
+			return e, false, nil
+		}
+		return NewAddMonths(c, n.Months), true, nil
+	default:
+		return nil, false, fmt.Errorf("expr: SubstParams does not know %T", e)
 	}
 }
 
 func substList(terms []Expr, vals []types.Value) ([]Expr, bool, error) {
-	changed := false
-	out := make([]Expr, len(terms))
+	out, changed := terms, false
 	for i, t := range terms {
 		s, c, err := substParams(t, vals)
 		if err != nil {
 			return nil, false, err
 		}
-		out[i] = s
-		changed = changed || c
-	}
-	if !changed {
-		return terms, false, nil
-	}
-	return out, true, nil
-}
-
-// CollectBoundConsts walks a parameter template and its SubstParams
-// clone in lockstep, reporting each Const that was substituted for a
-// Param ($n reports slot n). It returns false when the pair cannot be
-// tracked — a custom ParamBinder node rebuilt itself, so the clone's
-// shape is not guaranteed to mirror the template — in which case the
-// caller must not assume rec saw every slot.
-//
-// This is what makes bound-plan pooling possible: a pooled clone is
-// re-armed for new arguments by overwriting exactly these Const values
-// in place, skipping the copy-on-write walk entirely.
-func CollectBoundConsts(tmpl, bound Expr, rec func(slot int, c *Const)) bool {
-	if tmpl == bound {
-		// Shared subtree: parameter-free by SubstParams' contract.
-		return true
-	}
-	switch t := tmpl.(type) {
-	case nil:
-		return bound == nil
-	case *Param:
-		c, ok := bound.(*Const)
-		if !ok {
-			return false
-		}
-		rec(t.N, c)
-		return true
-	case *Arith:
-		b, ok := bound.(*Arith)
-		return ok && CollectBoundConsts(t.L, b.L, rec) && CollectBoundConsts(t.R, b.R, rec)
-	case *Cmp:
-		b, ok := bound.(*Cmp)
-		return ok && CollectBoundConsts(t.L, b.L, rec) && CollectBoundConsts(t.R, b.R, rec)
-	case *And:
-		b, ok := bound.(*And)
-		return ok && collectBoundList(t.Terms, b.Terms, rec)
-	case *Or:
-		b, ok := bound.(*Or)
-		return ok && collectBoundList(t.Terms, b.Terms, rec)
-	case *Not:
-		b, ok := bound.(*Not)
-		return ok && CollectBoundConsts(t.E, b.E, rec)
-	case *Like:
-		b, ok := bound.(*Like)
-		return ok && CollectBoundConsts(t.E, b.E, rec)
-	case *Between:
-		b, ok := bound.(*Between)
-		return ok && CollectBoundConsts(t.E, b.E, rec) &&
-			CollectBoundConsts(t.Lo, b.Lo, rec) && CollectBoundConsts(t.Hi, b.Hi, rec)
-	case *In:
-		b, ok := bound.(*In)
-		return ok && CollectBoundConsts(t.E, b.E, rec)
-	case *Case:
-		b, ok := bound.(*Case)
-		if !ok || len(t.Whens) != len(b.Whens) {
-			return false
-		}
-		for i := range t.Whens {
-			if !CollectBoundConsts(t.Whens[i].Cond, b.Whens[i].Cond, rec) ||
-				!CollectBoundConsts(t.Whens[i].Then, b.Whens[i].Then, rec) {
-				return false
+		if c {
+			if !changed {
+				out, changed = append([]Expr(nil), terms...), true
 			}
-		}
-		return CollectBoundConsts(t.Else, b.Else, rec)
-	case *Extract:
-		b, ok := bound.(*Extract)
-		return ok && CollectBoundConsts(t.E, b.E, rec)
-	default:
-		// A custom binder rebuilt itself (tmpl != bound yet contains
-		// params); its internal shape is not ours to mirror.
-		if HasParam(tmpl) {
-			return false
-		}
-		return true
-	}
-}
-
-func collectBoundList(tmpl, bound []Expr, rec func(slot int, c *Const)) bool {
-	if len(tmpl) != len(bound) {
-		return false
-	}
-	for i := range tmpl {
-		if !CollectBoundConsts(tmpl[i], bound[i], rec) {
-			return false
+			out[i] = s
 		}
 	}
-	return true
+	return out, changed, nil
 }

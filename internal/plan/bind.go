@@ -212,7 +212,10 @@ func bindExpr(e sql.Expr, sch *types.Schema) (expr.Expr, error) {
 				if n.Op == "-" {
 					months = -months
 				}
-				return &addMonths{e: l, months: months}, nil
+				if p, ok := l.(*expr.Param); ok {
+					p.SetKind(types.Date)
+				}
+				return expr.NewAddMonths(l, months), nil
 			}
 			fallthrough
 		case "*", "/":
@@ -362,40 +365,6 @@ func inferParamKinds(sch *types.Schema, exprs ...expr.Expr) {
 			p.SetKind(kind)
 		}
 	}
-}
-
-// addMonths shifts a date expression by calendar months.
-type addMonths struct {
-	e      expr.Expr
-	months int
-}
-
-// Eval implements expr.Expr.
-func (a *addMonths) Eval(rec []byte, sch *types.Schema) types.Value {
-	v := a.e.Eval(rec, sch)
-	if v.Null {
-		return v
-	}
-	return types.DateVal(types.AddMonths(v.I, a.months))
-}
-
-// Kind implements expr.Expr.
-func (a *addMonths) Kind(*types.Schema) types.Kind { return types.Date }
-
-func (a *addMonths) String() string {
-	return fmt.Sprintf("(%s %+d months)", a.e, a.months)
-}
-
-// WalkParams implements expr.ParamBinder.
-func (a *addMonths) WalkParams(fn func(*expr.Param)) { expr.WalkParams(a.e, fn) }
-
-// BindParams implements expr.ParamBinder.
-func (a *addMonths) BindParams(vals []types.Value) (expr.Expr, error) {
-	e, err := expr.SubstParams(a.e, vals)
-	if err != nil {
-		return nil, err
-	}
-	return &addMonths{e: e, months: a.months}, nil
 }
 
 // bindOrderBy resolves ORDER BY terms, accepting output aliases

@@ -7,9 +7,9 @@ import (
 
 // Cache is an LRU cache of compiled physical plans, keyed on the
 // statement's normalized text plus the catalog version it was compiled
-// against. Plans are read-only during execution (parameterized
-// templates are specialized copy-on-write by Bind), so one cached plan
-// serves concurrent queries. A catalog change bumps the version, which
+// against. Plans are immutable once compiled (a parameterized
+// template's argument values travel beside it, never in it), so one
+// cached plan serves concurrent queries. A catalog change bumps the version, which
 // makes every older entry unreachable; stale entries age out through
 // normal LRU eviction.
 type Cache struct {

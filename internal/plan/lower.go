@@ -64,7 +64,9 @@ func LowerOpts(root Logical, opts Options) (*Plan, error) {
 	for _, seg := range lw.plan.Segments {
 		annotateVec(seg.Root)
 	}
-	lw.plan.NumParams = countParams(&lw.plan)
+	if err := lw.plan.inferParams(); err != nil {
+		return nil, err
+	}
 	if err := lw.plan.orderSegments(); err != nil {
 		return nil, err
 	}
@@ -75,7 +77,7 @@ func LowerOpts(root Logical, opts Options) (*Plan, error) {
 // producer stands before its consumer, so an executor that runs one
 // segment at a time (materialized execution, the serial driver) just
 // ranges over the plan. The order is fixed here, once per compiled
-// plan; Bind copies segments index for index and so keeps it. Lowering
+// plan, and a plan is never copied afterwards. Lowering
 // closes producers before their consumers, which makes this a
 // verification pass for the planner's own output (the sort is stable),
 // but the executors rely on the property, so it is established rather

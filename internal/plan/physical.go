@@ -3,7 +3,6 @@ package plan
 import (
 	"fmt"
 	"strings"
-	"sync"
 
 	"repro/internal/catalog"
 	"repro/internal/expr"
@@ -159,7 +158,7 @@ type ExchangeSpec struct {
 // Plan is the distributed physical plan.
 type Plan struct {
 	// Segments are producers-first: every exchange's producer stands
-	// before its consumer (fixed by Compile, kept by Bind).
+	// before its consumer (fixed by Compile).
 	Segments  []*Segment
 	Exchanges []*ExchangeSpec
 	// Final is the segment whose output is the query result.
@@ -168,23 +167,15 @@ type Plan struct {
 	OutputNames []string
 	// NumParams counts the plan's prepared-statement parameter slots
 	// ($n, so the highest n). A plan with NumParams > 0 is a template:
-	// Bind substitutes constants for the slots before execution, and
-	// the engine refuses to run it unbound.
+	// it runs with that many argument values beside it (CoerceArgs), which
+	// the executor substitutes for the slots as it builds iterators. The
+	// plan itself is immutable once compiled and shared by concurrent
+	// executions.
 	NumParams int
-
-	// paramOnce guards the lazily memoized slot-kind inference
-	// (paramKinds/paramTyped): the kinds are a pure function of the
-	// template, so Bind's argument coercion computes them on the first
-	// EXECUTE and reuses them on every subsequent one.
-	paramOnce  sync.Once
+	// paramKinds[i] is the kind $i+1's argument is converted to when
+	// paramTyped[i]; both are fixed at compile time (inferParams).
 	paramKinds []types.Kind
 	paramTyped []bool
-
-	// bindPool recycles bound instances of this template between
-	// EXECUTEs (see AcquireBound); bound marks an instance as pooled,
-	// carrying the Const sites to overwrite on reuse.
-	bindPool sync.Pool
-	bound    *boundMeta
 }
 
 // Segment returns the segment with the given id, or nil. Plans hold a

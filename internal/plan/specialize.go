@@ -4,125 +4,57 @@ import (
 	"fmt"
 
 	"repro/internal/expr"
-	"repro/internal/iterator"
 	"repro/internal/types"
 )
 
-// This file specializes parameterized plan templates. A cached plan
-// holds expr.Param slots where the statement said $n; Bind produces an
-// executable plan by substituting constants for the slots. The
-// template is shared by every session that prepared the same text and
-// by concurrent EXECUTEs, so Bind is strictly copy-on-write: operator
-// nodes above a parameter are re-created, untouched subtrees (and all
-// schemas, which never embed parameters) are shared.
+// This file is the plan's side of prepared-statement parameters. A
+// cached plan holds expr.Param slots where the statement said $n and is
+// shared by every session that prepared the same text and by concurrent
+// EXECUTEs, so nothing here ever copies or touches it after compile:
+// compile counts the slots and infers their kinds, CoerceArgs turns an
+// EXECUTE's arguments into the values those kinds call for, and the
+// executor substitutes the values where it builds iterators.
 
-// Bind substitutes args into the plan's parameter slots ($1 binds
-// args[0]) and returns the executable plan. A parameter-free plan is
-// returned as-is. Argument values are coerced to each slot's inferred
-// kind where the conversion is lossless (int -> float, string in date
-// format -> date); a missing or un-coercible argument is an error.
-func Bind(p *Plan, args []types.Value) (*Plan, error) {
-	if p.NumParams == 0 {
-		if len(args) != 0 {
-			return nil, fmt.Errorf("plan: statement takes no parameters, %d given", len(args))
-		}
-		return p, nil
-	}
+// CoerceArgs checks args against the plan's parameter slots ($1 takes
+// args[0]) and converts each to its slot's inferred kind where that is
+// lossless (int -> float, string in date format -> date). It returns
+// args itself when nothing needed converting — the usual EXECUTE — and
+// never writes to it. A wrong count or an inconvertible value is an
+// error.
+func (p *Plan) CoerceArgs(args []types.Value) ([]types.Value, error) {
 	if len(args) != p.NumParams {
 		return nil, fmt.Errorf("plan: statement wants %d parameters, %d given", p.NumParams, len(args))
 	}
-	vals, err := coerceArgs(p, args)
-	if err != nil {
-		return nil, err
-	}
-
-	out := &Plan{
-		Segments:    make([]*Segment, len(p.Segments)),
-		Exchanges:   p.Exchanges,
-		OutputNames: p.OutputNames,
-	}
-	for i, seg := range p.Segments {
-		root, err := bindOp(seg.Root, vals)
-		if err != nil {
-			return nil, err
-		}
-		outSpec := seg.Out
-		if outSpec != nil && hasParamList(outSpec.PartKeys) {
-			keys, err := bindExprList(outSpec.PartKeys, vals)
-			if err != nil {
-				return nil, err
-			}
-			outSpec = &OutSpec{Exchange: outSpec.Exchange, PartKeys: keys}
-		}
-		ns := &Segment{
-			ID:              seg.ID,
-			Root:            root,
-			Out:             outSpec,
-			OnMaster:        seg.OnMaster,
-			OrderPreserving: seg.OrderPreserving,
-		}
-		out.Segments[i] = ns
-		if seg == p.Final {
-			out.Final = ns
-		}
-	}
-	if out.Final == nil {
-		return nil, fmt.Errorf("plan: template has no final segment")
-	}
-	return out, nil
-}
-
-// coerceArgs aligns argument values with the slots' inferred kinds.
-// Each slot's kind comes from its comparison context at compile time;
-// inference walks every slot instance (the same $n can appear twice)
-// once per template, memoized for the EXECUTEs that follow.
-func coerceArgs(p *Plan, args []types.Value) ([]types.Value, error) {
-	p.paramOnce.Do(func() { p.paramKinds, p.paramTyped = inferParamSlots(p) })
-	kinds, typed := p.paramKinds, p.paramTyped
-	out := make([]types.Value, len(args))
+	out := args
 	for i, v := range args {
-		if !typed[i] {
-			out[i] = v
+		want, typed := p.paramKinds[i], p.paramTyped[i]
+		if !typed || v.Null || v.Kind == want {
 			continue
 		}
-		cv, err := coerceValue(v, kinds[i])
+		cv, err := coerceValue(v, want)
 		if err != nil {
 			return nil, fmt.Errorf("plan: $%d: %w", i+1, err)
+		}
+		if &out[0] == &args[0] {
+			out = append([]types.Value(nil), args...)
 		}
 		out[i] = cv
 	}
 	return out, nil
 }
 
-// inferParamSlots collects each slot's inferred kind from its typed
-// instances across the plan's segment trees and partition keys.
-func inferParamSlots(p *Plan) ([]types.Kind, []bool) {
-	kinds := make([]types.Kind, p.NumParams)
-	typed := make([]bool, p.NumParams)
-	see := func(e expr.Expr) {
-		expr.WalkParams(e, func(pr *expr.Param) {
-			if pr.Typed && pr.N >= 1 && pr.N <= p.NumParams && !typed[pr.N-1] {
-				kinds[pr.N-1], typed[pr.N-1] = pr.K, true
-			}
-		})
-	}
-	for _, seg := range p.Segments {
-		walkOpExprs(seg.Root, see)
-		if seg.Out != nil {
-			for _, e := range seg.Out.PartKeys {
-				see(e)
-			}
-		}
-	}
-	return kinds, typed
-}
+// AcquireBound and ReleaseBound are what is left of the bound-plan
+// pool, kept only because benchmark/ (layers.go, trace.go) times them as
+// the bind layer and only a [benchmark] PR may edit it (ROADMAP 5(d));
+// delete both with that PR.
+func (p *Plan) AcquireBound(args []types.Value) ([]types.Value, error) { return p.CoerceArgs(args) }
+
+// ReleaseBound does nothing: there is no pool to return to.
+func (p *Plan) ReleaseBound([]types.Value) {}
 
 // coerceValue converts v to the slot kind when the conversion is
-// lossless; same-kind and NULL values pass through.
+// lossless.
 func coerceValue(v types.Value, want types.Kind) (types.Value, error) {
-	if v.Null || v.Kind == want {
-		return v, nil
-	}
 	switch {
 	case want == types.Float64 && v.Kind == types.Int64:
 		return types.FloatVal(float64(v.I)), nil
@@ -140,244 +72,45 @@ func coerceValue(v types.Value, want types.Kind) (types.Value, error) {
 	return v, fmt.Errorf("cannot use %v value for %v slot", v.Kind, want)
 }
 
-// bindOp rebuilds the operator tree with parameters substituted,
-// sharing any operator whose subtree is parameter-free.
-func bindOp(op PhysOp, vals []types.Value) (PhysOp, error) {
-	switch n := op.(type) {
-	case *PScan:
-		if !hasParam(n.Pred) {
-			return n, nil
-		}
-		pred, err := expr.SubstParams(n.Pred, vals)
-		if err != nil {
-			return nil, err
-		}
-		return &PScan{Table: n.Table, Alias: n.Alias, Pred: pred, Sch: n.Sch, Vectorized: n.Vectorized}, nil
+// maxParams is the EPQ1 argument count's range (a u16): a higher slot
+// could never be given a value, and the slot tables are sized by the
+// highest $n in the text.
+const maxParams = 1<<16 - 1
 
-	case *PMerger:
-		return n, nil
-
-	case *PFilter:
-		child, err := bindOp(n.Child, vals)
-		if err != nil {
-			return nil, err
-		}
-		if child == n.Child && !hasParam(n.Pred) {
-			return n, nil
-		}
-		pred, err := expr.SubstParams(n.Pred, vals)
-		if err != nil {
-			return nil, err
-		}
-		return &PFilter{Child: child, Pred: pred, Vectorized: n.Vectorized}, nil
-
-	case *PProject:
-		child, err := bindOp(n.Child, vals)
-		if err != nil {
-			return nil, err
-		}
-		if child == n.Child && !hasParamList(n.Exprs) {
-			return n, nil
-		}
-		exprs, err := bindExprList(n.Exprs, vals)
-		if err != nil {
-			return nil, err
-		}
-		return &PProject{Child: child, Exprs: exprs, Sch: n.Sch, Vectorized: n.Vectorized}, nil
-
-	case *PHashJoin:
-		build, err := bindOp(n.Build, vals)
-		if err != nil {
-			return nil, err
-		}
-		probe, err := bindOp(n.Probe, vals)
-		if err != nil {
-			return nil, err
-		}
-		if build == n.Build && probe == n.Probe &&
-			!hasParamList(n.BuildKeys) && !hasParamList(n.ProbeKeys) {
-			return n, nil
-		}
-		bk, err := bindExprList(n.BuildKeys, vals)
-		if err != nil {
-			return nil, err
-		}
-		pk, err := bindExprList(n.ProbeKeys, vals)
-		if err != nil {
-			return nil, err
-		}
-		return &PHashJoin{Build: build, Probe: probe, BuildKeys: bk, ProbeKeys: pk,
-			Sch: n.Sch, VecKeys: n.VecKeys}, nil
-
-	case *PHashAgg:
-		child, err := bindOp(n.Child, vals)
-		if err != nil {
-			return nil, err
-		}
-		dirty := child != n.Child || hasParamList(n.Keys)
-		for _, s := range n.Specs {
-			dirty = dirty || hasParam(s.Arg)
-		}
-		if !dirty {
-			return n, nil
-		}
-		keys, err := bindExprList(n.Keys, vals)
-		if err != nil {
-			return nil, err
-		}
-		specs := make([]iterator.AggSpec, len(n.Specs))
-		for i, s := range n.Specs {
-			specs[i] = s
-			if hasParam(s.Arg) {
-				arg, err := expr.SubstParams(s.Arg, vals)
-				if err != nil {
-					return nil, err
-				}
-				specs[i].Arg = arg
-			}
-		}
-		return &PHashAgg{Child: child, Keys: keys, KeyNames: n.KeyNames, Specs: specs,
-			Algo: n.Algo, Sch: n.Sch, VecKeys: n.VecKeys}, nil
-
-	case *PSort:
-		child, err := bindOp(n.Child, vals)
-		if err != nil {
-			return nil, err
-		}
-		keys, changed, err := bindSortKeys(n.Keys, vals)
-		if err != nil {
-			return nil, err
-		}
-		if child == n.Child && !changed {
-			return n, nil
-		}
-		return &PSort{Child: child, Keys: keys}, nil
-
-	case *PTopN:
-		child, err := bindOp(n.Child, vals)
-		if err != nil {
-			return nil, err
-		}
-		keys, changed, err := bindSortKeys(n.Keys, vals)
-		if err != nil {
-			return nil, err
-		}
-		if child == n.Child && !changed {
-			return n, nil
-		}
-		return &PTopN{Child: child, Keys: keys, N: n.N}, nil
-
-	case *PLimit:
-		child, err := bindOp(n.Child, vals)
-		if err != nil {
-			return nil, err
-		}
-		if child == n.Child {
-			return n, nil
-		}
-		return &PLimit{Child: child, N: n.N}, nil
-	}
-	return nil, fmt.Errorf("plan: cannot bind parameters under %T", op)
-}
-
-func bindExprList(list []expr.Expr, vals []types.Value) ([]expr.Expr, error) {
-	if !hasParamList(list) {
-		return list, nil
-	}
-	out := make([]expr.Expr, len(list))
-	for i, e := range list {
-		s, err := expr.SubstParams(e, vals)
-		if err != nil {
-			return nil, err
-		}
-		out[i] = s
-	}
-	return out, nil
-}
-
-func bindSortKeys(keys []iterator.SortKey, vals []types.Value) ([]iterator.SortKey, bool, error) {
-	changed := false
-	for _, k := range keys {
-		if hasParam(k.E) {
-			changed = true
-			break
-		}
-	}
-	if !changed {
-		return keys, false, nil
-	}
-	out := make([]iterator.SortKey, len(keys))
-	for i, k := range keys {
-		e, err := expr.SubstParams(k.E, vals)
-		if err != nil {
-			return nil, false, err
-		}
-		out[i] = iterator.SortKey{E: e, Desc: k.Desc}
-	}
-	return out, true, nil
-}
-
-func hasParam(e expr.Expr) bool { return expr.HasParam(e) }
-
-func hasParamList(list []expr.Expr) bool {
-	for _, e := range list {
-		if hasParam(e) {
-			return true
-		}
-	}
-	return false
-}
-
-// walkOpExprs visits every expression attached to the operator tree.
-func walkOpExprs(op PhysOp, fn func(expr.Expr)) {
-	Walk(op, func(o PhysOp) {
-		switch n := o.(type) {
-		case *PScan:
-			if n.Pred != nil {
-				fn(n.Pred)
-			}
-		case *PFilter:
-			fn(n.Pred)
-		case *PProject:
-			for _, e := range n.Exprs {
-				fn(e)
-			}
-		case *PHashJoin:
-			for _, e := range n.BuildKeys {
-				fn(e)
-			}
-			for _, e := range n.ProbeKeys {
-				fn(e)
-			}
-		case *PHashAgg:
-			for _, e := range n.Keys {
-				fn(e)
-			}
-			for _, s := range n.Specs {
-				if s.Arg != nil {
-					fn(s.Arg)
-				}
-			}
-		case *PSort:
-			for _, k := range n.Keys {
-				fn(k.E)
-			}
-		case *PTopN:
-			for _, k := range n.Keys {
-				fn(k.E)
-			}
-		}
-	})
-}
-
-// countParams returns the highest parameter number referenced anywhere
-// in the plan (segment trees and partition keys).
-func countParams(p *Plan) int {
-	max := 0
-	see := func(e expr.Expr) {
+// inferParams counts the plan's parameter slots and fixes the kind
+// CoerceArgs converts each one's argument to — once, at compile time.
+// The same $n can appear several times. Where an instance's kind reaches
+// a schema (a projected, grouped or aggregated value) the slot must
+// deliver exactly the kind that instance advertised to the schema —
+// Int64 when its context typed it no further — or the argument would be
+// reinterpreted rather than converted; two such instances that disagree
+// make the statement untypable. Otherwise the slot takes the kind of
+// its first instance typed by a comparison, and a slot nothing typed
+// (`$1 = $2`) passes its argument through as given.
+func (p *Plan) inferParams() error {
+	var pinned []bool
+	var err error
+	see := func(e expr.Expr, pred bool) {
 		expr.WalkParams(e, func(pr *expr.Param) {
-			if pr.N > max {
-				max = pr.N
+			if pr.N > maxParams {
+				err = fmt.Errorf("plan: $%d is beyond the %d parameters a statement may take", pr.N, maxParams)
+				return
+			}
+			for len(pinned) < pr.N {
+				pinned = append(pinned, false)
+				p.paramKinds = append(p.paramKinds, types.Int64)
+				p.paramTyped = append(p.paramTyped, false)
+			}
+			i := pr.N - 1
+			switch {
+			case !pred:
+				if pinned[i] && p.paramKinds[i] != pr.Kind(nil) {
+					err = fmt.Errorf("plan: cannot infer the type of $%d: used as %v and as %v",
+						pr.N, p.paramKinds[i], pr.Kind(nil))
+				}
+				p.paramKinds[i], p.paramTyped[i], pinned[i] = pr.Kind(nil), true, true
+			case pr.Typed && !p.paramTyped[i]:
+				p.paramKinds[i], p.paramTyped[i] = pr.K, true
 			}
 		})
 	}
@@ -385,9 +118,56 @@ func countParams(p *Plan) int {
 		walkOpExprs(seg.Root, see)
 		if seg.Out != nil {
 			for _, e := range seg.Out.PartKeys {
-				see(e)
+				see(e, false)
 			}
 		}
 	}
-	return max
+	p.NumParams = len(pinned)
+	return err
+}
+
+// walkOpExprs visits every expression attached to the operator tree —
+// the one PhysOp switch that knows where parameters can sit; the
+// executor's builder substitutes at the same fields. pred marks a
+// predicate: its own result is a boolean, so the kinds of the slots
+// inside it reach no schema.
+func walkOpExprs(op PhysOp, fn func(e expr.Expr, pred bool)) {
+	Walk(op, func(o PhysOp) {
+		switch n := o.(type) {
+		case *PScan:
+			if n.Pred != nil {
+				fn(n.Pred, true)
+			}
+		case *PFilter:
+			fn(n.Pred, true)
+		case *PProject:
+			for _, e := range n.Exprs {
+				fn(e, false)
+			}
+		case *PHashJoin:
+			for _, e := range n.BuildKeys {
+				fn(e, false)
+			}
+			for _, e := range n.ProbeKeys {
+				fn(e, false)
+			}
+		case *PHashAgg:
+			for _, e := range n.Keys {
+				fn(e, false)
+			}
+			for _, s := range n.Specs {
+				if s.Arg != nil {
+					fn(s.Arg, false)
+				}
+			}
+		case *PSort:
+			for _, k := range n.Keys {
+				fn(k.E, false)
+			}
+		case *PTopN:
+			for _, k := range n.Keys {
+				fn(k.E, false)
+			}
+		}
+	})
 }

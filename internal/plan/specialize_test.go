@@ -4,7 +4,6 @@ import (
 	"strings"
 	"testing"
 
-	"repro/internal/expr"
 	"repro/internal/types"
 )
 
@@ -16,103 +15,109 @@ func TestCompileCountsParams(t *testing.T) {
 	if compile(t, "SELECT count(*) FROM trades").NumParams != 0 {
 		t.Fatal("parameter-free plan reports parameters")
 	}
+	// The slot tables are sized by the highest $n: a number no EXECUTE
+	// could ever reach is refused at compile time, not allocated for.
+	if _, err := Compile("SELECT count(*) FROM trades WHERE sec_code = $70000", testCatalog()); err == nil {
+		t.Error("$70000 compiled; want an error")
+	}
 }
 
-func TestBindSubstitutesWithoutMutating(t *testing.T) {
-	p := compile(t, "SELECT count(*) FROM trades WHERE sec_code = $1")
+// TestCoerceArgsTouchesNothing: the common EXECUTE converts nothing and
+// gets its own slice back; one that converts gets a copy; neither the
+// caller's slice nor the template changes.
+func TestCoerceArgsTouchesNothing(t *testing.T) {
+	p := compile(t, "SELECT count(*) FROM trades WHERE sec_code = $1 AND order_price > $2")
 	before := p.String()
 
-	bound, err := Bind(p, []types.Value{types.IntVal(600036)})
+	same := []types.Value{types.IntVal(600036), types.FloatVal(9.5)}
+	got, err := p.CoerceArgs(same)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if bound == p {
-		t.Fatal("Bind returned the shared template for a parameterized plan")
+	if &got[0] != &same[0] {
+		t.Error("nothing to convert, yet CoerceArgs returned a copy")
+	}
+
+	widen := []types.Value{types.IntVal(600036), types.IntVal(10)}
+	got, err = p.CoerceArgs(widen)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got[1] != types.FloatVal(10) || got[0] != widen[0] {
+		t.Errorf("coerced to %v, want [600036 10.0]", got)
+	}
+	if widen[1] != types.IntVal(10) {
+		t.Error("CoerceArgs wrote into the caller's slice")
 	}
 	if after := p.String(); after != before {
-		t.Fatalf("Bind mutated the template:\nbefore: %s\nafter:  %s", before, after)
-	}
-	if countParams(bound) != 0 {
-		t.Fatalf("bound plan still has parameter slots:\n%s", bound)
-	}
-	if !strings.Contains(bound.String(), "600036") {
-		t.Fatalf("bound plan lost the constant:\n%s", bound)
-	}
-	// Untouched structure is shared, not copied.
-	if bound.Exchanges != nil && len(bound.Exchanges) != len(p.Exchanges) {
-		t.Fatal("exchanges not carried over")
+		t.Fatalf("CoerceArgs changed the template:\nbefore: %s\nafter:  %s", before, after)
 	}
 }
 
-func TestBindArgChecks(t *testing.T) {
+func TestCoerceArgsArity(t *testing.T) {
 	p := compile(t, "SELECT count(*) FROM trades WHERE sec_code = $1 AND trade_time < $2")
-	if _, err := Bind(p, []types.Value{types.IntVal(1)}); err == nil {
+	if _, err := p.CoerceArgs([]types.Value{types.IntVal(1)}); err == nil {
 		t.Error("short arg list: want error")
 	}
-	if _, err := Bind(p, []types.Value{types.IntVal(1), types.IntVal(2), types.IntVal(3)}); err == nil {
+	if _, err := p.CoerceArgs([]types.Value{types.IntVal(1), types.IntVal(2), types.IntVal(3)}); err == nil {
 		t.Error("long arg list: want error")
 	}
 	pf := compile(t, "SELECT count(*) FROM trades")
-	if got, err := Bind(pf, nil); err != nil || got != pf {
-		t.Errorf("parameter-free plan must bind to itself: %v", err)
+	if got, err := pf.CoerceArgs(nil); err != nil || len(got) != 0 {
+		t.Errorf("parameter-free plan with no args: %v, %v", got, err)
 	}
-	if _, err := Bind(pf, []types.Value{types.IntVal(1)}); err == nil {
+	if _, err := pf.CoerceArgs([]types.Value{types.IntVal(1)}); err == nil {
 		t.Error("args for parameter-free plan: want error")
 	}
 }
 
-func TestBindCoercesKinds(t *testing.T) {
+func TestCoerceArgsKinds(t *testing.T) {
 	// $1 compares against a Date column: a string argument in date form
 	// must coerce; garbage must not.
 	p := compile(t, "SELECT count(*) FROM trades WHERE trade_date = $1")
-	bound, err := Bind(p, []types.Value{types.StrVal("2010-10-30")})
+	got, err := p.CoerceArgs([]types.Value{types.StrVal("2010-10-30")})
 	if err != nil {
 		t.Fatal(err)
 	}
-	var kinds []types.Kind
-	for _, seg := range bound.Segments {
-		walkOpExprs(seg.Root, func(e expr.Expr) {
-			if c, ok := e.(*expr.Cmp); ok {
-				if cst, ok := c.R.(*expr.Const); ok {
-					kinds = append(kinds, cst.V.Kind)
-				}
-			}
-		})
+	if want := types.DateVal(types.MustParseDate("2010-10-30")); got[0] != want {
+		t.Errorf("string arg coerced to %v, want %v", got[0], want)
 	}
-	found := false
-	for _, k := range kinds {
-		if k == types.Date {
-			found = true
-		}
-	}
-	if !found {
-		t.Fatalf("string arg not coerced to date, consts: %v", kinds)
-	}
-	if _, err := Bind(p, []types.Value{types.StrVal("not-a-date")}); err == nil {
+	if _, err := p.CoerceArgs([]types.Value{types.StrVal("not-a-date")}); err == nil {
 		t.Error("bad date string: want error")
 	}
 
-	// Int argument for a float comparison widens.
-	pf := compile(t, "SELECT count(*) FROM trades WHERE order_price > $1")
-	if _, err := Bind(pf, []types.Value{types.IntVal(10)}); err != nil {
-		t.Errorf("int->float widening failed: %v", err)
+	// A slot under date arithmetic is a date too.
+	p = compile(t, "SELECT count(*) FROM trades WHERE trade_date < $1 + interval '1' month")
+	if got, err := p.CoerceArgs([]types.Value{types.StrVal("2010-10-30")}); err != nil || got[0].Kind != types.Date {
+		t.Errorf("date-arithmetic slot: %v, %v; want a date", got, err)
 	}
 }
 
-func TestBindSharesParamFreeSubtrees(t *testing.T) {
-	p := compile(t, "SELECT count(*) FROM trades WHERE sec_code = $1")
-	bound, err := Bind(p, []types.Value{types.IntVal(7)})
-	if err != nil {
-		t.Fatal(err)
+// TestValueSlotsDeliverTheirSchemaKind: a slot whose kind reached an
+// output schema must be given exactly that kind — Int64 when nothing
+// typed it further — while a slot that only meets another slot in a
+// predicate still takes whatever it is given.
+func TestValueSlotsDeliverTheirSchemaKind(t *testing.T) {
+	p := compile(t, "SELECT acct_id, $1 FROM trades WHERE sec_code = 3")
+	if got, err := p.CoerceArgs([]types.Value{types.IntVal(7)}); err != nil || got[0] != types.IntVal(7) {
+		t.Errorf("(7): %v, %v", got, err)
 	}
-	// The master-side segment has no parameters; Bind must share it.
-	shared := 0
-	for i := range p.Segments {
-		if p.Segments[i].Root == bound.Segments[i].Root {
-			shared++
+	for _, bad := range []types.Value{types.StrVal("hello"), types.FloatVal(1.5)} {
+		if _, err := p.CoerceArgs([]types.Value{bad}); err == nil {
+			t.Errorf("(%v) accepted for a slot the schema calls int64", bad)
 		}
 	}
-	if shared == 0 {
-		t.Fatal("no parameter-free segment root was shared")
+
+	free := compile(t, "SELECT count(*) FROM trades WHERE $1 = $2")
+	strs := []types.Value{types.StrVal("a"), types.StrVal("a")}
+	if got, err := free.CoerceArgs(strs); err != nil || got[0] != strs[0] {
+		t.Errorf("two strings for $1 = $2: %v, %v", got, err)
+	}
+
+	// The projected instance says int64, the arithmetic one float64: no
+	// single argument kind satisfies both schemas.
+	_, err := Compile("SELECT $1, $1 + 1.5 FROM trades", testCatalog())
+	if err == nil || !strings.Contains(err.Error(), "cannot infer the type of $1") {
+		t.Errorf("conflicting value kinds: err = %v", err)
 	}
 }

@@ -2,6 +2,7 @@ package protocol_test
 
 import (
 	"fmt"
+	"net"
 	"sort"
 	"strings"
 	"testing"
@@ -257,5 +258,86 @@ func TestManyConnections(t *testing.T) {
 		if err := <-errs; err != nil {
 			t.Error(err)
 		}
+	}
+}
+
+// TestClientRefusesWhatU16CannotCarry: a name, a string argument or an
+// argument count beyond 65535 would be written modulo 65536 and the
+// server would run the statement on the truncated remainder. The client
+// must fail the request before writing anything, and the connection must
+// stay usable.
+func TestClientRefusesWhatU16CannotCarry(t *testing.T) {
+	addr, _ := startServer(t)
+	conn, err := client.Dial(addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	if _, err := conn.Prepare("eq", "SELECT count(*) FROM trades WHERE $1 = $2"); err != nil {
+		t.Fatal(err)
+	}
+	long := strings.Repeat("x", 70000)
+	if _, err := conn.Execute("eq", types.StrVal(long), types.StrVal(long[:4464])); err == nil {
+		t.Error("70 000-byte string argument: want an error")
+	}
+	if _, err := conn.Execute("eq", make([]types.Value, 65536)...); err == nil {
+		t.Error("65 536 arguments: want an error")
+	}
+	if _, err := conn.Prepare(long, "SELECT count(*) FROM trades"); err == nil {
+		t.Error("PREPARE under a 70 000-byte name: want an error")
+	}
+	if _, err := conn.Execute(long); err == nil {
+		t.Error("EXECUTE of a 70 000-byte name: want an error")
+	}
+	if err := conn.Deallocate(long); err == nil {
+		t.Error("DEALLOCATE of a 70 000-byte name: want an error")
+	}
+
+	rows, err := conn.Execute("eq", types.StrVal("x"), types.StrVal("x"))
+	if err != nil {
+		t.Fatalf("the connection did not survive the refused requests: %v", err)
+	}
+	if got, _ := drain(t, rows); got != "500" {
+		t.Errorf("EXECUTE eq ('x', 'x') = %q, want 500", got)
+	}
+}
+
+// TestServerRejectsTrailingBytes: payload left over after the last
+// EXECUTE argument, or after a DEALLOCATE name, means the frame's length
+// fields and its data disagree. The server must treat that as a protocol
+// violation and drop the connection, not answer for the part that
+// parsed. The EXECUTE frame is the one a client without the check above
+// sends for a 70 000-byte argument: its length written as 4464.
+func TestServerRejectsTrailingBytes(t *testing.T) {
+	addr, _ := startServer(t)
+	// "eq", two arguments, 'x', then 70 000 bytes under a u16 length.
+	wrapped := append(protocol.AppendString(nil, "eq"), 2, 0, 3, 1, 0, 'x')
+	wrapped = protocol.AppendValue(wrapped, types.StrVal(strings.Repeat("x", 70000)))
+	for _, tc := range []struct {
+		name    string
+		typ     byte
+		payload []byte
+	}{
+		{"EXECUTE", protocol.MsgExecute, wrapped},
+		{"DEALLOCATE", protocol.MsgDealloc, append(protocol.AppendString(nil, "eq"), "junk"...)},
+	} {
+		conn, err := net.Dial("tcp", addr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		prepare := append(protocol.AppendString(nil, "eq"), "SELECT count(*) FROM trades WHERE $1 = $2"...)
+		if err := protocol.WriteFrame(conn, protocol.MsgPrepare, prepare); err != nil {
+			t.Fatal(err)
+		}
+		if typ, _, _, err := protocol.ReadFrame(conn, nil); err != nil || typ != protocol.MsgOK {
+			t.Fatalf("%s: PREPARE answered type %d, %v", tc.name, typ, err)
+		}
+		if err := protocol.WriteFrame(conn, tc.typ, tc.payload); err != nil {
+			t.Fatal(err)
+		}
+		if typ, pl, _, err := protocol.ReadFrame(conn, nil); err == nil {
+			t.Errorf("%s with trailing bytes was answered (type %d, %q); want the connection dropped", tc.name, typ, pl)
+		}
+		conn.Close()
 	}
 }

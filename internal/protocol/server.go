@@ -144,23 +144,9 @@ func (s *Server) dispatch(sess *session.Session, w *frameWriter, typ byte, paylo
 		return w.send(MsgOK, pl[:])
 
 	case MsgExecute:
-		name, rest, err := DecodeString(payload)
+		name, args, err := decodeExecute(payload)
 		if err != nil {
 			return err
-		}
-		if len(rest) < 2 {
-			return fmt.Errorf("protocol: truncated EXECUTE")
-		}
-		nargs := int(rest[0]) | int(rest[1])<<8
-		rest = rest[2:]
-		args := make([]types.Value, 0, nargs)
-		for i := 0; i < nargs; i++ {
-			v, r2, err := DecodeValue(rest)
-			if err != nil {
-				return err
-			}
-			args = append(args, v)
-			rest = r2
 		}
 		res, err := sess.Execute(context.Background(), name, args)
 		if err != nil {
@@ -169,9 +155,12 @@ func (s *Server) dispatch(sess *session.Session, w *frameWriter, typ byte, paylo
 		return w.sendResult(res)
 
 	case MsgDealloc:
-		name, _, err := DecodeString(payload)
+		name, rest, err := DecodeString(payload)
 		if err != nil {
 			return err
+		}
+		if len(rest) != 0 {
+			return fmt.Errorf("protocol: %d bytes after the DEALLOCATE name", len(rest))
 		}
 		if err := sess.Deallocate(name); err != nil {
 			return w.sendError(err)
@@ -179,6 +168,35 @@ func (s *Server) dispatch(sess *session.Session, w *frameWriter, typ byte, paylo
 		return w.send(MsgOK, nil)
 	}
 	return fmt.Errorf("protocol: unknown request type %d", typ)
+}
+
+// decodeExecute decodes a MsgExecute payload. The payload must be
+// exactly name, count and that many values: bytes left over mean the
+// sender's length fields and its data disagree (a u16 that wrapped), and
+// running the statement on the part that happened to parse would answer
+// a question the client did not ask.
+func decodeExecute(payload []byte) (name string, args []types.Value, err error) {
+	name, rest, err := DecodeString(payload)
+	if err != nil {
+		return "", nil, err
+	}
+	if len(rest) < 2 {
+		return "", nil, fmt.Errorf("protocol: truncated EXECUTE")
+	}
+	nargs := int(binary.LittleEndian.Uint16(rest))
+	rest = rest[2:]
+	args = make([]types.Value, 0, nargs)
+	for i := 0; i < nargs; i++ {
+		var v types.Value
+		if v, rest, err = DecodeValue(rest); err != nil {
+			return "", nil, err
+		}
+		args = append(args, v)
+	}
+	if len(rest) != 0 {
+		return "", nil, fmt.Errorf("protocol: %d bytes after the last EXECUTE argument", len(rest))
+	}
+	return name, args, nil
 }
 
 // frameWriter serializes responses; scratch is reused across frames so

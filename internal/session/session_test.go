@@ -140,6 +140,47 @@ func TestExecuteLiteralArgs(t *testing.T) {
 	}
 }
 
+// TestExecuteProjectedParam: a slot that is projected rather than
+// compared has no context to type it, so the output schema calls it
+// int64 — and EXECUTE must then deliver an int64 or refuse, never
+// reinterpret a string or truncate a float into that column.
+func TestExecuteProjectedParam(t *testing.T) {
+	s, _, _ := fixture(t)
+	ctx := context.Background()
+	if _, err := s.Exec(ctx, "PREPARE a AS SELECT acct_id, $1 FROM trades WHERE sec_code = 3"); err != nil {
+		t.Fatal(err)
+	}
+	res, err := s.Exec(ctx, "EXECUTE a (7)")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.NumRows() == 0 {
+		t.Fatal("EXECUTE a (7) returned no rows")
+	}
+	for _, row := range res.Rows() {
+		if row[1] != types.IntVal(7) {
+			t.Fatalf("projected $1 = %v, want 7", row[1])
+		}
+	}
+	for _, bad := range []string{"EXECUTE a ('hello')", "EXECUTE a (1.5)"} {
+		if res, err := s.Exec(ctx, bad); err == nil {
+			t.Errorf("%s: want an error, got rows\n%s", bad, rowsOf(t, res))
+		}
+	}
+
+	// Slots that only meet each other take what they are given.
+	if _, err := s.Exec(ctx, "PREPARE eq AS SELECT count(*) FROM trades WHERE $1 = $2"); err != nil {
+		t.Fatal(err)
+	}
+	res, err = s.Exec(ctx, "EXECUTE eq ('x', 'x')")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := rowsOf(t, res); got != "200" {
+		t.Errorf("EXECUTE eq ('x', 'x') counted %s rows, want 200", got)
+	}
+}
+
 // TestStalenessRecompile is the DDL-safety property: an EXECUTE that
 // finds the catalog version moved recompiles the pinned plan instead of
 // running the stale one.

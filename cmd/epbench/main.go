@@ -1,17 +1,18 @@
-// Command epbench regenerates the paper's evaluation: every figure and
-// table of Section 5, plus the extension experiments (multi-query
-// serving, memory governance). Run all experiments or a single one —
-// -exp accepts any name from the registry below (fig8..fig13, table4..
-// table7, ablation, multiquery, mq, mem, or all):
+// Command epbench regenerates the paper's evaluation — every figure and
+// table of Section 5, on the virtual-time simulator plus Figure 9 on the
+// real elastic iterators — and nothing else: anything measured on the
+// real engine is a workload or metric of `bash benchmark/run.sh`. Run
+// all experiments or a single one — -exp accepts any name from the
+// registry below (fig8..fig13, table4..table7, ablation, multiquery, or
+// all):
 //
 //	epbench -exp all
 //	epbench -exp fig10
 //	epbench -exp table7
-//	epbench -exp mem
 //
-// With -trace, every telemetry event emitted by the engine and the
-// simulator during the run — scheduler decisions, worker expansions,
-// stage changes, block sends, timelines — is written as JSON lines:
+// With -trace, every telemetry event the simulator emits during the run
+// — scheduler decisions, worker expansions and shrinks, stage changes,
+// utilization and parallelism samples — is written as JSON lines:
 //
 //	epbench -exp fig10 -trace fig10.jsonl
 package main
@@ -23,7 +24,6 @@ import (
 	"strings"
 
 	"repro/internal/bench"
-	"repro/internal/faults"
 	"repro/internal/telemetry"
 )
 
@@ -46,11 +46,6 @@ func experiments() []entry {
 		{"table7", bench.Table7},
 		{"ablation", bench.AblationPartialAgg},
 		{"multiquery", bench.MultiQuery},
-		{"mq", bench.MultiQueryEngine},
-		{"mem", bench.MemGovernance},
-		{"net", bench.NetFabric},
-		{"obs", bench.ObsOverhead},
-		{"qps", bench.QPS},
 	}
 }
 
@@ -64,8 +59,8 @@ func expNames() []string {
 
 func main() {
 	// All work happens in run so its defers — in particular the -trace
-	// and -spans sink flushes — run on every exit path, error exits
-	// included (os.Exit skips defers).
+	// sink flush — run on every exit path, error exits included (os.Exit
+	// skips defers).
 	os.Exit(run())
 }
 
@@ -74,30 +69,7 @@ func run() int {
 		"experiment: "+strings.Join(expNames(), "|"))
 	trace := flag.String("trace", "",
 		"write every telemetry event as JSON lines to this file")
-	spans := flag.String("spans", "",
-		"trace every query's spans and write them as Chrome trace-event JSON "+
-			"to this file (load in Perfetto or chrome://tracing)")
-	faultSpec := flag.String("faults", "",
-		"inject faults into every experiment's cluster, e.g. drop=0.01,delay=5ms,seed=7")
-	rowExec := flag.Bool("rowexec", false,
-		"force row-at-a-time expression evaluation in every experiment's cluster")
 	flag.Parse()
-
-	if *rowExec {
-		// Experiment clusters are built inside internal/bench; the env
-		// var reaches every Config through its defaults.
-		os.Setenv("CLAIMS_ROWEXEC", "1")
-	}
-
-	if *faultSpec != "" {
-		fc, err := faults.Parse(*faultSpec)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "epbench: -faults: %v\n", err)
-			return 2
-		}
-		faults.SetDefault(faults.New(fc))
-		fmt.Fprintf(os.Stderr, "epbench: fault injection on: %s\n", fc.String())
-	}
 
 	want := strings.ToLower(*exp)
 	valid := want == "all"
@@ -128,25 +100,6 @@ func run() int {
 				fmt.Fprintf(os.Stderr, "epbench: -trace flush: %v\n", err)
 			}
 			f.Close()
-		}()
-	}
-
-	if *spans != "" {
-		// Open up front so an unwritable path fails before the experiment
-		// runs, not after; the trace itself is written at teardown.
-		f, err := os.Create(*spans)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "epbench: -spans: %v\n", err)
-			return 1
-		}
-		spanSink := telemetry.NewMemSink(telemetry.KindSpan)
-		telemetry.EnableSpansByDefault() // every query scope traces; engine auto-instruments
-		telemetry.AttachDefault(spanSink)
-		defer func() {
-			defer f.Close()
-			if err := telemetry.WriteChromeTrace(f, spanSink.Events()); err != nil {
-				fmt.Fprintf(os.Stderr, "epbench: -spans: %v\n", err)
-			}
 		}()
 	}
 

@@ -2,6 +2,7 @@ package bench
 
 import (
 	"fmt"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -76,19 +77,12 @@ func TestTable4ShowsMaterializationBlowup(t *testing.T) {
 	}
 	// At least one SSE query must show ME well above EP.
 	blowup := false
-	for _, row := range r.Rows[1:] {
-		f := strings.Fields(row)
-		if len(f) != 4 {
+	for _, row := range r.Rows {
+		n := rowNums(row)
+		if len(n) != 3 { // EP, SP, ME
 			continue
 		}
-		var ep, me float64
-		if _, err := parseF(f[1], &ep); err != nil {
-			continue
-		}
-		if _, err := parseF(f[3], &me); err != nil {
-			continue
-		}
-		if me > 2*ep {
+		if ep, me := n[0], n[2]; me > 2*ep {
 			blowup = true
 		}
 	}
@@ -97,8 +91,121 @@ func TestTable4ShowsMaterializationBlowup(t *testing.T) {
 	}
 }
 
-func parseF(s string, out *float64) (int, error) {
-	return fmt.Sscan(s, out)
+// rowNums returns the fields of a report row that are numbers, in
+// order; labels, column separators and header rows contribute nothing.
+func rowNums(row string) []float64 {
+	var out []float64
+	for _, f := range strings.Fields(row) {
+		if v, err := strconv.ParseFloat(f, 64); err == nil {
+			out = append(out, v)
+		}
+	}
+	return out
+}
+
+// TestFigure11Flip pins EXPERIMENTS.md's "adaptive flip": while the
+// sorted scan passes nothing, S2 is held at the floor and S1 absorbs the
+// node's cores; once the selectivity jumps, S2 expands to take them.
+func TestFigure11Flip(t *testing.T) {
+	r, err := Figure11()
+	if err != nil {
+		t.Fatal(err)
+	}
+	const cores = 24 // paperCluster's logical cores per node
+	var s1Starved, s2Fed, s1Last float64
+	fed := false
+	for _, row := range r.Rows {
+		n := rowNums(row)
+		if len(n) != 4 { // t, S1, S2, S3
+			continue
+		}
+		s1, s2 := n[1], n[2]
+		if s2 > 1 {
+			fed = true
+		}
+		if !fed {
+			s1Starved = max(s1Starved, s1)
+		} else {
+			s2Fed = max(s2Fed, s2)
+		}
+		s1Last = s1
+	}
+	if !fed {
+		t.Fatalf("S2 never left parallelism 1:\n%s", r)
+	}
+	if s1Starved < 0.75*cores {
+		t.Errorf("S1 peaked at %.0f of %d cores while S2 was starved, want >= 75%%:\n%s", s1Starved, cores, r)
+	}
+	if s2Fed < 0.75*cores {
+		t.Errorf("S2 reached only %.0f of %d cores after the selectivity jump, want >= 75%%:\n%s", s2Fed, cores, r)
+	}
+	if s1Last > s1Starved {
+		t.Errorf("S1 ended at %.0f, above its starved-phase peak %.0f: it should cede cores to S2:\n%s", s1Last, s1Starved, r)
+	}
+}
+
+// TestFigure13Flatness pins the self-tuning property: response time
+// within 1.6x across initial parallelism 1, 4, 8 and 12 (EXPERIMENTS.md
+// records 1.4x), and a convergence delay that never grows as the initial
+// guess improves.
+func TestFigure13Flatness(t *testing.T) {
+	r, err := Figure13()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var resp, conv []float64
+	for _, row := range r.Rows {
+		n := rowNums(row)
+		if len(n) != 3 { // init p, response, convergence
+			continue
+		}
+		switch n[0] {
+		case 1, 4, 8, 12:
+			resp = append(resp, n[1])
+			conv = append(conv, n[2])
+		}
+	}
+	if len(resp) != 4 {
+		t.Fatalf("found %d of the 4 pinned rows:\n%s", len(resp), r)
+	}
+	lo, hi := resp[0], resp[0]
+	for i, v := range resp {
+		lo, hi = min(lo, v), max(hi, v)
+		if i > 0 && conv[i] > conv[i-1] {
+			t.Errorf("convergence delay grew from %.1fs to %.1fs with a better initial guess:\n%s", conv[i-1], conv[i], r)
+		}
+	}
+	if lo <= 0 || hi > 1.6*lo {
+		t.Errorf("response spans %.1fs..%.1fs, want within 1.6x:\n%s", lo, hi, r)
+	}
+}
+
+// TestTable6Ordering pins "EP posts the best response on all three
+// representatives": EP no slower than IS and MDP on Q1, Q9 and Q14, at
+// the report's 0.1 s resolution.
+func TestTable6Ordering(t *testing.T) {
+	if testing.Short() {
+		t.Skip("nine cluster simulations")
+	}
+	r, err := Table6()
+	if err != nil {
+		t.Fatal(err)
+	}
+	seen := 0
+	for _, row := range r.Rows {
+		n := rowNums(row)
+		if len(n) != 6 { // IS, MDP, EP high-utilization %; IS, MDP, EP seconds
+			continue
+		}
+		seen++
+		is, mdp, ep := n[3], n[4], n[5]
+		if ep <= 0 || ep > is || ep > mdp {
+			t.Errorf("EP %.1fs vs IS %.1fs, MDP %.1fs: %s", ep, is, mdp, row)
+		}
+	}
+	if seen != 3 {
+		t.Fatalf("found %d of the 3 query rows:\n%s", seen, r)
+	}
 }
 
 func TestRunModeUnknown(t *testing.T) {

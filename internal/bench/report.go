@@ -1,7 +1,9 @@
 // Package bench regenerates every figure and table of the paper's
-// evaluation (Section 5). Each experiment returns a Report whose rows
-// mirror the series/columns the paper plots; cmd/epbench prints them
-// and bench_test.go exposes each as a testing.B benchmark.
+// evaluation (Section 5), and nothing else: what is measured on the
+// real engine is a workload or metric of the repository benchmark
+// (`bash benchmark/run.sh`) or a test. Each experiment returns a Report
+// whose rows mirror the series/columns the paper plots; cmd/epbench
+// prints them and bench_test.go exposes each as a testing.B benchmark.
 //
 // Experiment-to-substrate mapping (DESIGN.md §4): Figure 9 measures the
 // real elastic iterators; Figure 8 and the cluster-scale experiments

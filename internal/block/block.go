@@ -270,15 +270,17 @@ func (b *Block) EncodeAppend(dst []byte) []byte {
 }
 
 // Decode parses an encoded block for the given schema. The payload is
-// copied so src may be reused.
+// copied so src may be reused. src must be exactly one encoded block:
+// bytes past the declared tuples are refused, not ignored — every caller
+// frames blocks individually, so a longer frame is a corrupt one.
 func Decode(sch *types.Schema, src []byte, tr *Tracker) (*Block, error) {
 	if len(src) < headerLen {
 		return nil, fmt.Errorf("block: short frame (%d bytes)", len(src))
 	}
 	n := int(binary.LittleEndian.Uint32(src[0:]))
 	payload := src[headerLen:]
-	if want := n * sch.Stride(); len(payload) < want {
-		return nil, fmt.Errorf("block: truncated payload: have %d want %d", len(payload), want)
+	if want := n * sch.Stride(); len(payload) != want {
+		return nil, fmt.Errorf("block: payload of %d bytes, %d tuples want %d", len(payload), n, want)
 	}
 	capTuples := n
 	if capTuples < 1 {
@@ -289,7 +291,7 @@ func Decode(sch *types.Schema, src []byte, tr *Tracker) (*Block, error) {
 	if tr != nil {
 		tr.Alloc(int64(len(b.buf)))
 	}
-	copy(b.buf, payload[:n*sch.Stride()])
+	copy(b.buf, payload)
 	b.n = n
 	b.VisitRate = mathFloat64frombits(binary.LittleEndian.Uint64(src[4:]))
 	b.Seq = binary.LittleEndian.Uint64(src[12:])

@@ -78,24 +78,20 @@ func (t *Tracker) Sub(name string) *Tracker {
 }
 
 // SubReserve creates a child account that pre-charges prepaid bytes to
-// t (the admission reservation) and caps its own usage at limit
-// (0 = no per-child cap). The child's parent bill never drops below
+// t (the admission reservation). The child's parent bill never drops below
 // prepaid until Drop refunds it, so admitted queries keep their
 // headroom even while idle. It fails with OverBudgetError when t (or an
 // ancestor) cannot cover the reservation.
-func (t *Tracker) SubReserve(name string, prepaid, limit int64) (*Tracker, error) {
+func (t *Tracker) SubReserve(name string, prepaid int64) (*Tracker, error) {
 	if prepaid < 0 {
 		prepaid = 0
-	}
-	if limit > 0 && prepaid > limit {
-		return nil, fmt.Errorf("block: reservation %d exceeds account limit %d", prepaid, limit)
 	}
 	if prepaid > 0 {
 		if err := t.reserve(prepaid); err != nil {
 			return nil, err
 		}
 	}
-	return &Tracker{name: name, parent: t, limit: limit, prepaid: prepaid}, nil
+	return &Tracker{name: name, parent: t, prepaid: prepaid}, nil
 }
 
 // excess is the part of cur the parent is billed beyond the prepaid

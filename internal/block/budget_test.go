@@ -35,7 +35,7 @@ func TestBudgetReserveLimit(t *testing.T) {
 
 func TestBudgetHierarchyPropagation(t *testing.T) {
 	node := NewBudget("node", 1000)
-	q, err := node.SubReserve("q1", 300, 0)
+	q, err := node.SubReserve("q1", 300)
 	if err != nil {
 		t.Fatalf("subreserve: %v", err)
 	}
@@ -73,19 +73,9 @@ func TestBudgetHierarchyPropagation(t *testing.T) {
 	}
 }
 
-func TestBudgetSubReservePrepaidOverLimit(t *testing.T) {
-	node := NewBudget("node", 1000)
-	if _, err := node.SubReserve("q", 500, 400); err == nil {
-		t.Fatal("prepaid above the per-child limit must fail")
-	}
-	if got := node.Current(); got != 0 {
-		t.Fatalf("failed SubReserve leaked %d bytes", got)
-	}
-}
-
 func TestBudgetDropIdleRefundsPrepaid(t *testing.T) {
 	node := NewBudget("node", 1000)
-	q, err := node.SubReserve("q", 700, 0)
+	q, err := node.SubReserve("q", 700)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -125,7 +115,7 @@ func TestTrackerBudgetRace(t *testing.T) {
 		go func(seed int64) {
 			defer wg.Done()
 			rng := rand.New(rand.NewSource(seed))
-			q, err := node.SubReserve("q", 4096, 0)
+			q, err := node.SubReserve("q", 4096)
 			if err != nil {
 				t.Errorf("subreserve: %v", err)
 				return

@@ -109,7 +109,7 @@ func TestUsedCoresBounded(t *testing.T) {
 // TestConcurrentMixedStress is the multi-query stress harness: at least
 // 8 queries in flight at once on one cluster, across both fabrics and
 // both pipelined modes, plus one seeded fault schedule — every result
-// must match its solo run. CI runs this under -race (the mq-smoke job).
+// must match its solo run. CI runs this under -race (the test job).
 func TestConcurrentMixedStress(t *testing.T) {
 	if testing.Short() {
 		t.Skip("stress mix is slow under -short")

@@ -279,9 +279,16 @@ func (c *Cluster) DeliverStats(qid int, snap *telemetry.ScopeSnapshot) bool {
 	}
 }
 
+// statsWait is how long an analyzed coordinated query waits for
+// participants' telemetry snapshots (shipped over the control plane at
+// fragment end) before rendering the analysis from whatever arrived.
+// Participants finish no later than the coordinator's own dataflow, so
+// the wait only covers the control-plane hop.
+const statsWait = 2 * time.Second
+
 // gatherDistStats completes an analyzed distributed query's telemetry:
 // snapshot the coordinator's own scope first (pre-merge, so the local
-// share is attributable), then wait up to Config.StatsWait for every
+// share is attributable), then wait up to statsWait for every
 // remote participant's shipped snapshot, merging each into the query
 // scope (counters add, gauge peaks accumulate, histograms fold) and
 // replaying its spans shifted onto the coordinator's timeline. The
@@ -302,7 +309,7 @@ func (e *exec) gatherDistStats(az *analyzeState) {
 	}
 	if expected > 0 {
 		ch := e.c.dist.statsCh(e.qid)
-		deadline := time.NewTimer(e.c.cfg.StatsWait)
+		deadline := time.NewTimer(statsWait)
 		defer deadline.Stop()
 	collect:
 		for len(perNode)-1 < expected {

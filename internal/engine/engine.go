@@ -99,10 +99,6 @@ type Config struct {
 	// injector; leave nil outside recovery tests. NewClusterDist always
 	// runs the reliable protocol (nil means network.DefaultRetryPolicy).
 	Retry *network.RetryPolicy
-	// Wire tunes the TCP fabric (connection pool size, send window,
-	// coalescing). Nil uses network.DefaultWireConfig; ignored by the
-	// in-process fabric.
-	Wire *network.WireConfig
 	// MemoryPerNode caps the tracked working memory (hash tables, sort
 	// buffers, parked worker state) of all concurrent queries on one
 	// node, in bytes (0 = unlimited). Admission prepays an estimate
@@ -110,9 +106,6 @@ type Config struct {
 	// reservations walk the degradation ladder — stop expanding pools,
 	// shrink pools, and only then spill partitions to disk.
 	MemoryPerNode int64
-	// MemoryPerQuery caps one query's tracked memory per node
-	// (0 = unlimited).
-	MemoryPerQuery int64
 	// SpillDir receives operator spill files (default os.TempDir()).
 	SpillDir string
 	// NodeLossGrace applies to distributed clusters (NewClusterDist):
@@ -122,18 +115,11 @@ type Config struct {
 	// NodeLostError. Set it a margin past the detector deadline;
 	// 0 (default) returns the raw symptom immediately.
 	NodeLossGrace time.Duration
-	// StatsWait applies to distributed clusters: how long an analyzed
-	// coordinated query waits for participants' telemetry snapshots
-	// (shipped over the control plane at fragment end) before rendering
-	// the analysis from whatever arrived. Participants finish no later
-	// than the coordinator's own dataflow, so the wait only covers the
-	// control-plane hop (default 2s).
-	StatsWait time.Duration
 	// PlanCacheSize bounds the cluster's LRU plan cache (normalized
 	// SQL + catalog version -> compiled physical plan), consulted by
 	// every statement compiled from text so repeated statements skip
-	// parse+plan entirely. 0 means the default (256); negative disables
-	// caching.
+	// parse+plan entirely (default 256). No product code sets it; it
+	// stays a field only because benchmark/ reads it through Config().
 	PlanCacheSize int
 	// FastPath enables the serial fast-path executor for small
 	// gather-only plans (point lookups): eligible queries run on the
@@ -142,10 +128,6 @@ type Config struct {
 	// machinery (and its telemetry) is bypassed, so serving stacks opt
 	// in explicitly.
 	FastPath bool
-	// FastPathRows caps the total catalog-estimated scanned rows of a
-	// fast-path query (default 65536); larger scans take the parallel
-	// dataflow path.
-	FastPathRows int64
 	// RowExec forces row-at-a-time (tuple-per-tuple) expression
 	// evaluation in filters, projections, join key computation and
 	// aggregation, bypassing the vectorized batch kernels. The two paths
@@ -181,17 +163,11 @@ func (c *Config) defaults() {
 	if c.SpillDir == "" {
 		c.SpillDir = os.TempDir()
 	}
-	if c.StatsWait <= 0 {
-		c.StatsWait = 2 * time.Second
-	}
 	if os.Getenv("CLAIMS_ROWEXEC") != "" {
 		c.RowExec = true
 	}
-	if c.PlanCacheSize == 0 {
+	if c.PlanCacheSize <= 0 {
 		c.PlanCacheSize = 256
-	}
-	if c.FastPathRows <= 0 {
-		c.FastPathRows = 65536
 	}
 }
 
@@ -258,11 +234,7 @@ type Cluster struct {
 // initShared builds the query-independent shared state: core-lease
 // pools and resident schedulers for every node including the master.
 func (c *Cluster) initShared() {
-	size := c.cfg.PlanCacheSize
-	if size < 0 {
-		size = 0
-	}
-	c.planCache = plan.NewCache(size)
+	c.planCache = plan.NewCache(c.cfg.PlanCacheSize)
 	c.bus = sched.NewMasterBus()
 	c.activeEP = make(map[*telemetry.Scope]struct{})
 	c.allNodes = make([]int, c.cfg.Nodes)
@@ -344,9 +316,6 @@ func NewClusterTCP(cfg Config, cat *catalog.Catalog) (*Cluster, error) {
 		n.SetFaults(inj)
 		if cfg.Retry != nil {
 			n.SetRetryPolicy(*cfg.Retry)
-		}
-		if cfg.Wire != nil {
-			n.SetWireConfig(*cfg.Wire)
 		}
 		nodes[i] = n
 		peers[i] = n.Addr()

@@ -394,8 +394,7 @@ func (e *exec) admit() error {
 				prepaid = half
 			}
 		}
-		qt, err := c.memBudgets[i].SubReserve(
-			fmt.Sprintf("q%d", e.qid), prepaid, c.cfg.MemoryPerQuery)
+		qt, err := c.memBudgets[i].SubReserve(fmt.Sprintf("q%d", e.qid), prepaid)
 		if err != nil {
 			e.release()
 			return fmt.Errorf("%w: node %d: %v", ErrMemoryBudget, i, err)
@@ -734,7 +733,7 @@ func (e *exec) instantiate(seg *plan.Segment, node int) (*segInst, error) {
 // fused instance over every node it is placed on: a scan chains those
 // nodes' partitions, a merger replays the finished producer's blocks
 // (exec.feeds), and stateful operators run unaccounted and unsharded
-// (the FastPathRows cap bounds their state; one worker has no
+// (the fastPathRows cap bounds their state; one worker has no
 // contention to shard for). Fusing is what makes the serial driver
 // fast: hash tables, barriers and compiled kernels are built once per
 // segment instead of once per node, and a serial drive makes the

@@ -20,7 +20,11 @@ import (
 // and exchange wiring are skipped because there is nothing to admit or
 // wire. Anything the fast path cannot prove harmless — distribution,
 // fault injection, repartition exchanges, joins, scans above
-// Config.FastPathRows — takes the parallel drivers.
+// fastPathRows — takes the parallel drivers.
+
+// fastPathRows caps the total catalog-estimated scanned rows of a
+// fast-path query; larger scans take the parallel dataflow path.
+const fastPathRows = 65536
 
 // fastEligible reports whether the plan can take the serial fast path
 // on this cluster.
@@ -50,7 +54,7 @@ func (c *Cluster) fastEligible(p *plan.Plan) bool {
 			}
 		})
 	}
-	if !ok || rows > c.cfg.FastPathRows {
+	if !ok || rows > fastPathRows {
 		return false
 	}
 	// Every exchange must gather into a master-resident consumer: a

@@ -401,9 +401,9 @@ func (j *Injector) Summary() string {
 var defaultInjector atomic.Pointer[Injector]
 
 // SetDefault installs the process default injector, consulted by engine
-// clusters whose Config.Faults is nil — how `epbench -faults` and
-// `claims -faults` reach the clusters built deep inside the bench
-// harness without threading an injector through every constructor.
+// clusters whose Config.Faults is nil — how `claims -faults` and
+// `claims-node -faults` reach their clusters without threading an
+// injector through every constructor.
 func SetDefault(j *Injector) { defaultInjector.Store(j) }
 
 // Default returns the process default injector, or nil.

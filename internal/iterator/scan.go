@@ -1,7 +1,7 @@
 package iterator
 
 import (
-	"sync/atomic"
+	"sync"
 
 	"repro/internal/block"
 	"repro/internal/storage"
@@ -18,8 +18,9 @@ type Scan struct {
 	part    *storage.Partition
 	sch     *types.Schema // optional display-name override
 	bySock  [][]*block.Block
-	cursors []atomic.Int64
-	seq     atomic.Uint64
+	mu      sync.Mutex // guards cursors and seq, see Next
+	cursors []int
+	seq     uint64
 	opened  once
 	barrier *Barrier
 }
@@ -36,7 +37,7 @@ func NewScan(part *storage.Partition) *Scan {
 		sock := b.Socket % n
 		s.bySock[sock] = append(s.bySock[sock], b)
 	}
-	s.cursors = make([]atomic.Int64, n)
+	s.cursors = make([]int, n)
 	return s
 }
 
@@ -84,22 +85,30 @@ func (s *Scan) Next(ctx *Ctx) (*block.Block, Status) {
 		return nil, Terminated
 	}
 	n := len(s.bySock)
+	// Taking a block and numbering it is one step: two workers that
+	// advanced a cursor and drew a sequence number separately could draw
+	// them in opposite orders, and an order-preserving segment would then
+	// emit the two blocks swapped.
+	s.mu.Lock()
 	for probe := 0; probe < n; probe++ {
 		sock := (ctx.Socket + probe) % n
-		idx := s.cursors[sock].Add(1) - 1
-		if idx < int64(len(s.bySock[sock])) {
-			src := s.bySock[sock][idx]
-			out := shallowStamp(src, s.seq.Add(1)-1)
-			// Stage beginners report consumed tuples: this feeds the
-			// scheduler's processing-rate measurement (Section 4.4).
-			if ctx.OnBlockDone != nil {
-				ctx.OnBlockDone(out.NumTuples())
-			}
-			return out, OK
+		idx := s.cursors[sock]
+		if idx == len(s.bySock[sock]) {
+			continue // socket exhausted: steal from the next one
 		}
-		// Socket exhausted; undo is unnecessary (cursor past end is
-		// fine) and we fall through to steal from the next socket.
+		s.cursors[sock]++
+		seq := s.seq
+		s.seq++
+		s.mu.Unlock()
+		out := shallowStamp(s.bySock[sock][idx], seq)
+		// Stage beginners report consumed tuples: this feeds the
+		// scheduler's processing-rate measurement (Section 4.4).
+		if ctx.OnBlockDone != nil {
+			ctx.OnBlockDone(out.NumTuples())
+		}
+		return out, OK
 	}
+	s.mu.Unlock()
 	return nil, End
 }
 

@@ -220,12 +220,18 @@ func AppendSchema(dst []byte, names []string, sch *types.Schema) []byte {
 }
 
 // DecodeSchema decodes a MsgSchema payload into a schema whose column
-// names are the result's display names.
+// names are the result's display names. The payload comes off a socket,
+// so what types.NewSchema would panic on, what no row can be read under
+// (an undefined kind) and what bounds nothing (no columns: any tuple
+// count fits an empty block payload) are errors here.
 func DecodeSchema(src []byte) (*types.Schema, error) {
 	if len(src) < 2 {
 		return nil, fmt.Errorf("protocol: truncated schema")
 	}
 	n := int(binary.LittleEndian.Uint16(src))
+	if n == 0 {
+		return nil, fmt.Errorf("protocol: schema without columns")
+	}
 	src = src[2:]
 	cols := make([]types.Column, n)
 	for i := 0; i < n; i++ {
@@ -240,7 +246,13 @@ func DecodeSchema(src []byte) (*types.Schema, error) {
 		kind := types.Kind(src[0])
 		width := int(binary.LittleEndian.Uint16(src[1:]))
 		src = src[3:]
+		if kind > types.Date || (kind == types.String && width == 0) {
+			return nil, fmt.Errorf("protocol: column %q has kind %d, width %d", name, kind, width)
+		}
 		cols[i] = types.Column{Name: name, Kind: kind, Width: width}
+	}
+	if len(src) != 0 {
+		return nil, fmt.Errorf("protocol: %d bytes after the last schema column", len(src))
 	}
 	return types.NewSchema(cols...), nil
 }

@@ -45,7 +45,9 @@ type Config struct {
 	// (default 64). Arrivals beyond it fail fast with ErrQueueFull.
 	MaxQueue int
 	// QueueTimeout bounds the time a query waits for a slot (default
-	// 10s). Expiry fails the query with ErrAdmissionTimeout.
+	// 10s). Expiry fails the query with ErrAdmissionTimeout. It is also
+	// how long a memory-refused query waits without any query of this
+	// server finishing before it gives up (see serve).
 	QueueTimeout time.Duration
 }
 
@@ -69,6 +71,10 @@ type Server struct {
 	mu       sync.Mutex
 	inflight int
 	queue    []*waiter // FIFO: queue[0] is next to admit
+	// freed is closed by the next release(): a finished query has dropped
+	// its memory reservations. Nil until a memory-refused query asks for
+	// it, so the uncontended path allocates nothing.
+	freed chan struct{}
 }
 
 // waiter is one query parked in the admission queue. granted is
@@ -106,8 +112,8 @@ func (s *Server) CatalogVersion() int64 { return s.c.CatalogVersion() }
 //
 // A memory-budget refusal from the engine is transient — resident
 // queries release their reservations as they complete — so Query holds
-// its slot and retries with exponential backoff until QueueTimeout,
-// turning a thundering herd of large queries into an orderly drain.
+// its slot and retries as they do, turning a thundering herd of large
+// queries into an orderly drain (see serve).
 func (s *Server) Query(ctx context.Context, sql string) (*engine.Result, error) {
 	return s.serve(ctx, func(ctx context.Context) (*engine.Result, error) {
 		return s.c.Exec(ctx, engine.Request{SQL: sql})
@@ -124,10 +130,16 @@ func (s *Server) QueryBound(ctx context.Context, p *plan.Plan, args []types.Valu
 }
 
 // serve runs one admitted query, retrying transient memory-budget
-// refusals with exponential backoff until QueueTimeout. One timer is
-// reused across backoff iterations: a per-iteration time.After would
-// leave every expired-but-unfired timer lingering in the runtime heap
-// for its full duration under a thundering herd of large queries.
+// refusals. A refused query retries as soon as another query of this
+// server finishes (release closes freed) and, because reservations are
+// also held by queries that bypass the server, on an exponential-backoff
+// poll. It gives up once QueueTimeout passes without any query
+// finishing: the timeout detects a stall, it does not bound how long a
+// herd takes to drain — measured from admission it failed the tail of
+// the herd whenever the host was slow enough. The caller's own bound on
+// total waiting is ctx. The poll timer is stopped, not abandoned: a
+// time.After per iteration would leave every unfired timer lingering in
+// the runtime heap for its full duration.
 func (s *Server) serve(ctx context.Context, run func(context.Context) (*engine.Result, error)) (*engine.Result, error) {
 	if err := s.admit(ctx); err != nil {
 		return nil, err
@@ -135,30 +147,52 @@ func (s *Server) serve(ctx context.Context, run func(context.Context) (*engine.R
 	defer s.release()
 	deadline := time.Now().Add(s.cfg.QueueTimeout)
 	backoff := 5 * time.Millisecond
-	var timer *time.Timer
+	var freed <-chan struct{}
 	for {
 		res, err := run(ctx)
 		if !errors.Is(err, engine.ErrMemoryBudget) {
 			return res, err
 		}
-		if time.Now().Add(backoff).After(deadline) {
-			return nil, err
+		if freed == nil {
+			// Subscribe, then try again at once: a query that finished
+			// between the refusal and the subscription is not missed.
+			freed = s.freedSignal()
+			continue
 		}
-		if timer == nil {
-			timer = time.NewTimer(backoff)
-			defer timer.Stop()
-		} else {
-			timer.Reset(backoff)
-		}
+		poll := time.NewTimer(backoff)
 		select {
 		case <-ctx.Done():
+			poll.Stop()
 			return nil, ctx.Err()
-		case <-timer.C:
+		case <-freed:
+		case <-poll.C:
 		}
-		if backoff < 160*time.Millisecond {
-			backoff *= 2
+		poll.Stop()
+		select {
+		case <-freed: // checked last, so a finished query outranks an expired poll
+			deadline = time.Now().Add(s.cfg.QueueTimeout)
+		default:
+			if time.Now().After(deadline) {
+				return nil, err
+			}
+			if backoff < 160*time.Millisecond {
+				backoff *= 2
+			}
 		}
+		freed = s.freedSignal()
 	}
+}
+
+// freedSignal returns the channel the next release() closes. Taken
+// before the attempt whose refusal it will wait out, so no release is
+// missed.
+func (s *Server) freedSignal() <-chan struct{} {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.freed == nil {
+		s.freed = make(chan struct{})
+	}
+	return s.freed
 }
 
 // Stats reports the current load: executing queries and queue depth.
@@ -240,6 +274,10 @@ func (s *Server) abandon(w *waiter) bool {
 func (s *Server) release() {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	if s.freed != nil {
+		close(s.freed)
+		s.freed = nil
+	}
 	if len(s.queue) > 0 {
 		w := s.queue[0]
 		copy(s.queue, s.queue[1:])

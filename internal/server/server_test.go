@@ -3,7 +3,10 @@ package server
 import (
 	"context"
 	"errors"
+	"fmt"
 	"runtime"
+	"sort"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -11,6 +14,8 @@ import (
 	"repro/internal/catalog"
 	"repro/internal/engine"
 	"repro/internal/sse"
+	"repro/internal/telemetry"
+	"repro/internal/types"
 )
 
 func testCluster(t *testing.T) *engine.Cluster {
@@ -215,33 +220,116 @@ func (a *atomic32) load() int32 {
 
 // TestMemoryBudgetRetry: queries refused by memory admission retry
 // behind the scenes and complete once resident queries release their
-// reservations, instead of surfacing transient ErrMemoryBudget.
+// reservations, instead of surfacing transient ErrMemoryBudget — and
+// the herd, squeezed through the budget by spilling, returns what an
+// unconstrained cluster returns.
 func TestMemoryBudgetRetry(t *testing.T) {
-	cat := catalog.New(2)
-	sse.RegisterTables(cat, 20000)
-	c := engine.NewCluster(engine.Config{
-		Nodes: 2, CoresPerNode: 2, Mode: engine.EP, BlockSize: 4096,
-		MemoryPerNode: 1 << 20, SpillDir: t.TempDir(),
-	}, cat)
-	if err := sse.Load(c, sse.GenConfig{Rows: 20000, Seed: 1}); err != nil {
+	const rows = 20000
+	build := func(budget int64) *engine.Cluster {
+		cat := catalog.New(2)
+		sse.RegisterTables(cat, rows)
+		c := engine.NewCluster(engine.Config{
+			Nodes: 2, CoresPerNode: 2, Mode: engine.EP, BlockSize: 4096,
+			MemoryPerNode: budget, SpillDir: t.TempDir(),
+		}, cat)
+		if err := sse.Load(c, sse.GenConfig{Rows: rows, Seed: 1}); err != nil {
+			t.Fatal(err)
+		}
+		return c
+	}
+	// One line per row, sorted, floats to six digits: neither group-by
+	// output order nor summation order is fixed.
+	sorted := func(res *engine.Result) string {
+		var lines []string
+		for _, row := range res.Rows() {
+			var sb strings.Builder
+			for _, v := range row {
+				if v.Kind == types.Float64 && !v.Null {
+					fmt.Fprintf(&sb, "%.6g,", v.F)
+				} else {
+					sb.WriteString(v.String() + ",")
+				}
+			}
+			lines = append(lines, sb.String())
+		}
+		sort.Strings(lines)
+		return strings.Join(lines, "\n")
+	}
+	q := `SELECT order_no, sum(entry_volume) FROM Securities GROUP BY order_no`
+	free, err := build(0).Exec(context.Background(), engine.Request{SQL: q})
+	if err != nil {
 		t.Fatal(err)
 	}
-	s := New(c, Config{MaxInflight: 6, QueueTimeout: 5 * time.Second})
-	q := `SELECT order_no, sum(entry_volume) FROM Securities GROUP BY order_no`
+	want := sorted(free)
+
+	s := New(build(1<<20), Config{MaxInflight: 6, QueueTimeout: 5 * time.Second})
 	var wg sync.WaitGroup
 	errs := make([]error, 6)
+	got := make([]*engine.Result, 6)
 	for i := range errs {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			_, errs[i] = s.Query(context.Background(), q)
+			got[i], errs[i] = s.Query(context.Background(), q)
 		}(i)
 	}
 	wg.Wait()
+	var spills int64
 	for i, err := range errs {
 		if err != nil {
 			t.Fatalf("query %d: %v", i, err)
 		}
+		if sorted(got[i]) != want {
+			t.Errorf("query %d: %d rows differ from the unconstrained run's %d", i, got[i].NumRows(), free.NumRows())
+		}
+		spills += got[i].Scope.Counter(telemetry.CtrSpillEvents).Load()
+	}
+	if spills == 0 {
+		t.Error("no query spilled: the budget did not bind")
+	}
+}
+
+// TestMemoryRefusalOutlastsQueueTimeoutWhileQueriesFinish pins what the
+// refusal clock measures: a refused query keeps retrying for as long as
+// other queries of the server keep finishing — several QueueTimeouts
+// here — and gives up only once QueueTimeout passes with none finishing.
+// Every attempt below contains a finished query, so the outcome does not
+// depend on how fast the host is; measured from admission (the parent's
+// behaviour, and TestMemoryBudgetRetry's flake on a loaded host) the
+// query fails after the first QueueTimeout instead.
+func TestMemoryRefusalOutlastsQueueTimeoutWhileQueriesFinish(t *testing.T) {
+	const timeout = 40 * time.Millisecond
+	s := New(nil, Config{MaxInflight: 2, QueueTimeout: timeout})
+	ctx := context.Background()
+	refused := engine.ErrMemoryBudget
+	other := func(context.Context) (*engine.Result, error) { return nil, nil }
+
+	const busy = 10 // attempts during which another query finishes
+	attempts := 0
+	start := time.Now()
+	var drained time.Duration
+	_, err := s.serve(ctx, func(ctx context.Context) (*engine.Result, error) {
+		attempts++
+		if attempts <= busy {
+			if _, err := s.serve(ctx, other); err != nil {
+				t.Errorf("resident query: %v", err)
+			}
+			time.Sleep(timeout / 2)
+			drained = time.Since(start)
+		}
+		return nil, refused
+	})
+	if !errors.Is(err, engine.ErrMemoryBudget) {
+		t.Fatalf("err = %v, want the refusal once nothing finishes any more", err)
+	}
+	if attempts <= busy {
+		t.Fatalf("gave up after %d attempts (%v) while queries were still finishing", attempts, time.Since(start))
+	}
+	if drained < 3*timeout {
+		t.Fatalf("busy phase lasted %v, want it to outlast several timeouts of %v", drained, timeout)
+	}
+	if stalled := time.Since(start) - drained; stalled < timeout {
+		t.Fatalf("gave up %v after the last query finished, want >= %v", stalled, timeout)
 	}
 }
 

@@ -183,8 +183,7 @@ func (s HistogramSnapshot) QuantileDuration(q float64) time.Duration {
 	return time.Duration(s.Quantile(q) * float64(time.Second))
 }
 
-// SummaryLine renders the p50/p95/p99 line printed by epbench and
-// `claims -serve`.
+// SummaryLine renders the p50/p95/p99 line printed by `claims -serve`.
 func (s HistogramSnapshot) SummaryLine() string {
 	return fmt.Sprintf("latency p50=%v p95=%v p99=%v (n=%d)",
 		s.QuantileDuration(0.50).Round(time.Microsecond),

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"io"
 	"sort"
-	"sync/atomic"
 	"time"
 )
 
@@ -60,7 +59,7 @@ type Span struct {
 
 // EnableSpans switches span recording on for this scope. Off by default:
 // StartSpan returns nil until someone interested in spans (the query
-// registry, `epbench -spans`, an EXPLAIN ANALYZE run) enables them.
+// registry, an EXPLAIN ANALYZE run) enables them.
 func (s *Scope) EnableSpans() { s.spansOn.Store(true) }
 
 // SpansEnabled reports whether StartSpan produces live spans.
@@ -146,18 +145,6 @@ func (sp *Span) End() {
 	sp.rec.Dur = sp.scope.Elapsed() - sp.rec.Start
 	sp.scope.Emit(sp.rec)
 }
-
-// --- process-wide span default ----------------------------------------------
-
-var defaultSpans atomic.Bool
-
-// EnableSpansByDefault makes every Scope created afterwards span-enabled
-// — how `epbench -spans` turns tracing on for scopes created deep inside
-// the bench harness.
-func EnableSpansByDefault() { defaultSpans.Store(true) }
-
-// DisableSpansByDefault reverts EnableSpansByDefault (tests).
-func DisableSpansByDefault() { defaultSpans.Store(false) }
 
 // --- Chrome trace-event export ----------------------------------------------
 

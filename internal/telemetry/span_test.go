@@ -67,22 +67,6 @@ func TestSpanAttribution(t *testing.T) {
 	}
 }
 
-// TestSpansByDefault checks the process-wide default used by
-// `epbench -spans`: scopes created while the default is on are
-// span-enabled from birth.
-func TestSpansByDefault(t *testing.T) {
-	EnableSpansByDefault()
-	defer DisableSpansByDefault()
-	sc := NewScope("born-on")
-	if !sc.SpansEnabled() {
-		t.Fatal("scope created under EnableSpansByDefault has spans off")
-	}
-	DisableSpansByDefault()
-	if NewScope("born-off").SpansEnabled() {
-		t.Fatal("scope created after DisableSpansByDefault has spans on")
-	}
-}
-
 // chromeFile mirrors the trace-event JSON envelope for decoding.
 type chromeFile struct {
 	TraceEvents []struct {

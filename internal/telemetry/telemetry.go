@@ -332,9 +332,6 @@ func NewScope(name string, opts ...Option) *Scope {
 	if !s.ringSet {
 		s.ring = make([]Event, defaultRingSize)
 	}
-	if defaultSpans.Load() {
-		s.spansOn.Store(true)
-	}
 	if d := defaultSinks.Load(); d != nil {
 		cp := append([]Sink(nil), (*d)...)
 		s.sinks.Store(&cp)

@@ -283,12 +283,9 @@ func (c *Config) resolveFaults() *faults.Injector {
 func NewCluster(cfg Config, cat *catalog.Catalog) *Cluster {
 	cfg.defaults()
 	inj := cfg.resolveFaults()
-	c := &Cluster{cfg: cfg, cat: cat, faultInj: inj,
-		fabric: network.InProcFabric{
-			T:      network.NewInProc(cfg.NetBytesPerSec),
-			Faults: inj,
-			Retry:  cfg.Retry,
-		}}
+	fabric := network.NewInProc(cfg.NetBytesPerSec)
+	fabric.Faults, fabric.Retry = inj, cfg.Retry
+	c := &Cluster{cfg: cfg, cat: cat, faultInj: inj, fabric: fabric}
 	for i := 0; i < cfg.Nodes; i++ {
 		c.stores = append(c.stores, storage.NewStore(cfg.Sockets))
 	}

@@ -2,6 +2,7 @@ package iterator
 
 import (
 	"encoding/binary"
+	"fmt"
 	"io"
 	"os"
 
@@ -81,6 +82,10 @@ func (s *spillFile) iterate(fn func(rec []byte) error) error {
 	if _, err := s.f.Seek(0, io.SeekStart); err != nil {
 		return err
 	}
+	// The largest frame flush writes is one full staging block (the
+	// stage is empty here, so its wire size is the bare header). A longer
+	// length prefix is a corrupt file, not a reason to allocate it.
+	maxFrame := s.stage.WireSize() + s.stage.Cap()*s.sch.Stride()
 	var hdr [4]byte
 	var buf []byte
 	for {
@@ -91,6 +96,9 @@ func (s *spillFile) iterate(fn func(rec []byte) error) error {
 			return err
 		}
 		n := int(binary.LittleEndian.Uint32(hdr[:]))
+		if n > maxFrame {
+			return fmt.Errorf("iterator: spill file %s: frame of %d bytes, a flush writes at most %d", s.path, n, maxFrame)
+		}
 		if cap(buf) < n {
 			buf = make([]byte, n)
 		}

@@ -2,6 +2,7 @@ package iterator
 
 import (
 	"fmt"
+	"runtime"
 	"testing"
 
 	"repro/internal/block"
@@ -172,5 +173,44 @@ func TestHashAggCloseDrainsPool(t *testing.T) {
 	}
 	if cur := acct.Current(); cur != 0 {
 		t.Fatalf("account holds %d bytes after Close", cur)
+	}
+}
+
+// TestSpillIterateRejectsOversizedFrame corrupts a spill file's length
+// prefix: read-back must fail on it rather than allocate whatever four
+// bytes from disk claim, and the honest file must still round-trip.
+func TestSpillIterateRejectsOversizedFrame(t *testing.T) {
+	sch := types.NewSchema(types.Col("k", types.Int64))
+	s, err := newSpillFile(t.TempDir(), sch)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.drop()
+	rec := make([]byte, sch.Stride())
+	const rows = 3 * block.DefaultSize / 8 // several full frames
+	for i := 0; i < rows; i++ {
+		types.PutValue(rec, sch, 0, types.IntVal(int64(i)))
+		if err := s.add(rec); err != nil {
+			t.Fatal(err)
+		}
+	}
+	got := 0
+	if err := s.iterate(func([]byte) error { got++; return nil }); err != nil || got != rows {
+		t.Fatalf("honest file: %d of %d rows, err %v", got, rows, err)
+	}
+	// 0x7fffffff bytes: within what int and make accept, far beyond a frame.
+	if _, err := s.f.WriteAt([]byte{0xff, 0xff, 0xff, 0x7f}, 0); err != nil {
+		t.Fatal(err)
+	}
+	got = 0
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	err = s.iterate(func([]byte) error { got++; return nil })
+	runtime.ReadMemStats(&after)
+	if err == nil || got != 0 {
+		t.Fatalf("corrupt length prefix: %d rows read back, err %v", got, err)
+	}
+	if grew := after.TotalAlloc - before.TotalAlloc; grew > 16<<20 {
+		t.Fatalf("refusing the corrupt frame allocated %d MB on its say-so", grew>>20)
 	}
 }

@@ -144,3 +144,50 @@ func BenchmarkTCPRepartitionReliable(b *testing.B) {
 	<-done
 	<-done
 }
+
+// Inbox benchmarks: what one block costs between a transport and a
+// consumer holding an open cancel channel, as every Merger.Next does.
+
+// BenchmarkInboxRecvReady is the ready case: the block is already there.
+func BenchmarkInboxRecvReady(b *testing.B) {
+	in := newInbox(1, 0, benchSchema(), nil)
+	blk := benchBlock(benchSchema(), 1)
+	cancel := make(chan struct{})
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		in.put(blk)
+		in.Recv(cancel)
+	}
+}
+
+// BenchmarkInboxPipe streams through a bounded inbox to two consumers,
+// so both sides block and wake.
+func BenchmarkInboxPipe(b *testing.B) {
+	in := newInbox(1, 8, benchSchema(), nil)
+	blk := benchBlock(benchSchema(), 1)
+	b.ReportAllocs()
+	go func() {
+		for i := 0; i < b.N; i++ {
+			in.put(blk)
+		}
+		in.producerDone()
+	}()
+	done := make(chan int, 2)
+	for c := 0; c < 2; c++ {
+		go benchDrainCancellable(in, done)
+	}
+	<-done
+	<-done
+}
+
+func benchDrainCancellable(in *Inbox, done chan<- int) {
+	cancel := make(chan struct{})
+	n := 0
+	for {
+		if _, st := in.Recv(cancel); st != iterator.RecvOK {
+			break
+		}
+		n++
+	}
+	done <- n
+}

@@ -92,15 +92,9 @@ func (p *connPool) slot(h uint64) *poolConn {
 	return p.slots[h%uint64(len(p.slots))]
 }
 
-// get returns the slot's live connection, dialing if necessary. Dial
-// failures arm an exponential, jittered backoff window during which
-// further attempts fail fast instead of re-dialing a dead peer.
-func (pc *poolConn) get(addr string, peer int) (net.Conn, error) {
-	pc.mu.Lock()
-	defer pc.mu.Unlock()
-	return pc.getLocked(addr, peer)
-}
-
+// getLocked returns the slot's live connection, dialing if necessary.
+// Dial failures arm an exponential, jittered backoff window during
+// which further attempts fail fast instead of re-dialing a dead peer.
 func (pc *poolConn) getLocked(addr string, peer int) (net.Conn, error) {
 	if pc.c != nil {
 		return pc.c, nil

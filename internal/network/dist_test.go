@@ -72,7 +72,8 @@ func TestEphemeralPortsMeshViaSetPeer(t *testing.T) {
 	}
 }
 
-// drainCount reads an inbox to end-of-stream and returns the tuple
+// drainCount reads an inbox to end-of-stream as a query's consumer
+// would, releasing every block's accounting, and returns the tuple
 // count, failing the test on timeout.
 func drainCount(t *testing.T, in *Inbox, timeout time.Duration) int {
 	t.Helper()
@@ -87,6 +88,7 @@ func drainCount(t *testing.T, in *Inbox, timeout time.Duration) int {
 				return
 			}
 			n += b.NumTuples()
+			b.Release()
 		}
 	}()
 	select {

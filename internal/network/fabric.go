@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"repro/internal/block"
-	"repro/internal/faults"
 	"repro/internal/iterator"
 	"repro/internal/telemetry"
 	"repro/internal/types"
@@ -61,6 +60,7 @@ type scopedOutbox struct {
 	exchange      int
 	node          int
 	consumerNodes []int
+	sendSpan      string // built once here: StartSpan must see no work when spans are off
 	bytes         *telemetry.Counter
 	blocks        *telemetry.Counter
 }
@@ -78,6 +78,7 @@ func wrapOutbox(inner iterator.Outbox, scope *telemetry.Scope,
 		exchange:      exchange,
 		node:          node,
 		consumerNodes: consumerNodes,
+		sendSpan:      "send ex" + strconv.Itoa(exchange),
 		bytes:         scope.Counter(telemetry.CtrNetBytes),
 		blocks:        scope.Counter(telemetry.CtrNetBlocks),
 	}
@@ -102,7 +103,7 @@ func (o *scopedOutbox) Send(dest int, b *block.Block) error {
 		// The send span covers the cross-node handoff incl. backpressure
 		// and bandwidth waits; recv-side time shows as the consuming
 		// merger operator's busy time.
-		sp := o.scope.StartSpan("send ex"+strconv.Itoa(o.exchange), "net").
+		sp := o.scope.StartSpan(o.sendSpan, "net").
 			WithNode(o.node).WithRows(int64(b.NumTuples())).
 			WithBlocks(1).WithBytes(int64(wire))
 		err := o.inner.Send(dest, b)
@@ -115,80 +116,7 @@ func (o *scopedOutbox) Send(dest int, b *block.Block) error {
 // CloseSend implements iterator.Outbox.
 func (o *scopedOutbox) CloseSend() error { return o.inner.CloseSend() }
 
-// --- in-process fabric -------------------------------------------------------
-
-// InProcFabric adapts InProc to the Fabric interface. Faults optionally
-// attaches a fault injector: in-process "frames" (block handoffs) then
-// pass through the same drop/delay/duplicate/corrupt verdicts as TCP
-// frames, with loss surfacing as a backoff-and-retransmit delay and
-// duplicates suppressed by the receiver model — so fault schedules run
-// identically against both fabrics. Retry overrides the backoff policy.
-type InProcFabric struct {
-	T      *InProc
-	Faults *faults.Injector
-	Retry  *RetryPolicy
-}
-
-// NewExchange implements Fabric. The in-process transport moves blocks
-// by pointer, so the schema is not needed for decoding. Each call
-// creates a private exchange object, so the (query, id) key only
-// matters for labels: in-process dataflows are disjoint by
-// construction.
-func (f InProcFabric) NewExchange(query, id, producers int, consumerNodes []int,
-	_ *types.Schema, bufBlocks int, tracker *block.Tracker,
-	scope *telemetry.Scope) FabricExchange {
-	pol := DefaultRetryPolicy
-	if f.Retry != nil {
-		pol = f.Retry.withDefaults()
-	}
-	return inprocExchange{
-		ex:            f.T.NewExchange(id, producers, consumerNodes, bufBlocks, tracker),
-		scope:         scope,
-		id:            id,
-		consumerNodes: consumerNodes,
-		inj:           f.Faults,
-		pol:           pol,
-	}
-}
-
-type inprocExchange struct {
-	ex            *Exchange
-	scope         *telemetry.Scope
-	id            int
-	consumerNodes []int
-	inj           *faults.Injector
-	pol           RetryPolicy
-}
-
-func (e inprocExchange) Inbox(i int) *Inbox { return e.ex.Inbox(i) }
-
-func (e inprocExchange) Abort() { e.ex.Abort() }
-
-// SendCopies implements FabricExchange: blocks move by pointer.
-func (e inprocExchange) SendCopies() bool { return false }
-
-// Release implements FabricExchange. The in-process transport holds no
-// per-query registry — the exchange object itself is the only state,
-// and it is garbage once the query drops it.
-func (e inprocExchange) Release() {}
-
-func (e inprocExchange) Outbox(node int) iterator.Outbox {
-	var inner iterator.Outbox = e.ex.Outbox(node)
-	if e.inj.Enabled() {
-		inner = &faultyOutbox{
-			inner:         inner,
-			inj:           e.inj,
-			pol:           e.pol,
-			scope:         e.scope,
-			exchange:      e.id,
-			node:          node,
-			consumerNodes: e.consumerNodes,
-			seqs:          make([]uint64, len(e.consumerNodes)),
-			abort:         e.ex.abortCh,
-		}
-	}
-	return wrapOutbox(inner, e.scope, e.id, node, e.consumerNodes)
-}
+// --- in-process fault model ------------------------------------------------
 
 // faultyOutbox subjects in-process block handoffs to the fault
 // injector, mirroring the TCP reliable path's observable behavior:
@@ -198,40 +126,32 @@ func (e inprocExchange) Outbox(node int) iterator.Outbox {
 // shared state — suppression is mandatory, and counted like TCP's
 // dedupe), and a severed link fails the send.
 type faultyOutbox struct {
-	inner         iterator.Outbox
-	inj           *faults.Injector
-	pol           RetryPolicy
-	scope         *telemetry.Scope
-	exchange      int
-	node          int
-	consumerNodes []int
-	seqs          []uint64
-	abort         <-chan struct{}
+	outbox // the healthy handoff a frame reaches once it survives its verdicts
+	pol    RetryPolicy
+	seqs   []uint64
 }
-
-// Destinations implements iterator.Outbox.
-func (o *faultyOutbox) Destinations() int { return o.inner.Destinations() }
 
 // Send implements iterator.Outbox.
 func (o *faultyOutbox) Send(dest int, b *block.Block) error {
-	return o.ship(dest, func() error { return o.inner.Send(dest, b) })
+	return o.ship(dest, func() error { return o.outbox.Send(dest, b) })
 }
 
 // CloseSend implements iterator.Outbox. End-of-stream markers pay the
 // same fault schedule per destination, then close the inner streams.
 func (o *faultyOutbox) CloseSend() error {
-	for dest := range o.consumerNodes {
+	for dest := range o.seqs {
 		if err := o.ship(dest, func() error { return nil }); err != nil {
 			return err
 		}
 	}
-	return o.inner.CloseSend()
+	return o.outbox.CloseSend()
 }
 
 // ship runs one logical frame through the fault/retry loop and calls
 // deliver on success.
 func (o *faultyOutbox) ship(dest int, deliver func() error) error {
-	to := o.consumerNodes[dest]
+	inj, scope, exchange := o.ex.tr.Faults, o.ex.scope, o.ex.id
+	to := o.ex.consumerNodes[dest]
 	seq := o.seqs[dest]
 	o.seqs[dest]++
 	if to == o.node {
@@ -241,27 +161,27 @@ func (o *faultyOutbox) ship(dest int, deliver func() error) error {
 	deadline := time.Now().Add(o.pol.Deadline)
 	for attempt := 0; ; attempt++ {
 		select {
-		case <-o.abort:
-			return fmt.Errorf("network: exchange %d aborted", o.exchange)
+		case <-o.ex.abortCh:
+			return fmt.Errorf("network: exchange %d aborted", exchange)
 		default:
 		}
-		if o.inj.Severed(o.node, to) {
-			o.emitFault("sever", to, seq, 0)
+		if inj.Severed(o.node, to) {
+			emitFault(scope, "sever", o.node, to, exchange, seq, 0)
 			return fmt.Errorf("network: link %d->%d severed", o.node, to)
 		}
-		v := o.inj.Frame(o.node, to, o.exchange, seq, attempt)
+		v := inj.Frame(o.node, to, exchange, seq, attempt)
 		if v.Delay > 0 {
-			o.emitFault("delay", to, seq, v.Delay)
+			emitFault(scope, "delay", o.node, to, exchange, seq, v.Delay)
 			time.Sleep(v.Delay)
 		}
 		if !v.Drop && !v.Corrupt {
 			if v.Dup {
 				// The duplicate "arrives" and is suppressed by sequence
 				// number, exactly like the TCP receiver's dedupe.
-				o.emitFault("dup", to, seq, 0)
-				if o.scope != nil {
-					o.scope.Counter(telemetry.CtrNetDupDropped).Inc()
-					o.scope.Emit(telemetry.Recovery{Node: to, Action: "dup-drop"})
+				emitFault(scope, "dup", o.node, to, exchange, seq, 0)
+				if scope != nil {
+					scope.Counter(telemetry.CtrNetDupDropped).Inc()
+					scope.Emit(telemetry.Recovery{Node: to, Action: "dup-drop"})
 				}
 			}
 			return deliver()
@@ -271,41 +191,43 @@ func (o *faultyOutbox) ship(dest int, deliver func() error) error {
 		kind := "drop"
 		if v.Corrupt {
 			kind = "corrupt"
-			if o.scope != nil {
-				o.scope.Counter(telemetry.CtrNetCorruptDropped).Inc()
+			if scope != nil {
+				scope.Counter(telemetry.CtrNetCorruptDropped).Inc()
 			}
 		}
-		o.emitFault(kind, to, seq, 0)
+		emitFault(scope, kind, o.node, to, exchange, seq, 0)
 		wait := o.pol.Timeout(attempt, seq*0x9e3779b97f4a7c15+uint64(attempt))
 		timer := time.NewTimer(wait)
 		select {
-		case <-o.abort:
+		case <-o.ex.abortCh:
 			timer.Stop()
-			return fmt.Errorf("network: exchange %d aborted", o.exchange)
+			return fmt.Errorf("network: exchange %d aborted", exchange)
 		case <-timer.C:
 		}
 		if (o.pol.MaxAttempts > 0 && attempt+1 >= o.pol.MaxAttempts) || time.Now().After(deadline) {
 			return fmt.Errorf("network: send to node %d (exchange %d, seq %d) undeliverable after %d attempts",
-				to, o.exchange, seq, attempt+1)
+				to, exchange, seq, attempt+1)
 		}
-		if o.scope != nil {
-			o.scope.Counter(telemetry.CtrNetRetries).Inc()
-			o.scope.Emit(telemetry.NetRetry{
-				Exchange: o.exchange, From: o.node, To: to, Seq: seq,
+		if scope != nil {
+			scope.Counter(telemetry.CtrNetRetries).Inc()
+			scope.Emit(telemetry.NetRetry{
+				Exchange: exchange, From: o.node, To: to, Seq: seq,
 				Attempt: attempt + 1, Backoff: wait, Cause: "timeout",
 			})
 		}
 	}
 }
 
-func (o *faultyOutbox) emitFault(kind string, to int, seq uint64, d time.Duration) {
-	if o.scope == nil {
+// emitFault counts and records one injected link fault, on either
+// transport.
+func emitFault(scope *telemetry.Scope, kind string, from, to, exchange int, seq uint64, d time.Duration) {
+	if scope == nil {
 		return
 	}
-	o.scope.Counter(telemetry.CtrFaultsInjected).Inc()
-	o.scope.Emit(telemetry.FaultInjected{
-		Site: "link", Fault: kind, From: o.node, To: to,
-		Exchange: o.exchange, Seq: seq, Delay: d,
+	scope.Counter(telemetry.CtrFaultsInjected).Inc()
+	scope.Emit(telemetry.FaultInjected{
+		Site: "link", Fault: kind, From: from, To: to,
+		Exchange: exchange, Seq: seq, Delay: d,
 	})
 }
 

@@ -20,20 +20,14 @@ import (
 type flowScheduler struct {
 	mu    sync.Mutex
 	busy  bool
-	grant map[flowKey][]chan struct{} // waiters per flow, FIFO
-	order []flowKey                   // round-robin rotation of flows with waiters
-	next  int                         // rotation cursor
-}
-
-// flowKey identifies one exchange's traffic on a node.
-type flowKey struct {
-	query    int
-	exchange int
+	grant map[exchangeKey][]chan struct{} // waiters per flow, FIFO
+	order []exchangeKey                   // round-robin rotation of flows with waiters
+	next  int                             // rotation cursor
 }
 
 // acquire blocks until the flow is granted the wire and returns how
 // long it waited (0 on the uncontended fast path).
-func (f *flowScheduler) acquire(k flowKey) time.Duration {
+func (f *flowScheduler) acquire(k exchangeKey) time.Duration {
 	f.mu.Lock()
 	if !f.busy {
 		f.busy = true
@@ -42,7 +36,7 @@ func (f *flowScheduler) acquire(k flowKey) time.Duration {
 	}
 	ch := make(chan struct{})
 	if f.grant == nil {
-		f.grant = make(map[flowKey][]chan struct{})
+		f.grant = make(map[exchangeKey][]chan struct{})
 	}
 	if _, ok := f.grant[k]; !ok {
 		f.order = append(f.order, k)

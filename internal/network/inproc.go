@@ -1,14 +1,20 @@
 // Package network connects the exchange operators (sender/merger) of
-// segments running on different nodes. Two transports are provided:
+// segments running on different nodes: a producer group of N instances
+// ships blocks to a consumer group of M instances, one Inbox each. Two
+// transports implement Fabric:
 //
-//   - InProc: an in-process transport for single-process clusters with
-//     token-bucket NIC emulation, used by tests, examples and the real
-//     engine;
-//   - TCP (tcp.go): length-prefixed frames over real sockets, used by
-//     the claims-node daemon.
+//   - InProc (this file): blocks move by pointer between the goroutine
+//     "nodes" of one process, optionally through token-bucket NIC
+//     emulation and the in-process fault model (faultyOutbox). The
+//     default fabric of engine.NewCluster, tests and examples.
+//   - TCP (tcp.go): blocks go through the wire codec in batches of
+//     frames over pooled sockets — fire-and-forget on a healthy link,
+//     windowed ack + retransmit under injected faults. One TCPNode per
+//     cluster node (all on loopback in engine.NewClusterTCP, one per
+//     claims-node process), one record per (query, exchange) on each.
 //
-// Both expose the same Exchange abstraction: a producer group of N
-// instances shipping blocks to a consumer group of M instances.
+// scopedOutbox (fabric.go) is the accounting shim both share, so the
+// two report identical network statistics.
 package network
 
 import (
@@ -16,18 +22,31 @@ import (
 	"sync"
 
 	"repro/internal/block"
+	"repro/internal/faults"
 	"repro/internal/iterator"
+	"repro/internal/telemetry"
+	"repro/internal/types"
 )
 
 // InProc is the in-process transport: blocks move by pointer between
 // goroutine "nodes", with per-node egress/ingress NIC limiters charging
 // the wire size of each block for inter-node traffic. Same-node traffic
 // bypasses the NIC, as on the paper's cluster.
+//
+// Faults optionally attaches a fault injector: in-process "frames"
+// (block handoffs) then pass through the same drop/delay/duplicate/
+// corrupt verdicts as TCP frames, with loss surfacing as a
+// backoff-and-retransmit delay and duplicates suppressed by the
+// receiver model — so fault schedules run identically against both
+// fabrics. Retry overrides the backoff policy.
 type InProc struct {
+	Faults *faults.Injector
+	Retry  *RetryPolicy
+
+	rate    float64
 	mu      sync.Mutex
 	egress  map[int]*Limiter
 	ingress map[int]*Limiter
-	rate    float64
 }
 
 // NewInProc creates a transport whose per-node NICs are limited to
@@ -40,6 +59,8 @@ func NewInProc(bytesPerSec float64) *InProc {
 	}
 }
 
+// nic returns one direction of a node's NIC. Only rate-limited
+// transports call it: with no rate set a send takes no lock here.
 func (t *InProc) nic(m map[int]*Limiter, node int) *Limiter {
 	t.mu.Lock()
 	defer t.mu.Unlock()
@@ -51,47 +72,50 @@ func (t *InProc) nic(m map[int]*Limiter, node int) *Limiter {
 	return l
 }
 
-// NodeEgressBytes reports bytes sent by a node over the emulated NIC.
-func (t *InProc) NodeEgressBytes(node int) int64 {
-	return t.nic(t.egress, node).Taken()
-}
-
-// Exchange wires one producer segment group to one consumer segment
-// group. Create it once per exchange edge of the plan, then hand each
-// producer instance an Outbox and each consumer instance an Inbox.
+// Exchange is one wired in-process exchange: one producer segment group
+// shipping to one inbox per consumer instance.
 type Exchange struct {
 	tr            *InProc
 	id            int
 	consumerNodes []int
-	producers     int
 	inboxes       []*Inbox
+	scope         *telemetry.Scope
 	abortCh       chan struct{}
 }
 
-// NewExchange declares an exchange: producers instances will send to
-// one inbox per consumer node. bufBlocks bounds each inbox (<=0 means
-// unbounded — used by materialized execution, where the entire
-// intermediate result is staged in the inbox and accounted against the
-// tracker for Table 4).
-func (t *InProc) NewExchange(id, producers int, consumerNodes []int,
-	bufBlocks int, tracker *block.Tracker) *Exchange {
+// NewExchange implements Fabric. bufBlocks <= 0 leaves the inboxes
+// unbounded — materialized execution stages the entire intermediate
+// result there, accounted against the tracker for Table 4. Each call
+// creates a private exchange object, so the (query, id) key only
+// matters for labels: in-process dataflows are disjoint by
+// construction.
+func (t *InProc) NewExchange(_, id, producers int, consumerNodes []int,
+	sch *types.Schema, bufBlocks int, tracker *block.Tracker,
+	scope *telemetry.Scope) FabricExchange {
 	ex := &Exchange{
 		tr: t, id: id,
 		consumerNodes: consumerNodes,
-		producers:     producers,
+		scope:         scope,
 		abortCh:       make(chan struct{}),
 	}
 	for range consumerNodes {
-		ex.inboxes = append(ex.inboxes, newInbox(producers, bufBlocks, tracker))
+		ex.inboxes = append(ex.inboxes, newInbox(producers, bufBlocks, sch, tracker))
 	}
 	return ex
 }
 
-// Inbox returns consumer instance i's inbox.
+// Inbox implements FabricExchange.
 func (e *Exchange) Inbox(i int) *Inbox { return e.inboxes[i] }
 
-// Abort abandons the exchange: every inbox unblocks and discards, and
-// pending fault-path retries fail fast. Idempotent.
+// SendCopies implements FabricExchange: blocks move by pointer.
+func (e *Exchange) SendCopies() bool { return false }
+
+// Release implements FabricExchange. The exchange object is the only
+// per-query state, and it is garbage once the query drops it.
+func (e *Exchange) Release() {}
+
+// Abort implements FabricExchange: every inbox unblocks and discards,
+// and pending fault-path retries fail fast. Idempotent.
 func (e *Exchange) Abort() {
 	select {
 	case <-e.abortCh:
@@ -103,10 +127,19 @@ func (e *Exchange) Abort() {
 	}
 }
 
-// Outbox returns an outbox for the producer instance running on the
-// given node.
-func (e *Exchange) Outbox(producerNode int) iterator.Outbox {
-	return &outbox{ex: e, node: producerNode}
+// Outbox implements FabricExchange for the producer instance on node,
+// behind the fault model when an injector is enabled.
+func (e *Exchange) Outbox(node int) iterator.Outbox {
+	ob := outbox{ex: e, node: node}
+	if !e.tr.Faults.Enabled() {
+		return wrapOutbox(&ob, e.scope, e.id, node, e.consumerNodes)
+	}
+	pol := DefaultRetryPolicy
+	if e.tr.Retry != nil {
+		pol = e.tr.Retry.withDefaults()
+	}
+	return wrapOutbox(&faultyOutbox{outbox: ob, pol: pol, seqs: make([]uint64, len(e.consumerNodes))},
+		e.scope, e.id, node, e.consumerNodes)
 }
 
 type outbox struct {
@@ -120,11 +153,10 @@ func (o *outbox) Send(dest int, b *block.Block) error {
 	if dest < 0 || dest >= len(o.ex.inboxes) {
 		return fmt.Errorf("network: bad destination %d", dest)
 	}
-	destNode := o.ex.consumerNodes[dest]
-	if destNode != o.node {
+	if tr, to := o.ex.tr, o.ex.consumerNodes[dest]; tr.rate > 0 && to != o.node {
 		wire := b.WireSize()
-		o.ex.tr.nic(o.ex.tr.egress, o.node).Take(wire)
-		o.ex.tr.nic(o.ex.tr.ingress, destNode).Take(wire)
+		tr.nic(tr.egress, o.node).Take(wire)
+		tr.nic(tr.ingress, to).Take(wire)
 	}
 	o.ex.inboxes[dest].put(b)
 	return nil
@@ -138,39 +170,63 @@ func (o *outbox) CloseSend() error {
 }
 
 // Inbox buffers blocks arriving for one consumer instance and satisfies
-// iterator.Inbox. The buffer is a condvar-guarded deque so it can be
+// iterator.Inbox. The buffer is a lock-guarded deque so it can be
 // bounded (pipelined modes: backpressure propagates to senders) or
 // unbounded (materialized execution).
 type Inbox struct {
+	sch     *types.Schema // what the socket transports decode frames with
+	tracker *block.Tracker
+
+	// ready holds at most one "look at the queue" token, so a blocked
+	// Recv selects on it and its cancel channel with no helper
+	// goroutine. Whoever makes the queue non-empty or the stream
+	// finished deposits it; a woken consumer that leaves either still
+	// true passes it on, so it reaches every waiter with work to see.
+	ready chan struct{}
+
 	mu        sync.Mutex
-	notEmpty  *sync.Cond
 	notFull   *sync.Cond
 	queue     []*block.Block
 	capB      int // <=0: unbounded
 	expected  int
 	done      int
-	tracker   *block.Tracker
 	buffered  int64
 	peakBuf   int64
 	received  int64
 	abandoned bool
 }
 
-func newInbox(producers, capB int, tracker *block.Tracker) *Inbox {
-	in := &Inbox{capB: capB, expected: producers, tracker: tracker}
-	in.notEmpty = sync.NewCond(&in.mu)
+func newInbox(producers, capB int, sch *types.Schema, tracker *block.Tracker) *Inbox {
+	in := &Inbox{capB: capB, expected: producers, sch: sch, tracker: tracker,
+		ready: make(chan struct{}, 1)}
 	in.notFull = sync.NewCond(&in.mu)
 	return in
 }
 
-func (in *Inbox) put(b *block.Block) {
+// wake deposits the ready token if none is pending. It never blocks, so
+// callers hold in.mu across it.
+func (in *Inbox) wake() {
+	select {
+	case in.ready <- struct{}{}:
+	default:
+	}
+}
+
+// enqueue appends b, first waiting out a full bounded inbox — or, with
+// wait false, returning false instead. An abandoned inbox drops the
+// block and its accounting: a dead dataflow has nobody left to do it.
+func (in *Inbox) enqueue(b *block.Block, wait bool) bool {
 	in.mu.Lock()
 	defer in.mu.Unlock()
 	for in.capB > 0 && len(in.queue) >= in.capB && !in.abandoned {
+		if !wait {
+			return false
+		}
 		in.notFull.Wait()
 	}
 	if in.abandoned {
-		return // dead dataflow: drop instead of wedging the producer
+		b.Release()
+		return true
 	}
 	in.queue = append(in.queue, b)
 	in.received += int64(b.NumTuples())
@@ -181,76 +237,42 @@ func (in *Inbox) put(b *block.Block) {
 	if in.tracker != nil {
 		in.tracker.Alloc(int64(b.SizeBytes()))
 	}
-	in.notEmpty.Broadcast()
-}
-
-// tryPut is put without the backpressure wait: it returns false when a
-// bounded inbox is full instead of blocking. The TCP read loop uses it
-// to detect that an insert is about to block so it can flush pending
-// acks first — acks must never be stuck behind a full inbox.
-func (in *Inbox) tryPut(b *block.Block) bool {
-	in.mu.Lock()
-	defer in.mu.Unlock()
-	if in.capB > 0 && len(in.queue) >= in.capB && !in.abandoned {
-		return false
-	}
-	if in.abandoned {
-		return true // dead dataflow: drop, nothing to wait for
-	}
-	in.queue = append(in.queue, b)
-	in.received += int64(b.NumTuples())
-	in.buffered += int64(b.SizeBytes())
-	if in.buffered > in.peakBuf {
-		in.peakBuf = in.buffered
-	}
-	if in.tracker != nil {
-		in.tracker.Alloc(int64(b.SizeBytes()))
-	}
-	in.notEmpty.Broadcast()
+	in.wake()
 	return true
 }
+
+func (in *Inbox) put(b *block.Block) { in.enqueue(b, true) }
+
+// tryPut is put without the backpressure wait. The TCP read loop uses
+// it to detect that an insert is about to block so it can flush pending
+// acks first — acks must never be stuck behind a full inbox.
+func (in *Inbox) tryPut(b *block.Block) bool { return in.enqueue(b, false) }
 
 func (in *Inbox) producerDone() {
 	in.mu.Lock()
 	defer in.mu.Unlock()
 	in.done++
 	if in.done >= in.expected {
-		in.notEmpty.Broadcast()
+		in.wake()
 	}
 }
 
 // Recv implements iterator.Inbox with cancellation: a blocked wait is
 // woken either by data, by the last producer closing, or by the cancel
-// channel (a shrink request against the waiting worker).
+// channel (a shrink request against the waiting worker). A cancel
+// channel already closed on entry wins over buffered data; one that
+// closes during the wait does not, because a waiter that took the ready
+// token must look at the queue and pass the token on, or the blocks
+// behind it are stranded with every other consumer still asleep.
 func (in *Inbox) Recv(cancel <-chan struct{}) (*block.Block, iterator.RecvStatus) {
-	var cancelled bool
-	if cancel != nil {
-		// Fast-path cancellation check.
-		select {
-		case <-cancel:
-			return nil, iterator.RecvCancelled
-		default:
-		}
-		woke := make(chan struct{})
-		go func() {
-			select {
-			case <-cancel:
-				in.mu.Lock()
-				cancelled = true
-				in.mu.Unlock()
-				in.notEmpty.Broadcast()
-			case <-woke:
-			}
-		}()
-		defer close(woke)
+	select {
+	case <-cancel:
+		return nil, iterator.RecvCancelled
+	default:
 	}
-
-	in.mu.Lock()
-	defer in.mu.Unlock()
 	for {
-		if cancelled {
-			return nil, iterator.RecvCancelled
-		}
+		in.mu.Lock()
+		finished := in.done >= in.expected
 		if len(in.queue) > 0 {
 			b := in.queue[0]
 			in.queue = in.queue[1:]
@@ -258,13 +280,24 @@ func (in *Inbox) Recv(cancel <-chan struct{}) (*block.Block, iterator.RecvStatus
 			if in.tracker != nil {
 				in.tracker.Free(int64(b.SizeBytes()))
 			}
+			if len(in.queue) > 0 || finished {
+				in.wake()
+			}
 			in.notFull.Broadcast()
+			in.mu.Unlock()
 			return b, iterator.RecvOK
 		}
-		if in.done >= in.expected {
+		if finished {
+			in.wake() // pass the token on: every waiter must see the end
+			in.mu.Unlock()
 			return nil, iterator.RecvEOF
 		}
-		in.notEmpty.Wait()
+		in.mu.Unlock()
+		select {
+		case <-in.ready:
+		case <-cancel:
+			return nil, iterator.RecvCancelled
+		}
 	}
 }
 
@@ -319,11 +352,14 @@ func (in *Inbox) Abandon() {
 	if in.tracker != nil && in.buffered > 0 {
 		in.tracker.Free(in.buffered)
 	}
+	for _, b := range in.queue {
+		b.Release()
+	}
 	in.queue = nil
 	in.buffered = 0
 	if in.done < in.expected {
 		in.done = in.expected
 	}
-	in.notEmpty.Broadcast()
+	in.wake()
 	in.notFull.Broadcast()
 }

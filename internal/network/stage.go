@@ -1,8 +1,8 @@
 package network
 
 import (
+	"fmt"
 	"hash/crc32"
-	"strconv"
 	"sync"
 	"time"
 
@@ -19,11 +19,8 @@ import (
 // syscall per batch instead of one per block, and the fast path encodes
 // each block exactly once, straight into the bytes the syscall writes.
 type stager struct {
-	n     *TCPNode
-	peer  int
-	flow  flowKey
-	hash  uint64           // conn-pool slot selector, stable per flow
-	scope *telemetry.Scope // sender-side scope for stall/batch accounting
+	ex   *exchangeRec
+	peer int
 
 	mu     sync.Mutex
 	buf    []byte // pooled batch buffer; nil when empty (batchHdrLen reserved)
@@ -31,35 +28,22 @@ type stager struct {
 	gen    uint64 // flush generation; invalidates stale deadline timers
 	timer  *time.Timer
 	err    error // sticky deadline-flush error, surfaced to the next append
+	closed bool  // discarded with its exchange: appends fail, nothing is staged or timed again
 }
 
-// stageKey identifies one stager: the traffic of one (query, exchange)
-// toward one peer node.
-type stageKey struct {
-	peer     int
-	query    int
-	exchange int
-}
-
-// stager returns (creating on first use) the stager for one flow's
+// stager returns (creating on first use) the stager for the exchange's
 // traffic to a peer. Concurrent outboxes of the same exchange share the
-// stager and therefore the batch buffer. The creator's scope is the
-// stager's for life: the coalesce-deadline timer reads it under s.mu
-// while senders come through here under n.mu, so it is never written
-// after creation.
-func (n *TCPNode) stager(peer, query, exchange int, scope *telemetry.Scope) *stager {
-	k := stageKey{peer, query, exchange}
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	s, ok := n.stagers[k]
+// stager and therefore the batch buffer. A released exchange hands out
+// closed stagers and keeps none.
+func (ex *exchangeRec) stager(peer int) *stager {
+	ex.mu.Lock()
+	defer ex.mu.Unlock()
+	s, ok := ex.stagers[peer]
 	if !ok {
-		s = &stager{
-			n: n, peer: peer,
-			flow:  flowKey{query, exchange},
-			hash:  flowHash(query, exchange),
-			scope: scope,
+		s = &stager{ex: ex, peer: peer, closed: ex.released}
+		if !ex.released {
+			ex.stagers[peer] = s
 		}
-		n.stagers[k] = s
 	}
 	return s
 }
@@ -73,9 +57,6 @@ func (s *stager) appendBlock(h frameHeader, b *block.Block) error {
 	need := frameHdrLen + b.WireSize()
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if err := s.takeErrLocked(); err != nil {
-		return err
-	}
 	if err := s.ensureLocked(need); err != nil {
 		return err
 	}
@@ -95,9 +76,6 @@ func (s *stager) appendBlock(h frameHeader, b *block.Block) error {
 func (s *stager) appendRaw(h frameHeader, payload []byte) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if err := s.takeErrLocked(); err != nil {
-		return err
-	}
 	if err := s.ensureLocked(frameHdrLen + len(payload)); err != nil {
 		return err
 	}
@@ -128,17 +106,24 @@ func (s *stager) takeErrLocked() error {
 	return err
 }
 
-// ensureLocked makes room for need more bytes, flushing the current
-// batch first when it would not fit, and allocates the pooled batch
-// buffer on first use.
+// ensureLocked opens an append: it surfaces a pending background error
+// or the stager's closure, then makes room for need more bytes, flushing
+// the current batch first when it would not fit, and allocates the
+// pooled batch buffer on first use.
 func (s *stager) ensureLocked(need int) error {
+	if err := s.takeErrLocked(); err != nil {
+		return err
+	}
+	if s.closed {
+		return fmt.Errorf("network: exchange %d released", s.ex.key.exchange)
+	}
 	if s.buf != nil && len(s.buf)+need > cap(s.buf) {
 		if err := s.flushLocked(); err != nil {
 			return err
 		}
 	}
 	if s.buf == nil {
-		size := s.n.wireCfg().CoalesceBytes
+		size := s.ex.n.wireCfg().CoalesceBytes
 		if size < need {
 			size = need
 		}
@@ -153,7 +138,7 @@ func (s *stager) ensureLocked(need int) error {
 // coalescing threshold (<=1 disables coalescing: every frame is its own
 // batch).
 func (s *stager) maybeFlushLocked() error {
-	if cfg := s.n.wireCfg(); len(s.buf)-batchHdrLen >= cfg.CoalesceBytes || cfg.CoalesceBytes <= 1 {
+	if cfg := s.ex.n.wireCfg(); len(s.buf)-batchHdrLen >= cfg.CoalesceBytes || cfg.CoalesceBytes <= 1 {
 		return s.flushLocked()
 	}
 	return nil
@@ -163,7 +148,7 @@ func (s *stager) maybeFlushLocked() error {
 // started; the generation check discards the timer if a size/EOF flush
 // beat it.
 func (s *stager) armTimerLocked() {
-	cfg := s.n.wireCfg()
+	cfg := s.ex.n.wireCfg()
 	if cfg.CoalesceBytes <= 1 {
 		return // every append flushes synchronously anyway
 	}
@@ -197,18 +182,19 @@ func (s *stager) flushLocked() error {
 		s.timer = nil
 	}
 	putBatchHeader(buf, len(buf)-batchHdrLen, frames)
-	err := s.n.transmit(s.peer, s.flow, s.hash, s.scope, buf, frames)
+	err := s.ex.transmit(s.peer, buf, frames)
 	block.PutBuf(buf)
-	if err != nil && s.n.reliable() {
+	if err != nil && s.ex.n.reliable() {
 		err = nil
 	}
 	return err
 }
 
-// discard drops any staged bytes without writing them (exchange release
-// and node shutdown).
+// discard drops any staged bytes without writing them and closes the
+// stager (exchange release and node shutdown).
 func (s *stager) discard() {
 	s.mu.Lock()
+	s.closed = true
 	if s.timer != nil {
 		s.timer.Stop()
 		s.timer = nil
@@ -222,28 +208,33 @@ func (s *stager) discard() {
 	s.mu.Unlock()
 }
 
-// transmit ships one finished batch to a peer: acquire the flow's turn
-// on the node transmit scheduler (accounting the wait as the exchange's
+// transmit ships one finished batch to a peer: acquire the exchange's
+// turn on the node transmit scheduler (accounting the wait as its
 // net.stall_ns), then one contiguous write on the flow's pooled
 // connection.
-func (n *TCPNode) transmit(peer int, fl flowKey, hash uint64,
-	scope *telemetry.Scope, batch []byte, frames int) error {
+func (ex *exchangeRec) transmit(peer int, batch []byte, frames int) error {
+	n, scope := ex.n, ex.scope.Load()
 	var sp *telemetry.Span
 	if scope != nil {
-		sp = scope.StartSpan("net.stall ex"+strconv.Itoa(fl.exchange), "net").
+		sp = scope.StartSpan(ex.stallSpan, "net").
 			WithNode(n.id).WithBytes(int64(len(batch)))
 	}
-	stall := n.flow.acquire(fl)
+	stall := n.flow.acquire(ex.key)
 	if stall > 0 {
 		n.statStallNs.Add(int64(stall))
 		if scope != nil {
 			scope.Counter(telemetry.CtrNetStallNs).Add(int64(stall))
-			scope.Counter(telemetry.ExCtr(fl.exchange, "stall_ns")).Add(int64(stall))
+			scope.Counter(telemetry.ExCtr(ex.key.exchange, "stall_ns")).Add(int64(stall))
 			scope.Histogram(telemetry.HistNetStall, telemetry.DurationBuckets).Observe(stall.Seconds())
 			sp.End()
 		}
 	}
-	err := n.writeBatch(peer, hash, batch)
+	// All traffic of one flow shares a pool slot, so per-stream frame
+	// order survives the multiplexing.
+	p, err := n.pool(peer)
+	if err == nil {
+		err = p.slot(ex.hash).write(p.addr, peer, batch)
+	}
 	n.flow.release()
 	n.statBatches.Add(1)
 	n.statFrames.Add(int64(frames))

@@ -6,6 +6,7 @@ import (
 	"hash/crc32"
 	"io"
 	"net"
+	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -28,8 +29,9 @@ import (
 // Every exchange is keyed by (queryID, exchangeID): plan exchange ids
 // repeat across queries (and across concurrent queries), so the query
 // id — process-unique on the submitting master — namespaces the whole
-// dataflow. Concurrent queries on one node mesh never share an inbox,
-// a sequence-number stream, or an abort channel.
+// dataflow. Everything the node holds for one key lives in one record
+// (exchangeRec): concurrent queries on one node mesh never share an
+// inbox, a sequence-number stream, or an abort flag.
 //
 // Every data/eof frame carries a per-stream sequence number (stream =
 // query × exchange × destination instance × source node) and a CRC of
@@ -73,42 +75,56 @@ type TCPNode struct {
 	statStallNs atomic.Int64
 	statAckErrs atomic.Int64
 
-	mu       sync.Mutex
-	pools    map[int]*connPool
-	accepted []net.Conn
-	inboxes  map[inboxKey]*Inbox
-	schemas  map[exchangeKey]*types.Schema
-	trackers map[exchangeKey]*block.Tracker
-	scopes   map[exchangeKey]*telemetry.Scope
-	streams  map[streamKey]uint64 // next expected seq per stream
-	aborts   map[exchangeKey]chan struct{}
-	stagers  map[stageKey]*stager
-	closed   bool
-	wg       sync.WaitGroup
-
-	winMu sync.Mutex
-	wins  map[winKey]*sendWindow
+	// mu is a leaf: held for one operation on the maps below, never
+	// while taking a record, stager, window or connection lock.
+	mu        sync.Mutex
+	pools     map[int]*connPool
+	accepted  []net.Conn
+	exchanges map[exchangeKey]*exchangeRec
+	closed    bool
+	wg        sync.WaitGroup
 }
 
-// exchangeKey identifies one query's exchange on a node: plan exchange
-// ids repeat across queries, so every per-exchange structure is keyed
-// by the pair.
+// exchangeKey identifies one query's exchange on a node.
 type exchangeKey struct {
 	query    int
 	exchange int
 }
 
-type inboxKey struct {
-	query    int
-	exchange int
-	instance int
-}
-
+// streamKey identifies one sequence-numbered stream: the frames one
+// source node sends to one consumer instance of an exchange.
 type streamKey struct {
 	query    int
 	exchange int
 	instance int
 	src      int
+}
+
+// exchangeRec is everything one node holds for one (query, exchange):
+// the receiving half (consumer inboxes, per-stream watermarks), the
+// sending half (a stager per peer, a send window per destination on the
+// reliable path) and what both share (scope, abort flag).
+// RegisterInbox, NewOutbox, AbortExchange and SetExchangeScope create it
+// on first mention; nothing that arrives on a socket does.
+// ReleaseExchange deletes and empties it in one step, so a frame or ack
+// still on the wire finds no record or a released one and is dropped —
+// there is no second table a late arrival could re-populate.
+type exchangeRec struct {
+	n         *TCPNode
+	key       exchangeKey
+	hash      uint64      // conn-pool slot selector, stable per flow
+	stallSpan string      // built once: StartSpan must see no work when spans are off
+	aborted   atomic.Bool // set by AbortExchange
+	// scope counts both halves' events. The first non-nil scope attached
+	// wins, so stager timers and read loops load it without a lock.
+	scope atomic.Pointer[telemetry.Scope]
+
+	mu       sync.Mutex
+	released bool
+	inboxes  map[int]*Inbox       // by consumer instance
+	streams  map[streamKey]uint64 // next expected seq per stream
+	stagers  map[int]*stager      // by peer node
+	wins     map[int]*sendWindow  // by destination instance
 }
 
 // NewTCPNode starts listening on addr as node id. peers maps every node
@@ -122,15 +138,8 @@ func NewTCPNode(id int, addr string, peers map[int]string) (*TCPNode, error) {
 	}
 	n := &TCPNode{
 		id: id, ln: ln, peers: peers,
-		pools:    make(map[int]*connPool),
-		inboxes:  make(map[inboxKey]*Inbox),
-		schemas:  make(map[exchangeKey]*types.Schema),
-		trackers: make(map[exchangeKey]*block.Tracker),
-		scopes:   make(map[exchangeKey]*telemetry.Scope),
-		streams:  make(map[streamKey]uint64),
-		aborts:   make(map[exchangeKey]chan struct{}),
-		stagers:  make(map[stageKey]*stager),
-		wins:     make(map[winKey]*sendWindow),
+		pools:     make(map[int]*connPool),
+		exchanges: make(map[exchangeKey]*exchangeRec),
 	}
 	n.wg.Add(1)
 	go n.acceptLoop()
@@ -217,30 +226,13 @@ func (n *TCPNode) DropPeer(id int) {
 	}
 }
 
-// Peers returns a copy of the node's current peer address map.
-func (n *TCPNode) Peers() map[int]string {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	out := make(map[int]string, len(n.peers))
-	for id, addr := range n.peers {
-		out[id] = addr
-	}
-	return out
-}
-
-// OpenExchanges counts the per-exchange registrations the node still
-// holds (inboxes, schemas, trackers, scopes, stream watermarks, abort
-// channels, stagers, send windows). Zero after every query released its
-// exchanges — tests and the /metrics surface use it to prove teardown
-// leaves nothing behind.
+// OpenExchanges counts the exchange records the node still holds. Zero
+// after every query released its exchanges — tests and the /metrics
+// surface use it to prove teardown leaves nothing behind.
 func (n *TCPNode) OpenExchanges() int {
-	n.winMu.Lock()
-	nw := len(n.wins)
-	n.winMu.Unlock()
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	return len(n.inboxes) + len(n.schemas) + len(n.trackers) +
-		len(n.scopes) + len(n.streams) + len(n.aborts) + len(n.stagers) + nw
+	return len(n.exchanges)
 }
 
 // SetFaults attaches a fault injector consulted on every outgoing
@@ -296,27 +288,67 @@ func (n *TCPNode) acceptLoop() {
 	}
 }
 
-// RegisterInbox declares that this node hosts consumer instance
-// (query, exchange, instance) expecting nProducers streams with the
-// given schema. Must be called before producers start sending.
-func (n *TCPNode) RegisterInbox(query, exchange, instance, nProducers int,
-	sch *types.Schema, bufBlocks int, tracker *block.Tracker) *Inbox {
+// record returns the exchange's record, creating it on first mention.
+// On a closed node it is born released and stays out of the table.
+func (n *TCPNode) record(k exchangeKey) *exchangeRec {
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	in := newInbox(nProducers, bufBlocks, tracker)
-	n.inboxes[inboxKey{query, exchange, instance}] = in
-	n.schemas[exchangeKey{query, exchange}] = sch
-	n.trackers[exchangeKey{query, exchange}] = tracker
+	ex, ok := n.exchanges[k]
+	if !ok {
+		ex = &exchangeRec{
+			n: n, key: k,
+			hash:      flowHash(k.query, k.exchange),
+			stallSpan: "net.stall ex" + strconv.Itoa(k.exchange),
+			released:  n.closed,
+			inboxes:   make(map[int]*Inbox),
+			streams:   make(map[streamKey]uint64),
+			stagers:   make(map[int]*stager),
+			wins:      make(map[int]*sendWindow),
+		}
+		if !n.closed {
+			n.exchanges[k] = ex
+		}
+	}
+	return ex
+}
+
+// lookup returns the exchange's record or nil: what bytes off a socket
+// go through, so a peer can neither create nor resurrect a record.
+func (n *TCPNode) lookup(k exchangeKey) *exchangeRec {
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	return n.exchanges[k]
+}
+
+// RegisterInbox declares that this node hosts consumer instance
+// (query, exchange, instance) expecting nProducers streams with the
+// given schema. Must be called before producers start sending. On an
+// exchange already aborted the inbox is born abandoned.
+func (n *TCPNode) RegisterInbox(query, exchange, instance, nProducers int,
+	sch *types.Schema, bufBlocks int, tracker *block.Tracker) *Inbox {
+	in := newInbox(nProducers, bufBlocks, sch, tracker)
+	ex := n.record(exchangeKey{query, exchange})
+	ex.mu.Lock()
+	defer ex.mu.Unlock()
+	if ex.released || ex.aborted.Load() {
+		in.Abandon()
+	}
+	if !ex.released {
+		ex.inboxes[instance] = in
+	}
 	return in
 }
 
-// SetExchangeScope attaches the telemetry scope receiver-side events of
-// an exchange (duplicate suppression, corrupt-frame drops, ack-write
-// failures) are counted on.
+// SetExchangeScope attaches the telemetry scope the exchange's events
+// on this node are counted on; TCPOutbox.SetScope is the same setter.
 func (n *TCPNode) SetExchangeScope(query, exchange int, sc *telemetry.Scope) {
-	n.mu.Lock()
-	n.scopes[exchangeKey{query, exchange}] = sc
-	n.mu.Unlock()
+	n.record(exchangeKey{query, exchange}).setScope(sc)
+}
+
+func (ex *exchangeRec) setScope(sc *telemetry.Scope) {
+	if sc != nil {
+		ex.scope.CompareAndSwap(nil, sc)
+	}
 }
 
 // AbortExchange abandons one query's exchange: pending reliable sends
@@ -326,106 +358,53 @@ func (n *TCPNode) SetExchangeScope(query, exchange int, sc *telemetry.Scope) {
 // Other queries' exchanges — same plan exchange id included — are
 // untouched.
 func (n *TCPNode) AbortExchange(query, exchange int) {
-	ek := exchangeKey{query, exchange}
-	n.mu.Lock()
-	ch, ok := n.aborts[ek]
-	if !ok {
-		ch = make(chan struct{})
-		n.aborts[ek] = ch
+	ex := n.record(exchangeKey{query, exchange})
+	ex.aborted.Store(true)
+	ex.mu.Lock()
+	for _, in := range ex.inboxes {
+		in.Abandon() // never blocks: takes only the inbox's own lock
 	}
-	select {
-	case <-ch:
-	default:
-		close(ch)
+	// Failing a window can wait on a socket write in progress: not under
+	// the record lock.
+	ws := make([]*sendWindow, 0, len(ex.wins))
+	for _, w := range ex.wins {
+		ws = append(ws, w)
 	}
-	var ins []*Inbox
-	for k, in := range n.inboxes {
-		if k.query == query && k.exchange == exchange {
-			ins = append(ins, in)
-		}
-	}
-	n.mu.Unlock()
-	n.winMu.Lock()
-	var ws []*sendWindow
-	for k, w := range n.wins {
-		if k.query == query && k.exchange == exchange {
-			ws = append(ws, w)
-		}
-	}
-	n.winMu.Unlock()
+	ex.mu.Unlock()
 	for _, w := range ws {
 		w.fail(fmt.Errorf("network: exchange %d aborted", exchange))
 	}
-	for _, in := range ins {
-		in.Abandon()
+}
+
+// ReleaseExchange drops the record of (query, exchange) and everything
+// it owns, so a long-lived serving node does not accrete one per query.
+func (n *TCPNode) ReleaseExchange(query, exchange int) {
+	k := exchangeKey{query, exchange}
+	n.mu.Lock()
+	ex := n.exchanges[k]
+	delete(n.exchanges, k)
+	n.mu.Unlock()
+	if ex != nil {
+		ex.release(fmt.Errorf("network: exchange %d released", exchange))
 	}
 }
 
-// ReleaseExchange drops every per-exchange structure of (query,
-// exchange) — inboxes, schema, tracker, scope, stream watermarks,
-// abort channel, stagers and any leftover send windows. The engine
-// releases each exchange when its query completes; without this a
-// long-lived serving node accretes one map entry per stream per query
-// forever.
-func (n *TCPNode) ReleaseExchange(query, exchange int) {
-	ek := exchangeKey{query, exchange}
-	n.mu.Lock()
-	for k := range n.inboxes {
-		if k.query == query && k.exchange == exchange {
-			delete(n.inboxes, k)
-		}
-	}
-	for k := range n.streams {
-		if k.query == query && k.exchange == exchange {
-			delete(n.streams, k)
-		}
-	}
-	var sts []*stager
-	for k, s := range n.stagers {
-		if k.query == query && k.exchange == exchange {
-			sts = append(sts, s)
-			delete(n.stagers, k)
-		}
-	}
-	delete(n.schemas, ek)
-	delete(n.trackers, ek)
-	delete(n.scopes, ek)
-	delete(n.aborts, ek)
-	n.mu.Unlock()
-	n.winMu.Lock()
-	for k := range n.wins {
-		if k.query == query && k.exchange == exchange {
-			delete(n.wins, k)
-		}
-	}
-	n.winMu.Unlock()
-	for _, s := range sts {
+// release empties the record: a late frame finds no inbox and is
+// dropped undecoded (charging no tracker), staged bytes are discarded
+// and their stagers closed, leftover send windows fail with err so
+// their producers wake and their pumps exit.
+func (ex *exchangeRec) release(err error) {
+	ex.mu.Lock()
+	ex.released = true
+	stagers, wins := ex.stagers, ex.wins
+	ex.inboxes, ex.streams, ex.stagers, ex.wins = nil, nil, nil, nil
+	ex.mu.Unlock()
+	for _, s := range stagers {
 		s.discard()
 	}
-}
-
-// abortCh returns the exchange's abort channel, creating it open.
-func (n *TCPNode) abortCh(query, exchange int) chan struct{} {
-	ek := exchangeKey{query, exchange}
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	ch, ok := n.aborts[ek]
-	if !ok {
-		ch = make(chan struct{})
-		n.aborts[ek] = ch
+	for _, w := range wins {
+		w.fail(err)
 	}
-	return ch
-}
-
-func (n *TCPNode) inbox(query, exchange, instance int) (*Inbox, *types.Schema, *block.Tracker, *telemetry.Scope, error) {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	in, ok := n.inboxes[inboxKey{query, exchange, instance}]
-	if !ok {
-		return nil, nil, nil, nil, fmt.Errorf("network: no inbox for query %d exchange %d instance %d", query, exchange, instance)
-	}
-	ek := exchangeKey{query, exchange}
-	return in, n.schemas[ek], n.trackers[ek], n.scopes[ek], nil
 }
 
 // applyVerdict classifies one arriving frame against its stream's
@@ -436,49 +415,39 @@ const (
 	applyApply  applyVerdict = iota // in order: apply and advance
 	applyDup                        // below the watermark: suppress, re-ack
 	applyGap                        // beyond the watermark: discard, re-ack
-	applyIgnore                     // mid-stream frame of an unknown stream
+	applyIgnore                     // no inbox, or mid-stream frame of an unknown stream
 )
 
-// applyOnce decides one frame's fate and advances the stream watermark
-// when it is applied. Frames apply strictly in sequence order: under
-// the windowed sender a dropped frame leaves a gap, and frames behind
-// the gap are discarded (go-back-N re-delivers them in order) instead
-// of applied early — the discard is what keeps "applied" equal to "all
-// predecessors applied", which the cumulative ack asserts. Outbox
-// sequence bases are node-wide epochs shifted left 32 bits, so the
-// first frame of any stream has zero low bits; that is how a fresh
-// stream reusing a released stream key is told apart from a gap.
-func (n *TCPNode) applyOnce(k streamKey, seq uint64) (applyVerdict, uint64) {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	if _, live := n.inboxes[inboxKey{k.query, k.exchange, k.instance}]; !live {
-		// Released between handleFrame's inbox lookup and here (a
-		// cancelled query's frames are still on the wire when it tears
-		// down): recording a watermark now would outlive the exchange.
-		return applyIgnore, 0
+// accept finds the frame's inbox and decides the frame's fate in one
+// critical section, advancing the stream watermark when it is applied.
+// Frames apply strictly in sequence order: under the windowed sender a
+// dropped frame leaves a gap, and frames behind the gap are discarded
+// (go-back-N re-delivers them in order) instead of applied early — the
+// discard is what keeps "applied" equal to "all predecessors applied",
+// which the cumulative ack asserts. Outbox sequence bases are node-wide
+// epochs shifted left 32 bits, so the first frame of any stream has
+// zero low bits; that is how a fresh stream is told apart from a gap.
+func (ex *exchangeRec) accept(k streamKey, seq uint64) (*Inbox, applyVerdict, uint64) {
+	ex.mu.Lock()
+	defer ex.mu.Unlock()
+	in := ex.inboxes[k.instance]
+	if in == nil {
+		return nil, applyIgnore, 0 // unregistered instance, or released
 	}
-	next, ok := n.streams[k]
+	next, ok := ex.streams[k]
 	switch {
-	case !ok:
-		if seq&0xffffffff != 0 {
-			// The stream's earlier frames were lost (or it was released
-			// mid-flight): wait for a retransmission from its start.
-			return applyIgnore, 0
-		}
-		n.streams[k] = seq + 1
-		return applyApply, seq
-	case seq == next:
-		n.streams[k] = seq + 1
-		return applyApply, seq
-	case seq < next:
-		return applyDup, next - 1
-	case seq&0xffffffff == 0:
-		// A new epoch's stream start on a reused key.
-		n.streams[k] = seq + 1
-		return applyApply, seq
-	default:
-		return applyGap, next - 1
+	case !ok && seq&0xffffffff != 0:
+		// The stream's earlier frames were lost: wait for a
+		// retransmission from its start.
+		return in, applyIgnore, 0
+	case ok && seq < next:
+		return in, applyDup, next - 1
+	case ok && seq > next && seq&0xffffffff != 0:
+		return in, applyGap, next - 1
 	}
+	// In order, a stream's first frame, or a new epoch's stream start.
+	ex.streams[k] = seq + 1
+	return in, applyApply, seq
 }
 
 // readLoop drains one accepted connection batch by batch. Each batch is
@@ -516,19 +485,27 @@ func (n *TCPNode) readLoop(c net.Conn) {
 	}
 }
 
-// handleFrame processes one frame of a batch. Cumulative acks are
+// handleFrame processes one frame of a batch: one record lookup under
+// the node lock, then only the record's lock. Cumulative acks are
 // recorded in acks (keyed by stream, so many frames of one stream
 // collapse to one ack) and flushed by the caller at batch end — or
 // earlier, before any blocking inbox insert.
 func (n *TCPNode) handleFrame(h frameHeader, pl []byte, acks map[streamKey]uint64) {
+	ex := n.lookup(exchangeKey{h.query, h.exchange})
+	if ex == nil {
+		return // stray frame or late ack for an unregistered or released exchange
+	}
 	if h.kind == frameAck {
-		n.dispatchAck(winKey{h.query, h.exchange, h.inst}, h.seq)
+		// Acks for already-drained windows advance nothing.
+		ex.mu.Lock()
+		w := ex.wins[h.inst]
+		ex.mu.Unlock()
+		if w != nil {
+			w.advance(h.seq)
+		}
 		return
 	}
-	in, sch, trk, scope, err := n.inbox(h.query, h.exchange, h.inst)
-	if err != nil {
-		return // stray frame for an unregistered exchange
-	}
+	scope := ex.scope.Load()
 	if crc32.Checksum(pl, crcTable) != h.sum {
 		// Corrupted in transit: drop without acking so the sender
 		// retransmits. This is the recovery path injected Corrupt
@@ -539,41 +516,34 @@ func (n *TCPNode) handleFrame(h frameHeader, pl []byte, acks map[streamKey]uint6
 		return
 	}
 	sk := streamKey{h.query, h.exchange, h.inst, h.src}
-	verdict, ackSeq := n.applyOnce(sk, h.seq)
-	rel := n.reliable()
-	switch verdict {
-	case applyIgnore:
+	in, verdict, ackSeq := ex.accept(sk, h.seq)
+	if verdict == applyIgnore {
 		return
+	}
+	if n.reliable() {
+		// Duplicates and gaps re-acknowledge the watermark too: the
+		// original ack may have been lost to the sender's timeout, and a
+		// gap's re-ack makes the sender retransmit from it.
+		acks[sk] = ackSeq
+	}
+	switch verdict {
 	case applyDup:
-		// Duplicate: suppress, but re-acknowledge the watermark — the
-		// original ack may have been lost to the sender's timeout.
 		if scope != nil {
 			scope.Counter(telemetry.CtrNetDupDropped).Inc()
 			scope.Emit(telemetry.Recovery{Node: n.id, Action: "dup-drop"})
 		}
-		if rel {
-			acks[sk] = ackSeq
-		}
 		return
 	case applyGap:
-		// A predecessor is missing: discard and re-ack what is applied,
-		// so the sender retransmits from the gap.
 		if scope != nil {
 			scope.Counter(telemetry.CtrNetGapDropped).Inc()
 		}
-		if rel {
-			acks[sk] = ackSeq
-		}
 		return
-	}
-	if rel {
-		acks[sk] = ackSeq
 	}
 	switch h.kind {
 	case frameEOF:
 		in.producerDone()
 	case frameData:
-		b, err := block.Decode(sch, pl, trk)
+		b, err := block.Decode(in.sch, pl, in.tracker)
 		if err == nil {
 			if !in.tryPut(b) {
 				// The insert is about to block on a full inbox: flush
@@ -589,68 +559,37 @@ func (n *TCPNode) handleFrame(h frameHeader, pl []byte, acks map[streamKey]uint6
 // flushAcks sends every recorded cumulative ack and clears the map.
 func (n *TCPNode) flushAcks(acks map[streamKey]uint64) {
 	for sk, seq := range acks {
-		n.sendAck(sk.src, sk.query, sk.exchange, sk.instance, seq)
+		n.sendAck(sk, seq)
 	}
 	clear(acks)
 }
 
-// sendAck acknowledges stream (query, exchange, inst) up to and
-// including seq back to the source node, as a single-frame batch
-// written directly (acks skip the stager: window advance is
-// latency-critical). A failed write already dropped the dead
-// connection, so one retry redials; an ack lost even then costs the
-// sender a retransmit timeout and is counted.
-func (n *TCPNode) sendAck(src, query, exchange, inst int, seq uint64) {
-	if !n.reliable() {
-		return
-	}
+// sendAck acknowledges a stream up to and including seq back to its
+// source node, as a single-frame batch written directly (acks skip the
+// stager: window advance is latency-critical). A failed write already
+// dropped the dead connection, so one retry redials; an ack lost even
+// then costs the sender a retransmit timeout and is counted.
+func (n *TCPNode) sendAck(sk streamKey, seq uint64) {
 	var buf [batchHdrLen + frameHdrLen]byte
 	putBatchHeader(buf[:], frameHdrLen, 1)
 	putFrameHeader(buf[batchHdrLen:], frameHeader{
-		query: query, exchange: exchange, inst: inst,
+		query: sk.query, exchange: sk.exchange, inst: sk.instance,
 		kind: frameAck, src: n.id, seq: seq,
 	})
-	p, err := n.pool(src)
+	p, err := n.pool(sk.src)
 	if err != nil {
 		return // the sender will time out and retransmit
 	}
-	pc := p.slot(flowHash(query, exchange))
-	if pc.write(p.addr, src, buf[:]) == nil {
-		return
-	}
-	if pc.write(p.addr, src, buf[:]) == nil {
+	pc := p.slot(flowHash(sk.query, sk.exchange))
+	if pc.write(p.addr, sk.src, buf[:]) == nil || pc.write(p.addr, sk.src, buf[:]) == nil {
 		return
 	}
 	n.statAckErrs.Add(1)
-	n.mu.Lock()
-	scope := n.scopes[exchangeKey{query, exchange}]
-	n.mu.Unlock()
-	if scope != nil {
-		scope.Counter(telemetry.CtrNetAckSendErrors).Inc()
+	if ex := n.lookup(exchangeKey{sk.query, sk.exchange}); ex != nil {
+		if scope := ex.scope.Load(); scope != nil {
+			scope.Counter(telemetry.CtrNetAckSendErrors).Inc()
+		}
 	}
-}
-
-// dispatchAck advances the send window a cumulative ack addresses;
-// acks for already-drained windows find no entry and are ignored.
-func (n *TCPNode) dispatchAck(k winKey, seq uint64) {
-	n.winMu.Lock()
-	w := n.wins[k]
-	n.winMu.Unlock()
-	if w != nil {
-		w.advance(seq)
-	}
-}
-
-func (n *TCPNode) registerWin(k winKey, w *sendWindow) {
-	n.winMu.Lock()
-	n.wins[k] = w
-	n.winMu.Unlock()
-}
-
-func (n *TCPNode) unregisterWin(k winKey) {
-	n.winMu.Lock()
-	delete(n.wins, k)
-	n.winMu.Unlock()
 }
 
 // pool returns (creating if necessary) the connection pool for a peer.
@@ -671,27 +610,15 @@ func (n *TCPNode) pool(peer int) (*connPool, error) {
 	return p, nil
 }
 
-// writeBatch writes one finished batch on the peer's pooled connection
-// selected by the flow hash — all traffic of one flow shares a slot, so
-// per-stream frame order survives the multiplexing.
-func (n *TCPNode) writeBatch(peer int, hash uint64, batch []byte) error {
-	p, err := n.pool(peer)
-	if err != nil {
-		return err
-	}
-	return p.slot(hash).write(p.addr, peer, batch)
-}
-
-// TCPOutbox is the producer side of an exchange over TCP.
+// TCPOutbox is the producer side of an exchange over TCP. It holds its
+// record and its stagers, so a fast-path Send takes only a stager lock.
 type TCPOutbox struct {
-	node          *TCPNode
-	query         int
-	exchange      int
+	ex            *exchangeRec
 	consumerNodes []int // node id per destination instance
+	stagers       []*stager
 	buf           []byte
 	seqs          []uint64      // next seq per destination
 	wins          []*sendWindow // reliable path, lazily per destination
-	scope         *telemetry.Scope
 }
 
 // NewOutbox creates an outbox sending from this node to the consumer
@@ -702,40 +629,48 @@ type TCPOutbox struct {
 // a mid-stream gap.
 func (n *TCPNode) NewOutbox(query, exchange int, consumerNodes []int) *TCPOutbox {
 	base := uint64(n.epoch.Add(1)) << 32
-	seqs := make([]uint64, len(consumerNodes))
-	for i := range seqs {
-		seqs[i] = base
+	o := &TCPOutbox{
+		ex:            n.record(exchangeKey{query, exchange}),
+		consumerNodes: consumerNodes,
+		stagers:       make([]*stager, len(consumerNodes)),
+		seqs:          make([]uint64, len(consumerNodes)),
 	}
-	return &TCPOutbox{node: n, query: query, exchange: exchange, consumerNodes: consumerNodes, seqs: seqs}
+	for dest, peer := range consumerNodes {
+		o.stagers[dest] = o.ex.stager(peer)
+		o.seqs[dest] = base
+	}
+	return o
 }
 
-// SetScope attaches the telemetry scope sender-side events (injected
-// faults, retries, transmit stalls) are recorded on.
-func (o *TCPOutbox) SetScope(sc *telemetry.Scope) { o.scope = sc }
+// SetScope is SetExchangeScope for the outbox's exchange.
+func (o *TCPOutbox) SetScope(sc *telemetry.Scope) { o.ex.setScope(sc) }
 
 // Destinations implements iterator.Outbox.
 func (o *TCPOutbox) Destinations() int { return len(o.consumerNodes) }
+
+// header starts the next frame toward dest, consuming its sequence number.
+func (o *TCPOutbox) header(dest int, kind byte) frameHeader {
+	seq := o.seqs[dest]
+	o.seqs[dest]++
+	return frameHeader{
+		query: o.ex.key.query, exchange: o.ex.key.exchange, inst: dest,
+		kind: kind, src: o.ex.n.id, seq: seq,
+	}
+}
 
 // Send implements iterator.Outbox. On the fast path the block is
 // encoded once, directly into the staged wire batch; on the reliable
 // path it is copied into a pooled window slot first so retransmissions
 // outlive the caller's block.
 func (o *TCPOutbox) Send(dest int, b *block.Block) error {
-	n := o.node
-	peer := o.consumerNodes[dest]
-	seq := o.seqs[dest]
-	o.seqs[dest]++
-	if !n.reliable() {
+	h := o.header(dest, frameData)
+	if !o.ex.n.reliable() {
 		// Fire-and-forget fast path: the socket is trustworthy, pay no
 		// round trip and no copy.
-		h := frameHeader{
-			query: o.query, exchange: o.exchange, inst: dest,
-			kind: frameData, src: n.id, seq: seq,
-		}
-		return n.stager(peer, o.query, o.exchange, o.scope).appendBlock(h, b)
+		return o.stagers[dest].appendBlock(h, b)
 	}
 	o.buf = b.Encode(o.buf)
-	return o.sendReliable(dest, peer, seq, frameData, o.buf)
+	return o.sendReliable(h, o.buf)
 }
 
 // CloseSend implements iterator.Outbox. End-of-stream markers ride the
@@ -743,51 +678,38 @@ func (o *TCPOutbox) Send(dest int, b *block.Block) error {
 // every send window, so a stream failure (retransmission budget
 // exhausted, exchange aborted) surfaces here at the latest.
 func (o *TCPOutbox) CloseSend() error {
-	n := o.node
 	var firstErr error
-	if !n.reliable() {
-		for dest, peer := range o.consumerNodes {
-			h := frameHeader{
-				query: o.query, exchange: o.exchange, inst: dest,
-				kind: frameEOF, src: n.id, seq: o.seqs[dest],
-			}
-			o.seqs[dest]++
-			st := n.stager(peer, o.query, o.exchange, o.scope)
-			err := st.appendRaw(h, nil)
-			if err == nil {
-				err = st.flush()
-			}
-			if err != nil && firstErr == nil {
-				firstErr = err
-			}
+	reliable := o.ex.n.reliable()
+	for dest, st := range o.stagers {
+		h := o.header(dest, frameEOF)
+		var err error
+		if reliable {
+			err = o.sendReliable(h, nil)
+		} else {
+			err = st.appendRaw(h, nil)
 		}
-		return firstErr
-	}
-	for dest, peer := range o.consumerNodes {
-		seq := o.seqs[dest]
-		o.seqs[dest]++
-		if err := o.sendReliable(dest, peer, seq, frameEOF, nil); err != nil && firstErr == nil {
+		if err != nil && firstErr == nil {
 			firstErr = err
 		}
 	}
-	for _, peer := range o.consumerNodes {
-		_ = n.stager(peer, o.query, o.exchange, o.scope).flush()
+	for _, st := range o.stagers {
+		if err := st.flush(); err != nil && firstErr == nil {
+			firstErr = err
+		}
 	}
-	for dest := range o.consumerNodes {
-		if o.wins == nil || o.wins[dest] == nil {
+	for _, w := range o.wins {
+		if w == nil {
 			continue
 		}
-		if err := o.wins[dest].waitDrained(); err != nil && firstErr == nil {
+		if err := w.waitDrained(); err != nil && firstErr == nil {
 			firstErr = err
 		}
-		n.unregisterWin(winKey{o.query, o.exchange, dest})
-		o.wins[dest] = nil
 	}
 	return firstErr
 }
 
-// win returns (creating and registering on first use) the send window
-// for one destination, and starts its retransmission pump.
+// win returns (creating on first use, on the record, where acks and
+// teardown find it) one destination's send window and starts its pump.
 func (o *TCPOutbox) win(dest int) (*sendWindow, error) {
 	if o.wins == nil {
 		o.wins = make([]*sendWindow, len(o.consumerNodes))
@@ -795,17 +717,18 @@ func (o *TCPOutbox) win(dest int) (*sendWindow, error) {
 	if w := o.wins[dest]; w != nil {
 		return w, nil
 	}
-	n := o.node
-	w := newSendWindow(o, dest, o.consumerNodes[dest])
-	n.mu.Lock()
-	if n.closed {
-		n.mu.Unlock()
-		return nil, fmt.Errorf("network: node %d closed", n.id)
+	ex := o.ex
+	ex.mu.Lock()
+	defer ex.mu.Unlock()
+	if ex.released {
+		return nil, fmt.Errorf("network: exchange %d released", ex.key.exchange)
 	}
-	n.wg.Add(1)
-	n.mu.Unlock()
-	n.registerWin(winKey{o.query, o.exchange, dest}, w)
+	w := newSendWindow(o, dest, o.consumerNodes[dest])
+	ex.wins[dest] = w
 	o.wins[dest] = w
+	// Close releases every record before it waits: ex.mu orders this Add
+	// before that Wait.
+	ex.n.wg.Add(1)
 	go w.pump()
 	return w, nil
 }
@@ -815,32 +738,27 @@ func (o *TCPOutbox) win(dest int) (*sendWindow, error) {
 // transmission, and flush the stager if the window just filled — the
 // stream is about to stall for acks, so waiting for more frames cannot
 // help.
-func (o *TCPOutbox) sendReliable(dest, peer int, seq uint64, kind byte, payload []byte) error {
-	n := o.node
-	select {
-	case <-o.abortChan():
-		return fmt.Errorf("network: exchange %d aborted", o.exchange)
-	default:
+func (o *TCPOutbox) sendReliable(h frameHeader, payload []byte) error {
+	n, peer := o.ex.n, o.consumerNodes[h.inst]
+	if o.ex.aborted.Load() {
+		return fmt.Errorf("network: exchange %d aborted", h.exchange)
 	}
 	if inj := n.faults(); inj.Severed(n.id, peer) {
-		o.emitFault(telemetry.FaultInjected{
-			Site: "link", Fault: "sever", From: n.id, To: peer,
-			Exchange: o.exchange, Seq: seq,
-		})
+		o.emitFault("sever", peer, h.seq, 0)
 		return fmt.Errorf("network: link %d->%d severed", n.id, peer)
 	}
-	w, err := o.win(dest)
+	w, err := o.win(h.inst)
 	if err != nil {
 		return err
 	}
 	sum := crc32.Checksum(payload, crcTable)
-	f, full, err := w.add(kind, seq, sum, payload, n.wireCfg().Window)
+	f, full, err := w.add(h.kind, h.seq, sum, payload, n.wireCfg().Window)
 	if err != nil {
 		return err
 	}
 	w.stageAttempt(f, 0)
 	if full {
-		_ = n.stager(peer, o.query, o.exchange, o.scope).flush()
+		_ = o.stagers[h.inst].flush()
 	}
 	return nil
 }
@@ -853,63 +771,43 @@ func (o *TCPOutbox) sendReliable(dest, peer int, seq uint64, kind byte, payload 
 // verdict keeps the frame off the wire and leaves recovery to the
 // window pump.
 func (o *TCPOutbox) transmitFrame(dest, peer int, f *wframe, attempt int) {
-	n := o.node
+	n, exchange := o.ex.n, o.ex.key.exchange
 	sum := f.sum
 	var v faults.FrameVerdict
 	if peer != n.id {
-		v = n.faults().Frame(n.id, peer, o.exchange, f.seq, attempt)
+		v = n.faults().Frame(n.id, peer, exchange, f.seq, attempt)
 	}
 	if v.Delay > 0 {
-		o.emitFault(telemetry.FaultInjected{
-			Site: "link", Fault: "delay", From: n.id, To: peer,
-			Exchange: o.exchange, Seq: f.seq, Delay: v.Delay,
-		})
+		o.emitFault("delay", peer, f.seq, v.Delay)
 		time.Sleep(v.Delay)
 	}
 	if v.Drop {
-		o.emitFault(telemetry.FaultInjected{
-			Site: "link", Fault: "drop", From: n.id, To: peer,
-			Exchange: o.exchange, Seq: f.seq,
-		})
+		o.emitFault("drop", peer, f.seq, 0)
 		return // never reaches the wire; the pump retransmits
 	}
 	if v.Corrupt {
-		o.emitFault(telemetry.FaultInjected{
-			Site: "link", Fault: "corrupt", From: n.id, To: peer,
-			Exchange: o.exchange, Seq: f.seq,
-		})
+		o.emitFault("corrupt", peer, f.seq, 0)
 		sum ^= 0xDEAD
 	}
 	h := frameHeader{
-		query: o.query, exchange: o.exchange, inst: dest,
+		query: o.ex.key.query, exchange: exchange, inst: dest,
 		kind: f.kind, src: n.id, seq: f.seq, sum: sum,
 	}
-	st := n.stager(peer, o.query, o.exchange, o.scope)
+	st := o.stagers[dest]
 	_ = st.appendRaw(h, f.payload)
 	if v.Dup {
-		o.emitFault(telemetry.FaultInjected{
-			Site: "link", Fault: "dup", From: n.id, To: peer,
-			Exchange: o.exchange, Seq: f.seq,
-		})
+		o.emitFault("dup", peer, f.seq, 0)
 		_ = st.appendRaw(h, f.payload)
 	}
 }
 
-func (o *TCPOutbox) abortChan() chan struct{} {
-	return o.node.abortCh(o.query, o.exchange)
+func (o *TCPOutbox) emitFault(kind string, peer int, seq uint64, d time.Duration) {
+	emitFault(o.ex.scope.Load(), kind, o.ex.n.id, peer, o.ex.key.exchange, seq, d)
 }
 
-func (o *TCPOutbox) emitFault(rec telemetry.FaultInjected) {
-	if o.scope == nil {
-		return
-	}
-	o.scope.Counter(telemetry.CtrFaultsInjected).Inc()
-	o.scope.Emit(rec)
-}
-
-// Close shuts the node down: fail every send window (their pumps exit),
-// discard staged batches, close the listener and all pooled and
-// accepted connections, then join every goroutine.
+// Close shuts the node down: every record is released (send windows
+// die, staged batches are discarded), the listener and all pooled and
+// accepted connections close, then every goroutine is joined.
 func (n *TCPNode) Close() {
 	n.mu.Lock()
 	if n.closed {
@@ -917,32 +815,15 @@ func (n *TCPNode) Close() {
 		return
 	}
 	n.closed = true
-	pools := n.pools
-	accepted := n.accepted
+	pools, accepted, exchanges := n.pools, n.accepted, n.exchanges
 	n.pools = make(map[int]*connPool)
 	n.accepted = nil
-	aborts := n.aborts
-	n.aborts = make(map[exchangeKey]chan struct{})
-	stagers := n.stagers
-	n.stagers = make(map[stageKey]*stager)
+	n.exchanges = make(map[exchangeKey]*exchangeRec)
 	n.mu.Unlock()
 	// Fail pending reliable sends so no Send outlives the node.
-	for _, ch := range aborts {
-		select {
-		case <-ch:
-		default:
-			close(ch)
-		}
-	}
-	n.winMu.Lock()
-	wins := n.wins
-	n.wins = make(map[winKey]*sendWindow)
-	n.winMu.Unlock()
-	for _, w := range wins {
-		w.fail(fmt.Errorf("network: node %d closed", n.id))
-	}
-	for _, s := range stagers {
-		s.discard()
+	err := fmt.Errorf("network: node %d closed", n.id)
+	for _, ex := range exchanges {
+		ex.release(err)
 	}
 	n.ln.Close()
 	for _, p := range pools {

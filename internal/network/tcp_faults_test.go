@@ -366,11 +366,15 @@ func TestTCPFastPathStaysUnreliable(t *testing.T) {
 	if got := drain(t, in); len(got) != 5 {
 		t.Fatalf("received %d blocks, want 5", len(got))
 	}
-	n0.winMu.Lock()
-	wins := len(n0.wins)
-	n0.winMu.Unlock()
+	ex := ob.ex
+	ex.mu.Lock()
+	wins := len(ex.wins)
+	ex.mu.Unlock()
 	if wins != 0 {
 		t.Fatalf("%d send windows registered on the fast path", wins)
+	}
+	if n0.lookup(ex.key) != ex {
+		t.Fatal("the outbox's record is not the node's record for its key")
 	}
 	if ob.wins != nil {
 		t.Fatal("outbox allocated send windows on the fast path")

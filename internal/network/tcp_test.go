@@ -1,6 +1,7 @@
 package network
 
 import (
+	"net"
 	"testing"
 	"time"
 
@@ -184,4 +185,90 @@ func TestStagerNilScopeTimerRace(t *testing.T) {
 	if total != 2*blocks {
 		t.Fatalf("received %d tuples, want %d", total, 2*blocks)
 	}
+}
+
+// feedReadLoop runs the node's read loop over one connection carrying
+// exactly data, as the accept loop would, and returns once the loop has
+// dropped the connection.
+func feedReadLoop(t *testing.T, n *TCPNode, data []byte) {
+	t.Helper()
+	client, server := net.Pipe()
+	go func() {
+		_, _ = client.Write(data) // fails midway if the loop drops the connection first
+		client.Close()
+	}()
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		n.readLoop(server)
+	}()
+	select {
+	case <-done:
+	case <-time.After(10 * time.Second):
+		t.Fatal("read loop still running 10s after its connection closed")
+	}
+	client.Close()
+}
+
+// TestReadLoopDropsConnectionOnMalformedBatch: a batch that does not
+// parse desynchronizes the stream, so nothing after it is delivered —
+// not even a well-formed batch.
+func TestReadLoopDropsConnectionOnMalformedBatch(t *testing.T) {
+	n, err := NewTCPNode(0, "127.0.0.1:0", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer n.Close()
+	in := n.RegisterInbox(1, 1, 0, 1, sch, 0, nil)
+	good := func(seq uint64) []byte {
+		return rawBatch(rawFrame(frameHeader{query: 1, exchange: 1, kind: frameData, src: 1, seq: seq},
+			mkBlock(7, 8).Encode(nil)))
+	}
+	bad := good(1<<32 + 1)
+	bad[0] ^= 0xFF // magic
+	feedReadLoop(t, n, append(append(good(1<<32), bad...), good(1<<32+1)...))
+	if got := in.Received(); got != 2 {
+		t.Fatalf("%d tuples delivered, want the 2 ahead of the malformed batch", got)
+	}
+}
+
+// FuzzReadLoop feeds arbitrary bytes to the read loop of a node with
+// one inbox registered. The loop must not panic or hang, bytes from a
+// socket must neither create nor release an exchange record, nothing is
+// delivered once the stream stops parsing, and the tuples delivered can
+// never outnumber the bytes fed.
+func FuzzReadLoop(f *testing.F) {
+	data := rawFrame(frameHeader{query: 1, exchange: 1, kind: frameData, src: 1, seq: 1 << 32}, mkBlock(1, 2, 3).Encode(nil))
+	eof := rawFrame(frameHeader{query: 1, exchange: 1, kind: frameEOF, src: 1, seq: 1<<32 + 1}, nil)
+	stray := rawFrame(frameHeader{query: 9, exchange: 9, kind: frameData, src: 1, seq: 1 << 32}, mkBlock(4).Encode(nil))
+	ack := rawFrame(frameHeader{query: 1, exchange: 1, kind: frameAck, src: 1, seq: 5}, nil)
+	whole := rawBatch(data, ack, stray, eof)
+	f.Add(whole)
+	f.Add(whole[:len(whole)-5])
+	f.Add(append(rawBatch(data), 0xEE, 0xEE, 0xEE, 0xEE))
+	flipped := append([]byte(nil), whole...)
+	flipped[batchHdrLen+frameHdrLen+2] ^= 0x10 // payload bit: CRC must reject the frame
+	f.Add(flipped)
+	f.Add([]byte{})
+
+	n, err := NewTCPNode(0, "127.0.0.1:0", nil)
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Cleanup(n.Close)
+	f.Fuzz(func(t *testing.T, data []byte) {
+		in := n.RegisterInbox(1, 1, 0, 1, sch, 0, nil)
+		defer n.ReleaseExchange(1, 1)
+		feedReadLoop(t, n, data)
+		if open := n.OpenExchanges(); open != 1 {
+			t.Fatalf("%d exchange records after the read loop, want the 1 registered", open)
+		}
+		got := in.Received()
+		if got > int64(len(data)) {
+			t.Fatalf("%d tuples delivered from %d bytes", got, len(data))
+		}
+		if _, _, err := parseBatchHeader(data[:min(len(data), batchHdrLen)]); err != nil && got != 0 {
+			t.Fatalf("%d tuples delivered from a stream whose first batch header is malformed: %v", got, err)
+		}
+	})
 }

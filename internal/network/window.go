@@ -46,13 +46,6 @@ type wframe struct {
 	acked    bool   // delivered; payload returned to the arena
 }
 
-// winKey addresses a sender-side window from an arriving ack frame.
-type winKey struct {
-	query    int
-	exchange int
-	inst     int
-}
-
 func newSendWindow(o *TCPOutbox, dest, peer int) *sendWindow {
 	w := &sendWindow{o: o, dest: dest, peer: peer, kick: make(chan struct{}, 1)}
 	w.space = sync.NewCond(&w.mu)
@@ -172,7 +165,7 @@ func (w *sendWindow) waitDrained() error {
 // drains or the window fails; registered on the node's waitgroup so
 // Close joins it.
 func (w *sendWindow) pump() {
-	n := w.o.node
+	n, exchange := w.o.ex.n, w.o.ex.key.exchange
 	defer n.wg.Done()
 	pol := n.policy()
 	for {
@@ -217,7 +210,7 @@ func (w *sendWindow) pump() {
 			time.Since(since) > pol.Deadline {
 			w.mu.Unlock()
 			w.fail(fmt.Errorf("network: send to node %d (exchange %d, seq %d) unacknowledged after %d attempts",
-				w.peer, w.o.exchange, baseSeq, att))
+				w.peer, exchange, baseSeq, att))
 			return
 		}
 		// Go-back-N: retransmit the whole window in order. Attempt
@@ -233,23 +226,20 @@ func (w *sendWindow) pump() {
 		w.mu.Unlock()
 
 		if inj := n.faults(); inj.Severed(n.id, w.peer) {
-			w.o.emitFault(telemetry.FaultInjected{
-				Site: "link", Fault: "sever", From: n.id, To: w.peer,
-				Exchange: w.o.exchange, Seq: baseSeq,
-			})
+			w.o.emitFault("sever", w.peer, baseSeq, 0)
 			w.fail(fmt.Errorf("network: link %d->%d severed", n.id, w.peer))
 			return
 		}
 		for i, f := range round {
-			if w.o.scope != nil {
-				w.o.scope.Counter(telemetry.CtrNetRetries).Inc()
-				w.o.scope.Emit(telemetry.NetRetry{
-					Exchange: w.o.exchange, From: n.id, To: w.peer, Seq: f.seq,
+			if scope := w.o.ex.scope.Load(); scope != nil {
+				scope.Counter(telemetry.CtrNetRetries).Inc()
+				scope.Emit(telemetry.NetRetry{
+					Exchange: exchange, From: n.id, To: w.peer, Seq: f.seq,
 					Attempt: attempts[i], Backoff: wait, Cause: "timeout",
 				})
 			}
 			w.stageAttempt(f, attempts[i])
 		}
-		_ = w.o.node.stager(w.peer, w.o.query, w.o.exchange, w.o.scope).flush()
+		_ = w.o.stagers[w.dest].flush()
 	}
 }

@@ -224,3 +224,42 @@ func TestExecPreparedLookupAllocs(t *testing.T) {
 		t.Logf("%v allocs per Exec (parent RunBound: %d)", got, parentAllocs)
 	}
 }
+
+// TestExecGroupByAllocs is the allocation ceiling for the small
+// group-by the serial driver answers in microseconds (the benchmark's
+// adhoc_text sends this text one statement in eight): four groups out
+// of a filtered scan, on a FastPath cluster, plan cached, arenas warm.
+// The ceiling is what the map-of-groups aggregation allocated on this
+// fixture at the commit before the block-at-a-time one (109 per
+// statement, five runs of 500, no spread), so the flat group table and
+// its accumulator columns cannot tax statements this small.
+func TestExecGroupByAllocs(t *testing.T) {
+	const parentAllocs = 109
+	if raceEnabled {
+		t.Skip("allocation counts are not reproducible under the race detector")
+	}
+	c := fastFixture(t, true)
+	defer c.Close()
+	if c.cfg.RowExec {
+		t.Skip("the ceiling is the default path's; CLAIMS_ROWEXEC swaps in row-at-a-time encoders and kernels")
+	}
+	req := Request{SQL: "SELECT sec_code, count(*), sum(trade_volume) FROM trades WHERE sec_code IN (1, 4, 7, 9) GROUP BY sec_code"}
+	ctx := context.Background()
+	run := func() {
+		res, err := c.Exec(ctx, req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.NumRows() != 4 {
+			t.Fatalf("group-by returned %d rows, want 4", res.NumRows())
+		}
+	}
+	for i := 0; i < 10; i++ {
+		run() // warm the plan cache and the arenas
+	}
+	if got := testing.AllocsPerRun(500, run); got > parentAllocs {
+		t.Errorf("Exec of the small group-by allocates %v per statement, the parent allocated %d", got, parentAllocs)
+	} else {
+		t.Logf("%v allocs per Exec (parent: %d)", got, parentAllocs)
+	}
+}

@@ -186,23 +186,30 @@ func TestAcceptanceDropDelayTCP(t *testing.T) {
 	cfg.Retry = &fastFaultRetry
 	c := buildFaultCluster(t, cfg, true)
 
+	// The queries are small — an aggregation ships its few groups as one
+	// block, not one per shard — so a round of them sends a few dozen
+	// frames and the seeded schedule may drop none: repeat the round
+	// until a loss has been retried.
+	const rounds = 8
 	var retries int64
-	for qi, q := range metamorphicQueries {
-		scope := telemetry.NewScope(fmt.Sprintf("accept-%d", qi))
-		res, err := c.Exec(context.Background(), Request{SQL: q, Scope: scope})
-		if err != nil {
-			t.Fatalf("query %d: %v", qi, err)
+	for round := 0; round < rounds && retries == 0; round++ {
+		for qi, q := range metamorphicQueries {
+			scope := telemetry.NewScope(fmt.Sprintf("accept-%d-%d", round, qi))
+			res, err := c.Exec(context.Background(), Request{SQL: q, Scope: scope})
+			if err != nil {
+				t.Fatalf("query %d: %v", qi, err)
+			}
+			if got := fingerprint(res); got != oracle[qi] {
+				t.Errorf("query %d diverged under drop=0.05,delay=10ms", qi)
+			}
+			if n := scope.Counter(telemetry.CtrNetDupApplied).Load(); n != 0 {
+				t.Errorf("query %d: %d duplicate blocks applied", qi, n)
+			}
+			retries += scope.Counter(telemetry.CtrNetRetries).Load()
 		}
-		if got := fingerprint(res); got != oracle[qi] {
-			t.Errorf("query %d diverged under drop=0.05,delay=10ms", qi)
-		}
-		if n := scope.Counter(telemetry.CtrNetDupApplied).Load(); n != 0 {
-			t.Errorf("query %d: %d duplicate blocks applied", qi, n)
-		}
-		retries += scope.Counter(telemetry.CtrNetRetries).Load()
 	}
 	if retries == 0 {
-		t.Error("5% frame loss across three queries produced no retries")
+		t.Errorf("5%% frame loss across %d rounds of three queries produced no retries", rounds)
 	}
 }
 

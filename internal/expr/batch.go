@@ -138,6 +138,14 @@ func CompileBatch(e Expr, sch *types.Schema) BatchExpr {
 		return &colKernel{off: sch.Offset(n.Idx), width: c.Width, kind: c.Kind}
 	case *Const:
 		return &constKernel{v: n.V}
+	}
+	// A tree over literals broadcasts its value. Fused kernels are
+	// kind-faithful, so only a fold of the static kind qualifies (a CASE
+	// whose arms differ in kind may fold to the other one).
+	if v, ok := constOf(e); ok && v.Kind == e.Kind(sch) {
+		return &constKernel{v: v}
+	}
+	switch n := e.(type) {
 	case *Arith:
 		l, r := CompileBatch(n.L, sch), CompileBatch(n.R, sch)
 		lk, rk := n.L.Kind(sch), n.R.Kind(sch)
@@ -456,6 +464,14 @@ func (k *rowKernel) EvalVec(b *block.Block, sel []int32, out *Vec) {
 			out.S[j] = v.S
 		}
 	})
+}
+
+// CompileRowBatch compiles e to the kernel that calls Eval per row
+// whatever e's shape: what an operator forced to row-at-a-time
+// execution runs in place of CompileBatch's kernel, behind the same
+// interface. For a fused shape the two fill identical vectors.
+func CompileRowBatch(e Expr, sch *types.Schema) BatchExpr {
+	return &rowKernel{e: e, sch: sch, kind: e.Kind(sch)}
 }
 
 // ProjVectorized reports whether every expression in the list compiles

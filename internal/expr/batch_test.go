@@ -66,6 +66,11 @@ func batchExprCases(sch *types.Schema) []Expr {
 		NewCmp(NE, d, NewConst(types.DateVal(14100))),
 		NewExtract(Year, d),
 		NewExtract(Month, d),
+		// Trees over literals fold to a broadcast, a NULL one (1/0) too.
+		NewAddMonths(NewConst(types.DateVal(14400)), -3),
+		NewArith(Add, a, NewArith(Mul, NewConst(types.IntVal(3)), NewConst(types.IntVal(4)))),
+		NewArith(Mul, f, NewArith(Div, NewConst(types.IntVal(1)), NewConst(types.IntVal(0)))),
+		NewCmp(LT, d, NewArith(Sub, NewConst(types.DateVal(14400)), NewConst(types.IntVal(90)))),
 		// Fallback shapes.
 		NewCase([]When{{Cond: NewCmp(GT, a, b), Then: a}}, b),
 		NewCase([]When{{Cond: NewCmp(GT, f, g), Then: f}}, nil), // no ELSE → NULL
@@ -153,7 +158,30 @@ func batchPredCases(sch *types.Schema) []Expr {
 		NewNot(NewBetween(a, NewConst(types.IntVal(0)), NewConst(types.IntVal(25)))),
 		NewCase([]When{{Cond: NewCmp(GT, a, b), Then: NewConst(types.IntVal(1))}}, nil),
 	)
-	return preds
+	return append(preds, foldedPredCases(sch)...)
+}
+
+// foldedPredCases compare a column with a tree over literals: the date
+// bounds of TPC-H Q1 (date - interval day) and of Q3/Q4/Q5/Q10/Q12/Q14
+// (date ± interval month|year), the same with the literal bound to a
+// parameter first, a folded BETWEEN bound, and arithmetic over numbers.
+// All of them must compile to the fused column-op-constant kernels.
+func foldedPredCases(sch *types.Schema) []Expr {
+	a, f, d := col(sch, "a"), col(sch, "f"), col(sch, "d")
+	day := NewConst(types.DateVal(14400))
+	bound, err := SubstParams(NewAddMonths(NewParam(1), 3), []types.Value{types.DateVal(14400)})
+	if err != nil {
+		panic(err)
+	}
+	return []Expr{
+		NewCmp(LE, d, NewArith(Sub, day, NewConst(types.IntVal(90)))),
+		NewCmp(GE, d, NewAddMonths(day, -3)),
+		NewCmp(LT, NewAddMonths(day, 12), d),
+		NewCmp(LT, d, bound),
+		NewBetween(d, day, NewAddMonths(day, 12)),
+		NewCmp(GT, a, NewArith(Mul, NewConst(types.IntVal(3)), NewConst(types.IntVal(-2)))),
+		NewCmp(LT, f, NewArith(Div, NewConst(types.IntVal(7)), NewConst(types.IntVal(2)))),
+	}
 }
 
 // TestCompilePredicateMatchesEval verifies batch selection vectors
@@ -313,6 +341,29 @@ func TestPredVectorized(t *testing.T) {
 	}
 	if PredVectorized(NewOr(NewCmp(LT, a, NewConst(types.IntVal(1))), NewCmp(GT, a, NewConst(types.IntVal(5)))), sch) {
 		t.Error("OR should fall back")
+	}
+	for _, e := range foldedPredCases(sch) {
+		if !PredVectorized(e, sch) {
+			t.Errorf("%s: a bound that folds to a literal should be fused", e)
+		}
+	}
+	// x/0 folds to NULL, which no fused comparison represents: the row
+	// fallback keeps NULL's semantics (no row qualifies).
+	divZero := NewCmp(LT, col(sch, "f"), NewArith(Div, NewConst(types.IntVal(1)), NewConst(types.IntVal(0))))
+	if PredVectorized(divZero, sch) {
+		t.Error("a comparison with a NULL fold should fall back")
+	}
+	if sel := CompilePredicate(divZero, sch).Select(fillBatchBlock(sch, 50, 9), nil, nil); len(sel) != 0 {
+		t.Errorf("f < 1/0 selected %d rows", len(sel))
+	}
+	if !ProjVectorized([]Expr{NewAddMonths(NewConst(types.DateVal(14400)), 1), NewArith(Add, a, NewAddMonths(NewConst(types.DateVal(14400)), 1))}, sch) {
+		t.Error("a literal tree in a projection should fold to a broadcast")
+	}
+	// A CASE over literals whose taken arm is not of the static kind
+	// must not fold: a fused kernel's vector is of the kind Kind() says.
+	mixed := NewCase([]When{{Cond: NewConst(types.IntVal(0)), Then: NewConst(types.IntVal(1))}}, NewConst(types.FloatVal(2.5)))
+	if ProjVectorized([]Expr{mixed}, sch) {
+		t.Error("a literal CASE that folds to another kind should fall back")
 	}
 	if !ProjVectorized([]Expr{a, NewArith(Add, a, NewConst(types.IntVal(1)))}, sch) {
 		t.Error("col + arith projection should be fused")

@@ -117,11 +117,70 @@ func compileCmpPred(n *Cmp, sch *types.Schema) BatchPredicate {
 	return nil
 }
 
+// constOf returns the value of an expression that reads no column and
+// no parameter: a literal, or a tree over literals (date '1998-12-01' -
+// interval '90' day, a bound $1 + interval '3' month), folded here by
+// evaluating it once. Kernels are compiled after SubstParams, so bound
+// parameters are literals by then.
 func constOf(e Expr) (types.Value, bool) {
-	if c, ok := e.(*Const); ok {
-		return c.V, true
+	switch n := e.(type) {
+	case *Const:
+		return n.V, true
+	case *Col:
+		return types.Value{}, false
 	}
-	return types.Value{}, false
+	if !rowFree(e) {
+		return types.Value{}, false
+	}
+	return e.Eval(nil, nil), true
+}
+
+// rowFree reports whether e evaluates to the same value for every row:
+// no node of it is a Col or a Param. Like WalkParams it is closed over
+// the package's Expr types; an unknown node counts as row-dependent.
+func rowFree(e Expr) bool {
+	switch n := e.(type) {
+	case nil, *Const:
+		return true
+	case *Arith:
+		return rowFree(n.L) && rowFree(n.R)
+	case *Cmp:
+		return rowFree(n.L) && rowFree(n.R)
+	case *And:
+		return allRowFree(n.Terms)
+	case *Or:
+		return allRowFree(n.Terms)
+	case *Not:
+		return rowFree(n.E)
+	case *Like:
+		return rowFree(n.E)
+	case *Between:
+		return rowFree(n.E) && rowFree(n.Lo) && rowFree(n.Hi)
+	case *In:
+		return rowFree(n.E)
+	case *Case:
+		for _, w := range n.Whens {
+			if !rowFree(w.Cond) || !rowFree(w.Then) {
+				return false
+			}
+		}
+		return rowFree(n.Else)
+	case *Extract:
+		return rowFree(n.E)
+	case *AddMonths:
+		return rowFree(n.E)
+	default: // *Col, *Param
+		return false
+	}
+}
+
+func allRowFree(es []Expr) bool {
+	for _, e := range es {
+		if !rowFree(e) {
+			return false
+		}
+	}
+	return true
 }
 
 // flipCmp mirrors an operator across swapped operands: c op x ≡ x op' c.

@@ -245,20 +245,6 @@ func TestKeyEncodingUnambiguous(t *testing.T) {
 	}
 }
 
-func TestHashInt64Distribution(t *testing.T) {
-	// Sequential keys must spread across buckets (no trivial clustering).
-	const buckets = 16
-	var counts [buckets]int
-	for i := int64(0); i < 16000; i++ {
-		counts[HashInt64(i)%buckets]++
-	}
-	for b, c := range counts {
-		if c < 500 || c > 1500 {
-			t.Errorf("bucket %d has %d of 16000 keys; poor distribution", b, c)
-		}
-	}
-}
-
 // TestHash64Distribution guards the bits callers take from Hash64:
 // h%n routes a tuple to one of n exchange destinations, h&63 picks the
 // join or aggregation shard, and (h>>6)&(2^k-1) the join bucket inside

@@ -80,16 +80,3 @@ func Hash64(b []byte) uint64 {
 	}
 	return h
 }
-
-// HashInt64 hashes a single int64 key without encoding, a fast path for
-// the common single-integer join/partition keys (acct_id, orderkey).
-func HashInt64(v int64) uint64 {
-	// Fibonacci/splitmix-style finalizer: cheap and well distributed.
-	x := uint64(v)
-	x ^= x >> 30
-	x *= 0xbf58476d1ce4e5b9
-	x ^= x >> 27
-	x *= 0x94d049bb133111eb
-	x ^= x >> 31
-	return x
-}

@@ -63,6 +63,7 @@ func BenchmarkFilterNotLike(b *testing.B) {
 func BenchmarkHashAggShared(b *testing.B) {
 	const rows = 200_000
 	sch, mk := benchPartition(b, rows)
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		drainAll(b, NewHashAgg(mk(), sch,
@@ -71,6 +72,7 @@ func BenchmarkHashAggShared(b *testing.B) {
 			SharedAgg))
 	}
 	b.ReportMetric(float64(b.N)*rows/b.Elapsed().Seconds(), "tuples/s")
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/rows, "ns/row")
 }
 
 // benchHashJoin times the chosen phases of a 20k-row build probed by
@@ -224,3 +226,49 @@ func BenchmarkHashAggSharedRowExec(b *testing.B) {
 }
 
 func BenchmarkHashJoinBuildProbeRowExec(b *testing.B) { benchHashJoin(b, true, true, true) }
+
+// BenchmarkHashAggQ1Shape aggregates the way TPC-H Q1's partial
+// aggregation does: two CHAR(1) keys making four groups, eleven
+// sum/count aggregates (avg arrives split into sum and count), two of
+// them over arithmetic, hybrid algorithm.
+func BenchmarkHashAggQ1Shape(b *testing.B) {
+	const rows = 200_000
+	sch := types.NewSchema(types.Char("flag", 1), types.Char("status", 1),
+		types.Col("qty", types.Float64), types.Col("price", types.Float64),
+		types.Col("disc", types.Float64), types.Col("tax", types.Float64))
+	p := buildPartition(sch, rows, 64*1024, func(i int, rec []byte) {
+		types.PutValue(rec, sch, 0, types.StrVal("ANR"[i%3:i%3+1]))
+		types.PutValue(rec, sch, 1, types.StrVal("FO"[i%4/2:i%4/2+1]))
+		types.PutValue(rec, sch, 2, types.FloatVal(float64(1+i%50)))
+		types.PutValue(rec, sch, 3, types.FloatVal(900+float64(i%100000)))
+		types.PutValue(rec, sch, 4, types.FloatVal(float64(i%11)/100))
+		types.PutValue(rec, sch, 5, types.FloatVal(float64(i%9)/100))
+	})
+	qty, price := expr.NewCol(2, "qty"), expr.NewCol(3, "price")
+	disc, tax := expr.NewCol(4, "disc"), expr.NewCol(5, "tax")
+	one := expr.NewConst(types.FloatVal(1))
+	discPrice := expr.NewArith(expr.Mul, price, expr.NewArith(expr.Sub, one, disc))
+	charge := expr.NewArith(expr.Mul, discPrice, expr.NewArith(expr.Add, one, tax))
+	specs := []AggSpec{
+		{Func: Sum, Arg: qty, Name: "sum_qty"},
+		{Func: Sum, Arg: price, Name: "sum_base_price"},
+		{Func: Sum, Arg: discPrice, Name: "sum_disc_price"},
+		{Func: Sum, Arg: charge, Name: "sum_charge"},
+		{Func: Sum, Arg: qty, Name: "avg_qty_s"},
+		{Func: Count, Arg: qty, Name: "avg_qty_c"},
+		{Func: Sum, Arg: price, Name: "avg_price_s"},
+		{Func: Count, Arg: price, Name: "avg_price_c"},
+		{Func: Sum, Arg: disc, Name: "avg_disc_s"},
+		{Func: Count, Arg: disc, Name: "avg_disc_c"},
+		{Func: Count, Name: "count_order"},
+	}
+	keys := []expr.Expr{expr.NewCol(0, "flag"), expr.NewCol(1, "status")}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		ha := NewHashAgg(NewScan(p), sch, keys, []string{"flag", "status"}, specs, HybridAgg)
+		drainAll(b, ha)
+		ha.Close()
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/rows, "ns/row")
+}

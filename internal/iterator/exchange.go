@@ -136,7 +136,7 @@ func (s *Sender) route(b *block.Block) error {
 		return s.ship(0, b)
 	}
 	rows := s.keys.EncodeBlock(b, nil)
-	for d, sel := range s.scatter.split(s.keys, rows, n) {
+	for d, sel := range s.scatter.split(s.keys, nil, rows, n) {
 		s.sent[d] += int64(len(sel))
 		s.total += int64(len(sel))
 		for len(sel) > 0 {

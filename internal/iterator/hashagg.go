@@ -78,97 +78,256 @@ const (
 	HybridAgg
 )
 
-// aggCell accumulates one aggregate for one group.
-type aggCell struct {
-	sumF float64
-	sumI int64
-	cnt  int64
-	min  types.Value
-	max  types.Value
-	init bool
+// accMode is how one aggregate accumulates: which accumulator columns
+// it keeps and what it reads its argument from. It is fixed when the
+// operator is built, so an update kernel switches on it once per block,
+// outside its row loop.
+type accMode uint8
+
+const (
+	// accCount keeps cnt: COUNT(*) counts rows, COUNT(x) the non-NULL
+	// entries of x.
+	accCount accMode = iota
+	// accSumInt keeps cnt and sumI: SUM over an Int64 vector.
+	accSumInt
+	// accSumFloat keeps cnt and sumF: SUM over a Float64 or Date vector
+	// and AVG over any numeric one, accumulated as float64.
+	accSumFloat
+	// accBoxed keeps cnt, sumI and sumF and folds boxed Values: SUM and
+	// AVG of an argument that has no kind-faithful numeric vector. Only
+	// the Value says which kind a row evaluated to, and the sums follow
+	// it row by row.
+	accBoxed
+	// accExtreme keeps cnt and ext: MIN and MAX, ordered by Value.Compare.
+	accExtreme
+)
+
+// aggPlan is the static half of one aggregate: what NewHashAgg works
+// out from the AggSpec and the input schema.
+type aggPlan struct {
+	fn   AggFunc
+	mode accMode
+	arg  expr.Expr // nil for COUNT(*)
+	// kern is arg's fused batch kernel. It is nil for COUNT(*) and for
+	// an argument outside the fused shapes, whose runtime kind a vector
+	// would coerce to the static one: those rows are Eval'd into boxed
+	// Values instead.
+	kern expr.BatchExpr
+	// same is the earlier aggregate that reads the same column, whose
+	// vector this one shares (sum(x) and avg(x) load x once); -1 if none.
+	same int
 }
 
-func (c *aggCell) update(f AggFunc, v types.Value) {
-	switch f {
-	case Count:
-		if !v.Null {
-			c.cnt++
+func planAgg(s AggSpec, inSch *types.Schema, earlier []aggPlan) aggPlan {
+	p := aggPlan{fn: s.Func, arg: s.Arg, same: -1}
+	if col, ok := s.Arg.(*expr.Col); ok {
+		if s.Func == Count {
+			p.arg = nil // a record column is never NULL: COUNT(col) counts rows
 		}
-	case Sum, Avg:
-		if v.Null {
-			return
-		}
-		c.cnt++
-		if v.Kind == types.Int64 {
-			c.sumI += v.I
-		}
-		c.sumF += v.AsFloat()
-	case Min:
-		if v.Null {
-			return
-		}
-		if !c.init || v.Compare(c.min) < 0 {
-			c.min = copyVal(v)
-		}
-	case Max:
-		if v.Null {
-			return
-		}
-		if !c.init || v.Compare(c.max) > 0 {
-			c.max = copyVal(v)
+		for j := range earlier {
+			if ec, ok := earlier[j].arg.(*expr.Col); ok && ec.Idx == col.Idx && p.arg != nil {
+				p.same = j
+				break
+			}
 		}
 	}
-	c.init = true
+	var kind types.Kind
+	if p.arg != nil {
+		kind = p.arg.Kind(inSch)
+		if k := expr.CompileBatch(p.arg, inSch); k.Fused() {
+			p.kern = k
+		}
+	}
+	switch {
+	case s.Func == Count:
+		p.mode = accCount
+	case s.Func == Min || s.Func == Max:
+		p.mode = accExtreme
+	case p.kern == nil || kind == types.String:
+		p.mode = accBoxed
+	case s.Func == Sum && kind == types.Int64:
+		p.mode = accSumInt
+	default:
+		p.mode = accSumFloat
+	}
+	return p
 }
 
-func (c *aggCell) merge(f AggFunc, o *aggCell) {
-	if !o.init {
+// value boxes the aggregate's argument for row i of b: from the vector
+// when the argument has a kernel, by Eval otherwise.
+func (p *aggPlan) value(b *block.Block, sch *types.Schema, v *expr.Vec, i int32) types.Value {
+	if v != nil {
+		return v.Value(int(i))
+	}
+	return p.arg.Eval(b.Row(int(i)), sch)
+}
+
+// aggAcc is one aggregate's accumulator columns, indexed by group id.
+// Its mode decides which of them exist.
+type aggAcc struct {
+	cnt  []int64       // inputs folded in: rows for COUNT(*), non-NULL values otherwise
+	sumI []int64       // sum of the Int64 inputs
+	sumF []float64     // sum of all inputs as float64
+	ext  []types.Value // the extreme so far, valid where cnt > 0
+}
+
+// grow adds a zeroed accumulator for one more group. The columns are
+// reallocated when full to hold room groups, the table's bucket count,
+// so they double when the table does.
+func (a *aggAcc) grow(m accMode, room int) {
+	a.cnt = extend(a.cnt, 1, room)
+	switch m {
+	case accSumInt:
+		a.sumI = extend(a.sumI, 1, room)
+	case accSumFloat:
+		a.sumF = extend(a.sumF, 1, room)
+	case accBoxed:
+		a.sumI = extend(a.sumI, 1, room)
+		a.sumF = extend(a.sumF, 1, room)
+	case accExtreme:
+		a.ext = extend(a.ext, 1, room)
+	}
+}
+
+// extend lengthens s by n zero elements, moving it to an array of room
+// elements when it is full. Nothing ever shortens s, so the elements
+// past its length are still the zeros make left there.
+func extend[T any](s []T, n, room int) []T {
+	if len(s)+n > cap(s) {
+		s = append(make([]T, 0, room), s...)
+	}
+	return s[:len(s)+n]
+}
+
+// update folds rows of b into the accumulators of their groups: row
+// rows[j] belongs to group gids[j]. v is the argument's vector over the
+// whole block, nil when the plan has no kernel.
+func (a *aggAcc) update(p *aggPlan, b *block.Block, sch *types.Schema, v *expr.Vec, rows, gids []int32) {
+	cnt := a.cnt
+	switch {
+	case p.arg == nil:
+		for _, g := range gids {
+			cnt[g]++
+		}
+	case p.mode == accCount && v != nil:
+		for j, g := range gids {
+			if !v.Null[rows[j]] {
+				cnt[g]++
+			}
+		}
+	case p.mode == accSumInt:
+		sum, in := a.sumI, v.I
+		for j, g := range gids {
+			if i := rows[j]; !v.Null[i] {
+				cnt[g]++
+				sum[g] += in[i]
+			}
+		}
+	case p.mode == accSumFloat && v.Kind == types.Float64:
+		sum, in := a.sumF, v.F
+		for j, g := range gids {
+			if i := rows[j]; !v.Null[i] {
+				cnt[g]++
+				sum[g] += in[i]
+			}
+		}
+	case p.mode == accSumFloat:
+		sum, in := a.sumF, v.I
+		for j, g := range gids {
+			if i := rows[j]; !v.Null[i] {
+				cnt[g]++
+				sum[g] += float64(in[i])
+			}
+		}
+	default: // boxed Values: accBoxed, accExtreme, COUNT of an unfused argument
+		for j, g := range gids {
+			if x := p.value(b, sch, v, rows[j]); !x.Null {
+				a.fold(p, g, x)
+			}
+		}
+	}
+}
+
+// fold adds one non-NULL boxed value to group g.
+func (a *aggAcc) fold(p *aggPlan, g int32, x types.Value) {
+	switch p.mode {
+	case accBoxed:
+		if x.Kind == types.Int64 {
+			a.sumI[g] += x.I
+		}
+		a.sumF[g] += x.AsFloat()
+	case accExtreme:
+		if a.cnt[g] == 0 || p.beats(x, a.ext[g]) {
+			a.ext[g] = copyVal(x)
+		}
+	}
+	a.cnt[g]++
+}
+
+// beats reports whether x replaces the extreme cur.
+func (p *aggPlan) beats(x, cur types.Value) bool {
+	if p.fn == Min {
+		return x.Compare(cur) < 0
+	}
+	return x.Compare(cur) > 0
+}
+
+// merge folds group gs of src, another table's accumulators for the
+// same aggregate, into group g.
+func (a *aggAcc) merge(p *aggPlan, g int32, src *aggAcc, gs int32) {
+	if src.cnt[gs] == 0 {
 		return
 	}
-	switch f {
-	case Count, Sum, Avg:
-		c.cnt += o.cnt
-		c.sumI += o.sumI
-		c.sumF += o.sumF
-	case Min:
-		if !c.init || o.min.Compare(c.min) < 0 {
-			c.min = o.min
-		}
-	case Max:
-		if !c.init || o.max.Compare(c.max) > 0 {
-			c.max = o.max
+	switch p.mode {
+	case accSumInt:
+		a.sumI[g] += src.sumI[gs]
+	case accSumFloat:
+		a.sumF[g] += src.sumF[gs]
+	case accBoxed:
+		a.sumI[g] += src.sumI[gs]
+		a.sumF[g] += src.sumF[gs]
+	case accExtreme:
+		if a.cnt[g] == 0 || p.beats(src.ext[gs], a.ext[g]) {
+			a.ext[g] = src.ext[gs]
 		}
 	}
-	c.init = true
+	a.cnt[g] += src.cnt[gs]
 }
 
-func (c *aggCell) result(f AggFunc, kind types.Kind) types.Value {
-	switch f {
-	case Count:
-		return types.IntVal(c.cnt)
-	case Sum:
-		if !c.init || c.cnt == 0 {
-			return types.NullVal(kind)
+// emit writes the aggregate's result for groups 0..n-1 into column col
+// of the n rows at buf (laid out per sch). A NULL result stores the
+// zero value, as PutValue does: records carry no null bitmap.
+func (a *aggAcc) emit(p *aggPlan, sch *types.Schema, col int, buf []byte, n int) {
+	st, off, kind := sch.Stride(), sch.Offset(col), sch.Cols[col].Kind
+	switch {
+	case p.fn == Count:
+		for g := 0; g < n; g++ {
+			types.PutInt(buf[g*st:], off, a.cnt[g])
 		}
-		if kind == types.Int64 {
-			return types.IntVal(c.sumI)
+	case p.fn == Sum && kind == types.Int64:
+		for g := 0; g < n; g++ {
+			types.PutInt(buf[g*st:], off, a.sumI[g])
 		}
-		return types.FloatVal(c.sumF)
-	case Avg:
-		if c.cnt == 0 {
-			return types.NullVal(types.Float64)
+	case p.fn == Sum:
+		for g := 0; g < n; g++ {
+			types.PutFloat(buf[g*st:], off, a.sumF[g])
 		}
-		return types.FloatVal(c.sumF / float64(c.cnt))
-	case Min:
-		if !c.init {
-			return types.NullVal(kind)
+	case p.fn == Avg:
+		for g := 0; g < n; g++ {
+			var avg float64
+			if a.cnt[g] > 0 {
+				avg = a.sumF[g] / float64(a.cnt[g])
+			}
+			types.PutFloat(buf[g*st:], off, avg)
 		}
-		return c.min
-	default:
-		if !c.init {
-			return types.NullVal(kind)
+	default: // Min, Max
+		for g := 0; g < n; g++ {
+			x := types.NullVal(kind)
+			if a.cnt[g] > 0 {
+				x = a.ext[g]
+			}
+			types.PutValue(buf[g*st:], sch, col, x)
 		}
-		return c.max
 	}
 }
 
@@ -181,20 +340,97 @@ func copyVal(v types.Value) types.Value {
 	return v
 }
 
-// group holds the key values and aggregate cells of one group.
-type group struct {
-	keyVals []types.Value
-	cells   []aggCell
+// aggTable is one hash table of groups — a shard of the global table or
+// a worker's private table. Group ids are dense insertion numbers: tab
+// maps a key to its id, and everything else is an array indexed by it.
+// The arrays are created by the first group and grow by doubling, so an
+// empty table costs nothing.
+type aggTable struct {
+	tab     joinTable
+	keyRows []byte   // per group, its key columns laid out as the output row's prefix
+	accs    []aggAcc // per aggregate
+}
+
+func (t *aggTable) groups() int { return len(t.tab.rows) }
+
+// add appends a group for key (Hash64 h) with zeroed accumulators and
+// returns its id and its key row, which the caller fills.
+func (t *aggTable) add(ha *HashAgg, h uint64, key []byte) (int32, []byte) {
+	g := t.groups()
+	t.tab.insert(h, key)
+	room := len(t.tab.buckets)
+	t.keyRows = extend(t.keyRows, ha.keyStride, room*ha.keyStride)
+	if t.accs == nil {
+		t.accs = make([]aggAcc, len(ha.plans))
+	}
+	for j := range t.accs {
+		t.accs[j].grow(ha.plans[j].mode, room)
+	}
+	return int32(g), t.keyRows[g*ha.keyStride:]
+}
+
+// resolve finds the group of every row in sel (row indexes into b,
+// whose keys w.keys last encoded), adding a group for a key the table
+// does not hold when admit allows one more. The rows that now have a
+// group and their ids are left in w.rows and w.gids; the rows refused
+// one are appended to rest.
+func (t *aggTable) resolve(ha *HashAgg, w *aggWorker, b *block.Block, sel, rest []int32, admit func() bool) []int32 {
+	rows, gids := w.rows[:0], w.gids[:0]
+	for _, i := range sel {
+		h, key := w.keys.Hash(int(i)), w.keys.Key(int(i))
+		g := t.tab.lookup(h, key)
+		if g < 0 {
+			if !admit() {
+				rest = append(rest, i)
+				continue
+			}
+			var keyRow []byte
+			g, keyRow = t.add(ha, h, key)
+			rec := b.Row(int(i))
+			for c, k := range ha.keys {
+				types.PutValue(keyRow, ha.outSch, c, k.Eval(rec, ha.inSch))
+			}
+		}
+		rows = append(rows, i)
+		gids = append(gids, g)
+	}
+	w.rows, w.gids = rows, gids
+	return rest
+}
+
+// update runs one loop per aggregate over the rows resolve placed.
+func (t *aggTable) update(ha *HashAgg, w *aggWorker, b *block.Block) {
+	if len(w.rows) == 0 {
+		return
+	}
+	for j := range ha.plans {
+		t.accs[j].update(&ha.plans[j], b, ha.inSch, w.vecs[j], w.rows, w.gids)
+	}
+}
+
+// emit appends one output row per group to out.
+func (t *aggTable) emit(ha *HashAgg, out *block.Block) {
+	n, base := t.groups(), out.NumTuples()
+	out.EnsureRoom(n)
+	out.SetLen(base + n)
+	st, ks := ha.outSch.Stride(), ha.keyStride
+	buf := out.Bytes()[base*st:]
+	for g := 0; g < n; g++ {
+		copy(buf[g*st:g*st+ks], t.keyRows[g*ks:])
+	}
+	for j := range ha.plans {
+		t.accs[j].emit(&ha.plans[j], ha.outSch, len(ha.keys)+j, buf, n)
+	}
 }
 
 type aggShard struct {
-	mu     sync.Mutex
-	groups map[string]*group
+	mu sync.Mutex
+	aggTable
 	// charged counts groups billed to the budget account (the scalar
 	// pre-seed group is not), so emission refunds exactly what was paid.
 	charged int64
 	// spillMode diverts rows that would create new groups into spill
-	// (raw input rows — partial aggregate cells don't round-trip the
+	// (raw input rows — partial aggregates don't round-trip the
 	// fixed-stride block encoding, input rows do). Existing groups keep
 	// absorbing matching rows in place, so hot groups stay cheap.
 	spillMode bool
@@ -206,34 +442,49 @@ const aggShards = 64
 // maxPrivateGroups bounds hybrid aggregation's private tables.
 const maxPrivateGroups = 4096
 
-// privTable is the per-worker context of hybrid aggregation.
-type privTable struct {
-	groups map[string]*group
+// aggWorker is one worker's consume-phase scratch, reused block after
+// block. The private table is not part of it: that is parked in the
+// context pool when the worker leaves, this is dropped.
+type aggWorker struct {
+	keys    *expr.BatchKeyEncoder
+	kerns   []expr.BatchExpr // per aggregate, nil where there is none to run
+	vecs    []*expr.Vec      // per aggregate, its argument over the current block; nil without a kernel
+	byShard scatter
+	all     []int32 // 0, 1, 2, …: the selection naming every row of a block
+	rows    []int32 // resolve's output: the rows it placed
+	gids    []int32 // and their group ids
+	over    []int32 // rows the private table handed on
+	spilt   []int32 // rows a shard refused a group
 }
 
 // HashAgg is the hash aggregation iterator (Appendix Algorithm 7):
 // Open consumes the entire child dataflow, updating the hash table(s)
 // under the configured algorithm; Next emits result blocks from the
 // global table behind an atomic shard cursor.
+//
+// Open works a block at a time. A worker encodes the block's keys and
+// evaluates every aggregate argument once, resolves each row to a
+// dense group id — first in its private table, then, for the rows that
+// table handed on, shard by shard in the global one, each shard's lock
+// taken once per block — and runs one loop per aggregate over the
+// resolved ids into accumulator columns.
 type HashAgg struct {
 	child  Iterator
 	inSch  *types.Schema
 	outSch *types.Schema
 	keys   []expr.Expr
-	specs  []AggSpec
 	algo   AggAlgorithm
 
-	// RowExec forces row-at-a-time key and argument computation (set
-	// before Open). The default computes group keys block-at-a-time via
-	// a BatchKeyEncoder and evaluates fused aggregate arguments
-	// column-at-a-time; both paths produce identical keys, hashes and
-	// argument values, so aggregation state is bit-equal either way.
+	// RowExec makes every worker compute its group keys and aggregate
+	// arguments by Eval per tuple (set before Open): a row key encoder
+	// and row-wrapped argument kernels stand in for the fused ones. Keys,
+	// hashes and argument vectors come out identical, and the operator
+	// code around them is the same.
 	RowExec bool
 
-	// argKerns[j] is the fused batch kernel for specs[j].Arg, nil when
-	// the argument is COUNT(*) or falls outside the fused shapes (those
-	// stay row-evaluated even on the batch path).
-	argKerns []expr.BatchExpr
+	plans []aggPlan
+	// keyStride is the byte length of the key columns in an output row.
+	keyStride int
 	// vectorized: the keys and every aggregate argument avoid the row
 	// fallback; see Vectorized.
 	vectorized bool
@@ -241,8 +492,8 @@ type HashAgg struct {
 	// Mem wires the aggregation into memory governance (set by the
 	// engine before Open; nil runs unbudgeted and never spills).
 	Mem *MemConfig
-	// groupBytes is the per-group charge: group struct + key values +
-	// cells + map entry, a deliberate round estimate.
+	// groupBytes is the per-group charge: table row + key bytes +
+	// accumulators, a deliberate round estimate.
 	groupBytes int64
 
 	shards    []aggShard
@@ -284,41 +535,42 @@ func NewHashAgg(child Iterator, inSch *types.Schema, keys []expr.Expr,
 	ha := &HashAgg{
 		child: child, inSch: inSch,
 		outSch: types.NewSchema(cols...),
-		keys:   keys, specs: specs, algo: algo,
+		keys:   keys, algo: algo,
+		plans:   make([]aggPlan, len(specs)),
 		shards:  make([]aggShard, aggShards),
 		mask:    aggShards - 1,
 		done:    NewBarrier(),
 		flushed: NewBarrier(),
 		pool:    NewContextPool(CoreMode),
 	}
+	ha.keyStride = ha.outSch.Stride() - 8*len(specs)
 	ha.groupBytes = int64(112 + 56*len(specs) + 32*len(keys))
-	ha.argKerns = make([]expr.BatchExpr, len(specs))
 	ha.vectorized = expr.NewBatchKeyEncoder(keys, inSch).Vectorized()
 	for j, s := range specs {
-		if s.Arg == nil {
-			continue
-		}
-		if k := expr.CompileBatch(s.Arg, inSch); k.Fused() {
-			ha.argKerns[j] = k
-		} else {
+		ha.plans[j] = planAgg(s, inSch, ha.plans[:j])
+		if p := &ha.plans[j]; p.arg != nil && p.kern == nil {
 			ha.vectorized = false
 		}
 	}
-	if len(keys) == 0 {
-		// Scalar aggregation returns exactly one row even on empty
-		// input (COUNT(*) of nothing is 0): pre-seed the single group.
+	ha.seedScalar()
+	return ha
+}
+
+// seedScalar gives an aggregation without keys its one group up front:
+// it returns exactly one row even on empty input (COUNT(*) of nothing
+// is 0).
+func (ha *HashAgg) seedScalar() {
+	if len(ha.keys) == 0 {
 		h := expr.Hash64(nil)
-		sh := &ha.shards[h&ha.mask]
-		sh.groups = map[string]*group{"": {cells: make([]aggCell, len(specs))}}
+		ha.shards[h&ha.mask].add(ha, h, nil)
 		ha.memGroups.Store(1)
 	}
-	return ha
 }
 
 // Serial reshapes the aggregation to a single shard. Shard fan-out
 // only pays off under concurrent workers; a single-worker driver (the
-// engine's serial fast path) saves the setup cost of 64 shard maps,
-// which dominates a microsecond-scale query. Call before Open.
+// engine's serial fast path) saves the setup cost of 64 shards, which
+// dominates a microsecond-scale query. Call before Open.
 func (ha *HashAgg) Serial() {
 	ha.shards = make([]aggShard, 1)
 	ha.mask = 0
@@ -326,10 +578,7 @@ func (ha *HashAgg) Serial() {
 	// worker has none, so the shared algorithm skips the private
 	// table, its merge pass and the context-pool round trip.
 	ha.algo = SharedAgg
-	if len(ha.keys) == 0 {
-		ha.shards[0].groups = map[string]*group{"": {cells: make([]aggCell, len(ha.specs))}}
-		ha.memGroups.Store(1)
-	}
+	ha.seedScalar()
 }
 
 // Schema returns the aggregation output schema.
@@ -360,6 +609,34 @@ func (ha *HashAgg) setSpillErr(err error) {
 	ha.Mem.spillFailed()
 }
 
+// newWorker builds the scratch of one consumer of input blocks: an
+// Open call, or the reabsorption of one spilled shard.
+func (ha *HashAgg) newWorker() *aggWorker {
+	w := &aggWorker{
+		kerns: make([]expr.BatchExpr, len(ha.plans)),
+		vecs:  make([]*expr.Vec, len(ha.plans)),
+	}
+	if ha.RowExec {
+		w.keys = expr.NewRowKeyEncoder(ha.keys, ha.inSch)
+	} else {
+		w.keys = expr.NewBatchKeyEncoder(ha.keys, ha.inSch)
+	}
+	for j := range ha.plans {
+		p := &ha.plans[j]
+		switch {
+		case p.kern == nil:
+		case p.same >= 0:
+			w.vecs[j] = w.vecs[p.same]
+		default:
+			w.kerns[j], w.vecs[j] = p.kern, new(expr.Vec)
+			if ha.RowExec {
+				w.kerns[j] = expr.CompileRowBatch(p.arg, ha.inSch)
+			}
+		}
+	}
+	return w
+}
+
 // Open runs the parallel aggregation phase.
 func (ha *HashAgg) Open(ctx *Ctx) Status {
 	ctx.RegisterBarrier(ha.done)
@@ -369,32 +646,15 @@ func (ha *HashAgg) Open(ctx *Ctx) Status {
 		return Terminated
 	}
 
-	var priv *privTable
+	var priv *aggTable
 	if ha.algo != SharedAgg {
 		if v := ha.pool.Get(ctx); v != nil {
-			priv = v.(*privTable)
+			priv = v.(*aggTable)
 		} else {
-			priv = &privTable{groups: make(map[string]*group)}
+			priv = new(aggTable)
 		}
 	}
-
-	// Per-worker evaluation state: a key encoder plus, on the batch
-	// path, one scratch vector per fused aggregate argument.
-	var enc *expr.KeyEncoder
-	var benc *expr.BatchKeyEncoder
-	var argVecs []*expr.Vec
-	if ha.RowExec {
-		enc = expr.NewKeyEncoder(ha.keys)
-	} else {
-		benc = expr.NewBatchKeyEncoder(ha.keys, ha.inSch)
-		argVecs = make([]*expr.Vec, len(ha.specs))
-		for j, k := range ha.argKerns {
-			if k != nil {
-				argVecs[j] = new(expr.Vec)
-			}
-		}
-	}
-	argVals := make([]types.Value, len(ha.specs))
+	w := ha.newWorker()
 	for {
 		b, st := ha.child.Next(ctx)
 		if st == Terminated {
@@ -412,43 +672,12 @@ func (ha *HashAgg) Open(ctx *Ctx) Status {
 		if b.VisitRate > 0 {
 			ha.lastVR.Store(b.VisitRate)
 		}
-		n := b.NumTuples()
-		if !ha.RowExec {
-			// Column passes: one vectorized sweep per key column and per
-			// fused aggregate argument, then a row loop over the results.
-			benc.EncodeBlock(b, nil)
-			for j, k := range ha.argKerns {
-				if k != nil {
-					k.EvalVec(b, nil, argVecs[j])
-				}
-			}
+		sel := w.encode(b)
+		if priv != nil {
+			sel = ha.absorbPrivate(w, priv, b, sel)
 		}
-		for i := 0; i < n; i++ {
-			rec := b.Row(i)
-			var key []byte
-			var h uint64
-			if ha.RowExec {
-				key = enc.Encode(rec, ha.inSch)
-				h = expr.Hash64(key)
-			} else {
-				key = benc.Key(i)
-				h = benc.Hash(i)
-			}
-			for j := range ha.specs {
-				if argVecs != nil && argVecs[j] != nil {
-					argVals[j] = argVecs[j].Value(i)
-				} else {
-					argVals[j] = ha.evalArg(j, rec)
-				}
-			}
-			switch ha.algo {
-			case SharedAgg:
-				ha.updateGlobal(key, h, rec, argVals)
-			default:
-				ha.updatePrivate(priv, key, h, rec, argVals)
-			}
-		}
-		ha.rowsIn.Add(int64(n))
+		ha.absorbGlobal(w, b, sel, true)
+		ha.rowsIn.Add(int64(b.NumTuples()))
 	}
 	// Flush this worker's private table, then synchronize. Tables parked
 	// by terminated workers are drained by exactly one worker *after*
@@ -460,57 +689,99 @@ func (ha *HashAgg) Open(ctx *Ctx) Status {
 	ha.done.Arrive()
 	if ha.drainOnce.First() {
 		for _, v := range ha.pool.Drain() {
-			ha.flushPrivate(v.(*privTable))
+			ha.flushPrivate(v.(*aggTable))
 		}
 	}
 	ha.flushed.Arrive()
 	return OK
 }
 
-// updateGlobal folds one tuple into the global table. h must be
-// Hash64(key); argument values are pre-evaluated so no expression work
-// happens under the shard lock. A tuple that would create a group past
-// the budget flips its shard into spill mode and is deferred to disk as
-// a raw input row, re-aggregated when the shard is emitted.
-func (ha *HashAgg) updateGlobal(key []byte, h uint64, rec []byte, argVals []types.Value) {
-	sh := &ha.shards[h&ha.mask]
+// encode makes the column passes over b — the keys of every row, then
+// each aggregate argument that has a kernel — and returns the selection
+// naming all of b's rows.
+func (w *aggWorker) encode(b *block.Block) []int32 {
+	n := w.keys.EncodeBlock(b, nil)
+	for j, k := range w.kerns {
+		if k != nil {
+			k.EvalVec(b, nil, w.vecs[j])
+		}
+	}
+	if n > cap(w.all) {
+		// One backing array for the three vectors no block outgrows.
+		buf := make([]int32, 3*n)
+		w.all, w.rows, w.gids = buf[:n:n], buf[n:n:2*n], buf[2*n:2*n]
+		for i := range w.all {
+			w.all[i] = int32(i)
+		}
+	}
+	return w.all[:n]
+}
+
+// absorbPrivate aggregates into the worker's private table the rows of
+// sel whose group it holds or may add, and returns the others for the
+// global table: those that would take a hybrid table past its cap, and
+// those the budget refuses a group — the global table can shed state by
+// spilling, a private one cannot.
+func (ha *HashAgg) absorbPrivate(w *aggWorker, priv *aggTable, b *block.Block, sel []int32) []int32 {
+	w.over = priv.resolve(ha, w, b, sel, w.over[:0], func() bool {
+		return (ha.algo != HybridAgg || priv.groups() < maxPrivateGroups) &&
+			ha.Mem.reserveSmall(ha.groupBytes)
+	})
+	priv.update(ha, w, b)
+	return w.over
+}
+
+// absorbGlobal aggregates the rows of sel into the global table: it
+// scatters them by shard and visits each shard they touch once.
+func (ha *HashAgg) absorbGlobal(w *aggWorker, b *block.Block, sel []int32, maySpill bool) {
+	if len(sel) == 0 {
+		return
+	}
+	if len(ha.shards) == 1 {
+		ha.absorbShard(w, &ha.shards[0], b, sel, maySpill)
+		return
+	}
+	for shi, s := range w.byShard.split(w.keys, sel, b.NumTuples(), len(ha.shards)) {
+		if len(s) > 0 {
+			ha.absorbShard(w, &ha.shards[shi], b, s, maySpill)
+		}
+	}
+}
+
+// absorbShard aggregates the rows of sel, all hashing to sh, under one
+// acquisition of its lock, so no expression work and one lock round
+// trip per block happen there. A row that would create a group past the
+// budget flips the shard into spill mode (when maySpill) and is
+// deferred to disk as a raw input row, re-aggregated when the shard is
+// emitted.
+func (ha *HashAgg) absorbShard(w *aggWorker, sh *aggShard, b *block.Block, sel []int32, maySpill bool) {
 	sh.mu.Lock()
-	g, ok := sh.groups[string(key)]
-	if !ok {
+	defer sh.mu.Unlock()
+	before := sh.groups()
+	w.spilt = sh.resolve(ha, w, b, sel, w.spilt[:0], func() bool {
 		if sh.spillMode {
-			err := sh.spill.add(rec)
-			sh.mu.Unlock()
-			if err != nil {
-				ha.setSpillErr(err)
-			}
-			return
+			return false
 		}
-		if ha.Mem.enabled() && !ha.Mem.reserveSmall(ha.groupBytes) {
-			if ha.Mem.canSpill() && ha.enterSpill(sh) {
-				err := sh.spill.add(rec)
-				sh.mu.Unlock()
-				if err != nil {
-					ha.setSpillErr(err)
-				}
-				return
-			}
-			// Nowhere to spill: soft-charge and keep aggregating.
-			ha.Mem.forceSmall(ha.groupBytes)
-		}
-		g = ha.newGroup(rec)
-		if sh.groups == nil {
-			sh.groups = make(map[string]*group)
-		}
-		sh.groups[string(key)] = g
 		if ha.Mem.enabled() {
+			if !ha.Mem.reserveSmall(ha.groupBytes) {
+				if maySpill && ha.Mem.canSpill() && ha.enterSpill(sh) {
+					return false
+				}
+				// Nowhere to spill: soft-charge and keep aggregating.
+				ha.Mem.forceSmall(ha.groupBytes)
+			}
 			sh.charged++
 		}
-		ha.memGroups.Add(1)
+		return true
+	})
+	sh.update(ha, w, b)
+	ha.memGroups.Add(int64(sh.groups() - before))
+	for _, i := range w.spilt {
+		if err := sh.spill.add(b.Row(int(i))); err != nil {
+			ha.setSpillErr(err)
+			return
+		}
 	}
-	for j := range ha.specs {
-		g.cells[j].update(ha.specs[j].Func, argVals[j])
-	}
-	sh.mu.Unlock()
 }
 
 // enterSpill switches a shard into spill mode (called under sh.mu).
@@ -525,47 +796,6 @@ func (ha *HashAgg) enterSpill(sh *aggShard) bool {
 	return true
 }
 
-func (ha *HashAgg) updatePrivate(priv *privTable, key []byte, h uint64, rec []byte, argVals []types.Value) {
-	g, ok := priv.groups[string(key)]
-	if !ok {
-		if ha.algo == HybridAgg && len(priv.groups) >= maxPrivateGroups {
-			// Private table full: route this tuple straight to the
-			// global table (overflow flush).
-			ha.updateGlobal(key, h, rec, argVals)
-			return
-		}
-		if ha.Mem.enabled() && !ha.Mem.reserveSmall(ha.groupBytes) {
-			// No budget for a private group; the global path can shed
-			// state by spilling, so send the tuple there.
-			ha.updateGlobal(key, h, rec, argVals)
-			return
-		}
-		g = ha.newGroup(rec)
-		priv.groups[string(key)] = g
-	}
-	for j := range ha.specs {
-		g.cells[j].update(ha.specs[j].Func, argVals[j])
-	}
-}
-
-func (ha *HashAgg) newGroup(rec []byte) *group {
-	g := &group{
-		keyVals: make([]types.Value, len(ha.keys)),
-		cells:   make([]aggCell, len(ha.specs)),
-	}
-	for i, k := range ha.keys {
-		g.keyVals[i] = copyVal(k.Eval(rec, ha.inSch))
-	}
-	return g
-}
-
-func (ha *HashAgg) evalArg(j int, rec []byte) types.Value {
-	if ha.specs[j].Arg == nil {
-		return types.IntVal(1) // COUNT(*)
-	}
-	return ha.specs[j].Arg.Eval(rec, ha.inSch)
-}
-
 // flushPrivate merges a private table into the global shards. Each
 // private group carries a groupBytes charge from its creation: a group
 // inserted into the global table keeps it (ownership transfers), one
@@ -573,47 +803,55 @@ func (ha *HashAgg) evalArg(j int, rec []byte) types.Value {
 // a spill-mode shard insert resident rather than spilling — a partial
 // aggregate cannot be replayed as input rows — a bounded, soft
 // overshoot (private tables are capped).
-func (ha *HashAgg) flushPrivate(priv *privTable) {
-	for key, g := range priv.groups {
-		h := expr.Hash64([]byte(key))
+func (ha *HashAgg) flushPrivate(priv *aggTable) {
+	var merged int64
+	for g := int32(0); int(g) < priv.groups(); g++ {
+		h, key := priv.tab.rows[g].hash, priv.tab.key(g)
 		sh := &ha.shards[h&ha.mask]
 		sh.mu.Lock()
-		dst, ok := sh.groups[key]
-		if !ok {
-			if sh.groups == nil {
-				sh.groups = make(map[string]*group)
-			}
-			sh.groups[key] = g
+		dst := sh.tab.lookup(h, key)
+		if dst < 0 {
+			var keyRow []byte
+			dst, keyRow = sh.add(ha, h, key)
+			copy(keyRow, priv.keyRows[int(g)*ha.keyStride:(int(g)+1)*ha.keyStride])
 			if ha.Mem.enabled() {
 				sh.charged++
 			}
 			ha.memGroups.Add(1)
 		} else {
-			for j := range ha.specs {
-				dst.cells[j].merge(ha.specs[j].Func, &g.cells[j])
-			}
-			ha.Mem.freeSmall(ha.groupBytes)
+			merged++
+		}
+		for j := range ha.plans {
+			sh.accs[j].merge(&ha.plans[j], dst, &priv.accs[j], g)
 		}
 		sh.mu.Unlock()
 	}
-	priv.groups = make(map[string]*group)
+	ha.Mem.freeSmall(merged * ha.groupBytes)
+	*priv = aggTable{}
 }
 
-// Next emits one shard's groups per call, claimed via an atomic cursor
-// so concurrent workers never emit the same group twice. A spilled
-// shard first reabsorbs its deferred rows — budget freed by the shards
+// Next emits the groups of the global table, shard by shard behind an
+// atomic cursor so concurrent workers never emit the same group twice,
+// and returns once the shards it claimed fill a block (or none are
+// left): many small shards leave as few full blocks. A spilled shard
+// first reabsorbs its deferred rows — budget freed by the shards
 // already emitted makes room — then emits like any other. Emitted
 // shards drop their groups and refund their budget immediately, so the
 // operator's footprint falls as results stream out.
 func (ha *HashAgg) Next(ctx *Ctx) (*block.Block, Status) {
-	for {
+	full := block.DefaultSize / ha.outSch.Stride()
+	var out *block.Block
+	for out == nil || out.NumTuples() < full {
 		if ctx.Term.Requested() {
+			if out != nil {
+				break // deliver what this worker claimed; it detaches on the next call
+			}
 			ctx.BroadcastExit()
 			return nil, Terminated
 		}
 		idx := ha.emitCur.Add(1) - 1
 		if idx >= int64(len(ha.shards)) {
-			return nil, End
+			break
 		}
 		sh := &ha.shards[idx]
 		if sh.spillMode {
@@ -621,44 +859,48 @@ func (ha *HashAgg) Next(ctx *Ctx) (*block.Block, Status) {
 				ha.setSpillErr(err)
 			}
 		}
-		if len(sh.groups) == 0 {
+		if sh.groups() == 0 {
 			continue
 		}
-		out := block.New(ha.outSch, len(sh.groups)*ha.outSch.Stride(), ctx.Tracker)
-		// Propagate the visit rate with this operator's group-reduction
-		// selectivity (Section 4.3): δ_agg = groups / input tuples.
-		if in := ha.rowsIn.Load(); in > 0 {
-			vr := ha.lastVR.Load()
-			if vr <= 0 {
-				vr = 1
-			}
-			out.VisitRate = vr * float64(ha.memGroups.Load()) / float64(in)
+		if out == nil {
+			out = ha.newOutput(ctx, sh.groups(), full)
 		}
-		nk := len(ha.keys)
-		for _, g := range sh.groups {
-			dst := out.AppendRowTo()
-			for i, v := range g.keyVals {
-				types.PutValue(dst, ha.outSch, i, v)
-			}
-			for j := range ha.specs {
-				kind := ha.outSch.Cols[nk+j].Kind
-				types.PutValue(dst, ha.outSch, nk+j,
-					g.cells[j].result(ha.specs[j].Func, kind))
-			}
-		}
-		sh.groups = nil
+		sh.emit(ha, out)
+		sh.aggTable = aggTable{}
 		ha.Mem.freeSmall(sh.charged * ha.groupBytes)
 		sh.charged = 0
-		return out, OK
 	}
+	if out == nil {
+		return nil, End
+	}
+	return out, OK
+}
+
+// newOutput allocates the block one Next call fills. It has room for
+// every group there is, up to a full block and no less than the first
+// shard's: the claimed shards then rarely grow it.
+func (ha *HashAgg) newOutput(ctx *Ctx, first, full int) *block.Block {
+	groups := ha.memGroups.Load()
+	room := int(min(groups, int64(full)))
+	out := block.New(ha.outSch, max(room, first)*ha.outSch.Stride(), ctx.Tracker)
+	// Propagate the visit rate with this operator's group-reduction
+	// selectivity (Section 4.3): δ_agg = groups / input tuples.
+	if in := ha.rowsIn.Load(); in > 0 {
+		vr := ha.lastVR.Load()
+		if vr <= 0 {
+			vr = 1
+		}
+		out.VisitRate = vr * float64(groups) / float64(in)
+	}
+	return out
 }
 
 // reabsorb replays a spilled shard's deferred input rows into its
-// table. The claiming worker owns the shard (the flushed barrier has
-// passed), so no locking is needed; groups created here are charged
-// through the budget, falling back to the soft path — one shard
-// reabsorbs at a time and earlier emitted shards have already refunded
-// their charge.
+// table, block by block through the same kernels Open uses. The
+// claiming worker owns the shard (the flushed barrier has passed);
+// groups created here are charged through the budget, falling back to
+// the soft path rather than spilling again — one shard reabsorbs at a
+// time and earlier emitted shards have already refunded their charge.
 func (ha *HashAgg) reabsorb(sh *aggShard, idx int) error {
 	sf := sh.spill
 	sh.spill = nil
@@ -668,29 +910,9 @@ func (ha *HashAgg) reabsorb(sh *aggShard, idx int) error {
 	}
 	defer sf.drop()
 	reabsorbStart := time.Now()
-	enc := expr.NewKeyEncoder(ha.keys)
-	argVals := make([]types.Value, len(ha.specs))
-	err := sf.iterate(func(rec []byte) error {
-		key := enc.Encode(rec, ha.inSch)
-		for j := range ha.specs {
-			argVals[j] = ha.evalArg(j, rec)
-		}
-		g, ok := sh.groups[string(key)]
-		if !ok {
-			if !ha.Mem.reserveSmall(ha.groupBytes) {
-				ha.Mem.forceSmall(ha.groupBytes)
-			}
-			sh.charged++
-			g = ha.newGroup(rec)
-			if sh.groups == nil {
-				sh.groups = make(map[string]*group)
-			}
-			sh.groups[string(key)] = g
-			ha.memGroups.Add(1)
-		}
-		for j := range ha.specs {
-			g.cells[j].update(ha.specs[j].Func, argVals[j])
-		}
+	w := ha.newWorker()
+	err := sf.iterateBlocks(func(b *block.Block) error {
+		ha.absorbShard(w, sh, b, w.encode(b), false)
 		return nil
 	})
 	ha.Mem.spilled(idx, sf.bytes, sf.rows, "input", time.Since(reabsorbStart))
@@ -705,18 +927,16 @@ func (ha *HashAgg) reabsorb(sh *aggShard, idx int) error {
 func (ha *HashAgg) Close() {
 	ha.child.Close()
 	for _, v := range ha.pool.Drain() {
-		pt := v.(*privTable)
-		if ha.Mem.enabled() {
-			ha.Mem.freeSmall(int64(len(pt.groups)) * ha.groupBytes)
-		}
-		pt.groups = nil
+		pt := v.(*aggTable)
+		ha.Mem.freeSmall(int64(pt.groups()) * ha.groupBytes)
+		*pt = aggTable{}
 	}
 	var charged int64
 	for i := range ha.shards {
 		sh := &ha.shards[i]
 		charged += sh.charged
 		sh.charged = 0
-		sh.groups = nil
+		sh.aggTable = aggTable{}
 		sh.spill.drop()
 		sh.spill = nil
 	}

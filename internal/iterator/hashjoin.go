@@ -198,7 +198,7 @@ func (hj *HashJoin) Open(ctx *Ctx) Status {
 			break
 		}
 		rows := keys.EncodeBlock(b, nil)
-		for shi, sel := range byShard.split(keys, rows, joinShards) {
+		for shi, sel := range byShard.split(keys, nil, rows, joinShards) {
 			if len(sel) > 0 {
 				hj.insertBuild(&hj.shards[shi], b, sel, keys)
 			}

@@ -12,14 +12,17 @@ const joinShardBits = 6
 // this covers without a rehash.
 const joinTableMinBuckets = 64
 
-// joinTable indexes the build rows of one shard (or of one spilled
-// shard being re-joined) by key: a chained hash table laid out in flat
-// arrays. Row ids are dense insertion numbers — the caller stores row i
-// at slot i of its pages — and everything the table holds is integers
-// and key bytes, so the garbage collector has nothing to trace in it
-// and an insert allocates nothing until an array fills (the table then
-// doubles). Not safe for concurrent mutation: the join inserts under
-// the shard lock and probes only after the build barrier.
+// joinTable indexes rows by key: the build rows of one join shard (or
+// of one spilled shard being re-joined), or the groups of one
+// aggregation table, where lookup-then-insert is find-or-insert. It is
+// a chained hash table laid out in flat arrays. Row ids are dense
+// insertion numbers — the caller stores what belongs to row i at slot i
+// of its own arrays — and everything the table holds is integers and
+// key bytes, so the garbage collector has nothing to trace in it and an
+// insert allocates nothing until an array fills (the table then
+// doubles). Not safe for concurrent mutation: join and aggregation both
+// mutate under the shard lock, and the join probes only after the build
+// barrier.
 type joinTable struct {
 	rows    []joinRow // by row id
 	keys    []byte    // key bytes, in row order
@@ -94,20 +97,21 @@ func (t *joinTable) after(id int32, h uint64, key []byte) int32 {
 	return t.match(t.rows[id].next, h, key)
 }
 
+// key returns row id's key bytes, a view into the slab.
+func (t *joinTable) key(id int32) []byte {
+	start := uint32(0)
+	if id > 0 {
+		start = t.rows[id-1].keyEnd
+	}
+	return t.keys[start:t.rows[id].keyEnd]
+}
+
 // match walks a chain from id to the first row with hash h and key
 // bytes equal to key. Equal hashes do not imply equal keys, so the
 // bytes decide; unequal hashes skip the comparison.
 func (t *joinTable) match(id int32, h uint64, key []byte) int32 {
 	for ; id >= 0; id = t.rows[id].next {
-		r := &t.rows[id]
-		if r.hash != h {
-			continue
-		}
-		start := uint32(0)
-		if id > 0 {
-			start = t.rows[id-1].keyEnd
-		}
-		if bytes.Equal(t.keys[start:r.keyEnd], key) {
+		if t.rows[id].hash == h && bytes.Equal(t.key(id), key) {
 			return id
 		}
 	}

@@ -4,17 +4,18 @@ import "repro/internal/expr"
 
 // scatter buckets the rows of one block by key hash into per-bucket
 // selection vectors: the repartitioning Sender splits a block across
-// destinations with it, the hash join's build across table shards. The
-// vectors are scratch owned by the scatter and reused block after
-// block, so a warm one allocates nothing.
+// destinations with it, the hash join's build and the hash aggregation
+// across table shards. The vectors are scratch owned by the scatter and
+// reused block after block, so a warm one allocates nothing.
 type scatter struct {
 	sels [][]int32
 }
 
-// split returns, for each of n buckets, the ascending row indexes i
-// (of the rows keys last encoded) with keys.Hash(i) % n == bucket. The
-// result is valid until the next call.
-func (s *scatter) split(keys *expr.BatchKeyEncoder, rows, n int) [][]int32 {
+// split returns, for each of n buckets, the row indexes i (of the rows
+// keys last encoded) with keys.Hash(i) % n == bucket, in the order sel
+// lists them; a nil sel stands for all rows, 0 to rows-1. The result is
+// valid until the next call.
+func (s *scatter) split(keys *expr.BatchKeyEncoder, sel []int32, rows, n int) [][]int32 {
 	if len(s.sels) < n {
 		// First use: carve every vector's starting capacity — twice an
 		// even share of this block — out of one allocation. A vector
@@ -31,9 +32,16 @@ func (s *scatter) split(keys *expr.BatchKeyEncoder, rows, n int) [][]int32 {
 		sels[d] = sels[d][:0]
 	}
 	m := uint64(n)
-	for i := 0; i < rows; i++ {
-		d := keys.Hash(i) % m
-		sels[d] = append(sels[d], int32(i))
+	if sel == nil {
+		for i := 0; i < rows; i++ {
+			d := keys.Hash(i) % m
+			sels[d] = append(sels[d], int32(i))
+		}
+		return sels
+	}
+	for _, i := range sel {
+		d := keys.Hash(int(i)) % m
+		sels[d] = append(sels[d], i)
 	}
 	return sels
 }

@@ -76,6 +76,19 @@ func (s *spillFile) flush() error {
 // iterate flushes, rewinds, and calls fn for every spilled row in
 // write order. rec is only valid during the call.
 func (s *spillFile) iterate(fn func(rec []byte) error) error {
+	return s.iterateBlocks(func(b *block.Block) error {
+		for i := 0; i < b.NumTuples(); i++ {
+			if err := fn(b.Row(i)); err != nil {
+				return err
+			}
+		}
+		return nil
+	})
+}
+
+// iterateBlocks flushes, rewinds, and calls fn for every spilled block
+// of rows in write order. The block is recycled when fn returns.
+func (s *spillFile) iterateBlocks(fn func(b *block.Block) error) error {
 	if err := s.flush(); err != nil {
 		return err
 	}
@@ -110,13 +123,11 @@ func (s *spillFile) iterate(fn func(rec []byte) error) error {
 		if err != nil {
 			return err
 		}
-		for i := 0; i < b.NumTuples(); i++ {
-			if err := fn(b.Row(i)); err != nil {
-				b.Recycle()
-				return err
-			}
-		}
+		err = fn(b)
 		b.Recycle()
+		if err != nil {
+			return err
+		}
 	}
 }
 

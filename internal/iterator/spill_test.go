@@ -156,11 +156,10 @@ func TestHashAggCloseDrainsPool(t *testing.T) {
 	if !ha.Mem.reserveSmall(ha.groupBytes * 3) {
 		t.Fatal("reserve failed")
 	}
-	pt := &privTable{groups: map[string]*group{
-		"a": {cells: make([]aggCell, 1)},
-		"b": {cells: make([]aggCell, 1)},
-		"c": {cells: make([]aggCell, 1)},
-	}}
+	pt := new(aggTable)
+	for _, k := range []string{"a", "b", "c"} {
+		pt.add(ha, expr.Hash64([]byte(k)), []byte(k))
+	}
 	ctx := &Ctx{Core: 1, Term: &TermFlag{}}
 	ha.pool.Put(ctx, pt)
 
@@ -168,7 +167,7 @@ func TestHashAggCloseDrainsPool(t *testing.T) {
 	if left := ha.pool.Drain(); len(left) != 0 {
 		t.Fatalf("%d contexts still parked after Close", len(left))
 	}
-	if pt.groups != nil {
+	if pt.groups() != 0 || pt.keyRows != nil || pt.accs != nil {
 		t.Fatal("parked private table not released")
 	}
 	if cur := acct.Current(); cur != 0 {

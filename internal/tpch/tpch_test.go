@@ -1,6 +1,7 @@
 package tpch
 
 import (
+	"strings"
 	"testing"
 
 	"repro/internal/catalog"
@@ -173,5 +174,35 @@ func TestQ6AgainstReference(t *testing.T) {
 	}
 	if res.Rows()[0][0].F != chk.Rows()[0][0].F {
 		t.Fatalf("Q6 = %v, reference = %v", res.Rows()[0][0], chk.Rows()[0][0])
+	}
+}
+
+// TestDateBoundFiltersVectorized: a date bound written as arithmetic
+// over literals (Q1's date - interval day, the date ± interval month of
+// Q3/Q4/Q5/Q10/Q12/Q14 shapes) folds where the filter's kernels are
+// compiled, so EXPLAIN marks the scan filter [vec] instead of sending
+// every lineitem row through Cmp.Eval → Arith.Eval.
+func TestDateBoundFiltersVectorized(t *testing.T) {
+	c := loadedCluster(t, engine.EP, 2, 0.002)
+	for _, q := range []string{
+		Queries["Q1"],
+		`SELECT count(*) FROM orders WHERE o_orderdate >= date '1993-07-01'
+		   AND o_orderdate < date '1993-07-01' + interval '3' month`,
+		`SELECT count(*) FROM lineitem WHERE l_shipdate >= date '1994-01-01'
+		   AND l_shipdate < date '1994-01-01' + interval '1' year`,
+	} {
+		p, _, err := c.CompileCached(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var filter string
+		for _, line := range strings.Split(p.String(), "\n") {
+			if strings.Contains(line, "scan") && strings.Contains(line, "filter") {
+				filter = line
+			}
+		}
+		if !strings.HasSuffix(filter, "[vec]") {
+			t.Errorf("scan filter is not vectorized: %q\n%s", filter, p.String())
+		}
 	}
 }

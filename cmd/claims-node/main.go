@@ -90,16 +90,9 @@ func main() {
 		log.Printf("fault injection on: %s", fc.String())
 	}
 
-	var m engine.Mode
-	switch strings.ToUpper(*mode) {
-	case "EP":
-		m = engine.EP
-	case "SP":
-		m = engine.SP
-	case "ME":
-		m = engine.ME
-	default:
-		log.Fatalf("unknown mode %q (want EP, SP or ME)", *mode)
+	m, err := engine.ParseMode(*mode)
+	if err != nil {
+		log.Fatal(err)
 	}
 
 	reg := telemetry.NewRegistry(true)

@@ -134,16 +134,9 @@ func main() {
 		defer summary.Flush()
 	}
 
-	var m engine.Mode
-	switch strings.ToUpper(*mode) {
-	case "EP":
-		m = engine.EP
-	case "SP":
-		m = engine.SP
-	case "ME":
-		m = engine.ME
-	default:
-		fmt.Fprintf(os.Stderr, "claims: unknown mode %q\n", *mode)
+	m, err := engine.ParseMode(*mode)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "claims: %v\n", err)
 		os.Exit(2)
 	}
 

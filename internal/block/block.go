@@ -15,6 +15,7 @@ package block
 import (
 	"encoding/binary"
 	"fmt"
+	"math"
 
 	"repro/internal/types"
 )
@@ -248,7 +249,7 @@ func (b *Block) Encode(dst []byte) []byte {
 	}
 	dst = dst[:need]
 	binary.LittleEndian.PutUint32(dst[0:], uint32(b.n))
-	binary.LittleEndian.PutUint64(dst[4:], mathFloat64bits(b.VisitRate))
+	binary.LittleEndian.PutUint64(dst[4:], math.Float64bits(b.VisitRate))
 	binary.LittleEndian.PutUint64(dst[12:], b.Seq)
 	binary.LittleEndian.PutUint32(dst[20:], uint32(b.Socket))
 	copy(dst[headerLen:], b.Bytes())
@@ -263,7 +264,7 @@ func (b *Block) EncodeAppend(dst []byte) []byte {
 	at := len(dst)
 	dst = append(dst, make([]byte, headerLen)...)
 	binary.LittleEndian.PutUint32(dst[at+0:], uint32(b.n))
-	binary.LittleEndian.PutUint64(dst[at+4:], mathFloat64bits(b.VisitRate))
+	binary.LittleEndian.PutUint64(dst[at+4:], math.Float64bits(b.VisitRate))
 	binary.LittleEndian.PutUint64(dst[at+12:], b.Seq)
 	binary.LittleEndian.PutUint32(dst[at+20:], uint32(b.Socket))
 	return append(dst, b.Bytes()...)
@@ -293,7 +294,7 @@ func Decode(sch *types.Schema, src []byte, tr *Tracker) (*Block, error) {
 	}
 	copy(b.buf, payload)
 	b.n = n
-	b.VisitRate = mathFloat64frombits(binary.LittleEndian.Uint64(src[4:]))
+	b.VisitRate = math.Float64frombits(binary.LittleEndian.Uint64(src[4:]))
 	b.Seq = binary.LittleEndian.Uint64(src[12:])
 	b.Socket = int(int32(binary.LittleEndian.Uint32(src[20:])))
 	return b, nil

@@ -126,3 +126,29 @@ func (c *Catalog) Names() []string {
 	sort.Strings(out)
 	return out
 }
+
+// ColNDV returns the registered distinct-value count of a column named
+// without its table: a qualifier ("t.col") is dropped, case is ignored,
+// and every table is searched. When several tables carry the column the
+// first in name order answers. ok is false when no table has statistics
+// for it; each caller substitutes its own guess.
+func (c *Catalog) ColNDV(name string) (ndv int64, ok bool) {
+	if dot := strings.LastIndexByte(name, '.'); dot >= 0 {
+		name = name[dot+1:]
+	}
+	c.mu.RLock()
+	defer c.mu.RUnlock()
+	var from *Table
+	for _, t := range c.tables {
+		if from != nil && t.Name >= from.Name {
+			continue
+		}
+		for col, cs := range t.Stats.Cols {
+			if cs.NDV > 0 && strings.EqualFold(col, name) {
+				ndv, from = cs.NDV, t
+				break
+			}
+		}
+	}
+	return ndv, from != nil
+}

@@ -68,3 +68,39 @@ func TestNodesFloor(t *testing.T) {
 		t.Fatalf("nodes = %d, want floor of 1", c.Nodes)
 	}
 }
+
+// TestColNDV is the one rule behind every "bare column name → NDV"
+// lookup (planner group estimate, admission estimate, simulator): the
+// qualifier is dropped, case is ignored, every table is searched in
+// name order, and a column without statistics is reported as unknown so
+// each caller applies its own guess.
+func TestColNDV(t *testing.T) {
+	c := New(2)
+	a := table("alpha")
+	a.Stats.Cols = map[string]ColStats{"acct_id": {NDV: 500}, "empty": {}}
+	z := table("zeta")
+	z.Stats.Cols = map[string]ColStats{"Acct_ID": {NDV: 9}, "sec_code": {NDV: 50}}
+	c.MustAdd(z)
+	c.MustAdd(a)
+
+	cases := []struct {
+		name string
+		ndv  int64
+		ok   bool
+	}{
+		{"sec_code", 50, true},
+		{"zeta.sec_code", 50, true}, // qualified
+		{"t.SEC_CODE", 50, true},    // alias-qualified, other case
+		{"Sec_Code", 50, true},
+		{"acct_id", 500, true}, // in both tables: first in name order
+		{"ACCT_ID", 500, true},
+		{"empty", 0, false}, // registered without an NDV
+		{"missing", 0, false},
+		{"", 0, false},
+	}
+	for _, tc := range cases {
+		if ndv, ok := c.ColNDV(tc.name); ndv != tc.ndv || ok != tc.ok {
+			t.Errorf("ColNDV(%q) = %d, %v; want %d, %v", tc.name, ndv, ok, tc.ndv, tc.ok)
+		}
+	}
+}

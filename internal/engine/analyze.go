@@ -27,12 +27,10 @@ func (c *Cluster) ExplainAnalyzeScoped(query string, sc *telemetry.Scope) (*Resu
 	return res, res.Analysis, nil
 }
 
-// analyzeState collects the extra measurements EXPLAIN ANALYZE reports
-// beyond the always-on scope instruments: per-exchange traffic (from
-// BlockSent events) and, after the run, the per-operator counter and
-// per-segment gauge snapshot packaged as an Analysis.
+// analyzeState marks a run as analyzed and holds what EXPLAIN ANALYZE
+// needs beyond the query scope's own instruments, which finish reads
+// into an Analysis after the run.
 type analyzeState struct {
-	sent *telemetry.MemSink
 	// spans retains a distributed participant's spans for its snapshot;
 	// nil everywhere else.
 	spans *telemetry.MemSink
@@ -102,8 +100,6 @@ func parseIDCtr(name, prefix string) (id int, what string, ok bool) {
 // participant additionally runs span-enabled, so the spans it ships
 // put its fragment on the coordinator's trace.
 func (az *analyzeState) attach(e *exec) {
-	az.sent = telemetry.NewMemSink(telemetry.KindBlockSent)
-	e.scope.Attach(az.sent)
 	if e.participant() {
 		e.scope.EnableSpans()
 		az.spans = telemetry.NewMemSink(telemetry.KindSpan)
@@ -146,39 +142,33 @@ func (az *analyzeState) finish(e *exec) *Analysis {
 			an.opMemMn[id] = float64(pk)
 		}
 	}
-	// Exchange traffic. Distributed analyzed runs read the per-node
-	// snapshots — every participant folded its own BlockSent events into
-	// ex.<id>.* counters, the coordinator's share included as perNode[…]
-	// — which both totals cluster-wide traffic and attributes it per
-	// producing node for skew. Single-process runs fold the local events
-	// directly, exactly as before.
-	if az.perNode != nil {
-		for _, snap := range az.perNode {
-			for name, v := range snap.Counters {
-				ex, what, ok := parseIDCtr(name, "ex.")
-				if !ok {
-					continue
-				}
-				switch what {
-				case "rows":
-					an.exRows[ex] += v
-				case "blocks":
-					an.exBlocks[ex] += v
-				case "bytes":
-					an.exBytes[ex] += v
-					if an.exNodeBytes[ex] == nil {
-						an.exNodeBytes[ex] = map[int]int64{}
-					}
-					an.exNodeBytes[ex][snap.Node] += v
-				}
-			}
+	// Exchange traffic: the ex.<id>.* counters the fabric's accounting
+	// shim wrote, on every transport. Totals come from the query scope —
+	// on a distributed run the participants' shares are merged in by now
+	// — and the per-node snapshots attribute bytes to the producing node
+	// for skew.
+	for name, v := range e.scope.CounterSnapshot() {
+		ex, what, ok := parseIDCtr(name, "ex.")
+		if !ok {
+			continue
 		}
-	} else {
-		for _, ev := range az.sent.Events() {
-			bs := ev.Rec.(telemetry.BlockSent)
-			an.exBytes[bs.Exchange] += int64(bs.Bytes)
-			an.exBlocks[bs.Exchange]++
-			an.exRows[bs.Exchange] += int64(bs.Tuples)
+		switch what {
+		case "rows":
+			an.exRows[ex] = v
+		case "blocks":
+			an.exBlocks[ex] = v
+		case "bytes":
+			an.exBytes[ex] = v
+		}
+	}
+	for _, snap := range az.perNode {
+		for name, v := range snap.Counters {
+			if ex, what, ok := parseIDCtr(name, "ex."); ok && what == "bytes" {
+				if an.exNodeBytes[ex] == nil {
+					an.exNodeBytes[ex] = map[int]int64{}
+				}
+				an.exNodeBytes[ex][snap.Node] = v
+			}
 		}
 	}
 	// Worker parallelism: peak from the per-segment worker gauge (set on

@@ -229,37 +229,16 @@ func (e *exec) participant() bool {
 	return e.spec != nil && e.spec.Coordinator != e.c.dist.local
 }
 
-// snapshot serializes an analyzed participant's fragment — counters,
-// gauges with peaks, histograms, spans stamped with this node's id,
-// per-exchange traffic folded from BlockSent events — for the control
-// plane to ship back to the coordinator (DeliverStats on the
+// snapshot serializes an analyzed participant's fragment — counters
+// (its share of every exchange's traffic among them), gauges with
+// peaks, histograms, spans stamped with this node's id — for the
+// control plane to ship back to the coordinator (DeliverStats on the
 // coordinating process).
 func (az *analyzeState) snapshot(e *exec) *telemetry.ScopeSnapshot {
 	snap := e.scope.Snapshot(e.local)
 	snap.TraceID = e.spec.TraceID
 	snap.AddSpans(az.spans.Events())
-	foldBlockSent(snap, az.sent.Events())
 	return snap
-}
-
-// foldBlockSent folds a fragment's cross-node BlockSent events into a
-// snapshot's per-exchange counters (ex.<id>.rows/blocks/bytes), so the
-// coordinator can attribute exchange traffic — and compute skew — per
-// producing node. Scopes never write these counter names directly;
-// they exist only in snapshots, which keeps the merge double-count-free.
-func foldBlockSent(snap *telemetry.ScopeSnapshot, evs []telemetry.Event) {
-	if snap.Counters == nil {
-		snap.Counters = make(map[string]int64)
-	}
-	for _, ev := range evs {
-		bs, ok := ev.Rec.(telemetry.BlockSent)
-		if !ok {
-			continue
-		}
-		snap.Counters[telemetry.ExCtr(bs.Exchange, "rows")] += int64(bs.Tuples)
-		snap.Counters[telemetry.ExCtr(bs.Exchange, "blocks")]++
-		snap.Counters[telemetry.ExCtr(bs.Exchange, "bytes")] += int64(bs.Bytes)
-	}
 }
 
 // DeliverStats hands a participant's shipped snapshot to the
@@ -296,11 +275,7 @@ const statsWait = 2 * time.Second
 // rendering. Missing snapshots (slow control plane, dropped delivery)
 // degrade the analysis to the nodes that reported, never fail the query.
 func (e *exec) gatherDistStats(az *analyzeState) {
-	local := e.scope.Snapshot(e.local)
-	if az.sent != nil {
-		foldBlockSent(local, az.sent.Events())
-	}
-	perNode := []*telemetry.ScopeSnapshot{local}
+	perNode := []*telemetry.ScopeSnapshot{e.scope.Snapshot(e.local)}
 	expected := 0
 	for _, n := range e.dataNodes {
 		if n != e.local {

@@ -16,6 +16,7 @@ import (
 	"errors"
 	"fmt"
 	"os"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -65,6 +66,16 @@ func (m Mode) String() string {
 		return fmt.Sprintf("Mode(%d)", int(m))
 	}
 	return modeNames[m]
+}
+
+// ParseMode is String's inverse, case-insensitive.
+func ParseMode(s string) (Mode, error) {
+	for m, name := range modeNames {
+		if strings.EqualFold(s, name) {
+			return Mode(m), nil
+		}
+	}
+	return 0, fmt.Errorf("unknown mode %q (want EP, SP or ME)", s)
 }
 
 // Config configures a cluster.

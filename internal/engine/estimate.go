@@ -1,10 +1,6 @@
 package engine
 
-import (
-	"strings"
-
-	"repro/internal/plan"
-)
+import "repro/internal/plan"
 
 // estimateQueryMemory derives a coarse working-memory estimate for a
 // plan from catalog statistics: how many bytes of operator state (hash
@@ -96,20 +92,9 @@ func (es *memEstimator) groups(n *plan.PHashAgg) int64 {
 	var ndv int64 = 1
 	known := false
 	for _, key := range n.KeyNames {
-		bare := key
-		if i := strings.LastIndexByte(bare, '.'); i >= 0 {
-			bare = bare[i+1:]
-		}
-		for _, name := range es.c.cat.Names() {
-			tbl, err := es.c.cat.Lookup(name)
-			if err != nil {
-				continue
-			}
-			if cs, ok := tbl.Stats.Cols[bare]; ok && cs.NDV > 0 {
-				ndv *= cs.NDV
-				known = true
-				break
-			}
+		if v, ok := es.c.cat.ColNDV(key); ok {
+			ndv *= v
+			known = true
 		}
 	}
 	g := in / 4

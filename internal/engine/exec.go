@@ -316,8 +316,8 @@ func (e *exec) hosts(node int) bool {
 }
 
 // newQueryScope creates the auto-named telemetry scope of one query.
-func newQueryScope(opts ...telemetry.Option) *telemetry.Scope {
-	return telemetry.NewScope(fmt.Sprintf("q%d", queryScopeSeq.Add(1)), opts...)
+func newQueryScope() *telemetry.Scope {
+	return telemetry.NewScope(fmt.Sprintf("q%d", queryScopeSeq.Add(1)))
 }
 
 // begin opens the query: refuses a closed cluster, settles the
@@ -330,16 +330,10 @@ func (e *exec) begin(r *Request) error {
 	}
 	e.reg = telemetry.DefaultRegistry()
 	e.scope = r.Scope
-	switch {
-	case e.scope != nil:
-	case !e.serial:
+	if e.scope == nil && (!e.serial || e.reg != nil) {
+		// A serial query with no registry either is untracked and needs
+		// no scope at all — the serving loop's steady state.
 		e.scope = newQueryScope()
-	case e.reg != nil:
-		// Ring-less scope: the event ring is a debugging window whose
-		// allocation would dominate a microsecond-scale query. With no
-		// registry either, the query is untracked and needs no scope at
-		// all — the serving loop's steady state.
-		e.scope = newQueryScope(telemetry.WithRingSize(0))
 	}
 	if r.Analyze {
 		e.az = &analyzeState{}
@@ -1085,14 +1079,8 @@ func (e *exec) expand(inst *segInst, must bool) bool {
 
 // runPipelined starts every segment at once (EP and SP).
 func (e *exec) runPipelined() {
-	initial := 1
-	if e.c.cfg.Mode == SP {
-		initial = e.c.cfg.FixedParallelism
-	} else if e.c.cfg.FixedParallelism > 1 {
-		initial = e.c.cfg.FixedParallelism
-	}
 	for _, inst := range e.insts {
-		e.startInst(inst, initial)
+		e.startInst(inst, e.c.cfg.FixedParallelism)
 	}
 
 	if e.c.cfg.Mode == EP {

@@ -1,6 +1,7 @@
 package iterator
 
 import (
+	"math"
 	"sync/atomic"
 
 	"repro/internal/block"
@@ -251,5 +252,5 @@ func (m *Merger) Close() {}
 // atomicFloat is a float64 with atomic load/store.
 type atomicFloat struct{ bits atomic.Uint64 }
 
-func (a *atomicFloat) Store(f float64) { a.bits.Store(mathFloat64bits(f)) }
-func (a *atomicFloat) Load() float64   { return mathFloat64frombits(a.bits.Load()) }
+func (a *atomicFloat) Store(f float64) { a.bits.Store(math.Float64bits(f)) }
+func (a *atomicFloat) Load() float64   { return math.Float64frombits(a.bits.Load()) }

@@ -48,40 +48,60 @@ type FabricExchange interface {
 	Release()
 }
 
-// scopedOutbox is the shared telemetry shim both transports wrap their
-// outboxes in: it counts bytes and blocks that cross a node boundary
-// into the scope's counters and emits one BlockSent event per crossing.
-// Same-node traffic is not counted, on either transport — this is what
-// makes the real-TCP and in-process paths report identical network
-// statistics.
-type scopedOutbox struct {
-	inner         iterator.Outbox
+// exchangeAccount is one exchange's traffic accounting on the query's
+// scope, and the one place traffic is counted, on either transport:
+// bytes and blocks that cross a node boundary go into the scope's net.*
+// counters and — split per exchange, rows included — into its
+// ex.<id>.* counters, the figures EXPLAIN ANALYZE reports per plan
+// edge; each crossing also emits one BlockSent event for traces and
+// sinks. Same-node traffic is not counted — this is what makes the
+// real-TCP and in-process paths report identical network statistics.
+// The instruments are resolved once, when the exchange is declared, and
+// shared by the outboxes of all its producers.
+type exchangeAccount struct {
 	scope         *telemetry.Scope
 	exchange      int
-	node          int
 	consumerNodes []int
 	sendSpan      string // built once here: StartSpan must see no work when spans are off
-	bytes         *telemetry.Counter
-	blocks        *telemetry.Counter
+
+	netBytes, netBlocks *telemetry.Counter
+	rows, blocks, bytes *telemetry.Counter
 }
 
-// wrapOutbox attaches telemetry counting to an outbox; with a nil scope
-// the outbox passes through unwrapped.
-func wrapOutbox(inner iterator.Outbox, scope *telemetry.Scope,
-	exchange, node int, consumerNodes []int) iterator.Outbox {
+// newExchangeAccount resolves an exchange's instruments on scope; the
+// zero account without one.
+func newExchangeAccount(scope *telemetry.Scope, exchange int, consumerNodes []int) exchangeAccount {
 	if scope == nil {
-		return inner
+		return exchangeAccount{}
 	}
-	return &scopedOutbox{
-		inner:         inner,
+	return exchangeAccount{
 		scope:         scope,
 		exchange:      exchange,
-		node:          node,
 		consumerNodes: consumerNodes,
 		sendSpan:      "send ex" + strconv.Itoa(exchange),
-		bytes:         scope.Counter(telemetry.CtrNetBytes),
-		blocks:        scope.Counter(telemetry.CtrNetBlocks),
+		netBytes:      scope.Counter(telemetry.CtrNetBytes),
+		netBlocks:     scope.Counter(telemetry.CtrNetBlocks),
+		rows:          scope.Counter(telemetry.ExCtr(exchange, "rows")),
+		blocks:        scope.Counter(telemetry.ExCtr(exchange, "blocks")),
+		bytes:         scope.Counter(telemetry.ExCtr(exchange, "bytes")),
 	}
+}
+
+// wrap puts the accounting in front of the outbox of the producer on
+// node; with the zero account (no scope) the outbox passes through.
+func (a *exchangeAccount) wrap(inner iterator.Outbox, node int) iterator.Outbox {
+	if a.scope == nil {
+		return inner
+	}
+	return &scopedOutbox{inner: inner, acct: a, node: node}
+}
+
+// scopedOutbox is the shim both transports wrap their outboxes in: it
+// books every cross-node send on the exchange's account.
+type scopedOutbox struct {
+	inner iterator.Outbox
+	acct  *exchangeAccount
+	node  int
 }
 
 // Destinations implements iterator.Outbox.
@@ -89,28 +109,32 @@ func (o *scopedOutbox) Destinations() int { return o.inner.Destinations() }
 
 // Send implements iterator.Outbox.
 func (o *scopedOutbox) Send(dest int, b *block.Block) error {
-	if dest >= 0 && dest < len(o.consumerNodes) && o.consumerNodes[dest] != o.node {
-		wire := b.WireSize()
-		o.bytes.Add(int64(wire))
-		o.blocks.Inc()
-		o.scope.Emit(telemetry.BlockSent{
-			Exchange: o.exchange,
-			From:     o.node,
-			To:       o.consumerNodes[dest],
-			Tuples:   b.NumTuples(),
-			Bytes:    wire,
-		})
-		// The send span covers the cross-node handoff incl. backpressure
-		// and bandwidth waits; recv-side time shows as the consuming
-		// merger operator's busy time.
-		sp := o.scope.StartSpan(o.sendSpan, "net").
-			WithNode(o.node).WithRows(int64(b.NumTuples())).
-			WithBlocks(1).WithBytes(int64(wire))
-		err := o.inner.Send(dest, b)
-		sp.End()
-		return err
+	a := o.acct
+	if dest < 0 || dest >= len(a.consumerNodes) || a.consumerNodes[dest] == o.node {
+		return o.inner.Send(dest, b)
 	}
-	return o.inner.Send(dest, b)
+	wire, rows := b.WireSize(), b.NumTuples()
+	a.netBytes.Add(int64(wire))
+	a.netBlocks.Inc()
+	a.bytes.Add(int64(wire))
+	a.blocks.Inc()
+	a.rows.Add(int64(rows))
+	a.scope.Emit(telemetry.BlockSent{
+		Exchange: a.exchange,
+		From:     o.node,
+		To:       a.consumerNodes[dest],
+		Tuples:   rows,
+		Bytes:    wire,
+	})
+	// The send span covers the cross-node handoff incl. backpressure
+	// and bandwidth waits; recv-side time shows as the consuming
+	// merger operator's busy time.
+	sp := a.scope.StartSpan(a.sendSpan, "net").
+		WithNode(o.node).WithRows(int64(rows)).
+		WithBlocks(1).WithBytes(int64(wire))
+	err := o.inner.Send(dest, b)
+	sp.End()
+	return err
 }
 
 // CloseSend implements iterator.Outbox.
@@ -263,7 +287,8 @@ func (f *TCPFabric) NewExchange(query, id, producers int, consumerNodes []int,
 	sch *types.Schema, bufBlocks int, tracker *block.Tracker,
 	scope *telemetry.Scope) FabricExchange {
 	ex := &tcpExchange{fabric: f, query: query, id: id, consumerNodes: consumerNodes,
-		scope: scope, inboxes: make([]*Inbox, len(consumerNodes))}
+		scope: scope, acct: newExchangeAccount(scope, id, consumerNodes),
+		inboxes: make([]*Inbox, len(consumerNodes))}
 	for i, cn := range consumerNodes {
 		node, ok := f.nodes[cn]
 		if !ok {
@@ -281,6 +306,7 @@ type tcpExchange struct {
 	id            int
 	consumerNodes []int
 	scope         *telemetry.Scope
+	acct          exchangeAccount
 	inboxes       []*Inbox
 }
 
@@ -318,5 +344,5 @@ func (e *tcpExchange) Outbox(producerNode int) iterator.Outbox {
 	}
 	ob := node.NewOutbox(e.query, e.id, e.consumerNodes)
 	ob.SetScope(e.scope)
-	return wrapOutbox(ob, e.scope, e.id, producerNode, e.consumerNodes)
+	return e.acct.wrap(ob, producerNode)
 }

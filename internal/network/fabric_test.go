@@ -18,7 +18,8 @@ func (nopOutbox) CloseSend() error             { return nil }
 // it emits and nothing else — in particular not the span's name, which
 // StartSpan would throw away.
 func TestScopedOutboxSpansOffBuildsNoName(t *testing.T) {
-	ob := wrapOutbox(nopOutbox{}, telemetry.NewScope("spans-off"), 3, 0, []int{0, 1})
+	acct := newExchangeAccount(telemetry.NewScope("spans-off"), 3, []int{0, 1})
+	ob := acct.wrap(nopOutbox{}, 0)
 	blk := mkBlock(1, 2, 3)
 	if a := testing.AllocsPerRun(1000, func() { _ = ob.Send(1, blk) }); a > 1 {
 		t.Fatalf("cross-node scopedOutbox.Send with spans off allocates %.1f times, want 1", a)

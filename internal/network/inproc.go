@@ -13,8 +13,8 @@
 //     cluster node (all on loopback in engine.NewClusterTCP, one per
 //     claims-node process), one record per (query, exchange) on each.
 //
-// scopedOutbox (fabric.go) is the accounting shim both share, so the
-// two report identical network statistics.
+// exchangeAccount (fabric.go) is the traffic accounting both share, so
+// the two report identical network statistics.
 package network
 
 import (
@@ -80,6 +80,7 @@ type Exchange struct {
 	consumerNodes []int
 	inboxes       []*Inbox
 	scope         *telemetry.Scope
+	acct          exchangeAccount
 	abortCh       chan struct{}
 }
 
@@ -96,6 +97,7 @@ func (t *InProc) NewExchange(_, id, producers int, consumerNodes []int,
 		tr: t, id: id,
 		consumerNodes: consumerNodes,
 		scope:         scope,
+		acct:          newExchangeAccount(scope, id, consumerNodes),
 		abortCh:       make(chan struct{}),
 	}
 	for range consumerNodes {
@@ -132,14 +134,13 @@ func (e *Exchange) Abort() {
 func (e *Exchange) Outbox(node int) iterator.Outbox {
 	ob := outbox{ex: e, node: node}
 	if !e.tr.Faults.Enabled() {
-		return wrapOutbox(&ob, e.scope, e.id, node, e.consumerNodes)
+		return e.acct.wrap(&ob, node)
 	}
 	pol := DefaultRetryPolicy
 	if e.tr.Retry != nil {
 		pol = e.tr.Retry.withDefaults()
 	}
-	return wrapOutbox(&faultyOutbox{outbox: ob, pol: pol, seqs: make([]uint64, len(e.consumerNodes))},
-		e.scope, e.id, node, e.consumerNodes)
+	return e.acct.wrap(&faultyOutbox{outbox: ob, pol: pol, seqs: make([]uint64, len(e.consumerNodes))}, node)
 }
 
 type outbox struct {

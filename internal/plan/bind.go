@@ -24,51 +24,12 @@ func splitConjuncts(e sql.Expr) []sql.Expr {
 // colsOf collects the column references of an AST expression.
 func colsOf(e sql.Expr) []*sql.ColRef {
 	var out []*sql.ColRef
-	walk(e, func(n sql.Expr) {
+	sql.WalkExpr(e, func(n sql.Expr) {
 		if c, ok := n.(*sql.ColRef); ok {
 			out = append(out, c)
 		}
 	})
 	return out
-}
-
-func walk(e sql.Expr, f func(sql.Expr)) {
-	if e == nil {
-		return
-	}
-	f(e)
-	switch n := e.(type) {
-	case *sql.BinExpr:
-		walk(n.L, f)
-		walk(n.R, f)
-	case *sql.NotExpr:
-		walk(n.E, f)
-	case *sql.NegExpr:
-		walk(n.E, f)
-	case *sql.LikeExpr:
-		walk(n.E, f)
-	case *sql.BetweenExpr:
-		walk(n.E, f)
-		walk(n.Lo, f)
-		walk(n.Hi, f)
-	case *sql.InExpr:
-		walk(n.E, f)
-		for _, i := range n.List {
-			walk(i, f)
-		}
-	case *sql.CaseExpr:
-		for _, w := range n.Whens {
-			walk(w.Cond, f)
-			walk(w.Then, f)
-		}
-		walk(n.Else, f)
-	case *sql.FuncExpr:
-		for _, a := range n.Args {
-			walk(a, f)
-		}
-	case *sql.ExtractExpr:
-		walk(n.E, f)
-	}
 }
 
 // resolve finds the schema index of a column reference.

@@ -27,7 +27,7 @@ func isAggFunc(e sql.Expr) (*sql.FuncExpr, bool) {
 
 func containsAgg(e sql.Expr) bool {
 	found := false
-	walk(e, func(n sql.Expr) {
+	sql.WalkExpr(e, func(n sql.Expr) {
 		if _, ok := isAggFunc(n); ok {
 			found = true
 		}
@@ -342,7 +342,9 @@ func (b *binder) estimateGroups(groupBy []sql.Expr, sch *types.Schema) int64 {
 	for _, g := range groupBy {
 		n := int64(50)
 		if c, ok := g.(*sql.ColRef); ok {
-			n = b.colNDV(c.Name)
+			if n, ok = b.cat.ColNDV(c.Name); !ok {
+				n = 1000
+			}
 		} else if _, ok := g.(*sql.ExtractExpr); ok {
 			n = 7
 		}
@@ -352,21 +354,4 @@ func (b *binder) estimateGroups(groupBy []sql.Expr, sch *types.Schema) int64 {
 		est *= n
 	}
 	return est
-}
-
-// colNDV looks a bare column name up across all catalog tables.
-func (b *binder) colNDV(name string) int64 {
-	name = strings.ToLower(bareName(name))
-	for _, tname := range b.cat.Names() {
-		tbl, err := b.cat.Lookup(tname)
-		if err != nil {
-			continue
-		}
-		for col, cs := range tbl.Stats.Cols {
-			if strings.ToLower(col) == name && cs.NDV > 0 {
-				return cs.NDV
-			}
-		}
-	}
-	return 1000
 }

@@ -2,7 +2,6 @@ package sim
 
 import (
 	"fmt"
-	"strings"
 
 	"repro/internal/catalog"
 	"repro/internal/expr"
@@ -24,7 +23,6 @@ func Compile(p *plan.Plan, cat *catalog.Catalog, nodes int) (*Graph, error) {
 	c := &compiler{
 		cat:   cat,
 		nodes: nodes,
-		ndv:   buildNDVIndex(cat),
 		g:     &Graph{},
 		exMap: make(map[int]int),
 	}
@@ -84,7 +82,6 @@ const (
 type compiler struct {
 	cat   *catalog.Catalog
 	nodes int
-	ndv   map[string]int64
 	g     *Graph
 	exMap map[int]int // plan exchange id → sim edge index
 
@@ -349,11 +346,7 @@ func (c *compiler) groupEstimate(agg *plan.PHashAgg, rowsIn float64) float64 {
 func (c *compiler) keyNDV(k expr.Expr) int64 {
 	switch e := k.(type) {
 	case *expr.Col:
-		name := e.Name
-		if dot := strings.LastIndexByte(name, '.'); dot >= 0 {
-			name = name[dot+1:]
-		}
-		if v, ok := c.ndv[strings.ToLower(name)]; ok && v > 0 {
+		if v, ok := c.cat.ColNDV(e.Name); ok {
 			return v
 		}
 		return 1000
@@ -364,23 +357,6 @@ func (c *compiler) keyNDV(k expr.Expr) int64 {
 		return 12
 	}
 	return 100
-}
-
-// buildNDVIndex maps bare column names to registered NDVs.
-func buildNDVIndex(cat *catalog.Catalog) map[string]int64 {
-	idx := make(map[string]int64)
-	for _, name := range cat.Names() {
-		tbl, err := cat.Lookup(name)
-		if err != nil {
-			continue
-		}
-		for col, cs := range tbl.Stats.Cols {
-			if cs.NDV > 0 {
-				idx[strings.ToLower(col)] = cs.NDV
-			}
-		}
-	}
-	return idx
 }
 
 // predCost estimates the per-tuple evaluation cost of a predicate.

@@ -21,17 +21,10 @@ type Sim struct {
 	queues  map[[2]int]*queue  // (edge, node) → queue
 	now     time.Duration
 
-	// The run's telemetry stream (virtual-time clock). All measurements
-	// accumulate on its instruments and event sinks; Metrics is a view
-	// computed from them when Run finishes.
+	// The run's telemetry stream (virtual-time clock): every event the
+	// run emits goes through it, and the two timelines of Metrics are
+	// read back from the sinks below when Run finishes.
 	scope     *telemetry.Scope
-	busy      *telemetry.FloatCounter
-	availSec  *telemetry.FloatCounter
-	allocSec  *telemetry.FloatCounter
-	netBytes  *telemetry.FloatCounter
-	schedSec  *telemetry.FloatCounter
-	ctxSw     *telemetry.FloatCounter
-	memGauge  *telemetry.FloatGauge
 	utilSink  *telemetry.MemSink
 	traceSink *telemetry.MemSink
 
@@ -47,7 +40,15 @@ type Sim struct {
 	// (stage-at-a-time execution: ME and shark-sim).
 	Materialized bool
 
-	// queued memory high-water tracking
+	// The run's fluid accumulators, plain fields because the simulator
+	// is single-threaded: core-second integrals, bytes on the wire,
+	// scheduling cost, context switches, and the memory high-water mark.
+	busySec, availSec, allocSec float64
+	netBytes                    float64
+	schedSec                    float64
+	ctxSwitches                 float64
+	peakMem                     float64
+
 	stateBytes float64 // blocking-operator state (hash tables)
 
 	// TraceEvery throttles trace samples (default: every quantum).
@@ -104,13 +105,6 @@ func New(c Cluster, g *Graph, p Policy) (*Sim, error) {
 	}
 	s.scope = telemetry.NewScope("sim."+p.Name(),
 		telemetry.WithClock(func() time.Duration { return s.now }))
-	s.busy = s.scope.FloatCounter(telemetry.FCtrBusyCoreSec)
-	s.availSec = s.scope.FloatCounter(telemetry.FCtrAvailCoreSec)
-	s.allocSec = s.scope.FloatCounter(telemetry.FCtrAllocCoreSec)
-	s.netBytes = s.scope.FloatCounter(telemetry.CtrNetBytes)
-	s.schedSec = s.scope.FloatCounter(telemetry.FCtrSchedOverheadSec)
-	s.ctxSw = s.scope.FloatCounter(telemetry.FCtrCtxSwitches)
-	s.memGauge = s.scope.FloatGauge(telemetry.GaugeMemBytes)
 	s.utilSink = telemetry.NewMemSink(telemetry.KindUtilSample)
 	s.traceSink = telemetry.NewMemSink(telemetry.KindParallelismSample)
 	s.scope.Attach(s.utilSink)
@@ -126,21 +120,20 @@ func (s *Sim) Now() time.Duration { return s.now }
 func (s *Sim) Scope() *telemetry.Scope { return s.scope }
 
 // AddSchedOverhead charges virtual CPU time to scheduling (Table 5).
-func (s *Sim) AddSchedOverhead(sec float64) { s.schedSec.Add(sec) }
+func (s *Sim) AddSchedOverhead(sec float64) { s.schedSec += sec }
 
 // SetSchedOverhead overwrites the scheduling-overhead accumulator —
 // policies that model overhead as a closed-form function of work done
 // (MDP's per-unit pickup cost) recompute it each step.
-func (s *Sim) SetSchedOverhead(sec float64) { s.schedSec.Store(sec) }
+func (s *Sim) SetSchedOverhead(sec float64) { s.schedSec = sec }
 
 // AddContextSwitches accrues simulated thread context switches.
-func (s *Sim) AddContextSwitches(n float64) { s.ctxSw.Add(n) }
+func (s *Sim) AddContextSwitches(n float64) { s.ctxSwitches += n }
 
 // BusyCoreSec returns the busy core-second integral so far.
-func (s *Sim) BusyCoreSec() float64 { return s.busy.Load() }
+func (s *Sim) BusyCoreSec() float64 { return s.busySec }
 
-// Run advances the simulation to completion and returns its metrics —
-// a view computed from the run's telemetry scope.
+// Run advances the simulation to completion and returns its metrics.
 func (s *Sim) Run() (*Metrics, error) {
 	s.scope.Emit(telemetry.QueryPhase{Phase: "start", Detail: s.Policy.Name()})
 	s.Policy.Init(s)
@@ -169,18 +162,18 @@ func (s *Sim) emitStageChange(inst *segInst) {
 	})
 }
 
-// metrics assembles the Metrics view from the scope's instruments and
+// metrics assembles the Metrics view from the run's accumulators and
 // the internal timeline sinks.
 func (s *Sim) metrics() *Metrics {
 	m := &Metrics{
 		Elapsed:          s.now,
-		BusyCoreSeconds:  s.busy.Load(),
-		AvailCoreSeconds: s.availSec.Load(),
-		AllocCoreSeconds: s.allocSec.Load(),
-		NetBytes:         s.netBytes.Load(),
-		PeakMemBytes:     s.memGauge.Peak(),
-		SchedOverheadSec: s.schedSec.Load(),
-		ContextSwitches:  s.ctxSw.Load(),
+		BusyCoreSeconds:  s.busySec,
+		AvailCoreSeconds: s.availSec,
+		AllocCoreSeconds: s.allocSec,
+		NetBytes:         s.netBytes,
+		PeakMemBytes:     s.peakMem,
+		SchedOverheadSec: s.schedSec,
+		ContextSwitches:  s.ctxSwitches,
 	}
 	for _, ev := range s.utilSink.Events() {
 		u := ev.Rec.(telemetry.UtilSample)
@@ -395,9 +388,9 @@ func (s *Sim) step(dt time.Duration) {
 			sliceAlloc += float64(inst.p) * dtSec
 		}
 	}
-	s.busy.Add(sliceBusy)
-	s.availSec.Add(float64(s.C.HTCores*s.C.Nodes) * dtSec)
-	s.allocSec.Add(sliceAlloc)
+	s.busySec += sliceBusy
+	s.availSec += float64(s.C.HTCores*s.C.Nodes) * dtSec
+	s.allocSec += sliceAlloc
 	cpuUtil := 0.0
 	if sliceAlloc > 0 {
 		cpuUtil = sliceBusy / sliceAlloc
@@ -415,7 +408,7 @@ func (s *Sim) step(dt time.Duration) {
 		}
 		mem += b
 	}
-	s.memGauge.Set(mem)
+	s.peakMem = math.Max(s.peakMem, mem)
 
 	// Parallelism trace (node 0 / master instances).
 	if s.now-s.lastTrace >= s.TraceEvery {
@@ -510,7 +503,7 @@ func (s *Sim) emit(inst *segInst, st *Stage, tuples float64, egress, ingress []f
 			egress[inst.node] -= b
 			ingress[dn] -= b
 			netBytes += b
-			s.netBytes.Add(b)
+			s.netBytes += b
 		}
 	}
 	return netBytes

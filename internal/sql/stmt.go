@@ -43,59 +43,60 @@ func WalkExprs(s *SelectStmt, fn func(Expr)) {
 		return
 	}
 	for _, it := range s.Items {
-		walkExpr(it.Expr, fn)
+		WalkExpr(it.Expr, fn)
 	}
 	for _, tr := range s.From {
 		if tr.Sub != nil {
 			WalkExprs(tr.Sub, fn)
 		}
 	}
-	walkExpr(s.Where, fn)
+	WalkExpr(s.Where, fn)
 	for _, g := range s.GroupBy {
-		walkExpr(g, fn)
+		WalkExpr(g, fn)
 	}
-	walkExpr(s.Having, fn)
+	WalkExpr(s.Having, fn)
 	for _, o := range s.OrderBy {
-		walkExpr(o.Expr, fn)
+		WalkExpr(o.Expr, fn)
 	}
 }
 
-func walkExpr(e Expr, fn func(Expr)) {
+// WalkExpr visits e and every sub-expression under it, parents first.
+func WalkExpr(e Expr, fn func(Expr)) {
 	if e == nil {
 		return
 	}
 	fn(e)
 	switch n := e.(type) {
 	case *BinExpr:
-		walkExpr(n.L, fn)
-		walkExpr(n.R, fn)
+		WalkExpr(n.L, fn)
+		WalkExpr(n.R, fn)
 	case *NotExpr:
-		walkExpr(n.E, fn)
+		WalkExpr(n.E, fn)
 	case *NegExpr:
-		walkExpr(n.E, fn)
+		WalkExpr(n.E, fn)
 	case *LikeExpr:
-		walkExpr(n.E, fn)
+		WalkExpr(n.E, fn)
 	case *BetweenExpr:
-		walkExpr(n.E, fn)
-		walkExpr(n.Lo, fn)
-		walkExpr(n.Hi, fn)
+		WalkExpr(n.E, fn)
+		WalkExpr(n.Lo, fn)
+		WalkExpr(n.Hi, fn)
 	case *InExpr:
-		walkExpr(n.E, fn)
+		WalkExpr(n.E, fn)
 		for _, i := range n.List {
-			walkExpr(i, fn)
+			WalkExpr(i, fn)
 		}
 	case *CaseExpr:
 		for _, w := range n.Whens {
-			walkExpr(w.Cond, fn)
-			walkExpr(w.Then, fn)
+			WalkExpr(w.Cond, fn)
+			WalkExpr(w.Then, fn)
 		}
-		walkExpr(n.Else, fn)
+		WalkExpr(n.Else, fn)
 	case *FuncExpr:
 		for _, a := range n.Args {
-			walkExpr(a, fn)
+			WalkExpr(a, fn)
 		}
 	case *ExtractExpr:
-		walkExpr(n.E, fn)
+		WalkExpr(n.E, fn)
 	}
 }
 

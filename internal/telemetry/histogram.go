@@ -2,6 +2,7 @@ package telemetry
 
 import (
 	"fmt"
+	"math"
 	"sync/atomic"
 	"time"
 )
@@ -18,7 +19,17 @@ import (
 type Histogram struct {
 	bounds []float64
 	counts []atomic.Int64 // len(bounds)+1, last is +Inf
-	sum    FloatCounter
+	sum    atomic.Uint64  // float64 bits, accumulated by addSum
+}
+
+// addSum accumulates v into the observation sum.
+func (h *Histogram) addSum(v float64) {
+	for {
+		old := h.sum.Load()
+		if h.sum.CompareAndSwap(old, math.Float64bits(math.Float64frombits(old)+v)) {
+			return
+		}
+	}
 }
 
 // Well-known histogram instrument names. Scope-level histograms under
@@ -67,7 +78,7 @@ func (h *Histogram) Observe(v float64) {
 		i++
 	}
 	h.counts[i].Add(1)
-	h.sum.Add(v)
+	h.addSum(v)
 }
 
 // ObserveDuration records a duration in seconds.
@@ -91,7 +102,7 @@ func (h *Histogram) Snapshot() HistogramSnapshot {
 	s := HistogramSnapshot{
 		Bounds: h.bounds,
 		Counts: make([]int64, len(h.counts)),
-		Sum:    h.sum.Load(),
+		Sum:    math.Float64frombits(h.sum.Load()),
 	}
 	for i := range h.counts {
 		s.Counts[i] = h.counts[i].Load()
@@ -117,7 +128,7 @@ func (h *Histogram) MergeSnapshot(s HistogramSnapshot) error {
 			h.counts[i].Add(n)
 		}
 	}
-	h.sum.Add(s.Sum)
+	h.addSum(s.Sum)
 	return nil
 }
 

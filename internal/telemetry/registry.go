@@ -29,16 +29,14 @@ type Registry struct {
 	started atomic.Int64
 	done    atomic.Int64
 
-	// hists are process-cumulative histograms. Query scopes' histograms
-	// are folded in at Finish (so history survives recent-ring eviction);
-	// process-level observers (admission wait, query latency) write here
-	// directly via Observe.
-	hists sync.Map // name → *Histogram
-
-	// ctrs are process-cumulative counters (plan-cache hits, protocol
-	// requests, ...): monotone totals exported on /metrics, distinct
-	// from per-query scope counters.
-	ctrs sync.Map // name → *Counter
+	// proc holds the process-cumulative instruments: counters that
+	// belong to no one query (plan-cache hits, protocol requests, ...)
+	// and histograms — query scopes' histograms are folded in at Finish
+	// (so history survives recent-ring eviction), process-level
+	// observers (admission wait, query latency) write here directly via
+	// Observe. It is a Scope like any query's, so the two share one
+	// instrument table.
+	proc *Scope
 
 	// slowMu guards the slow-query log configuration; Finish emits one
 	// JSONL record per query at or over the threshold.
@@ -58,6 +56,7 @@ func NewRegistry(captureSpans bool) *Registry {
 		captureSpans: captureSpans,
 		keepRecent:   defaultKeepRecent,
 		live:         make(map[string]*QueryRecord),
+		proc:         NewScope("process"),
 	}
 }
 
@@ -136,10 +135,7 @@ func (r *Registry) Finish(q *QueryRecord, err error) {
 	r.done.Add(1)
 	r.Observe(HistQueryLatency, q.dur.Seconds())
 	if q.Scope != nil {
-		for name, hs := range q.Scope.HistogramSnapshot() {
-			h := r.Histogram(name, hs.Bounds)
-			h.MergeSnapshot(hs) //nolint:errcheck // mismatched layouts dropped by contract
-		}
+		r.proc.MergeSnapshot(&ScopeSnapshot{Histograms: q.Scope.HistogramSnapshot()})
 	}
 	r.logSlow(q)
 	r.mu.Lock()
@@ -280,7 +276,7 @@ func (r *Registry) Counts() (started, done int64) {
 	return r.started.Load(), r.done.Load()
 }
 
-// --- cumulative histograms ---------------------------------------------------
+// --- process-cumulative instruments ------------------------------------------
 
 // Histogram returns (creating on first use) a process-cumulative
 // histogram. Nil-safe: a nil registry returns a throwaway histogram so
@@ -289,11 +285,7 @@ func (r *Registry) Histogram(name string, bounds []float64) *Histogram {
 	if r == nil {
 		return NewHistogram(bounds)
 	}
-	if h, ok := r.hists.Load(name); ok {
-		return h.(*Histogram)
-	}
-	h, _ := r.hists.LoadOrStore(name, NewHistogram(bounds))
-	return h.(*Histogram)
+	return r.proc.Histogram(name, bounds)
 }
 
 // Counter returns (creating on first use) a process-cumulative
@@ -303,11 +295,7 @@ func (r *Registry) Counter(name string) *Counter {
 	if r == nil {
 		return &Counter{}
 	}
-	if c, ok := r.ctrs.Load(name); ok {
-		return c.(*Counter)
-	}
-	c, _ := r.ctrs.LoadOrStore(name, &Counter{})
-	return c.(*Counter)
+	return r.proc.Counter(name)
 }
 
 // Counters snapshots every process-cumulative counter. Nil-safe.
@@ -315,12 +303,7 @@ func (r *Registry) Counters() map[string]int64 {
 	if r == nil {
 		return nil
 	}
-	out := make(map[string]int64)
-	r.ctrs.Range(func(k, v any) bool {
-		out[k.(string)] = v.(*Counter).Load()
-		return true
-	})
-	return out
+	return r.proc.CounterSnapshot()
 }
 
 // Observe records one value into a cumulative histogram, choosing the
@@ -345,21 +328,13 @@ func (r *Registry) Histograms() map[string]HistogramSnapshot {
 	if r == nil {
 		return nil
 	}
-	out := make(map[string]HistogramSnapshot)
-	merged := make(map[string]*Histogram)
-	r.hists.Range(func(k, v any) bool {
-		merged[k.(string)] = v.(*Histogram)
-		return true
-	})
+	out := r.proc.HistogramSnapshot()
 	r.mu.Lock()
 	live := make([]*QueryRecord, 0, len(r.live))
 	for _, q := range r.live {
 		live = append(live, q)
 	}
 	r.mu.Unlock()
-	for name, h := range merged {
-		out[name] = h.Snapshot()
-	}
 	for _, q := range live {
 		if q.Scope == nil {
 			continue

@@ -30,11 +30,10 @@ type ScopeSnapshot struct {
 	// DurNs is the scope's elapsed clock at snapshot time.
 	DurNs int64 `json:"dur_ns"`
 
-	Counters      map[string]int64             `json:"counters,omitempty"`
-	FloatCounters map[string]float64           `json:"float_counters,omitempty"`
-	Gauges        map[string]GaugeValue        `json:"gauges,omitempty"`
-	Histograms    map[string]HistogramSnapshot `json:"histograms,omitempty"`
-	Spans         []SpanEnd                    `json:"spans,omitempty"`
+	Counters   map[string]int64             `json:"counters,omitempty"`
+	Gauges     map[string]GaugeValue        `json:"gauges,omitempty"`
+	Histograms map[string]HistogramSnapshot `json:"histograms,omitempty"`
+	Spans      []SpanEnd                    `json:"spans,omitempty"`
 }
 
 // Snapshot serializes the scope's instruments, attributed to node.
@@ -42,14 +41,13 @@ type ScopeSnapshot struct {
 // span-capturing MemSink add them with AddSpans.
 func (s *Scope) Snapshot(node int) *ScopeSnapshot {
 	return &ScopeSnapshot{
-		Scope:         s.name,
-		Node:          node,
-		StartUnixNs:   s.start.UnixNano(),
-		DurNs:         int64(s.Elapsed()),
-		Counters:      s.CounterSnapshot(),
-		FloatCounters: s.FloatCounterSnapshot(),
-		Gauges:        s.GaugeSnapshot(),
-		Histograms:    s.HistogramSnapshot(),
+		Scope:       s.name,
+		Node:        node,
+		StartUnixNs: s.start.UnixNano(),
+		DurNs:       int64(s.Elapsed()),
+		Counters:    s.CounterSnapshot(),
+		Gauges:      s.GaugeSnapshot(),
+		Histograms:  s.HistogramSnapshot(),
 	}
 }
 
@@ -80,7 +78,7 @@ func (sn *ScopeSnapshot) Counter(name string) int64 {
 // MergeSnapshot folds a participant snapshot into the scope. Merge
 // semantics (DESIGN.md §16):
 //
-//   - counters and float counters add — merged totals equal the sum of
+//   - counters add — merged totals equal the sum of
 //     per-node scopes by construction;
 //   - gauges: current values add; peaks add too, making the merged
 //     peak the sum of per-node peaks — an upper bound, since the nodes'
@@ -97,11 +95,6 @@ func (s *Scope) MergeSnapshot(sn *ScopeSnapshot) {
 	for name, v := range sn.Counters {
 		if v != 0 {
 			s.Counter(name).Add(v)
-		}
-	}
-	for name, v := range sn.FloatCounters {
-		if v != 0 {
-			s.FloatCounter(name).Add(v)
 		}
 	}
 	for name, gv := range sn.Gauges {

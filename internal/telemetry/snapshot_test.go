@@ -10,7 +10,6 @@ func TestScopeSnapshotRoundTrip(t *testing.T) {
 	sc := NewScope("frag")
 	sc.Counter(CtrNetBytes).Add(100)
 	sc.Counter(OpCtr(3, OpRows)).Add(500)
-	sc.FloatCounter(FCtrBusyCoreSec).Add(1.5)
 	g := sc.Gauge(GaugeMemBytes)
 	g.Set(2048)
 	g.Set(512)
@@ -41,9 +40,6 @@ func TestScopeSnapshotRoundTrip(t *testing.T) {
 	}
 	if got := dst.Counter(OpCtr(3, OpRows)).Load(); got != 500 {
 		t.Fatalf("merged op rows = %d, want 500", got)
-	}
-	if got := dst.FloatCounter(FCtrBusyCoreSec).Load(); got != 1.5 {
-		t.Fatalf("merged float counter = %g, want 1.5", got)
 	}
 	mg := dst.Gauge(GaugeMemBytes)
 	if got := mg.Load(); got != 1512 {

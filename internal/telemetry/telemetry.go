@@ -5,20 +5,20 @@
 // decisions, CPU/network utilization, memory peaks — and every layer of
 // this repository records them through one shared mechanism:
 //
-//   - named atomic Counters, FloatCounters and Gauges, registered
-//     per Scope;
-//   - a ring-buffered stream of typed events (see records.go) fanned
-//     out to pluggable Sinks (see sinks.go);
+//   - named atomic Counters, Gauges and Histograms, registered per
+//     Scope;
+//   - a stream of typed events (see records.go) fanned out to the
+//     Sinks attached to the scope (see sinks.go) — a scope retains no
+//     events itself;
 //   - one Scope per query (or per simulation run), threaded through
-//     execution, so concurrent queries never mix streams.
+//     execution, so concurrent queries never mix streams, and one per
+//     process behind the Registry for what belongs to no one query.
 //
-// Higher-level views — engine.ExecStats, sim.Metrics — are computed
-// from scopes instead of keeping independent bookkeeping.
+// engine.ExecStats and EXPLAIN ANALYZE are views computed from a
+// query's scope instead of keeping independent bookkeeping.
 package telemetry
 
 import (
-	"math"
-	"sort"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -36,27 +36,6 @@ func (c *Counter) Inc() { c.v.Add(1) }
 
 // Load returns the current value.
 func (c *Counter) Load() int64 { return c.v.Load() }
-
-// FloatCounter is an atomic float64 accumulator, for fluid quantities
-// (the simulator's core-seconds and fractional bytes).
-type FloatCounter struct{ bits atomic.Uint64 }
-
-// Add accumulates v.
-func (c *FloatCounter) Add(v float64) {
-	for {
-		old := c.bits.Load()
-		nv := math.Float64bits(math.Float64frombits(old) + v)
-		if c.bits.CompareAndSwap(old, nv) {
-			return
-		}
-	}
-}
-
-// Store overwrites the accumulated value.
-func (c *FloatCounter) Store(v float64) { c.bits.Store(math.Float64bits(v)) }
-
-// Load returns the current value.
-func (c *FloatCounter) Load() float64 { return math.Float64frombits(c.bits.Load()) }
 
 // Gauge is an atomic instantaneous value that additionally records its
 // high-water mark.
@@ -100,42 +79,9 @@ func (g *Gauge) MergePeak(d int64) {
 	}
 }
 
-// FloatGauge is a Gauge over float64 values (the simulator's fluid
-// memory footprint).
-type FloatGauge struct {
-	mu        sync.Mutex
-	cur, peak float64
-}
-
-// Set updates the gauge, raising the peak if exceeded.
-func (g *FloatGauge) Set(v float64) {
-	g.mu.Lock()
-	g.cur = v
-	if v > g.peak {
-		g.peak = v
-	}
-	g.mu.Unlock()
-}
-
-// Load returns the current value.
-func (g *FloatGauge) Load() float64 {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	return g.cur
-}
-
-// Peak returns the high-water mark.
-func (g *FloatGauge) Peak() float64 {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	return g.peak
-}
-
 // Well-known instrument names shared across layers, so sinks and tests
 // can find the same quantity regardless of the substrate that produced
-// it. Scopes key Counter/FloatCounter/Gauge registries separately, so
-// e.g. the engine's integer net.bytes and the simulator's fluid
-// net.bytes coexist.
+// it.
 const (
 	// CtrNetBytes counts bytes that crossed node boundaries (both
 	// transports count identically: only inter-node traffic).
@@ -213,13 +159,6 @@ const (
 	// because an earlier frame of the stream was still missing (go-back-N
 	// re-delivers them in order after the retransmit).
 	CtrNetGapDropped = "net.gap_dropped"
-	// Simulator float accumulators (core-second integrals and fluid
-	// traffic).
-	FCtrBusyCoreSec      = "cpu.busy_core_sec"
-	FCtrAvailCoreSec     = "cpu.avail_core_sec"
-	FCtrAllocCoreSec     = "cpu.alloc_core_sec"
-	FCtrSchedOverheadSec = "sched.overhead_sec"
-	FCtrCtxSwitches      = "os.context_switches"
 )
 
 // Per-operator instrument names. Instrumented queries (EXPLAIN ANALYZE,
@@ -250,8 +189,9 @@ func OpCtr(op int, what string) string {
 }
 
 // ExCtr names one per-exchange counter: "ex.<id>.<what>". The network
-// layer splits node-wide quantities (transmit stalls) per exchange so
-// EXPLAIN ANALYZE can attribute them to plan edges.
+// layer splits node-wide quantities per exchange — cross-node rows,
+// blocks and bytes, transmit stalls — so EXPLAIN ANALYZE can attribute
+// them to plan edges.
 func ExCtr(ex int, what string) string {
 	return "ex." + strconv.Itoa(ex) + "." + what
 }
@@ -262,9 +202,9 @@ func GaugeSegWorkers(segment string) string {
 	return "seg." + segment + ".workers"
 }
 
-// Scope is one query's (or one simulation run's) telemetry stream:
-// instruments registered by name plus an event stream with a bounded
-// ring tail and attached sinks. All methods are safe for concurrent
+// Scope is one query's (or one simulation run's, or one process's)
+// telemetry stream: instruments registered by name plus an event
+// fan-out to the attached sinks. All methods are safe for concurrent
 // use.
 type Scope struct {
 	name  string
@@ -272,22 +212,50 @@ type Scope struct {
 	clock func() time.Duration // overrides wall time (virtual-time sims)
 	seq   atomic.Uint64
 
-	// spansOn gates StartSpan (see span.go); off unless EnableSpans was
-	// called or spans are on by process default.
+	// spansOn gates StartSpan (see span.go); off until EnableSpans.
 	spansOn atomic.Bool
 
-	counters  sync.Map // name → *Counter
-	fcounters sync.Map // name → *FloatCounter
-	gauges    sync.Map // name → *Gauge
-	fgauges   sync.Map // name → *FloatGauge
-	hists     sync.Map // name → *Histogram
+	// The instrument tables, by name, under one lock. Callers resolve
+	// an instrument where a dataflow is wired and hold the pointer, so
+	// the lock is off every per-block path.
+	mu       sync.RWMutex
+	counters map[string]*Counter
+	gauges   map[string]*Gauge
+	hists    map[string]*Histogram
 
 	sinks atomic.Pointer[[]Sink]
+}
 
-	ringMu  sync.Mutex
-	ring    []Event
-	ringN   uint64 // events ever appended
-	ringSet bool   // a WithRingSize option was applied (0 disables)
+// instrument returns the table's entry for name, made by mk on first
+// use.
+func instrument[T any](s *Scope, table *map[string]*T, name string, mk func() *T) *T {
+	s.mu.RLock()
+	v := (*table)[name]
+	s.mu.RUnlock()
+	if v != nil {
+		return v
+	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if v = (*table)[name]; v == nil {
+		if *table == nil {
+			*table = make(map[string]*T)
+		}
+		v = mk()
+		(*table)[name] = v
+	}
+	return v
+}
+
+// snapshot reads every entry of a table.
+func snapshot[T, V any](s *Scope, table *map[string]*T, read func(*T) V) map[string]V {
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	out := make(map[string]V, len(*table))
+	for name, v := range *table {
+		out[name] = read(v)
+	}
+	return out
 }
 
 // Option configures a Scope.
@@ -299,26 +267,6 @@ func WithClock(clock func() time.Duration) Option {
 	return func(s *Scope) { s.clock = clock }
 }
 
-// WithRingSize sets the event ring capacity (default 1024; 0 disables
-// the ring, leaving sinks as the only consumers).
-func WithRingSize(n int) Option {
-	return func(s *Scope) {
-		if n < 0 {
-			n = 0
-		}
-		s.ringSet = true
-		if n == 0 {
-			s.ring = nil
-			return
-		}
-		s.ring = make([]Event, n)
-	}
-}
-
-// defaultRingSize bounds the in-scope event tail. Sinks see every
-// event; the ring is a recent-history debugging window.
-const defaultRingSize = 1024
-
 // NewScope creates a scope. Sinks registered via AttachDefault are
 // attached automatically.
 func NewScope(name string, opts ...Option) *Scope {
@@ -328,9 +276,6 @@ func NewScope(name string, opts ...Option) *Scope {
 	}
 	for _, o := range opts {
 		o(s)
-	}
-	if !s.ringSet {
-		s.ring = make([]Event, defaultRingSize)
 	}
 	if d := defaultSinks.Load(); d != nil {
 		cp := append([]Sink(nil), (*d)...)
@@ -353,67 +298,31 @@ func (s *Scope) Elapsed() time.Duration {
 
 // Counter returns the named integer counter, creating it on first use.
 func (s *Scope) Counter(name string) *Counter {
-	if v, ok := s.counters.Load(name); ok {
-		return v.(*Counter)
-	}
-	v, _ := s.counters.LoadOrStore(name, &Counter{})
-	return v.(*Counter)
-}
-
-// FloatCounter returns the named float accumulator, creating it on
-// first use.
-func (s *Scope) FloatCounter(name string) *FloatCounter {
-	if v, ok := s.fcounters.Load(name); ok {
-		return v.(*FloatCounter)
-	}
-	v, _ := s.fcounters.LoadOrStore(name, &FloatCounter{})
-	return v.(*FloatCounter)
+	return instrument(s, &s.counters, name, func() *Counter { return new(Counter) })
 }
 
 // Gauge returns the named gauge, creating it on first use.
 func (s *Scope) Gauge(name string) *Gauge {
-	if v, ok := s.gauges.Load(name); ok {
-		return v.(*Gauge)
-	}
-	v, _ := s.gauges.LoadOrStore(name, &Gauge{})
-	return v.(*Gauge)
+	return instrument(s, &s.gauges, name, func() *Gauge { return new(Gauge) })
 }
 
 // Histogram returns the named histogram, creating it with the given
 // bucket bounds on first use (later calls keep the original bounds).
 func (s *Scope) Histogram(name string, bounds []float64) *Histogram {
-	if v, ok := s.hists.Load(name); ok {
-		return v.(*Histogram)
-	}
-	v, _ := s.hists.LoadOrStore(name, NewHistogram(bounds))
-	return v.(*Histogram)
+	return instrument(s, &s.hists, name, func() *Histogram { return NewHistogram(bounds) })
 }
 
 // HistogramSnapshot returns all histograms by name — the histogram
 // counterpart of CounterSnapshot, consumed by scope serialization and
 // the registry's cumulative fold.
 func (s *Scope) HistogramSnapshot() map[string]HistogramSnapshot {
-	out := make(map[string]HistogramSnapshot)
-	s.hists.Range(func(k, v any) bool {
-		out[k.(string)] = v.(*Histogram).Snapshot()
-		return true
-	})
-	return out
+	return snapshot(s, &s.hists, (*Histogram).Snapshot)
 }
 
 // StartTime returns the wall-clock instant the scope was created — the
 // clock base span offsets are relative to, needed to shift a remote
 // scope's spans onto a coordinator's timeline.
 func (s *Scope) StartTime() time.Time { return s.start }
-
-// FloatGauge returns the named float gauge, creating it on first use.
-func (s *Scope) FloatGauge(name string) *FloatGauge {
-	if v, ok := s.fgauges.Load(name); ok {
-		return v.(*FloatGauge)
-	}
-	v, _ := s.fgauges.LoadOrStore(name, &FloatGauge{})
-	return v.(*FloatGauge)
-}
 
 // Attach adds a sink; subsequent events fan out to it. Attach is
 // copy-on-write, so Emit never takes a lock to read the sink list.
@@ -431,46 +340,19 @@ func (s *Scope) Attach(sink Sink) {
 	}
 }
 
-// Emit stamps the record with the scope clock and a sequence number,
-// appends it to the ring tail and fans it out to the attached sinks.
+// Emit stamps the record with the scope clock and a sequence number
+// and fans it out to the attached sinks. With no sink attached nobody
+// can read the event, so it costs the sequence bump alone.
 func (s *Scope) Emit(rec Record) {
-	ev := Event{
-		Scope: s.name,
-		Seq:   s.seq.Add(1),
-		At:    s.Elapsed(),
-		Rec:   rec,
+	seq := s.seq.Add(1)
+	sinks := s.sinks.Load()
+	if sinks == nil {
+		return
 	}
-	if len(s.ring) > 0 {
-		s.ringMu.Lock()
-		s.ring[s.ringN%uint64(len(s.ring))] = ev
-		s.ringN++
-		s.ringMu.Unlock()
+	ev := Event{Scope: s.name, Seq: seq, At: s.Elapsed(), Rec: rec}
+	for _, sink := range *sinks {
+		sink.Emit(ev)
 	}
-	if sinks := s.sinks.Load(); sinks != nil {
-		for _, sink := range *sinks {
-			sink.Emit(ev)
-		}
-	}
-}
-
-// Tail returns the ring's retained events, oldest first. The ring
-// drops the oldest events once full; sinks see the complete stream.
-func (s *Scope) Tail() []Event {
-	s.ringMu.Lock()
-	defer s.ringMu.Unlock()
-	n := uint64(len(s.ring))
-	if n == 0 {
-		return nil
-	}
-	count := s.ringN
-	if count > n {
-		count = n
-	}
-	out := make([]Event, 0, count)
-	for i := uint64(0); i < count; i++ {
-		out = append(out, s.ring[(s.ringN-count+i)%n])
-	}
-	return out
 }
 
 // EventCount returns the number of events emitted so far.
@@ -478,22 +360,7 @@ func (s *Scope) EventCount() uint64 { return s.seq.Load() }
 
 // CounterSnapshot returns all integer counters by name.
 func (s *Scope) CounterSnapshot() map[string]int64 {
-	out := make(map[string]int64)
-	s.counters.Range(func(k, v any) bool {
-		out[k.(string)] = v.(*Counter).Load()
-		return true
-	})
-	return out
-}
-
-// FloatCounterSnapshot returns all float accumulators by name.
-func (s *Scope) FloatCounterSnapshot() map[string]float64 {
-	out := make(map[string]float64)
-	s.fcounters.Range(func(k, v any) bool {
-		out[k.(string)] = v.(*FloatCounter).Load()
-		return true
-	})
-	return out
+	return snapshot(s, &s.counters, (*Counter).Load)
 }
 
 // GaugeValue is one integer gauge's snapshot: current value plus
@@ -507,44 +374,9 @@ type GaugeValue struct {
 // gauge counterpart of CounterSnapshot, consumed by the /metrics
 // exposition and the /queries JSON.
 func (s *Scope) GaugeSnapshot() map[string]GaugeValue {
-	out := make(map[string]GaugeValue)
-	s.gauges.Range(func(k, v any) bool {
-		g := v.(*Gauge)
-		out[k.(string)] = GaugeValue{Cur: g.Load(), Peak: g.Peak()}
-		return true
+	return snapshot(s, &s.gauges, func(g *Gauge) GaugeValue {
+		return GaugeValue{Cur: g.Load(), Peak: g.Peak()}
 	})
-	return out
-}
-
-// FloatGaugeValue is one float gauge's snapshot: current value plus
-// high-water mark.
-type FloatGaugeValue struct {
-	Cur  float64 `json:"cur"`
-	Peak float64 `json:"peak"`
-}
-
-// FloatGaugeSnapshot returns all float gauges by name, with peaks.
-func (s *Scope) FloatGaugeSnapshot() map[string]FloatGaugeValue {
-	out := make(map[string]FloatGaugeValue)
-	s.fgauges.Range(func(k, v any) bool {
-		g := v.(*FloatGauge)
-		out[k.(string)] = FloatGaugeValue{Cur: g.Load(), Peak: g.Peak()}
-		return true
-	})
-	return out
-}
-
-// InstrumentNames lists every registered instrument, sorted.
-func (s *Scope) InstrumentNames() []string {
-	var names []string
-	for _, m := range []*sync.Map{&s.counters, &s.fcounters, &s.gauges, &s.fgauges, &s.hists} {
-		m.Range(func(k, _ any) bool {
-			names = append(names, k.(string))
-			return true
-		})
-	}
-	sort.Strings(names)
-	return names
 }
 
 // --- process-wide default sinks ---------------------------------------------

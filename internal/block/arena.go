@@ -17,16 +17,19 @@ const minArenaBuf = 1 << 10
 
 var arenaPools [len(arenaClasses)]sync.Pool
 
-// GetBuf returns a zeroed byte slice of length n, drawn from the
-// smallest arena class that fits (capacity is the class size, so the
-// slice can grow in place up to it).
+// GetBuf returns a byte slice of length n, drawn from the smallest
+// arena class that fits (capacity is the class size, so the slice can
+// grow in place up to it). Its contents are unspecified — a recycled
+// buffer still holds its previous owner's bytes — so a caller writes
+// before it reads: blocks fill whole rows below NumTuples, wire buffers
+// are filled by a copy or a read, join pages row by row.
 func GetBuf(n int) []byte {
 	if n <= 0 {
 		return nil
 	}
 	if n < minArenaBuf {
 		// Tiny buffers (single-tuple filter outputs, small aggregation
-		// results) are cheaper as exact-size garbage than as zeroed
+		// results) are cheaper as exact-size garbage than as
 		// smallest-class arena slots; PutBuf skips them by capacity.
 		return make([]byte, n)
 	}
@@ -41,9 +44,7 @@ func GetBuf(n int) []byte {
 		return make([]byte, n)
 	}
 	if v := arenaPools[ci].Get(); v != nil {
-		b := (*v.(*[]byte))[:n]
-		clear(b)
-		return b
+		return (*v.(*[]byte))[:n]
 	}
 	return make([]byte, n, arenaClasses[ci])
 }
@@ -52,11 +53,17 @@ func GetBuf(n int) []byte {
 // live reference may call it — the next GetBuf hands the same bytes to
 // an unrelated caller. Buffers whose capacity is not exactly a class
 // size (oversize, or grown by append) are silently left to the GC.
+// Race builds overwrite the buffer first (see poisonArena).
 func PutBuf(b []byte) {
 	c := cap(b)
 	for i, cl := range arenaClasses {
 		if c == cl {
 			s := b[:cl]
+			if poisonArena {
+				for j := range s {
+					s[j] = 0xA5
+				}
+			}
 			arenaPools[i].Put(&s)
 			return
 		}

@@ -22,10 +22,15 @@ func TestArenaGetPutClasses(t *testing.T) {
 		b[i] = 0xAA
 	}
 	PutBuf(b)
-	b2 := GetBuf(500)
-	for i, x := range b2 {
-		if x != 0 {
-			t.Fatalf("recycled buffer not zeroed at %d", i)
+	// PutBuf leaves the bytes alone, except that race builds poison the
+	// whole class slot so that a stale view or an unwritten row shows.
+	want := byte(0xAA)
+	if poisonArena {
+		want, b = 0xA5, b[:cap(b)]
+	}
+	for i, x := range b {
+		if x != want {
+			t.Fatalf("byte %d of a pooled buffer is %#x, want %#x (poisonArena=%v)", i, x, want, poisonArena)
 		}
 	}
 	// Oversize buffers bypass the pool.
@@ -50,6 +55,53 @@ func TestBlockRecycle(t *testing.T) {
 	}
 	if b.SizeBytes() != 0 || b.NumTuples() != 0 {
 		t.Fatal("recycled block retains buffer")
+	}
+}
+
+// TestRecycleTwiceIsHarmless: the second Recycle of a block finds no
+// buffer and no tracker, so it neither pools the buffer a second time —
+// two later owners would share it — nor frees bytes twice.
+func TestRecycleTwiceIsHarmless(t *testing.T) {
+	sch := types.NewSchema(types.Col("a", types.Int64))
+	tr := NewTracker()
+	tr.Alloc(1) // a second Free would take the tracker below this
+	b := New(sch, DefaultSize, tr)
+	b.Recycle()
+	b.Recycle()
+	if cur := tr.Current(); cur != 1 {
+		t.Fatalf("tracker at %d after two Recycles, want 1", cur)
+	}
+	// One buffer went to the pool: two draws of its class must not alias.
+	x, y := GetBuf(DefaultSize), GetBuf(DefaultSize)
+	if &x[0] == &y[0] {
+		t.Fatal("a twice-recycled buffer was handed out twice")
+	}
+}
+
+// TestSharedBlockSurvivesRecycle: for a shared block, and for a copy of
+// its Block value (what a scan hands out), Recycle is Release only.
+func TestSharedBlockSurvivesRecycle(t *testing.T) {
+	sch := types.NewSchema(types.Col("a", types.Int64))
+	b := New(sch, DefaultSize, nil)
+	for !b.Full() {
+		types.PutInt(b.AppendRowTo(), 0, int64(b.NumTuples()))
+	}
+	b.MarkShared()
+	stamp := *b
+	stamp.Recycle()
+	b.Recycle()
+	// Whatever the arena hands out next must not be this payload.
+	other := GetBuf(DefaultSize)
+	for i := range other {
+		other[i] = 0xEE
+	}
+	if b.NumTuples() != b.Cap() {
+		t.Fatalf("shared block lost its rows: %d of %d", b.NumTuples(), b.Cap())
+	}
+	for i := 0; i < b.NumTuples(); i++ {
+		if got := types.GetInt(b.Row(i), 0); got != int64(i+1) {
+			t.Fatalf("row %d reads %d after Recycle, want %d", i, got, i+1)
+		}
 	}
 }
 

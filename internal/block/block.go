@@ -25,7 +25,12 @@ import (
 const DefaultSize = 64 * 1024
 
 // Block is a batch of fixed-stride tuples plus tail metadata. Blocks are
-// not safe for concurrent mutation; ownership passes along the dataflow.
+// not safe for concurrent mutation; ownership passes along the dataflow
+// under one rule (DESIGN.md, "Block ownership"): a block returned by an
+// iterator's Next, an inbox's Recv or Decode belongs to its caller
+// alone. Whoever has copied out what it needs calls Recycle; whoever
+// forwards the block gives it away and does not touch it again; a block
+// nobody recycles is simply collected.
 type Block struct {
 	sch *types.Schema
 	buf []byte
@@ -47,10 +52,16 @@ type Block struct {
 	Socket int
 
 	tracker *Tracker
+	// shared marks a payload with readers besides the holder of this
+	// Block value; see MarkShared.
+	shared bool
 }
 
 // New allocates an empty block for the schema with the given payload
-// capacity in bytes. A nil tracker disables memory accounting.
+// capacity in bytes. A nil tracker disables memory accounting. The
+// payload is not zeroed: records carry no null bitmap and no padding,
+// so a producer that writes whole rows below NumTuples leaves nothing
+// of the buffer's previous contents readable.
 func New(sch *types.Schema, sizeBytes int, tr *Tracker) *Block {
 	if sizeBytes <= 0 {
 		sizeBytes = DefaultSize
@@ -81,14 +92,26 @@ func (b *Block) Release() {
 	}
 }
 
-// Recycle releases the block's accounting like Release and additionally
-// returns its buffer to the shared arena. Unlike Release — after which
-// the block's memory merely stops being tracked — Recycle hands the
-// bytes to the next GetBuf caller, so it is only safe when no view of
-// the block (Row, Bytes, string Values) can still be live: transport
-// send paths after Encode, spill staging, and similar terminal owners.
+// MarkShared declares that the payload has readers besides the holder
+// of this Block value, for as long as the payload lives: table storage
+// blocks, which every scan of every query hands out again, and the
+// input of a harness that replays its blocks. Copies of the Block value
+// (a scan's stamped wrappers) inherit the mark. For a shared block
+// Recycle is Release only, so a consumer need not know where its input
+// came from.
+func (b *Block) MarkShared() { b.shared = true }
+
+// Recycle is how the block's owner disposes of it: it releases the
+// accounting like Release and hands the buffer to the arena, whose next
+// GetBuf caller overwrites it — so no view of the block (Row, Bytes,
+// string Values) may still be live, and the block must not be used
+// afterwards. A second Recycle is a no-op. A shared block keeps its
+// payload (see MarkShared).
 func (b *Block) Recycle() {
 	b.Release()
+	if b.shared {
+		return
+	}
 	PutBuf(b.buf)
 	b.buf = nil
 	b.cap = 0
@@ -156,7 +179,7 @@ func (b *Block) EnsureRoom(n int) {
 		newCap = need
 	}
 	buf := GetBuf(newCap * b.sch.Stride())
-	copy(buf, b.buf)
+	copy(buf, b.Bytes())
 	if b.tracker != nil {
 		b.tracker.Alloc(int64(len(buf) - len(b.buf)))
 	}
@@ -271,9 +294,10 @@ func (b *Block) EncodeAppend(dst []byte) []byte {
 }
 
 // Decode parses an encoded block for the given schema. The payload is
-// copied so src may be reused. src must be exactly one encoded block:
-// bytes past the declared tuples are refused, not ignored — every caller
-// frames blocks individually, so a longer frame is a corrupt one.
+// copied so src may be reused, and the block is the caller's. src must
+// be exactly one encoded block: bytes past the declared tuples are
+// refused, not ignored — every caller frames blocks individually, so a
+// longer frame is a corrupt one.
 func Decode(sch *types.Schema, src []byte, tr *Tracker) (*Block, error) {
 	if len(src) < headerLen {
 		return nil, fmt.Errorf("block: short frame (%d bytes)", len(src))

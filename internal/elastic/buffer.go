@@ -69,9 +69,9 @@ func (b *Buffer) len() int {
 	return len(b.fifo)
 }
 
-// Insert adds a block, blocking while the buffer is full. Inserting
-// after CloseEOF is a no-op (late blocks from a shutting-down segment
-// are dropped).
+// Insert takes a block from the worker that produced it, blocking while
+// the buffer is full. After CloseEOF there is no consumer left to hand
+// it to: late blocks from a shutting-down segment are recycled.
 func (b *Buffer) Insert(blk *block.Block) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
@@ -88,6 +88,7 @@ func (b *Buffer) Insert(blk *block.Block) {
 		b.notFull.Wait()
 	}
 	if b.eof {
+		blk.Recycle()
 		return
 	}
 	if b.ordered {

@@ -709,7 +709,7 @@ func (e *exec) instantiate(seg *plan.Segment, node int) (*segInst, error) {
 	}
 	inst.sender = iterator.NewSender(inst.el, seg.Root.Schema(), ex.Outbox(node), partKeys)
 	inst.sender.SetBlockSize(e.c.cfg.BlockSize)
-	inst.sender.ReuseStaging = ex.SendCopies()
+	inst.sender.SendCopies = ex.SendCopies()
 	return inst, nil
 }
 

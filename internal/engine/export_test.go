@@ -1,9 +1,19 @@
 package engine
 
 import (
+	"repro/internal/block"
 	"repro/internal/plan"
 	"repro/internal/types"
 )
+
+// TableBlocks returns the storage blocks node holds of table.
+func (c *Cluster) TableBlocks(node int, table string) ([]*block.Block, error) {
+	p, err := c.store(node).Partition(table)
+	if err != nil {
+		return nil, err
+	}
+	return p.Blocks, nil
+}
 
 // ErrNotSerial exposes the builder's typed refusal to external tests.
 var ErrNotSerial = errNotSerial

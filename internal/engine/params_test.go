@@ -36,10 +36,12 @@ var paramSites = map[string]struct {
 	"PFilter.Pred": {`SELECT T.sec_code FROM trades T, securities S
 		WHERE T.acct_id = S.acct_id AND T.trade_volume + S.entry_volume < $1`, types.FloatVal(100)},
 	"PProject.Exprs": {"SELECT acct_id + $1 FROM trades", types.IntVal(3)},
+	// The join builds on securities, the smaller table, whatever the
+	// FROM order.
 	"PHashJoin.BuildKeys": {`SELECT T.sec_code FROM trades T, securities S
-		WHERE T.acct_id + $1 = S.acct_id`, types.IntVal(1)},
-	"PHashJoin.ProbeKeys": {`SELECT T.sec_code FROM trades T, securities S
 		WHERE T.acct_id = S.acct_id + $1`, types.IntVal(1)},
+	"PHashJoin.ProbeKeys": {`SELECT T.sec_code FROM trades T, securities S
+		WHERE T.acct_id + $1 = S.acct_id`, types.IntVal(1)},
 	"PHashAgg.Keys":  {"SELECT sec_code + $1, count(*) FROM trades GROUP BY sec_code + $1", types.IntVal(1)},
 	"PHashAgg.Specs": {"SELECT sec_code, sum(trade_volume * $1) FROM trades GROUP BY sec_code", types.FloatVal(2)},
 	"PSort.Keys":     {"SELECT acct_id, trade_volume FROM trades ORDER BY trade_volume * $1", types.FloatVal(-1)},

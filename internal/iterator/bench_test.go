@@ -131,7 +131,7 @@ func BenchmarkHashJoinProbe(b *testing.B) { benchHashJoin(b, false, false, true)
 func BenchmarkSenderRepartition(b *testing.B) {
 	sch, blocks := lineitemBlocks(16)
 	s := NewSender(nil, sch, discardOutbox{3}, []expr.Expr{expr.NewCol(1, "l_partkey")})
-	s.ReuseStaging = true
+	s.SendCopies = true
 	s.pending = make([]*block.Block, 3)
 	s.sent = make([]int64, 3)
 	var bytes int64
@@ -149,6 +149,39 @@ func BenchmarkSenderRepartition(b *testing.B) {
 		}
 	}
 	b.ReportMetric(float64(s.total)/b.Elapsed().Seconds(), "tuples/s")
+}
+
+// BenchmarkProjectFilterChain runs the shape of a repartitioning scan
+// segment — scan → filter → project → sender, three destinations, a
+// transport that copies — over 64 storage blocks. Every operator above
+// the scan draws its output block from the arena and hands its input
+// back, so B/op is what the chain still takes from the allocator: the
+// number that jumps if a consumer stops recycling.
+func BenchmarkProjectFilterChain(b *testing.B) {
+	const rows = 64 * (block.DefaultSize / 40) // benchPartition's rows are 40 bytes
+	sch, mk := benchPartition(b, rows)
+	pred := expr.NewCmp(expr.LT, expr.NewCol(0, "k"), expr.NewConst(types.IntVal(7500)))
+	// Numeric columns only: a projected string column costs one Go string
+	// per row, which would drown the blocks in B/op.
+	outSch := types.NewSchema(types.Col("k", types.Int64), types.Col("e", types.Float64))
+	exprs := []expr.Expr{
+		expr.NewCol(0, "k"),
+		expr.NewArith(expr.Mul, expr.NewCol(1, "v"), expr.NewConst(types.FloatVal(0.07))),
+	}
+	keys := []expr.Expr{expr.NewCol(0, "k")}
+	ctx := &Ctx{Term: &TermFlag{}}
+	b.SetBytes(int64(rows * sch.Stride()))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		chain := NewProject(NewFilter(mk(), sch, pred), sch, outSch, exprs)
+		s := NewSender(chain, outSch, discardOutbox{3}, keys)
+		s.SendCopies = true
+		if err := s.Run(ctx); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(b.N)*rows/b.Elapsed().Seconds(), "tuples/s")
 }
 
 func BenchmarkSort(b *testing.B) {

@@ -69,13 +69,15 @@ type Sender struct {
 	// BytesSent counts payload bytes shipped, for network accounting.
 	BytesSent atomic.Int64
 
-	// ReuseStaging lets the sender refill a staging block right after
-	// shipping it instead of drawing a fresh one. Set it (before Run)
-	// only when the outbox's Send has copied the block by the time it
-	// returns — true of the socket transports, which serialize into
-	// their own buffers, and false of the in-process one, which hands
-	// the consumer the pointer.
-	ReuseStaging bool
+	// SendCopies says which side of the ownership rule the outbox is
+	// on (set it before Run, from FabricExchange.SendCopies). False: Send
+	// takes the block — the in-process transport hands the consumer the
+	// pointer — and the sender must not touch it again. True: Send has
+	// copied the block by the time it returns — the socket transports
+	// serialize into their own buffers — so it only borrowed it: the
+	// sender refills a staging block right after shipping it and
+	// recycles a forwarded one.
+	SendCopies bool
 }
 
 // NewSender builds a sender. With partition keys, tuple i of every
@@ -118,11 +120,17 @@ func (s *Sender) Run(ctx *Ctx) error {
 		}
 	}
 	for d, p := range s.pending {
-		if p != nil && p.NumTuples() > 0 {
+		if p == nil {
+			continue
+		}
+		if p.NumTuples() > 0 {
 			if err := s.ship(d, p); err != nil {
 				_ = s.out.CloseSend()
 				return err
 			}
+		}
+		if s.SendCopies {
+			p.Recycle() // a staging block Send only ever borrowed
 		}
 	}
 	return s.out.CloseSend()
@@ -134,7 +142,11 @@ func (s *Sender) route(b *block.Block) error {
 		// Nothing to split: forward the block whole.
 		s.sent[0] += int64(b.NumTuples())
 		s.total += int64(b.NumTuples())
-		return s.ship(0, b)
+		err := s.ship(0, b)
+		if s.SendCopies {
+			b.Recycle() // Send only borrowed it
+		}
+		return err
 	}
 	rows := s.keys.EncodeBlock(b, nil)
 	for d, sel := range s.scatter.split(s.keys, nil, rows, n) {
@@ -161,13 +173,14 @@ func (s *Sender) route(b *block.Block) error {
 			if err := s.ship(d, p); err != nil {
 				return err
 			}
-			if s.ReuseStaging {
+			if s.SendCopies {
 				p.Reset()
 			} else {
 				s.pending[d] = nil
 			}
 		}
 	}
+	b.Recycle() // every row is in a staging block
 	return nil
 }
 

@@ -87,7 +87,7 @@ func TestSenderRepartition(t *testing.T) {
 					out := newSnapshotOutbox(t, sch, n, !reuse)
 					s := NewSender(NewScan(p), sch, out, keys)
 					s.SetBlockSize(blockSize)
-					s.ReuseStaging = reuse
+					s.SendCopies = reuse
 					if err := s.Run(&Ctx{Term: &TermFlag{}}); err != nil {
 						t.Fatal(err)
 					}
@@ -156,7 +156,8 @@ func (o discardOutbox) Send(int, *block.Block) error { return nil }
 func (o discardOutbox) CloseSend() error             { return nil }
 
 // lineitemBlocks returns 64 KB blocks of lineitem-shaped rows: two
-// integer keys, four numerics, a date and two short strings.
+// integer keys, four numerics, a date and two short strings. Callers
+// replay them, so they are shared.
 func lineitemBlocks(n int) (*types.Schema, []*block.Block) {
 	sch := types.NewSchema(
 		types.Col("l_orderkey", types.Int64),
@@ -175,6 +176,7 @@ func lineitemBlocks(n int) (*types.Schema, []*block.Block) {
 		b := block.New(sch, 0, nil)
 		for !b.Full() {
 			rec := b.AppendRowTo()
+			clear(rec) // not every column is set below
 			types.PutValue(rec, sch, 0, types.IntVal(int64(row/4)))
 			types.PutValue(rec, sch, 1, types.IntVal(int64(row*7919%200000)))
 			types.PutValue(rec, sch, 2, types.FloatVal(float64(row%50)))
@@ -182,6 +184,7 @@ func lineitemBlocks(n int) (*types.Schema, []*block.Block) {
 			types.PutValue(rec, sch, 8, types.StrVal("TRUCK"))
 			row++
 		}
+		b.MarkShared()
 		blocks[i] = b
 	}
 	return sch, blocks
@@ -193,7 +196,7 @@ func lineitemBlocks(n int) (*types.Schema, []*block.Block) {
 func TestSenderRouteAllocs(t *testing.T) {
 	sch, blocks := lineitemBlocks(4)
 	s := NewSender(nil, sch, discardOutbox{3}, []expr.Expr{expr.NewCol(1, "l_partkey")})
-	s.ReuseStaging = true
+	s.SendCopies = true
 	s.pending = make([]*block.Block, 3)
 	s.sent = make([]int64, 3)
 	route := func() {

@@ -112,8 +112,11 @@ func (f *Filter) Next(ctx *Ctx) (*block.Block, Status) {
 			// Flush the partial block gathered so far; on Terminated the
 			// shrink protocol requires completely-processed input blocks
 			// to reach the output before the worker exits (Section 3.1).
-			if outB != nil && outB.NumTuples() > 0 {
-				return outB, OK
+			if outB != nil {
+				if outB.NumTuples() > 0 {
+					return outB, OK
+				}
+				outB.Recycle() // started, and nothing survived into it
 			}
 			return nil, st
 		}
@@ -147,8 +150,9 @@ func (f *Filter) Next(ctx *Ctx) (*block.Block, Status) {
 		f.in.Add(int64(n))
 		f.out.Add(int64(kept))
 		outB.VisitRate = in.VisitRate * f.Selectivity()
+		in.Recycle() // the survivors are copied
 		if f.BlockPerBlock {
-			outB.Seq = in.Seq
+			// outB was started from this input block and carries its Seq.
 			return outB, OK
 		}
 		// Compacting mode: keep pulling until the output block reaches
@@ -238,15 +242,16 @@ func (p *Project) Next(ctx *Ctx) (*block.Block, Status) {
 				types.PutValue(dst, p.outSch, c, e.Eval(rec, p.inSch))
 			}
 		}
-		return out, OK
+	} else {
+		out.SetLen(n)
+		v := expr.GetVec()
+		for c, k := range p.kerns {
+			k.EvalVec(in, nil, v)
+			writeVecColumn(out, c, v)
+		}
+		expr.PutVec(v)
 	}
-	out.SetLen(n)
-	v := expr.GetVec()
-	for c, k := range p.kerns {
-		k.EvalVec(in, nil, v)
-		writeVecColumn(out, c, v)
-	}
-	expr.PutVec(v)
+	in.Recycle() // every output column is written
 	return out, OK
 }
 

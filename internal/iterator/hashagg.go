@@ -678,6 +678,9 @@ func (ha *HashAgg) Open(ctx *Ctx) Status {
 		}
 		ha.absorbGlobal(w, b, sel, true)
 		ha.rowsIn.Add(int64(b.NumTuples()))
+		// Key rows, extremes and spilled rows are copies: nothing the
+		// tables keep points into b.
+		b.Recycle()
 	}
 	// Flush this worker's private table, then synchronize. Tables parked
 	// by terminated workers are drained by exactly one worker *after*

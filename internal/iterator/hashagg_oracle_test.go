@@ -182,7 +182,9 @@ var oracleSchema = types.NewSchema(
 )
 
 // oracleBlocks draws rows over card distinct key tuples into blocks of
-// random sizes: a block may be larger than every block before it. No
+// random sizes: a block may be larger than every block before it. The
+// blocks are shared: the oracle and every run of the operator read the
+// same ones, so the operator's Recycle must leave them intact. No
 // key is zero: a key expression that yields Int64 for one row and
 // Float64 for another groups by value and kind, except that the two
 // zeros encode to the same bytes.
@@ -209,6 +211,7 @@ func oracleBlocks(rng *rand.Rand, rows, card int) []*block.Block {
 			types.PutValue(rec, sch, 7, types.StrVal(fmt.Sprintf("%c%c", 'a'+rng.Intn(26), 'a'+rng.Intn(26))))
 			types.PutValue(rec, sch, 8, types.IntVal(int64([]int{0, 1, 2, 4}[rng.Intn(4)])))
 		}
+		b.MarkShared()
 		out = append(out, b)
 	}
 	return out
@@ -362,7 +365,7 @@ func TestHashAggAgainstOracle(t *testing.T) {
 }
 
 // checkAggOutput compares output blocks with the oracle's rows,
-// releases them, and holds emission to full blocks: no more blocks than
+// recycles them as their consumer, and holds emission to full blocks: no more blocks than
 // the output's rows fill, plus one partly filled per worker.
 func checkAggOutput(t *testing.T, name string, out []*block.Block, want map[string]int, workers int) {
 	t.Helper()
@@ -373,7 +376,6 @@ func checkAggOutput(t *testing.T, name string, out []*block.Block, want map[stri
 			got[string(b.Row(i))]++
 		}
 		rows += b.NumTuples()
-		b.Release()
 	}
 	if len(out) > 0 {
 		full := block.DefaultSize / out[0].Schema().Stride()
@@ -381,6 +383,9 @@ func checkAggOutput(t *testing.T, name string, out []*block.Block, want map[stri
 			t.Errorf("%s: %d output blocks for %d rows (%d to a block) and %d workers, want at most %d",
 				name, len(out), rows, full, workers, max)
 		}
+	}
+	for _, b := range out {
+		b.Recycle()
 	}
 	if len(got) != len(want) {
 		t.Errorf("%s: %d distinct output rows, oracle has %d", name, len(got), len(want))

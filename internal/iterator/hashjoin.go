@@ -204,6 +204,7 @@ func (hj *HashJoin) Open(ctx *Ctx) Status {
 			}
 		}
 		hj.buildRows.Add(int64(rows))
+		b.Recycle() // its rows are in the shards' pages or spill files
 	}
 	hj.built.Arrive()
 	// The probe child's Open is itself thread-safe; every worker passes
@@ -343,8 +344,11 @@ func (hj *HashJoin) Next(ctx *Ctx) (*block.Block, Status) {
 	for {
 		in, st := hj.probe.Next(ctx)
 		if st != OK {
-			if out != nil && out.NumTuples() > 0 {
-				return out, OK
+			if out != nil {
+				if out.NumTuples() > 0 {
+					return out, OK
+				}
+				out.Recycle() // started, and nothing matched into it
 			}
 			if st == End {
 				return hj.endProbe(ctx, w)
@@ -357,6 +361,9 @@ func (hj *HashJoin) Next(ctx *Ctx) (*block.Block, Status) {
 			out.Socket = in.Socket
 		}
 		n := w.keys.EncodeBlock(in, nil)
+		// Room for one match per probe row, taken once per block: only
+		// fan-out beyond that grows the block inside the row loop.
+		out.EnsureRoom(n)
 		for i := 0; i < n; i++ {
 			h := w.keys.Hash(i)
 			sh := &hj.shards[h&(joinShards-1)]
@@ -371,6 +378,7 @@ func (hj *HashJoin) Next(ctx *Ctx) (*block.Block, Status) {
 			sel = float64(out.NumTuples()) / float64(n)
 		}
 		out.VisitRate = in.VisitRate * sel
+		in.Recycle() // matches are copied out, deferred rows are on file
 		if out.NumTuples() >= target {
 			return out, OK
 		}
@@ -451,9 +459,11 @@ func (hj *HashJoin) endProbe(ctx *Ctx, w *joinWorker) (*block.Block, Status) {
 		if !sh.spilled {
 			continue
 		}
-		b := hj.processSpilledShard(ctx, sh)
-		if b != nil && b.NumTuples() > 0 {
-			return b, OK
+		if b := hj.processSpilledShard(ctx, sh); b != nil {
+			if b.NumTuples() > 0 {
+				return b, OK
+			}
+			b.Recycle()
 		}
 	}
 }

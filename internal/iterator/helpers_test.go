@@ -26,7 +26,11 @@ func buildPartition(sch *types.Schema, rows int, blockSize int,
 // runWorkers drives an iterator with n concurrent workers, collecting
 // every output block. It mimics the elastic worker loop (Appendix
 // Algorithm 2) without the elastic buffer.
-func runWorkers(it Iterator, n int) []*block.Block {
+func runWorkers(it Iterator, n int) []*block.Block { return runWorkersTracked(it, n, nil) }
+
+// runWorkersTracked is runWorkers with the workers' blocks accounted to
+// tr.
+func runWorkersTracked(it Iterator, n int, tr *block.Tracker) []*block.Block {
 	var mu sync.Mutex
 	var out []*block.Block
 	var wg sync.WaitGroup
@@ -34,7 +38,7 @@ func runWorkers(it Iterator, n int) []*block.Block {
 		wg.Add(1)
 		go func(id int) {
 			defer wg.Done()
-			ctx := &Ctx{WorkerID: id, Core: id, Socket: id % 2, Term: &TermFlag{}}
+			ctx := &Ctx{WorkerID: id, Core: id, Socket: id % 2, Term: &TermFlag{}, Tracker: tr}
 			if st := it.Open(ctx); st != OK {
 				return
 			}

@@ -80,9 +80,11 @@ type Sort struct {
 	barMerge   *Barrier
 }
 
+// rowRef is one row on its way through a sort: its record bytes and
+// its evaluated sort keys. Sort's rec is a view into a collected block,
+// which the operator owns until Close; TopN's is a private copy.
 type rowRef struct {
-	blk  *block.Block
-	row  int32
+	rec  []byte
 	vals []types.Value
 }
 
@@ -145,7 +147,7 @@ func (s *Sort) Open(ctx *Ctx) Status {
 		blk := s.collected[idx]
 		rows := make([]rowRef, blk.NumTuples())
 		for r := range rows {
-			rows[r] = s.makeRef(blk, int32(r))
+			rows[r] = s.makeRef(blk.Row(r))
 		}
 		sort.Slice(rows, func(i, j int) bool {
 			return compareKeys(s.keys, rows[i].vals, rows[j].vals) < 0
@@ -178,13 +180,12 @@ func (s *Sort) Open(ctx *Ctx) Status {
 	return OK
 }
 
-func (s *Sort) makeRef(blk *block.Block, row int32) rowRef {
-	rec := blk.Row(int(row))
+func (s *Sort) makeRef(rec []byte) rowRef {
 	vals := make([]types.Value, len(s.keys))
 	for i, k := range s.keys {
 		vals[i] = copyVal(k.E.Eval(rec, s.sch))
 	}
-	return rowRef{blk: blk, row: row, vals: vals}
+	return rowRef{rec: rec, vals: vals}
 }
 
 // computeSeparators samples chunk keys and picks range boundaries. The
@@ -265,17 +266,21 @@ func (s *Sort) Next(ctx *Ctx) (*block.Block, Status) {
 		out := block.New(s.sch, len(rows)*s.sch.Stride(), ctx.Tracker)
 		out.Seq = uint64(r)
 		for _, rr := range rows {
-			out.AppendRow(rr.blk.Row(int(rr.row)))
+			out.AppendRow(rr.rec)
 		}
 		return out, OK
 	}
 }
 
-// Close implements Iterator. Runs after every worker exited; dropping
-// the collected blocks and merge state here keeps a serving node from
+// Close implements Iterator. Runs after every worker exited, so every
+// emitted row has been copied out of the collected blocks: they go back
+// to the arena, and dropping the merge state keeps a serving node from
 // pinning sorted runs until the GC finds the operator.
 func (s *Sort) Close() {
 	s.child.Close()
+	for _, b := range s.collected {
+		b.Recycle()
+	}
 	s.collected = nil
 	s.chunks.list = nil
 	s.ranges, s.separators = nil, nil

@@ -52,14 +52,26 @@ func (h *topHeap) Pop() any {
 	return x
 }
 
-func (h *topHeap) offer(r rowRef) {
+// admits reports whether a row with these keys ranks among the n best
+// seen so far.
+func (h *topHeap) admits(vals []types.Value) bool {
+	return len(h.rows) < h.n || compareKeys(h.keys, vals, h.rows[0].vals) < 0
+}
+
+// keep adds a row admits has accepted, in place of the worst retained
+// one once the heap is full.
+func (h *topHeap) keep(r rowRef) {
 	if len(h.rows) < h.n {
 		heap.Push(h, r)
 		return
 	}
-	if compareKeys(h.keys, r.vals, h.rows[0].vals) < 0 {
-		h.rows[0] = r
-		heap.Fix(h, 0)
+	h.rows[0] = r
+	heap.Fix(h, 0)
+}
+
+func (h *topHeap) offer(r rowRef) {
+	if h.admits(r.vals) {
+		h.keep(r)
 	}
 }
 
@@ -106,8 +118,13 @@ func (t *TopN) Open(ctx *Ctx) Status {
 			for k, sk := range t.keys {
 				vals[k] = copyVal(sk.E.Eval(rec, t.sch))
 			}
-			h.offer(rowRef{blk: b, row: int32(i), vals: vals})
+			// A retained row is copied out, so the heap pins n records
+			// and not the blocks they arrived in.
+			if h.admits(vals) {
+				h.keep(rowRef{rec: append([]byte(nil), rec...), vals: vals})
+			}
 		}
+		b.Recycle()
 	}
 	t.mu.Lock()
 	t.heaps = append(t.heaps, h)
@@ -157,7 +174,7 @@ func (t *TopN) Next(ctx *Ctx) (*block.Block, Status) {
 	}
 	out := block.New(t.sch, len(t.result)*t.sch.Stride(), ctx.Tracker)
 	for _, rr := range t.result {
-		out.AppendRow(rr.blk.Row(int(rr.row)))
+		out.AppendRow(rr.rec)
 	}
 	return out, OK
 }
@@ -198,6 +215,7 @@ func (l *Limit) Next(ctx *Ctx) (*block.Block, Status) {
 		take := b.NumTuples()
 		granted := l.n - l.taken.Add(int64(take)) + int64(take)
 		if granted <= 0 {
+			b.Recycle()
 			return nil, End
 		}
 		if int64(take) > granted {
@@ -208,6 +226,7 @@ func (l *Limit) Next(ctx *Ctx) (*block.Block, Status) {
 			for i := 0; i < int(granted); i++ {
 				out.AppendRow(b.Row(i))
 			}
+			b.Recycle()
 			return out, OK
 		}
 		return b, OK

@@ -213,9 +213,11 @@ func (in *Inbox) wake() {
 	}
 }
 
-// enqueue appends b, first waiting out a full bounded inbox — or, with
-// wait false, returning false instead. An abandoned inbox drops the
-// block and its accounting: a dead dataflow has nobody left to do it.
+// enqueue takes b — the in-process sender gave it away, the read loop
+// decoded it for this inbox — and appends it, first waiting out a full
+// bounded inbox, or, with wait false, returning false instead (b is
+// then still the caller's). An abandoned inbox recycles the block: a
+// dead dataflow has no consumer left to do it.
 func (in *Inbox) enqueue(b *block.Block, wait bool) bool {
 	in.mu.Lock()
 	defer in.mu.Unlock()
@@ -226,7 +228,7 @@ func (in *Inbox) enqueue(b *block.Block, wait bool) bool {
 		in.notFull.Wait()
 	}
 	if in.abandoned {
-		b.Release()
+		b.Recycle()
 		return true
 	}
 	in.queue = append(in.queue, b)
@@ -258,7 +260,8 @@ func (in *Inbox) producerDone() {
 	}
 }
 
-// Recv implements iterator.Inbox with cancellation: a blocked wait is
+// Recv implements iterator.Inbox with cancellation; the block it
+// returns is the caller's, to recycle or to forward. A blocked wait is
 // woken either by data, by the last producer closing, or by the cancel
 // channel (a shrink request against the waiting worker). A cancel
 // channel already closed on entry wins over buffered data; one that
@@ -354,7 +357,7 @@ func (in *Inbox) Abandon() {
 		in.tracker.Free(in.buffered)
 	}
 	for _, b := range in.queue {
-		b.Release()
+		b.Recycle()
 	}
 	in.queue = nil
 	in.buffered = 0

@@ -298,6 +298,12 @@ func pushFilter(in Logical, pred expr.Expr) Logical {
 	return &LFilter{Child: in, Pred: pred}
 }
 
+// estimateRows is the binder's crude cardinality prior, which picks a
+// join's build side. The switch is closed over the Logical operators: a
+// new one must say what it does to its input's row count, because a
+// silent "very large" default is how every column-pruned input (an
+// LProject over its scan) once tied with every other and the smaller
+// side was never chosen.
 func estimateRows(l Logical) int64 {
 	switch n := l.(type) {
 	case *LScan:
@@ -314,8 +320,16 @@ func estimateRows(l Logical) int64 {
 		return estimateRows(n.child)
 	case *LAgg:
 		return estimateRows(n.Child) / 10
+	case *LProject:
+		return estimateRows(n.Child)
+	case *LSort:
+		return estimateRows(n.Child)
+	case *LTopN:
+		return min(estimateRows(n.Child), n.N)
+	case *LLimit:
+		return min(estimateRows(n.Child), n.N)
 	}
-	return 1 << 30
+	panic(fmt.Sprintf("plan: estimateRows has no case for %T", l))
 }
 
 // pruneInputs narrows each FROM input to the columns referenced by the

@@ -1,6 +1,9 @@
 package plan
 
 import (
+	"go/ast"
+	"go/parser"
+	"go/token"
 	"testing"
 
 	"repro/internal/catalog"
@@ -354,5 +357,58 @@ func TestOrderSegmentsRejectsCycle(t *testing.T) {
 	}
 	if err := dangling.orderSegments(); err == nil {
 		t.Fatal("dangling exchange accepted")
+	}
+}
+
+// TestEstimateRowsCoversEveryLogical: estimateRows decides which side
+// of a join is built, and its switch is closed — a Logical it has no
+// case for panics instead of estimating "very large", which is how
+// every column-pruned input once tied and no join ever swapped sides.
+// The table has one value per Logical type declared in logical.go (read
+// from the source, so a new operator fails here until it has a row and
+// a case), each over a 900-row scan.
+func TestEstimateRowsCoversEveryLogical(t *testing.T) {
+	scan := &LScan{Table: &catalog.Table{Name: "t", Stats: catalog.TableStats{Rows: 900}}}
+	rows := map[string]struct {
+		l    Logical
+		want int64
+	}{
+		"LScan":    {scan, 900},
+		"LFilter":  {&LFilter{Child: scan}, 300},
+		"LJoin":    {&LJoin{Left: &LFilter{Child: scan}, Right: scan}, 900},
+		"LAgg":     {&LAgg{Child: scan}, 90},
+		"LProject": {&LProject{Child: scan}, 900},
+		"LSort":    {&LSort{Child: scan}, 900},
+		"LTopN":    {&LTopN{Child: scan, N: 10}, 10},
+		"LLimit":   {&LLimit{Child: scan, N: 5000}, 900},
+		"derived":  {&derived{child: scan}, 900},
+	}
+	f, err := parser.ParseFile(token.NewFileSet(), "logical.go", nil, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	declared := 0
+	for _, d := range f.Decls {
+		fn, ok := d.(*ast.FuncDecl)
+		if !ok || fn.Recv == nil || fn.Name.Name != "Schema" {
+			continue
+		}
+		star, ok := fn.Recv.List[0].Type.(*ast.StarExpr)
+		if !ok {
+			continue
+		}
+		name := star.X.(*ast.Ident).Name
+		declared++
+		row, ok := rows[name]
+		if !ok {
+			t.Errorf("Logical %s has no row here: give estimateRows a case for it", name)
+			continue
+		}
+		if got := estimateRows(row.l); got != row.want {
+			t.Errorf("estimateRows(%s) = %d, want %d", name, got, row.want)
+		}
+	}
+	if declared != len(rows) {
+		t.Errorf("logical.go declares %d Logical types, the table has %d", declared, len(rows))
 	}
 }

@@ -59,7 +59,10 @@ func (s *Store) Partition(table string) (*Partition, error) {
 }
 
 // Append adds a sealed block to the partition, assigning its socket.
+// The block becomes shared: every scan of every query hands its payload
+// out again, so no consumer's Recycle may give it to the arena.
 func (p *Partition) Append(b *block.Block) {
+	b.MarkShared()
 	b.Socket = len(p.Blocks) % p.Sockets
 	p.Blocks = append(p.Blocks, b)
 	p.Rows += int64(b.NumTuples())
@@ -88,13 +91,16 @@ func NewLoader(p *Partition, blockSize int) *Loader {
 	return &Loader{part: p, blockSize: blockSize}
 }
 
-// Row returns the next record slot to fill in.
+// Row returns the next record slot to fill in, zeroed: a caller may
+// set only some of the columns, and block.New does not clear.
 func (l *Loader) Row() []byte {
 	if l.cur == nil || l.cur.Full() {
 		l.flush()
 		l.cur = block.New(l.part.Schema, l.blockSize, nil)
 	}
-	return l.cur.AppendRowTo()
+	rec := l.cur.AppendRowTo()
+	clear(rec)
+	return rec
 }
 
 func (l *Loader) flush() {

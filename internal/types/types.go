@@ -9,6 +9,7 @@
 package types
 
 import (
+	"bytes"
 	"encoding/binary"
 	"fmt"
 	"math"
@@ -270,7 +271,7 @@ func PutFloat(rec []byte, off int, v float64) {
 // GetString reads a fixed-width string field, trimming NUL padding.
 func GetString(rec []byte, off, width int) string {
 	b := rec[off : off+width]
-	if i := indexZero(b); i >= 0 {
+	if i := bytes.IndexByte(b, 0); i >= 0 {
 		b = b[:i]
 	}
 	return string(b)
@@ -282,7 +283,7 @@ func GetString(rec []byte, off, width int) string {
 // stay allocation-free per tuple. The view must not outlive the record.
 func GetStringBytes(rec []byte, off, width int) []byte {
 	b := rec[off : off+width]
-	if i := indexZero(b); i >= 0 {
+	if i := bytes.IndexByte(b, 0); i >= 0 {
 		b = b[:i]
 	}
 	return b
@@ -295,15 +296,6 @@ func PutString(rec []byte, off, width int, v string) {
 	for i := n; i < width; i++ {
 		b[i] = 0
 	}
-}
-
-func indexZero(b []byte) int {
-	for i, c := range b {
-		if c == 0 {
-			return i
-		}
-	}
-	return -1
 }
 
 // GetValue reads column col of record rec under schema s.

@@ -154,3 +154,48 @@ func TestYearMonthOf(t *testing.T) {
 		t.Errorf("YearOf/MonthOf = %d/%d", YearOf(d), MonthOf(d))
 	}
 }
+
+var sinkLen int
+
+// BenchmarkGetStringBytes reads a fixed-width string column over 1024
+// rows, at the widths and fills of the TPC-H columns the key encoders
+// and string predicates see most: p_brand CHAR(10) ("Brand#13"),
+// p_type VARCHAR(25) and c_comment VARCHAR(117), whose values end
+// anywhere in the field.
+func BenchmarkGetStringBytes(b *testing.B) {
+	const rows = 1024
+	for _, c := range []struct {
+		name        string
+		width, fill int // fill: longest value; lengths cycle below it
+	}{
+		{"char10", 10, 8},
+		{"varchar25", 25, 25},
+		{"varchar117", 117, 117},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			sch := NewSchema(Col("k", Int64), Char("s", c.width))
+			st, off := sch.Stride(), sch.Offset(1)
+			buf := make([]byte, rows*st)
+			text := make([]byte, c.width)
+			for i := range text {
+				text[i] = 'a' + byte(i%26)
+			}
+			for r := 0; r < rows; r++ {
+				n := c.fill
+				if c.fill == c.width {
+					n = c.width/3 + r%(c.width-c.width/3+1)
+				}
+				PutString(buf[r*st:], off, c.width, string(text[:n]))
+			}
+			b.SetBytes(int64(rows * c.width))
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				n := 0
+				for r := 0; r < rows; r++ {
+					n += len(GetStringBytes(buf[r*st:], off, c.width))
+				}
+				sinkLen = n
+			}
+		})
+	}
+}

@@ -3,11 +3,12 @@
 // result rows over one TCP connection per session.
 //
 // A Conn is one session: prepared statements live on the server side
-// of the connection and die with it. The protocol is strictly
-// request/response, so a Conn serves one request at a time and is not
-// safe for concurrent use — the intended shape for high-QPS serving is
-// many connections, each owned by one client goroutine, firing
-// prepared EXECUTEs in a tight loop.
+// of the connection and die with it. A Conn serves one request at a
+// time (the server would answer several in order; this driver does not
+// yet send them) and is not safe for concurrent use — the intended
+// shape for high-QPS serving is many connections, each owned by one
+// client goroutine, firing prepared EXECUTEs in a tight loop. A request
+// is one write on the socket, header and payload together.
 package client
 
 import (
@@ -27,9 +28,8 @@ import (
 type Conn struct {
 	c       net.Conn
 	r       *bufio.Reader
-	w       *bufio.Writer
 	buf     []byte // frame read buffer, reused
-	scratch []byte // request build buffer, reused
+	scratch []byte // the request frame being built, reused
 	rows    *Rows  // in-flight result stream, if any
 	err     error  // sticky protocol-level failure
 }
@@ -40,8 +40,10 @@ func Dial(addr string) (*Conn, error) {
 	if err != nil {
 		return nil, fmt.Errorf("client: %w", err)
 	}
-	return &Conn{c: c, r: bufio.NewReader(c), w: bufio.NewWriter(c)}, nil
+	return newConn(c), nil
 }
+
+func newConn(c net.Conn) *Conn { return &Conn{c: c, r: bufio.NewReader(c)} }
 
 // Close closes the connection.
 func (c *Conn) Close() error { return c.c.Close() }
@@ -77,13 +79,12 @@ func fitsU16(what string, n int) error {
 	return nil
 }
 
-// roundTrip writes one request frame and reads the first response
-// frame.
-func (c *Conn) roundTrip(typ byte, payload []byte) (byte, []byte, error) {
-	if err := protocol.WriteFrame(c.w, typ, payload); err != nil {
-		return 0, nil, c.fail(err)
-	}
-	if err := c.w.Flush(); err != nil {
+// roundTrip closes the request frame built in c.scratch (BeginFrame,
+// then the payload), writes it in one write and reads the first
+// response frame.
+func (c *Conn) roundTrip() (byte, []byte, error) {
+	protocol.EndFrame(c.scratch)
+	if _, err := c.c.Write(c.scratch); err != nil {
 		return 0, nil, c.fail(err)
 	}
 	rtyp, rpl, nbuf, err := protocol.ReadFrame(c.r, c.buf)
@@ -102,7 +103,8 @@ func (c *Conn) Query(sql string) (*Rows, error) {
 	if err := c.ready(); err != nil {
 		return nil, err
 	}
-	return c.finishQuery(c.roundTrip(protocol.MsgQuery, []byte(sql)))
+	c.scratch = append(protocol.BeginFrame(c.scratch[:0], protocol.MsgQuery), sql...)
+	return c.finishQuery(c.roundTrip())
 }
 
 // Prepare pins sql (which may contain $n slots) under name on the
@@ -114,9 +116,9 @@ func (c *Conn) Prepare(name, sql string) (int, error) {
 	if err := fitsU16("statement name", len(name)); err != nil {
 		return 0, err
 	}
-	c.scratch = protocol.AppendString(c.scratch[:0], name)
+	c.scratch = protocol.AppendString(protocol.BeginFrame(c.scratch[:0], protocol.MsgPrepare), name)
 	c.scratch = append(c.scratch, sql...)
-	typ, pl, err := c.roundTrip(protocol.MsgPrepare, c.scratch)
+	typ, pl, err := c.roundTrip()
 	if err != nil {
 		return 0, err
 	}
@@ -143,7 +145,7 @@ func (c *Conn) Execute(name string, args ...types.Value) (*Rows, error) {
 	if err := fitsU16("argument count", len(args)); err != nil {
 		return nil, err
 	}
-	c.scratch = protocol.AppendString(c.scratch[:0], name)
+	c.scratch = protocol.AppendString(protocol.BeginFrame(c.scratch[:0], protocol.MsgExecute), name)
 	c.scratch = binary.LittleEndian.AppendUint16(c.scratch, uint16(len(args)))
 	for i, v := range args {
 		if v.Kind == types.String && !v.Null {
@@ -153,7 +155,7 @@ func (c *Conn) Execute(name string, args ...types.Value) (*Rows, error) {
 		}
 		c.scratch = protocol.AppendValue(c.scratch, v)
 	}
-	return c.finishQuery(c.roundTrip(protocol.MsgExecute, c.scratch))
+	return c.finishQuery(c.roundTrip())
 }
 
 // Deallocate drops a prepared statement.
@@ -164,8 +166,8 @@ func (c *Conn) Deallocate(name string) error {
 	if err := fitsU16("statement name", len(name)); err != nil {
 		return err
 	}
-	c.scratch = protocol.AppendString(c.scratch[:0], name)
-	typ, pl, err := c.roundTrip(protocol.MsgDealloc, c.scratch)
+	c.scratch = protocol.AppendString(protocol.BeginFrame(c.scratch[:0], protocol.MsgDealloc), name)
+	typ, pl, err := c.roundTrip()
 	if err != nil {
 		return err
 	}
@@ -203,7 +205,9 @@ func (c *Conn) finishQuery(typ byte, pl []byte, err error) (*Rows, error) {
 // Rows streams one result. Blocks are pulled from the connection on
 // demand: Next decodes the next row, fetching the next block frame
 // when the current one is exhausted. Close drains the stream, freeing
-// the connection for the next request.
+// the connection for the next request. A decoded block is this Rows'
+// own (block ownership, DESIGN.md §10): it goes back to the arena when
+// the stream moves past it.
 type Rows struct {
 	c     *Conn
 	sch   *types.Schema
@@ -235,8 +239,14 @@ func (r *Rows) Next() bool {
 	}
 }
 
-// fetch pulls the next frame of the stream.
+// fetch pulls the next frame of the stream. Both callers are done with
+// the current block — Next has walked it, Close is discarding the rest —
+// so it is recycled first, whatever the frame turns out to be.
 func (r *Rows) fetch() bool {
+	if r.cur != nil {
+		r.cur.Recycle()
+		r.cur = nil
+	}
 	typ, pl, nbuf, err := protocol.ReadFrame(r.c.r, r.c.buf)
 	r.c.buf = nbuf
 	if err != nil {
@@ -269,8 +279,10 @@ func (r *Rows) fetch() bool {
 	return false
 }
 
-// Row returns the current row's values. The returned slice is reused
-// by the next Next call.
+// Row returns the values of the row the last Next advanced to; it may
+// be called only after a Next that returned true. The values are valid
+// until the next Next: the slice is reused, and the block they were read
+// from is recycled when the stream moves past it.
 func (r *Rows) Row() []types.Value {
 	rec := r.cur.Row(r.idx - 1)
 	if cap(r.vals) < len(r.sch.Cols) {

@@ -1,7 +1,6 @@
 package client
 
 import (
-	"bufio"
 	"bytes"
 	"io"
 	"net"
@@ -88,7 +87,7 @@ func FuzzClientReply(f *testing.F) {
 		// No legitimate path below waits on anything but the pipe, which
 		// the server end closes; the deadline turns a hang into a failure.
 		cli.SetDeadline(time.Now().Add(10 * time.Second))
-		c := &Conn{c: cli, r: bufio.NewReader(cli), w: bufio.NewWriter(cli)}
+		c := newConn(cli)
 
 		// A timeout means the client was still waiting for bytes after
 		// the server had closed: the hang this target exists to catch.

@@ -3,6 +3,7 @@ package expr
 import (
 	"bytes"
 	"fmt"
+	"math"
 	"math/rand"
 	"testing"
 
@@ -218,6 +219,79 @@ func TestCompilePredicateMatchesEval(t *testing.T) {
 		narrowed := p.Select(blk, evens, nil)
 		if !equalSel(narrowed, wantEven) {
 			t.Fatalf("case %d (%s): narrowed = %v, want %v", ci, e, narrowed, wantEven)
+		}
+	}
+}
+
+// TestRangeKernelsAtTheEdges: the numeric column-against-constant
+// kernels restate every operator as a closed range, which is where the
+// ends of the domain can go wrong: c-1 below the least integer, the
+// float just below -Inf, a strict bound at ±0, an empty BETWEEN. Every
+// operator against every pairing of the values below must select what
+// Eval selects. (NaN is left out: Value.Compare orders it equal to
+// everything, the kernels, like the operators, equal to nothing, and no
+// column holds one — x/0 is NULL.)
+func TestRangeKernelsAtTheEdges(t *testing.T) {
+	ints := []int64{math.MinInt64, math.MinInt64 + 1, -1, 0, 1, 1 << 53, 1<<53 + 1, math.MaxInt64 - 1, math.MaxInt64}
+	floats := []float64{math.Inf(-1), -math.MaxFloat64, -2.5, -math.SmallestNonzeroFloat64, math.Copysign(0, -1),
+		0, math.SmallestNonzeroFloat64, 2.5, 1 << 53, math.MaxFloat64, math.Inf(1)}
+	sch := batchTestSchema()
+	n := len(ints) * len(floats)
+	blk := block.New(sch, n*sch.Stride(), nil)
+	for _, i := range ints {
+		for _, f := range floats {
+			r := blk.AppendRowTo()
+			clear(r)
+			types.PutValue(r, sch, 0, types.IntVal(i))
+			types.PutValue(r, sch, 2, types.FloatVal(f))
+		}
+	}
+	a, f := col(sch, "a"), col(sch, "f")
+	var preds []Expr
+	for _, op := range []CmpOp{EQ, NE, LT, LE, GT, GE} {
+		for _, c := range ints {
+			preds = append(preds, NewCmp(op, a, NewConst(types.IntVal(c))), NewCmp(op, f, NewConst(types.IntVal(c))))
+		}
+		for _, c := range floats {
+			preds = append(preds, NewCmp(op, f, NewConst(types.FloatVal(c))), NewCmp(op, a, NewConst(types.FloatVal(c))))
+		}
+	}
+	for _, lo := range ints {
+		for _, hi := range ints {
+			preds = append(preds, NewBetween(a, NewConst(types.IntVal(lo)), NewConst(types.IntVal(hi))))
+		}
+	}
+	for _, lo := range floats {
+		for _, hi := range floats {
+			preds = append(preds, NewBetween(f, NewConst(types.FloatVal(lo)), NewConst(types.FloatVal(hi))),
+				NewBetween(a, NewConst(types.FloatVal(lo)), NewConst(types.FloatVal(hi))))
+		}
+	}
+	odds := make([]int32, 0, n/2)
+	for _, e := range preds {
+		p := CompilePredicate(e, sch)
+		if !p.Fused() {
+			t.Fatalf("%s did not fuse", e)
+		}
+		var want, wantOdd []int32
+		odds = odds[:0]
+		for i := 0; i < n; i++ {
+			keep := Truthy(e.Eval(blk.Row(i), sch))
+			if keep {
+				want = append(want, int32(i))
+			}
+			if i%2 == 1 {
+				odds = append(odds, int32(i))
+				if keep {
+					wantOdd = append(wantOdd, int32(i))
+				}
+			}
+		}
+		if got := p.Select(blk, nil, nil); !equalSel(got, want) {
+			t.Errorf("%s: select all = %v, want %v", e, got, want)
+		}
+		if got := p.Select(blk, odds, nil); !equalSel(got, wantOdd) {
+			t.Errorf("%s: narrowed = %v, want %v", e, got, wantOdd)
 		}
 	}
 }

@@ -7,6 +7,7 @@ package expr
 
 import (
 	"bytes"
+	"math"
 
 	"repro/internal/block"
 	"repro/internal/types"
@@ -209,14 +210,14 @@ func colConstCmp(op CmpOp, sch *types.Schema, c *Col, v types.Value) BatchPredic
 	case types.Int64, types.Date:
 		if v.Kind == types.Float64 {
 			// Mixed int/float compares as float (Value.Compare).
-			return &cmpFloatConstPred{off: off, op: op, c: v.F, colInt: true}
+			return floatCmpRange(off, op, v.F, true)
 		}
 		if v.Kind == types.Int64 || v.Kind == types.Date {
-			return &cmpIntConstPred{off: off, op: op, c: v.I}
+			return intCmpRange(off, op, v.I)
 		}
 	case types.Float64:
 		if v.Kind.Numeric() || v.Kind == types.Date {
-			return &cmpFloatConstPred{off: off, op: op, c: v.AsFloat()}
+			return floatCmpRange(off, op, v.AsFloat(), false)
 		}
 	case types.String:
 		if v.Kind == types.String {
@@ -238,70 +239,155 @@ func colColCmp(op CmpOp, sch *types.Schema, l, r *Col) BatchPredicate {
 	}
 }
 
-// cmpIntConstPred: Int64/Date column op integer constant.
-type cmpIntConstPred struct {
-	off int
-	op  CmpOp
-	c   int64
+// A numeric column against constants is a range test: every comparison
+// operator and BETWEEN say "x in [lo, hi]", or for <> its complement. So
+// two kernels serve all seven shapes, and neither has an operator left
+// to dispatch on per row. Their loops are written out rather than handed
+// to selFilter as a closure: the verdict is two flag-setting compares,
+// and the row index is stored unconditionally and kept by advancing the
+// write position by the verdict, so the loop has no branch that depends
+// on the data — a filter costs the same at 1 %, 50 % and 99 %
+// selectivity, where a branch per row costs most when it is least
+// predictable.
+
+// b2i is 1 for true; the compiler turns it into a flag move, not a jump.
+func b2i(b bool) int {
+	if b {
+		return 1
+	}
+	return 0
 }
 
-func (p *cmpIntConstPred) Fused() bool { return true }
+// inRange is 1 when lo <= x <= hi.
+func inRange[T int64 | float64](x, lo, hi T) int { return b2i(x >= lo) & b2i(x <= hi) }
 
-func (p *cmpIntConstPred) Select(b *block.Block, sel []int32, buf []int32) []int32 {
-	off, c, op := p.off, p.c, p.op
-	return selFilter(b, sel, buf, func(rec []byte) bool {
-		x := types.GetInt(rec, off)
-		switch op {
-		case EQ:
-			return x == c
-		case NE:
-			return x != c
-		case LT:
-			return x < c
-		case LE:
-			return x <= c
-		case GT:
-			return x > c
-		default:
-			return x >= c
-		}
-	})
+// selAll returns buf resized to hold one index per row of a block.
+func selAll(buf []int32, n int) []int32 {
+	if cap(buf) < n {
+		return make([]int32, n)
+	}
+	return buf[:n]
 }
 
-// cmpFloatConstPred: Float64 (or int-as-float) column op numeric constant.
-type cmpFloatConstPred struct {
+// intRangePred: Int64/Date column in [lo, hi] (not in, when inv is 1).
+// lo > hi is the empty range.
+type intRangePred struct {
 	off    int
-	op     CmpOp
-	c      float64
+	lo, hi int64
+	inv    int
+}
+
+// intCmpRange states column op c as a range over int64.
+func intCmpRange(off int, op CmpOp, c int64) *intRangePred {
+	p := &intRangePred{off: off, lo: math.MinInt64, hi: math.MaxInt64}
+	switch op {
+	case EQ:
+		p.lo, p.hi = c, c
+	case NE:
+		p.lo, p.hi, p.inv = c, c, 1
+	case LE:
+		p.hi = c
+	case GE:
+		p.lo = c
+	case LT:
+		if p.hi = c - 1; c == math.MinInt64 {
+			p.lo, p.hi = 0, -1
+		}
+	case GT:
+		if p.lo = c + 1; c == math.MaxInt64 {
+			p.lo, p.hi = 0, -1
+		}
+	}
+	return p
+}
+
+func (p *intRangePred) Fused() bool { return true }
+
+func (p *intRangePred) Select(b *block.Block, sel []int32, buf []int32) []int32 {
+	off, lo, hi, inv := p.off, p.lo, p.hi, p.inv
+	st, payload, w := b.Schema().Stride(), b.Bytes(), 0
+	if sel == nil {
+		n := b.NumTuples()
+		out := selAll(buf, n)
+		for i := 0; i < n; i++ {
+			x := types.GetInt(payload, i*st+off)
+			out[w] = int32(i)
+			w += inRange(x, lo, hi) ^ inv
+		}
+		return out[:w]
+	}
+	for _, i := range sel {
+		x := types.GetInt(payload, int(i)*st+off)
+		sel[w] = i
+		w += inRange(x, lo, hi) ^ inv
+	}
+	return sel[:w]
+}
+
+// floatRangePred: Float64 column, or an integer one compared as float,
+// in [lo, hi] (not in, when inv is 1). A NaN is in no range, so it fails
+// every comparison but <>, as it does under the language's operators.
+type floatRangePred struct {
+	off    int
+	lo, hi float64
+	inv    int
 	colInt bool // decode the column as int64, compare as float
 }
 
-func (p *cmpFloatConstPred) Fused() bool { return true }
+// floatCmpRange states column op c as a closed range over float64: x < c
+// is x <= the float just below c, there being none in between.
+func floatCmpRange(off int, op CmpOp, c float64, colInt bool) *floatRangePred {
+	p := &floatRangePred{off: off, lo: math.Inf(-1), hi: math.Inf(1), colInt: colInt}
+	switch op {
+	case EQ:
+		p.lo, p.hi = c, c
+	case NE:
+		p.lo, p.hi, p.inv = c, c, 1
+	case LE:
+		p.hi = c
+	case GE:
+		p.lo = c
+	case LT:
+		if p.hi = math.Nextafter(c, math.Inf(-1)); math.IsInf(c, -1) {
+			p.lo, p.hi = 0, -1
+		}
+	case GT:
+		if p.lo = math.Nextafter(c, math.Inf(1)); math.IsInf(c, 1) {
+			p.lo, p.hi = 0, -1
+		}
+	}
+	return p
+}
 
-func (p *cmpFloatConstPred) Select(b *block.Block, sel []int32, buf []int32) []int32 {
-	off, c, op, colInt := p.off, p.c, p.op, p.colInt
-	return selFilter(b, sel, buf, func(rec []byte) bool {
-		var x float64
+func (p *floatRangePred) Fused() bool { return true }
+
+func (p *floatRangePred) Select(b *block.Block, sel []int32, buf []int32) []int32 {
+	off, lo, hi, inv, colInt := p.off, p.lo, p.hi, p.inv, p.colInt
+	st, payload, w := b.Schema().Stride(), b.Bytes(), 0
+	// colInt is the same for every row: a branch, but not one the data
+	// decides.
+	get := func(at int) float64 {
 		if colInt {
-			x = float64(types.GetInt(rec, off))
-		} else {
-			x = types.GetFloat(rec, off)
+			return float64(types.GetInt(payload, at))
 		}
-		switch op {
-		case EQ:
-			return x == c
-		case NE:
-			return x != c
-		case LT:
-			return x < c
-		case LE:
-			return x <= c
-		case GT:
-			return x > c
-		default:
-			return x >= c
+		return types.GetFloat(payload, at)
+	}
+	if sel == nil {
+		n := b.NumTuples()
+		out := selAll(buf, n)
+		for i := 0; i < n; i++ {
+			x := get(i*st + off)
+			out[w] = int32(i)
+			w += inRange(x, lo, hi) ^ inv
 		}
-	})
+		return out[:w]
+	}
+	for _, i := range sel {
+		x := get(int(i)*st + off)
+		sel[w] = i
+		w += inRange(x, lo, hi) ^ inv
+	}
+	return sel[:w]
 }
 
 // cmpStrConstPred: CHAR column op string constant, compared on the
@@ -385,46 +471,11 @@ func compileBetweenPred(n *Between, sch *types.Schema) BatchPredicate {
 	case !numericOrDate(k) || !numericOrDate(lo.Kind) || !numericOrDate(hi.Kind):
 		return nil
 	case allInt:
-		return &betweenIntPred{off: off, lo: lo.I, hi: hi.I}
+		return &intRangePred{off: off, lo: lo.I, hi: hi.I}
 	default:
-		return &betweenFloatPred{off: off, lo: lo.AsFloat(), hi: hi.AsFloat(),
+		return &floatRangePred{off: off, lo: lo.AsFloat(), hi: hi.AsFloat(),
 			colInt: k != types.Float64}
 	}
-}
-
-type betweenIntPred struct {
-	off    int
-	lo, hi int64
-}
-
-func (p *betweenIntPred) Fused() bool { return true }
-
-func (p *betweenIntPred) Select(b *block.Block, sel []int32, buf []int32) []int32 {
-	off, lo, hi := p.off, p.lo, p.hi
-	return selFilter(b, sel, buf, func(rec []byte) bool {
-		x := types.GetInt(rec, off)
-		return x >= lo && x <= hi
-	})
-}
-
-type betweenFloatPred struct {
-	off    int
-	lo, hi float64
-	colInt bool
-}
-
-func (p *betweenFloatPred) Fused() bool { return true }
-
-func (p *betweenFloatPred) Select(b *block.Block, sel []int32, buf []int32) []int32 {
-	return selFilter(b, sel, buf, func(rec []byte) bool {
-		var x float64
-		if p.colInt {
-			x = float64(types.GetInt(rec, p.off))
-		} else {
-			x = types.GetFloat(rec, p.off)
-		}
-		return x >= p.lo && x <= p.hi
-	})
 }
 
 func compileInPred(n *In, sch *types.Schema) BatchPredicate {

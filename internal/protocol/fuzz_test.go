@@ -4,11 +4,13 @@ import (
 	"bytes"
 	"encoding/binary"
 	"io"
+	"runtime"
 	"testing"
 
 	"repro/internal/catalog"
 	"repro/internal/engine"
 	"repro/internal/session"
+	"repro/internal/telemetry"
 	"repro/internal/types"
 )
 
@@ -63,7 +65,8 @@ func FuzzDispatch(f *testing.F) {
 	f.Add(byte(MsgExecute), execute("lk", types.FloatVal(2)))
 	f.Add(byte(MsgExecute), execute("eq", types.StrVal("a"), types.Value{Null: true}))
 	f.Add(byte(MsgExecute), execute("eq", types.DateVal(14000), types.IntVal(14000)))
-	f.Add(byte(MsgExecute), append(execute("lk", types.IntVal(1)), 0)) // one byte too many
+	f.Add(byte(MsgExecute), append(execute("lk", types.IntVal(1)), 0))   // one byte too many
+	f.Add(byte(MsgExecute), append(AppendString(nil, "lk"), 0xff, 0xff)) // 65 535 arguments, none present
 	f.Add(byte(MsgDealloc), AppendString(nil, "lk"))
 
 	f.Fuzz(func(t *testing.T, typ byte, payload []byte) {
@@ -75,7 +78,7 @@ func FuzzDispatch(f *testing.F) {
 		}
 		// The error is the statement's or the frame's own business; the
 		// property is that dispatch returns at all.
-		_ = (&Server{}).dispatch(sess, newFrameWriter(io.Discard), typ, payload)
+		_ = (&Server{}).dispatch(sess, newFrameWriter(io.Discard, &telemetry.Counter{}), typ, payload)
 
 		if typ != MsgExecute {
 			return
@@ -89,4 +92,26 @@ func FuzzDispatch(f *testing.F) {
 				name, len(args), len(payload), len(again), payload, again)
 		}
 	})
+}
+
+// TestDecodeExecuteBoundsItsAllocation: the argument count is a u16 off
+// the socket, and the slice for the arguments is made before any of them
+// is decoded. A count the payload cannot hold (every value is at least
+// a byte) is refused before that, so a 6-byte payload costs no
+// 65 535-value slice.
+func TestDecodeExecuteBoundsItsAllocation(t *testing.T) {
+	payload := append(AppendString(nil, "lk"), 0xff, 0xff)
+	if _, _, err := decodeExecute(payload); err == nil {
+		t.Fatal("65 535 arguments declared in 0 bytes: want an error")
+	}
+	const runs = 100
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		decodeExecute(payload)
+	}
+	runtime.ReadMemStats(&after)
+	if per := (after.TotalAlloc - before.TotalAlloc) / runs; per > 4096 {
+		t.Errorf("refusing it allocated %d bytes a call", per)
+	}
 }

@@ -9,13 +9,17 @@
 // decode-side sanity bounds so a flipped length field cannot allocate
 // gigabytes, and payloads serialized once straight into the write
 // buffer. It is deliberately simpler than the fabric — one
-// request/response stream per connection, no batching, no
-// retransmission — because TCP already provides ordering and the unit
-// of loss is the whole session.
+// request/response stream per connection, no retransmission — because
+// TCP already provides ordering and the unit of loss is the whole
+// session. What it shares with the fabric's batching is the rule that a
+// message leaves in one write: a reply's frames are assembled in one
+// buffer and handed to the connection together (server.go, frameWriter).
 //
 //	frame := uint32 magic ("EPQ1") | uint8 type | uint32 payloadLen | payload
 //
-// Client → server (one request at a time per connection):
+// Client → server. Requests are answered in the order they arrive; a
+// client that writes several before reading gets as many replies, in
+// that order:
 //
 //	MsgQuery     payload = SQL text
 //	MsgPrepare   payload = u16 nameLen | name | SQL text
@@ -71,7 +75,30 @@ const hdrLen = 4 + 1 + 4
 // sanity, like the exchange fabric's maxBatchBytes).
 const MaxFrameBytes = 16 << 20
 
-// WriteFrame writes one frame.
+// BeginFrame appends a frame header whose payload length is still open.
+// The caller appends the payload after it and closes the frame with
+// EndFrame, so a payload is serialized once, straight into the buffer
+// the connection is handed:
+//
+//	start := len(buf)
+//	buf = BeginFrame(buf, MsgBlock)
+//	buf = b.EncodeAppend(buf)
+//	EndFrame(buf[start:])
+func BeginFrame(dst []byte, typ byte) []byte {
+	dst = binary.LittleEndian.AppendUint32(dst, Magic)
+	return append(dst, typ, 0, 0, 0, 0)
+}
+
+// EndFrame closes the frame that starts at frame[0] and runs to the end
+// of the slice: everything after the header is its payload.
+func EndFrame(frame []byte) {
+	binary.LittleEndian.PutUint32(frame[5:], uint32(len(frame)-hdrLen))
+}
+
+// WriteFrame writes one frame as two writes, header then payload. The
+// server and the client do not use it on a socket, where each write is
+// a system call and a segment of its own: they assemble whole messages
+// with BeginFrame/EndFrame and hand the connection one buffer.
 func WriteFrame(w io.Writer, typ byte, payload []byte) error {
 	var hdr [hdrLen]byte
 	binary.LittleEndian.PutUint32(hdr[0:], Magic)
@@ -89,10 +116,15 @@ func WriteFrame(w io.Writer, typ byte, payload []byte) error {
 }
 
 // ReadFrame reads one frame, reusing buf when it is large enough. It
-// returns the frame type and payload (aliasing buf's storage).
+// returns the frame type and payload (aliasing buf's storage). The
+// header is read into buf as well and overwritten by the payload, so a
+// caller that keeps its buffer pays no allocation per frame.
 func ReadFrame(r io.Reader, buf []byte) (typ byte, payload, newBuf []byte, err error) {
-	var hdr [hdrLen]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
+	if cap(buf) < hdrLen {
+		buf = make([]byte, hdrLen)
+	}
+	hdr := buf[:hdrLen]
+	if _, err := io.ReadFull(r, hdr); err != nil {
 		return 0, nil, buf, err
 	}
 	if m := binary.LittleEndian.Uint32(hdr[0:]); m != Magic {

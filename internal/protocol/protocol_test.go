@@ -15,9 +15,11 @@ import (
 	"repro/internal/types"
 )
 
-// startServer boots a cluster with a trades table and serves it on an
-// ephemeral port.
-func startServer(t *testing.T) (string, *engine.Cluster) {
+// tradesAcct is the acct_id of row i of the trades table.
+func tradesAcct(i int) int64 { return int64(i % 13) }
+
+// tradesCluster boots a cluster with a trades table of the given size.
+func tradesCluster(t *testing.T, rows int) *engine.Cluster {
 	t.Helper()
 	cat := catalog.New(2)
 	sch := types.NewSchema(
@@ -32,14 +34,21 @@ func startServer(t *testing.T) (string, *engine.Cluster) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := 0; i < 500; i++ {
+	for i := 0; i < rows; i++ {
 		r := tl.Row()
-		types.PutValue(r, sch, 0, types.IntVal(int64(i%13)))
+		types.PutValue(r, sch, 0, types.IntVal(tradesAcct(i)))
 		types.PutValue(r, sch, 1, types.IntVal(int64(i%5)))
 		types.PutValue(r, sch, 2, types.FloatVal(float64(i)))
 		tl.Add()
 	}
 	tl.Close()
+	return c
+}
+
+// startServer serves a 500-row trades table on an ephemeral port.
+func startServer(t *testing.T) (string, *engine.Cluster) {
+	t.Helper()
+	c := tradesCluster(t, 500)
 	srv, err := protocol.Serve("127.0.0.1:0", session.Direct{C: c})
 	if err != nil {
 		t.Fatal(err)

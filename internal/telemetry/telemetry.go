@@ -103,9 +103,13 @@ const (
 	// distributed dataflow.
 	CtrFastPathQueries = "engine.fastpath.queries"
 	// CtrProtoRequests / Errors count client-protocol requests served
-	// and requests that returned an error frame.
+	// and requests that returned an error frame; CtrProtoWrites counts
+	// the writes their replies took on the socket (one per reply, more
+	// for a result past the early-flush bound, fewer when pipelined
+	// requests share one).
 	CtrProtoRequests = "proto.requests"
 	CtrProtoErrors   = "proto.errors"
+	CtrProtoWrites   = "proto.writes"
 	// GaugeMemBytes tracks materialized state (staging + operator
 	// arenas); its peak is the Table 4 footprint.
 	GaugeMemBytes = "mem.bytes"

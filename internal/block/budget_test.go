@@ -109,13 +109,18 @@ func TestTrackerBudgetRace(t *testing.T) {
 		}
 	}()
 
-	var wg sync.WaitGroup
+	// Every query is admitted before any operator charges: one that
+	// started late would otherwise find the node full and be refused.
+	var wg, admitted sync.WaitGroup
+	admitted.Add(goroutines)
 	for g := 0; g < goroutines; g++ {
 		wg.Add(1)
 		go func(seed int64) {
 			defer wg.Done()
 			rng := rand.New(rand.NewSource(seed))
 			q, err := node.SubReserve("q", 4096)
+			admitted.Done()
+			admitted.Wait()
 			if err != nil {
 				t.Errorf("subreserve: %v", err)
 				return

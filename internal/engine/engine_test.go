@@ -140,6 +140,50 @@ func TestGroupByQueryAllModes(t *testing.T) {
 	}
 }
 
+// TestLongComputedStringKeysStayDistinct: a computed string column is
+// as wide as its longest value. Two CASE arms that differ only past
+// byte 32 used to be cut to 32 bytes in the partial aggregation's
+// output and merged into one group by the final one; projected, they
+// came out cut.
+func TestLongComputedStringKeysStayDistinct(t *testing.T) {
+	const long = "abcdefghijklmnopqrstuvwxyz0123456789ABCDE-"
+	kase := "CASE WHEN trade_volume < 500 THEN '" + long + "A' ELSE '" + long + "B' END"
+	for _, mode := range []Mode{EP, SP} {
+		c, ref := buildTestCluster(t, mode, 3)
+		want := map[string]int64{}
+		for _, r := range ref.trades {
+			if r.vol < 500 {
+				want[long+"A"]++
+			} else {
+				want[long+"B"]++
+			}
+		}
+		res, err := c.Run("SELECT " + kase + " AS k, count(*) FROM trades GROUP BY " + kase)
+		if err != nil {
+			t.Fatalf("%v: %v", mode, err)
+		}
+		if res.NumRows() != len(want) {
+			t.Fatalf("%v: GROUP BY gave %d groups, want %d", mode, res.NumRows(), len(want))
+		}
+		for _, row := range res.Rows() {
+			if n, ok := want[row[0].S]; !ok || row[1].I != n {
+				t.Errorf("%v: GROUP BY row %q | %d, want one of %v", mode, row[0].S, row[1].I, want)
+			}
+		}
+		res, err = c.Run("SELECT acct_id, " + kase + " AS k FROM trades")
+		if err != nil {
+			t.Fatalf("%v: %v", mode, err)
+		}
+		got := map[string]int64{}
+		for _, row := range res.Rows() {
+			got[row[1].S]++
+		}
+		if fmt.Sprint(got) != fmt.Sprint(want) {
+			t.Errorf("%v: projected %v, want %v", mode, got, want)
+		}
+	}
+}
+
 func TestJoinAggQueryAllModes(t *testing.T) {
 	// SSE-Q9: repartition join + two-phase aggregation — the paper's
 	// flagship query (three segments, two pipelines).

@@ -150,8 +150,14 @@ func CompileBatch(e Expr, sch *types.Schema) BatchExpr {
 		l, r := CompileBatch(n.L, sch), CompileBatch(n.R, sch)
 		lk, rk := n.L.Kind(sch), n.R.Kind(sch)
 		if l.Fused() && r.Fused() && numericOrDate(lk) && numericOrDate(rk) {
-			return &arithKernel{op: n.Op, l: l, r: r,
-				outKind: n.Kind(sch), lKind: lk, rKind: rk}
+			k := &arithKernel{op: n.Op, l: l, r: r, outKind: n.Kind(sch)}
+			if k.outKind == types.Float64 && n.Op != Div {
+				var lok, rok bool
+				k.ls, k.lScalar, lok = floatOperand(l, lk)
+				k.rs, k.rScalar, rok = floatOperand(r, rk)
+				k.typed = lok && rok && !(k.lScalar && k.rScalar)
+			}
+			return k
 		}
 		return &rowKernel{e: e, sch: sch, kind: e.Kind(sch)}
 	case *Cmp:
@@ -270,17 +276,38 @@ func (k *constKernel) EvalVec(b *block.Block, sel []int32, out *Vec) {
 
 // arithKernel is vectorized Arith.Eval over numeric/date children. The
 // output kind is static (Arith.Kind), so each instance runs exactly one
-// of three loops: date shift, integral, or float (with x/0 → NULL).
+// of four loops: date shift, integral, typed float, or float with
+// coercion (and x/0 → NULL).
 type arithKernel struct {
-	op           ArithOp
-	l, r         BatchExpr
-	outKind      types.Kind
-	lKind, rKind types.Kind
+	op      ArithOp
+	l, r    BatchExpr
+	outKind types.Kind
+	// typed marks float + - * whose operands are each a Float64 vector
+	// or a non-NULL literal, at least one a vector: such a kernel runs
+	// one typed loop per operator, the literal kept as the scalar ls or
+	// rs rather than broadcast.
+	typed            bool
+	lScalar, rScalar bool
+	ls, rs           float64
+}
+
+// floatOperand reports whether a child kernel of static kind k can feed
+// the typed float loop, and, when it is a literal, its value as a
+// scalar.
+func floatOperand(c BatchExpr, k types.Kind) (v float64, scalar, ok bool) {
+	if ck, isConst := c.(*constKernel); isConst {
+		return ck.v.AsFloat(), true, !ck.v.Null && numericOrDate(ck.v.Kind)
+	}
+	return 0, false, k == types.Float64
 }
 
 func (k *arithKernel) Fused() bool { return true }
 
 func (k *arithKernel) EvalVec(b *block.Block, sel []int32, out *Vec) {
+	if k.typed {
+		k.evalTyped(b, sel, out)
+		return
+	}
 	lv, rv := GetVec(), GetVec()
 	defer PutVec(lv)
 	defer PutVec(rv)
@@ -337,6 +364,93 @@ func (k *arithKernel) EvalVec(b *block.Block, sel []int32, out *Vec) {
 				}
 				out.F[i] = lf / rf
 			}
+		}
+	}
+}
+
+// evalTyped is the typed float loop: a row is NULL where a vector
+// operand is, and its value is computed regardless, which costs less
+// than a branch (a NULL entry's value is never read).
+func (k *arithKernel) evalTyped(b *block.Block, sel []int32, out *Vec) {
+	var lv, rv *Vec
+	if !k.lScalar {
+		lv = GetVec()
+		defer PutVec(lv)
+		k.l.EvalVec(b, sel, lv)
+	}
+	if !k.rScalar {
+		rv = GetVec()
+		defer PutVec(rv)
+		k.r.EvalVec(b, sel, rv)
+	}
+	out.alloc(types.Float64, selCount(b, sel))
+	switch {
+	case lv != nil && rv != nil:
+		floatVV(k.op, out.F, lv.F, rv.F)
+		for i, ln := range lv.Null[:len(out.Null)] {
+			out.Null[i] = ln || rv.Null[i]
+		}
+	case lv != nil:
+		floatVS(k.op, out.F, lv.F, k.rs)
+		copy(out.Null, lv.Null)
+	default:
+		floatSV(k.op, out.F, k.ls, rv.F)
+		copy(out.Null, rv.Null)
+	}
+}
+
+// floatVV, floatVS and floatSV compute out = l op r for op + - * over
+// two vectors, a vector and a scalar, and a scalar and a vector.
+func floatVV(op ArithOp, out, l, r []float64) {
+	l, r = l[:len(out)], r[:len(out)]
+	switch op {
+	case Add:
+		for i := range out {
+			out[i] = l[i] + r[i]
+		}
+	case Sub:
+		for i := range out {
+			out[i] = l[i] - r[i]
+		}
+	default:
+		for i := range out {
+			out[i] = l[i] * r[i]
+		}
+	}
+}
+
+func floatVS(op ArithOp, out, l []float64, r float64) {
+	l = l[:len(out)]
+	switch op {
+	case Add:
+		for i := range out {
+			out[i] = l[i] + r
+		}
+	case Sub:
+		for i := range out {
+			out[i] = l[i] - r
+		}
+	default:
+		for i := range out {
+			out[i] = l[i] * r
+		}
+	}
+}
+
+func floatSV(op ArithOp, out []float64, l float64, r []float64) {
+	r = r[:len(out)]
+	switch op {
+	case Add:
+		for i := range out {
+			out[i] = l + r[i]
+		}
+	case Sub:
+		for i := range out {
+			out[i] = l - r[i]
+		}
+	default:
+		for i := range out {
+			out[i] = l * r[i]
 		}
 	}
 }

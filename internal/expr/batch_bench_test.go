@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"testing"
 
+	"repro/internal/block"
 	"repro/internal/types"
 )
 
@@ -142,6 +143,35 @@ func benchProjExprs(sch *types.Schema) []Expr {
 		NewArith(Sub, col(sch, "a"), col(sch, "b")),
 		NewExtract(Year, col(sch, "d")),
 	}
+}
+
+// BenchmarkArithFloatBatch evaluates TPC-H Q1's two arithmetic
+// aggregate arguments, l_extendedprice*(1-l_discount) and
+// l_extendedprice*(1-l_discount)*(1+l_tax), over one 4096-row block.
+func BenchmarkArithFloatBatch(b *testing.B) {
+	sch := types.NewSchema(types.Col("price", types.Float64),
+		types.Col("disc", types.Float64), types.Col("tax", types.Float64))
+	blk := block.New(sch, benchRows*sch.Stride(), nil)
+	for i := 0; i < benchRows; i++ {
+		r := blk.AppendRowTo()
+		types.PutFloat(r, sch.Offset(0), 900+float64(i%100000))
+		types.PutFloat(r, sch.Offset(1), float64(i%11)/100)
+		types.PutFloat(r, sch.Offset(2), float64(i%9)/100)
+	}
+	one := NewConst(types.IntVal(1))
+	price, disc, tax := col(sch, "price"), col(sch, "disc"), col(sch, "tax")
+	discPrice := NewArith(Mul, price, NewArith(Sub, one, disc))
+	charge := NewArith(Mul, discPrice, NewArith(Add, one, tax))
+	kerns := []BatchExpr{CompileBatch(discPrice, sch), CompileBatch(charge, sch)}
+	v := GetVec()
+	defer PutVec(v)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for _, k := range kerns {
+			k.EvalVec(blk, nil, v)
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/benchRows, "ns/row")
 }
 
 func BenchmarkProjectionRow(b *testing.B) {

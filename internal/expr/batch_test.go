@@ -124,6 +124,81 @@ func TestCompileBatchMatchesEval(t *testing.T) {
 	}
 }
 
+// TestArithKernelsMatchEval holds float arithmetic to Eval bit for bit
+// over the values where float arithmetic is delicate (−0, ±Inf, NaN,
+// overflow), on every row and under a selection. typed says which
+// shapes must run the typed loop — a float vector or a non-NULL literal
+// on each side — so the comparison cannot pass on the other loop alone.
+func TestArithKernelsMatchEval(t *testing.T) {
+	sch := types.NewSchema(types.Col("f", types.Float64), types.Col("g", types.Float64),
+		types.Col("h", types.Float64), types.Col("a", types.Int64))
+	vals := []float64{math.Copysign(0, -1), 0, 1.5, -2.25, math.Inf(1), math.Inf(-1), math.NaN(), math.MaxFloat64, 3}
+	blk := block.New(sch, len(vals)*len(vals)*sch.Stride(), nil)
+	for i, f := range vals {
+		for j, g := range vals {
+			r := blk.AppendRowTo()
+			types.PutFloat(r, sch.Offset(0), f)
+			types.PutFloat(r, sch.Offset(1), g)
+			types.PutFloat(r, sch.Offset(2), vals[(i+j)%len(vals)])
+			types.PutInt(r, sch.Offset(3), int64(i-j))
+		}
+	}
+	f, g, h, a := col(sch, "f"), col(sch, "g"), col(sch, "h"), col(sch, "a")
+	fl := func(x float64) Expr { return NewConst(types.FloatVal(x)) }
+	in := func(x int64) Expr { return NewConst(types.IntVal(x)) }
+	null := NewConst(types.NullVal(types.Float64))
+	cases := []struct {
+		e     Expr
+		typed bool
+	}{
+		{NewArith(Add, f, g), true},
+		{NewArith(Sub, f, g), true},
+		{NewArith(Mul, f, g), true},
+		{NewArith(Add, f, fl(1.5)), true},
+		{NewArith(Sub, fl(1.5), f), true},
+		{NewArith(Mul, f, fl(math.Copysign(0, -1))), true},
+		{NewArith(Sub, f, fl(math.Inf(1))), true},
+		{NewArith(Mul, fl(math.NaN()), g), true},
+		{NewArith(Sub, in(1), g), true}, // int literal against a float column
+		{NewArith(Add, f, in(-3)), true},
+		{NewArith(Mul, f, NewArith(Sub, in(1), g)), true},
+		{NewArith(Mul, NewArith(Mul, f, NewArith(Sub, in(1), g)), NewArith(Add, in(1), h)), true},
+		{NewArith(Add, NewArith(Div, f, g), in(1)), true}, // NULL where g is ±0
+		{NewArith(Sub, h, NewArith(Div, f, g)), true},
+		{NewArith(Add, f, null), false}, // NULL literal: every row NULL
+		{NewArith(Mul, null, g), false},
+		{NewArith(Mul, a, f), false}, // an Int64 vector is coerced row by row
+		{NewArith(Sub, f, a), false},
+		{NewArith(Div, f, g), false}, // x/0 → NULL keeps its own loop
+	}
+	var odd []int32
+	for i := 1; i < blk.NumTuples(); i += 2 {
+		odd = append(odd, int32(i))
+	}
+	for _, c := range cases {
+		k := CompileBatch(c.e, sch)
+		if ak, ok := k.(*arithKernel); !ok || ak.typed != c.typed {
+			t.Fatalf("%s: compiled to %T (typed %v), want the typed loop %v", c.e, k, ok && ak.typed, c.typed)
+		}
+		for _, sel := range [][]int32{nil, odd} {
+			var out Vec
+			k.EvalVec(blk, sel, &out)
+			for j := 0; j < out.Len(); j++ {
+				row := j
+				if sel != nil {
+					row = int(sel[j])
+				}
+				want, got := c.e.Eval(blk.Row(row), sch), out.Value(j)
+				if want.Null != got.Null || got.Kind != types.Float64 ||
+					!want.Null && math.Float64bits(want.F) != math.Float64bits(got.F) {
+					t.Fatalf("%s row %d (sel %v): got %v (%x), want %v (%x)", c.e, row, sel != nil,
+						got, math.Float64bits(got.F), want, math.Float64bits(want.F))
+				}
+			}
+		}
+	}
+}
+
 // batchPredCases returns predicates spanning the fused filter shapes and
 // the row fallback.
 func batchPredCases(sch *types.Schema) []Expr {

@@ -435,6 +435,42 @@ func (c *Case) String() string {
 	return sb.String()
 }
 
+// defaultStringWidth is the width StringWidth gives a string whose
+// longest value is not known before execution: a $n slot.
+const defaultStringWidth = 32
+
+// StringWidth returns the width a fixed-width column needs to hold
+// every value the string expression e produces under sch: a column's
+// width, a literal's length, the widest arm of a CASE, a default of 32
+// bytes for a $n slot, and never less than 1. The planner and the
+// operators size output columns with it, so their schemas agree.
+//
+// They also agree after the executor substitutes literals for slots. A
+// slot is typed String only as a comparison's operand, so none reaches
+// a column as a string; as a CASE arm it is an integer, which counts,
+// like the literal that replaces it, as the empty string it is stored
+// as.
+func StringWidth(e Expr, sch *types.Schema) int { return max(stringWidth(e, sch), 1) }
+
+func stringWidth(e Expr, sch *types.Schema) int {
+	if e == nil || e.Kind(sch) != types.String {
+		return 0 // a NULL (CASE without ELSE) or a non-string arm stores as ""
+	}
+	switch n := e.(type) {
+	case *Col:
+		return sch.Cols[n.Idx].Width
+	case *Const:
+		return len(n.V.S)
+	case *Case:
+		w := stringWidth(n.Else, sch)
+		for _, arm := range n.Whens {
+			w = max(w, stringWidth(arm.Then, sch))
+		}
+		return w
+	}
+	return defaultStringWidth
+}
+
 // DatePart selects the component EXTRACT pulls out of a date.
 type DatePart uint8
 

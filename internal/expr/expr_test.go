@@ -317,6 +317,33 @@ func TestHash64Distribution(t *testing.T) {
 	}
 }
 
+func TestStringWidth(t *testing.T) {
+	s, a := NewCol(2, "s"), NewCol(0, "a")
+	str := func(v string) Expr { return NewConst(types.StrVal(v)) }
+	long := str("a literal longer than the sixteen-byte column")
+	when := func(then Expr) When { return When{Cond: NewCmp(GT, a, NewConst(types.IntVal(0))), Then: then} }
+	cases := []struct {
+		e    Expr
+		want int
+	}{
+		{s, 16},
+		{str("abc"), 3},
+		{str(""), 1}, // no column is narrower than a byte
+		{long, 45},
+		{NewCase([]When{when(s)}, long), 45},
+		{NewCase([]When{when(str("ab")), when(s)}, str("xyz")), 16},
+		{NewCase([]When{when(str("ab"))}, nil), 2},                       // no ELSE: NULL, stored as ""
+		{NewCase([]When{when(str("ab"))}, NewParam(1)), 2},               // an untyped slot is an integer
+		{NewCase([]When{when(str("ab"))}, NewConst(types.IntVal(7))), 2}, // so is what substitutes it
+		{&Param{N: 1, K: types.String, Typed: true}, defaultStringWidth},
+	}
+	for _, c := range cases {
+		if got := StringWidth(c.e, testSch); got != c.want {
+			t.Errorf("StringWidth(%s) = %d, want %d", c.e, got, c.want)
+		}
+	}
+}
+
 func BenchmarkLikeMatcher(b *testing.B) {
 	l := NewLike(nil, "%special%requests%", false)
 	s := "the quick brown fox handles special delivery requests gracefully"

@@ -226,6 +226,44 @@ func BenchmarkProjection(b *testing.B) {
 	b.ReportMetric(float64(b.N)*rows/b.Elapsed().Seconds(), "tuples/s")
 }
 
+// BenchmarkProjectColumns projects plain columns of lineitem-shaped
+// rows, the shape the planner puts above every scan: a CHAR(1) flag, a
+// run of five adjacent numeric columns and a CHAR(10), out of 64 blocks.
+// The outputs are recycled, as a consumer would, so B/op is what the
+// projection itself takes from the allocator.
+func BenchmarkProjectColumns(b *testing.B) {
+	sch, blocks := lineitemBlocks(64)
+	idx := []int{7, 1, 2, 3, 4, 5, 8}
+	exprs := make([]expr.Expr, len(idx))
+	cols := make([]types.Column, len(idx))
+	for i, c := range idx {
+		exprs[i] = expr.NewCol(c, sch.Cols[c].Name)
+		cols[i] = sch.Cols[c]
+	}
+	outSch := types.NewSchema(cols...)
+	rows := 0
+	for _, blk := range blocks {
+		rows += blk.NumTuples()
+	}
+	ctx := &Ctx{Term: &TermFlag{}}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		p := NewProject(&blockSource{blocks: blocks}, sch, outSch, exprs)
+		if st := p.Open(ctx); st != OK {
+			b.Fatal(st)
+		}
+		for {
+			out, st := p.Next(ctx)
+			if st != OK {
+				break
+			}
+			out.Recycle()
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(rows), "ns/row")
+}
+
 func BenchmarkProjectionRowExec(b *testing.B) {
 	const rows = 200_000
 	sch, mk := benchPartition(b, rows)

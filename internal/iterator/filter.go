@@ -1,6 +1,7 @@
 package iterator
 
 import (
+	"encoding/binary"
 	"sync"
 	"sync/atomic"
 
@@ -169,16 +170,21 @@ func (f *Filter) Close() { f.child.Close() }
 // Project evaluates an expression list per tuple, producing a new
 // schema. Like Filter, its state is read-only after construction.
 //
-// The default path evaluates each expression column-at-a-time through
-// compiled batch kernels and scatters the typed vectors into the output
-// block's fixed-stride rows; RowExec forces the original per-tuple
-// PutValue loop.
+// The default path copies every output column that is a plain input
+// column of the same kind and width as bytes, row to row, and evaluates
+// each other expression column-at-a-time through compiled batch kernels,
+// scattering the typed vectors into the output block's fixed-stride
+// rows; RowExec forces the original per-tuple PutValue loop.
 type Project struct {
 	child  Iterator
 	inSch  *types.Schema
 	outSch *types.Schema
 	exprs  []expr.Expr
-	kerns  []expr.BatchExpr
+	// moves copies the plain columns; calc names the other output
+	// columns and kerns evaluates them, index for index.
+	moves []colMove
+	calc  []int
+	kerns []expr.BatchExpr
 
 	// RowExec forces row-at-a-time evaluation (set before Open).
 	RowExec bool
@@ -187,19 +193,41 @@ type Project struct {
 	barrier *Barrier
 }
 
+// colMove copies width bytes at offset src of every input row to offset
+// dst of the output row.
+type colMove struct{ src, dst, width int }
+
 // NewProject builds a projection. outSch must have one column per
 // expression, with kinds matching the expressions' result kinds.
+//
+// A column reference whose input and output slots agree in kind and
+// width becomes a byte move, and moves adjacent in both rows merge into
+// one run. Schemas have no padding, so the moves and the kernels between
+// them write every byte of an output row.
 func NewProject(child Iterator, inSch, outSch *types.Schema, exprs []expr.Expr) *Project {
-	kerns := make([]expr.BatchExpr, len(exprs))
-	for i, e := range exprs {
-		kerns[i] = expr.CompileBatch(e, inSch)
+	p := &Project{child: child, inSch: inSch, outSch: outSch, exprs: exprs, barrier: NewBarrier()}
+	for c, e := range exprs {
+		out := outSch.Cols[c]
+		col, ok := e.(*expr.Col)
+		if !ok || inSch.Cols[col.Idx].Kind != out.Kind || inSch.Cols[col.Idx].Width != out.Width {
+			p.calc = append(p.calc, c)
+			p.kerns = append(p.kerns, expr.CompileBatch(e, inSch))
+			continue
+		}
+		m := colMove{src: inSch.Offset(col.Idx), dst: outSch.Offset(c), width: out.Width}
+		if k := len(p.moves) - 1; k >= 0 {
+			if last := &p.moves[k]; last.src+last.width == m.src && last.dst+last.width == m.dst {
+				last.width += m.width
+				continue
+			}
+		}
+		p.moves = append(p.moves, m)
 	}
-	return &Project{child: child, inSch: inSch, outSch: outSch, exprs: exprs,
-		kerns: kerns, barrier: NewBarrier()}
+	return p
 }
 
-// Vectorized reports whether every projection expression compiled to
-// fused batch kernels (plan display).
+// Vectorized reports whether every computed projection expression
+// compiled to fused batch kernels (plan display).
 func (p *Project) Vectorized() bool {
 	for _, k := range p.kerns {
 		if !k.Fused() {
@@ -244,15 +272,40 @@ func (p *Project) Next(ctx *Ctx) (*block.Block, Status) {
 		}
 	} else {
 		out.SetLen(n)
-		v := expr.GetVec()
-		for c, k := range p.kerns {
-			k.EvalVec(in, nil, v)
-			writeVecColumn(out, c, v)
+		for _, m := range p.moves {
+			m.copyRows(out.Bytes(), in.Bytes(), p.outSch.Stride(), p.inSch.Stride())
 		}
-		expr.PutVec(v)
+		if len(p.kerns) > 0 {
+			v := expr.GetVec()
+			for j, k := range p.kerns {
+				k.EvalVec(in, nil, v)
+				writeVecColumn(out, p.calc[j], v)
+			}
+			expr.PutVec(v)
+		}
 	}
 	in.Recycle() // every output column is written
 	return out, OK
+}
+
+// copyRows applies the move to every row: a run as wide as both rows is
+// one copy of the payload, an 8-byte slot one word load and store.
+func (m colMove) copyRows(dst, src []byte, dstStride, srcStride int) {
+	n := len(src) / srcStride
+	switch {
+	case m.width == srcStride && m.width == dstStride:
+		copy(dst, src)
+	case m.width == 8:
+		for i := 0; i < n; i++ {
+			d, s := i*dstStride+m.dst, i*srcStride+m.src
+			binary.LittleEndian.PutUint64(dst[d:d+8], binary.LittleEndian.Uint64(src[s:s+8]))
+		}
+	default:
+		for i := 0; i < n; i++ {
+			d, s := i*dstStride+m.dst, i*srcStride+m.src
+			copy(dst[d:d+m.width], src[s:s+m.width])
+		}
+	}
 }
 
 // writeVecColumn scatters vector v into column c of every row of out,

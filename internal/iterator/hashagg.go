@@ -520,12 +520,7 @@ func NewHashAgg(child Iterator, inSch *types.Schema, keys []expr.Expr,
 		kind := k.Kind(inSch)
 		w := 8
 		if kind == types.String {
-			// Width of the source column when the key is a plain column
-			// reference; otherwise a generous default.
-			w = 32
-			if c, ok := k.(*expr.Col); ok {
-				w = inSch.Cols[c.Idx].Width
-			}
+			w = expr.StringWidth(k, inSch)
 		}
 		cols = append(cols, types.Column{Name: keyNames[i], Kind: kind, Width: w})
 	}

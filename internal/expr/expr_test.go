@@ -246,10 +246,11 @@ func TestKeyEncodingUnambiguous(t *testing.T) {
 }
 
 // TestHash64Distribution guards the bits callers take from Hash64:
-// h%n routes a tuple to one of n exchange destinations, h&63 picks the
-// join or aggregation shard, and (h>>6)&(2^k-1) the join bucket inside
-// the shard. Each key family must land within ±5 % of uniform on the
-// first three and ±20 % on 1024 buckets.
+// h%n routes a tuple to one of n exchange destinations (h&63 is the
+// route for n = 64), h>>58 picks the join or aggregation shard, and
+// (h>>6)&(2^k-1) the join bucket inside the shard. Each key family must
+// land within ±5 % of uniform on the first four and ±20 % on 1024
+// buckets.
 func TestHash64Distribution(t *testing.T) {
 	const n = 1_000_000
 	rng := rand.New(rand.NewSource(1))
@@ -286,7 +287,7 @@ func TestHash64Distribution(t *testing.T) {
 	for _, f := range families {
 		var mod3 [3]int
 		var mod7 [7]int
-		var shard [64]int
+		var mod64, shard [64]int
 		var bucket [1024]int
 		var buf []byte
 		keys := 0
@@ -298,7 +299,8 @@ func TestHash64Distribution(t *testing.T) {
 			h := Hash64(buf)
 			mod3[h%3]++
 			mod7[h%7]++
-			shard[h&63]++
+			mod64[h&63]++
+			shard[h>>58]++
 			bucket[(h>>6)&1023]++
 		}
 		check := func(what string, counts []int, tol float64) {
@@ -312,7 +314,8 @@ func TestHash64Distribution(t *testing.T) {
 		}
 		check("h%3", mod3[:], 0.05)
 		check("h%7", mod7[:], 0.05)
-		check("h&63", shard[:], 0.05)
+		check("h&63", mod64[:], 0.05)
+		check("h>>58", shard[:], 0.05)
 		check("(h>>6)&1023", bucket[:], 0.20)
 	}
 }

@@ -437,7 +437,7 @@ type aggShard struct {
 	spill     *spillFile
 }
 
-const aggShards = 64
+const aggShards = 1 << shardBits
 
 // maxPrivateGroups bounds hybrid aggregation's private tables.
 const maxPrivateGroups = 4096
@@ -497,7 +497,6 @@ type HashAgg struct {
 	groupBytes int64
 
 	shards    []aggShard
-	mask      uint64
 	done      *Barrier
 	flushed   *Barrier
 	drainOnce once
@@ -533,7 +532,6 @@ func NewHashAgg(child Iterator, inSch *types.Schema, keys []expr.Expr,
 		keys:   keys, algo: algo,
 		plans:   make([]aggPlan, len(specs)),
 		shards:  make([]aggShard, aggShards),
-		mask:    aggShards - 1,
 		done:    NewBarrier(),
 		flushed: NewBarrier(),
 		pool:    NewContextPool(CoreMode),
@@ -557,7 +555,7 @@ func NewHashAgg(child Iterator, inSch *types.Schema, keys []expr.Expr,
 func (ha *HashAgg) seedScalar() {
 	if len(ha.keys) == 0 {
 		h := expr.Hash64(nil)
-		ha.shards[h&ha.mask].add(ha, h, nil)
+		ha.shard(h).add(ha, h, nil)
 		ha.memGroups.Store(1)
 	}
 }
@@ -568,12 +566,19 @@ func (ha *HashAgg) seedScalar() {
 // dominates a microsecond-scale query. Call before Open.
 func (ha *HashAgg) Serial() {
 	ha.shards = make([]aggShard, 1)
-	ha.mask = 0
 	// Private tables exist to cut shared-table contention; a single
 	// worker has none, so the shared algorithm skips the private
 	// table, its merge pass and the context-pool round trip.
 	ha.algo = SharedAgg
 	ha.seedScalar()
+}
+
+// shard returns the global-table shard of a key with hash h.
+func (ha *HashAgg) shard(h uint64) *aggShard {
+	if len(ha.shards) == 1 {
+		return &ha.shards[0]
+	}
+	return &ha.shards[shardOf(h)]
 }
 
 // Schema returns the aggregation output schema.
@@ -739,7 +744,7 @@ func (ha *HashAgg) absorbGlobal(w *aggWorker, b *block.Block, sel []int32, maySp
 		ha.absorbShard(w, &ha.shards[0], b, sel, maySpill)
 		return
 	}
-	for shi, s := range w.byShard.split(w.keys, sel, b.NumTuples(), len(ha.shards)) {
+	for shi, s := range w.byShard.shards(w.keys, sel, b.NumTuples()) {
 		if len(s) > 0 {
 			ha.absorbShard(w, &ha.shards[shi], b, s, maySpill)
 		}
@@ -805,7 +810,7 @@ func (ha *HashAgg) flushPrivate(priv *aggTable) {
 	var merged int64
 	for g := int32(0); int(g) < priv.groups(); g++ {
 		h, key := priv.tab.rows[g].hash, priv.tab.key(g)
-		sh := &ha.shards[h&ha.mask]
+		sh := ha.shard(h)
 		sh.mu.Lock()
 		dst := sh.tab.lookup(h, key)
 		if dst < 0 {

@@ -100,7 +100,7 @@ type joinShard struct {
 	probes  *spillFile // deferred probe rows for a spilled shard
 }
 
-const joinShards = 1 << joinShardBits
+const joinShards = 1 << shardBits
 
 // joinPageTarget sizes build-side row pages. Small pages (an arena
 // class) keep the per-shard floor low — a join pins at most
@@ -198,7 +198,7 @@ func (hj *HashJoin) Open(ctx *Ctx) Status {
 			break
 		}
 		rows := keys.EncodeBlock(b, nil)
-		for shi, sel := range byShard.split(keys, nil, rows, joinShards) {
+		for shi, sel := range byShard.shards(keys, nil, rows) {
 			if len(sel) > 0 {
 				hj.insertBuild(&hj.shards[shi], b, sel, keys)
 			}
@@ -366,7 +366,7 @@ func (hj *HashJoin) Next(ctx *Ctx) (*block.Block, Status) {
 		out.EnsureRoom(n)
 		for i := 0; i < n; i++ {
 			h := w.keys.Hash(i)
-			sh := &hj.shards[h&(joinShards-1)]
+			sh := &hj.shards[shardOf(h)]
 			if sh.spilled {
 				hj.deferProbe(sh, in.Row(i))
 				continue

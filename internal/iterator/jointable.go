@@ -2,10 +2,16 @@ package iterator
 
 import "bytes"
 
-// joinShardBits is the number of low hash bits that pick a join shard;
-// a shard's table indexes its buckets with the bits above them, so the
-// rows of one shard still spread over all of its buckets.
-const joinShardBits = 6
+// shardBits is the number of hash bits that pick a join or aggregation
+// shard (shardOf). A table indexes its buckets from bit shardBits
+// upward, clear of the low bits a route by h % n fixes for an even n.
+const shardBits = 6
+
+// shardOf returns the shard, 0 to 1<<shardBits - 1, of a key with hash
+// h. It takes the top bits: every row an instance receives was routed
+// there by h % n, which for an even n fixes the low bits, so shards
+// taken from them would leave most of the 64 empty on every receiver.
+func shardOf(h uint64) int { return int(h >> (64 - shardBits)) }
 
 // joinTableMinBuckets is a table's first bucket count. A build of a
 // few thousand rows leaves some tens in each of the 64 shards, which
@@ -39,7 +45,7 @@ type joinRow struct {
 }
 
 func (t *joinTable) bucket(h uint64) uint64 {
-	return (h >> joinShardBits) & uint64(len(t.buckets)-1)
+	return (h >> shardBits) & uint64(len(t.buckets)-1)
 }
 
 // insert adds the next row (id = number of rows so far) under key,

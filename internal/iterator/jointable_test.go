@@ -77,13 +77,15 @@ func TestJoinTableAgainstMap(t *testing.T) {
 		}
 	})
 	t.Run("one shard's hashes", func(t *testing.T) {
-		// A shard only ever sees hashes with equal low bits; its buckets
-		// must spread on the bits above them.
+		// A shard only ever sees hashes with equal top bits, routed to
+		// its instance by h % n, which for n = 64 fixes the low six; its
+		// buckets must spread on the bits between.
 		keys := make([]string, 4096)
 		for i := range keys {
 			keys[i] = fmt.Sprintf("key-%d", i)
 		}
-		inShard := func(k string) uint64 { return hashString(k)<<joinShardBits | 5 }
+		const top, low = 63 << (64 - shardBits), 63
+		inShard := func(k string) uint64 { return hashString(k)&^(top|low) | 5<<(64-shardBits) | 9 }
 		tab := checkAgainstMap(t, keys, inShard)
 		used := 0
 		for _, head := range tab.buckets {

@@ -16,6 +16,42 @@ type scatter struct {
 // lists them; a nil sel stands for all rows, 0 to rows-1. The result is
 // valid until the next call.
 func (s *scatter) split(keys *expr.BatchKeyEncoder, sel []int32, rows, n int) [][]int32 {
+	sels := s.reset(rows, n)
+	m := uint64(n)
+	if sel == nil {
+		for i := 0; i < rows; i++ {
+			d := keys.Hash(i) % m
+			sels[d] = append(sels[d], int32(i))
+		}
+		return sels
+	}
+	for _, i := range sel {
+		d := keys.Hash(int(i)) % m
+		sels[d] = append(sels[d], i)
+	}
+	return sels
+}
+
+// shards is split with shardOf(keys.Hash(i)) in place of % n: one bucket
+// per join or aggregation shard.
+func (s *scatter) shards(keys *expr.BatchKeyEncoder, sel []int32, rows int) [][]int32 {
+	sels := s.reset(rows, 1<<shardBits)
+	if sel == nil {
+		for i := 0; i < rows; i++ {
+			d := shardOf(keys.Hash(i))
+			sels[d] = append(sels[d], int32(i))
+		}
+		return sels
+	}
+	for _, i := range sel {
+		d := shardOf(keys.Hash(int(i)))
+		sels[d] = append(sels[d], i)
+	}
+	return sels
+}
+
+// reset returns n empty vectors.
+func (s *scatter) reset(rows, n int) [][]int32 {
 	if len(s.sels) < n {
 		// First use: carve every vector's starting capacity — twice an
 		// even share of this block — out of one allocation. A vector
@@ -30,18 +66,6 @@ func (s *scatter) split(keys *expr.BatchKeyEncoder, sel []int32, rows, n int) []
 	sels := s.sels[:n]
 	for d := range sels {
 		sels[d] = sels[d][:0]
-	}
-	m := uint64(n)
-	if sel == nil {
-		for i := 0; i < rows; i++ {
-			d := keys.Hash(i) % m
-			sels[d] = append(sels[d], int32(i))
-		}
-		return sels
-	}
-	for _, i := range sel {
-		d := keys.Hash(int(i)) % m
-		sels[d] = append(sels[d], i)
 	}
 	return sels
 }

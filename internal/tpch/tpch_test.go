@@ -52,7 +52,9 @@ func TestGeneratorCardinalities(t *testing.T) {
 func TestGeneratorDeterministic(t *testing.T) {
 	c1 := loadedCluster(t, engine.EP, 2, 0.001)
 	c2 := loadedCluster(t, engine.EP, 2, 0.001)
-	q := "SELECT sum(l_extendedprice) FROM lineitem"
+	// The rows themselves, not a float sum: that would depend on the
+	// order the aggregation's workers add in.
+	q := "SELECT * FROM lineitem"
 	r1, err := c1.Run(q)
 	if err != nil {
 		t.Fatal(err)
@@ -61,7 +63,7 @@ func TestGeneratorDeterministic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if r1.Rows()[0][0].F != r2.Rows()[0][0].F {
+	if r1.NumRows() == 0 || canonical(r1) != canonical(r2) {
 		t.Fatal("same seed produced different data")
 	}
 }

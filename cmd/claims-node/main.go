@@ -74,10 +74,6 @@ func main() {
 		mode      = flag.String("mode", "EP", "execution mode: EP | SP | ME")
 		faultSpec = flag.String("faults", "", "fault injection spec, e.g. delay=5ms:p0.1 (see internal/faults)")
 		slowlogMS = flag.Int("slowlog-ms", -1, "log queries slower than this to stderr as JSONL (0 logs all, -1 disables)")
-
-		// Wire fabric tuning (see DESIGN.md §15). 0 keeps the default.
-		netWindow   = flag.Int("net-window", 0, "reliable-mode send window in frames per stream (0 = default)")
-		netCoalesce = flag.Int("net-coalesce", 0, "wire batch coalescing threshold in bytes; 1 disables coalescing (0 = default)")
 	)
 	flag.Parse()
 
@@ -101,19 +97,11 @@ func main() {
 		reg.SetSlowLog(time.Duration(*slowlogMS)*time.Millisecond, os.Stderr)
 	}
 
-	wire := network.DefaultWireConfig
-	if *netWindow > 0 {
-		wire.Window = *netWindow
-	}
-	if *netCoalesce > 0 {
-		wire.CoalesceBytes = *netCoalesce
-	}
-
 	runClusterNode(clusterNodeConfig{
 		id: *id, listen: *listen, ctl: *ctl, seed: *seed,
 		nodes: *nodes, workload: *workload, rows: *rows, genSeed: *genSeed,
 		timing: cluster.Timing{HeartbeatEvery: *hb, SuspectAfter: *suspect, DeadAfter: *deadAfr},
-		cores:  *cores, mode: m, wire: wire, reg: reg,
+		cores:  *cores, mode: m, reg: reg,
 	})
 }
 
@@ -130,7 +118,6 @@ type clusterNodeConfig struct {
 	timing   cluster.Timing
 	cores    int
 	mode     engine.Mode
-	wire     network.WireConfig
 	reg      *telemetry.Registry
 }
 
@@ -143,7 +130,6 @@ func runClusterNode(nc clusterNodeConfig) {
 		log.Fatal(err)
 	}
 	defer node.Close()
-	node.SetWireConfig(nc.wire)
 	// Self-sends (a local producer feeding a local consumer instance)
 	// go through the same transport, so the node is its own peer.
 	node.SetPeer(nc.id, node.Addr())

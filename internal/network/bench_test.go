@@ -10,17 +10,17 @@ import (
 	"repro/internal/types"
 )
 
-// Send-path benchmarks: small-block repartition traffic over loopback
-// TCP, fast path and reliable path. Allocations per op are the send
-// side's (the drain goroutine's decode allocations are shared by both
-// variants). EXPERIMENTS.md records benchstat deltas across the wire
-// protocol versions.
+// Send-path benchmarks over loopback TCP, fast path and reliable path:
+// small blocks (64 rows), a 16 KB block and the engine's 64 KB block.
+// Allocations per op include the drain goroutine's decode and read
+// buffers. EXPERIMENTS.md records before/after figures across the wire
+// protocol's changes.
 
 func benchSchema() *types.Schema {
 	return types.NewSchema(types.Col("k", types.Int64), types.Col("v", types.Int64))
 }
 
-// benchBlock builds one small block (rows tuples, 16B stride).
+// benchBlock builds one block of rows tuples, 16B stride.
 func benchBlock(sch *types.Schema, rows int) *block.Block {
 	b := block.New(sch, rows*sch.Stride(), nil)
 	for i := 0; i < rows; i++ {
@@ -97,6 +97,11 @@ func benchSend(b *testing.B, reliable bool, rows int) {
 func BenchmarkTCPSendFastSmall(b *testing.B)     { benchSend(b, false, 64) }
 func BenchmarkTCPSendReliableSmall(b *testing.B) { benchSend(b, true, 64) }
 func BenchmarkTCPSendReliableWide(b *testing.B)  { benchSend(b, true, 2048) }
+
+// The engine's frame shape: iterator.Sender ships full Config.BlockSize
+// blocks, here 4096 rows × 16 B = 64 KB.
+func BenchmarkTCPSendFastBlock(b *testing.B)     { benchSend(b, false, 4096) }
+func BenchmarkTCPSendReliableBlock(b *testing.B) { benchSend(b, true, 4096) }
 
 // BenchmarkTCPRepartitionReliable is the acceptance workload shape: two
 // producers each shuffling small blocks to two consumer instances on

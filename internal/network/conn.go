@@ -7,51 +7,10 @@ import (
 	"time"
 )
 
-// WireConfig tunes the TCP wire layer. The zero value means "use
-// defaults"; apply with TCPNode.SetWireConfig before traffic flows.
-type WireConfig struct {
-	// PoolSize is the number of multiplexed connections kept per peer;
-	// flows (query, exchange) are hashed onto pool members so one wide
-	// shuffle does not serialize everything behind a single socket.
-	PoolSize int
-	// Window is the reliable-mode sliding window: frames in flight per
-	// stream before the sender blocks for a cumulative ack. 1 degrades
-	// to the v1 stop-and-wait (ack-per-frame) protocol.
-	Window int
-	// CoalesceBytes is the staging threshold: frames destined for the
-	// same peer and flow accumulate in a pooled batch buffer and are
-	// flushed in one write syscall once the batch reaches this size
-	// (or the deadline fires, or the stream ends). <=1 disables
-	// coalescing — every frame is its own batch.
-	CoalesceBytes int
-	// CoalesceDelay bounds how long a staged frame may wait for
-	// companions before the batch is flushed anyway.
-	CoalesceDelay time.Duration
-}
-
-// DefaultWireConfig is the wire layer's default tuning.
-var DefaultWireConfig = WireConfig{
-	PoolSize:      2,
-	Window:        16,
-	CoalesceBytes: 64 << 10,
-	CoalesceDelay: 200 * time.Microsecond,
-}
-
-func (c WireConfig) withDefaults() WireConfig {
-	if c.PoolSize <= 0 {
-		c.PoolSize = DefaultWireConfig.PoolSize
-	}
-	if c.Window <= 0 {
-		c.Window = DefaultWireConfig.Window
-	}
-	if c.CoalesceBytes == 0 {
-		c.CoalesceBytes = DefaultWireConfig.CoalesceBytes
-	}
-	if c.CoalesceDelay == 0 {
-		c.CoalesceDelay = DefaultWireConfig.CoalesceDelay
-	}
-	return c
-}
+// poolConns is the number of multiplexed connections kept per peer.
+// Flows (query, exchange) hash onto pool members, so one wide shuffle
+// does not serialize everything behind a single socket.
+const poolConns = 2
 
 // connPool is the fixed set of connections one node keeps to one peer.
 // Connections are dialed up front (SetPeer pre-dials asynchronously, so
@@ -79,8 +38,8 @@ const (
 	dialBackoffMax  = time.Second
 )
 
-func newConnPool(peer int, addr string, size int) *connPool {
-	p := &connPool{peer: peer, addr: addr, slots: make([]*poolConn, size)}
+func newConnPool(peer int, addr string) *connPool {
+	p := &connPool{peer: peer, addr: addr, slots: make([]*poolConn, poolConns)}
 	for i := range p.slots {
 		p.slots[i] = &poolConn{}
 	}

@@ -315,7 +315,7 @@ type tcpExchange struct {
 func (e *tcpExchange) Inbox(i int) *Inbox { return e.inboxes[i] }
 
 // SendCopies implements FabricExchange: TCPOutbox.Send encodes the
-// block into the staged batch (or a window slot) before returning.
+// block into its own frame buffer before returning.
 func (e *tcpExchange) SendCopies() bool { return true }
 
 // Abort implements FabricExchange: every hosted node abandons the

@@ -7,8 +7,8 @@
 //     "nodes" of one process, optionally through token-bucket NIC
 //     emulation and the in-process fault model (faultyOutbox). The
 //     default fabric of engine.NewCluster, tests and examples.
-//   - TCP (tcp.go): blocks go through the wire codec in batches of
-//     frames over pooled sockets — fire-and-forget on a healthy link,
+//   - TCP (tcp.go): blocks go through the wire codec, one frame per
+//     write, over pooled sockets — fire-and-forget on a healthy link,
 //     windowed ack + retransmit under injected faults. One TCPNode per
 //     cluster node (all on loopback in engine.NewClusterTCP, one per
 //     claims-node process), one record per (query, exchange) on each.

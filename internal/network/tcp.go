@@ -19,12 +19,13 @@ import (
 )
 
 // TCP transport: the claims-node daemon runs one TCPNode per process.
-// Wire protocol v2 (wire.go) coalesces frames into batches — one write
-// syscall per batch — and multiplexes each peer pair over a small fixed
-// pool of connections (conn.go) dialed ahead of traffic at SetPeer
-// time. A per-node transmit scheduler (flow.go) rotates the wire across
-// active (query, exchange) flows so one wide shuffle cannot
-// incast-starve the rest; the waiting is surfaced as net.stall_ns.
+// A frame is written when it is sent: Send encodes the block once into
+// a one-frame wire batch (wire.go) and writes it before returning, on
+// one of a small fixed pool of connections per peer pair (conn.go)
+// dialed ahead of traffic at SetPeer time. A per-node transmit
+// scheduler (flow.go) rotates the wire across active (query, exchange)
+// flows so one wide shuffle cannot incast-starve the rest; the waiting
+// is surfaced as net.stall_ns.
 //
 // Every exchange is keyed by (queryID, exchangeID): plan exchange ids
 // repeat across queries (and across concurrent queries), so the query
@@ -43,7 +44,7 @@ import (
 //
 // When a fault injector is attached (or a retry policy is forced), the
 // node runs its reliable path: a per-stream sliding window
-// (window.go) keeps up to WireConfig.Window frames in flight, the
+// (window.go) keeps up to windowFrames frames in flight, the
 // receiver acknowledges cumulatively, and a pump goroutine retransmits
 // go-back-N from the oldest unacked frame on timeout. Without an
 // injector the wire is a healthy TCP socket, so Send stays
@@ -65,18 +66,16 @@ type TCPNode struct {
 	retry  atomic.Pointer[RetryPolicy]
 	forced atomic.Bool // reliable path on even without an injector
 	epoch  atomic.Uint32
-	wcfg   atomic.Pointer[WireConfig]
 
 	flow flowScheduler
 
 	statBatches atomic.Int64
-	statFrames  atomic.Int64
 	statBytes   atomic.Int64
 	statStallNs atomic.Int64
 	statAckErrs atomic.Int64
 
 	// mu is a leaf: held for one operation on the maps below, never
-	// while taking a record, stager, window or connection lock.
+	// while taking a record, window or connection lock.
 	mu        sync.Mutex
 	pools     map[int]*connPool
 	accepted  []net.Conn
@@ -102,8 +101,8 @@ type streamKey struct {
 
 // exchangeRec is everything one node holds for one (query, exchange):
 // the receiving half (consumer inboxes, per-stream watermarks), the
-// sending half (a stager per peer, a send window per destination on the
-// reliable path) and what both share (scope, abort flag).
+// sending half (a send window per destination on the reliable path) and
+// what both share (scope, abort flag).
 // RegisterInbox, NewOutbox, AbortExchange and SetExchangeScope create it
 // on first mention; nothing that arrives on a socket does.
 // ReleaseExchange deletes and empties it in one step, so a frame or ack
@@ -116,14 +115,13 @@ type exchangeRec struct {
 	stallSpan string      // built once: StartSpan must see no work when spans are off
 	aborted   atomic.Bool // set by AbortExchange
 	// scope counts both halves' events. The first non-nil scope attached
-	// wins, so stager timers and read loops load it without a lock.
+	// wins, so senders and read loops load it without a lock.
 	scope atomic.Pointer[telemetry.Scope]
 
 	mu       sync.Mutex
 	released bool
 	inboxes  map[int]*Inbox       // by consumer instance
 	streams  map[streamKey]uint64 // next expected seq per stream
-	stagers  map[int]*stager      // by peer node
 	wins     map[int]*sendWindow  // by destination instance
 }
 
@@ -155,27 +153,13 @@ func (n *TCPNode) Addr() string { return n.ln.Addr().String() }
 // ID returns the node's id in the mesh.
 func (n *TCPNode) ID() int { return n.id }
 
-// SetWireConfig tunes the wire layer (connection pool size, send
-// window, coalescing). Call before traffic flows; connection pools
-// already dialed keep their size.
-func (n *TCPNode) SetWireConfig(c WireConfig) {
-	c = c.withDefaults()
-	n.wcfg.Store(&c)
-}
-
-func (n *TCPNode) wireCfg() WireConfig {
-	if p := n.wcfg.Load(); p != nil {
-		return *p
-	}
-	return DefaultWireConfig
-}
-
 // NetStats reports node-lifetime wire totals: batches written, frames
 // they carried, bytes on the wire, cumulative transmit-scheduler stall,
-// and ack writes lost after retry. frames/batches is the realized
-// coalescing factor.
+// and ack writes lost after retry. Acks are not counted. Every batch
+// carries one frame, so frames equals batches.
 func (n *TCPNode) NetStats() (batches, frames, bytes int64, stall time.Duration, ackErrs int64) {
-	return n.statBatches.Load(), n.statFrames.Load(), n.statBytes.Load(),
+	batches = n.statBatches.Load()
+	return batches, batches, n.statBytes.Load(),
 		time.Duration(n.statStallNs.Load()), n.statAckErrs.Load()
 }
 
@@ -196,7 +180,7 @@ func (n *TCPNode) SetPeer(id int, addr string) {
 	}
 	n.peers[id] = addr
 	if _, ok := n.pools[id]; !ok && !n.closed {
-		p := newConnPool(id, addr, n.wireCfg().PoolSize)
+		p := newConnPool(id, addr)
 		n.pools[id] = p
 		n.wg.Add(1)
 		go func() {
@@ -302,7 +286,6 @@ func (n *TCPNode) record(k exchangeKey) *exchangeRec {
 			released:  n.closed,
 			inboxes:   make(map[int]*Inbox),
 			streams:   make(map[streamKey]uint64),
-			stagers:   make(map[int]*stager),
 			wins:      make(map[int]*sendWindow),
 		}
 		if !n.closed {
@@ -389,19 +372,21 @@ func (n *TCPNode) ReleaseExchange(query, exchange int) {
 	}
 }
 
-// release empties the record: a late frame finds no inbox and is
-// dropped undecoded (charging no tracker), staged bytes are discarded
-// and their stagers closed, leftover send windows fail with err so
-// their producers wake and their pumps exit.
+// release empties the record: the inboxes it drops are abandoned (the
+// blocks already decoded into them give their tracker bytes back and a
+// read loop blocked on a full one moves on), a late frame finds no inbox
+// and is dropped undecoded (charging no tracker), a later write is
+// refused, and leftover send windows fail with err so their producers
+// wake and their pumps exit.
 func (ex *exchangeRec) release(err error) {
 	ex.mu.Lock()
 	ex.released = true
-	stagers, wins := ex.stagers, ex.wins
-	ex.inboxes, ex.streams, ex.stagers, ex.wins = nil, nil, nil, nil
-	ex.mu.Unlock()
-	for _, s := range stagers {
-		s.discard()
+	for _, in := range ex.inboxes {
+		in.Abandon() // never blocks: takes only the inbox's own lock
 	}
+	wins := ex.wins
+	ex.inboxes, ex.streams, ex.wins = nil, nil, nil
+	ex.mu.Unlock()
 	for _, w := range wins {
 		w.fail(err)
 	}
@@ -565,14 +550,13 @@ func (n *TCPNode) flushAcks(acks map[streamKey]uint64) {
 }
 
 // sendAck acknowledges a stream up to and including seq back to its
-// source node, as a single-frame batch written directly (acks skip the
-// stager: window advance is latency-critical). A failed write already
-// dropped the dead connection, so one retry redials; an ack lost even
-// then costs the sender a retransmit timeout and is counted.
+// source node, as a one-frame batch written directly (acks skip the
+// flow scheduler: window advance is latency-critical). A failed write
+// already dropped the dead connection, so one retry redials; an ack
+// lost even then costs the sender a retransmit timeout and is counted.
 func (n *TCPNode) sendAck(sk streamKey, seq uint64) {
-	var buf [batchHdrLen + frameHdrLen]byte
-	putBatchHeader(buf[:], frameHdrLen, 1)
-	putFrameHeader(buf[batchHdrLen:], frameHeader{
+	var buf [oneFrameHdrLen]byte
+	stampFrame(buf[:], frameHeader{
 		query: sk.query, exchange: sk.exchange, inst: sk.instance,
 		kind: frameAck, src: n.id, seq: seq,
 	})
@@ -605,18 +589,16 @@ func (n *TCPNode) pool(peer int) (*connPool, error) {
 	if !known {
 		return nil, fmt.Errorf("network: no address for node %d (dropped from the peer set?)", peer)
 	}
-	p := newConnPool(peer, addr, n.wireCfg().PoolSize)
+	p := newConnPool(peer, addr)
 	n.pools[peer] = p
 	return p, nil
 }
 
 // TCPOutbox is the producer side of an exchange over TCP. It holds its
-// record and its stagers, so a fast-path Send takes only a stager lock.
+// record, so a Send resolves nothing by key.
 type TCPOutbox struct {
 	ex            *exchangeRec
-	consumerNodes []int // node id per destination instance
-	stagers       []*stager
-	buf           []byte
+	consumerNodes []int         // node id per destination instance
 	seqs          []uint64      // next seq per destination
 	wins          []*sendWindow // reliable path, lazily per destination
 }
@@ -632,11 +614,9 @@ func (n *TCPNode) NewOutbox(query, exchange int, consumerNodes []int) *TCPOutbox
 	o := &TCPOutbox{
 		ex:            n.record(exchangeKey{query, exchange}),
 		consumerNodes: consumerNodes,
-		stagers:       make([]*stager, len(consumerNodes)),
 		seqs:          make([]uint64, len(consumerNodes)),
 	}
-	for dest, peer := range consumerNodes {
-		o.stagers[dest] = o.ex.stager(peer)
+	for dest := range consumerNodes {
 		o.seqs[dest] = base
 	}
 	return o
@@ -658,19 +638,12 @@ func (o *TCPOutbox) header(dest int, kind byte) frameHeader {
 	}
 }
 
-// Send implements iterator.Outbox. On the fast path the block is
-// encoded once, directly into the staged wire batch; on the reliable
-// path it is copied into a pooled window slot first so retransmissions
-// outlive the caller's block.
+// Send implements iterator.Outbox. The block is encoded once, into the
+// one-frame batch that goes on the wire: written before Send returns on
+// the fast path, kept by the send window until acked on the reliable
+// path, so retransmissions outlive the caller's block.
 func (o *TCPOutbox) Send(dest int, b *block.Block) error {
-	h := o.header(dest, frameData)
-	if !o.ex.n.reliable() {
-		// Fire-and-forget fast path: the socket is trustworthy, pay no
-		// round trip and no copy.
-		return o.stagers[dest].appendBlock(h, b)
-	}
-	o.buf = b.Encode(o.buf)
-	return o.sendReliable(h, o.buf)
+	return o.send(o.header(dest, frameData), newFrameBuf(b))
 }
 
 // CloseSend implements iterator.Outbox. End-of-stream markers ride the
@@ -679,21 +652,8 @@ func (o *TCPOutbox) Send(dest int, b *block.Block) error {
 // exhausted, exchange aborted) surfaces here at the latest.
 func (o *TCPOutbox) CloseSend() error {
 	var firstErr error
-	reliable := o.ex.n.reliable()
-	for dest, st := range o.stagers {
-		h := o.header(dest, frameEOF)
-		var err error
-		if reliable {
-			err = o.sendReliable(h, nil)
-		} else {
-			err = st.appendRaw(h, nil)
-		}
-		if err != nil && firstErr == nil {
-			firstErr = err
-		}
-	}
-	for _, st := range o.stagers {
-		if err := st.flush(); err != nil && firstErr == nil {
+	for dest := range o.consumerNodes {
+		if err := o.send(o.header(dest, frameEOF), newFrameBuf(nil)); err != nil && firstErr == nil {
 			firstErr = err
 		}
 	}
@@ -708,24 +668,90 @@ func (o *TCPOutbox) CloseSend() error {
 	return firstErr
 }
 
-// win returns (creating on first use, on the record, where acks and
-// teardown find it) one destination's send window and starts its pump.
-func (o *TCPOutbox) win(dest int) (*sendWindow, error) {
+// send ships one frame whose payload is already in buf (from
+// newFrameBuf), which it takes. Fire-and-forget when the socket is
+// trustworthy: pay no round trip, write it now and surface the write
+// error.
+func (o *TCPOutbox) send(h frameHeader, buf []byte) error {
+	h.sum = crc32.Checksum(buf[oneFrameHdrLen:], crcTable)
+	if o.ex.n.reliable() {
+		return o.sendReliable(h, buf)
+	}
+	stampFrame(buf, h)
+	err := o.ex.transmit(o.consumerNodes[h.inst], buf)
+	block.PutBuf(buf)
+	return err
+}
+
+// transmit writes one stamped batch to a peer: refused once the record
+// is released, otherwise the exchange's turn on the node transmit
+// scheduler (the wait accounted as its net.stall_ns), then one write on
+// the flow's pooled connection.
+func (ex *exchangeRec) transmit(peer int, batch []byte) error {
+	ex.mu.Lock()
+	released := ex.released
+	ex.mu.Unlock()
+	if released {
+		return fmt.Errorf("network: exchange %d released", ex.key.exchange)
+	}
+	n, scope := ex.n, ex.scope.Load()
+	var sp *telemetry.Span
+	if scope != nil {
+		sp = scope.StartSpan(ex.stallSpan, "net").
+			WithNode(n.id).WithBytes(int64(len(batch)))
+	}
+	stall := n.flow.acquire(ex.key)
+	if stall > 0 {
+		n.statStallNs.Add(int64(stall))
+		if scope != nil {
+			scope.Counter(telemetry.CtrNetStallNs).Add(int64(stall))
+			scope.Counter(telemetry.ExCtr(ex.key.exchange, "stall_ns")).Add(int64(stall))
+			scope.Histogram(telemetry.HistNetStall, telemetry.DurationBuckets).Observe(stall.Seconds())
+			sp.End()
+		}
+	}
+	// All traffic of one flow shares a pool slot, so per-stream frame
+	// order survives the multiplexing.
+	p, err := n.pool(peer)
+	if err == nil {
+		err = p.slot(ex.hash).write(p.addr, peer, batch)
+	}
+	n.flow.release()
+	n.statBatches.Add(1)
+	n.statBytes.Add(int64(len(batch)))
+	if scope != nil {
+		scope.Counter(telemetry.CtrNetBatches).Inc()
+		scope.Counter(telemetry.CtrNetBatchFrames).Inc()
+	}
+	return err
+}
+
+// window returns the send window h goes through — creating it on first
+// use, on the record, where acks and teardown find it, and starting its
+// pump — or why the stream takes no more frames.
+func (o *TCPOutbox) window(h frameHeader) (*sendWindow, error) {
+	ex, peer := o.ex, o.consumerNodes[h.inst]
+	if ex.aborted.Load() {
+		return nil, fmt.Errorf("network: exchange %d aborted", h.exchange)
+	}
+	if inj := ex.n.faults(); inj.Severed(ex.n.id, peer) {
+		o.emitFault("sever", peer, h.seq, 0)
+		return nil, fmt.Errorf("network: link %d->%d severed", ex.n.id, peer)
+	}
 	if o.wins == nil {
 		o.wins = make([]*sendWindow, len(o.consumerNodes))
 	}
-	if w := o.wins[dest]; w != nil {
+	if w := o.wins[h.inst]; w != nil {
 		return w, nil
 	}
-	ex := o.ex
 	ex.mu.Lock()
 	defer ex.mu.Unlock()
 	if ex.released {
 		return nil, fmt.Errorf("network: exchange %d released", ex.key.exchange)
 	}
-	w := newSendWindow(o, dest, o.consumerNodes[dest])
-	ex.wins[dest] = w
-	o.wins[dest] = w
+	w := newSendWindow(o, h.inst, peer)
+	ex.wins[h.inst] = w
+	o.wins[h.inst] = w
 	// Close releases every record before it waits: ex.mu orders this Add
 	// before that Wait.
 	ex.n.wg.Add(1)
@@ -733,46 +759,34 @@ func (o *TCPOutbox) win(dest int) (*sendWindow, error) {
 	return w, nil
 }
 
-// sendReliable ships one frame under the sliding window: reserve a
-// window slot (blocking while the window is full), stage the initial
-// transmission, and flush the stager if the window just filled — the
-// stream is about to stall for acks, so waiting for more frames cannot
-// help.
-func (o *TCPOutbox) sendReliable(h frameHeader, payload []byte) error {
-	n, peer := o.ex.n, o.consumerNodes[h.inst]
-	if o.ex.aborted.Load() {
-		return fmt.Errorf("network: exchange %d aborted", h.exchange)
+// sendReliable ships one frame under the sliding window: the window
+// takes buf (blocking while it is full) and keeps it until acked, and
+// the initial transmission goes out at once. If the stream has failed,
+// buf goes back to the arena.
+func (o *TCPOutbox) sendReliable(h frameHeader, buf []byte) error {
+	w, err := o.window(h)
+	if err == nil {
+		f := &wframe{frameHeader: h, buf: buf}
+		if err = w.add(f); err == nil {
+			w.attempt(f, 0)
+			return nil
+		}
 	}
-	if inj := n.faults(); inj.Severed(n.id, peer) {
-		o.emitFault("sever", peer, h.seq, 0)
-		return fmt.Errorf("network: link %d->%d severed", n.id, peer)
-	}
-	w, err := o.win(h.inst)
-	if err != nil {
-		return err
-	}
-	sum := crc32.Checksum(payload, crcTable)
-	f, full, err := w.add(h.kind, h.seq, sum, payload, n.wireCfg().Window)
-	if err != nil {
-		return err
-	}
-	w.stageAttempt(f, 0)
-	if full {
-		_ = o.stagers[h.inst].flush()
-	}
-	return nil
+	block.PutBuf(buf)
+	return err
 }
 
-// transmitFrame stages one transmission attempt of an in-flight frame,
+// transmitFrame writes one transmission attempt of an in-flight frame,
 // consulting the fault injector with the frame's coordinates — the same
 // per-(seq, attempt) verdicts as v1's stop-and-wait loop, so recorded
-// fault schedules keep their meaning. A Corrupt verdict poisons the
-// frame checksum (the receiver's CRC check drops it either way); a Drop
-// verdict keeps the frame off the wire and leaves recovery to the
-// window pump.
-func (o *TCPOutbox) transmitFrame(dest, peer int, f *wframe, attempt int) {
-	n, exchange := o.ex.n, o.ex.key.exchange
-	sum := f.sum
+// fault schedules keep their meaning. The frame's headers are re-stamped
+// per attempt: a Corrupt verdict poisons the checksum (the receiver's
+// CRC check drops it either way), a Dup verdict writes the batch twice,
+// and a Drop verdict keeps it off the wire and leaves recovery to the
+// window pump. Write errors are not reported: the connection is already
+// dropped for redial and the pump retransmits.
+func (o *TCPOutbox) transmitFrame(peer int, f *wframe, attempt int) {
+	n, exchange, h := o.ex.n, o.ex.key.exchange, f.frameHeader
 	var v faults.FrameVerdict
 	if peer != n.id {
 		v = n.faults().Frame(n.id, peer, exchange, f.seq, attempt)
@@ -787,17 +801,13 @@ func (o *TCPOutbox) transmitFrame(dest, peer int, f *wframe, attempt int) {
 	}
 	if v.Corrupt {
 		o.emitFault("corrupt", peer, f.seq, 0)
-		sum ^= 0xDEAD
+		h.sum ^= 0xDEAD
 	}
-	h := frameHeader{
-		query: o.ex.key.query, exchange: exchange, inst: dest,
-		kind: f.kind, src: n.id, seq: f.seq, sum: sum,
-	}
-	st := o.stagers[dest]
-	_ = st.appendRaw(h, f.payload)
+	stampFrame(f.buf, h)
+	_ = o.ex.transmit(peer, f.buf)
 	if v.Dup {
 		o.emitFault("dup", peer, f.seq, 0)
-		_ = st.appendRaw(h, f.payload)
+		_ = o.ex.transmit(peer, f.buf)
 	}
 }
 
@@ -805,9 +815,9 @@ func (o *TCPOutbox) emitFault(kind string, peer int, seq uint64, d time.Duration
 	emitFault(o.ex.scope.Load(), kind, o.ex.n.id, peer, o.ex.key.exchange, seq, d)
 }
 
-// Close shuts the node down: every record is released (send windows
-// die, staged batches are discarded), the listener and all pooled and
-// accepted connections close, then every goroutine is joined.
+// Close shuts the node down: every record is released (inboxes are
+// abandoned, send windows die), the listener and all pooled and accepted
+// connections close, then every goroutine is joined.
 func (n *TCPNode) Close() {
 	n.mu.Lock()
 	if n.closed {

@@ -130,63 +130,6 @@ func mkWide(wide *types.Schema) *block.Block {
 	return b
 }
 
-// TestStagerNilScopeTimerRace is the regression test for the stager
-// scope data race: with nil-scope outboxes, every Send used to re-write
-// stager.scope under the node lock while the coalesce-deadline timer's
-// flush read it under the stager lock. Small blocks under a short
-// CoalesceDelay make timer flushes interleave with sends; the race
-// detector fails the test if the field is ever written after creation.
-func TestStagerNilScopeTimerRace(t *testing.T) {
-	var nodes []*TCPNode
-	for i := 0; i < 2; i++ {
-		n, err := NewTCPNode(i, "127.0.0.1:0", nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer n.Close()
-		n.SetWireConfig(WireConfig{CoalesceDelay: 20 * time.Microsecond})
-		nodes = append(nodes, n)
-	}
-	for _, n := range nodes {
-		for pid, p := range nodes {
-			n.SetPeer(pid, p.Addr())
-		}
-	}
-	const query, exID, blocks = 9, 4, 400
-	var ins []*Inbox
-	for i, n := range nodes {
-		ins = append(ins, n.RegisterInbox(query, exID, i, 2, sch, 64, nil))
-	}
-	errs := make(chan error, len(nodes))
-	for _, n := range nodes {
-		ob := n.NewOutbox(query, exID, []int{0, 1}) // no SetScope: nil scope
-		go func() {
-			for i := 0; i < blocks; i++ {
-				if err := ob.Send(i%2, mkBlock(int64(i))); err != nil {
-					errs <- err
-					return
-				}
-				if i%16 == 0 {
-					time.Sleep(50 * time.Microsecond) // let the deadline timer win some flushes
-				}
-			}
-			errs <- ob.CloseSend()
-		}()
-	}
-	total := 0
-	for _, in := range ins {
-		total += drainCount(t, in, 10*time.Second)
-	}
-	for range nodes {
-		if err := <-errs; err != nil {
-			t.Fatal(err)
-		}
-	}
-	if total != 2*blocks {
-		t.Fatalf("received %d tuples, want %d", total, 2*blocks)
-	}
-}
-
 // feedReadLoop runs the node's read loop over one connection carrying
 // exactly data, as the accept loop would, and returns once the loop has
 // dropped the connection.

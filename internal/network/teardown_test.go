@@ -1,6 +1,7 @@
 package network
 
 import (
+	"fmt"
 	"hash/crc32"
 	"net"
 	"runtime"
@@ -24,12 +25,13 @@ type teardownEnv struct {
 }
 
 // held is what a case keeps of an exchange's record across its release:
-// the pieces a read loop, a stager timer or an outbox could still be
-// holding when the record leaves the node's table.
+// the pieces a read loop or an outbox could still be holding when the
+// record leaves the node's table, and an outbox opened on the live
+// record that will try to send after it.
 type held struct {
-	ex      *exchangeRec
-	stagers []*stager
-	wins    []*sendWindow
+	ex   *exchangeRec
+	wins []*sendWindow
+	ob   *TCPOutbox
 }
 
 func hold(n *TCPNode, k exchangeKey) held {
@@ -37,11 +39,8 @@ func hold(n *TCPNode, k exchangeKey) held {
 	if ex == nil {
 		return held{}
 	}
-	h := held{ex: ex}
+	h := held{ex: ex, ob: n.NewOutbox(k.query, k.exchange, []int{1 - n.ID()})}
 	ex.mu.Lock()
-	for _, s := range ex.stagers {
-		h.stagers = append(h.stagers, s)
-	}
 	for _, w := range ex.wins {
 		h.wins = append(h.wins, w)
 	}
@@ -50,8 +49,8 @@ func hold(n *TCPNode, k exchangeKey) held {
 }
 
 // assertEmpty checks every component of a released record: a frame that
-// resolved the record just before the release is ignored, nothing is
-// staged or timed, and no window can still be retransmitting.
+// resolved the record just before the release is ignored, a send fails
+// and writes nothing, and no window can still be retransmitting.
 func (h held) assertEmpty(t *testing.T, who string) {
 	t.Helper()
 	if h.ex == nil {
@@ -59,11 +58,11 @@ func (h held) assertEmpty(t *testing.T, who string) {
 	}
 	ex := h.ex
 	ex.mu.Lock()
-	released, nIn, nSt, nSg, nW := ex.released, len(ex.inboxes), len(ex.streams), len(ex.stagers), len(ex.wins)
+	released, nIn, nSt, nW := ex.released, len(ex.inboxes), len(ex.streams), len(ex.wins)
 	ex.mu.Unlock()
-	if !released || nIn+nSt+nSg+nW != 0 {
-		t.Errorf("%s: released=%v with %d inboxes, %d streams, %d stagers, %d windows left",
-			who, released, nIn, nSt, nSg, nW)
+	if !released || nIn+nSt+nW != 0 {
+		t.Errorf("%s: released=%v with %d inboxes, %d streams, %d windows left",
+			who, released, nIn, nSt, nW)
 	}
 	for inst := 0; inst < 2; inst++ {
 		sk := streamKey{ex.key.query, ex.key.exchange, inst, 0}
@@ -77,16 +76,17 @@ func (h held) assertEmpty(t *testing.T, who string) {
 	if nSt != 0 {
 		t.Errorf("%s: a late frame recorded %d watermarks on a released record", who, nSt)
 	}
-	for _, s := range h.stagers {
-		s.mu.Lock()
-		closed, staged, timed := s.closed, s.buf != nil, s.timer != nil
-		s.mu.Unlock()
-		if !closed || staged || timed {
-			t.Errorf("%s: stager to peer %d: closed=%v staged=%v timer=%v", who, s.peer, closed, staged, timed)
-		}
-		if err := s.appendRaw(frameHeader{kind: frameEOF}, nil); err == nil {
-			t.Errorf("%s: stager to peer %d staged a frame after release", who, s.peer)
-		}
+	// An aborted record's reliable sends report the abort first.
+	want := fmt.Sprintf("exchange %d released", ex.key.exchange)
+	if ex.n.reliable() && ex.aborted.Load() {
+		want = fmt.Sprintf("exchange %d aborted", ex.key.exchange)
+	}
+	before, _, _, _, _ := ex.n.NetStats()
+	if err := h.ob.Send(0, mkBlock(1)); err == nil || !strings.Contains(err.Error(), want) {
+		t.Errorf("%s: a send after release returned %v, want %q", who, err, want)
+	}
+	if after, _, _, _, _ := ex.n.NetStats(); after != before {
+		t.Errorf("%s: a send after release wrote %d batches", who, after-before)
 	}
 	for _, w := range h.wins {
 		w.mu.Lock()
@@ -254,12 +254,16 @@ func teardownReleaseThenLateFrames(e *teardownEnv) {
 	if got := drainCount(e.t, in, 10*time.Second); got != 1 {
 		e.t.Fatalf("received %d tuples, want 1", got)
 	}
-	// A second outbox leaves work behind for the release to clear: a
-	// frame staged toward a peer nobody answers for (and, reliable, an
-	// unacknowledged window with its pump running).
+	// A second outbox sends toward a peer with no address. Fire-and-forget,
+	// the write fails on the Send itself; reliable, the frame waits in a
+	// window whose pump retransmits it until the release fails the window.
 	stray := e.n0.NewOutbox(tdQuery, released, []int{9})
-	if err := stray.Send(0, mkBlock(2)); err != nil {
+	err := stray.Send(0, mkBlock(2))
+	if e.reliable && err != nil {
 		e.t.Fatal(err)
+	}
+	if !e.reliable && (err == nil || !strings.Contains(err.Error(), "no address for node 9")) {
+		e.t.Errorf("send toward an unknown peer returned %v, want a no-address error", err)
 	}
 	e.releaseBoth(tdQuery, released)
 
@@ -299,12 +303,18 @@ func teardownReleaseThenLateFrames(e *teardownEnv) {
 }
 
 func teardownCloseWithOpenSends(e *teardownEnv) {
-	e.n1.RegisterInbox(tdQuery, 6, 0, 1, sch, 1, e.trk)
+	in := e.n1.RegisterInbox(tdQuery, 6, 0, 1, sch, 1, e.trk)
 	ob := e.n0.NewOutbox(tdQuery, 6, []int{1})
 	if !e.reliable {
-		// Nothing to leave open but a staged batch and its timer.
-		if err := ob.Send(0, mkBlock(1)); err != nil {
+		// A block decoded into the receiver's inbox and never read: Close
+		// must give its tracked bytes back.
+		if err := ob.Send(0, bigBlock()); err != nil {
 			e.t.Fatal(err)
+		}
+		for deadline := time.Now().Add(10 * time.Second); in.Len() == 0; time.Sleep(5 * time.Millisecond) {
+			if time.Now().After(deadline) {
+				e.t.Fatal("the block never reached the receiver's inbox")
+			}
 		}
 		return
 	}
@@ -323,7 +333,7 @@ func teardownCloseWithOpenSends(e *teardownEnv) {
 			h.wins[0].mu.Lock()
 			n := len(h.wins[0].pending)
 			h.wins[0].mu.Unlock()
-			if n >= DefaultWireConfig.Window {
+			if n >= windowFrames {
 				break
 			}
 		}
@@ -341,7 +351,7 @@ func teardownCloseWithOpenSends(e *teardownEnv) {
 // cancel and crash path leaves nothing behind": each way an exchange
 // can end, on both protocols, must leave no record on either node, no
 // goroutine, no tracked byte — and nothing on the released record that a
-// late frame, ack, timer or send could still bring back to life.
+// late frame, ack or send could still bring back to life.
 func TestTeardownLeavesNothing(t *testing.T) {
 	cases := []struct {
 		name string
@@ -371,9 +381,6 @@ func TestTeardownLeavesNothing(t *testing.T) {
 					t.Fatal(err)
 				}
 				for _, n := range []*TCPNode{e.n0, e.n1} {
-					// Nothing leaves a stager before its batch fills or the
-					// stream ends: what a case leaves staged stays staged.
-					n.SetWireConfig(WireConfig{CoalesceDelay: time.Hour})
 					n.SetPeer(0, e.n0.Addr())
 					n.SetPeer(1, e.n1.Addr())
 					if reliable {

@@ -9,15 +9,21 @@ import (
 	"repro/internal/telemetry"
 )
 
+// windowFrames is the reliable path's window: frames of one stream in
+// flight unacknowledged before the producer blocks. 16 is the size the
+// windowed protocol was measured at against stop-and-wait (EXPERIMENTS.md,
+// "wire protocol v2"); 1 would be stop-and-wait again.
+const windowFrames = 16
+
 // sendWindow is the reliable path's per-stream sliding window: up to
-// WireConfig.Window frames of one (query, exchange, destination
-// instance) stream may be on the wire unacknowledged before the
-// producer blocks. The receiver acknowledges cumulatively (ack seq s
-// covers every frame ≤ s), and a pump goroutine retransmits the whole
-// window go-back-N style when the oldest unacked frame times out —
-// replacing v1's stop-and-wait, which paid a full ack round trip per
-// frame. Frame payloads are held in pooled arena copies until acked so
-// retransmissions do not depend on the caller's block.
+// windowFrames frames of one (query, exchange, destination instance)
+// stream may be on the wire unacknowledged before the producer blocks.
+// The receiver acknowledges cumulatively (ack seq s covers every frame
+// ≤ s), and a pump goroutine retransmits the whole window go-back-N
+// style when the oldest unacked frame times out — replacing v1's
+// stop-and-wait, which paid a full ack round trip per frame. Each frame
+// keeps the pooled batch buffer its block was encoded into until acked,
+// so retransmissions do not depend on the caller's block.
 type sendWindow struct {
 	o    *TCPOutbox
 	dest int // destination instance
@@ -33,17 +39,16 @@ type sendWindow struct {
 	kick chan struct{} // cap-1 signal: work arrived / acked / failed
 }
 
-// wframe is one in-flight frame: a pooled copy of the wire payload plus
-// the retransmission state the fault verdicts key on. attempts is
-// guarded by the window mutex; the other fields are immutable after
-// add.
+// wframe is one in-flight frame: its header (the true checksum
+// included), its one-frame batch buffer and the retransmission state
+// the fault verdicts key on. attempts, acked and the buffer's header
+// bytes (re-stamped per attempt) are guarded by the window mutex; the
+// header is immutable after add.
 type wframe struct {
-	kind     byte
-	seq      uint64
-	sum      uint32
-	payload  []byte // pooled via block.GetBuf; nil for eof
+	frameHeader
+	buf      []byte // from newFrameBuf
 	attempts int    // transmissions so far
-	acked    bool   // delivered; payload returned to the arena
+	acked    bool   // delivered; buf returned to the arena
 }
 
 func newSendWindow(o *TCPOutbox, dest, peer int) *sendWindow {
@@ -67,7 +72,7 @@ func (w *sendWindow) fail(err error) {
 		w.err = err
 		for _, f := range w.pending {
 			f.acked = true
-			block.PutBuf(f.payload)
+			block.PutBuf(f.buf)
 		}
 		w.pending = nil
 	}
@@ -77,14 +82,14 @@ func (w *sendWindow) fail(err error) {
 }
 
 // advance applies a cumulative ack: every pending frame with seq ≤ ack
-// is delivered, its pooled payload returned to the arena.
+// is delivered, its buffer returned to the arena.
 func (w *sendWindow) advance(ack uint64) {
 	w.mu.Lock()
 	popped := false
 	for len(w.pending) > 0 && w.pending[0].seq <= ack {
 		f := w.pending[0]
 		f.acked = true
-		block.PutBuf(f.payload)
+		block.PutBuf(f.buf)
 		w.pending[0] = nil
 		w.pending = w.pending[1:]
 		popped = true
@@ -99,48 +104,41 @@ func (w *sendWindow) advance(ack uint64) {
 	}
 }
 
-// add reserves a window slot for one frame, blocking while the window
-// is full, and returns the in-flight record holding a pooled copy of
-// the payload. full reports whether the window is now at capacity — the
-// caller flushes the stager then, because the stream is about to stall
-// anyway.
-func (w *sendWindow) add(kind byte, seq uint64, sum uint32, payload []byte, limit int) (f *wframe, full bool, err error) {
+// add takes a window slot for one frame, blocking while the window is
+// full; from then on the window owns the frame's buffer. On error the
+// buffer is still the caller's.
+func (w *sendWindow) add(f *wframe) error {
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	for w.err == nil && len(w.pending) >= limit {
+	for w.err == nil && len(w.pending) >= windowFrames {
 		w.space.Wait()
 	}
 	if w.err != nil {
-		return nil, false, w.err
-	}
-	var cp []byte
-	if len(payload) > 0 {
-		cp = block.GetBuf(len(payload))
-		copy(cp, payload)
+		return w.err
 	}
 	// attempts starts at 1: attempt 0 is the caller's imminent initial
 	// transmission, so a pump timeout that races it just retransmits.
-	f = &wframe{kind: kind, seq: seq, sum: sum, payload: cp, attempts: 1}
+	f.attempts = 1
 	if len(w.pending) == 0 {
 		w.baseSince = time.Now()
 	}
 	w.pending = append(w.pending, f)
 	w.signal()
-	return f, len(w.pending) >= limit, nil
+	return nil
 }
 
-// stageAttempt stages one transmission attempt of a frame while
-// holding the window lock: a concurrent cumulative ack returns the
-// frame's pooled payload to the arena, so staging (which reads it) and
-// release must be mutually exclusive. Frames acked or failed in the
-// meantime are skipped.
-func (w *sendWindow) stageAttempt(f *wframe, attempt int) {
+// attempt makes one transmission attempt of a frame while holding the
+// window lock: a concurrent cumulative ack returns the frame's buffer to
+// the arena, so the write (which reads it) and the release must be
+// mutually exclusive. Frames acked or failed in the meantime are
+// skipped.
+func (w *sendWindow) attempt(f *wframe, attempt int) {
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	if f.acked || w.err != nil {
 		return
 	}
-	w.o.transmitFrame(w.dest, w.peer, f, attempt)
+	w.o.transmitFrame(w.peer, f, attempt)
 }
 
 // waitDrained blocks until every pending frame is acknowledged (or the
@@ -238,8 +236,7 @@ func (w *sendWindow) pump() {
 					Attempt: attempts[i], Backoff: wait, Cause: "timeout",
 				})
 			}
-			w.stageAttempt(f, attempts[i])
+			w.attempt(f, attempts[i])
 		}
-		_ = w.o.stagers[w.dest].flush()
 	}
 }

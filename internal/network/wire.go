@@ -4,10 +4,12 @@ import (
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
+
+	"repro/internal/block"
 )
 
-// Wire protocol v2: frames are coalesced into batches, one batch per
-// write syscall. A batch is
+// Wire protocol v2: frames travel in batches, one batch per write. A
+// batch is
 //
 //	uint32 magic ("EPB2") | uint32 payloadLen | uint32 nFrames |
 //	nFrames × frame
@@ -22,10 +24,11 @@ import (
 //
 // The reader pulls one batch header, reads the whole payload into a
 // pooled arena buffer with a single ReadFull, then walks the frames in
-// place. Encoders build batches in pooled buffers too — the staging
-// path appends frames directly into the batch buffer, so a block on the
-// fast path is serialized exactly once, straight into the bytes the
-// syscall writes.
+// place, so it takes any number of frames per batch. The sender writes
+// one frame per batch: iterator.Sender already packs tuples into full
+// blocks, so there is nothing left to coalesce. newFrameBuf encodes the
+// block once, behind room for both headers, straight into the bytes the
+// write sends.
 
 const (
 	frameData = 0
@@ -40,6 +43,9 @@ const frameHdrLen = 4 + 4 + 4 + 4 + 1 + 4 + 8 + 4
 // batchHdrLen is the fixed batch header: magic(4) payloadLen(4)
 // nFrames(4).
 const batchHdrLen = 4 + 4 + 4
+
+// oneFrameHdrLen is what precedes the payload in a one-frame batch.
+const oneFrameHdrLen = batchHdrLen + frameHdrLen
 
 // batchMagic guards against desynchronized or foreign streams: a reader
 // that sees anything else drops the connection rather than misparse.
@@ -126,14 +132,23 @@ func parseBatchHeader(b []byte) (payloadLen, nFrames int, err error) {
 	return payloadLen, nFrames, nil
 }
 
-// appendFrame appends one complete frame (header + payload) to dst and
-// returns the extended slice.
-func appendFrame(dst []byte, h frameHeader, payload []byte) []byte {
-	h.length = len(payload)
-	at := len(dst)
-	dst = append(dst, make([]byte, frameHdrLen)...)
-	putFrameHeader(dst[at:], h)
-	return append(dst, payload...)
+// newFrameBuf returns a pooled one-frame batch buffer: room for both
+// headers, then b encoded (nothing for a nil b, an eof). stampFrame
+// fills the headers in.
+func newFrameBuf(b *block.Block) []byte {
+	if b == nil {
+		return block.GetBuf(oneFrameHdrLen)
+	}
+	buf := block.GetBuf(oneFrameHdrLen + b.WireSize())[:oneFrameHdrLen]
+	return b.EncodeAppend(buf)
+}
+
+// stampFrame writes the batch and frame headers of a one-frame batch
+// around the payload already in buf; h.length is taken from buf.
+func stampFrame(buf []byte, h frameHeader) {
+	h.length = len(buf) - oneFrameHdrLen
+	putBatchHeader(buf, frameHdrLen+h.length, 1)
+	putFrameHeader(buf[batchHdrLen:], h)
 }
 
 // walkBatch iterates the frames of a batch payload, calling fn with

@@ -10,6 +10,17 @@ import (
 	"repro/internal/types"
 )
 
+// appendFrame appends one complete frame (header + payload) to dst and
+// returns the extended slice: how the tests build multi-frame batches,
+// which the reader accepts though the sender writes one frame per batch.
+func appendFrame(dst []byte, h frameHeader, payload []byte) []byte {
+	h.length = len(payload)
+	at := len(dst)
+	dst = append(dst, make([]byte, frameHdrLen)...)
+	putFrameHeader(dst[at:], h)
+	return append(dst, payload...)
+}
+
 func TestFrameHeaderRoundTrip(t *testing.T) {
 	cases := []frameHeader{
 		{query: 0, exchange: 0, inst: 0, kind: frameData, src: 0, seq: 0, sum: 0, length: 0},
@@ -111,6 +122,52 @@ func TestBatchRoundTrip(t *testing.T) {
 	}
 }
 
+// TestOneFrameBatchRoundTrip: what the sender writes — a block encoded
+// by newFrameBuf with both headers stamped around it — is one
+// well-formed batch whose one frame carries the block; an eof is the
+// headers alone.
+func TestOneFrameBatchRoundTrip(t *testing.T) {
+	for _, b := range []*block.Block{mkBlock(1, 2, 3), nil} {
+		buf := newFrameBuf(b)
+		h := frameHeader{query: 3, exchange: 4, inst: 1, kind: frameEOF, src: 2, seq: 1<<32 + 7}
+		if b != nil {
+			h.kind = frameData
+		}
+		h.sum = crc32.Checksum(buf[oneFrameHdrLen:], crcTable)
+		stampFrame(buf, h)
+		pl, nf, err := parseBatchHeader(buf[:batchHdrLen])
+		if err != nil || nf != 1 || pl != len(buf)-batchHdrLen {
+			t.Fatalf("batch header: payloadLen=%d nFrames=%d err=%v for a %d-byte buffer", pl, nf, err, len(buf))
+		}
+		walked := 0
+		err = walkBatch(buf[batchHdrLen:], nf, func(got frameHeader, payload []byte) error {
+			walked++
+			h.length = len(payload)
+			if got != h {
+				t.Errorf("frame header %+v, want %+v", got, h)
+			}
+			if b == nil {
+				if len(payload) != 0 {
+					t.Errorf("eof frame carries %d payload bytes", len(payload))
+				}
+				return nil
+			}
+			dec, err := block.Decode(sch, payload, nil)
+			if err != nil {
+				return err
+			}
+			if dec.NumTuples() != 3 || dec.Get(2, 0).I != 3 {
+				t.Errorf("decoded %d tuples, want 1, 2, 3", dec.NumTuples())
+			}
+			return nil
+		})
+		if err != nil || walked != 1 {
+			t.Fatalf("walked %d frames: %v", walked, err)
+		}
+		block.PutBuf(buf)
+	}
+}
+
 func TestWalkBatchRejectsMalformed(t *testing.T) {
 	good := appendFrame(nil, frameHeader{kind: frameData, seq: 1}, []byte("abcd"))
 
@@ -131,8 +188,8 @@ func TestWalkBatchRejectsMalformed(t *testing.T) {
 	}
 }
 
-// TestBlockEncodeAppendMatchesEncode pins the zero-copy staging encoder
-// to the canonical block codec: the coalescer serializes blocks with
+// TestBlockEncodeAppendMatchesEncode pins the zero-copy frame encoder
+// to the canonical block codec: newFrameBuf serializes blocks with
 // EncodeAppend straight into the batch buffer, and the receiver decodes
 // them with the ordinary Decode.
 func TestBlockEncodeAppendMatchesEncode(t *testing.T) {

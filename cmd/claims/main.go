@@ -58,8 +58,6 @@ func main() {
 			"print a periodic telemetry summary to stderr every period (0 = off)")
 		faultSpec = flag.String("faults", "",
 			"inject faults, e.g. drop=0.01,delay=5ms,seed=7 (see internal/faults)")
-		rowExec = flag.Bool("rowexec", false,
-			"force row-at-a-time expression evaluation (disable batch kernels)")
 		httpAddr = flag.String("http", "",
 			"serve the observability HTTP API on this address, e.g. :8080 "+
 				"(/metrics, /queries, /queries/<id>/trace, /debug/pprof/)")
@@ -160,7 +158,6 @@ func main() {
 		Mode:             m,
 		FixedParallelism: *par,
 		NetBytesPerSec:   *netBps,
-		RowExec:          *rowExec,
 		MemoryPerNode:    memBudget,
 		SpillDir:         *spillDir,
 		FastPath:         *fastPath,

@@ -11,6 +11,7 @@ import (
 
 	"repro/internal/plan"
 	"repro/internal/telemetry"
+	"repro/internal/types"
 )
 
 // ExplainAnalyzeScoped is Exec with Analyze set, under a caller-owned
@@ -111,6 +112,7 @@ func (az *analyzeState) attach(e *exec) {
 func (az *analyzeState) finish(e *exec) *Analysis {
 	an := &Analysis{
 		Plan:        e.p,
+		Args:        e.args,
 		Scope:       e.scope,
 		Mode:        e.c.cfg.Mode.String(),
 		Nodes:       e.c.cfg.Nodes,
@@ -205,7 +207,10 @@ func (az *analyzeState) finish(e *exec) *Analysis {
 // operator templates are instantiated once per node, and the instances
 // share counters keyed by plan-node id.
 type Analysis struct {
-	Plan  *plan.Plan
+	Plan *plan.Plan
+	// Args are the coerced values the run substituted for the plan's $n
+	// slots ($1 is Args[0]); nil for a plan without slots.
+	Args  []types.Value
 	Scope *telemetry.Scope
 	Mode  string
 	Nodes int
@@ -391,6 +396,15 @@ func (a *Analysis) Render() string {
 	if a.CacheState != "" {
 		head += " plan-cache=" + a.CacheState
 	}
+	if len(a.Args) > 0 {
+		// The plan renders its slots as $n; the values follow in EXECUTE's
+		// argument syntax, so the run can be repeated from this output.
+		lits := make([]string, len(a.Args))
+		for i, v := range a.Args {
+			lits[i] = sqlLiteral(v)
+		}
+		head += " args=(" + strings.Join(lits, ", ") + ")"
+	}
 	head += "\n"
 	out := head + a.Plan.Render(plan.Annotations{
 		Op: func(op plan.PhysOp) string {
@@ -432,6 +446,26 @@ func (a *Analysis) Render() string {
 		out += a.renderPerNode()
 	}
 	return out
+}
+
+// sqlLiteral renders v as the SQL literal that denotes it: what EXECUTE
+// takes as an argument.
+func sqlLiteral(v types.Value) string {
+	switch {
+	case v.Null:
+		return "NULL"
+	case v.Kind == types.Float64:
+		s := strconv.FormatFloat(v.F, 'f', -1, 64)
+		if !strings.ContainsAny(s, ".NI") { // the lexer reads a number without a dot as an integer
+			s += ".0"
+		}
+		return s
+	case v.Kind == types.String:
+		return "'" + strings.NewReplacer(`\`, `\\`, `'`, `\'`).Replace(v.S) + "'"
+	case v.Kind == types.Date:
+		return "DATE '" + types.FormatDate(v.I) + "'"
+	}
+	return strconv.FormatInt(v.I, 10)
 }
 
 // renderPerNode renders the per-node section: one line per instrumented

@@ -9,7 +9,9 @@ import (
 	"testing"
 
 	"repro/internal/plan"
+	"repro/internal/sql"
 	"repro/internal/telemetry"
+	"repro/internal/types"
 )
 
 // TestExplainAnalyzeMatchesTelemetry is the tentpole invariant: every
@@ -138,6 +140,72 @@ func TestExplainAnalyzeMatchesPlainRun(t *testing.T) {
 	for name := range plainRes.Scope.CounterSnapshot() {
 		if strings.HasPrefix(name, "op.") {
 			t.Errorf("plain run registered per-op counter %q — instrumentation leaked into the default path", name)
+		}
+	}
+}
+
+// TestExplainAnalyzePrintsArgs: an analyzed EXECUTE renders its coerced
+// arguments beside the template's $n slots, as EXECUTE literals, and
+// the statement rebuilt from those literals returns what the EXECUTE
+// returned.
+func TestExplainAnalyzePrintsArgs(t *testing.T) {
+	c, _ := buildTestCluster(t, EP, 2)
+	const text = "SELECT acct_id, trade_volume FROM trades WHERE sec_code = $1 AND trade_date >= $2 AND trade_volume > $3"
+	tmpl, _, err := c.CompileCached(text)
+	if err != nil {
+		t.Fatal(err)
+	}
+	args := []types.Value{types.IntVal(3), types.StrVal("2010-10-28"), types.IntVal(100)}
+	res, err := c.Exec(context.Background(), Request{Plan: tmpl, Args: args, Analyze: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	head, _, _ := strings.Cut(res.Analysis.Render(), "\n")
+	const want = "args=(3, DATE '2010-10-28', 100.0)"
+	if !strings.HasSuffix(head, want) {
+		t.Fatalf("analysis header %q does not end in %q", head, want)
+	}
+	lits := strings.Split(strings.TrimSuffix(strings.TrimPrefix(want, "args=("), ")"), ", ")
+	adhoc := text
+	for i, lit := range lits {
+		adhoc = strings.Replace(adhoc, fmt.Sprintf("$%d", i+1), lit, 1)
+	}
+	again, err := c.Run(adhoc)
+	if err != nil {
+		t.Fatalf("%s: %v", adhoc, err)
+	}
+	if res.NumRows() == 0 || fingerprint(again) != fingerprint(res) {
+		t.Errorf("%s returned %d rows, the analyzed EXECUTE %d", adhoc, again.NumRows(), res.NumRows())
+	}
+}
+
+// TestSQLLiteralRoundTrips: every literal sqlLiteral writes lexes back
+// to the value it was written from.
+func TestSQLLiteralRoundTrips(t *testing.T) {
+	vals := []types.Value{types.IntVal(-7), types.FloatVal(3), types.FloatVal(-0.125),
+		types.FloatVal(1e21), types.StrVal(`it's a \ back`), types.DateVal(9000)}
+	lits := make([]string, len(vals))
+	for i, v := range vals {
+		lits[i] = sqlLiteral(v)
+	}
+	stmt, err := sql.ParseStatement("EXECUTE x (" + strings.Join(lits, ", ") + ")")
+	if err != nil {
+		t.Fatalf("%v: %v", lits, err)
+	}
+	for i, a := range stmt.(*sql.ExecuteStmt).Args {
+		var got types.Value
+		switch n := a.(type) {
+		case *sql.IntLit:
+			got = types.IntVal(n.V)
+		case *sql.FloatLit:
+			got = types.FloatVal(n.V)
+		case *sql.StrLit:
+			got = types.StrVal(n.V)
+		case *sql.DateLit:
+			got = types.DateVal(n.Days)
+		}
+		if got != vals[i] {
+			t.Errorf("%s read back as %#v, want %#v", lits[i], got, vals[i])
 		}
 	}
 }

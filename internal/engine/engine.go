@@ -140,14 +140,6 @@ type Config struct {
 	// machinery (and its telemetry) is bypassed, so serving stacks opt
 	// in explicitly.
 	FastPath bool
-	// RowExec forces row-at-a-time (tuple-per-tuple) expression
-	// evaluation in filters, projections, join key computation and
-	// aggregation, bypassing the vectorized batch kernels. The two paths
-	// are semantically identical by construction; this escape hatch lets
-	// the metamorphic tests diff them and serves as a fallback if a
-	// kernel misbehaves. The CLAIMS_ROWEXEC environment variable (any
-	// non-empty value) forces it on process-wide.
-	RowExec bool
 }
 
 func (c *Config) defaults() {
@@ -174,9 +166,6 @@ func (c *Config) defaults() {
 	}
 	if c.SpillDir == "" {
 		c.SpillDir = os.TempDir()
-	}
-	if os.Getenv("CLAIMS_ROWEXEC") != "" {
-		c.RowExec = true
 	}
 	if c.PlanCacheSize <= 0 {
 		c.PlanCacheSize = 256

@@ -1,10 +1,13 @@
 package engine
 
 import (
+	"context"
 	"fmt"
+	"math"
 	"math/rand"
 	"sort"
 	"testing"
+	"time"
 
 	"repro/internal/catalog"
 	"repro/internal/types"
@@ -184,6 +187,35 @@ func TestLongComputedStringKeysStayDistinct(t *testing.T) {
 	}
 }
 
+// TestStringExtremesKeepTheirWidth: MIN and MAX of a string are as wide
+// as the string. Their output column used to be 8 bytes, whatever the
+// argument, so a longer string came back cut to its first 8 bytes (and
+// a column narrower than 8 would now misplace the group keys, which the
+// aggregation located by assuming 8 bytes an aggregate).
+func TestStringExtremesKeepTheirWidth(t *testing.T) {
+	const long = "abcdefghijklmnopqrstuvwxyz0123456789ABCDE-"
+	for _, arm := range []string{long, ""} {
+		kase := "CASE WHEN trade_volume < 500 THEN '" + arm + "A' ELSE '" + arm + "B' END"
+		for _, mode := range []Mode{EP, SP} {
+			c, _ := buildTestCluster(t, mode, 3)
+			for _, q := range []string{
+				"SELECT min(" + kase + "), max(" + kase + ") FROM trades",
+				"SELECT sec_code, min(" + kase + "), max(" + kase + ") FROM trades WHERE sec_code < 3 GROUP BY sec_code",
+			} {
+				res, err := c.Run(q)
+				if err != nil {
+					t.Fatalf("%v: %v", mode, err)
+				}
+				for _, row := range res.Rows() {
+					if lo, hi := row[len(row)-2].S, row[len(row)-1].S; lo != arm+"A" || hi != arm+"B" {
+						t.Errorf("%v: %s\ngave %v", mode, q, row)
+					}
+				}
+			}
+		}
+	}
+}
+
 func TestJoinAggQueryAllModes(t *testing.T) {
 	// SSE-Q9: repartition join + two-phase aggregation — the paper's
 	// flagship query (three segments, two pipelines).
@@ -234,6 +266,47 @@ func TestJoinAggQueryAllModes(t *testing.T) {
 			if row[2].F != w[0] || row[3].F != w[1] {
 				t.Fatalf("%v: group %+v sums = (%f, %f), want (%f, %f)",
 					mode, k, row[2].F, row[3].F, w[0], w[1])
+			}
+		}
+	}
+}
+
+// TestScalarExtremesSkipEmptyNodes: trades is partitioned on sec_code,
+// so a filter on one sec_code leaves all but one node without input.
+// Each node's partial aggregation used to emit its row anyway, zeros
+// standing for "no value", and the final MIN took the zero. Empty input
+// everywhere still gives the one row of zeros (DESIGN.md §10's dialect
+// rule for aggregates over no rows).
+func TestScalarExtremesSkipEmptyNodes(t *testing.T) {
+	for _, mode := range []Mode{EP, SP, ME} {
+		c, ref := buildTestCluster(t, mode, 3)
+		for _, above := range []float64{100, 5000} {
+			q := fmt.Sprintf("SELECT min(trade_volume), max(trade_volume), count(*), avg(trade_volume) FROM trades WHERE sec_code = 3 AND trade_volume > %g", above)
+			var lo, hi, sum float64
+			var n int64
+			for _, r := range ref.trades {
+				if r.sec == 3 && r.vol > above {
+					if n == 0 || r.vol < lo {
+						lo = r.vol
+					}
+					hi = max(hi, r.vol)
+					sum += r.vol
+					n++
+				}
+			}
+			avg := 0.0
+			if n > 0 {
+				avg = sum / float64(n)
+			}
+			res, err := c.Run(q)
+			if err != nil {
+				t.Fatalf("%v: %v", mode, err)
+			}
+			if res.NumRows() != 1 {
+				t.Fatalf("%v: %s returned %d rows", mode, q, res.NumRows())
+			}
+			if got := res.Rows()[0]; got[0].F != lo || got[1].F != hi || got[2].I != n || math.Abs(got[3].F-avg) > 1e-9*avg {
+				t.Errorf("%v: %s = %v, want [%g %g %d %g]", mode, q, got, lo, hi, n, avg)
 			}
 		}
 	}
@@ -618,6 +691,52 @@ func TestQueryErrorPaths(t *testing.T) {
 	// The cluster must stay usable after failed queries.
 	if _, err := c.Run("SELECT count(*) FROM trades"); err != nil {
 		t.Fatalf("cluster wedged after error paths: %v", err)
+	}
+}
+
+// TestTCPJoinProbeCannotBlockBuild: over sockets, the exchanges into a
+// join's two inputs can share a connection, and a node's read loop
+// blocks on a full inbox. The probe inbox fills while the join still
+// reads its build side, and its read loop then held the build side's
+// frames behind it: the query never finished.
+func TestTCPJoinProbeCannotBlockBuild(t *testing.T) {
+	cat := catalog.New(2)
+	a := types.NewSchema(types.Col("k", types.Int64), types.Col("v", types.Int64))
+	b := types.NewSchema(types.Col("k", types.Int64), types.Col("w", types.Int64))
+	// Neither input is partitioned on the join key: both are repartitioned.
+	cat.MustAdd(&catalog.Table{Name: "a", Schema: a, PartKey: []int{1}})
+	cat.MustAdd(&catalog.Table{Name: "b", Schema: b, PartKey: []int{1}})
+	c, err := NewClusterTCP(Config{Nodes: 2, CoresPerNode: 2, Mode: SP, BlockSize: 512, ExchangeBuffer: 1}, cat)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	for _, tbl := range []struct {
+		name string
+		sch  *types.Schema
+		rows int
+	}{{"a", a, 20000}, {"b", b, 1000}} {
+		tl, _ := c.NewTableLoader(tbl.name)
+		for i := 0; i < tbl.rows; i++ {
+			r := tl.Row()
+			types.PutValue(r, tbl.sch, 0, types.IntVal(int64(i%1000)))
+			types.PutValue(r, tbl.sch, 1, types.IntVal(int64(i%7)))
+			tl.Add()
+		}
+		tl.Close()
+	}
+	// Query ids vary the connection each exchange hashes to; twenty runs
+	// put the two inputs on one connection many times over.
+	for i := 0; i < 20; i++ {
+		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+		res, err := c.Exec(ctx, Request{SQL: "SELECT count(*) FROM a, b WHERE a.k = b.k"})
+		cancel()
+		if err != nil {
+			t.Fatalf("run %d: %v", i, err)
+		}
+		if got := res.Rows()[0][0].I; got != 20000 {
+			t.Fatalf("run %d: count %d, want 20000", i, got)
+		}
 	}
 }
 

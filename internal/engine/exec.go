@@ -457,6 +457,16 @@ func (e *exec) wire() error {
 	if c.cfg.Mode == ME {
 		buf = 0
 	}
+	// On sockets, an exchange a hash join probes is unbounded too. The
+	// join reads it only after its build input has ended, and a node's
+	// read loop blocks on a full inbox while the build side's frames may
+	// be queued behind it on the same shared connection. The join's probe
+	// phase is the one place a segment reads an exchange while another is
+	// still pending, so this breaks every such wait.
+	var probed map[int]bool
+	if c.tcpNodes != nil {
+		probed = probeExchanges(p)
+	}
 	maxExID := 0
 	for _, ex := range p.Exchanges {
 		prod, cons := p.Segment(ex.Producer), p.Segment(ex.Consumer)
@@ -466,10 +476,14 @@ func (e *exec) wire() error {
 		if ex.ID > maxExID {
 			maxExID = ex.ID
 		}
+		exBuf := buf
+		if probed[ex.ID] {
+			exBuf = 0
+		}
 		consNodes := e.nodesOf(cons)
 		e.consNodes[ex.ID] = consNodes
 		e.exchanges[ex.ID] = c.fabric.NewExchange(e.qid, ex.ID, len(e.nodesOf(prod)), consNodes,
-			ex.Sch, buf, e.tracker, sc)
+			ex.Sch, exBuf, e.tracker, sc)
 	}
 
 	// The result collector: final segment gathers to the master. Its
@@ -508,6 +522,22 @@ func (e *exec) wire() error {
 		}
 	}
 	return nil
+}
+
+// probeExchanges lists the exchanges a hash join reads as its probe
+// input.
+func probeExchanges(p *plan.Plan) map[int]bool {
+	out := map[int]bool{}
+	for _, s := range p.Segments {
+		plan.Walk(s.Root, func(op plan.PhysOp) {
+			if j, ok := op.(*plan.PHashJoin); ok {
+				if m, ok := j.Probe.(*plan.PMerger); ok {
+					out[m.Exchange] = true
+				}
+			}
+		})
+	}
+	return out
 }
 
 // drive runs the wired dataflow to completion under the cluster's mode
@@ -759,7 +789,6 @@ func (e *exec) buildOp(op plan.PhysOp, env buildEnv) (iterator.Iterator, error) 
 }
 
 func (e *exec) buildBare(op plan.PhysOp, env buildEnv) (iterator.Iterator, error) {
-	rowExec := e.c.cfg.RowExec
 	switch n := op.(type) {
 	case *plan.PScan:
 		var it iterator.Iterator
@@ -787,9 +816,7 @@ func (e *exec) buildBare(op plan.PhysOp, env buildEnv) (iterator.Iterator, error
 			if err != nil {
 				return nil, err
 			}
-			f := iterator.NewFilter(it, n.Sch, pred)
-			f.RowExec = rowExec
-			it = f
+			it = iterator.NewFilter(it, n.Sch, pred)
 		}
 		return it, nil
 
@@ -821,9 +848,7 @@ func (e *exec) buildBare(op plan.PhysOp, env buildEnv) (iterator.Iterator, error
 		if err != nil {
 			return nil, err
 		}
-		f := iterator.NewFilter(child, n.Child.Schema(), pred)
-		f.RowExec = rowExec
-		return f, nil
+		return iterator.NewFilter(child, n.Child.Schema(), pred), nil
 
 	case *plan.PProject:
 		child, err := e.buildOp(n.Child, env)
@@ -834,9 +859,7 @@ func (e *exec) buildBare(op plan.PhysOp, env buildEnv) (iterator.Iterator, error
 		if err != nil {
 			return nil, err
 		}
-		pr := iterator.NewProject(child, n.Child.Schema(), n.Sch, exprs)
-		pr.RowExec = rowExec
-		return pr, nil
+		return iterator.NewProject(child, n.Child.Schema(), n.Sch, exprs), nil
 
 	case *plan.PHashJoin:
 		if env.inst == nil {
@@ -863,7 +886,6 @@ func (e *exec) buildBare(op plan.PhysOp, env buildEnv) (iterator.Iterator, error
 		}
 		hj := iterator.NewHashJoin(build, probe, n.Build.Schema(), n.Probe.Schema(),
 			buildKeys, probeKeys)
-		hj.RowExec = rowExec
 		hj.Mem = e.opMem(n, "hashjoin", env.node)
 		env.inst.joins = append(env.inst.joins, hj)
 		return hj, nil
@@ -882,7 +904,7 @@ func (e *exec) buildBare(op plan.PhysOp, env buildEnv) (iterator.Iterator, error
 			return nil, err
 		}
 		ha := iterator.NewHashAgg(child, n.Child.Schema(), keys, n.KeyNames, specs, n.Algo)
-		ha.RowExec = rowExec
+		ha.Partial = n.Partial
 		if env.inst == nil {
 			ha.Serial()
 			return ha, nil

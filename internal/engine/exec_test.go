@@ -240,9 +240,6 @@ func TestExecGroupByAllocs(t *testing.T) {
 	}
 	c := fastFixture(t, true)
 	defer c.Close()
-	if c.cfg.RowExec {
-		t.Skip("the ceiling is the default path's; CLAIMS_ROWEXEC swaps in row-at-a-time encoders and kernels")
-	}
 	req := Request{SQL: "SELECT sec_code, count(*), sum(trade_volume) FROM trades WHERE sec_code IN (1, 4, 7, 9) GROUP BY sec_code"}
 	ctx := context.Background()
 	run := func() {

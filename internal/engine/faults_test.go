@@ -5,6 +5,8 @@ import (
 	"fmt"
 	"math/rand"
 	"os"
+	"sort"
+	"strings"
 	"testing"
 	"time"
 
@@ -113,6 +115,28 @@ func noFaultFingerprints(t *testing.T) []string {
 		fps[i] = fingerprint(res)
 	}
 	return fps
+}
+
+// fingerprint renders a result as an order-insensitive canonical string
+// (ORDER BY queries stay order-sensitive through the sorted rows being
+// equal anyway).
+func fingerprint(res *Result) string {
+	rows := res.Rows()
+	lines := make([]string, len(rows))
+	for i, row := range rows {
+		parts := make([]string, len(row))
+		for j, v := range row {
+			// Canonicalize floats to tolerate summation-order jitter.
+			if v.Kind == types.Float64 && !v.Null {
+				parts[j] = fmt.Sprintf("%.6g", v.F)
+			} else {
+				parts[j] = v.String()
+			}
+		}
+		lines[i] = strings.Join(parts, ",")
+	}
+	sort.Strings(lines)
+	return strings.Join(lines, ";")
 }
 
 // TestMetamorphicFaultSchedules is the correctness harness of DESIGN.md

@@ -580,14 +580,6 @@ func (k *rowKernel) EvalVec(b *block.Block, sel []int32, out *Vec) {
 	})
 }
 
-// CompileRowBatch compiles e to the kernel that calls Eval per row
-// whatever e's shape: what an operator forced to row-at-a-time
-// execution runs in place of CompileBatch's kernel, behind the same
-// interface. For a fused shape the two fill identical vectors.
-func CompileRowBatch(e Expr, sch *types.Schema) BatchExpr {
-	return &rowKernel{e: e, sch: sch, kind: e.Kind(sch)}
-}
-
 // ProjVectorized reports whether every expression in the list compiles
 // entirely to fused batch kernels under sch — the planner's Explain
 // annotation for projections.

@@ -89,19 +89,6 @@ func NewBatchKeyEncoder(exprs []Expr, sch *types.Schema) *BatchKeyEncoder {
 	return enc
 }
 
-// NewRowKeyEncoder builds an encoder with the same block-level
-// interface that computes every key expression by row-at-a-time Eval —
-// KeyEncoder.Encode per row, no kernels and no direct column reads. It
-// is what RowExec operators use, so forcing row execution changes how
-// keys are computed but not the operator code around them.
-func NewRowKeyEncoder(exprs []Expr, sch *types.Schema) *BatchKeyEncoder {
-	enc := &BatchKeyEncoder{sch: sch}
-	for _, e := range exprs {
-		enc.srcs = append(enc.srcs, keySrc{mode: ksRow, e: e})
-	}
-	return enc
-}
-
 // Vectorized reports whether every key expression avoids the
 // row-at-a-time fallback — the planner's Explain annotation for key
 // computations.

@@ -78,7 +78,7 @@ func BenchmarkHashAggShared(b *testing.B) {
 // benchHashJoin times the chosen phases of a 20k-row build probed by
 // 200k rows, half of which match: the build (Open), the probe (the Next
 // loop), or both.
-func benchHashJoin(b *testing.B, rowExec, timeBuild, timeProbe bool) {
+func benchHashJoin(b *testing.B, timeBuild, timeProbe bool) {
 	const buildRows, probeRows = 20_000, 200_000
 	sch, _ := benchPartition(b, 1)
 	bp := buildPartition(sch, buildRows, 64*1024, func(i int, rec []byte) {
@@ -93,7 +93,6 @@ func benchHashJoin(b *testing.B, rowExec, timeBuild, timeProbe bool) {
 	for i := 0; i < b.N; i++ {
 		hj := NewHashJoin(NewScan(bp), NewScan(pp), sch, sch,
 			[]expr.Expr{expr.NewCol(0, "k")}, []expr.Expr{expr.NewCol(0, "k")})
-		hj.RowExec = rowExec
 		if !timeBuild {
 			b.StopTimer()
 		}
@@ -122,8 +121,8 @@ func benchHashJoin(b *testing.B, rowExec, timeBuild, timeProbe bool) {
 	}
 }
 
-func BenchmarkHashJoinBuild(b *testing.B) { benchHashJoin(b, false, true, false) }
-func BenchmarkHashJoinProbe(b *testing.B) { benchHashJoin(b, false, false, true) }
+func BenchmarkHashJoinBuild(b *testing.B) { benchHashJoin(b, true, false) }
+func BenchmarkHashJoinProbe(b *testing.B) { benchHashJoin(b, false, true) }
 
 // BenchmarkSenderRepartition routes lineitem-shaped 64 KB blocks by
 // l_partkey to three destinations, into an outbox that (like a socket
@@ -194,23 +193,6 @@ func BenchmarkSort(b *testing.B) {
 	b.ReportMetric(float64(b.N)*rows/b.Elapsed().Seconds(), "tuples/s")
 }
 
-// Row-vs-batch pairs: the same operators with RowExec forced, so
-// `go test -bench` shows the vectorization win next to the baseline
-// (the default constructors above run the batch kernels).
-
-func BenchmarkFilterRowExec(b *testing.B) {
-	const rows = 200_000
-	sch, mk := benchPartition(b, rows)
-	pred := expr.NewCmp(expr.LT, expr.NewCol(0, "k"), expr.NewConst(types.IntVal(5000)))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		f := NewFilter(mk(), sch, pred)
-		f.RowExec = true
-		drainAll(b, f)
-	}
-	b.ReportMetric(float64(b.N)*rows/b.Elapsed().Seconds(), "tuples/s")
-}
-
 func BenchmarkProjection(b *testing.B) {
 	const rows = 200_000
 	sch, mk := benchPartition(b, rows)
@@ -263,40 +245,6 @@ func BenchmarkProjectColumns(b *testing.B) {
 	}
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(rows), "ns/row")
 }
-
-func BenchmarkProjectionRowExec(b *testing.B) {
-	const rows = 200_000
-	sch, mk := benchPartition(b, rows)
-	outSch := types.NewSchema(types.Col("e0", types.Float64), types.Col("e1", types.Int64))
-	exprs := []expr.Expr{
-		expr.NewArith(expr.Mul, expr.NewCol(1, "v"), expr.NewConst(types.FloatVal(0.07))),
-		expr.NewArith(expr.Add, expr.NewCol(0, "k"), expr.NewConst(types.IntVal(7))),
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		p := NewProject(mk(), sch, outSch, exprs)
-		p.RowExec = true
-		drainAll(b, p)
-	}
-	b.ReportMetric(float64(b.N)*rows/b.Elapsed().Seconds(), "tuples/s")
-}
-
-func BenchmarkHashAggSharedRowExec(b *testing.B) {
-	const rows = 200_000
-	sch, mk := benchPartition(b, rows)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		ha := NewHashAgg(mk(), sch,
-			[]expr.Expr{expr.NewCol(0, "k")}, []string{"k"},
-			[]AggSpec{{Func: Sum, Arg: expr.NewCol(1, "v"), Name: "s"}},
-			SharedAgg)
-		ha.RowExec = true
-		drainAll(b, ha)
-	}
-	b.ReportMetric(float64(b.N)*rows/b.Elapsed().Seconds(), "tuples/s")
-}
-
-func BenchmarkHashJoinBuildProbeRowExec(b *testing.B) { benchHashJoin(b, true, true, true) }
 
 // BenchmarkHashAggQ1Shape aggregates the way TPC-H Q1's partial
 // aggregation does: two CHAR(1) keys making four groups, eleven

@@ -23,19 +23,13 @@ func putSel(s []int32) { selPool.Put(s) }
 // to stamp downstream visit rates with its running selectivity
 // (Section 4.3).
 //
-// By default the predicate runs block-at-a-time: a compiled
-// expr.BatchPredicate evaluates each input block into a selection
-// vector and survivors are gathered with one bulk AppendSelected copy.
-// RowExec forces the original tuple-at-a-time loop — the equivalence
-// escape hatch the metamorphic tests diff against.
+// The predicate runs block-at-a-time: a compiled expr.BatchPredicate
+// evaluates each input block into a selection vector and survivors are
+// gathered with one bulk AppendSelected copy.
 type Filter struct {
 	child Iterator
 	sch   *types.Schema
-	pred  expr.Expr
 	bpred expr.BatchPredicate
-
-	// RowExec forces row-at-a-time evaluation (set before Open).
-	RowExec bool
 
 	// BlockPerBlock, when set, makes Next consume exactly one child
 	// block per output block (possibly emitting an empty block). This
@@ -52,12 +46,13 @@ type Filter struct {
 
 // NewFilter builds a filter over child with the given predicate.
 func NewFilter(child Iterator, sch *types.Schema, pred expr.Expr) *Filter {
-	return &Filter{child: child, sch: sch, pred: pred,
+	return &Filter{child: child, sch: sch,
 		bpred: expr.CompilePredicate(pred, sch), barrier: NewBarrier()}
 }
 
 // Vectorized reports whether the predicate compiled entirely to fused
-// batch kernels (plan display; RowExec still bypasses them at runtime).
+// batch kernels, with no term left to the per-row Eval fallback (plan
+// display).
 func (f *Filter) Vectorized() bool { return f.bpred.Fused() }
 
 // Schema returns the (unchanged) output schema.
@@ -101,11 +96,8 @@ func newFilterOut(sch *types.Schema, in *block.Block, n int, ctx *Ctx) *block.Bl
 // Next pulls child blocks and emits the qualifying tuples.
 func (f *Filter) Next(ctx *Ctx) (*block.Block, Status) {
 	var outB *block.Block
-	var sel []int32
-	if !f.RowExec {
-		sel = getSel()
-		defer func() { putSel(sel) }()
-	}
+	sel := getSel()
+	defer func() { putSel(sel) }()
 	target := 0
 	for {
 		in, st := f.child.Next(ctx)
@@ -121,35 +113,17 @@ func (f *Filter) Next(ctx *Ctx) (*block.Block, Status) {
 			}
 			return nil, st
 		}
-		n := in.NumTuples()
-		var kept int
-		if f.RowExec {
-			if outB == nil {
-				outB = newFilterOut(f.sch, in, n, ctx)
-				target = in.Cap()/2 + 1
-			}
-			outB.EnsureRoom(n)
-			for i := 0; i < n; i++ {
-				rec := in.Row(i)
-				if expr.Truthy(f.pred.Eval(rec, f.sch)) {
-					outB.AppendRow(rec)
-					kept++
-				}
-			}
-		} else {
-			sel = f.bpred.Select(in, nil, sel)
-			if outB == nil {
-				// Size the block to the survivors of this first batch (it
-				// grows on demand after that): a selective filter allocates
-				// tuples' worth of memory, not the input block size.
-				outB = newFilterOut(f.sch, in, len(sel), ctx)
-				target = in.Cap()/2 + 1
-			}
-			outB.AppendSelected(in, sel)
-			kept = len(sel)
+		sel = f.bpred.Select(in, nil, sel)
+		if outB == nil {
+			// Size the block to the survivors of this first batch (it
+			// grows on demand after that): a selective filter allocates
+			// tuples' worth of memory, not the input block size.
+			outB = newFilterOut(f.sch, in, len(sel), ctx)
+			target = in.Cap()/2 + 1
 		}
-		f.in.Add(int64(n))
-		f.out.Add(int64(kept))
+		outB.AppendSelected(in, sel)
+		f.in.Add(int64(in.NumTuples()))
+		f.out.Add(int64(len(sel)))
 		outB.VisitRate = in.VisitRate * f.Selectivity()
 		in.Recycle() // the survivors are copied
 		if f.BlockPerBlock {
@@ -170,24 +144,19 @@ func (f *Filter) Close() { f.child.Close() }
 // Project evaluates an expression list per tuple, producing a new
 // schema. Like Filter, its state is read-only after construction.
 //
-// The default path copies every output column that is a plain input
-// column of the same kind and width as bytes, row to row, and evaluates
-// each other expression column-at-a-time through compiled batch kernels,
-// scattering the typed vectors into the output block's fixed-stride
-// rows; RowExec forces the original per-tuple PutValue loop.
+// It copies every output column that is a plain input column of the
+// same kind and width as bytes, row to row, and evaluates each other
+// expression column-at-a-time through compiled batch kernels, scattering
+// the typed vectors into the output block's fixed-stride rows.
 type Project struct {
 	child  Iterator
 	inSch  *types.Schema
 	outSch *types.Schema
-	exprs  []expr.Expr
 	// moves copies the plain columns; calc names the other output
 	// columns and kerns evaluates them, index for index.
 	moves []colMove
 	calc  []int
 	kerns []expr.BatchExpr
-
-	// RowExec forces row-at-a-time evaluation (set before Open).
-	RowExec bool
 
 	opened  once
 	barrier *Barrier
@@ -205,7 +174,7 @@ type colMove struct{ src, dst, width int }
 // one run. Schemas have no padding, so the moves and the kernels between
 // them write every byte of an output row.
 func NewProject(child Iterator, inSch, outSch *types.Schema, exprs []expr.Expr) *Project {
-	p := &Project{child: child, inSch: inSch, outSch: outSch, exprs: exprs, barrier: NewBarrier()}
+	p := &Project{child: child, inSch: inSch, outSch: outSch, barrier: NewBarrier()}
 	for c, e := range exprs {
 		out := outSch.Cols[c]
 		col, ok := e.(*expr.Col)
@@ -262,27 +231,17 @@ func (p *Project) Next(ctx *Ctx) (*block.Block, Status) {
 	out.Seq = in.Seq
 	out.Socket = in.Socket
 	out.VisitRate = in.VisitRate
-	if p.RowExec {
-		for i := 0; i < n; i++ {
-			rec := in.Row(i)
-			dst := out.AppendRowTo()
-			for c, e := range p.exprs {
-				types.PutValue(dst, p.outSch, c, e.Eval(rec, p.inSch))
-			}
+	out.SetLen(n)
+	for _, m := range p.moves {
+		m.copyRows(out.Bytes(), in.Bytes(), p.outSch.Stride(), p.inSch.Stride())
+	}
+	if len(p.kerns) > 0 {
+		v := expr.GetVec()
+		for j, k := range p.kerns {
+			k.EvalVec(in, nil, v)
+			writeVecColumn(out, p.calc[j], v)
 		}
-	} else {
-		out.SetLen(n)
-		for _, m := range p.moves {
-			m.copyRows(out.Bytes(), in.Bytes(), p.outSch.Stride(), p.inSch.Stride())
-		}
-		if len(p.kerns) > 0 {
-			v := expr.GetVec()
-			for j, k := range p.kerns {
-				k.EvalVec(in, nil, v)
-				writeVecColumn(out, p.calc[j], v)
-			}
-			expr.PutVec(v)
-		}
+		expr.PutVec(v)
 	}
 	in.Recycle() // every output column is written
 	return out, OK

@@ -42,22 +42,24 @@ type AggSpec struct {
 	Name string
 }
 
-// ResultKind reports the output column kind of the aggregate given the
-// input schema.
-func (a AggSpec) ResultKind(sch *types.Schema) types.Kind {
+// Column is the aggregate's output column given the input schema. A
+// string extreme is as wide as its argument's values (expr.StringWidth).
+func (a AggSpec) Column(sch *types.Schema) types.Column {
 	switch a.Func {
 	case Count:
-		return types.Int64
+		return types.Col(a.Name, types.Int64)
 	case Avg:
-		return types.Float64
+		return types.Col(a.Name, types.Float64)
 	case Sum:
 		if a.Arg.Kind(sch) == types.Int64 {
-			return types.Int64
+			return types.Col(a.Name, types.Int64)
 		}
-		return types.Float64
-	default: // Min, Max
-		return a.Arg.Kind(sch)
+		return types.Col(a.Name, types.Float64)
 	}
+	if k := a.Arg.Kind(sch); k != types.String { // Min, Max
+		return types.Col(a.Name, k)
+	}
+	return types.Char(a.Name, expr.StringWidth(a.Arg, sch))
 }
 
 // AggAlgorithm selects the hash-aggregation strategy the paper evaluates
@@ -475,12 +477,12 @@ type HashAgg struct {
 	keys   []expr.Expr
 	algo   AggAlgorithm
 
-	// RowExec makes every worker compute its group keys and aggregate
-	// arguments by Eval per tuple (set before Open): a row key encoder
-	// and row-wrapped argument kernels stand in for the fused ones. Keys,
-	// hashes and argument vectors come out identical, and the operator
-	// code around them is the same.
-	RowExec bool
+	// Partial marks one node's share of a two-phase aggregation (set
+	// before Open). Without keys and without input it emits no row: the
+	// one row a scalar aggregate owes is the final aggregation's to
+	// give, and a partial row of zeros would reach the final MIN and MAX
+	// as a value.
+	Partial bool
 
 	plans []aggPlan
 	// keyStride is the byte length of the key columns in an output row.
@@ -524,7 +526,7 @@ func NewHashAgg(child Iterator, inSch *types.Schema, keys []expr.Expr,
 		cols = append(cols, types.Column{Name: keyNames[i], Kind: kind, Width: w})
 	}
 	for _, s := range specs {
-		cols = append(cols, types.Col(s.Name, s.ResultKind(inSch)))
+		cols = append(cols, s.Column(inSch))
 	}
 	ha := &HashAgg{
 		child: child, inSch: inSch,
@@ -536,7 +538,10 @@ func NewHashAgg(child Iterator, inSch *types.Schema, keys []expr.Expr,
 		flushed: NewBarrier(),
 		pool:    NewContextPool(CoreMode),
 	}
-	ha.keyStride = ha.outSch.Stride() - 8*len(specs)
+	ha.keyStride = ha.outSch.Stride()
+	if len(specs) > 0 {
+		ha.keyStride = ha.outSch.Offset(len(keys))
+	}
 	ha.groupBytes = int64(112 + 56*len(specs) + 32*len(keys))
 	ha.vectorized = expr.NewBatchKeyEncoder(keys, inSch).Vectorized()
 	for j, s := range specs {
@@ -613,13 +618,9 @@ func (ha *HashAgg) setSpillErr(err error) {
 // Open call, or the reabsorption of one spilled shard.
 func (ha *HashAgg) newWorker() *aggWorker {
 	w := &aggWorker{
+		keys:  expr.NewBatchKeyEncoder(ha.keys, ha.inSch),
 		kerns: make([]expr.BatchExpr, len(ha.plans)),
 		vecs:  make([]*expr.Vec, len(ha.plans)),
-	}
-	if ha.RowExec {
-		w.keys = expr.NewRowKeyEncoder(ha.keys, ha.inSch)
-	} else {
-		w.keys = expr.NewBatchKeyEncoder(ha.keys, ha.inSch)
 	}
 	for j := range ha.plans {
 		p := &ha.plans[j]
@@ -629,9 +630,6 @@ func (ha *HashAgg) newWorker() *aggWorker {
 			w.vecs[j] = w.vecs[p.same]
 		default:
 			w.kerns[j], w.vecs[j] = p.kern, new(expr.Vec)
-			if ha.RowExec {
-				w.kerns[j] = expr.CompileRowBatch(p.arg, ha.inSch)
-			}
 		}
 	}
 	return w
@@ -842,6 +840,9 @@ func (ha *HashAgg) flushPrivate(priv *aggTable) {
 // shards drop their groups and refund their budget immediately, so the
 // operator's footprint falls as results stream out.
 func (ha *HashAgg) Next(ctx *Ctx) (*block.Block, Status) {
+	if ha.Partial && len(ha.keys) == 0 && ha.rowsIn.Load() == 0 {
+		return nil, End
+	}
 	full := block.DefaultSize / ha.outSch.Stride()
 	var out *block.Block
 	for out == nil || out.NumTuples() < full {

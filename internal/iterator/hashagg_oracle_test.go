@@ -306,8 +306,7 @@ func runElastic(it Iterator, src *blockSource, workers int, resize bool, tr *blo
 }
 
 // TestHashAggAgainstOracle runs seeded random inputs through every
-// algorithm, RowExec on and off, one and four workers, with and without
-// a shrink and an expand mid-stream, and compares the output rows byte
+// algorithm, one and four workers, with and without a shrink and an expand mid-stream, and compares the output rows byte
 // for byte with the oracle's. The shapes: few groups, composite keys of
 // every kind, a computed key and one outside the fused shapes, more
 // groups than a hybrid private table holds, no keys, and no rows.
@@ -343,20 +342,17 @@ func TestHashAggAgainstOracle(t *testing.T) {
 			t.Fatalf("%s: oracle has %d rows on empty input", sh.name, len(want))
 		}
 		for _, algo := range []AggAlgorithm{SharedAgg, IndependentAgg, HybridAgg} {
-			for _, rowExec := range []bool{false, true} {
-				for _, workers := range []int{1, 4} {
-					for _, resize := range []bool{false, true} {
-						name := fmt.Sprintf("%s/algo%d/rowexec=%v/w%d/resize=%v", sh.name, algo, rowExec, workers, resize)
-						src := &blockSource{blocks: blocks}
-						ha := NewHashAgg(src, oracleSchema, sh.keys, names, specs, algo)
-						ha.RowExec = rowExec
-						tr := block.NewTracker()
-						out := runElastic(ha, src, workers, resize, tr)
-						checkAggOutput(t, name, out, want, workers+1)
-						ha.Close()
-						if cur := tr.Current(); cur != 0 {
-							t.Errorf("%s: %d tracked bytes after the output was released", name, cur)
-						}
+			for _, workers := range []int{1, 4} {
+				for _, resize := range []bool{false, true} {
+					name := fmt.Sprintf("%s/algo%d/w%d/resize=%v", sh.name, algo, workers, resize)
+					src := &blockSource{blocks: blocks}
+					ha := NewHashAgg(src, oracleSchema, sh.keys, names, specs, algo)
+					tr := block.NewTracker()
+					out := runElastic(ha, src, workers, resize, tr)
+					checkAggOutput(t, name, out, want, workers+1)
+					ha.Close()
+					if cur := tr.Current(); cur != 0 {
+						t.Errorf("%s: %d tracked bytes after the output was released", name, cur)
 					}
 				}
 			}
@@ -414,31 +410,28 @@ func TestHashAggSpillAgainstOracle(t *testing.T) {
 	outSch := NewHashAgg(nil, oracleSchema, keys, names, specs, SharedAgg).Schema()
 	want := oracleAgg(blocks, oracleSchema, outSch, keys, specs)
 	for _, algo := range []AggAlgorithm{SharedAgg, IndependentAgg, HybridAgg} {
-		for _, rowExec := range []bool{false, true} {
-			for _, workers := range []int{1, 4} {
-				name := fmt.Sprintf("algo%d/rowexec=%v/w%d", algo, rowExec, workers)
-				src := &blockSource{blocks: blocks}
-				ha := NewHashAgg(src, oracleSchema, keys, names, specs, algo)
-				ha.RowExec = rowExec
-				acct := block.NewBudget("node", 2<<20).Sub("agg")
-				ha.Mem = &MemConfig{Acct: acct, SpillDir: t.TempDir(), Op: "hashagg",
-					Scope: telemetry.NewScope("test")}
-				tr := block.NewTracker()
-				out := runElastic(ha, src, workers, true, tr)
-				if err := ha.SpillError(); err != nil {
-					t.Fatalf("%s: spill error: %v", name, err)
-				}
-				if ha.Mem.Scope.Counter(telemetry.CtrSpillEvents).Load() == 0 {
-					t.Errorf("%s: nothing spilled; the budget is not binding", name)
-				}
-				checkAggOutput(t, name, out, want, workers+1)
-				ha.Close()
-				if cur := acct.Current(); cur != 0 {
-					t.Errorf("%s: budget account holds %d bytes after Close", name, cur)
-				}
-				if cur := tr.Current(); cur != 0 {
-					t.Errorf("%s: %d tracked bytes after Close", name, cur)
-				}
+		for _, workers := range []int{1, 4} {
+			name := fmt.Sprintf("algo%d/w%d", algo, workers)
+			src := &blockSource{blocks: blocks}
+			ha := NewHashAgg(src, oracleSchema, keys, names, specs, algo)
+			acct := block.NewBudget("node", 2<<20).Sub("agg")
+			ha.Mem = &MemConfig{Acct: acct, SpillDir: t.TempDir(), Op: "hashagg",
+				Scope: telemetry.NewScope("test")}
+			tr := block.NewTracker()
+			out := runElastic(ha, src, workers, true, tr)
+			if err := ha.SpillError(); err != nil {
+				t.Fatalf("%s: spill error: %v", name, err)
+			}
+			if ha.Mem.Scope.Counter(telemetry.CtrSpillEvents).Load() == 0 {
+				t.Errorf("%s: nothing spilled; the budget is not binding", name)
+			}
+			checkAggOutput(t, name, out, want, workers+1)
+			ha.Close()
+			if cur := acct.Current(); cur != 0 {
+				t.Errorf("%s: budget account holds %d bytes after Close", name, cur)
+			}
+			if cur := tr.Current(); cur != 0 {
+				t.Errorf("%s: %d tracked bytes after Close", name, cur)
 			}
 		}
 	}

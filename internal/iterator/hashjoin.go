@@ -42,15 +42,6 @@ type HashJoin struct {
 	buildKeys    []expr.Expr
 	probeKeys    []expr.Expr
 
-	// RowExec forces row-at-a-time key computation (set before Open):
-	// every key expression is Eval'd per tuple. The default computes
-	// build and probe keys through the kernels of a BatchKeyEncoder,
-	// one vectorized pass per key column per block. Both produce
-	// byte-identical keys and Hash64 placements, so they interoperate
-	// freely — including against spilled rows, which are always
-	// re-keyed row-at-a-time.
-	RowExec bool
-
 	// Mem wires the join into memory governance (set by the engine
 	// before Open; nil runs unbudgeted and never spills).
 	Mem *MemConfig
@@ -139,14 +130,6 @@ func (hj *HashJoin) Schema() *types.Schema { return hj.outSch }
 // fallback when computed batch-at-a-time (plan display).
 func (hj *HashJoin) Vectorized() bool { return hj.vectorized }
 
-// newKeys builds a worker's key encoder for one side of the join.
-func (hj *HashJoin) newKeys(keys []expr.Expr, sch *types.Schema) *expr.BatchKeyEncoder {
-	if hj.RowExec {
-		return expr.NewRowKeyEncoder(keys, sch)
-	}
-	return expr.NewBatchKeyEncoder(keys, sch)
-}
-
 // BuildRows returns the number of rows inserted into the hash table.
 func (hj *HashJoin) BuildRows() int64 { return hj.buildRows.Load() }
 
@@ -186,7 +169,7 @@ func (hj *HashJoin) Open(ctx *Ctx) Status {
 		return Terminated
 	}
 	// Each worker owns its key encoder and scatter scratch.
-	keys := hj.newKeys(hj.buildKeys, hj.buildSch)
+	keys := expr.NewBatchKeyEncoder(hj.buildKeys, hj.buildSch)
 	var byShard scatter
 	for {
 		b, st := hj.build.Next(ctx)
@@ -391,7 +374,7 @@ func (hj *HashJoin) worker(ctx *Ctx) *joinWorker {
 	if w, ok := hj.workers.Load(ctx); ok {
 		return w.(*joinWorker)
 	}
-	w := &joinWorker{keys: hj.newKeys(hj.probeKeys, hj.probeSch)}
+	w := &joinWorker{keys: expr.NewBatchKeyEncoder(hj.probeKeys, hj.probeSch)}
 	hj.workers.Store(ctx, w)
 	return w
 }

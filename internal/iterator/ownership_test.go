@@ -75,11 +75,6 @@ func TestConsumersRecycleTheirInput(t *testing.T) {
 		wantRows int // -1: not checked
 	}{
 		{"filter", func() Iterator { return NewFilter(fresh(), sch, half) }, rows / 2},
-		{"filter-rowexec", func() Iterator {
-			f := NewFilter(fresh(), sch, half)
-			f.RowExec = true
-			return f
-		}, rows / 2},
 		{"filter-block-per-block", func() Iterator {
 			f := NewFilter(fresh(), sch, half)
 			f.BlockPerBlock = true
@@ -88,11 +83,6 @@ func TestConsumersRecycleTheirInput(t *testing.T) {
 		{"project", func() Iterator {
 			return NewProject(fresh(), sch, types.NewSchema(types.Col("k", types.Int64), types.Char("s", 24)),
 				[]expr.Expr{k, expr.NewCol(2, "s")})
-		}, rows},
-		{"project-rowexec", func() Iterator {
-			p := NewProject(fresh(), sch, types.NewSchema(types.Col("v", types.Float64)), []expr.Expr{v})
-			p.RowExec = true
-			return p
 		}, rows},
 		{"join-probe", func() Iterator { return NewHashJoin(NewScan(dim), fresh(), sch, sch, keys, keys) }, rows / 2},
 		{"join-build", func() Iterator { return NewHashJoin(fresh(), NewScan(dim), sch, sch, keys, keys) }, rows / 2},

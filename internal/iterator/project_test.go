@@ -12,13 +12,15 @@ import (
 	"repro/internal/types"
 )
 
-// TestProjectMovesMatchRowExec holds the default Project — byte moves
-// for plain columns, kernels for the rest — to RowExec's PutValue loop,
-// byte for byte, on seeded random schemas and projections: permuted,
-// duplicated and adjacent columns, the identity, and columns mixed with
-// computed expressions and width changes. Under the race detector the
-// output blocks come from a poisoned arena, so a byte no move or kernel
-// writes shows as 0xA5.
+// TestProjectMovesMatchRowExec holds Project — byte moves for plain
+// columns, kernels for the rest — to putValueRows, the per-row
+// Eval + PutValue loop the operator once kept as its row-at-a-time
+// mode, byte for byte, on seeded random schemas and projections:
+// permuted, duplicated and adjacent columns, the identity, and columns
+// mixed with computed expressions and width changes. Under the race
+// detector the output blocks come from a poisoned arena, so a byte no
+// move or kernel writes shows as 0xA5. (The name, and the subtest names
+// under it, predate the reference's move into this file.)
 func TestProjectMovesMatchRowExec(t *testing.T) {
 	for seed := int64(1); seed <= 40; seed++ {
 		rng := rand.New(rand.NewSource(seed))
@@ -38,21 +40,35 @@ func TestProjectMovesMatchRowExec(t *testing.T) {
 				if shape.moves > 0 && len(p.moves) != shape.moves {
 					t.Fatalf("%d moves, want %d", len(p.moves), shape.moves)
 				}
-				ref := NewProject(&blockSource{blocks: blocks}, sch, outSch, shape.exprs)
-				ref.RowExec = true
-				got, want := drainBytes(t, p), drainBytes(t, ref)
+				got, want := drainBytes(t, p), putValueRows(blocks, sch, outSch, shape.exprs)
 				if !bytes.Equal(got, want) {
 					st := outSch.Stride()
 					for r := 0; r*st < len(want); r++ {
 						if g, w := got[r*st:(r+1)*st], want[r*st:(r+1)*st]; !bytes.Equal(g, w) {
-							t.Fatalf("%s over %v: row %d is %x, RowExec wrote %x", shape.exprs, sch.Cols, r, g, w)
+							t.Fatalf("%s over %v: row %d is %x, PutValue wrote %x", shape.exprs, sch.Cols, r, g, w)
 						}
 					}
-					t.Fatalf("%d output bytes, RowExec wrote %d", len(got), len(want))
+					t.Fatalf("%d output bytes, PutValue wrote %d", len(got), len(want))
 				}
 			})
 		}
 	}
+}
+
+// putValueRows is the reference projection: every expression Eval'd
+// per input row and stored with PutValue, rows back to back.
+func putValueRows(blocks []*block.Block, sch, outSch *types.Schema, exprs []expr.Expr) []byte {
+	var out []byte
+	for _, b := range blocks {
+		for i := 0; i < b.NumTuples(); i++ {
+			dst := make([]byte, outSch.Stride())
+			for c, e := range exprs {
+				types.PutValue(dst, outSch, c, e.Eval(b.Row(i), sch))
+			}
+			out = append(out, dst...)
+		}
+	}
+	return out
 }
 
 // drainBytes runs a projection on one worker and returns its output

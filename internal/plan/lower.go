@@ -423,8 +423,8 @@ func (lw *lowerer) lowerTwoPhaseAgg(n *LAgg, child PhysOp, prop partProp,
 	}
 	partial := &PHashAgg{
 		Child: child, Keys: n.Keys, KeyNames: n.KeyNames, Specs: pSpecs,
-		Algo: algo,
-		Sch:  aggOutputSchema(n.Keys, n.KeyNames, pSpecs, inSch),
+		Algo: algo, Partial: true,
+		Sch: aggOutputSchema(n.Keys, n.KeyNames, pSpecs, inSch),
 	}
 
 	// Repartition on the group keys (gather for scalar aggregation).

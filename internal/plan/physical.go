@@ -78,6 +78,8 @@ type PHashAgg struct {
 	Specs    []iterator.AggSpec
 	Algo     iterator.AggAlgorithm
 	Sch      *types.Schema
+	// Partial marks the node-local half of a two-phase aggregation.
+	Partial bool
 	// VecKeys reports whether the group keys and every aggregate
 	// argument compile to fused batch kernels (Explain only).
 	VecKeys bool

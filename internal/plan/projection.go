@@ -290,7 +290,7 @@ func aggOutputSchema(keys []expr.Expr, keyNames []string,
 		cols = append(cols, types.Column{Name: keyNames[i], Kind: kind, Width: w})
 	}
 	for _, s := range specs {
-		cols = append(cols, types.Col(s.Name, s.ResultKind(in)))
+		cols = append(cols, s.Column(in))
 	}
 	return types.NewSchema(cols...)
 }

@@ -1,6 +1,8 @@
 package tpch
 
 import (
+	"fmt"
+	"sort"
 	"strings"
 	"testing"
 
@@ -23,6 +25,25 @@ func loadedCluster(t *testing.T, mode engine.Mode, nodes int, sf float64) *engin
 		t.Fatal(err)
 	}
 	return c
+}
+
+// canonical renders a result order-insensitively.
+func canonical(res *engine.Result) string {
+	rows := res.Rows()
+	lines := make([]string, len(rows))
+	for i, row := range rows {
+		parts := make([]string, len(row))
+		for j, v := range row {
+			if v.Kind == types.Float64 && !v.Null {
+				parts[j] = fmt.Sprintf("%.6g", v.F)
+			} else {
+				parts[j] = v.String()
+			}
+		}
+		lines[i] = strings.Join(parts, ",")
+	}
+	sort.Strings(lines)
+	return strings.Join(lines, ";")
 }
 
 func TestGeneratorCardinalities(t *testing.T) {

@@ -149,7 +149,9 @@ type segInst struct {
 	joins   []*iterator.HashJoin
 	aggs    []*iterator.HashAgg
 	hasScan bool
-	done    chan struct{}
+	// scanBlocks is the most blocks any of its scans reads on this node.
+	scanBlocks int
+	done       chan struct{}
 }
 
 // exec carries one query's runtime state. All measurement flows through
@@ -798,6 +800,7 @@ func (e *exec) buildBare(op plan.PhysOp, env buildEnv) (iterator.Iterator, error
 				return nil, err
 			}
 			env.inst.hasScan = true
+			env.inst.scanBlocks = max(env.inst.scanBlocks, len(part.Blocks))
 			it = iterator.NewScanWithSchema(part, n.Sch)
 		} else {
 			nodes := e.nodesOf(env.seg)
@@ -1108,14 +1111,20 @@ func (e *exec) expand(inst *segInst, must bool) bool {
 // an expansion would be (a fully booked node, memory above the high
 // water). Instances start in plan order, producers first, so a
 // table-reading segment takes its node's cores before consumers that
-// have no input yet book them.
+// have no input yet book them. An instance whose only input is its
+// scans takes no more workers than they have blocks on its node: a
+// worker past that would find nothing to read.
 func (e *exec) start(inst *segInst) {
 	if e.c.cfg.Mode != EP {
 		e.startInst(inst, e.c.cfg.FixedParallelism)
 		return
 	}
 	e.startInst(inst, 1)
-	for w := 1; w < e.c.cfg.CoresPerNode; w++ {
+	width := e.c.cfg.CoresPerNode
+	if inst.hasScan && len(inst.mergers) == 0 {
+		width = min(width, inst.scanBlocks)
+	}
+	for w := 1; w < width; w++ {
 		if !e.expand(inst, false) {
 			return
 		}

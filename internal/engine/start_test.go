@@ -3,6 +3,7 @@ package engine
 import (
 	"context"
 	"errors"
+	"fmt"
 	"testing"
 	"time"
 
@@ -33,6 +34,8 @@ func buildStartCluster(t *testing.T) *Cluster {
 		types.Col("ship", types.Int64),
 	)
 	cat.MustAdd(&catalog.Table{Name: "items", Schema: sch, PartKey: []int{0}})
+	nation := types.NewSchema(types.Col("n_nationkey", types.Int64), types.Char("n_name", 15))
+	cat.MustAdd(&catalog.Table{Name: "nation", Schema: nation, PartKey: []int{0}})
 	c := NewCluster(Config{
 		Nodes: nodes, CoresPerNode: 2, Mode: EP, SchedTick: time.Hour,
 		BlockSize: 4096, ExchangeBuffer: 2, MemoryPerNode: 64 << 20,
@@ -49,6 +52,16 @@ func buildStartCluster(t *testing.T) *Cluster {
 		types.PutValue(r, sch, 3, types.FloatVal(float64(i%50)))
 		types.PutValue(r, sch, 4, types.FloatVal(float64(i%997)))
 		types.PutValue(r, sch, 5, types.IntVal(int64(i%10_000)))
+		tl.Add()
+	}
+	tl.Close()
+	if tl, err = c.NewTableLoader("nation"); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 25; i++ {
+		r := tl.Row()
+		types.PutValue(r, nation, 0, types.IntVal(int64(i)))
+		types.PutValue(r, nation, 1, types.StrVal(fmt.Sprintf("NATION%d", i)))
 		tl.Add()
 	}
 	tl.Close()
@@ -176,5 +189,26 @@ func TestEPStartTakesFreeCores(t *testing.T) {
 		if used, over := c.UsedCores(n), c.OversubscribedCores(n); used != 0 || over != 0 {
 			t.Errorf("node %d after the drain: %d cores leased, %d oversubscribed", n, used, over)
 		}
+	}
+}
+
+// TestEPStartFillStopsAtTheScansBlocks: the start-time fill gives a
+// table-reading instance no more workers than its scan has blocks on
+// that node, so a one-block scan runs on its mandatory worker alone
+// (a second would find nothing to read). The 25-row nation table is one
+// block per node.
+func TestEPStartFillStopsAtTheScansBlocks(t *testing.T) {
+	c := buildStartCluster(t)
+	widths, res := startWidths(t, c, "SELECT n_name FROM nation WHERE n_nationkey = 3")
+	for n, w := range widths["S0"] {
+		if w != 1 {
+			t.Errorf("S0 on node %d: %d workers at most, want 1", n, w)
+		}
+	}
+	if peak, _ := res.Analysis.SegmentWorkers(res.Analysis.Plan.Segments[0]); peak != 1 {
+		t.Errorf("EXPLAIN ANALYZE: segment 0 workers peak=%d, want 1", peak)
+	}
+	if res.NumRows() != 1 {
+		t.Errorf("%d rows, want 1", res.NumRows())
 	}
 }

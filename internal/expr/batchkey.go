@@ -7,12 +7,15 @@
 // Keys are byte-identical to KeyEncoder.Encode and hashed with the same
 // Hash64, so batch-built and row-built hash tables interoperate: hash
 // join probes, aggregation shard placement and repartition routing all
-// agree regardless of which side took which path.
+// agree regardless of which side took which path. The one exception is
+// NewGroupKeyEncoder's word key, whose hashes stay inside the
+// aggregation that made them.
 package expr
 
 import (
 	"encoding/binary"
 	"math"
+	"math/bits"
 
 	"repro/internal/block"
 	"repro/internal/types"
@@ -45,6 +48,10 @@ type BatchKeyEncoder struct {
 	// fixed-width numeric column (9 bytes each: tag + payload), enabling
 	// the indexed fast path in EncodeBlock; 0 otherwise.
 	fixedW int
+	// words is set only by NewGroupKeyEncoder, for a key that packs into
+	// one 64-bit word: then EncodeBlock packs and hashes words and writes
+	// no key bytes (encodeWords).
+	words []wordField
 
 	slab   []byte  // concatenated keys
 	ends   []int32 // ends[j] = end offset of key j in slab (start = ends[j-1])
@@ -89,6 +96,63 @@ func NewBatchKeyEncoder(exprs []Expr, sch *types.Schema) *BatchKeyEncoder {
 	return enc
 }
 
+// wordField is one column of a word key: where it sits in the record
+// and which bits of the word it fills.
+type wordField struct {
+	off, width int
+	shift      uint   // the field's first byte lands at bit shift
+	mask       uint64 // the low 8*width bits
+	char       bool   // a CHAR field: cut at its first NUL, as GetStringBytes is
+}
+
+// NewGroupKeyEncoder is NewBatchKeyEncoder for a hash aggregation's
+// group keys. When every key is a plain column and the key fits in one
+// word — one Int64 or Date column, or CHAR columns whose widths sum to
+// at most 8 — each key is packed into a uint64 at fixed bit positions
+// and Hash returns a bijection of that word (Word reports it). Two rows
+// then have equal hashes exactly when their general encodings are equal,
+// so the hash is the key and Key is not defined. These hashes are not
+// Hash64: they may not route rows or meet a table built by another
+// encoder. Any other key list gets the general encoder.
+func NewGroupKeyEncoder(exprs []Expr, sch *types.Schema) *BatchKeyEncoder {
+	enc := NewBatchKeyEncoder(exprs, sch)
+	enc.words = wordFields(exprs, sch)
+	return enc
+}
+
+// wordFields lays out a word key's fields, or returns nil when the keys
+// do not make one.
+func wordFields(exprs []Expr, sch *types.Schema) []wordField {
+	var fs []wordField
+	used := 0 // bits
+	for _, e := range exprs {
+		c, ok := e.(*Col)
+		if !ok {
+			return nil
+		}
+		col := sch.Cols[c.Idx]
+		f := wordField{off: sch.Offset(c.Idx), width: col.Width, shift: uint(used)}
+		switch col.Kind {
+		case types.Int64, types.Date:
+			f.width = 8
+		case types.String:
+			f.char = true
+		default:
+			return nil
+		}
+		if used += 8 * f.width; used > 64 {
+			return nil
+		}
+		f.mask = ^uint64(0) >> (64 - 8*f.width)
+		fs = append(fs, f)
+	}
+	return fs
+}
+
+// Word reports whether the encoder packs its keys into words: Hash is
+// then the key, and Key is not defined.
+func (enc *BatchKeyEncoder) Word() bool { return enc.words != nil }
+
 // Vectorized reports whether every key expression avoids the
 // row-at-a-time fallback — the planner's Explain annotation for key
 // computations.
@@ -112,6 +176,9 @@ func (enc *BatchKeyEncoder) EncodeBlock(b *block.Block, sel []int32) int {
 	enc.hashes = enc.hashes[:0]
 	if n == 0 {
 		return 0
+	}
+	if enc.words != nil {
+		return enc.encodeWords(b, sel, n)
 	}
 	if enc.fixedW > 0 {
 		return enc.encodeFixed(b, sel, n)
@@ -232,6 +299,73 @@ func (enc *BatchKeyEncoder) encodeFixed(b *block.Block, sel []int32, n int) int 
 		enc.hashes[j] = Hash64(out)
 	}
 	return n
+}
+
+// encodeWords is EncodeBlock for a word key: each row's fields are
+// packed into one uint64 and the word's mix is its hash. A CHAR field
+// keeps its bytes up to the first NUL and zeroes the rest, so two
+// fields pack equal exactly when GetStringBytes reads them equal; the
+// fields sit at fixed bit positions, so ("", "A") and ("A", "") differ.
+func (enc *BatchKeyEncoder) encodeWords(b *block.Block, sel []int32, n int) int {
+	if cap(enc.hashes) < n {
+		enc.hashes = make([]uint64, n)
+	}
+	hashes := enc.hashes[:n]
+	st := enc.sch.Stride()
+	payload := b.Bytes()
+	for j := range hashes {
+		row := j
+		if sel != nil {
+			row = int(sel[j])
+		}
+		base := row * st
+		var w uint64
+		for i := range enc.words {
+			f := &enc.words[i]
+			var v uint64
+			// One load and the mask, unless the field ends within 8
+			// bytes of the block's last byte: then byte by byte.
+			if at := base + f.off; at+8 <= len(payload) {
+				v = binary.LittleEndian.Uint64(payload[at:]) & f.mask
+			} else {
+				for k := at + f.width - 1; k >= at; k-- {
+					v = v<<8 | uint64(payload[k])
+				}
+			}
+			if f.char {
+				v = cutAtNUL(v)
+			}
+			w |= v << f.shift
+		}
+		hashes[j] = mixWord(w)
+	}
+	enc.hashes = hashes
+	return n
+}
+
+// cutAtNUL zeroes the bytes of v (little-endian) from its first zero
+// byte on. z flags every zero byte, and possibly bytes above one, with
+// its high bit; the lowest flag is always the first zero byte.
+func cutAtNUL(v uint64) uint64 {
+	const lo, hi = 0x0101010101010101, 0x8080808080808080
+	if z := (v - lo) &^ v & hi; z != 0 {
+		v &= 1<<(bits.TrailingZeros64(z)&^7) - 1
+	}
+	return v
+}
+
+// mixWord is splitmix64's finalizer: a bijection on uint64 (each step,
+// an xor with a right shift of itself or a multiply by an odd constant,
+// is invertible) that spreads every input bit over the whole word, so
+// the top six bits that pick a shard and the bits from the seventh up
+// that pick a bucket are as good as Hash64's.
+func mixWord(x uint64) uint64 {
+	x ^= x >> 30
+	x *= 0xbf58476d1ce4e5b9
+	x ^= x >> 27
+	x *= 0x94d049bb133111eb
+	x ^= x >> 31
+	return x
 }
 
 // Key returns the encoded key of the j-th selected row of the last

@@ -94,3 +94,62 @@ func FuzzKeyEncoder(f *testing.F) {
 		}
 	})
 }
+
+// FuzzWordKey checks the aggregation's word key against the general
+// encoding: for keys that pack into one word — two CHAR columns whose
+// widths sum to at most 8, or one Int64 column — two rows get equal
+// hashes exactly when their general encodings are equal, whatever
+// bytes follow a NUL in a CHAR field. A key one byte too wide for a
+// word keeps the general encoding and Hash64.
+func FuzzWordKey(f *testing.F) {
+	f.Add("", "A", "A", "", uint8(3), uint8(5), int64(-1), int64(1))
+	f.Add("A\x00x", "b", "A\x00y", "b", uint8(3), uint8(5), int64(math.MinInt64), int64(math.MinInt64))
+	f.Add("\x00Z", "\x00", "", "", uint8(2), uint8(2), int64(0), int64(0))
+	f.Add("abcd", "efgh", "abcd", "efgi", uint8(4), uint8(4), int64(math.MaxInt64), int64(math.MinInt64))
+	f.Add("R", "F", "R", "F\x00\x01", uint8(1), uint8(1), int64(-5), int64(5))
+	f.Fuzz(func(t *testing.T, a0, b0, a1, b1 string, wa, wb uint8, n0, n1 int64) {
+		w1 := 1 + int(wa)%7      // 1..7
+		w2 := 1 + int(wb)%(8-w1) // 1..8-w1: the pair fits in a word
+		// b is last, so the record ends less than 8 bytes after it starts
+		// and the encoder reads it byte by byte; a is read with one load.
+		sch := types.NewSchema(types.Char("a", w1), types.Col("n", types.Int64),
+			types.Char("c", 9-w1), types.Char("b", w2))
+		blk := block.New(sch, 2*sch.Stride(), nil)
+		for _, r := range [][]any{{a0, b0, n0}, {a1, b1, n1}} {
+			rec := blk.AppendRowTo()
+			clear(rec)
+			types.PutString(rec, sch.Offset(0), w1, r[0].(string))
+			types.PutInt(rec, sch.Offset(1), r[2].(int64))
+			types.PutString(rec, sch.Offset(2), 9-w1, r[1].(string))
+			types.PutString(rec, sch.Offset(3), w2, r[1].(string))
+		}
+		a, n, c, b := NewCol(0, "a"), NewCol(1, "n"), NewCol(2, "c"), NewCol(3, "b")
+		for _, keys := range [][]Expr{{a, b}, {b, a}, {n}, {a}} {
+			general, word := NewBatchKeyEncoder(keys, sch), NewGroupKeyEncoder(keys, sch)
+			if !word.Word() {
+				t.Fatalf("keys %v (widths %d, %d) do not make a word key", keys, w1, w2)
+			}
+			general.EncodeBlock(blk, nil)
+			word.EncodeBlock(blk, nil)
+			sameKey := bytes.Equal(general.Key(0), general.Key(1))
+			if sameHash := word.Hash(0) == word.Hash(1); sameKey != sameHash {
+				t.Fatalf("keys %v: general keys %x, %x (equal %v), word hashes %#x, %#x",
+					keys, general.Key(0), general.Key(1), sameKey, word.Hash(0), word.Hash(1))
+			}
+		}
+		// a + c is 9 bytes wide: the general encoding, byte for byte.
+		wide := []Expr{a, c}
+		general, group := NewBatchKeyEncoder(wide, sch), NewGroupKeyEncoder(wide, sch)
+		if group.Word() {
+			t.Fatalf("a 9-byte key makes a word key")
+		}
+		general.EncodeBlock(blk, nil)
+		group.EncodeBlock(blk, nil)
+		for j := 0; j < 2; j++ {
+			if !bytes.Equal(group.Key(j), general.Key(j)) || group.Hash(j) != general.Hash(j) {
+				t.Fatalf("row %d: group encoder %x/%#x, general %x/%#x",
+					j, group.Key(j), group.Hash(j), general.Key(j), general.Hash(j))
+			}
+		}
+	})
+}

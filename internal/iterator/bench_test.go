@@ -291,3 +291,37 @@ func BenchmarkHashAggQ1Shape(b *testing.B) {
 	}
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/rows, "ns/row")
 }
+
+// BenchmarkHashAggDateKey aggregates the way S-Q4's partial aggregation
+// does: one DATE key with about 2 500 groups, SUM and AVG of two float
+// columns (the AVG split into SUM and COUNT), under the hybrid
+// algorithm the planner now picks for it and the shared one it picked
+// before.
+func BenchmarkHashAggDateKey(b *testing.B) {
+	const rows = 200_000
+	sch := types.NewSchema(types.Col("commit", types.Date),
+		types.Col("qty", types.Float64), types.Col("disc", types.Float64))
+	p := buildPartition(sch, rows, 64*1024, func(i int, rec []byte) {
+		types.PutValue(rec, sch, 0, types.DateVal(8000+int64(i*7919%2466)))
+		types.PutValue(rec, sch, 1, types.FloatVal(float64(1+i%50)))
+		types.PutValue(rec, sch, 2, types.FloatVal(float64(i%11)/100))
+	})
+	qty, disc := expr.NewCol(1, "qty"), expr.NewCol(2, "disc")
+	specs := []AggSpec{
+		{Func: Sum, Arg: qty, Name: "sum_qty"},
+		{Func: Sum, Arg: disc, Name: "avg_disc_s"},
+		{Func: Count, Arg: disc, Name: "avg_disc_c"},
+	}
+	keys := []expr.Expr{expr.NewCol(0, "commit")}
+	for _, algo := range []AggAlgorithm{HybridAgg, SharedAgg} {
+		b.Run(algo.String(), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				ha := NewHashAgg(NewScan(p), sch, keys, []string{"commit"}, specs, algo)
+				drainAll(b, ha)
+				ha.Close()
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/rows, "ns/row")
+		})
+	}
+}

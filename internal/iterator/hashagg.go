@@ -80,6 +80,16 @@ const (
 	HybridAgg
 )
 
+var aggAlgorithmNames = [...]string{"shared", "independent", "hybrid"}
+
+// String names the algorithm as EXPLAIN shows it.
+func (a AggAlgorithm) String() string {
+	if int(a) >= len(aggAlgorithmNames) {
+		return fmt.Sprintf("AggAlgorithm(%d)", int(a))
+	}
+	return aggAlgorithmNames[a]
+}
+
 // accMode is how one aggregate accumulates: which accumulator columns
 // it keeps and what it reads its argument from. It is fixed when the
 // operator is built, so an update kernel switches on it once per block,
@@ -87,20 +97,21 @@ const (
 type accMode uint8
 
 const (
-	// accCount keeps cnt: COUNT(*) counts rows, COUNT(x) the non-NULL
-	// entries of x.
+	// accCount keeps no column of its own unless its argument can be
+	// NULL: COUNT(*) and COUNT(col) read the table's row count, COUNT(x)
+	// counts the non-NULL entries of x in cnt.
 	accCount accMode = iota
-	// accSumInt keeps cnt and sumI: SUM over an Int64 vector.
+	// accSumInt keeps sumI: SUM of an Int64 column or vector.
 	accSumInt
-	// accSumFloat keeps cnt and sumF: SUM over a Float64 or Date vector
-	// and AVG over any numeric one, accumulated as float64.
+	// accSumFloat keeps sumF: SUM of a Float64 or Date column or vector
+	// and AVG of any numeric one, accumulated as float64.
 	accSumFloat
-	// accBoxed keeps cnt, sumI and sumF and folds boxed Values: SUM and
-	// AVG of an argument that has no kind-faithful numeric vector. Only
-	// the Value says which kind a row evaluated to, and the sums follow
-	// it row by row.
+	// accBoxed keeps sumI and sumF and folds boxed Values: SUM and AVG
+	// of an argument that has no kind-faithful numeric vector. Only the
+	// Value says which kind a row evaluated to, and the sums follow it
+	// row by row.
 	accBoxed
-	// accExtreme keeps cnt and ext: MIN and MAX, ordered by Value.Compare.
+	// accExtreme keeps ext: MIN and MAX, ordered by Value.Compare.
 	accExtreme
 )
 
@@ -109,45 +120,47 @@ const (
 type aggPlan struct {
 	fn   AggFunc
 	mode accMode
-	arg  expr.Expr // nil for COUNT(*)
-	// kern is arg's fused batch kernel. It is nil for COUNT(*) and for
-	// an argument outside the fused shapes, whose runtime kind a vector
-	// would coerce to the static one: those rows are Eval'd into boxed
-	// Values instead.
+	arg  expr.Expr // nil for COUNT(*) and COUNT(col)
+	kind types.Kind
+	// off is the argument's record offset when the aggregate is a SUM or
+	// AVG of an Int64, Float64 or Date column, which the update loop
+	// reads in place; -1 otherwise.
+	off int
+	// kern is arg's fused batch kernel. It is nil without an argument,
+	// for a column read in place, and for an argument outside the fused
+	// shapes, whose runtime kind a vector would coerce to the static one:
+	// those rows are Eval'd into boxed Values instead.
 	kern expr.BatchExpr
-	// same is the earlier aggregate that reads the same column, whose
-	// vector this one shares (sum(x) and avg(x) load x once); -1 if none.
-	same int
+	// own: the aggregate keeps its own count, of the rows whose argument
+	// was not NULL. Only an argument that is not a record column can be
+	// NULL; MIN and MAX of a column keep one too, to tell their first
+	// value. Every other aggregate reads the table's row count.
+	own bool
 }
 
-func planAgg(s AggSpec, inSch *types.Schema, earlier []aggPlan) aggPlan {
-	p := aggPlan{fn: s.Func, arg: s.Arg, same: -1}
-	if col, ok := s.Arg.(*expr.Col); ok {
-		if s.Func == Count {
-			p.arg = nil // a record column is never NULL: COUNT(col) counts rows
-		}
-		for j := range earlier {
-			if ec, ok := earlier[j].arg.(*expr.Col); ok && ec.Idx == col.Idx && p.arg != nil {
-				p.same = j
-				break
-			}
-		}
+func planAgg(s AggSpec, inSch *types.Schema) aggPlan {
+	p := aggPlan{fn: s.Func, arg: s.Arg, off: -1}
+	col, isCol := s.Arg.(*expr.Col)
+	if isCol && s.Func == Count {
+		p.arg = nil // a record column is never NULL: COUNT(col) counts rows
 	}
-	var kind types.Kind
 	if p.arg != nil {
-		kind = p.arg.Kind(inSch)
-		if k := expr.CompileBatch(p.arg, inSch); k.Fused() {
+		p.kind = p.arg.Kind(inSch)
+		if isCol && (s.Func == Sum || s.Func == Avg) && p.kind != types.String {
+			p.off = inSch.Offset(col.Idx)
+		} else if k := expr.CompileBatch(p.arg, inSch); k.Fused() {
 			p.kern = k
 		}
 	}
+	p.own = p.arg != nil && p.off < 0
 	switch {
 	case s.Func == Count:
 		p.mode = accCount
 	case s.Func == Min || s.Func == Max:
 		p.mode = accExtreme
-	case p.kern == nil || kind == types.String:
+	case p.off < 0 && (p.kern == nil || p.kind == types.String):
 		p.mode = accBoxed
-	case s.Func == Sum && kind == types.Int64:
+	case s.Func == Sum && p.kind == types.Int64:
 		p.mode = accSumInt
 	default:
 		p.mode = accSumFloat
@@ -165,9 +178,9 @@ func (p *aggPlan) value(b *block.Block, sch *types.Schema, v *expr.Vec, i int32)
 }
 
 // aggAcc is one aggregate's accumulator columns, indexed by group id.
-// Its mode decides which of them exist.
+// Its plan decides which of them exist.
 type aggAcc struct {
-	cnt  []int64       // inputs folded in: rows for COUNT(*), non-NULL values otherwise
+	cnt  []int64       // non-NULL inputs folded in, when the plan is own
 	sumI []int64       // sum of the Int64 inputs
 	sumF []float64     // sum of all inputs as float64
 	ext  []types.Value // the extreme so far, valid where cnt > 0
@@ -176,9 +189,11 @@ type aggAcc struct {
 // grow adds a zeroed accumulator for one more group. The columns are
 // reallocated when full to hold room groups, the table's bucket count,
 // so they double when the table does.
-func (a *aggAcc) grow(m accMode, room int) {
-	a.cnt = extend(a.cnt, 1, room)
-	switch m {
+func (a *aggAcc) grow(p *aggPlan, room int) {
+	if p.own {
+		a.cnt = extend(a.cnt, 1, room)
+	}
+	switch p.mode {
 	case accSumInt:
 		a.sumI = extend(a.sumI, 1, room)
 	case accSumFloat:
@@ -207,10 +222,9 @@ func extend[T any](s []T, n, room int) []T {
 func (a *aggAcc) update(p *aggPlan, b *block.Block, sch *types.Schema, v *expr.Vec, rows, gids []int32) {
 	cnt := a.cnt
 	switch {
-	case p.arg == nil:
-		for _, g := range gids {
-			cnt[g]++
-		}
+	case p.arg == nil: // the table's row count is the answer
+	case p.off >= 0:
+		a.updateColumn(p, b.Bytes(), sch.Stride(), rows, gids)
 	case p.mode == accCount && v != nil:
 		for j, g := range gids {
 			if !v.Null[rows[j]] {
@@ -250,6 +264,31 @@ func (a *aggAcc) update(p *aggPlan, b *block.Block, sch *types.Schema, v *expr.V
 	}
 }
 
+// updateColumn is update for a SUM or AVG of a column: it reads row
+// rows[j]'s value at p.off in the block's payload in, whose records are
+// st bytes apart. A record column is never NULL, so there is no count
+// to keep.
+func (a *aggAcc) updateColumn(p *aggPlan, in []byte, st int, rows, gids []int32) {
+	off := p.off
+	switch {
+	case p.mode == accSumInt:
+		sum := a.sumI
+		for j, g := range gids {
+			sum[g] += types.GetInt(in, int(rows[j])*st+off)
+		}
+	case p.kind == types.Float64:
+		sum := a.sumF
+		for j, g := range gids {
+			sum[g] += types.GetFloat(in, int(rows[j])*st+off)
+		}
+	default: // an Int64 or Date column into a float sum
+		sum := a.sumF
+		for j, g := range gids {
+			sum[g] += float64(types.GetInt(in, int(rows[j])*st+off))
+		}
+	}
+}
+
 // fold adds one non-NULL boxed value to group g.
 func (a *aggAcc) fold(p *aggPlan, g int32, x types.Value) {
 	switch p.mode {
@@ -275,9 +314,9 @@ func (p *aggPlan) beats(x, cur types.Value) bool {
 }
 
 // merge folds group gs of src, another table's accumulators for the
-// same aggregate, into group g.
+// same aggregate, into group g. The tables merge their row counts.
 func (a *aggAcc) merge(p *aggPlan, g int32, src *aggAcc, gs int32) {
-	if src.cnt[gs] == 0 {
+	if p.own && src.cnt[gs] == 0 {
 		return
 	}
 	switch p.mode {
@@ -293,18 +332,21 @@ func (a *aggAcc) merge(p *aggPlan, g int32, src *aggAcc, gs int32) {
 			a.ext[g] = src.ext[gs]
 		}
 	}
-	a.cnt[g] += src.cnt[gs]
+	if p.own {
+		a.cnt[g] += src.cnt[gs]
+	}
 }
 
 // emit writes the aggregate's result for groups 0..n-1 into column col
-// of the n rows at buf (laid out per sch). A NULL result stores the
-// zero value, as PutValue does: records carry no null bitmap.
-func (a *aggAcc) emit(p *aggPlan, sch *types.Schema, col int, buf []byte, n int) {
+// of the n rows at buf (laid out per sch); cnt is the count it reads
+// (aggTable.counts). A NULL result stores the zero value, as PutValue
+// does: records carry no null bitmap.
+func (a *aggAcc) emit(p *aggPlan, sch *types.Schema, col int, buf []byte, n int, cnt []int64) {
 	st, off, kind := sch.Stride(), sch.Offset(col), sch.Cols[col].Kind
 	switch {
 	case p.fn == Count:
 		for g := 0; g < n; g++ {
-			types.PutInt(buf[g*st:], off, a.cnt[g])
+			types.PutInt(buf[g*st:], off, cnt[g])
 		}
 	case p.fn == Sum && kind == types.Int64:
 		for g := 0; g < n; g++ {
@@ -317,8 +359,8 @@ func (a *aggAcc) emit(p *aggPlan, sch *types.Schema, col int, buf []byte, n int)
 	case p.fn == Avg:
 		for g := 0; g < n; g++ {
 			var avg float64
-			if a.cnt[g] > 0 {
-				avg = a.sumF[g] / float64(a.cnt[g])
+			if cnt[g] > 0 {
+				avg = a.sumF[g] / float64(cnt[g])
 			}
 			types.PutFloat(buf[g*st:], off, avg)
 		}
@@ -350,25 +392,45 @@ func copyVal(v types.Value) types.Value {
 type aggTable struct {
 	tab     joinTable
 	keyRows []byte   // per group, its key columns laid out as the output row's prefix
+	cnt     []int64  // per group, the input rows folded into it
 	accs    []aggAcc // per aggregate
 }
 
 func (t *aggTable) groups() int { return len(t.tab.rows) }
 
-// add appends a group for key (Hash64 h) with zeroed accumulators and
-// returns its id and its key row, which the caller fills.
+// add appends a group for key (hash h) with zeroed accumulators and
+// returns its id and its key row, which the caller fills. A word key
+// has no key bytes: its hash is the key.
 func (t *aggTable) add(ha *HashAgg, h uint64, key []byte) (int32, []byte) {
 	g := t.groups()
 	t.tab.insert(h, key)
 	room := len(t.tab.buckets)
 	t.keyRows = extend(t.keyRows, ha.keyStride, room*ha.keyStride)
+	t.cnt = extend(t.cnt, 1, room)
 	if t.accs == nil {
 		t.accs = make([]aggAcc, len(ha.plans))
 	}
 	for j := range t.accs {
-		t.accs[j].grow(ha.plans[j].mode, room)
+		t.accs[j].grow(&ha.plans[j], room)
 	}
 	return int32(g), t.keyRows[g*ha.keyStride:]
+}
+
+// lookup returns the group of the key with hash h, or -1.
+func (t *aggTable) lookup(ha *HashAgg, h uint64, key []byte) int32 {
+	if ha.wordKey {
+		return t.tab.lookupWord(h)
+	}
+	return t.tab.lookup(h, key)
+}
+
+// counts returns the count column aggregate j reads: its own when it
+// keeps one, the table's row count otherwise.
+func (t *aggTable) counts(p *aggPlan, j int) []int64 {
+	if p.own {
+		return t.accs[j].cnt
+	}
+	return t.cnt
 }
 
 // resolve finds the group of every row in sel (row indexes into b,
@@ -379,8 +441,12 @@ func (t *aggTable) add(ha *HashAgg, h uint64, key []byte) (int32, []byte) {
 func (t *aggTable) resolve(ha *HashAgg, w *aggWorker, b *block.Block, sel, rest []int32, admit func() bool) []int32 {
 	rows, gids := w.rows[:0], w.gids[:0]
 	for _, i := range sel {
-		h, key := w.keys.Hash(int(i)), w.keys.Key(int(i))
-		g := t.tab.lookup(h, key)
+		h := w.keys.Hash(int(i))
+		var key []byte
+		if !ha.wordKey {
+			key = w.keys.Key(int(i))
+		}
+		g := t.lookup(ha, h, key)
 		if g < 0 {
 			if !admit() {
 				rest = append(rest, i)
@@ -400,10 +466,15 @@ func (t *aggTable) resolve(ha *HashAgg, w *aggWorker, b *block.Block, sel, rest 
 	return rest
 }
 
-// update runs one loop per aggregate over the rows resolve placed.
+// update counts the rows resolve placed into their groups, then runs
+// one loop per aggregate over them.
 func (t *aggTable) update(ha *HashAgg, w *aggWorker, b *block.Block) {
 	if len(w.rows) == 0 {
 		return
+	}
+	cnt := t.cnt
+	for _, g := range w.gids {
+		cnt[g]++
 	}
 	for j := range ha.plans {
 		t.accs[j].update(&ha.plans[j], b, ha.inSch, w.vecs[j], w.rows, w.gids)
@@ -421,7 +492,8 @@ func (t *aggTable) emit(ha *HashAgg, out *block.Block) {
 		copy(buf[g*st:g*st+ks], t.keyRows[g*ks:])
 	}
 	for j := range ha.plans {
-		t.accs[j].emit(&ha.plans[j], ha.outSch, len(ha.keys)+j, buf, n)
+		p := &ha.plans[j]
+		t.accs[j].emit(p, ha.outSch, len(ha.keys)+j, buf, n, t.counts(p, j))
 	}
 }
 
@@ -441,8 +513,11 @@ type aggShard struct {
 
 const aggShards = 1 << shardBits
 
-// maxPrivateGroups bounds hybrid aggregation's private tables.
-const maxPrivateGroups = 4096
+// MaxPrivateGroups bounds hybrid aggregation's private tables. It is
+// also the planner's line between the algorithms: an aggregation
+// estimated to have at most this many groups gets HybridAgg, whose
+// private tables then hold every group a worker meets.
+const MaxPrivateGroups = 4096
 
 // aggWorker is one worker's consume-phase scratch, reused block after
 // block. The private table is not part of it: that is parked in the
@@ -465,11 +540,12 @@ type aggWorker struct {
 // global table behind an atomic shard cursor.
 //
 // Open works a block at a time. A worker encodes the block's keys and
-// evaluates every aggregate argument once, resolves each row to a
-// dense group id — first in its private table, then, for the rows that
-// table handed on, shard by shard in the global one, each shard's lock
-// taken once per block — and runs one loop per aggregate over the
-// resolved ids into accumulator columns.
+// evaluates every computed aggregate argument once, resolves each row
+// to a dense group id — first in its private table, then, for the rows
+// that table handed on, shard by shard in the global one, each shard's
+// lock taken once per block — counts the rows into their groups, and
+// runs one loop per aggregate over the resolved ids into accumulator
+// columns. A SUM or AVG of a column reads it in place in that loop.
 type HashAgg struct {
 	child  Iterator
 	inSch  *types.Schema
@@ -490,6 +566,10 @@ type HashAgg struct {
 	// vectorized: the keys and every aggregate argument avoid the row
 	// fallback; see Vectorized.
 	vectorized bool
+	// wordKey: the group key packs into one word, whose hash is the key
+	// (expr.NewGroupKeyEncoder). Tables then hold no key bytes and
+	// compare hashes only.
+	wordKey bool
 
 	// Mem wires the aggregation into memory governance (set by the
 	// engine before Open; nil runs unbudgeted and never spills).
@@ -543,10 +623,11 @@ func NewHashAgg(child Iterator, inSch *types.Schema, keys []expr.Expr,
 		ha.keyStride = ha.outSch.Offset(len(keys))
 	}
 	ha.groupBytes = int64(112 + 56*len(specs) + 32*len(keys))
-	ha.vectorized = expr.NewBatchKeyEncoder(keys, inSch).Vectorized()
+	enc := expr.NewGroupKeyEncoder(keys, inSch)
+	ha.vectorized, ha.wordKey = enc.Vectorized(), enc.Word()
 	for j, s := range specs {
-		ha.plans[j] = planAgg(s, inSch, ha.plans[:j])
-		if p := &ha.plans[j]; p.arg != nil && p.kern == nil {
+		ha.plans[j] = planAgg(s, inSch)
+		if p := &ha.plans[j]; p.arg != nil && p.off < 0 && p.kern == nil {
 			ha.vectorized = false
 		}
 	}
@@ -579,11 +660,13 @@ func (ha *HashAgg) Serial() {
 }
 
 // shard returns the global-table shard of a key with hash h.
-func (ha *HashAgg) shard(h uint64) *aggShard {
+func (ha *HashAgg) shard(h uint64) *aggShard { return &ha.shards[ha.shardIndex(h)] }
+
+func (ha *HashAgg) shardIndex(h uint64) int {
 	if len(ha.shards) == 1 {
-		return &ha.shards[0]
+		return 0
 	}
-	return &ha.shards[shardOf(h)]
+	return shardOf(h)
 }
 
 // Schema returns the aggregation output schema.
@@ -618,18 +701,13 @@ func (ha *HashAgg) setSpillErr(err error) {
 // Open call, or the reabsorption of one spilled shard.
 func (ha *HashAgg) newWorker() *aggWorker {
 	w := &aggWorker{
-		keys:  expr.NewBatchKeyEncoder(ha.keys, ha.inSch),
+		keys:  expr.NewGroupKeyEncoder(ha.keys, ha.inSch),
 		kerns: make([]expr.BatchExpr, len(ha.plans)),
 		vecs:  make([]*expr.Vec, len(ha.plans)),
 	}
 	for j := range ha.plans {
-		p := &ha.plans[j]
-		switch {
-		case p.kern == nil:
-		case p.same >= 0:
-			w.vecs[j] = w.vecs[p.same]
-		default:
-			w.kerns[j], w.vecs[j] = p.kern, new(expr.Vec)
+		if k := ha.plans[j].kern; k != nil {
+			w.kerns[j], w.vecs[j] = k, new(expr.Vec)
 		}
 	}
 	return w
@@ -725,7 +803,7 @@ func (w *aggWorker) encode(b *block.Block) []int32 {
 // spilling, a private one cannot.
 func (ha *HashAgg) absorbPrivate(w *aggWorker, priv *aggTable, b *block.Block, sel []int32) []int32 {
 	w.over = priv.resolve(ha, w, b, sel, w.over[:0], func() bool {
-		return (ha.algo != HybridAgg || priv.groups() < maxPrivateGroups) &&
+		return (ha.algo != HybridAgg || priv.groups() < MaxPrivateGroups) &&
 			ha.Mem.reserveSmall(ha.groupBytes)
 	})
 	priv.update(ha, w, b)
@@ -803,14 +881,46 @@ func (ha *HashAgg) enterSpill(sh *aggShard) bool {
 // merged into an existing group refunds it. Private groups flushed into
 // a spill-mode shard insert resident rather than spilling — a partial
 // aggregate cannot be replayed as input rows — a bounded, soft
-// overshoot (private tables are capped).
+// overshoot (private tables are capped). The groups are sorted by shard
+// first, so each shard's lock is taken once per flush.
 func (ha *HashAgg) flushPrivate(priv *aggTable) {
+	n := priv.groups()
+	// A counting sort of the group ids by shard: shard s's groups are
+	// order[start[s]:start[s+1]].
+	start := make([]int32, len(ha.shards)+1)
+	for g := 0; g < n; g++ {
+		start[ha.shardIndex(priv.tab.rows[g].hash)+1]++
+	}
+	for s := 1; s < len(start); s++ {
+		start[s] += start[s-1]
+	}
+	order := make([]int32, n)
+	next := append([]int32(nil), start[:len(ha.shards)]...)
+	for g := 0; g < n; g++ {
+		s := ha.shardIndex(priv.tab.rows[g].hash)
+		order[next[s]] = int32(g)
+		next[s]++
+	}
 	var merged int64
-	for g := int32(0); int(g) < priv.groups(); g++ {
+	for s := range ha.shards {
+		if start[s] < start[s+1] {
+			merged += ha.flushShard(&ha.shards[s], priv, order[start[s]:start[s+1]])
+		}
+	}
+	ha.Mem.freeSmall(merged * ha.groupBytes)
+	*priv = aggTable{}
+}
+
+// flushShard merges the private groups gs, all of shard sh, under one
+// acquisition of its lock, and returns how many it merged into groups
+// sh already held.
+func (ha *HashAgg) flushShard(sh *aggShard, priv *aggTable, gs []int32) (merged int64) {
+	sh.mu.Lock()
+	defer sh.mu.Unlock()
+	added := 0
+	for _, g := range gs {
 		h, key := priv.tab.rows[g].hash, priv.tab.key(g)
-		sh := ha.shard(h)
-		sh.mu.Lock()
-		dst := sh.tab.lookup(h, key)
+		dst := sh.lookup(ha, h, key)
 		if dst < 0 {
 			var keyRow []byte
 			dst, keyRow = sh.add(ha, h, key)
@@ -818,17 +928,17 @@ func (ha *HashAgg) flushPrivate(priv *aggTable) {
 			if ha.Mem.enabled() {
 				sh.charged++
 			}
-			ha.memGroups.Add(1)
+			added++
 		} else {
 			merged++
 		}
+		sh.cnt[dst] += priv.cnt[g]
 		for j := range ha.plans {
 			sh.accs[j].merge(&ha.plans[j], dst, &priv.accs[j], g)
 		}
-		sh.mu.Unlock()
 	}
-	ha.Mem.freeSmall(merged * ha.groupBytes)
-	*priv = aggTable{}
+	ha.memGroups.Add(int64(added))
+	return merged
 }
 
 // Next emits the groups of the global table, shard by shard behind an

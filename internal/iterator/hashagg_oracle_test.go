@@ -2,6 +2,7 @@ package iterator
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"sync"
 	"sync/atomic"
@@ -172,14 +173,38 @@ func (s *blockSource) Next(ctx *Ctx) (*block.Block, Status) {
 // oracleSchema has a key and an argument column of every kind, plus z,
 // the divisor that makes vf/z NULL where it is zero. Every float is a
 // small multiple of 0.25, so sums are exact in any order and workers
-// adding in different orders still agree to the bit.
+// adding in different orders still agree to the bit. The last four are
+// keys for the word-key shapes: CHAR columns of widths 3, 5 and 6 (so
+// ca+cb fill a word exactly and ca+cc overflow it) whose values may
+// differ only after a NUL, and kn, negative numbers and MinInt64.
 var oracleSchema = types.NewSchema(
 	types.Col("ki", types.Int64), types.Col("kf", types.Float64),
 	types.Col("kd", types.Date), types.Char("ks", 6),
 	types.Col("vi", types.Int64), types.Col("vf", types.Float64),
 	types.Col("vd", types.Date), types.Char("vs", 4),
 	types.Col("z", types.Int64),
+	types.Char("ca", 3), types.Char("cb", 5), types.Char("cc", 6),
+	types.Col("kn", types.Int64),
 )
+
+// The word-key columns' values, picked by the row's key number k. A
+// value's bytes after its first NUL are not part of it: "A\x00x" and
+// "A\x00y" are "A", and "\x00Z" is "". ("", "A") and ("A", "") are
+// both among the (ca, cb) pairs.
+var (
+	caVals = []string{"", "A", "A\x00x", "A\x00y", "B", "ab\x00"}
+	cbVals = []string{"A", "", "\x00Z", "xyzw", "A\x00\x00q", "Bcdef"}
+	ccVals = []string{"", "A", "ab\x00cd", "abcdef", "ab"}
+)
+
+// knVal is kn's value for key number k: negative, and MinInt64 (plus a
+// little) for every seventh.
+func knVal(k int) int64 {
+	if k%7 == 0 {
+		return math.MinInt64 + int64(k%3)
+	}
+	return -int64(k) * 1_000_003
+}
 
 // oracleBlocks draws rows over card distinct key tuples into blocks of
 // random sizes: a block may be larger than every block before it. The
@@ -210,6 +235,10 @@ func oracleBlocks(rng *rand.Rand, rows, card int) []*block.Block {
 			types.PutValue(rec, sch, 6, types.DateVal(10000+int64(rng.Intn(3000))))
 			types.PutValue(rec, sch, 7, types.StrVal(fmt.Sprintf("%c%c", 'a'+rng.Intn(26), 'a'+rng.Intn(26))))
 			types.PutValue(rec, sch, 8, types.IntVal(int64([]int{0, 1, 2, 4}[rng.Intn(4)])))
+			types.PutValue(rec, sch, 9, types.StrVal(caVals[k%len(caVals)]))
+			types.PutValue(rec, sch, 10, types.StrVal(cbVals[k/len(caVals)%len(cbVals)]))
+			types.PutValue(rec, sch, 11, types.StrVal(ccVals[k/len(caVals)%len(ccVals)]))
+			types.PutValue(rec, sch, 12, types.IntVal(knVal(k)))
 		}
 		b.MarkShared()
 		out = append(out, b)
@@ -309,25 +338,36 @@ func runElastic(it Iterator, src *blockSource, workers int, resize bool, tr *blo
 // algorithm, one and four workers, with and without a shrink and an expand mid-stream, and compares the output rows byte
 // for byte with the oracle's. The shapes: few groups, composite keys of
 // every kind, a computed key and one outside the fused shapes, more
-// groups than a hybrid private table holds, no keys, and no rows.
+// groups than a hybrid private table holds, no keys, and no rows; and
+// the keys that pack into one word beside the ones that just miss: two
+// CHAR columns 8 bytes wide against 9, values that differ only after a
+// NUL, ("", "A") against ("A", ""), negative numbers and MinInt64, and
+// hybrid overflow under either key form.
 func TestHashAggAgainstOracle(t *testing.T) {
 	ki, kf := expr.NewCol(0, "ki"), expr.NewCol(1, "kf")
 	kd, ks := expr.NewCol(2, "kd"), expr.NewCol(3, "ks")
 	vi := expr.NewCol(4, "vi")
+	ca, cb, cc, kn := expr.NewCol(9, "ca"), expr.NewCol(10, "cb"), expr.NewCol(11, "cc"), expr.NewCol(12, "kn")
 	shapes := []struct {
 		name       string
 		keys       []expr.Expr
 		rows, card int
+		word       bool // the key packs into one word
 	}{
-		{"few-groups", []expr.Expr{ks}, 3000, 40},
-		{"every-kind", []expr.Expr{ki, kf, kd, ks}, 3000, 900},
-		{"computed", []expr.Expr{expr.NewArith(expr.Add, ki, vi), expr.NewExtract(expr.Year, kd)}, 3000, 50},
+		{"few-groups", []expr.Expr{ks}, 3000, 40, true},
+		{"every-kind", []expr.Expr{ki, kf, kd, ks}, 3000, 900, false},
+		{"computed", []expr.Expr{expr.NewArith(expr.Add, ki, vi), expr.NewExtract(expr.Year, kd)}, 3000, 50, false},
 		{"unfused-key", []expr.Expr{expr.NewCase([]expr.When{{
-			Cond: expr.NewCmp(expr.GT, vi, expr.NewConst(types.IntVal(5))), Then: ki}}, kf)}, 3000, 60},
-		{"overflow", []expr.Expr{ki}, 3 * maxPrivateGroups, maxPrivateGroups + 1500},
-		{"scalar", nil, 3000, 10},
-		{"scalar-empty", nil, 0, 1},
-		{"keyed-empty", []expr.Expr{ki}, 0, 1},
+			Cond: expr.NewCmp(expr.GT, vi, expr.NewConst(types.IntVal(5))), Then: ki}}, kf)}, 3000, 60, false},
+		{"overflow", []expr.Expr{ki}, 3 * MaxPrivateGroups, MaxPrivateGroups + 1500, true},
+		{"overflow-byte-key", []expr.Expr{ki, kd}, 3 * MaxPrivateGroups, MaxPrivateGroups + 1500, false},
+		{"scalar", nil, 3000, 10, false},
+		{"scalar-empty", nil, 0, 1, false},
+		{"keyed-empty", []expr.Expr{ki}, 0, 1, true},
+		{"char-width-8", []expr.Expr{ca, cb}, 3000, 400, true},
+		{"char-width-8-swapped", []expr.Expr{cb, ca}, 3000, 400, true},
+		{"char-width-9", []expr.Expr{ca, cc}, 3000, 400, false},
+		{"negative-and-min", []expr.Expr{kn}, 3000, 500, true},
 	}
 	specs := oracleSpecs()
 	for si, sh := range shapes {
@@ -336,7 +376,11 @@ func TestHashAggAgainstOracle(t *testing.T) {
 		for i := range names {
 			names[i] = fmt.Sprintf("k%d", i)
 		}
-		outSch := NewHashAgg(nil, oracleSchema, sh.keys, names, specs, SharedAgg).Schema()
+		probe := NewHashAgg(nil, oracleSchema, sh.keys, names, specs, SharedAgg)
+		if probe.wordKey != sh.word {
+			t.Errorf("%s: word key %v, want %v", sh.name, probe.wordKey, sh.word)
+		}
+		outSch := probe.Schema()
 		want := oracleAgg(blocks, oracleSchema, outSch, sh.keys, specs)
 		if sh.rows == 0 && len(want) != map[bool]int{true: 1, false: 0}[len(sh.keys) == 0] {
 			t.Fatalf("%s: oracle has %d rows on empty input", sh.name, len(want))
@@ -344,7 +388,7 @@ func TestHashAggAgainstOracle(t *testing.T) {
 		for _, algo := range []AggAlgorithm{SharedAgg, IndependentAgg, HybridAgg} {
 			for _, workers := range []int{1, 4} {
 				for _, resize := range []bool{false, true} {
-					name := fmt.Sprintf("%s/algo%d/w%d/resize=%v", sh.name, algo, workers, resize)
+					name := fmt.Sprintf("%s/%s/w%d/resize=%v", sh.name, algo, workers, resize)
 					src := &blockSource{blocks: blocks}
 					ha := NewHashAgg(src, oracleSchema, sh.keys, names, specs, algo)
 					tr := block.NewTracker()
@@ -401,17 +445,29 @@ func checkAggOutput(t *testing.T, name string, out []*block.Block, want map[stri
 // emission — under every algorithm that can meet a budget mid-stream,
 // with workers coming and going. Results must still equal the oracle's,
 // and after Close the budget account and the block tracker are back at
-// zero.
+// zero. The keys are encoded bytes once and one word once.
 func TestHashAggSpillAgainstOracle(t *testing.T) {
-	ki, ks := expr.NewCol(0, "ki"), expr.NewCol(3, "ks")
-	keys, names := []expr.Expr{ki, ks}, []string{"ki", "ks"}
+	ki, ks, kn := expr.NewCol(0, "ki"), expr.NewCol(3, "ks"), expr.NewCol(12, "kn")
+	for _, kc := range []struct {
+		name  string
+		keys  []expr.Expr
+		names []string
+	}{
+		{"byte-key", []expr.Expr{ki, ks}, []string{"ki", "ks"}},
+		{"word-key", []expr.Expr{kn}, []string{"kn"}},
+	} {
+		testHashAggSpill(t, kc.name, kc.keys, kc.names)
+	}
+}
+
+func testHashAggSpill(t *testing.T, keyName string, keys []expr.Expr, names []string) {
 	specs := oracleSpecs()
 	blocks := oracleBlocks(rand.New(rand.NewSource(5)), 16000, 5000)
 	outSch := NewHashAgg(nil, oracleSchema, keys, names, specs, SharedAgg).Schema()
 	want := oracleAgg(blocks, oracleSchema, outSch, keys, specs)
 	for _, algo := range []AggAlgorithm{SharedAgg, IndependentAgg, HybridAgg} {
 		for _, workers := range []int{1, 4} {
-			name := fmt.Sprintf("algo%d/w%d", algo, workers)
+			name := fmt.Sprintf("%s/%s/w%d", keyName, algo, workers)
 			src := &blockSource{blocks: blocks}
 			ha := NewHashAgg(src, oracleSchema, keys, names, specs, algo)
 			acct := block.NewBudget("node", 2<<20).Sub("agg")
@@ -434,5 +490,61 @@ func TestHashAggSpillAgainstOracle(t *testing.T) {
 				t.Errorf("%s: %d tracked bytes after Close", name, cur)
 			}
 		}
+	}
+}
+
+// TestHashAggConcurrentFlushesByShard: four private tables holding the
+// same groups, spread over every shard, are flushed into the global
+// table at once. Each flush sorts its groups by shard and merges a
+// shard's under one acquisition of its lock, so the flushes interleave
+// shard by shard; the result must still equal the oracle's over four
+// copies of the input, and the global table must count each group once.
+// Under either key form: a word key's groups carry no key bytes.
+func TestHashAggConcurrentFlushesByShard(t *testing.T) {
+	const flushes = 4
+	ki, kd, kn := expr.NewCol(0, "ki"), expr.NewCol(2, "kd"), expr.NewCol(12, "kn")
+	for _, keys := range [][]expr.Expr{{kn}, {ki, kd}} {
+		names := make([]string, len(keys))
+		for i := range names {
+			names[i] = fmt.Sprintf("k%d", i)
+		}
+		specs := oracleSpecs()
+		blocks := oracleBlocks(rand.New(rand.NewSource(9)), 6000, 3000)
+		ha := NewHashAgg(nil, oracleSchema, keys, names, specs, HybridAgg)
+		var all []*block.Block
+		privs := make([]*aggTable, flushes)
+		for f := range privs {
+			privs[f] = new(aggTable)
+			w := ha.newWorker()
+			for _, b := range blocks {
+				if over := ha.absorbPrivate(w, privs[f], b, w.encode(b)); len(over) > 0 {
+					t.Fatalf("%d rows did not fit the private table", len(over))
+				}
+			}
+			all = append(all, blocks...)
+		}
+		var wg sync.WaitGroup
+		for _, priv := range privs {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				ha.flushPrivate(priv)
+			}()
+		}
+		wg.Wait()
+		want := oracleAgg(all, oracleSchema, ha.Schema(), keys, specs)
+		if got := ha.Groups(); got != int64(len(want)) {
+			t.Errorf("word key %v: global table counts %d groups, oracle has %d", ha.wordKey, got, len(want))
+		}
+		var out []*block.Block
+		ctx := &Ctx{Term: new(TermFlag)}
+		for {
+			b, st := ha.Next(ctx)
+			if st != OK {
+				break
+			}
+			out = append(out, b)
+		}
+		checkAggOutput(t, fmt.Sprintf("word key %v", ha.wordKey), out, want, 1)
 	}
 }

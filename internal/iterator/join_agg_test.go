@@ -195,7 +195,7 @@ func TestHashAggIndependent(t *testing.T)    { checkAggResult(t, IndependentAgg,
 func TestHashAggHybrid(t *testing.T)         { checkAggResult(t, HybridAgg, 4) }
 
 func TestHashAggLargeCardinalityHybridOverflow(t *testing.T) {
-	// More groups than maxPrivateGroups forces the overflow path.
+	// More groups than MaxPrivateGroups forces the overflow path.
 	const rows = 30000
 	sch, mk := aggPartition(rows, 10000)
 	ha := NewHashAgg(mk(), sch,

@@ -39,7 +39,7 @@ type joinTable struct {
 // together so that a step along a chain touches one cache line, and a
 // doubling reallocates one array.
 type joinRow struct {
-	hash   uint64 // Hash64 of the row's key
+	hash   uint64 // the row's key hash: Hash64, or a word key's mix
 	next   int32  // the row after this one on its bucket's chain, -1 at the end
 	keyEnd uint32 // the key is keys[rows[id-1].keyEnd:keyEnd]
 }
@@ -96,6 +96,22 @@ func (t *joinTable) lookup(h uint64, key []byte) int32 {
 		return -1
 	}
 	return t.match(t.buckets[t.bucket(h)], h, key)
+}
+
+// lookupWord is lookup for a table whose hashes are its keys: an
+// aggregation's word keys (expr.NewGroupKeyEncoder), inserted with no
+// key bytes. Equal hashes are equal keys, so the chain compares hashes
+// only.
+func (t *joinTable) lookupWord(h uint64) int32 {
+	if len(t.buckets) == 0 {
+		return -1
+	}
+	for id := t.buckets[t.bucket(h)]; id >= 0; id = t.rows[id].next {
+		if t.rows[id].hash == h {
+			return id
+		}
+	}
+	return -1
 }
 
 // after returns the next row after id with the same key, or -1.

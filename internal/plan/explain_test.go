@@ -32,7 +32,7 @@ segment 1 (all-nodes):
 segment 2 (all-nodes):
   top-10
     project (2 exprs) [vec]
-      hash agg (1 keys, 1 aggs) [vec]
+      hash agg (1 keys, 1 aggs, shared, word key) [vec]
         merger (exchange 1)
   -> gather via exchange 2
 segment 3 (master):

@@ -63,9 +63,13 @@ type LAgg struct {
 	KeyCols  []string // qualified names when keys are plain columns
 	Specs    []iterator.AggSpec
 	// EstGroups is the binder's group-cardinality estimate (product of
-	// key NDVs), driving the partial-aggregation decision; 0 = unknown.
+	// key NDVs, guessed for a key the catalog has none for), driving the
+	// partial-aggregation decision; 0 = unknown.
 	EstGroups int64
-	sch       *types.Schema
+	// EstKnown: no key's factor of EstGroups was guessed. Only a known
+	// estimate picks the aggregation algorithm (chooseAggAlgorithm).
+	EstKnown bool
+	sch      *types.Schema
 }
 
 // Schema implements Logical.

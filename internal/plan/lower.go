@@ -7,7 +7,6 @@ import (
 	"repro/internal/expr"
 	"repro/internal/iterator"
 	"repro/internal/sql"
-	"repro/internal/types"
 )
 
 // Compile parses, binds and lowers a SQL query into a distributed plan.
@@ -141,7 +140,8 @@ func annotateVec(op PhysOp) {
 	case *PHashAgg:
 		annotateVec(n.Child)
 		inSch := n.Child.Schema()
-		n.VecKeys = expr.NewBatchKeyEncoder(n.Keys, inSch).Vectorized()
+		enc := expr.NewGroupKeyEncoder(n.Keys, inSch)
+		n.VecKeys, n.WordKey = enc.Vectorized(), enc.Word()
 		for _, s := range n.Specs {
 			if s.Arg != nil && !expr.CompileBatch(s.Arg, inSch).Fused() {
 				n.VecKeys = false
@@ -488,19 +488,14 @@ func (lw *lowerer) lowerTwoPhaseAgg(n *LAgg, child PhysOp, prop partProp,
 	return proj, outProp, nil
 }
 
-// chooseAggAlgorithm picks shared aggregation for large estimated
-// group-by cardinality and hybrid for small, mirroring the paper's
-// observation (Figure 8b) that shared tables contend under few groups.
+// chooseAggAlgorithm picks by the binder's group estimate, mirroring
+// the paper's observation (Figure 8b) that a shared table contends
+// under few groups and private tables stop paying under many: hybrid
+// when the estimate fits in one private table (a scalar aggregate's is
+// 1), shared when it does not or when a key's NDV had to be guessed.
 func chooseAggAlgorithm(n *LAgg) iterator.AggAlgorithm {
-	if len(n.Keys) == 0 {
+	if n.EstKnown && n.EstGroups > 0 && n.EstGroups <= iterator.MaxPrivateGroups {
 		return iterator.HybridAgg
-	}
-	for _, k := range n.Keys {
-		if k.Kind(n.Child.Schema()) == types.String {
-			// String keys in these workloads (flags, status) are
-			// low-cardinality.
-			return iterator.HybridAgg
-		}
 	}
 	return iterator.SharedAgg
 }

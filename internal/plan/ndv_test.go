@@ -27,8 +27,10 @@ func TestGroupEstimateReadsCatalogNDV(t *testing.T) {
 		if ndv, ok := cat.ColNDV(tc.col.Name); ok && ndv != tc.want {
 			t.Fatalf("catalog.ColNDV(%q) = %d, test table expects %d", tc.col.Name, ndv, tc.want)
 		}
-		if got := b.estimateGroups([]sql.Expr{&tc.col}, nil); got != tc.want {
-			t.Errorf("estimateGroups(%s) = %d, want %d", tc.col.String(), got, tc.want)
+		_, inCat := cat.ColNDV(tc.col.Name)
+		if got, known := b.estimateGroups([]sql.Expr{&tc.col}, nil); got != tc.want || known != inCat {
+			t.Errorf("estimateGroups(%s) = %d, known %v; want %d, known %v",
+				tc.col.String(), got, known, tc.want, inCat)
 		}
 	}
 }

@@ -83,10 +83,27 @@ type PHashAgg struct {
 	// VecKeys reports whether the group keys and every aggregate
 	// argument compile to fused batch kernels (Explain only).
 	VecKeys bool
+	// WordKey reports whether the group key packs into one word that is
+	// its own hash (expr.NewGroupKeyEncoder; Explain only).
+	WordKey bool
 }
 
 // Schema implements PhysOp.
 func (a *PHashAgg) Schema() *types.Schema { return a.Sch }
+
+// label is what EXPLAIN says the aggregation is: its shape, the
+// algorithm, and, with keys, whether they are held as encoded bytes or
+// as one word.
+func (a *PHashAgg) label() string {
+	s := fmt.Sprintf("%d keys, %d aggs, %s", len(a.Keys), len(a.Specs), a.Algo)
+	switch {
+	case len(a.Keys) == 0:
+		return s
+	case a.WordKey:
+		return s + ", word key"
+	}
+	return s + ", byte key"
+}
 
 // PSort sorts (master side).
 type PSort struct {
@@ -266,7 +283,7 @@ func renderOp(sb *strings.Builder, op PhysOp, depth int, a Annotations) {
 		fmt.Fprintf(sb, "%s  probe:\n", pad)
 		renderOp(sb, n.Probe, depth+2, a)
 	case *PHashAgg:
-		fmt.Fprintf(sb, "%shash agg (%d keys, %d aggs)%s%s\n", pad, len(n.Keys), len(n.Specs), vecTag(n.VecKeys), tail)
+		fmt.Fprintf(sb, "%shash agg (%s)%s%s\n", pad, n.label(), vecTag(n.VecKeys), tail)
 		renderOp(sb, n.Child, depth+1, a)
 	case *PSort:
 		fmt.Fprintf(sb, "%ssort (%d keys)%s\n", pad, len(n.Keys), tail)

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"repro/internal/catalog"
+	"repro/internal/iterator"
 	"repro/internal/types"
 )
 
@@ -410,5 +411,30 @@ func TestEstimateRowsCoversEveryLogical(t *testing.T) {
 	}
 	if declared != len(rows) {
 		t.Errorf("logical.go declares %d Logical types, the table has %d", declared, len(rows))
+	}
+}
+
+// TestChooseAggAlgorithmByEstimate: the group estimate alone picks the
+// algorithm, with the hybrid private table's cap as the line. A guessed
+// estimate stays shared whatever its value, a scalar aggregate's (1) is
+// hybrid.
+func TestChooseAggAlgorithmByEstimate(t *testing.T) {
+	for _, tc := range []struct {
+		est   int64
+		known bool
+		want  iterator.AggAlgorithm
+	}{
+		{0, false, iterator.SharedAgg},
+		{50, false, iterator.SharedAgg},   // a computed key's guess
+		{1000, false, iterator.SharedAgg}, // a column without an NDV
+		{1, true, iterator.HybridAgg},
+		{2466, true, iterator.HybridAgg},
+		{iterator.MaxPrivateGroups, true, iterator.HybridAgg},
+		{iterator.MaxPrivateGroups + 1, true, iterator.SharedAgg},
+		{1 << 60, true, iterator.SharedAgg},
+	} {
+		if got := chooseAggAlgorithm(&LAgg{EstGroups: tc.est, EstKnown: tc.known}); got != tc.want {
+			t.Errorf("EstGroups %d known %v: %s, want %s", tc.est, tc.known, got, tc.want)
+		}
 	}
 }

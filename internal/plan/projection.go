@@ -113,14 +113,14 @@ func (b *binder) buildProjection(stmt *sql.SelectStmt, cur Logical) (Logical, []
 	}
 
 	node := &LAgg{
-		Child:     cur,
-		Keys:      keys,
-		KeyNames:  keyNames,
-		KeyCols:   keyCols,
-		Specs:     agg.specs,
-		EstGroups: b.estimateGroups(stmt.GroupBy, cur.Schema()),
-		sch:       aggOutputSchema(keys, keyNames, agg.specs, cur.Schema()),
+		Child:    cur,
+		Keys:     keys,
+		KeyNames: keyNames,
+		KeyCols:  keyCols,
+		Specs:    agg.specs,
+		sch:      aggOutputSchema(keys, keyNames, agg.specs, cur.Schema()),
 	}
+	node.EstGroups, node.EstKnown = b.estimateGroups(stmt.GroupBy, cur.Schema())
 	var plan Logical = node
 
 	if rewrittenHaving != nil {
@@ -327,25 +327,25 @@ func bareName(name string) string {
 }
 
 // estimateGroups multiplies the catalog NDVs of the group-by columns;
-// non-column keys contribute a small constant (EXTRACT year ≈ 7).
-func (b *binder) estimateGroups(groupBy []sql.Expr, sch *types.Schema) int64 {
-	if len(groupBy) == 0 {
-		return 1
-	}
-	est := int64(1)
+// non-column keys contribute a small constant (EXTRACT year ≈ 7) and a
+// column without an NDV 1000. known reports that no key needed such a
+// guess (a scalar aggregate's single group is known).
+func (b *binder) estimateGroups(groupBy []sql.Expr, sch *types.Schema) (est int64, known bool) {
+	est, known = 1, true
 	for _, g := range groupBy {
-		n := int64(50)
-		if c, ok := g.(*sql.ColRef); ok {
+		n, ok := int64(50), false
+		if c, isCol := g.(*sql.ColRef); isCol {
 			if n, ok = b.cat.ColNDV(c.Name); !ok {
 				n = 1000
 			}
-		} else if _, ok := g.(*sql.ExtractExpr); ok {
+		} else if _, isExtract := g.(*sql.ExtractExpr); isExtract {
 			n = 7
 		}
+		known = known && ok
 		if est > (1<<60)/n {
-			return 1 << 60
+			return 1 << 60, known
 		}
 		est *= n
 	}
-	return est
+	return est, known
 }

@@ -3,6 +3,7 @@ package elastic
 import (
 	"math/rand"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -399,5 +400,149 @@ func TestBufferOrderedReleasesInSeqOrder(t *testing.T) {
 	}
 	if len(got) != 5 {
 		t.Fatalf("got %d blocks", len(got))
+	}
+}
+
+// everyN passes its child's blocks through and, on every every-th one,
+// waits until ch is received from.
+type everyN struct {
+	iterator.Iterator
+	n     atomic.Int64
+	every int64
+	ch    chan struct{}
+}
+
+func (s *everyN) Next(ctx *iterator.Ctx) (*block.Block, iterator.Status) {
+	b, st := s.Iterator.Next(ctx)
+	if st == iterator.OK && s.n.Add(1)%s.every == 0 {
+		s.ch <- struct{}{}
+	}
+	return b, st
+}
+
+// TestElasticRandomResizeAggregatingJoin drives a join that aggregates
+// per build row (iterator.NewHashJoinAgg) under the hash aggregation
+// that merges its partials, with workers added and removed at random
+// through the probe: the states live in the join's shared table, so no
+// resize may lose or double a match. Every group must equal the answer
+// computed here by plain loops, NULL arguments (v/w where w is 0)
+// included.
+func TestElasticRandomResizeAggregatingJoin(t *testing.T) {
+	dims := types.NewSchema(types.Col("k", types.Int64), types.Col("g", types.Int64))
+	facts := types.NewSchema(types.Col("fk", types.Int64), types.Col("v", types.Int64), types.Col("w", types.Int64))
+	const dimRows, factRows = 3000, 200000
+	load := func(s *types.Schema, rows int, fill func(i int, rec []byte)) *storage.Partition {
+		p := storage.NewStore(2).CreatePartition("t", s)
+		l := storage.NewLoader(p, 256)
+		for i := 0; i < rows; i++ {
+			fill(i, l.Row())
+		}
+		l.Close()
+		return p
+	}
+	dp := load(dims, dimRows, func(i int, rec []byte) {
+		types.PutValue(rec, dims, 0, types.IntVal(int64(i)))
+		types.PutValue(rec, dims, 1, types.IntVal(int64(i%37)))
+	})
+	fp := load(facts, factRows, func(i int, rec []byte) {
+		types.PutValue(rec, facts, 0, types.IntVal(int64(i*7919%2500))) // keys 2500 and up match nothing
+		types.PutValue(rec, facts, 1, types.IntVal(int64(i%100)))
+		types.PutValue(rec, facts, 2, types.IntVal(int64(i%5)))
+	})
+	type group struct {
+		rows, sum, nonNull int64
+		max                float64
+	}
+	want := map[int64]*group{}
+	for i := 0; i < factRows; i++ {
+		g := int64(i * 7919 % 2500 % 37)
+		if want[g] == nil {
+			want[g] = &group{}
+		}
+		w := want[g]
+		w.rows++
+		w.sum += int64(i % 100)
+		if d := i % 5; d != 0 {
+			if q := float64(i%100) / float64(d); w.nonNull == 0 || q > w.max {
+				w.max = q
+			}
+			w.nonNull++
+		}
+	}
+
+	v, ratio := expr.NewCol(1, "v"), expr.NewArith(expr.Div, expr.NewCol(1, "v"), expr.NewCol(2, "w"))
+	aggs := []iterator.AggSpec{
+		{Func: iterator.Sum, Arg: v, Name: "s"},
+		{Func: iterator.Count, Arg: ratio, Name: "n"},
+		{Func: iterator.Max, Arg: ratio, Name: "m"},
+	}
+	// Over the join's output (k, g, __matches, s, n, m): COUNT(*) sums the
+	// match count, and the maximum reads a partial that saw no value as
+	// NULL.
+	col := func(i int) expr.Expr { return expr.NewCol(i, "") }
+	seen := expr.NewCmp(expr.GT, col(4), expr.NewConst(types.IntVal(0)))
+	merges := []iterator.AggSpec{
+		{Func: iterator.Sum, Arg: col(2), Name: "rows"},
+		{Func: iterator.Sum, Arg: col(3), Name: "sum"},
+		{Func: iterator.Sum, Arg: col(4), Name: "nonNull"},
+		{Func: iterator.Max, Arg: expr.NewCase([]expr.When{{Cond: seen, Then: col(5)}}, nil), Name: "max"},
+	}
+	for trial := 0; trial < 6; trial++ {
+		rng := rand.New(rand.NewSource(int64(trial)))
+		// Every 16th probe block waits for one resize, so the churn
+		// happens while the join probes however the host schedules it.
+		probe := &everyN{Iterator: iterator.NewScan(fp), every: 16, ch: make(chan struct{})}
+		hj := iterator.NewHashJoinAgg(iterator.NewScan(dp), probe, dims, facts,
+			[]expr.Expr{expr.NewCol(0, "k")}, []expr.Expr{expr.NewCol(0, "fk")}, aggs)
+		ha := iterator.NewHashAgg(hj, hj.Schema(), []expr.Expr{expr.NewCol(1, "g")}, []string{"g"},
+			merges, iterator.HybridAgg)
+		e := New(ha, Config{BufferCap: 64})
+		e.Expand(0, 0)
+		var wg sync.WaitGroup
+		stop := make(chan struct{})
+		resizes := 0
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			core := 1
+			for {
+				select {
+				case <-stop:
+					return
+				case <-probe.ch:
+				}
+				if rng.Intn(2) == 0 {
+					e.Expand(core, core%2)
+					core++
+					resizes++
+				} else if e.PendingWorkers() > 1 {
+					e.Shrink()
+					resizes++
+				}
+			}
+		}()
+		out := drain(e)
+		close(stop)
+		wg.Wait()
+		e.Close()
+		if resizes < 10 {
+			t.Fatalf("trial %d: %d resizes while the join probed; the churn did not happen", trial, resizes)
+		}
+		got := 0
+		for _, b := range out {
+			for i := 0; i < b.NumTuples(); i++ {
+				got++
+				g := b.Get(i, 0).I
+				w := want[g]
+				if w == nil || b.Get(i, 1).I != w.rows || b.Get(i, 2).I != w.sum ||
+					b.Get(i, 3).I != w.nonNull || b.Get(i, 4).F != w.max {
+					t.Fatalf("trial %d: group %d is (%v, %v, %v, %v), want %+v", trial, g,
+						b.Get(i, 1), b.Get(i, 2), b.Get(i, 3), b.Get(i, 4), w)
+				}
+			}
+		}
+		if got != len(want) {
+			t.Fatalf("trial %d: %d groups, want %d", trial, got, len(want))
+		}
 	}
 }

@@ -57,7 +57,7 @@ func (es *memEstimator) rows(op plan.PhysOp) int64 {
 		return es.rows(n.Child)
 	case *plan.PHashJoin:
 		b, p := es.rows(n.Build), es.rows(n.Probe)
-		if b > p {
+		if b > p || n.PerBuildRow { // an aggregating join emits build rows
 			return b
 		}
 		return p
@@ -116,8 +116,14 @@ func (es *memEstimator) groups(n *plan.PHashAgg) int64 {
 func (es *memEstimator) opBytes(op plan.PhysOp) int64 {
 	switch n := op.(type) {
 	case *plan.PHashJoin:
-		// Build rows in fixed-stride pages plus the offset table.
-		return es.rows(n.Build) * int64(n.Build.Schema().Stride()) * 2
+		// Build rows in fixed-stride pages plus the offset table, and an
+		// aggregating join's match count and partial state per build row.
+		b := es.rows(n.Build)
+		bytes := b * int64(n.Build.Schema().Stride()) * 2
+		if n.PerBuildRow {
+			bytes += b * int64(1+len(n.Aggs)) * 8
+		}
+		return bytes
 	case *plan.PHashAgg:
 		per := int64(112 + 56*len(n.Specs) + 32*len(n.Keys))
 		return es.groups(n) * per

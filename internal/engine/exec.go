@@ -887,8 +887,18 @@ func (e *exec) buildBare(op plan.PhysOp, env buildEnv) (iterator.Iterator, error
 		if err != nil {
 			return nil, err
 		}
-		hj := iterator.NewHashJoin(build, probe, n.Build.Schema(), n.Probe.Schema(),
-			buildKeys, probeKeys)
+		var hj *iterator.HashJoin
+		if n.PerBuildRow {
+			aggs, err := bindEach(e, n.Aggs, aggArgOf)
+			if err != nil {
+				return nil, err
+			}
+			hj = iterator.NewHashJoinAgg(build, probe, n.Build.Schema(), n.Probe.Schema(),
+				buildKeys, probeKeys, aggs)
+		} else {
+			hj = iterator.NewHashJoin(build, probe, n.Build.Schema(), n.Probe.Schema(),
+				buildKeys, probeKeys)
+		}
 		hj.Mem = e.opMem(n, "hashjoin", env.node)
 		env.inst.joins = append(env.inst.joins, hj)
 		return hj, nil

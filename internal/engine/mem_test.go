@@ -1,8 +1,11 @@
 package engine
 
 import (
+	"context"
 	"errors"
+	"fmt"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"repro/internal/catalog"
@@ -117,5 +120,102 @@ func TestMemoryAdmissionRefusal(t *testing.T) {
 	}
 	if cur, _, _ := c.NodeMemory(0); cur != 0 {
 		t.Fatalf("node 0 still holds %d bytes after completion", cur)
+	}
+}
+
+// buildJoinAggCluster loads a fact table and a wide dimension table
+// keyed by the facts' fk, so a GROUP BY on the dimension's label over
+// their join aggregates inside the join, with the dimension as the
+// build side.
+func buildJoinAggCluster(t *testing.T, cfg Config, tcp bool) *Cluster {
+	t.Helper()
+	cat := catalog.New(cfg.Nodes)
+	dims := types.NewSchema(types.Col("k", types.Int64), types.Char("g", 8), types.Char("pad", 64))
+	facts := types.NewSchema(types.Col("fk", types.Int64), types.Col("v", types.Float64), types.Col("w", types.Int64))
+	cat.MustAdd(&catalog.Table{Name: "dims", Schema: dims, PartKey: []int{0},
+		Stats: catalog.TableStats{Rows: 6000, Cols: map[string]catalog.ColStats{"k": {NDV: 6000}, "g": {NDV: 40}}}})
+	cat.MustAdd(&catalog.Table{Name: "facts", Schema: facts, PartKey: []int{1},
+		Stats: catalog.TableStats{Rows: 30000, Cols: map[string]catalog.ColStats{"fk": {NDV: 5000}}}})
+	c := NewCluster(cfg, cat)
+	if tcp {
+		var err error
+		if c, err = NewClusterTCP(cfg, cat); err != nil {
+			t.Fatal(err)
+		}
+	}
+	t.Cleanup(c.Close)
+	load := func(name string, rows int, fill func(i int, rec []byte)) {
+		tl, err := c.NewTableLoader(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < rows; i++ {
+			fill(i, tl.Row())
+			tl.Add()
+		}
+		tl.Close()
+	}
+	load("dims", 6000, func(i int, rec []byte) { // keys 5000 and up match nothing
+		types.PutValue(rec, dims, 0, types.IntVal(int64(i)))
+		types.PutValue(rec, dims, 1, types.StrVal(fmt.Sprintf("g%d", i%40)))
+		types.PutValue(rec, dims, 2, types.StrVal("padding"))
+	})
+	load("facts", 30000, func(i int, rec []byte) {
+		types.PutValue(rec, facts, 0, types.IntVal(int64(i*7919%5000)))
+		types.PutValue(rec, facts, 1, types.FloatVal(float64(i%100)/4))
+		types.PutValue(rec, facts, 2, types.IntVal(int64(i%5)))
+	})
+	return c
+}
+
+// TestPerBuildRowSpillEquivalence runs a GROUP BY over a join that
+// aggregates per build row, unbudgeted and with a budget that makes
+// the join spill build shards (re-joined from their files, each with
+// states of its own), on EP and SP, in process and over TCP. The
+// results must match, NULL arguments (v/w where w is 0) included.
+func TestPerBuildRowSpillEquivalence(t *testing.T) {
+	q := `SELECT D.g, count(*), sum(F.v), count(F.v / F.w), max(F.v / F.w), min(F.v)
+		FROM facts F, dims D WHERE F.fk = D.k GROUP BY D.g`
+	for _, mode := range []Mode{EP, SP} {
+		for _, tcp := range []bool{false, true} {
+			name := fmt.Sprintf("%v/tcp=%v", mode, tcp)
+			cfg := Config{Nodes: 3, CoresPerNode: 2, Mode: mode, SpillDir: t.TempDir()}
+			free := buildJoinAggCluster(t, cfg, tcp)
+			p, _, err := free.CompileCached(q)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !strings.Contains(p.String(), "(per build row: count, 1 sum, 2 counts, 1 min, 1 max)") {
+				t.Fatalf("%s: the join does not aggregate:\n%s", name, p)
+			}
+			resFree, err := free.Run(q)
+			if err != nil {
+				t.Fatal(err)
+			}
+			cfg.MemoryPerNode = 160 << 10
+			tight := buildJoinAggCluster(t, cfg, tcp)
+			scope := telemetry.NewScope("join-agg-spill")
+			spills := telemetry.NewMemSink(telemetry.KindSpill)
+			scope.Attach(spills)
+			resTight, err := tight.Exec(context.Background(), Request{SQL: q, Scope: scope})
+			if err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+			joinSpills := 0
+			for _, ev := range spills.Events() {
+				if rec := ev.Rec.(telemetry.Spill); rec.Op == "hashjoin" && rec.Phase == "build" {
+					joinSpills++
+				}
+			}
+			if joinSpills == 0 {
+				t.Fatalf("%s: the budgeted run spilled no join shard", name)
+			}
+			if got, want := fingerprint(resTight), fingerprint(resFree); got != want {
+				t.Fatalf("%s: the budgeted run's results differ:\n got %s\nwant %s", name, got, want)
+			}
+			if n := resFree.NumRows(); n != 40 {
+				t.Fatalf("%s: %d groups, want 40", name, n)
+			}
+		}
 	}
 }

@@ -105,7 +105,48 @@ func (g *gen) statement() *stmt {
 		g.project(s)
 	}
 	g.orderLimit(s)
+	s.dropUnusedParams()
 	return s
+}
+
+// dropUnusedParams forgets the $n slots of expressions the generator
+// drew and then discarded (a duplicate GROUP BY key, an aggregate
+// argument that read the wrong table) and renumbers the rest: a slot
+// the text does not hold would be an argument too many.
+func (s *stmt) dropUnusedParams() {
+	used := map[*param]bool{}
+	see := func(n node) {
+		walk(n, func(x node) {
+			if p, ok := x.(*param); ok {
+				used[p] = true
+			}
+		})
+	}
+	for _, w := range s.where {
+		see(w)
+	}
+	for _, k := range s.groupBy {
+		see(k)
+	}
+	for _, it := range s.items {
+		see(it.e)
+	}
+	if s.having != nil {
+		see(s.having)
+	}
+	for _, o := range s.order {
+		if o.scale != nil {
+			see(o.scale)
+		}
+	}
+	kept := s.params[:0]
+	for _, p := range s.params {
+		if used[p] {
+			p.n = len(kept) + 1
+			kept = append(kept, p)
+		}
+	}
+	s.params = kept
 }
 
 // from picks one to three tables joined along key edges, in a FROM
@@ -397,6 +438,8 @@ func (g *gen) project(s *stmt) {
 		var e node
 		if c := g.column(s, pos, numeric...); c != nil && g.chance(10) {
 			e = &arith{op: '+', l: c, r: s.newParam(g.numVal(c.k))}
+		} else if g.chance(10) {
+			e = g.nullable(s, pos)
 		} else {
 			e = g.scalar(s, pos)
 		}
@@ -410,13 +453,26 @@ func (g *gen) numVal(k types.Kind) types.Value {
 }
 
 // aggregate makes a GROUP BY (of zero to three keys) with aggregates,
-// and sometimes a HAVING.
+// and sometimes a HAVING. Over two tables, one time in two the keys are
+// columns of one table and every aggregate reads the other: when the
+// keys' table is the join's build side, the join aggregates per build
+// row.
 func (g *gen) aggregate(s *stmt) {
 	s.agg = true
+	keyPos, argPos := -1, -1
+	if len(s.from) == 2 && g.chance(2) {
+		keyPos = g.rng.Intn(2)
+		argPos = 1 - keyPos
+	}
 	nk := []int{0, 0, 0, 1, 1, 1, 1, 2, 2, 3}[g.rng.Intn(10)]
 	seen := map[string]bool{}
 	for tries := 0; len(s.groupBy) < nk && tries < 20; tries++ {
-		k := g.groupKey(s)
+		var k node
+		if keyPos >= 0 {
+			k = g.column(s, keyPos)
+		} else {
+			k = g.groupKey(s)
+		}
 		if txt := k.sql(&printer{}); !seen[txt] {
 			seen[txt] = true
 			s.groupBy = append(s.groupBy, k)
@@ -435,7 +491,7 @@ func (g *gen) aggregate(s *stmt) {
 		}
 	}
 	for n := 1 + g.rng.Intn(3); n > 0; n-- {
-		var e node = g.aggCall(s)
+		var e node = g.aggCall(s, argPos)
 		if g.chance(8) && e.kind() != types.String && e.kind() != types.Date {
 			e = &arith{op: '+', l: e, r: g.numLit(e.kind())}
 		}
@@ -468,12 +524,18 @@ func (g *gen) groupKey(s *stmt) node {
 	return g.column(s, pos)
 }
 
-// aggCall draws one aggregate over a column or an expression.
-func (g *gen) aggCall(s *stmt) *aggCall {
+// aggCall draws one aggregate over a column or an expression; over the
+// table at only when that is not -1.
+func (g *gen) aggCall(s *stmt, only int) *aggCall {
 	pos := g.rng.Intn(len(s.from))
+	if only >= 0 {
+		pos = only
+	}
 	fn := []string{"count", "count", "sum", "avg", "min", "max"}[g.rng.Intn(6)]
 	var arg node
 	switch {
+	case fn != "count" && g.chance(5) || fn == "count" && g.chance(8):
+		arg = g.nullable(s, pos)
 	case fn == "count":
 		if g.chance(2) {
 			s.mark("agg:count*")
@@ -502,20 +564,65 @@ func (g *gen) aggCall(s *stmt) *aggCall {
 			arg = g.scalar(s, pos)
 		}
 	}
+	if ps := positions(arg); only >= 0 && (len(ps) != 1 || ps[0] != only) {
+		// The expression read the other table through its second operand
+		// (scalar's arithmetic), so its first is a number of this one.
+		arg = g.column(s, only, numeric...)
+	}
 	s.mark("agg:" + fn)
+	walk(arg, func(n node) {
+		if a, ok := n.(*arith); ok && a.op == '/' {
+			s.mark("agg:over-div")
+		}
+	})
 	if _, ok := arg.(*colRef); !ok {
 		s.mark("agg:over-expr")
 	}
 	return &aggCall{fn: fn, arg: arg}
 }
 
+// nullable divides a number of the table at pos by zero on the rows
+// where another of its columns holds a sampled value: NULL there, and on
+// every row of a group keyed by that column. One time in two the
+// divisor is 1, 2, 4 or -2 elsewhere, so the quotients stay exact and
+// their sums agree in any order; otherwise it is the column minus the
+// value, a shape the engine runs as a fused kernel, whose quotients
+// are not exact (having keeps HAVING away from them).
+func (g *gen) nullable(s *stmt, pos int) node {
+	a := g.column(s, pos, numeric...)
+	s.mark("proj:div")
+	if g.chance(2) {
+		b := g.column(s, pos, numeric...)
+		return &arith{op: '/', l: a, r: &arith{op: '-', l: b, r: &lit{g.sample(s, b)}}}
+	}
+	b := g.column(s, pos)
+	div := &caseWhen{conds: []node{&cmp{op: "=", l: b, r: &lit{g.sample(s, b)}}},
+		thens: []node{&lit{iv(0)}}, els: &lit{iv([]int{1, 2, 4, -2}[g.rng.Intn(4)])}}
+	return &arith{op: '/', l: a, r: div}
+}
+
+// inexact reports whether e divides by something other than a CASE of
+// exact divisors (nullable): its sums depend on the order of addition.
+func inexact(e node) bool {
+	found := false
+	walk(e, func(n node) {
+		if a, ok := n.(*arith); ok && a.op == '/' {
+			if _, exact := a.r.(*caseWhen); !exact {
+				found = true
+			}
+		}
+	})
+	return found
+}
+
 // having keeps the groups whose aggregate passes a bound taken from one
 // group's own value, so the filter neither keeps nor drops everything
-// by construction.
+// by construction. The bound is compared exactly, so the aggregate is
+// not one whose value depends on the order its rows were added in.
 func (g *gen) having(s *stmt) {
 	var a *aggCall
 	for _, it := range s.items {
-		if x, ok := it.e.(*aggCall); ok && x.kind() != types.String && x.kind() != types.Date {
+		if x, ok := it.e.(*aggCall); ok && x.kind() != types.String && x.kind() != types.Date && !inexact(x) {
 			a = x
 		}
 	}

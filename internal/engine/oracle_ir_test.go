@@ -97,7 +97,7 @@ func (n *param) eval(*ectx) types.Value { return n.v }
 func (n *param) kind() types.Kind       { return n.v.Kind }
 func (n *param) children() []node       { return nil }
 
-// arith is + - * over numbers, and date ± days.
+// arith is + - * / over numbers, and date ± days.
 type arith struct {
 	op   byte
 	l, r node
@@ -108,21 +108,30 @@ func (n *arith) sql(p *printer) string {
 }
 func (n *arith) children() []node { return []node{n.l, n.r} }
 
-// kind: integer arithmetic stays integral, a float operand makes it
-// float, a date plus or minus days stays a date.
+// kind: integer arithmetic other than division stays integral, a float
+// operand or a division makes it float, a date plus or minus days stays
+// a date.
 func (n *arith) kind() types.Kind {
 	lk, rk := n.l.kind(), n.r.kind()
 	switch {
-	case lk == types.Date && n.op != '*':
+	case lk == types.Date && n.op != '*' && n.op != '/':
 		return types.Date
-	case lk == types.Int64 && rk == types.Int64:
+	case lk == types.Int64 && rk == types.Int64 && n.op != '/':
 		return types.Int64
 	}
 	return types.Float64
 }
 
+// eval: a NULL operand makes the result NULL, and so does a division by
+// zero.
 func (n *arith) eval(c *ectx) types.Value {
 	l, r := n.l.eval(c), n.r.eval(c)
+	if l.Null || r.Null || n.op == '/' && num(r) == 0 {
+		return types.Value{Kind: n.kind(), Null: true}
+	}
+	if n.op == '/' {
+		return types.FloatVal(num(l) / num(r))
+	}
 	switch n.kind() {
 	case types.Date:
 		if n.op == '+' {
@@ -447,16 +456,22 @@ func (n *aggCall) kind() types.Kind {
 	return n.arg.kind()
 }
 
-// eval folds the group's rows. Over no rows (a scalar aggregate of an
-// empty input) every aggregate is the zero value of its kind.
+// eval folds the group's rows, skipping NULL arguments. Over no value
+// (a scalar aggregate of an empty input, or only NULLs) every aggregate
+// is the zero value of its kind: the NULL a record stores.
 func (n *aggCall) eval(c *ectx) types.Value {
 	envs := c.grp.envs
-	if n.fn == "count" {
+	if n.fn == "count" && n.arg == nil {
 		return types.IntVal(int64(len(envs)))
 	}
-	vals := make([]types.Value, len(envs))
-	for i, env := range envs {
-		vals[i] = n.arg.eval(&ectx{env: env})
+	var vals []types.Value
+	for _, env := range envs {
+		if v := n.arg.eval(&ectx{env: env}); !v.Null {
+			vals = append(vals, v)
+		}
+	}
+	if n.fn == "count" {
+		return types.IntVal(int64(len(vals)))
 	}
 	k := n.kind()
 	if len(vals) == 0 {
@@ -720,7 +735,9 @@ func (s *stmt) eval() []row {
 	project := func(c *ectx) {
 		r := make(row, len(s.items))
 		for i, it := range s.items {
-			r[i] = it.e.eval(c)
+			if r[i] = it.e.eval(c); r[i].Null {
+				r[i] = types.Value{Kind: r[i].Kind} // a record stores NULL as zero
+			}
 		}
 		out = append(out, r)
 	}

@@ -289,6 +289,8 @@ type explained struct {
 	rawRepart bool
 	// scanParam / filterParam: a $n in a scan's or a filter's predicate.
 	scanParam, filterParam bool
+	// perBuildRow: a join aggregates its matches per build row.
+	perBuildRow bool
 }
 
 // readExplain parses p.String(): segments, their scans, the exchange
@@ -360,6 +362,7 @@ func readExplain(text string) explained {
 			if !strings.HasPrefix(trim, "hash join") {
 				continue
 			}
+			out.perBuildRow = out.perBuildRow || strings.Contains(trim, "(per build row:")
 			d := indent(l)
 			js := joinSides{build: map[string]bool{}, probe: map[string]bool{}}
 			var side []string
@@ -396,6 +399,34 @@ func hasParam(e node) bool {
 		}
 	})
 	return found
+}
+
+// joinShape reads the data of a two-table statement whose join builds
+// on the table at FROM position b: unmatched, a build row that passes
+// its own conjuncts meets no probe row; many, a probe row meets two
+// build rows.
+func (s *stmt) joinShape(b int) (unmatched, many bool) {
+	met := map[*types.Value]int{}      // build row → rows of the join
+	perProbe := map[*types.Value]int{} // probe row → rows of the join
+	s.bind(func(env []row) {
+		met[&env[b][0]]++
+		perProbe[&env[1-b][0]]++
+	})
+	c := &ectx{env: make([]row, len(s.from))}
+rows:
+	for _, r := range s.from[b].t.rows {
+		c.env[b] = r
+		for _, w := range s.where {
+			if ps := positions(w); len(ps) == 1 && ps[0] == b && !holds(w.eval(c)) {
+				continue rows
+			}
+		}
+		unmatched = unmatched || met[&r[0]] == 0
+	}
+	for _, n := range perProbe {
+		many = many || n > 1
+	}
+	return unmatched, many
 }
 
 // table names the table of the one column e reads.
@@ -451,13 +482,36 @@ func explainFeatures(s *stmt, ex explained) {
 	if ex.filterParam {
 		s.mark("$n:PFilter.Pred")
 	}
+	// A join that aggregates per build row holds every aggregate's
+	// argument; the aggregations above it merge partials.
+	specs := "PHashAgg.Specs"
+	if ex.perBuildRow {
+		specs = "PHashJoin.Aggs"
+		s.mark("agg:per-build-row")
+		if len(s.groupBy) == 0 {
+			s.mark("per-build-row:scalar")
+		}
+		if len(s.from) == 2 {
+			for pos, f := range s.from {
+				if ex.joins[0].build[f.t.name] {
+					unmatched, many := s.joinShape(pos)
+					if unmatched {
+						s.mark("per-build-row:unmatched-build")
+					}
+					if many {
+						s.mark("per-build-row:many-to-many")
+					}
+				}
+			}
+		}
+	}
 	for _, it := range s.items {
 		if !s.agg {
 			site(it.e, "PProject.Exprs")
 		}
 		walk(it.e, func(n node) {
 			if a, ok := n.(*aggCall); ok && a.arg != nil {
-				site(a.arg, "PHashAgg.Specs")
+				site(a.arg, specs)
 			}
 		})
 	}
@@ -483,10 +537,11 @@ var required = []string{
 	"pred:like-infix", "pred:not-like", "pred:or", "pred:not",
 	"join:1", "join:2", "join:3", "build:first-in-FROM", "build:later-in-FROM",
 	"groupby:0", "groupby:1", "groupby:2", "groupby:3", "group-key:char", "group-key:computed",
-	"agg:count*", "agg:count", "agg:sum", "agg:avg", "agg:min", "agg:max", "agg:over-expr", "having",
-	"proj:arith", "proj:case", "proj:extract", "order", "order+limit", "limit",
+	"agg:count*", "agg:count", "agg:sum", "agg:avg", "agg:min", "agg:max", "agg:over-expr", "agg:over-div", "having",
+	"agg:per-build-row", "per-build-row:scalar", "per-build-row:unmatched-build", "per-build-row:many-to-many",
+	"proj:arith", "proj:div", "proj:case", "proj:extract", "order", "order+limit", "limit",
 	"$n:PScan.Pred", "$n:PFilter.Pred", "$n:PProject.Exprs", "$n:PHashJoin.BuildKeys",
-	"$n:PHashJoin.ProbeKeys", "$n:PHashAgg.Keys", "$n:PHashAgg.Specs", "$n:PSort.Keys",
+	"$n:PHashJoin.ProbeKeys", "$n:PHashJoin.Aggs", "$n:PHashAgg.Keys", "$n:PHashAgg.Specs", "$n:PSort.Keys",
 	"$n:PTopN.Keys", "$n:OutSpec.PartKeys",
 }
 

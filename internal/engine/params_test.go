@@ -42,6 +42,10 @@ var paramSites = map[string]struct {
 		WHERE T.acct_id = S.acct_id + $1`, types.IntVal(1)},
 	"PHashJoin.ProbeKeys": {`SELECT T.sec_code FROM trades T, securities S
 		WHERE T.acct_id + $1 = S.acct_id`, types.IntVal(1)},
+	// Grouped by a column of the build side (securities), the partial
+	// aggregation's arguments move into the join.
+	"PHashJoin.Aggs": {`SELECT S.acct_id, sum(T.trade_volume * $1) FROM trades T, securities S
+		WHERE T.acct_id = S.acct_id GROUP BY S.acct_id`, types.FloatVal(2)},
 	"PHashAgg.Keys":  {"SELECT sec_code + $1, count(*) FROM trades GROUP BY sec_code + $1", types.IntVal(1)},
 	"PHashAgg.Specs": {"SELECT sec_code, sum(trade_volume * $1) FROM trades GROUP BY sec_code", types.FloatVal(2)},
 	"PSort.Keys":     {"SELECT acct_id, trade_volume FROM trades ORDER BY trade_volume * $1", types.FloatVal(-1)},

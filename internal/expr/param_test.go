@@ -13,10 +13,10 @@ import (
 
 // paramNodes decides, for every concrete Expr type, how many child
 // positions can hold a parameter slot and builds the node with a
-// distinct slot ($1, $2, …) in each of them. WalkParams and substParams
-// are closed switches over exactly these types: a new node fails
-// TestParamSwitchesAreClosed until it has a row here, which is to say
-// until someone has decided where its slots sit in both.
+// distinct slot ($1, $2, …) in each of them. WalkParams, substParams
+// and Rebase are closed switches over exactly these types: a new node
+// fails TestParamSwitchesAreClosed until it has a row here, which is to
+// say until someone has decided where its slots sit in all three.
 var paramNodes = map[string]struct {
 	slots int
 	build func(slot func() Expr) Expr
@@ -117,6 +117,20 @@ func TestParamSwitchesAreClosed(t *testing.T) {
 		// Every EXECUTE walks the parameter-free parts of its template too.
 		if n := testing.AllocsPerRun(10, func() { SubstParams(free, vals) }); n != 0 {
 			t.Errorf("%s without slots: SubstParams allocates %v times", name, n)
+		}
+		// Rebase is the other closed switch: every column moves down, and
+		// a column below the cut refuses the move.
+		if row.slots > 0 {
+			if _, ok := Rebase(free, 2); ok {
+				t.Errorf("%s: Rebase past column 1 succeeded", name)
+			}
+			moved, ok := Rebase(free, 1)
+			if _, still := Rebase(moved, 1); !ok || still {
+				t.Errorf("%s: Rebase by 1 did not move its columns to 0", name)
+			}
+			if free.String() != moved.String() {
+				t.Errorf("%s: Rebase changed more than indexes: %s -> %s", name, free, moved)
+			}
 		}
 	}
 	if _, err := SubstParams(NewParam(4), vals); err == nil {

@@ -1,6 +1,7 @@
 package iterator
 
 import (
+	"fmt"
 	"testing"
 
 	"repro/internal/block"
@@ -322,6 +323,59 @@ func BenchmarkHashAggDateKey(b *testing.B) {
 				ha.Close()
 			}
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/rows, "ns/row")
+		})
+	}
+}
+
+// BenchmarkJoinAggPerBuildRow joins and aggregates the way jpart does:
+// 10 000 build rows keyed by an integer and grouped by a CHAR(10) and a
+// CHAR(25) column, 300 000 probe rows and three sums of probe columns.
+// per-build-row is the join aggregating its matches (NewHashJoinAgg)
+// under a HashAgg that merges the partials; matches is the join emitting
+// every match into a HashAgg that does all of the aggregation.
+func BenchmarkJoinAggPerBuildRow(b *testing.B) {
+	const buildRows, probeRows = 10_000, 300_000
+	bsch := types.NewSchema(types.Col("p_partkey", types.Int64),
+		types.Char("p_brand", 10), types.Char("p_type", 25))
+	psch := types.NewSchema(types.Col("l_partkey", types.Int64), types.Col("l_quantity", types.Float64),
+		types.Col("l_extendedprice", types.Float64), types.Col("l_discount", types.Float64))
+	bp := buildPartition(bsch, buildRows, 64*1024, func(i int, rec []byte) {
+		types.PutValue(rec, bsch, 0, types.IntVal(int64(1+i)))
+		types.PutValue(rec, bsch, 1, types.StrVal(fmt.Sprintf("Brand#%d%d", 1+i%5, 1+i/5%5)))
+		types.PutValue(rec, bsch, 2, types.StrVal(fmt.Sprintf("STANDARD POLISHED TIN %03d", i*31%150)))
+	})
+	pp := buildPartition(psch, probeRows, 64*1024, func(i int, rec []byte) {
+		types.PutValue(rec, psch, 0, types.IntVal(int64(1+i*7919%buildRows)))
+		types.PutValue(rec, psch, 1, types.FloatVal(float64(1+i%50)))
+		types.PutValue(rec, psch, 2, types.FloatVal(900+float64(i%100000)))
+		types.PutValue(rec, psch, 3, types.FloatVal(float64(i%11)/100))
+	})
+	bkey, pkey := []expr.Expr{expr.NewCol(0, "p_partkey")}, []expr.Expr{expr.NewCol(0, "l_partkey")}
+	keys, names := []expr.Expr{expr.NewCol(1, "p_brand"), expr.NewCol(2, "p_type")}, []string{"p_brand", "p_type"}
+	sums := func(first int) []AggSpec {
+		specs := make([]AggSpec, 3)
+		for j := range specs {
+			specs[j] = AggSpec{Func: Sum, Arg: expr.NewCol(first+j, fmt.Sprintf("s%d", j)), Name: fmt.Sprintf("s%d", j)}
+		}
+		return specs
+	}
+	for _, shape := range []string{"per-build-row", "matches"} {
+		b.Run(shape, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				var ha *HashAgg
+				if shape == "per-build-row" {
+					probeSums := sums(1)
+					hj := NewHashJoinAgg(NewScan(bp), NewScan(pp), bsch, psch, bkey, pkey, probeSums)
+					ha = NewHashAgg(hj, hj.Schema(), keys, names, sums(bsch.NumCols()+1), HybridAgg)
+				} else {
+					hj := NewHashJoin(NewScan(bp), NewScan(pp), bsch, psch, bkey, pkey)
+					ha = NewHashAgg(hj, hj.Schema(), keys, names, sums(bsch.NumCols()+1), HybridAgg)
+				}
+				drainAll(b, ha)
+				ha.Close()
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/probeRows, "ns/probe-row")
 		})
 	}
 }

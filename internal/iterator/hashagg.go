@@ -177,6 +177,32 @@ func (p *aggPlan) value(b *block.Block, sch *types.Schema, v *expr.Vec, i int32)
 	return p.arg.Eval(b.Row(int(i)), sch)
 }
 
+// aggArgs runs the aggregate arguments that have a kernel, once per
+// block, for a hash aggregation's worker or an aggregating join's.
+type aggArgs struct {
+	kerns []expr.BatchExpr // per aggregate, nil where there is none to run
+	vecs  []*expr.Vec      // per aggregate, its argument over the current block; nil without a kernel
+}
+
+func newAggArgs(plans []aggPlan) aggArgs {
+	a := aggArgs{kerns: make([]expr.BatchExpr, len(plans)), vecs: make([]*expr.Vec, len(plans))}
+	for j := range plans {
+		if k := plans[j].kern; k != nil {
+			a.kerns[j], a.vecs[j] = k, new(expr.Vec)
+		}
+	}
+	return a
+}
+
+// eval evaluates every kernel over all of b's rows.
+func (a *aggArgs) eval(b *block.Block) {
+	for j, k := range a.kerns {
+		if k != nil {
+			k.EvalVec(b, nil, a.vecs[j])
+		}
+	}
+}
+
 // aggAcc is one aggregate's accumulator columns, indexed by group id.
 // Its plan decides which of them exist.
 type aggAcc struct {
@@ -186,23 +212,23 @@ type aggAcc struct {
 	ext  []types.Value // the extreme so far, valid where cnt > 0
 }
 
-// grow adds a zeroed accumulator for one more group. The columns are
-// reallocated when full to hold room groups, the table's bucket count,
-// so they double when the table does.
-func (a *aggAcc) grow(p *aggPlan, room int) {
+// grow adds zeroed accumulators for n more groups. The columns are
+// reallocated when full to hold room groups — an aggregation passes its
+// table's bucket count, so they double when the table does.
+func (a *aggAcc) grow(p *aggPlan, n, room int) {
 	if p.own {
-		a.cnt = extend(a.cnt, 1, room)
+		a.cnt = extend(a.cnt, n, room)
 	}
 	switch p.mode {
 	case accSumInt:
-		a.sumI = extend(a.sumI, 1, room)
+		a.sumI = extend(a.sumI, n, room)
 	case accSumFloat:
-		a.sumF = extend(a.sumF, 1, room)
+		a.sumF = extend(a.sumF, n, room)
 	case accBoxed:
-		a.sumI = extend(a.sumI, 1, room)
-		a.sumF = extend(a.sumF, 1, room)
+		a.sumI = extend(a.sumI, n, room)
+		a.sumF = extend(a.sumF, n, room)
 	case accExtreme:
-		a.ext = extend(a.ext, 1, room)
+		a.ext = extend(a.ext, n, room)
 	}
 }
 
@@ -337,42 +363,57 @@ func (a *aggAcc) merge(p *aggPlan, g int32, src *aggAcc, gs int32) {
 	}
 }
 
-// emit writes the aggregate's result for groups 0..n-1 into column col
-// of the n rows at buf (laid out per sch); cnt is the count it reads
-// (aggTable.counts). A NULL result stores the zero value, as PutValue
-// does: records carry no null bitmap.
-func (a *aggAcc) emit(p *aggPlan, sch *types.Schema, col int, buf []byte, n int, cnt []int64) {
+// emit writes the aggregate's result into column col of the n rows at
+// buf (laid out per sch): row r gets group gids[r], or group r when gids
+// is nil. cnt is the count it reads (counts). A NULL result stores the
+// zero value, as PutValue does: records carry no null bitmap.
+func (a *aggAcc) emit(p *aggPlan, sch *types.Schema, col int, buf []byte, n int, gids []int32, cnt []int64) {
 	st, off, kind := sch.Stride(), sch.Offset(col), sch.Cols[col].Kind
+	g := func(r int) int {
+		if gids == nil {
+			return r
+		}
+		return int(gids[r])
+	}
 	switch {
 	case p.fn == Count:
-		for g := 0; g < n; g++ {
-			types.PutInt(buf[g*st:], off, cnt[g])
+		for r := 0; r < n; r++ {
+			types.PutInt(buf[r*st:], off, cnt[g(r)])
 		}
 	case p.fn == Sum && kind == types.Int64:
-		for g := 0; g < n; g++ {
-			types.PutInt(buf[g*st:], off, a.sumI[g])
+		for r := 0; r < n; r++ {
+			types.PutInt(buf[r*st:], off, a.sumI[g(r)])
 		}
 	case p.fn == Sum:
-		for g := 0; g < n; g++ {
-			types.PutFloat(buf[g*st:], off, a.sumF[g])
+		for r := 0; r < n; r++ {
+			types.PutFloat(buf[r*st:], off, a.sumF[g(r)])
 		}
 	case p.fn == Avg:
-		for g := 0; g < n; g++ {
+		for r := 0; r < n; r++ {
 			var avg float64
-			if cnt[g] > 0 {
-				avg = a.sumF[g] / float64(cnt[g])
+			if c := cnt[g(r)]; c > 0 {
+				avg = a.sumF[g(r)] / float64(c)
 			}
-			types.PutFloat(buf[g*st:], off, avg)
+			types.PutFloat(buf[r*st:], off, avg)
 		}
 	default: // Min, Max
-		for g := 0; g < n; g++ {
+		for r := 0; r < n; r++ {
 			x := types.NullVal(kind)
-			if a.cnt[g] > 0 {
-				x = a.ext[g]
+			if a.cnt[g(r)] > 0 {
+				x = a.ext[g(r)]
 			}
-			types.PutValue(buf[g*st:], sch, col, x)
+			types.PutValue(buf[r*st:], sch, col, x)
 		}
 	}
+}
+
+// counts returns the count column aggregate p reads: its own accumulator's
+// when it keeps one, the rows folded into each group (shared) otherwise.
+func counts(p *aggPlan, a *aggAcc, shared []int64) []int64 {
+	if p.own {
+		return a.cnt
+	}
+	return shared
 }
 
 // copyVal detaches a string value from its backing block so it survives
@@ -411,7 +452,7 @@ func (t *aggTable) add(ha *HashAgg, h uint64, key []byte) (int32, []byte) {
 		t.accs = make([]aggAcc, len(ha.plans))
 	}
 	for j := range t.accs {
-		t.accs[j].grow(&ha.plans[j], room)
+		t.accs[j].grow(&ha.plans[j], 1, room)
 	}
 	return int32(g), t.keyRows[g*ha.keyStride:]
 }
@@ -422,15 +463,6 @@ func (t *aggTable) lookup(ha *HashAgg, h uint64, key []byte) int32 {
 		return t.tab.lookupWord(h)
 	}
 	return t.tab.lookup(h, key)
-}
-
-// counts returns the count column aggregate j reads: its own when it
-// keeps one, the table's row count otherwise.
-func (t *aggTable) counts(p *aggPlan, j int) []int64 {
-	if p.own {
-		return t.accs[j].cnt
-	}
-	return t.cnt
 }
 
 // resolve finds the group of every row in sel (row indexes into b,
@@ -493,7 +525,7 @@ func (t *aggTable) emit(ha *HashAgg, out *block.Block) {
 	}
 	for j := range ha.plans {
 		p := &ha.plans[j]
-		t.accs[j].emit(p, ha.outSch, len(ha.keys)+j, buf, n, t.counts(p, j))
+		t.accs[j].emit(p, ha.outSch, len(ha.keys)+j, buf, n, nil, counts(p, &t.accs[j], t.cnt))
 	}
 }
 
@@ -523,9 +555,8 @@ const MaxPrivateGroups = 4096
 // block. The private table is not part of it: that is parked in the
 // context pool when the worker leaves, this is dropped.
 type aggWorker struct {
-	keys    *expr.BatchKeyEncoder
-	kerns   []expr.BatchExpr // per aggregate, nil where there is none to run
-	vecs    []*expr.Vec      // per aggregate, its argument over the current block; nil without a kernel
+	keys *expr.BatchKeyEncoder
+	aggArgs
 	byShard scatter
 	all     []int32 // 0, 1, 2, …: the selection naming every row of a block
 	rows    []int32 // resolve's output: the rows it placed
@@ -700,17 +731,10 @@ func (ha *HashAgg) setSpillErr(err error) {
 // newWorker builds the scratch of one consumer of input blocks: an
 // Open call, or the reabsorption of one spilled shard.
 func (ha *HashAgg) newWorker() *aggWorker {
-	w := &aggWorker{
-		keys:  expr.NewGroupKeyEncoder(ha.keys, ha.inSch),
-		kerns: make([]expr.BatchExpr, len(ha.plans)),
-		vecs:  make([]*expr.Vec, len(ha.plans)),
+	return &aggWorker{
+		keys:    expr.NewGroupKeyEncoder(ha.keys, ha.inSch),
+		aggArgs: newAggArgs(ha.plans),
 	}
-	for j := range ha.plans {
-		if k := ha.plans[j].kern; k != nil {
-			w.kerns[j], w.vecs[j] = k, new(expr.Vec)
-		}
-	}
-	return w
 }
 
 // Open runs the parallel aggregation phase.
@@ -780,11 +804,7 @@ func (ha *HashAgg) Open(ctx *Ctx) Status {
 // naming all of b's rows.
 func (w *aggWorker) encode(b *block.Block) []int32 {
 	n := w.keys.EncodeBlock(b, nil)
-	for j, k := range w.kerns {
-		if k != nil {
-			k.EvalVec(b, nil, w.vecs[j])
-		}
-	}
+	w.eval(b)
 	if n > cap(w.all) {
 		// One backing array for the three vectors no block outgrows.
 		buf := make([]int32, 3*n)

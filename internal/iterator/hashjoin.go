@@ -34,6 +34,15 @@ import (
 // workers drain the probe input, spilled shards are re-processed one at
 // a time — rebuild from the build file, stream the probe file — so peak
 // memory is one shard instead of the whole table.
+//
+// A join built by NewHashJoinAgg aggregates its matches per build row
+// (the groupjoin): each match folds into its build row's partial states,
+// which live beside the row in its shard, and once every worker has
+// probed the join emits one row per matched build row instead of one
+// per match. The states are the hash aggregation's own accumulators,
+// indexed by the shard's dense row id, and they are updated under the
+// shard lock once per probe block, so like the table they are shared:
+// a worker that leaves mid-probe leaves nothing to move.
 type HashJoin struct {
 	build, probe Iterator
 	buildSch     *types.Schema
@@ -46,9 +55,17 @@ type HashJoin struct {
 	// before Open; nil runs unbudgeted and never spills).
 	Mem *MemConfig
 
-	vectorized bool // both key sets avoid the row fallback; see Vectorized
+	vectorized bool // both key sets (and the aggregate arguments) avoid the row fallback; see Vectorized
 	pageBytes  int
 	pageRows   int
+
+	// perBuildRow: the join aggregates its matches per build row with
+	// aggs (NewHashJoinAgg).
+	perBuildRow bool
+	aggs        []aggPlan
+	probed      atomic.Int64 // probe rows read
+	outRows     atomic.Int64 // rows put out, or owed once the probe ends
+	lastVR      atomicFloat  // the last visit rate the probe input carried
 
 	shards     []joinShard
 	built      *Barrier
@@ -77,6 +94,14 @@ type joinWorker struct {
 	// probeEnded records that the worker already arrived at probeDone,
 	// so the buffered-output protocol in Next arrives exactly once.
 	probeEnded bool
+
+	// An aggregating join's scratch: the argument vectors, the block's
+	// rows by shard, and the matches of one shard as probe rows and
+	// their build row ids.
+	aggArgs
+	byShard   scatter
+	rows, ids []int32
+	all       []int32 // 0, 1, 2, …: see every
 }
 
 type joinShard struct {
@@ -89,6 +114,29 @@ type joinShard struct {
 	spilled bool
 	build   *spillFile // build rows of a spilled shard
 	probes  *spillFile // deferred probe rows for a spilled shard
+
+	// An aggregating join's partial states, from the shard's first
+	// match; perMatch when the budget refused them, and every match of
+	// the shard leaves as a partial row of its own.
+	acc      *joinAcc
+	perMatch bool
+}
+
+// joinAcc is the partial aggregates of one shard's build rows: a count
+// of matches and the accumulators the hash aggregation keeps per group,
+// indexed by build row id.
+type joinAcc struct {
+	cnt   []int64
+	accs  []aggAcc
+	bytes int64 // charged to the budget
+}
+
+func newJoinAcc(plans []aggPlan, n int) *joinAcc {
+	a := &joinAcc{cnt: make([]int64, n), accs: make([]aggAcc, len(plans))}
+	for j := range a.accs {
+		a.accs[j].grow(&plans[j], n, n)
+	}
+	return a
 }
 
 const joinShards = 1 << shardBits
@@ -120,6 +168,40 @@ func NewHashJoin(build, probe Iterator, buildSch, probeSch *types.Schema,
 		hj.pageRows = 1
 	}
 	hj.pageBytes = hj.pageRows * stride
+	return hj
+}
+
+// MatchCount names the match-count column of an aggregating join.
+const MatchCount = "__matches"
+
+// PerBuildRowSchema is the output of a join that aggregates its matches
+// per build row: the build columns, the match count, then one partial
+// column per aggregate of specs, whose arguments read the probe schema.
+func PerBuildRowSchema(buildSch, probeSch *types.Schema, specs []AggSpec) *types.Schema {
+	cols := append(append([]types.Column(nil), buildSch.Cols...), types.Col(MatchCount, types.Int64))
+	for _, s := range specs {
+		cols = append(cols, s.Column(probeSch))
+	}
+	return types.NewSchema(cols...)
+}
+
+// NewHashJoinAgg builds a join that aggregates its matches per build
+// row with specs (SUM, COUNT, MIN and MAX over probe-side arguments)
+// and emits, for every build row that matched, the row, its match count
+// and one partial per aggregate (PerBuildRowSchema). A hash aggregation
+// above it merges the partials.
+func NewHashJoinAgg(build, probe Iterator, buildSch, probeSch *types.Schema,
+	buildKeys, probeKeys []expr.Expr, specs []AggSpec) *HashJoin {
+	hj := NewHashJoin(build, probe, buildSch, probeSch, buildKeys, probeKeys)
+	hj.perBuildRow = true
+	hj.outSch = PerBuildRowSchema(buildSch, probeSch, specs)
+	hj.aggs = make([]aggPlan, len(specs))
+	for j, s := range specs {
+		hj.aggs[j] = planAgg(s, probeSch)
+		if p := &hj.aggs[j]; p.arg != nil && p.off < 0 && p.kern == nil {
+			hj.vectorized = false
+		}
+	}
 	return hj
 }
 
@@ -317,11 +399,15 @@ func (hj *HashJoin) spillOne() bool {
 }
 
 // Next probes the table with tuples from the probe side and emits
-// concatenated matches. Probing resident shards is read-only, so no
-// locking is needed; rows hashing to spilled shards are deferred to
-// per-shard probe files and re-joined after the probe input drains.
+// concatenated matches (an aggregating join: see nextPerBuildRow).
+// Probing resident shards is read-only, so no locking is needed; rows
+// hashing to spilled shards are deferred to per-shard probe files and
+// re-joined after the probe input drains.
 func (hj *HashJoin) Next(ctx *Ctx) (*block.Block, Status) {
 	w := hj.worker(ctx)
+	if hj.perBuildRow {
+		return hj.nextPerBuildRow(ctx, w)
+	}
 	target := block.DefaultSize/hj.outSch.Stride()/2 + 1
 	var out *block.Block
 	for {
@@ -375,6 +461,9 @@ func (hj *HashJoin) worker(ctx *Ctx) *joinWorker {
 		return w.(*joinWorker)
 	}
 	w := &joinWorker{keys: expr.NewBatchKeyEncoder(hj.probeKeys, hj.probeSch)}
+	if hj.perBuildRow {
+		w.aggArgs = newAggArgs(hj.aggs)
+	}
 	hj.workers.Store(ctx, w)
 	return w
 }
@@ -431,8 +520,7 @@ func (hj *HashJoin) endProbe(ctx *Ctx, w *joinWorker) (*block.Block, Status) {
 	}
 	for {
 		if ctx.Term.Requested() {
-			ctx.BroadcastExit()
-			return nil, Terminated
+			return nil, Terminated // the operator above deregisters (Scan.Next)
 		}
 		i := hj.spillCur.Add(1) - 1
 		if i >= int64(len(hj.shards)) {
@@ -442,7 +530,7 @@ func (hj *HashJoin) endProbe(ctx *Ctx, w *joinWorker) (*block.Block, Status) {
 		if !sh.spilled {
 			continue
 		}
-		if b := hj.processSpilledShard(ctx, sh); b != nil {
+		if b := hj.processSpilledShard(ctx, w, sh, nil); b != nil {
 			if b.NumTuples() > 0 {
 				return b, OK
 			}
@@ -455,81 +543,342 @@ func (hj *HashJoin) endProbe(ctx *Ctx, w *joinWorker) (*block.Block, Status) {
 // probe row that could match them has been emitted, so holding them
 // through the spill pass would only raise the peak.
 func (hj *HashJoin) freeResident() {
-	var freed int64
 	for i := range hj.shards {
-		sh := &hj.shards[i]
-		if sh.spilled || sh.bytes == 0 {
-			continue
+		if sh := &hj.shards[i]; !sh.spilled {
+			hj.release(sh)
 		}
-		for _, pg := range sh.pages {
-			block.PutBuf(pg)
-		}
-		freed += sh.bytes
-		sh.pages, sh.tab = nil, joinTable{}
-		sh.nrows, sh.bytes = 0, 0
 	}
+}
+
+// release returns sh's pages and partial states to the arena and the
+// budget. The caller owns sh: no worker probes it any more.
+func (hj *HashJoin) release(sh *joinShard) {
+	freed := sh.bytes
+	for _, pg := range sh.pages {
+		block.PutBuf(pg)
+	}
+	if sh.acc != nil {
+		freed += sh.acc.bytes
+	}
+	sh.pages, sh.tab, sh.acc = nil, joinTable{}, nil
+	sh.nrows, sh.bytes = 0, 0
 	if freed > 0 {
 		hj.memTracked.Add(-freed)
 		hj.Mem.freeSmall(freed)
 	}
 }
 
-// processSpilledShard re-joins one spilled shard: rebuild its table
-// from the build file, stream the probe file against it, and emit all
-// matches as one block. The shard is owned by the claiming worker.
-func (hj *HashJoin) processSpilledShard(ctx *Ctx, sh *joinShard) *block.Block {
+// processSpilledShard re-joins one spilled shard, owned by the claiming
+// worker: it rebuilds the shard's table from the build file, then
+// streams the probe file against it — appending the matches to out, or,
+// in an aggregating join, folding them into the rebuilt shard's own
+// states and appending its matched build rows. out is allocated when
+// nil; the result is returned.
+func (hj *HashJoin) processSpilledShard(ctx *Ctx, w *joinWorker, sh *joinShard, out *block.Block) *block.Block {
 	build, probes := sh.build, sh.probes
 	sh.build, sh.probes = nil, nil
 	defer build.drop()
 	defer probes.drop()
 	if probes == nil || probes.rows == 0 {
-		return nil
+		return out
 	}
-	stride := hj.buildSch.Stride()
-	var tab joinTable
-	var pages [][]byte
-	var pbytes int64
-	nr := 0
-	benc := expr.NewKeyEncoder(hj.buildKeys)
-	err := build.iterate(func(rec []byte) error {
-		if nr == len(pages)*hj.pageRows {
-			if !hj.Mem.reserveSmall(int64(hj.pageBytes)) {
-				// One shard rebuilds at a time and the resident pages are
-				// already freed; over-running here is bounded and soft.
-				hj.Mem.forceSmall(int64(hj.pageBytes))
-			}
-			pages = append(pages, block.GetBuf(hj.pageBytes))
-			pbytes += int64(hj.pageBytes)
-		}
-		copy(pages[nr/hj.pageRows][(nr%hj.pageRows)*stride:], rec)
-		key := benc.Encode(rec, hj.buildSch)
-		tab.insert(expr.Hash64(key), key)
-		nr++
-		return nil
-	})
-	free := func() {
-		for _, pg := range pages {
-			block.PutBuf(pg)
-		}
-		hj.Mem.freeSmall(pbytes)
-	}
+	rs, err := hj.rebuild(build)
+	defer hj.release(rs)
 	if err != nil {
-		free()
 		hj.setSpillErr(err)
-		return nil
+		return out
 	}
-	out := block.New(hj.outSch, 0, ctx.Tracker)
-	penc := expr.NewKeyEncoder(hj.probeKeys)
-	err = probes.iterate(func(rec []byte) error {
-		key := penc.Encode(rec, hj.probeSch)
-		hj.emitMatches(out, &tab, pages, expr.Hash64(key), key, rec)
-		return nil
-	})
-	free()
+	if hj.perBuildRow {
+		err = probes.iterateBlocks(func(b *block.Block) error {
+			n := w.keys.EncodeBlock(b, nil)
+			w.eval(b)
+			hj.probed.Add(int64(n))
+			out = hj.absorb(ctx, w, rs, b, w.every(n), out)
+			return nil
+		})
+		out = hj.emitShard(ctx, w, rs, out)
+	} else {
+		if out == nil {
+			out = block.New(hj.outSch, 0, ctx.Tracker)
+		}
+		penc := expr.NewKeyEncoder(hj.probeKeys)
+		err = probes.iterate(func(rec []byte) error {
+			key := penc.Encode(rec, hj.probeSch)
+			hj.emitMatches(out, &rs.tab, rs.pages, expr.Hash64(key), key, rec)
+			return nil
+		})
+	}
 	if err != nil {
 		hj.setSpillErr(err)
 	}
 	return out
+}
+
+// rebuild loads a spilled shard's build rows into a new resident shard.
+// Its pages are charged through the budget, falling back to the soft
+// path: each worker rebuilds one shard at a time, and over-running here
+// is bounded.
+func (hj *HashJoin) rebuild(build *spillFile) (*joinShard, error) {
+	rs := &joinShard{}
+	stride := hj.buildSch.Stride()
+	benc := expr.NewKeyEncoder(hj.buildKeys)
+	err := build.iterate(func(rec []byte) error {
+		if rs.nrows == len(rs.pages)*hj.pageRows {
+			if !hj.Mem.reserveSmall(int64(hj.pageBytes)) {
+				hj.Mem.forceSmall(int64(hj.pageBytes))
+			}
+			rs.pages = append(rs.pages, block.GetBuf(hj.pageBytes))
+			rs.bytes += int64(hj.pageBytes)
+			hj.memTracked.Add(int64(hj.pageBytes))
+		}
+		copy(rs.pages[rs.nrows/hj.pageRows][(rs.nrows%hj.pageRows)*stride:], rec)
+		key := benc.Encode(rec, hj.buildSch)
+		rs.tab.insert(expr.Hash64(key), key)
+		rs.nrows++
+		return nil
+	})
+	return rs, err
+}
+
+// nextPerBuildRow is Next for an aggregating join. While the probe input
+// lasts, it folds each block's matches into their build rows' states,
+// and what it returns is only the per-match rows of shards whose states
+// the budget refused. Once the probe input is exhausted, see
+// emitPerBuildRow.
+func (hj *HashJoin) nextPerBuildRow(ctx *Ctx, w *joinWorker) (*block.Block, Status) {
+	target := block.DefaultSize/hj.outSch.Stride()/2 + 1
+	var out *block.Block
+	for {
+		in, st := hj.probe.Next(ctx)
+		if st != OK {
+			if out != nil {
+				return hj.stamp(out), OK
+			}
+			if st == End {
+				return hj.emitPerBuildRow(ctx, w)
+			}
+			// No BroadcastExit: the blocking operator above deregisters
+			// once it has parked this worker's state (Scan.Next).
+			return nil, st
+		}
+		if in.VisitRate > 0 {
+			hj.lastVR.Store(in.VisitRate)
+		}
+		n := w.keys.EncodeBlock(in, nil)
+		w.eval(in)
+		hj.probed.Add(int64(n))
+		for shi, sel := range w.byShard.shards(w.keys, nil, n) {
+			if len(sel) == 0 {
+				continue
+			}
+			sh := &hj.shards[shi]
+			if sh.spilled {
+				for _, i := range sel {
+					hj.deferProbe(sh, in.Row(int(i)))
+				}
+				continue
+			}
+			out = hj.absorb(ctx, w, sh, in, sel, out)
+		}
+		in.Recycle() // states hold copies; deferred rows are on file
+		if out != nil && out.NumTuples() >= target {
+			return hj.stamp(out), OK
+		}
+	}
+}
+
+// absorb folds the matches in sh of probe rows sel of in — keys encoded
+// and arguments evaluated by w — into their build rows' states, under
+// one acquisition of sh's lock. The first match charges the shard's
+// states to the budget; when that is refused, every match of the shard
+// is appended to out instead, as a partial row of its own. absorb
+// returns out, allocated when it was nil and a row was added.
+func (hj *HashJoin) absorb(ctx *Ctx, w *joinWorker, sh *joinShard, in *block.Block, sel []int32, out *block.Block) *block.Block {
+	// The table is read-only once built: find the matches outside the lock.
+	rows, ids := w.rows[:0], w.ids[:0]
+	for _, i := range sel {
+		h, key := w.keys.Hash(int(i)), w.keys.Key(int(i))
+		for id := sh.tab.lookup(h, key); id >= 0; id = sh.tab.after(id, h, key) {
+			rows = append(rows, i)
+			ids = append(ids, id)
+		}
+	}
+	w.rows, w.ids = rows, ids
+	if len(ids) == 0 {
+		return out
+	}
+	sh.mu.Lock()
+	if sh.acc == nil && !sh.perMatch {
+		hj.startAcc(sh)
+	}
+	acc := sh.acc
+	if acc == nil {
+		sh.mu.Unlock()
+		return hj.emitPerMatch(ctx, w, sh, in, out)
+	}
+	var matched int64 // build rows that had no match before this block
+	for _, id := range ids {
+		if acc.cnt[id] == 0 {
+			matched++
+		}
+		acc.cnt[id]++
+	}
+	for j := range hj.aggs {
+		acc.accs[j].update(&hj.aggs[j], in, hj.probeSch, w.vecs[j], rows, ids)
+	}
+	sh.mu.Unlock()
+	hj.outRows.Add(matched)
+	return out
+}
+
+// startAcc gives sh (locked by the caller) its partial states, charged
+// to the budget at a round 8 bytes per build row for the count and for
+// each aggregate, or marks it perMatch when the budget refuses them.
+func (hj *HashJoin) startAcc(sh *joinShard) {
+	bytes := int64(sh.nrows) * int64(8*(1+len(hj.aggs)))
+	if !hj.Mem.reserveSmall(bytes) {
+		sh.perMatch = true
+		return
+	}
+	sh.acc = newJoinAcc(hj.aggs, sh.nrows)
+	sh.acc.bytes = bytes
+	hj.memTracked.Add(bytes)
+}
+
+// emitPerMatch appends the matches absorb found (w.rows, w.ids) to out
+// as one partial row each: match count 1 and the states of that match
+// alone, folded by the same accumulators, so an aggregation above reads
+// them like any other partial row.
+func (hj *HashJoin) emitPerMatch(ctx *Ctx, w *joinWorker, sh *joinShard, in *block.Block, out *block.Block) *block.Block {
+	m := len(w.ids)
+	acc := newJoinAcc(hj.aggs, m)
+	for r := range acc.cnt {
+		acc.cnt[r] = 1
+	}
+	for j := range hj.aggs {
+		acc.accs[j].update(&hj.aggs[j], in, hj.probeSch, w.vecs[j], w.rows, w.every(m))
+	}
+	if out == nil {
+		out = block.New(hj.outSch, 0, ctx.Tracker)
+	}
+	hj.writeRows(out, sh, w.ids, acc, nil)
+	hj.outRows.Add(int64(m))
+	return out
+}
+
+// emitPerBuildRow runs once a worker's probe input is exhausted. It
+// waits at probeDone for every worker still probing — a state is final
+// only then — and then claims shards one at a time behind an atomic
+// cursor, so no two workers emit the same build row, until a block is
+// full or no shard is left. A spilled shard is re-joined first.
+func (hj *HashJoin) emitPerBuildRow(ctx *Ctx, w *joinWorker) (*block.Block, Status) {
+	if !w.probeEnded {
+		w.probeEnded = true
+		hj.probeDone.Arrive()
+	}
+	target := block.DefaultSize/hj.outSch.Stride()/2 + 1
+	var out *block.Block
+	for out == nil || out.NumTuples() < target {
+		if ctx.Term.Requested() {
+			if out != nil && out.NumTuples() > 0 {
+				break // deliver what this worker claimed; it detaches on the next call
+			}
+			if out != nil {
+				out.Recycle()
+			}
+			return nil, Terminated
+		}
+		i := hj.spillCur.Add(1) - 1
+		if i >= int64(len(hj.shards)) {
+			break
+		}
+		if sh := &hj.shards[i]; sh.spilled {
+			out = hj.processSpilledShard(ctx, w, sh, out)
+		} else {
+			out = hj.emitShard(ctx, w, sh, out)
+		}
+	}
+	if out == nil {
+		return nil, End
+	}
+	if out.NumTuples() == 0 {
+		out.Recycle()
+		return nil, End
+	}
+	return hj.stamp(out), OK
+}
+
+// emitShard appends to out one row per build row of sh that matched,
+// then releases sh. The claiming worker owns sh.
+func (hj *HashJoin) emitShard(ctx *Ctx, w *joinWorker, sh *joinShard, out *block.Block) *block.Block {
+	defer hj.release(sh)
+	if sh.acc == nil {
+		return out
+	}
+	ids := w.ids[:0]
+	for id, c := range sh.acc.cnt {
+		if c > 0 {
+			ids = append(ids, int32(id))
+		}
+	}
+	w.ids = ids
+	if len(ids) == 0 {
+		return out
+	}
+	if out == nil {
+		out = block.New(hj.outSch, 0, ctx.Tracker)
+	}
+	hj.writeRows(out, sh, ids, sh.acc, ids)
+	return out
+}
+
+// writeRows appends one output row per build row ids[r] of sh: the
+// build row, then the match count and the partials of group gids[r] of
+// acc (group r when gids is nil).
+func (hj *HashJoin) writeRows(out *block.Block, sh *joinShard, ids []int32, acc *joinAcc, gids []int32) {
+	n, base := len(ids), out.NumTuples()
+	out.EnsureRoom(n)
+	out.SetLen(base + n)
+	st, bst := hj.outSch.Stride(), hj.buildSch.Stride()
+	nb := hj.buildSch.NumCols()
+	cntOff := hj.outSch.Offset(nb)
+	buf := out.Bytes()[base*st:]
+	for r, id := range ids {
+		pg := sh.pages[int(id)/hj.pageRows]
+		po := (int(id) % hj.pageRows) * bst
+		copy(buf[r*st:r*st+bst], pg[po:po+bst])
+		g := r
+		if gids != nil {
+			g = int(gids[r])
+		}
+		types.PutInt(buf[r*st:], cntOff, acc.cnt[g])
+	}
+	for j := range hj.aggs {
+		p := &hj.aggs[j]
+		acc.accs[j].emit(p, hj.outSch, nb+1+j, buf, n, gids, counts(p, &acc.accs[j], acc.cnt))
+	}
+}
+
+// stamp sets out's visit rate (Section 4.3): the probe input's, times
+// the rows the join has put out per probe row it has read.
+func (hj *HashJoin) stamp(out *block.Block) *block.Block {
+	vr := hj.lastVR.Load()
+	if vr <= 0 {
+		vr = 1
+	}
+	if p := hj.probed.Load(); p > 0 {
+		vr *= float64(hj.outRows.Load()) / float64(p)
+	}
+	out.VisitRate = vr
+	return out
+}
+
+// every returns the selection naming rows 0 to n-1.
+func (w *joinWorker) every(n int) []int32 {
+	for len(w.all) < n {
+		w.all = append(w.all, int32(len(w.all)))
+	}
+	return w.all[:n]
 }
 
 // Close implements Iterator. The elastic layer guarantees every worker
@@ -537,22 +886,12 @@ func (hj *HashJoin) processSpilledShard(ctx *Ctx, sh *joinShard) *block.Block {
 func (hj *HashJoin) Close() {
 	hj.build.Close()
 	hj.probe.Close()
-	var freed int64
 	for i := range hj.shards {
 		sh := &hj.shards[i]
-		for _, pg := range sh.pages {
-			block.PutBuf(pg)
-		}
-		freed += sh.bytes
-		sh.pages, sh.tab = nil, joinTable{}
-		sh.nrows, sh.bytes = 0, 0
+		hj.release(sh)
 		sh.build.drop()
 		sh.probes.drop()
 		sh.build, sh.probes = nil, nil
-	}
-	if freed > 0 {
-		hj.memTracked.Add(-freed)
-		hj.Mem.freeSmall(freed)
 	}
 	hj.Mem.releaseAll()
 }

@@ -7,6 +7,7 @@ import (
 	"repro/internal/expr"
 	"repro/internal/iterator"
 	"repro/internal/sql"
+	"repro/internal/types"
 )
 
 // Compile parses, binds and lowers a SQL query into a distributed plan.
@@ -137,6 +138,11 @@ func annotateVec(op PhysOp) {
 		annotateVec(n.Probe)
 		n.VecKeys = expr.NewBatchKeyEncoder(n.BuildKeys, n.Build.Schema()).Vectorized() &&
 			expr.NewBatchKeyEncoder(n.ProbeKeys, n.Probe.Schema()).Vectorized()
+		for _, s := range n.Aggs {
+			if s.Arg != nil && !expr.CompileBatch(s.Arg, n.Probe.Schema()).Fused() {
+				n.VecKeys = false
+			}
+		}
 	case *PHashAgg:
 		annotateVec(n.Child)
 		inSch := n.Child.Schema()
@@ -396,35 +402,49 @@ func (lw *lowerer) lower(l Logical) (PhysOp, partProp, error) {
 
 // lowerTwoPhaseAgg emits partial aggregation, a repartition (or gather
 // for scalar aggregates), final aggregation, and a restoring projection.
+// A partial aggregation that sits directly on a hash join and groups by
+// build-side columns runs inside the join (perBuildRow).
 func (lw *lowerer) lowerTwoPhaseAgg(n *LAgg, child PhysOp, prop partProp,
 	algo iterator.AggAlgorithm) (PhysOp, partProp, error) {
 	inSch := n.Child.Schema()
 
-	// Partial specs: Avg splits into Sum+Count; everything else keeps
-	// its function. partialOf[j] maps spec j to its partial column(s).
+	// Partial specs: Avg splits into Sum+Count, and an extreme of an
+	// argument that can be NULL gets a Count beside it (see mergeSpec);
+	// everything else keeps its function. refs[j] maps spec j to its
+	// partial column(s), guard[pi] partial pi to its Count, or -1.
 	var pSpecs []iterator.AggSpec
+	var guard []int
+	add := func(f iterator.AggFunc, arg expr.Expr) int {
+		pSpecs = append(pSpecs, iterator.AggSpec{Func: f, Arg: arg,
+			Name: fmt.Sprintf("__p%d", len(pSpecs))})
+		guard = append(guard, -1)
+		return len(pSpecs) - 1
+	}
 	type partialRef struct{ sum, cnt int }
 	refs := make([]partialRef, len(n.Specs))
 	for j, s := range n.Specs {
-		switch s.Func {
-		case iterator.Avg:
-			refs[j].sum = len(pSpecs)
-			pSpecs = append(pSpecs, iterator.AggSpec{Func: iterator.Sum, Arg: s.Arg,
-				Name: fmt.Sprintf("__p%d", len(pSpecs))})
-			refs[j].cnt = len(pSpecs)
-			pSpecs = append(pSpecs, iterator.AggSpec{Func: iterator.Count, Arg: s.Arg,
-				Name: fmt.Sprintf("__p%d", len(pSpecs))})
+		switch {
+		case s.Func == iterator.Avg:
+			refs[j].sum = add(iterator.Sum, s.Arg)
+			refs[j].cnt = add(iterator.Count, s.Arg)
+		case s.Func == iterator.Min || s.Func == iterator.Max:
+			refs[j].sum = add(s.Func, s.Arg)
+			if _, isCol := s.Arg.(*expr.Col); !isCol {
+				guard[refs[j].sum] = add(iterator.Count, s.Arg)
+			}
 		default:
-			refs[j].sum = len(pSpecs)
-			refs[j].cnt = -1
-			pSpecs = append(pSpecs, iterator.AggSpec{Func: s.Func, Arg: s.Arg,
-				Name: fmt.Sprintf("__p%d", len(pSpecs))})
+			refs[j].sum = add(s.Func, s.Arg)
 		}
 	}
 	partial := &PHashAgg{
 		Child: child, Keys: n.Keys, KeyNames: n.KeyNames, Specs: pSpecs,
 		Algo: algo, Partial: true,
 		Sch: aggOutputSchema(n.Keys, n.KeyNames, pSpecs, inSch),
+	}
+	if j, ok := child.(*PHashJoin); ok {
+		if pj, merges, ok := perBuildRow(j, n.Keys, pSpecs, guard); ok {
+			partial.Child, partial.Specs = pj, merges
+		}
 	}
 
 	// Repartition on the group keys (gather for scalar aggregation).
@@ -446,15 +466,16 @@ func (lw *lowerer) lowerTwoPhaseAgg(n *LAgg, child PhysOp, prop partProp,
 	for i := 0; i < nk; i++ {
 		fKeys = append(fKeys, expr.NewCol(i, partial.Sch.Cols[i].Name))
 	}
+	partialCol := func(pi int) expr.Expr {
+		if pi < 0 {
+			return nil
+		}
+		return expr.NewCol(nk+pi, pSpecs[pi].Name)
+	}
 	var fSpecs []iterator.AggSpec
 	for pi, ps := range pSpecs {
-		col := expr.NewCol(nk+pi, ps.Name)
-		f := ps.Func
-		if f == iterator.Count || f == iterator.Sum {
-			f = iterator.Sum // counts combine by summation
-		}
-		fSpecs = append(fSpecs, iterator.AggSpec{Func: f, Arg: col,
-			Name: fmt.Sprintf("__f%d", pi)})
+		fSpecs = append(fSpecs, mergeSpec(ps, partialCol(pi), partialCol(guard[pi]),
+			fmt.Sprintf("__f%d", pi)))
 	}
 	final := &PHashAgg{
 		Child: merger, Keys: fKeys, KeyNames: n.KeyNames, Specs: fSpecs,
@@ -486,6 +507,68 @@ func (lw *lowerer) lowerTwoPhaseAgg(n *LAgg, child PhysOp, prop partProp,
 		outProp.gathered = true
 	}
 	return proj, outProp, nil
+}
+
+// mergeSpec is the aggregate that combines partial results of s, read
+// from column col, into a result named name: counts and sums add up,
+// extremes take the extreme. cnt, when not nil, is the column of the
+// partial count of s's argument beside an extreme whose argument can be
+// NULL: a partial that folded only NULLs stores a zero that is no value
+// (records hold no NULL), and the merge must read it as NULL instead.
+func mergeSpec(s iterator.AggSpec, col, cnt expr.Expr, name string) iterator.AggSpec {
+	f := s.Func
+	if f == iterator.Count {
+		f = iterator.Sum // counts combine by summation
+	}
+	arg := col
+	if cnt != nil {
+		seen := expr.NewCmp(expr.GT, cnt, expr.NewConst(types.IntVal(0)))
+		arg = expr.NewCase([]expr.When{{Cond: seen, Then: col}}, nil)
+	}
+	return iterator.AggSpec{Func: f, Arg: arg, Name: name}
+}
+
+// perBuildRow moves the partial aggregation with keys and specs (guard
+// as in lowerTwoPhaseAgg) into its child join j when every key is a
+// build-side column and every argument reads only probe-side columns:
+// each build row fixes its group, so the join can fold each match into
+// its build row and emit one row per matched build row (the groupjoin,
+// iterator.NewHashJoinAgg). It returns the rewritten join and the specs
+// with which the aggregation above merges the join's partials — the
+// final phase's mergeSpec, with COUNT(*) a sum of the match count.
+func perBuildRow(j *PHashJoin, keys []expr.Expr, specs []iterator.AggSpec, guard []int) (*PHashJoin, []iterator.AggSpec, bool) {
+	nb := j.Build.Schema().NumCols()
+	for _, k := range keys {
+		if c, ok := k.(*expr.Col); !ok || c.Idx >= nb {
+			return nil, nil, false
+		}
+	}
+	var aggs []iterator.AggSpec
+	col := make([]expr.Expr, len(specs)) // each partial's column in the join's output
+	for pi, s := range specs {
+		if s.Arg == nil { // COUNT(*)
+			col[pi] = expr.NewCol(nb, iterator.MatchCount)
+			continue
+		}
+		arg, ok := expr.Rebase(s.Arg, nb)
+		if !ok || s.Func == iterator.Avg {
+			return nil, nil, false
+		}
+		col[pi] = expr.NewCol(nb+1+len(aggs), s.Name)
+		aggs = append(aggs, iterator.AggSpec{Func: s.Func, Arg: arg, Name: s.Name})
+	}
+	merges := make([]iterator.AggSpec, len(specs))
+	for pi, s := range specs {
+		var cnt expr.Expr
+		if guard[pi] >= 0 {
+			cnt = col[guard[pi]]
+		}
+		merges[pi] = mergeSpec(s, col[pi], cnt, s.Name)
+	}
+	out := *j
+	out.PerBuildRow, out.Aggs = true, aggs
+	out.Sch = iterator.PerBuildRowSchema(j.Build.Schema(), j.Probe.Schema(), aggs)
+	return &out, merges, true
 }
 
 // chooseAggAlgorithm picks by the binder's group estimate, mirroring

@@ -62,13 +62,44 @@ type PHashJoin struct {
 	Build, Probe         PhysOp
 	BuildKeys, ProbeKeys []expr.Expr
 	Sch                  *types.Schema
-	// VecKeys reports whether both key sets compile to fused batch
-	// kernels (Explain only).
+	// PerBuildRow: the join aggregates its matches per build row with
+	// Aggs, whose arguments read the probe schema, and Sch is
+	// iterator.PerBuildRowSchema (iterator.NewHashJoinAgg). The lowering
+	// sets it for a partial aggregation on the join that groups by build
+	// columns; the aggregation above then merges partials.
+	PerBuildRow bool
+	Aggs        []iterator.AggSpec
+	// VecKeys reports whether both key sets, and the aggregate
+	// arguments, compile to fused batch kernels (Explain only).
 	VecKeys bool
 }
 
 // Schema implements PhysOp.
 func (j *PHashJoin) Schema() *types.Schema { return j.Sch }
+
+// label is what EXPLAIN adds to an aggregating join: what it keeps per
+// build row, the match count and its aggregates by function.
+func (j *PHashJoin) label() string {
+	if !j.PerBuildRow {
+		return ""
+	}
+	parts := []string{"count"}
+	for f := iterator.Sum; f <= iterator.Max; f++ {
+		n := 0
+		for _, s := range j.Aggs {
+			if s.Func == f {
+				n++
+			}
+		}
+		switch {
+		case n == 1:
+			parts = append(parts, fmt.Sprintf("1 %s", f))
+		case n > 1:
+			parts = append(parts, fmt.Sprintf("%d %ss", n, f))
+		}
+	}
+	return " (per build row: " + strings.Join(parts, ", ") + ")"
+}
 
 // PHashAgg aggregates; Algo selects shared/independent/hybrid.
 type PHashAgg struct {
@@ -277,7 +308,7 @@ func renderOp(sb *strings.Builder, op PhysOp, depth int, a Annotations) {
 		fmt.Fprintf(sb, "%sproject (%d exprs)%s%s\n", pad, len(n.Exprs), vecTag(n.Vectorized), tail)
 		renderOp(sb, n.Child, depth+1, a)
 	case *PHashJoin:
-		fmt.Fprintf(sb, "%shash join%s%s\n", pad, vecTag(n.VecKeys), tail)
+		fmt.Fprintf(sb, "%shash join%s%s%s\n", pad, vecTag(n.VecKeys), n.label(), tail)
 		fmt.Fprintf(sb, "%s  build:\n", pad)
 		renderOp(sb, n.Build, depth+2, a)
 		fmt.Fprintf(sb, "%s  probe:\n", pad)

@@ -70,6 +70,11 @@ func planExprs(p *plan.Plan) []planExpr {
 			case *plan.PHashJoin:
 				add("keys", n.Build.Schema(), n.BuildKeys...)
 				add("keys", n.Probe.Schema(), n.ProbeKeys...)
+				for _, s := range n.Aggs {
+					if s.Arg != nil {
+						add("value", n.Probe.Schema(), s.Arg)
+					}
+				}
 			case *plan.PHashAgg:
 				add("keys", n.Child.Schema(), n.Keys...)
 				for _, s := range n.Specs {

@@ -151,6 +151,11 @@ func walkOpExprs(op PhysOp, fn func(e expr.Expr, pred bool)) {
 			for _, e := range n.ProbeKeys {
 				fn(e, false)
 			}
+			for _, s := range n.Aggs {
+				if s.Arg != nil {
+					fn(s.Arg, false)
+				}
+			}
 		case *PHashAgg:
 			for _, e := range n.Keys {
 				fn(e, false)

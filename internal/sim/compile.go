@@ -199,6 +199,10 @@ func (c *compiler) walk(op plan.PhysOp) (*walkEst, error) {
 		return e, nil
 
 	case *plan.PHashJoin:
+		// A join that aggregates per build row (n.PerBuildRow) is modeled
+		// as the paper's plan, Figure 1(b): its matches flow on into the
+		// aggregation above, at the width of a joined row. The simulator
+		// reproduces the paper's figures, and they stay what they were.
 		build, err := c.walk(n.Build)
 		if err != nil {
 			return nil, err
@@ -241,7 +245,7 @@ func (c *compiler) walk(op plan.PhysOp) (*walkEst, error) {
 		probe.cost += costHashProbe * maxf(probe.sel, 0.01)
 		probe.sel *= joinSel
 		probe.rowsOut *= joinSel
-		probe.width = float64(n.Sch.Stride())
+		probe.width = float64(n.Build.Schema().Stride() + n.Probe.Schema().Stride())
 		probe.memBytes += 32 // hash-table lookups
 		return probe, nil
 

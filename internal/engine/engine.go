@@ -488,7 +488,9 @@ func (c *Cluster) NewTableLoader(name string) (*TableLoader, error) {
 // Row returns a scratch record to fill; commit it with Add.
 func (l *TableLoader) Row() []byte { return l.scratch }
 
-// Add routes the filled scratch record to its node. The row count
+// Add routes the filled scratch record to node KeyEncoder.Hash % nodes,
+// where a Sender on the same key routes it, so a side left where it was
+// loaded meets a side repartitioned onto it. The row count
 // advances even when the destination partition lives in another process
 // (nil loader): table statistics must reflect the CLUSTER-WIDE row
 // count on every process, or the per-process plan compilations of one

@@ -174,8 +174,26 @@ func buildJoinAggCluster(t *testing.T, cfg Config, tcp bool) *Cluster {
 // states of its own), on EP and SP, in process and over TCP. The
 // results must match, NULL arguments (v/w where w is 0) included.
 func TestPerBuildRowSpillEquivalence(t *testing.T) {
-	q := `SELECT D.g, count(*), sum(F.v), count(F.v / F.w), max(F.v / F.w), min(F.v)
-		FROM facts F, dims D WHERE F.fk = D.k GROUP BY D.g`
+	joinSpillEquivalence(t, `SELECT D.g, count(*), sum(F.v), count(F.v / F.w), max(F.v / F.w), min(F.v)
+		FROM facts F, dims D WHERE F.fk = D.k GROUP BY D.g`,
+		"hash join (word key) [vec] (per build row: count, 1 sum, 2 counts, 1 min, 1 max)", 40)
+}
+
+// TestWordKeyJoinSpillEquivalence is the same check for a join that
+// puts out its matches and keys both sides by one integer column: its
+// tables hold no key bytes, and a spilled shard's rebuild and deferred
+// probe rows must be keyed by the same word hash as a resident one.
+func TestWordKeyJoinSpillEquivalence(t *testing.T) {
+	joinSpillEquivalence(t, `SELECT F.w, count(*), sum(F.v), max(D.k), min(D.g)
+		FROM facts F, dims D WHERE F.fk = D.k GROUP BY F.w`,
+		"hash join (word key) [vec]\n", 5)
+}
+
+// joinSpillEquivalence runs q — a GROUP BY over a join of facts and
+// dims whose EXPLAIN contains plan and which has groups rows —
+// unbudgeted and with a budget that makes the join spill build shards,
+// on EP and SP, in process and over TCP, and requires equal results.
+func joinSpillEquivalence(t *testing.T, q, plan string, groups int) {
 	for _, mode := range []Mode{EP, SP} {
 		for _, tcp := range []bool{false, true} {
 			name := fmt.Sprintf("%v/tcp=%v", mode, tcp)
@@ -185,8 +203,8 @@ func TestPerBuildRowSpillEquivalence(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if !strings.Contains(p.String(), "(per build row: count, 1 sum, 2 counts, 1 min, 1 max)") {
-				t.Fatalf("%s: the join does not aggregate:\n%s", name, p)
+			if !strings.Contains(p.String(), plan) {
+				t.Fatalf("%s: the plan has no %q:\n%s", name, plan, p)
 			}
 			resFree, err := free.Run(q)
 			if err != nil {
@@ -194,7 +212,7 @@ func TestPerBuildRowSpillEquivalence(t *testing.T) {
 			}
 			cfg.MemoryPerNode = 160 << 10
 			tight := buildJoinAggCluster(t, cfg, tcp)
-			scope := telemetry.NewScope("join-agg-spill")
+			scope := telemetry.NewScope("join-spill")
 			spills := telemetry.NewMemSink(telemetry.KindSpill)
 			scope.Attach(spills)
 			resTight, err := tight.Exec(context.Background(), Request{SQL: q, Scope: scope})
@@ -213,8 +231,8 @@ func TestPerBuildRowSpillEquivalence(t *testing.T) {
 			if got, want := fingerprint(resTight), fingerprint(resFree); got != want {
 				t.Fatalf("%s: the budgeted run's results differ:\n got %s\nwant %s", name, got, want)
 			}
-			if n := resFree.NumRows(); n != 40 {
-				t.Fatalf("%s: %d groups, want 40", name, n)
+			if n := resFree.NumRows(); n != groups {
+				t.Fatalf("%s: %d groups, want %d", name, n, groups)
 			}
 		}
 	}

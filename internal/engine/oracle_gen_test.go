@@ -207,9 +207,18 @@ func (g *gen) from(s *stmt) {
 				l, r = r, l
 			}
 			if l.kind() == types.Int64 && g.chance(6) {
-				// A computed key: the key expressions of the join and of
-				// the repartition below it carry a $n.
-				r = &arith{op: '+', l: r, r: s.newParam(iv(g.rng.Intn(3) - 1))}
+				// A computed key: its side hashes by the integer it
+				// yields, like a column side, but the join compares key
+				// bytes. An offset of 0 is a literal, so the computed
+				// side meets a column side row for row; -1 and 1 are a
+				// $n in the key expressions of the join and of the
+				// repartition below it.
+				var by node = &lit{iv(0)}
+				if v := g.rng.Intn(3) - 1; v != 0 {
+					by = s.newParam(iv(v))
+				}
+				r = &arith{op: '+', l: r, r: by}
+				s.mark("join-key:computed")
 			}
 			s.where = append(s.where, &cmp{op: "=", l: l, r: r})
 		}

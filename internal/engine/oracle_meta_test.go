@@ -159,6 +159,44 @@ func TestGeneratedFixedCases(t *testing.T) {
 	}
 }
 
+// TestComputedJoinKeyMeetsColocatedSide joins orders, repartitioned by
+// the computed key o_custkey + 0, to customer, which stays where the
+// loader placed it by c_custkey: the two sides meet only if the loader,
+// the Sender and the join hash an integer alike whether a column or a
+// kernel yields it. The join compares key bytes (one side is computed);
+// the oracle checks the answer on every configuration.
+func TestComputedJoinKeyMeetsColocatedSide(t *testing.T) {
+	db := tpchSSE(1)
+	s := newFixed(db, "customer", "orders")
+	s.filter(1, &cmp{op: "=", l: &arith{op: '+', l: s.c(1, "o_custkey"), r: &lit{iv(0)}}, r: s.c(0, "c_custkey")})
+	s.grouped(s.c(0, "c_nationkey")).selects(countStar(), &aggCall{fn: "sum", arg: s.c(1, "o_totalprice")})
+	want := s.eval()
+	if len(want) == 0 {
+		t.Fatal("the oracle finds no matches")
+	}
+	cfgs := configurations(t, db)
+	p, _, err := cfgs[0].c.CompileCached(s.sql(true))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ex := readExplain(p.String())
+	if len(ex.joins) != 1 {
+		t.Fatalf("want one join:\n%s", p)
+	}
+	if j := ex.joins[0]; !j.build["customer"] || j.buildRepart || !j.probeRepart || j.word {
+		t.Fatalf("want a byte-key join building on customer where it was loaded, probing repartitioned orders:\n%s", p)
+	}
+	for _, cf := range cfgs {
+		got, err := cf.run(s)
+		if err == nil {
+			err = check(s, want, got)
+		}
+		if err != nil {
+			t.Error(failure(0, 0, cf, s, err, want, got))
+		}
+	}
+}
+
 // TestGeneratedMetamorphic checks relations between the engine's own
 // answers to generated statements, which hold even where the oracle and
 // the engine might share a misreading of SQL:

@@ -275,10 +275,13 @@ func failure(seed int64, idx int, cf *config, s *stmt, err error, want, got []ro
 func head(rows []row) []row { return rows[:min(len(rows), 5)] }
 
 // joinSides is one hash join as EXPLAIN shows it: the base tables under
-// each side, and whether each side arrives through a repartition.
+// each side, whether each side arrives through a repartition, and
+// whether it matches its keys as one word (both keys an integer column)
+// or as bytes.
 type joinSides struct {
 	build, probe             map[string]bool
 	buildRepart, probeRepart bool
+	word                     bool
 }
 
 // explained is what the suite reads out of an EXPLAIN rendering.
@@ -364,7 +367,8 @@ func readExplain(text string) explained {
 			}
 			out.perBuildRow = out.perBuildRow || strings.Contains(trim, "(per build row:")
 			d := indent(l)
-			js := joinSides{build: map[string]bool{}, probe: map[string]bool{}}
+			js := joinSides{build: map[string]bool{}, probe: map[string]bool{},
+				word: strings.HasPrefix(trim, "hash join (word key)")}
 			var side []string
 			var sides [][]string
 			for _, m := range sg.lines[i+1:] {
@@ -444,6 +448,11 @@ func explainFeatures(s *stmt, ex explained) {
 			s.mark("build:first-in-FROM")
 		} else {
 			s.mark("build:later-in-FROM")
+		}
+		if j.word {
+			s.mark("join:word-key")
+		} else {
+			s.mark("join:byte-key")
 		}
 	}
 	site := func(e node, name string) {
@@ -536,6 +545,7 @@ var required = []string{
 	"pred:cmp-col", "pred:between", "pred:in", "pred:like-prefix", "pred:like-suffix",
 	"pred:like-infix", "pred:not-like", "pred:or", "pred:not",
 	"join:1", "join:2", "join:3", "build:first-in-FROM", "build:later-in-FROM",
+	"join-key:computed", "join:word-key", "join:byte-key",
 	"groupby:0", "groupby:1", "groupby:2", "groupby:3", "group-key:char", "group-key:computed",
 	"agg:count*", "agg:count", "agg:sum", "agg:avg", "agg:min", "agg:max", "agg:over-expr", "agg:over-div", "having",
 	"agg:per-build-row", "per-build-row:scalar", "per-build-row:unmatched-build", "per-build-row:many-to-many",

@@ -386,6 +386,8 @@ func equalSel(a, b []int32) bool {
 // TestBatchKeyEncoderMatchesRowEncoder requires byte-identical keys and
 // hashes between EncodeBlock and the row-at-a-time KeyEncoder: the
 // invariant that lets batch-built and row-built hash state interoperate.
+// The keys come from an encoder that writes them (WithKeys); the hashes
+// must agree with and without it.
 func TestBatchKeyEncoderMatchesRowEncoder(t *testing.T) {
 	sch := batchTestSchema()
 	blk := fillBatchBlock(sch, 203, 3)
@@ -406,12 +408,13 @@ func TestBatchKeyEncoderMatchesRowEncoder(t *testing.T) {
 	}
 	for ki, keys := range keySets {
 		row := NewKeyEncoder(keys)
-		benc := NewBatchKeyEncoder(keys, sch)
+		benc, hashOnly := NewBatchKeyEncoder(keys, sch).WithKeys(), NewBatchKeyEncoder(keys, sch)
 		for _, tc := range []struct {
 			name string
 			sel  []int32
 		}{{"all", nil}, {"sparse", sparse}} {
 			cnt := benc.EncodeBlock(blk, tc.sel)
+			hashOnly.EncodeBlock(blk, tc.sel)
 			wantN := blk.NumTuples()
 			if tc.sel != nil {
 				wantN = len(tc.sel)
@@ -428,8 +431,12 @@ func TestBatchKeyEncoderMatchesRowEncoder(t *testing.T) {
 				if got := benc.Key(j); !bytes.Equal(got, want) {
 					t.Fatalf("keys %d %s row %d: key %x, want %x", ki, tc.name, r, got, want)
 				}
-				if got, want := benc.Hash(j), row.Hash(blk.Row(r), sch); got != want {
-					t.Fatalf("keys %d %s row %d: hash %x, want %x", ki, tc.name, r, got, want)
+				wantH := row.Hash(blk.Row(r), sch)
+				if got := benc.Hash(j); got != wantH {
+					t.Fatalf("keys %d %s row %d: hash %x, want %x", ki, tc.name, r, got, wantH)
+				}
+				if got := hashOnly.Hash(j); got != wantH {
+					t.Fatalf("keys %d %s row %d: hash without key bytes %x, want %x", ki, tc.name, r, got, wantH)
 				}
 			}
 		}

@@ -4,12 +4,14 @@
 // key — replacing a per-tuple Eval + appendValue + Hash64 round trip per
 // key column with tight per-column loops plus one hashing pass.
 //
-// Keys are byte-identical to KeyEncoder.Encode and hashed with the same
-// Hash64, so batch-built and row-built hash tables interoperate: hash
-// join probes, aggregation shard placement and repartition routing all
-// agree regardless of which side took which path. The one exception is
-// NewGroupKeyEncoder's word key, whose hashes stay inside the
-// aggregation that made them.
+// Keys are byte-identical to KeyEncoder.Encode and hashed by the same
+// rule (key.go): a one-integer key by its word, any other by Hash64. So
+// table placement at load, repartition routing, join build and probe
+// and aggregation shards all agree, whichever path each side took. A
+// one-integer key read straight off a record column is hashed without
+// writing its bytes at all, unless the caller asks for them (WithKeys).
+// The one private hash is NewGroupKeyEncoder's packed CHAR word, which
+// stays inside the aggregation that made it.
 package expr
 
 import (
@@ -48,9 +50,10 @@ type BatchKeyEncoder struct {
 	// fixed-width numeric column (9 bytes each: tag + payload), enabling
 	// the indexed fast path in EncodeBlock; 0 otherwise.
 	fixedW int
-	// words is set only by NewGroupKeyEncoder, for a key that packs into
-	// one 64-bit word: then EncodeBlock packs and hashes words and writes
-	// no key bytes (encodeWords).
+	// words is set for a key that is its own word: one Int64 or Date
+	// column (until WithKeys), or NewGroupKeyEncoder's packed CHARs.
+	// EncodeBlock then packs and hashes words and writes no key bytes
+	// (encodeWords).
 	words []wordField
 
 	slab   []byte  // concatenated keys
@@ -93,6 +96,19 @@ func NewBatchKeyEncoder(exprs []Expr, sch *types.Schema) *BatchKeyEncoder {
 			break
 		}
 	}
+	if len(enc.srcs) == 1 && enc.srcs[0].mode == ksIntCol {
+		enc.words = []wordField{{off: enc.srcs[0].off, width: 8, mask: ^uint64(0)}}
+	}
+	return enc
+}
+
+// WithKeys makes EncodeBlock write every key's bytes, so that Key is
+// defined, and returns enc. The hashes do not change: a one-integer
+// column key still hashes by its word. Call it on a NewBatchKeyEncoder
+// before the first EncodeBlock, when the keys are compared as bytes (a
+// join whose other side's key is not a plain integer column).
+func (enc *BatchKeyEncoder) WithKeys() *BatchKeyEncoder {
+	enc.words = nil
 	return enc
 }
 
@@ -111,9 +127,11 @@ type wordField struct {
 // at most 8 — each key is packed into a uint64 at fixed bit positions
 // and Hash returns a bijection of that word (Word reports it). Two rows
 // then have equal hashes exactly when their general encodings are equal,
-// so the hash is the key and Key is not defined. These hashes are not
-// Hash64: they may not route rows or meet a table built by another
-// encoder. Any other key list gets the general encoder.
+// so the hash is the key and Key is not defined. For one Int64 or Date
+// column the word is the integer and the hash is the rule's, the one
+// every encoder gives that key; packed CHARs are the aggregation's own
+// and may not route rows or meet a table built by another encoder. Any
+// other key list gets the general encoder.
 func NewGroupKeyEncoder(exprs []Expr, sch *types.Schema) *BatchKeyEncoder {
 	enc := NewBatchKeyEncoder(exprs, sch)
 	enc.words = wordFields(exprs, sch)
@@ -150,7 +168,9 @@ func wordFields(exprs []Expr, sch *types.Schema) []wordField {
 }
 
 // Word reports whether the encoder packs its keys into words: Hash is
-// then the key, and Key is not defined.
+// then the key, and Key is not defined. A NewBatchKeyEncoder is a word
+// encoder exactly when its key is one Int64 or Date column and WithKeys
+// was not called.
 func (enc *BatchKeyEncoder) Word() bool { return enc.words != nil }
 
 // Vectorized reports whether every key expression avoids the
@@ -215,6 +235,9 @@ func (enc *BatchKeyEncoder) EncodeBlock(b *block.Block, sel []int32) int {
 		}
 		rec := payload[row*st : row*st+st]
 		start := len(enc.slab)
+		// word: the row's key is one integer value, hashed by its word.
+		var word uint64
+		isWord := false
 		for i := range enc.srcs {
 			s := &enc.srcs[i]
 			switch s.mode {
@@ -240,12 +263,23 @@ func (enc *BatchKeyEncoder) EncodeBlock(b *block.Block, sel []int32) int {
 				enc.slab[l+1+len(sb)] = 0xFF
 			case ksVec:
 				enc.slab = appendVecValue(enc.slab, s.vec, j)
+				if k := s.vec.Kind; len(enc.srcs) == 1 && !s.vec.Null[j] && (k == types.Int64 || k == types.Date) {
+					word, isWord = uint64(s.vec.I[j]), true
+				}
 			default: // ksRow
-				enc.slab = appendValue(enc.slab, s.e.Eval(rec, enc.sch))
+				v := s.e.Eval(rec, enc.sch)
+				enc.slab = appendValue(enc.slab, v)
+				if len(enc.srcs) == 1 && isWordValue(v) {
+					word, isWord = uint64(v.I), true
+				}
 			}
 		}
 		enc.ends = append(enc.ends, int32(len(enc.slab)))
-		enc.hashes = append(enc.hashes, Hash64(enc.slab[start:]))
+		if isWord {
+			enc.hashes = append(enc.hashes, mixWord(word))
+		} else {
+			enc.hashes = append(enc.hashes, Hash64(enc.slab[start:]))
+		}
 	}
 	return n
 }
@@ -254,7 +288,8 @@ func (enc *BatchKeyEncoder) EncodeBlock(b *block.Block, sel []int32) int {
 // fixedW bytes, so the slab is sized up front and written by index —
 // no append bookkeeping, no per-column dispatch beyond one branch.
 // Output format is identical to the general pass (tag + 8 payload bytes
-// per column, -0.0 normalized).
+// per column, -0.0 normalized). A one-integer key (an encoder that
+// WithKeys took off its words) hashes by its word.
 func (enc *BatchKeyEncoder) encodeFixed(b *block.Block, sel []int32, n int) int {
 	kw := enc.fixedW
 	need := n * kw
@@ -273,6 +308,7 @@ func (enc *BatchKeyEncoder) encodeFixed(b *block.Block, sel []int32, n int) int 
 
 	st := enc.sch.Stride()
 	payload := b.Bytes()
+	oneInt := len(enc.srcs) == 1 && enc.srcs[0].mode == ksIntCol
 	for j := 0; j < n; j++ {
 		row := j
 		if sel != nil {
@@ -296,7 +332,11 @@ func (enc *BatchKeyEncoder) encodeFixed(b *block.Block, sel []int32, n int) int 
 			o += 9
 		}
 		enc.ends[j] = int32((j + 1) * kw)
-		enc.hashes[j] = Hash64(out)
+		if oneInt {
+			enc.hashes[j] = mixWord(binary.LittleEndian.Uint64(out[1:]))
+		} else {
+			enc.hashes[j] = Hash64(out)
+		}
 	}
 	return n
 }
@@ -313,6 +353,18 @@ func (enc *BatchKeyEncoder) encodeWords(b *block.Block, sel []int32, n int) int 
 	hashes := enc.hashes[:n]
 	st := enc.sch.Stride()
 	payload := b.Bytes()
+	if f := enc.words[0]; len(enc.words) == 1 && !f.char && f.width == 8 {
+		// One integer column: one load and the mix per row.
+		for j := range hashes {
+			row := j
+			if sel != nil {
+				row = int(sel[j])
+			}
+			hashes[j] = mixWord(binary.LittleEndian.Uint64(payload[row*st+f.off:]))
+		}
+		enc.hashes = hashes
+		return n
+	}
 	for j := range hashes {
 		row := j
 		if sel != nil {
@@ -380,7 +432,8 @@ func (enc *BatchKeyEncoder) Key(j int) []byte {
 	return enc.slab[start:enc.ends[j]]
 }
 
-// Hash returns the Hash64 of the j-th key of the last EncodeBlock call.
+// Hash returns the hash of the j-th key of the last EncodeBlock call:
+// the word hash of a one-integer key, Hash64 of any other (key.go).
 func (enc *BatchKeyEncoder) Hash(j int) uint64 { return enc.hashes[j] }
 
 // appendVecValue appends entry j of a fused-kernel vector in appendValue

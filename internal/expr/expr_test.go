@@ -245,29 +245,50 @@ func TestKeyEncodingUnambiguous(t *testing.T) {
 	}
 }
 
-// TestHash64Distribution guards the bits callers take from Hash64:
-// h%n routes a tuple to one of n exchange destinations (h&63 is the
-// route for n = 64), h>>58 picks the join or aggregation shard, and
+// TestHash64Distribution guards the bits callers take from a key's
+// hash, Hash64 or the word hash of a one-integer key: h%n routes a tuple
+// to one of n exchange destinations (h&63 is the route for n = 64),
+// h>>58 (shardOf) picks the join or aggregation shard, and
 // (h>>6)&(2^k-1) the join bucket inside the shard. Each key family must
-// land within ±5 % of uniform on the first four and ±20 % on 1024
-// buckets.
+// land within ±5 % of uniform on the routes and the shards and ±20 % on
+// 1024 buckets. The word families are the integer keys the workload
+// partitions and joins on: sequential keys (custkey, partkey), TPC-H
+// order keys (8 of every 32) and keys that share their low ten bits.
 func TestHash64Distribution(t *testing.T) {
 	const n = 1_000_000
 	rng := rand.New(rand.NewSource(1))
 	seen := make(map[string]bool)
+	var buf []byte
+	// bytesHash hashes the key key appends, or reports false to skip i.
+	bytesHash := func(key func(i int, buf []byte) []byte) func(i int) (uint64, bool) {
+		return func(i int) (uint64, bool) {
+			if buf = key(i, buf[:0]); buf == nil {
+				return 0, false
+			}
+			return Hash64(buf), true
+		}
+	}
+	// wordHash hashes one-integer keys, through the loader's KeyEncoder.
+	intSch := types.NewSchema(types.Col("k", types.Int64))
+	intRec, intKey := make([]byte, 8), NewKeyEncoder([]Expr{NewCol(0, "k")})
+	wordHash := func(key func(i int) int64) func(i int) (uint64, bool) {
+		return func(i int) (uint64, bool) {
+			types.PutInt(intRec, 0, key(i))
+			return intKey.Hash(intRec, intSch), true
+		}
+	}
 	families := []struct {
 		name string
-		// key appends the i-th key to buf, or returns nil to skip i.
-		key func(i int, buf []byte) []byte
+		hash func(i int) (uint64, bool)
 	}{
-		{"sequential int", func(i int, buf []byte) []byte {
+		{"sequential int", bytesHash(func(i int, buf []byte) []byte {
 			return appendValue(buf, types.IntVal(int64(i+1)))
-		}},
-		{"two columns", func(i int, buf []byte) []byte {
+		})},
+		{"two columns", bytesHash(func(i int, buf []byte) []byte {
 			buf = appendValue(buf, types.IntVal(int64(i%1000)))
 			return appendValue(buf, types.IntVal(int64(i/1000)))
-		}},
-		{"strings of 1-32 bytes", func(i int, buf []byte) []byte {
+		})},
+		{"strings of 1-32 bytes", bytesHash(func(i int, buf []byte) []byte {
 			var s [32]byte
 			l := 1 + i%32
 			for j := 0; j < l; j++ {
@@ -282,22 +303,30 @@ func TestHash64Distribution(t *testing.T) {
 				seen[string(s[:l])] = true
 			}
 			return appendValue(buf, types.StrVal(string(s[:l])))
-		}},
+		})},
+		{"word: sequential int", wordHash(func(i int) int64 { return int64(i + 1) })},
+		{"word: TPC-H order keys", wordHash(func(i int) int64 { return int64(i/8*32 + i%8 + 1) })},
+		{"word: multiples of 1024", wordHash(func(i int) int64 { return int64(i) << 10 })},
 	}
 	for _, f := range families {
+		var mod2 [2]int
 		var mod3 [3]int
+		var mod5 [5]int
+		var mod6 [6]int
 		var mod7 [7]int
 		var mod64, shard [64]int
 		var bucket [1024]int
-		var buf []byte
 		keys := 0
 		for i := 0; i < n; i++ {
-			if buf = f.key(i, buf[:0]); buf == nil {
+			h, ok := f.hash(i)
+			if !ok {
 				continue
 			}
 			keys++
-			h := Hash64(buf)
+			mod2[h%2]++
 			mod3[h%3]++
+			mod5[h%5]++
+			mod6[h%6]++
 			mod7[h%7]++
 			mod64[h&63]++
 			shard[h>>58]++
@@ -312,7 +341,10 @@ func TestHash64Distribution(t *testing.T) {
 				}
 			}
 		}
+		check("h%2", mod2[:], 0.05)
 		check("h%3", mod3[:], 0.05)
+		check("h%5", mod5[:], 0.05)
+		check("h%6", mod6[:], 0.05)
 		check("h%7", mod7[:], 0.05)
 		check("h&63", mod64[:], 0.05)
 		check("h>>58", shard[:], 0.05)

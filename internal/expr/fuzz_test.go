@@ -41,16 +41,20 @@ func FuzzLikeMatch(f *testing.F) {
 	})
 }
 
-// FuzzKeyEncoder checks the invariants the hash join, aggregation and
-// repartitioning layers rely on: encoding is deterministic, Hash is
-// exactly Hash64 over the encoded key, the batch encoder produces the
-// same key and hash, null is distinguishable from any value, and -0.0
-// keys equal +0.0 keys.
+// FuzzKeyEncoder checks the invariants the loader, hash join,
+// aggregation and repartitioning layers rely on: encoding is
+// deterministic, a composite key's Hash is exactly Hash64 over the
+// encoded key, the batch encoder produces the same key and hash, null is
+// distinguishable from any value, and -0.0 keys equal +0.0 keys. For a
+// key of one value the row and batch encoders hash by the same rule: a
+// non-NULL integer by its word — whether a column, a fused kernel or a
+// row-at-a-time CASE made it — and NULL by Hash64 of its encoding.
 func FuzzKeyEncoder(f *testing.F) {
 	f.Add(int64(0), 0.0)
 	f.Add(int64(-1), math.Inf(1))
 	f.Add(int64(600036), 123.456)
 	f.Add(int64(math.MinInt64), math.Copysign(0, -1))
+	f.Add(int64(42), -2.5)
 	f.Fuzz(func(t *testing.T, i int64, fv float64) {
 		sch := types.NewSchema(
 			types.Col("a", types.Int64),
@@ -92,6 +96,32 @@ func FuzzKeyEncoder(f *testing.F) {
 		if bytes.Equal(appendValue(nil, types.NullVal(types.Int64)), appendValue(nil, types.IntVal(i))) {
 			t.Fatal("null key collides with non-null key")
 		}
+
+		// One-value keys: the column, a fused kernel yielding the same
+		// integer, and a CASE that yields it when b > 0 and NULL
+		// otherwise (the row fallback, unless it fuses).
+		a, b := NewCol(0, "a"), NewCol(1, "b")
+		plus0 := NewArith(Add, a, NewConst(types.IntVal(0)))
+		orNull := NewCase([]When{{Cond: NewCmp(GT, b, NewConst(types.FloatVal(0))), Then: a}}, nil)
+		for _, key := range []Expr{a, plus0, orNull} {
+			want := mixWord(uint64(i))
+			if key == orNull && !(fv > 0) {
+				want = Hash64([]byte{0})
+			}
+			keys := []Expr{key}
+			if key == plus0 && !NewBatchKeyEncoder(keys, sch).Vectorized() {
+				t.Fatalf("%v does not compile to a fused kernel", key)
+			}
+			if h := NewKeyEncoder(keys).Hash(rec, sch); h != want {
+				t.Fatalf("%v: row Hash = %#x, want %#x", key, h, want)
+			}
+			for _, benc := range []*BatchKeyEncoder{NewBatchKeyEncoder(keys, sch), NewBatchKeyEncoder(keys, sch).WithKeys()} {
+				benc.EncodeBlock(blk, nil)
+				if h := benc.Hash(0); h != want {
+					t.Fatalf("%v (word %v): batch Hash = %#x, want %#x", key, benc.Word(), h, want)
+				}
+			}
+		}
 	})
 }
 
@@ -125,7 +155,7 @@ func FuzzWordKey(f *testing.F) {
 		}
 		a, n, c, b := NewCol(0, "a"), NewCol(1, "n"), NewCol(2, "c"), NewCol(3, "b")
 		for _, keys := range [][]Expr{{a, b}, {b, a}, {n}, {a}} {
-			general, word := NewBatchKeyEncoder(keys, sch), NewGroupKeyEncoder(keys, sch)
+			general, word := NewBatchKeyEncoder(keys, sch).WithKeys(), NewGroupKeyEncoder(keys, sch)
 			if !word.Word() {
 				t.Fatalf("keys %v (widths %d, %d) do not make a word key", keys, w1, w2)
 			}
@@ -139,7 +169,7 @@ func FuzzWordKey(f *testing.F) {
 		}
 		// a + c is 9 bytes wide: the general encoding, byte for byte.
 		wide := []Expr{a, c}
-		general, group := NewBatchKeyEncoder(wide, sch), NewGroupKeyEncoder(wide, sch)
+		general, group := NewBatchKeyEncoder(wide, sch).WithKeys(), NewGroupKeyEncoder(wide, sch)
 		if group.Word() {
 			t.Fatalf("a 9-byte key makes a word key")
 		}

@@ -9,9 +9,18 @@ import (
 
 // Key extraction shared by hash join, hash aggregation and hash
 // repartitioning: a list of expressions is evaluated over a record and
-// encoded into a compact byte key. Equal tuples produce identical keys;
-// the FNV-1a hash of the key drives both hash-table placement and
-// partition routing, so co-partitioned tables route identically.
+// encoded into a compact byte key. Equal tuples produce identical keys,
+// and one hash of the key drives table placement at load, partition
+// routing and hash-table placement, so co-partitioned tables route
+// identically.
+//
+// The hash has one rule. A key of exactly one value that is a non-NULL
+// Int64 or Date hashes to mixWord of the integer; every other key —
+// NULL, Float64, CHAR, composite or empty — hashes to Hash64 of its
+// encoding. The rule reads the value, not the expression that made it,
+// so a column, a fused kernel and a row-at-a-time Eval yielding the same
+// integer hash alike, and both sides of a join agree with no plan-time
+// check.
 
 // KeyEncoder encodes the values of Exprs over records into reusable key
 // buffers. Not safe for concurrent use; each worker owns one.
@@ -36,9 +45,24 @@ func (k *KeyEncoder) Encode(rec []byte, sch *types.Schema) []byte {
 	return k.buf
 }
 
-// Hash returns the 64-bit FNV-1a hash of the encoded key for rec.
+// Hash returns the hash of the key for rec: the word hash of a
+// one-integer key, Hash64 of the encoded key otherwise.
 func (k *KeyEncoder) Hash(rec []byte, sch *types.Schema) uint64 {
-	return Hash64(k.Encode(rec, sch))
+	if len(k.Exprs) != 1 {
+		return Hash64(k.Encode(rec, sch))
+	}
+	v := k.Exprs[0].Eval(rec, sch)
+	if isWordValue(v) {
+		return mixWord(uint64(v.I))
+	}
+	k.buf = appendValue(k.buf[:0], v)
+	return Hash64(k.buf)
+}
+
+// isWordValue reports whether v, as a key's only value, hashes by its
+// word: a non-NULL Int64 or Date.
+func isWordValue(v types.Value) bool {
+	return !v.Null && (v.Kind == types.Int64 || v.Kind == types.Date)
 }
 
 func appendValue(buf []byte, v types.Value) []byte {

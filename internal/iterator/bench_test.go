@@ -379,3 +379,46 @@ func BenchmarkJoinAggPerBuildRow(b *testing.B) {
 		})
 	}
 }
+
+// BenchmarkJoinWordKey is jcust's join: 15 000 customers built, 75 000
+// orders probed on one Int64 key, every probe row matching one build
+// row. With a column on both sides the join keys by word — no key bytes,
+// chains compare hashes; with o_custkey + 0 on the probe side it keeps
+// key bytes and compares them. Both sides hash alike either way, so the
+// two cases differ only in the key form.
+func BenchmarkJoinWordKey(b *testing.B) {
+	const buildRows, probeRows = 15_000, 75_000
+	bsch := types.NewSchema(types.Col("c_custkey", types.Int64), types.Char("c_mktsegment", 10))
+	psch := types.NewSchema(types.Col("o_custkey", types.Int64), types.Col("o_totalprice", types.Float64))
+	bp := buildPartition(bsch, buildRows, 64*1024, func(i int, rec []byte) {
+		types.PutValue(rec, bsch, 0, types.IntVal(int64(1+i)))
+		types.PutValue(rec, bsch, 1, types.StrVal(fmt.Sprintf("SEGMENT%d", i%5)))
+	})
+	pp := buildPartition(psch, probeRows, 64*1024, func(i int, rec []byte) {
+		types.PutValue(rec, psch, 0, types.IntVal(int64(1+i*7919%buildRows)))
+		types.PutValue(rec, psch, 1, types.FloatVal(float64(i%100000)/4))
+	})
+	col := expr.NewCol(0, "o_custkey")
+	for _, tc := range []struct {
+		name string
+		key  expr.Expr
+		word bool
+	}{
+		{"word-key", col, true},
+		{"byte-key", expr.NewArith(expr.Add, col, expr.NewConst(types.IntVal(0))), false},
+	} {
+		b.Run(tc.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				hj := NewHashJoin(NewScan(bp), NewScan(pp), bsch, psch,
+					[]expr.Expr{expr.NewCol(0, "c_custkey")}, []expr.Expr{tc.key})
+				if hj.WordKey() != tc.word {
+					b.Fatalf("WordKey = %v, want %v", hj.WordKey(), tc.word)
+				}
+				drainAll(b, hj)
+				hj.Close()
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/probeRows, "ns/probe-row")
+		})
+	}
+}

@@ -60,9 +60,10 @@ func (c *snapshotOutbox) CloseSend() error {
 
 // TestSenderRepartition checks the hash scatter against the row-at-a-
 // time definition of repartitioning: every input row arrives exactly
-// once, at destination Hash64(KeyEncoder.Encode(row)) % n, in blocks
-// that ship full (all but the last per destination), with the sent and
-// total counters adding up — with and without staging reuse.
+// once, at destination KeyEncoder.Hash(row) % n (where TableLoader
+// places it), in blocks that ship full (all but the last per
+// destination), with the sent and total counters adding up — with and
+// without staging reuse.
 func TestSenderRepartition(t *testing.T) {
 	sch := types.NewSchema(
 		types.Col("id", types.Int64),
@@ -77,6 +78,7 @@ func TestSenderRepartition(t *testing.T) {
 	})
 	keySets := map[string][]expr.Expr{
 		"one column":  {expr.NewCol(0, "id")},
+		"computed":    {expr.NewArith(expr.Add, expr.NewCol(0, "id"), expr.NewConst(types.IntVal(0)))},
 		"two columns": {expr.NewCol(1, "k"), expr.NewCol(0, "id")},
 		"string":      {expr.NewCol(2, "s")},
 	}

@@ -10,7 +10,7 @@ import (
 	"repro/internal/types"
 )
 
-// FuzzSpillFrames hands arbitrary bytes to spillFile.iterateBlocks as
+// FuzzSpillFrames hands arbitrary bytes to spillFile.iterate as
 // the contents of a spill file, which is what a spilled join or
 // aggregation shard reads back from disk. The frames flush writes come
 // back as the same frames; anything else is an error, never a panic,
@@ -41,7 +41,7 @@ func FuzzSpillFrames(f *testing.F) {
 			}
 		}
 		got := 0
-		if err := s.iterate(func([]byte) error { got++; return nil }); err != nil || got != rows {
+		if err := s.iterate(func(b *block.Block) error { got += b.NumTuples(); return nil }); err != nil || got != rows {
 			f.Fatalf("a file flush wrote read back %d of %d rows: %v", got, rows, err)
 		}
 		data := make([]byte, s.bytes)
@@ -72,7 +72,7 @@ func FuzzSpillFrames(f *testing.F) {
 		var again []byte
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
-		err = s.iterateBlocks(func(b *block.Block) error {
+		err = s.iterate(func(b *block.Block) error {
 			enc := b.Encode(nil)
 			again = binary.LittleEndian.AppendUint32(again, uint32(len(enc)))
 			again = append(again, enc...)

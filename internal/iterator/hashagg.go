@@ -486,16 +486,61 @@ func (t *aggTable) resolve(ha *HashAgg, w *aggWorker, b *block.Block, sel, rest 
 			}
 			var keyRow []byte
 			g, keyRow = t.add(ha, h, key)
-			rec := b.Row(int(i))
-			for c, k := range ha.keys {
-				types.PutValue(keyRow, ha.outSch, c, k.Eval(rec, ha.inSch))
-			}
+			ha.putKey(keyRow, b.Row(int(i)))
 		}
 		rows = append(rows, i)
 		gids = append(gids, g)
 	}
 	w.rows, w.gids = rows, gids
 	return rest
+}
+
+// keyMove copies one key column of an input row to the output row's
+// key prefix. A CHAR column is cut at its first NUL and zero-filled, as
+// PutValue writes the string Eval reads: keys equal up to a NUL are one
+// group, and the group's key must not depend on which row came first.
+type keyMove struct {
+	src, dst, width int
+	char            bool
+}
+
+// keyMoves returns one move per key when every key is a column whose
+// input slot matches its output slot in kind and width, or nil.
+func keyMoves(keys []expr.Expr, inSch, outSch *types.Schema) []keyMove {
+	moves := make([]keyMove, len(keys))
+	for c, k := range keys {
+		col, ok := k.(*expr.Col)
+		if !ok {
+			return nil
+		}
+		in, out := inSch.Cols[col.Idx], outSch.Cols[c]
+		if in.Kind != out.Kind || in.Width != out.Width {
+			return nil
+		}
+		moves[c] = keyMove{src: inSch.Offset(col.Idx), dst: outSch.Offset(c), width: out.Width, char: out.Kind == types.String}
+	}
+	return moves
+}
+
+// putKey writes the key columns of input row rec to keyRow, a new
+// group's key prefix: by byte moves when there are moves, by Eval and
+// PutValue otherwise.
+func (ha *HashAgg) putKey(keyRow, rec []byte) {
+	if ha.keyMoves == nil {
+		for c, k := range ha.keys {
+			types.PutValue(keyRow, ha.outSch, c, k.Eval(rec, ha.inSch))
+		}
+		return
+	}
+	for _, m := range ha.keyMoves {
+		dst := keyRow[m.dst : m.dst+m.width]
+		if !m.char {
+			copy(dst, rec[m.src:m.src+m.width])
+			continue
+		}
+		n := copy(dst, types.GetStringBytes(rec, m.src, m.width))
+		clear(dst[n:])
+	}
 }
 
 // update counts the rows resolve placed into their groups, then runs
@@ -601,6 +646,10 @@ type HashAgg struct {
 	// (expr.NewGroupKeyEncoder). Tables then hold no key bytes and
 	// compare hashes only.
 	wordKey bool
+	// keyMoves writes a new group's key columns from its first row when
+	// every key is a column whose input and output slots agree in kind
+	// and width; nil evaluates the keys (putKey).
+	keyMoves []keyMove
 
 	// Mem wires the aggregation into memory governance (set by the
 	// engine before Open; nil runs unbudgeted and never spills).
@@ -654,6 +703,7 @@ func NewHashAgg(child Iterator, inSch *types.Schema, keys []expr.Expr,
 		ha.keyStride = ha.outSch.Offset(len(keys))
 	}
 	ha.groupBytes = int64(112 + 56*len(specs) + 32*len(keys))
+	ha.keyMoves = keyMoves(keys, inSch, ha.outSch)
 	enc := expr.NewGroupKeyEncoder(keys, inSch)
 	ha.vectorized, ha.wordKey = enc.Vectorized(), enc.Word()
 	for j, s := range specs {
@@ -1045,7 +1095,7 @@ func (ha *HashAgg) reabsorb(sh *aggShard, idx int) error {
 	defer sf.drop()
 	reabsorbStart := time.Now()
 	w := ha.newWorker()
-	err := sf.iterateBlocks(func(b *block.Block) error {
+	err := sf.iterate(func(b *block.Block) error {
 		ha.absorbShard(w, sh, b, w.encode(b), false)
 		return nil
 	})

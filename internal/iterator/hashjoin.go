@@ -56,8 +56,12 @@ type HashJoin struct {
 	Mem *MemConfig
 
 	vectorized bool // both key sets (and the aggregate arguments) avoid the row fallback; see Vectorized
-	pageBytes  int
-	pageRows   int
+	// wordKey: both keys are one Int64 or Date record column, so a key's
+	// hash is the key (expr.BatchKeyEncoder.Word). The table then holds
+	// no key bytes and its chains compare hashes only.
+	wordKey   bool
+	pageBytes int
+	pageRows  int
 
 	// perBuildRow: the join aggregates its matches per build row with
 	// aggs (NewHashJoinAgg).
@@ -160,8 +164,9 @@ func NewHashJoin(build, probe Iterator, buildSch, probeSch *types.Schema,
 		built:     NewBarrier(),
 		probeDone: NewBarrier(),
 	}
-	hj.vectorized = expr.NewBatchKeyEncoder(buildKeys, buildSch).Vectorized() &&
-		expr.NewBatchKeyEncoder(probeKeys, probeSch).Vectorized()
+	benc, penc := expr.NewBatchKeyEncoder(buildKeys, buildSch), expr.NewBatchKeyEncoder(probeKeys, probeSch)
+	hj.vectorized = benc.Vectorized() && penc.Vectorized()
+	hj.wordKey = benc.Word() && penc.Word()
 	stride := buildSch.Stride()
 	hj.pageRows = joinPageTarget / stride
 	if hj.pageRows < 1 {
@@ -212,6 +217,29 @@ func (hj *HashJoin) Schema() *types.Schema { return hj.outSch }
 // fallback when computed batch-at-a-time (plan display).
 func (hj *HashJoin) Vectorized() bool { return hj.vectorized }
 
+// WordKey reports whether the join matches keys by their hashes alone:
+// both keys are one Int64 or Date column.
+func (hj *HashJoin) WordKey() bool { return hj.wordKey }
+
+// encoder returns a new key encoder for one side's keys: a word encoder
+// on a word-key join, one that writes key bytes otherwise.
+func (hj *HashJoin) encoder(keys []expr.Expr, sch *types.Schema) *expr.BatchKeyEncoder {
+	enc := expr.NewBatchKeyEncoder(keys, sch)
+	if !hj.wordKey {
+		enc.WithKeys()
+	}
+	return enc
+}
+
+// key returns the j-th key bytes of enc's last EncodeBlock, or nil on a
+// word-key join, whose tables hold none.
+func (hj *HashJoin) key(enc *expr.BatchKeyEncoder, j int) []byte {
+	if hj.wordKey {
+		return nil
+	}
+	return enc.Key(j)
+}
+
 // BuildRows returns the number of rows inserted into the hash table.
 func (hj *HashJoin) BuildRows() int64 { return hj.buildRows.Load() }
 
@@ -251,7 +279,7 @@ func (hj *HashJoin) Open(ctx *Ctx) Status {
 		return Terminated
 	}
 	// Each worker owns its key encoder and scatter scratch.
-	keys := expr.NewBatchKeyEncoder(hj.buildKeys, hj.buildSch)
+	keys := hj.encoder(hj.buildKeys, hj.buildSch)
 	var byShard scatter
 	for {
 		b, st := hj.build.Next(ctx)
@@ -300,7 +328,7 @@ func (hj *HashJoin) insertBuild(sh *joinShard, b *block.Block, sel []int32, keys
 		}
 		pg := sh.pages[sh.nrows/hj.pageRows]
 		copy(pg[(sh.nrows%hj.pageRows)*stride:], rec)
-		sh.tab.insert(keys.Hash(int(i)), keys.Key(int(i)))
+		sh.tab.insert(keys.Hash(int(i)), hj.key(keys, int(i)))
 		sh.nrows++
 	}
 }
@@ -440,7 +468,7 @@ func (hj *HashJoin) Next(ctx *Ctx) (*block.Block, Status) {
 				hj.deferProbe(sh, in.Row(i))
 				continue
 			}
-			hj.emitMatches(out, &sh.tab, sh.pages, h, w.keys.Key(i), in.Row(i))
+			hj.emitMatches(out, &sh.tab, sh.pages, h, hj.key(w.keys, i), in.Row(i))
 		}
 		sel := 1.0
 		if n > 0 {
@@ -460,7 +488,7 @@ func (hj *HashJoin) worker(ctx *Ctx) *joinWorker {
 	if w, ok := hj.workers.Load(ctx); ok {
 		return w.(*joinWorker)
 	}
-	w := &joinWorker{keys: expr.NewBatchKeyEncoder(hj.probeKeys, hj.probeSch)}
+	w := &joinWorker{keys: hj.encoder(hj.probeKeys, hj.probeSch)}
 	if hj.perBuildRow {
 		w.aggArgs = newAggArgs(hj.aggs)
 	}
@@ -469,16 +497,28 @@ func (hj *HashJoin) worker(ctx *Ctx) *joinWorker {
 }
 
 // emitMatches appends to out the concatenation of probe row rec with
-// every build row of t (stored in pages) whose key equals key.
+// every build row of t (stored in pages) whose key equals the probe key:
+// hash h and bytes key, or hash h alone on a word-key join.
 func (hj *HashJoin) emitMatches(out *block.Block, t *joinTable, pages [][]byte, h uint64, key, rec []byte) {
 	stride := hj.buildSch.Stride()
-	for id := t.lookup(h, key); id >= 0; id = t.after(id, h, key) {
+	var id int32
+	if hj.wordKey {
+		id = t.lookupWord(h)
+	} else {
+		id = t.lookup(h, key)
+	}
+	for id >= 0 {
 		pg := pages[int(id)/hj.pageRows]
 		po := (int(id) % hj.pageRows) * stride
 		out.EnsureRoom(1)
 		dst := out.AppendRowTo()
 		copy(dst[:stride], pg[po:po+stride])
 		copy(dst[stride:], rec)
+		if hj.wordKey {
+			id = t.afterWord(id, h)
+		} else {
+			id = t.after(id, h, key)
+		}
 	}
 }
 
@@ -588,25 +628,26 @@ func (hj *HashJoin) processSpilledShard(ctx *Ctx, w *joinWorker, sh *joinShard, 
 		hj.setSpillErr(err)
 		return out
 	}
-	if hj.perBuildRow {
-		err = probes.iterateBlocks(func(b *block.Block) error {
-			n := w.keys.EncodeBlock(b, nil)
+	if !hj.perBuildRow && out == nil {
+		out = block.New(hj.outSch, 0, ctx.Tracker)
+	}
+	// The probe rows are keyed by the worker's own encoder, block by
+	// block, exactly as resident shards are probed.
+	err = probes.iterate(func(b *block.Block) error {
+		n := w.keys.EncodeBlock(b, nil)
+		if hj.perBuildRow {
 			w.eval(b)
 			hj.probed.Add(int64(n))
 			out = hj.absorb(ctx, w, rs, b, w.every(n), out)
 			return nil
-		})
-		out = hj.emitShard(ctx, w, rs, out)
-	} else {
-		if out == nil {
-			out = block.New(hj.outSch, 0, ctx.Tracker)
 		}
-		penc := expr.NewKeyEncoder(hj.probeKeys)
-		err = probes.iterate(func(rec []byte) error {
-			key := penc.Encode(rec, hj.probeSch)
-			hj.emitMatches(out, &rs.tab, rs.pages, expr.Hash64(key), key, rec)
-			return nil
-		})
+		for i := 0; i < n; i++ {
+			hj.emitMatches(out, &rs.tab, rs.pages, w.keys.Hash(i), hj.key(w.keys, i), b.Row(i))
+		}
+		return nil
+	})
+	if hj.perBuildRow {
+		out = hj.emitShard(ctx, w, rs, out)
 	}
 	if err != nil {
 		hj.setSpillErr(err)
@@ -614,27 +655,30 @@ func (hj *HashJoin) processSpilledShard(ctx *Ctx, w *joinWorker, sh *joinShard, 
 	return out
 }
 
-// rebuild loads a spilled shard's build rows into a new resident shard.
-// Its pages are charged through the budget, falling back to the soft
-// path: each worker rebuilds one shard at a time, and over-running here
-// is bounded.
+// rebuild loads a spilled shard's build rows into a new resident shard,
+// keyed by a build encoder exactly as the resident shards were. Its
+// pages are charged through the budget, falling back to the soft path:
+// each worker rebuilds one shard at a time, and over-running here is
+// bounded.
 func (hj *HashJoin) rebuild(build *spillFile) (*joinShard, error) {
 	rs := &joinShard{}
 	stride := hj.buildSch.Stride()
-	benc := expr.NewKeyEncoder(hj.buildKeys)
-	err := build.iterate(func(rec []byte) error {
-		if rs.nrows == len(rs.pages)*hj.pageRows {
-			if !hj.Mem.reserveSmall(int64(hj.pageBytes)) {
-				hj.Mem.forceSmall(int64(hj.pageBytes))
+	keys := hj.encoder(hj.buildKeys, hj.buildSch)
+	err := build.iterate(func(b *block.Block) error {
+		n := keys.EncodeBlock(b, nil)
+		for i := 0; i < n; i++ {
+			if rs.nrows == len(rs.pages)*hj.pageRows {
+				if !hj.Mem.reserveSmall(int64(hj.pageBytes)) {
+					hj.Mem.forceSmall(int64(hj.pageBytes))
+				}
+				rs.pages = append(rs.pages, block.GetBuf(hj.pageBytes))
+				rs.bytes += int64(hj.pageBytes)
+				hj.memTracked.Add(int64(hj.pageBytes))
 			}
-			rs.pages = append(rs.pages, block.GetBuf(hj.pageBytes))
-			rs.bytes += int64(hj.pageBytes)
-			hj.memTracked.Add(int64(hj.pageBytes))
+			copy(rs.pages[rs.nrows/hj.pageRows][(rs.nrows%hj.pageRows)*stride:], b.Row(i))
+			rs.tab.insert(keys.Hash(i), hj.key(keys, i))
+			rs.nrows++
 		}
-		copy(rs.pages[rs.nrows/hj.pageRows][(rs.nrows%hj.pageRows)*stride:], rec)
-		key := benc.Encode(rec, hj.buildSch)
-		rs.tab.insert(expr.Hash64(key), key)
-		rs.nrows++
 		return nil
 	})
 	return rs, err
@@ -696,11 +740,23 @@ func (hj *HashJoin) nextPerBuildRow(ctx *Ctx, w *joinWorker) (*block.Block, Stat
 func (hj *HashJoin) absorb(ctx *Ctx, w *joinWorker, sh *joinShard, in *block.Block, sel []int32, out *block.Block) *block.Block {
 	// The table is read-only once built: find the matches outside the lock.
 	rows, ids := w.rows[:0], w.ids[:0]
+	t := &sh.tab
 	for _, i := range sel {
-		h, key := w.keys.Hash(int(i)), w.keys.Key(int(i))
-		for id := sh.tab.lookup(h, key); id >= 0; id = sh.tab.after(id, h, key) {
+		h, key := w.keys.Hash(int(i)), hj.key(w.keys, int(i))
+		var id int32
+		if hj.wordKey {
+			id = t.lookupWord(h)
+		} else {
+			id = t.lookup(h, key)
+		}
+		for id >= 0 {
 			rows = append(rows, i)
 			ids = append(ids, id)
+			if hj.wordKey {
+				id = t.afterWord(id, h)
+			} else {
+				id = t.after(id, h, key)
+			}
 		}
 	}
 	w.rows, w.ids = rows, ids

@@ -39,7 +39,7 @@ type joinTable struct {
 // together so that a step along a chain touches one cache line, and a
 // doubling reallocates one array.
 type joinRow struct {
-	hash   uint64 // the row's key hash: Hash64, or a word key's mix
+	hash   uint64 // the row's key hash: a word key's mix, or Hash64
 	next   int32  // the row after this one on its bucket's chain, -1 at the end
 	keyEnd uint32 // the key is keys[rows[id-1].keyEnd:keyEnd]
 }
@@ -49,7 +49,8 @@ func (t *joinTable) bucket(h uint64) uint64 {
 }
 
 // insert adds the next row (id = number of rows so far) under key,
-// whose Hash64 is h.
+// whose hash is h. A word key (its hash is the key) has no bytes: key is
+// nil.
 func (t *joinTable) insert(h uint64, key []byte) {
 	id := len(t.rows)
 	if id == len(t.buckets) {
@@ -89,7 +90,7 @@ func (t *joinTable) grow(keyLen int) {
 	}
 }
 
-// lookup returns the first row whose key equals key (Hash64 h), or -1.
+// lookup returns the first row whose key equals key (hash h), or -1.
 // Further matches follow with after.
 func (t *joinTable) lookup(h uint64, key []byte) int32 {
 	if len(t.buckets) == 0 {
@@ -98,15 +99,27 @@ func (t *joinTable) lookup(h uint64, key []byte) int32 {
 	return t.match(t.buckets[t.bucket(h)], h, key)
 }
 
-// lookupWord is lookup for a table whose hashes are its keys: an
-// aggregation's word keys (expr.NewGroupKeyEncoder), inserted with no
-// key bytes. Equal hashes are equal keys, so the chain compares hashes
-// only.
+// lookupWord is lookup for a table whose hashes are its keys, inserted
+// with no key bytes: a word-key join's build rows (both keys one
+// integer column) or an aggregation's word-key groups
+// (expr.NewGroupKeyEncoder). The word's mix is a bijection, so equal
+// hashes are equal keys and the chain compares hashes only. Further
+// matches follow with afterWord.
 func (t *joinTable) lookupWord(h uint64) int32 {
 	if len(t.buckets) == 0 {
 		return -1
 	}
-	for id := t.buckets[t.bucket(h)]; id >= 0; id = t.rows[id].next {
+	return t.matchWord(t.buckets[t.bucket(h)], h)
+}
+
+// afterWord returns the next row after id with hash h, or -1.
+func (t *joinTable) afterWord(id int32, h uint64) int32 {
+	return t.matchWord(t.rows[id].next, h)
+}
+
+// matchWord walks a chain from id to the first row with hash h.
+func (t *joinTable) matchWord(id int32, h uint64) int32 {
+	for ; id >= 0; id = t.rows[id].next {
 		if t.rows[id].hash == h {
 			return id
 		}

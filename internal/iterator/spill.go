@@ -73,22 +73,9 @@ func (s *spillFile) flush() error {
 	return nil
 }
 
-// iterate flushes, rewinds, and calls fn for every spilled row in
-// write order. rec is only valid during the call.
-func (s *spillFile) iterate(fn func(rec []byte) error) error {
-	return s.iterateBlocks(func(b *block.Block) error {
-		for i := 0; i < b.NumTuples(); i++ {
-			if err := fn(b.Row(i)); err != nil {
-				return err
-			}
-		}
-		return nil
-	})
-}
-
-// iterateBlocks flushes, rewinds, and calls fn for every spilled block
+// iterate flushes, rewinds, and calls fn for every spilled block
 // of rows in write order. The block is recycled when fn returns.
-func (s *spillFile) iterateBlocks(fn func(b *block.Block) error) error {
+func (s *spillFile) iterate(fn func(b *block.Block) error) error {
 	if err := s.flush(); err != nil {
 		return err
 	}

@@ -27,7 +27,7 @@ func rowMultiset(blocks []*block.Block) map[string]int {
 	return m
 }
 
-func runJoinWithBudget(t *testing.T, limit int64, dir string) (map[string]int, *HashJoin, *block.Tracker) {
+func runJoinWithBudget(t *testing.T, probeKey expr.Expr, limit int64, dir string) (map[string]int, *HashJoin, *block.Tracker) {
 	t.Helper()
 	buildSch := types.NewSchema(types.Col("bk", types.Int64), types.Col("bv", types.Int64))
 	probeSch := types.NewSchema(types.Col("pk", types.Int64), types.Col("pv", types.Int64))
@@ -40,7 +40,7 @@ func runJoinWithBudget(t *testing.T, limit int64, dir string) (map[string]int, *
 		types.PutValue(rec, probeSch, 1, types.IntVal(int64(i)))
 	})
 	hj := NewHashJoin(NewScan(bp), NewScan(pp), buildSch, probeSch,
-		[]expr.Expr{expr.NewCol(0, "bk")}, []expr.Expr{expr.NewCol(0, "pk")})
+		[]expr.Expr{expr.NewCol(0, "bk")}, []expr.Expr{probeKey})
 	var acct *block.Tracker
 	if limit > 0 {
 		acct = block.NewBudget("node", limit).Sub("join")
@@ -58,13 +58,31 @@ func runJoinWithBudget(t *testing.T, limit int64, dir string) (map[string]int, *
 
 // TestHashJoinSpillEquivalence forces the join through the partition
 // spill path with a budget far below the build size and checks the
-// output multiset matches the unconstrained run exactly.
+// output multiset matches the unconstrained run exactly, for a word key
+// (both sides a column) and a byte key (the probe side computed).
 func TestHashJoinSpillEquivalence(t *testing.T) {
-	want, base, _ := runJoinWithBudget(t, 0, "")
+	pk := expr.NewCol(0, "pk")
+	for _, tc := range []struct {
+		name string
+		key  expr.Expr
+		word bool
+	}{
+		{"word key", pk, true},
+		{"byte key", expr.NewArith(expr.Add, pk, expr.NewConst(types.IntVal(0))), false},
+	} {
+		t.Run(tc.name, func(t *testing.T) { testJoinSpill(t, tc.key, tc.word) })
+	}
+}
+
+func testJoinSpill(t *testing.T, probeKey expr.Expr, word bool) {
+	want, base, _ := runJoinWithBudget(t, probeKey, 0, "")
 	if base.Spilled() != 0 {
 		t.Fatalf("unbudgeted run spilled %d shards", base.Spilled())
 	}
-	got, hj, acct := runJoinWithBudget(t, 96<<10, t.TempDir())
+	if base.WordKey() != word {
+		t.Fatalf("WordKey = %v, want %v", base.WordKey(), word)
+	}
+	got, hj, acct := runJoinWithBudget(t, probeKey, 96<<10, t.TempDir())
 	if hj.Spilled() == 0 {
 		t.Fatal("budgeted run did not spill; budget not binding")
 	}
@@ -194,7 +212,7 @@ func TestSpillIterateRejectsOversizedFrame(t *testing.T) {
 		}
 	}
 	got := 0
-	if err := s.iterate(func([]byte) error { got++; return nil }); err != nil || got != rows {
+	if err := s.iterate(func(b *block.Block) error { got += b.NumTuples(); return nil }); err != nil || got != rows {
 		t.Fatalf("honest file: %d of %d rows, err %v", got, rows, err)
 	}
 	// 0x7fffffff bytes: within what int and make accept, far beyond a frame.
@@ -204,7 +222,7 @@ func TestSpillIterateRejectsOversizedFrame(t *testing.T) {
 	got = 0
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
-	err = s.iterate(func([]byte) error { got++; return nil })
+	err = s.iterate(func(b *block.Block) error { got += b.NumTuples(); return nil })
 	runtime.ReadMemStats(&after)
 	if err == nil || got != 0 {
 		t.Fatalf("corrupt length prefix: %d rows read back, err %v", got, err)

@@ -22,7 +22,7 @@ func TestExplainGolden(t *testing.T) {
     scan trades filter (t.order_price > 100) [vec]
   -> repartition via exchange 0
 segment 1 (all-nodes):
-  hash join [vec]
+  hash join (word key) [vec]
     build:
       merger (exchange 0)
     probe:

@@ -136,8 +136,9 @@ func annotateVec(op PhysOp) {
 	case *PHashJoin:
 		annotateVec(n.Build)
 		annotateVec(n.Probe)
-		n.VecKeys = expr.NewBatchKeyEncoder(n.BuildKeys, n.Build.Schema()).Vectorized() &&
-			expr.NewBatchKeyEncoder(n.ProbeKeys, n.Probe.Schema()).Vectorized()
+		benc := expr.NewBatchKeyEncoder(n.BuildKeys, n.Build.Schema())
+		penc := expr.NewBatchKeyEncoder(n.ProbeKeys, n.Probe.Schema())
+		n.VecKeys, n.WordKey = benc.Vectorized() && penc.Vectorized(), benc.Word() && penc.Word()
 		for _, s := range n.Aggs {
 			if s.Arg != nil && !expr.CompileBatch(s.Arg, n.Probe.Schema()).Fused() {
 				n.VecKeys = false

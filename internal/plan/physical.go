@@ -72,14 +72,26 @@ type PHashJoin struct {
 	// VecKeys reports whether both key sets, and the aggregate
 	// arguments, compile to fused batch kernels (Explain only).
 	VecKeys bool
+	// WordKey reports whether both keys are one Int64 or Date column,
+	// so the join matches them by hash alone (Explain only).
+	WordKey bool
 }
 
 // Schema implements PhysOp.
 func (j *PHashJoin) Schema() *types.Schema { return j.Sch }
 
-// label is what EXPLAIN adds to an aggregating join: what it keeps per
-// build row, the match count and its aggregates by function.
+// label is what EXPLAIN says the join keys are: one word, matched by
+// hash alone, or encoded bytes.
 func (j *PHashJoin) label() string {
+	if j.WordKey {
+		return "word key"
+	}
+	return "byte key"
+}
+
+// aggLabel is what EXPLAIN adds to an aggregating join: what it keeps
+// per build row, the match count and its aggregates by function.
+func (j *PHashJoin) aggLabel() string {
 	if !j.PerBuildRow {
 		return ""
 	}
@@ -308,7 +320,7 @@ func renderOp(sb *strings.Builder, op PhysOp, depth int, a Annotations) {
 		fmt.Fprintf(sb, "%sproject (%d exprs)%s%s\n", pad, len(n.Exprs), vecTag(n.Vectorized), tail)
 		renderOp(sb, n.Child, depth+1, a)
 	case *PHashJoin:
-		fmt.Fprintf(sb, "%shash join%s%s%s\n", pad, vecTag(n.VecKeys), n.label(), tail)
+		fmt.Fprintf(sb, "%shash join (%s)%s%s%s\n", pad, n.label(), vecTag(n.VecKeys), n.aggLabel(), tail)
 		fmt.Fprintf(sb, "%s  build:\n", pad)
 		renderOp(sb, n.Build, depth+2, a)
 		fmt.Fprintf(sb, "%s  probe:\n", pad)

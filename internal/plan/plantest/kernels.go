@@ -169,17 +169,22 @@ func checkValue(e expr.Expr, sch *types.Schema, b *block.Block, sel, rows []int3
 }
 
 func checkKeys(es []expr.Expr, sch *types.Schema, b *block.Block, sel, rows []int32) error {
-	enc, row := expr.NewBatchKeyEncoder(es, sch), expr.NewKeyEncoder(es)
+	enc, hashOnly, row := expr.NewBatchKeyEncoder(es, sch).WithKeys(), expr.NewBatchKeyEncoder(es, sch), expr.NewKeyEncoder(es)
 	if n := enc.EncodeBlock(b, sel); n != len(rows) {
 		return fmt.Errorf("encoded %d keys, want %d", n, len(rows))
 	}
+	hashOnly.EncodeBlock(b, sel)
 	for j, r := range rows {
 		rec := b.Row(int(r))
 		if got, want := enc.Key(j), row.Encode(rec, sch); !bytes.Equal(got, want) {
 			return fmt.Errorf("row %d: key %x, row encoder %x", r, got, want)
 		}
-		if got, want := enc.Hash(j), row.Hash(rec, sch); got != want {
+		want := row.Hash(rec, sch)
+		if got := enc.Hash(j); got != want {
 			return fmt.Errorf("row %d: hash %x, row encoder %x", r, got, want)
+		}
+		if got := hashOnly.Hash(j); got != want {
+			return fmt.Errorf("row %d: hash without key bytes %x, row encoder %x", r, got, want)
 		}
 	}
 	return nil

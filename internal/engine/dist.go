@@ -172,16 +172,13 @@ func NewClusterDist(cfg Config, cat *catalog.Catalog, node *network.TCPNode) (*C
 	}
 	inj := cfg.resolveFaults()
 	node.SetFaults(inj)
-	// A multi-process cluster always runs the reliable protocol. The
-	// processes start a query without a rendezvous, so a producer's
+	// The processes start a query without a rendezvous, so a producer's
 	// first frames can reach a peer that has not registered its inboxes
-	// yet; the peer drops them, and fire-and-forget never sends them
-	// again — the query hangs. Retransmission brings them back.
-	retry := network.DefaultRetryPolicy
+	// yet; the peer drops them unacknowledged, and retransmission brings
+	// them back.
 	if cfg.Retry != nil {
-		retry = *cfg.Retry
+		node.SetRetryPolicy(*cfg.Retry)
 	}
-	node.SetRetryPolicy(retry)
 	hosted := map[int]*network.TCPNode{node.ID(): node}
 	c := &Cluster{
 		cfg: cfg, cat: cat, faultInj: inj,

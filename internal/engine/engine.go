@@ -106,10 +106,8 @@ type Config struct {
 	// -faults CLI flag installs; use faults.New to attach a private
 	// injector (tests schedule link severances and worker crashes on it).
 	Faults *faults.Injector
-	// Retry overrides the transports' reliable-send policy. Setting it
-	// forces the reliable (ack + retransmit) protocol on even without an
-	// injector; leave nil outside recovery tests. NewClusterDist always
-	// runs the reliable protocol (nil means network.DefaultRetryPolicy).
+	// Retry overrides the transports' retransmission policy (nil means
+	// network.DefaultRetryPolicy); recovery tests shorten it.
 	Retry *network.RetryPolicy
 	// MemoryPerNode caps the tracked working memory (hash tables, sort
 	// buffers, parked worker state) of all concurrent queries on one

@@ -6,10 +6,15 @@ import (
 	"math"
 	"math/rand"
 	"sort"
+	"sync"
 	"testing"
 	"time"
 
+	"repro/internal/block"
 	"repro/internal/catalog"
+	"repro/internal/network"
+	"repro/internal/plan"
+	"repro/internal/telemetry"
 	"repro/internal/types"
 )
 
@@ -695,10 +700,12 @@ func TestQueryErrorPaths(t *testing.T) {
 }
 
 // TestTCPJoinProbeCannotBlockBuild: over sockets, the exchanges into a
-// join's two inputs can share a connection, and a node's read loop
-// blocks on a full inbox. The probe inbox fills while the join still
-// reads its build side, and its read loop then held the build side's
-// frames behind it: the query never finished.
+// join's two inputs can share a connection. The probe inbox fills while
+// the join still reads its build side; when a node's read loop blocked
+// on a full inbox it held the build side's frames behind it, and the
+// query never finished. The read loop now withholds the full inbox's
+// credit instead, so the probe inbox stays bounded — by its own bound
+// plus one send window per producer node — and nothing is retransmitted.
 func TestTCPJoinProbeCannotBlockBuild(t *testing.T) {
 	cat := catalog.New(2)
 	a := types.NewSchema(types.Col("k", types.Int64), types.Col("v", types.Int64))
@@ -706,11 +713,14 @@ func TestTCPJoinProbeCannotBlockBuild(t *testing.T) {
 	// Neither input is partitioned on the join key: both are repartitioned.
 	cat.MustAdd(&catalog.Table{Name: "a", Schema: a, PartKey: []int{1}})
 	cat.MustAdd(&catalog.Table{Name: "b", Schema: b, PartKey: []int{1}})
-	c, err := NewClusterTCP(Config{Nodes: 2, CoresPerNode: 2, Mode: SP, BlockSize: 512, ExchangeBuffer: 1}, cat)
+	cfg := Config{Nodes: 2, CoresPerNode: 2, Mode: SP, BlockSize: 512, ExchangeBuffer: 1}
+	c, err := NewClusterTCP(cfg, cat)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer c.Close()
+	rec := &inboxRecorder{Fabric: c.fabric}
+	c.fabric = rec
 	for _, tbl := range []struct {
 		name string
 		sch  *types.Schema
@@ -725,11 +735,33 @@ func TestTCPJoinProbeCannotBlockBuild(t *testing.T) {
 		}
 		tl.Close()
 	}
+	const query = "SELECT count(*) FROM a, b WHERE a.k = b.k"
+	p, _, err := c.CompileCached(query)
+	if err != nil {
+		t.Fatal(err)
+	}
+	probe := -1
+	for _, s := range p.Segments {
+		plan.Walk(s.Root, func(op plan.PhysOp) {
+			if j, ok := op.(*plan.PHashJoin); ok {
+				if m, ok := j.Probe.(*plan.PMerger); ok {
+					probe = m.Exchange
+				}
+			}
+		})
+	}
+	if probe < 0 {
+		t.Fatal("the join does not probe an exchange")
+	}
+	// A full inbox withholds credit; each producer node may still have
+	// one send window (16 frames) in flight toward it.
+	limit := int64((cfg.ExchangeBuffer + 16*cfg.Nodes) * cfg.BlockSize)
 	// Query ids vary the connection each exchange hashes to; twenty runs
 	// put the two inputs on one connection many times over.
 	for i := 0; i < 20; i++ {
 		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-		res, err := c.Exec(ctx, Request{SQL: "SELECT count(*) FROM a, b WHERE a.k = b.k"})
+		scope := telemetry.NewScope("probe-bound")
+		res, err := c.Exec(ctx, Request{SQL: query, Scope: scope})
 		cancel()
 		if err != nil {
 			t.Fatalf("run %d: %v", i, err)
@@ -737,7 +769,53 @@ func TestTCPJoinProbeCannotBlockBuild(t *testing.T) {
 		if got := res.Rows()[0][0].I; got != 20000 {
 			t.Fatalf("run %d: count %d, want 20000", i, got)
 		}
+		for inst, in := range rec.inboxes(probe) {
+			if peak := in.PeakBufferedBytes(); peak > limit {
+				t.Errorf("run %d: probe inbox %d held %d bytes at its peak, bound %d", i, inst, peak, limit)
+			}
+		}
+		if r := scope.Counter(telemetry.CtrNetRetries).Load(); r != 0 {
+			t.Errorf("run %d: net.retries = %d on a clean loopback join", i, r)
+		}
 	}
+}
+
+// inboxRecorder is a cluster's fabric that keeps the last exchange it
+// declared under each plan exchange id, so a test can read its inboxes
+// after the query.
+type inboxRecorder struct {
+	network.Fabric
+	mu  sync.Mutex
+	exs map[int]recordedExchange
+}
+
+type recordedExchange struct {
+	ex        network.FabricExchange
+	consumers int
+}
+
+func (r *inboxRecorder) NewExchange(query, id, producers int, consumerNodes []int, sch *types.Schema,
+	bufBlocks int, tracker *block.Tracker, scope *telemetry.Scope) network.FabricExchange {
+	ex := r.Fabric.NewExchange(query, id, producers, consumerNodes, sch, bufBlocks, tracker, scope)
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if r.exs == nil {
+		r.exs = make(map[int]recordedExchange)
+	}
+	r.exs[id] = recordedExchange{ex, len(consumerNodes)}
+	return ex
+}
+
+// inboxes returns the consumer inboxes of the last exchange declared as id.
+func (r *inboxRecorder) inboxes(id int) []*network.Inbox {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	rec := r.exs[id]
+	var out []*network.Inbox
+	for i := 0; i < rec.consumers; i++ {
+		out = append(out, rec.ex.Inbox(i))
+	}
+	return out
 }
 
 // Tiny exchange buffers must not deadlock any mode (backpressure

@@ -238,7 +238,7 @@ type exec struct {
 
 // fail records the query's first error and tears the dataflow down:
 // every exchange (result collector included) is aborted, which fails
-// pending reliable sends, unblocks and drains all inboxes, and lets
+// pending sends, unblocks and drains all inboxes, and lets
 // every segment's workers and sender run to completion. Later errors —
 // typically the "exchange aborted" cascade from the teardown itself —
 // are dropped.
@@ -459,16 +459,6 @@ func (e *exec) wire() error {
 	if c.cfg.Mode == ME {
 		buf = 0
 	}
-	// On sockets, an exchange a hash join probes is unbounded too. The
-	// join reads it only after its build input has ended, and a node's
-	// read loop blocks on a full inbox while the build side's frames may
-	// be queued behind it on the same shared connection. The join's probe
-	// phase is the one place a segment reads an exchange while another is
-	// still pending, so this breaks every such wait.
-	var probed map[int]bool
-	if c.tcpNodes != nil {
-		probed = probeExchanges(p)
-	}
 	maxExID := 0
 	for _, ex := range p.Exchanges {
 		prod, cons := p.Segment(ex.Producer), p.Segment(ex.Consumer)
@@ -478,14 +468,10 @@ func (e *exec) wire() error {
 		if ex.ID > maxExID {
 			maxExID = ex.ID
 		}
-		exBuf := buf
-		if probed[ex.ID] {
-			exBuf = 0
-		}
 		consNodes := e.nodesOf(cons)
 		e.consNodes[ex.ID] = consNodes
 		e.exchanges[ex.ID] = c.fabric.NewExchange(e.qid, ex.ID, len(e.nodesOf(prod)), consNodes,
-			ex.Sch, exBuf, e.tracker, sc)
+			ex.Sch, buf, e.tracker, sc)
 	}
 
 	// The result collector: final segment gathers to the master. Its
@@ -524,22 +510,6 @@ func (e *exec) wire() error {
 		}
 	}
 	return nil
-}
-
-// probeExchanges lists the exchanges a hash join reads as its probe
-// input.
-func probeExchanges(p *plan.Plan) map[int]bool {
-	out := map[int]bool{}
-	for _, s := range p.Segments {
-		plan.Walk(s.Root, func(op plan.PhysOp) {
-			if j, ok := op.(*plan.PHashJoin); ok {
-				if m, ok := j.Probe.(*plan.PMerger); ok {
-					out[m.Exchange] = true
-				}
-			}
-		})
-	}
-	return out
 }
 
 // drive runs the wired dataflow to completion under the cluster's mode

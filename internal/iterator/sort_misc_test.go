@@ -2,6 +2,7 @@ package iterator
 
 import (
 	"math/rand"
+	"runtime"
 	"sync"
 	"testing"
 
@@ -141,6 +142,84 @@ func TestTopN(t *testing.T) {
 		if v != sorted[i] {
 			t.Fatalf("top-n[%d] = %d, want %d", i, v, sorted[i])
 		}
+	}
+}
+
+// hookNext calls before and after with the worker's context around
+// every Next of the wrapped iterator.
+type hookNext struct {
+	Iterator
+	before, after func(ctx *Ctx)
+}
+
+func (h *hookNext) Next(ctx *Ctx) (*block.Block, Status) {
+	h.before(ctx)
+	b, st := h.Iterator.Next(ctx)
+	h.after(ctx)
+	return b, st
+}
+
+// TestTopNLateWorkerKeepsParkedHeap: a worker shrunk mid-input parks
+// its heap for the merge. A worker expanded after the input phase
+// passed, while the merge runs, must leave that heap to the merge; when
+// it took the heap, the heap's rows (here the best one) were lost.
+func TestTopNLateWorkerKeepsParkedHeap(t *testing.T) {
+	sch := types.NewSchema(types.Col("k", types.Int64))
+	const n = 50000 // a large heap keeps the merge busy before it drains the pool
+	// The first block holds key 0 alone; the others hold keys 1..n.
+	in := &chanInbox{ch: make(chan *block.Block, n/512+2)}
+	rec := make([]byte, sch.Stride())
+	for next := int64(0); next <= n; {
+		b := block.New(sch, 512*sch.Stride(), nil)
+		for !b.Full() && next <= n {
+			types.PutValue(rec, sch, 0, types.IntVal(next))
+			b.AppendRow(rec)
+			if next++; next == 1 {
+				break
+			}
+		}
+		in.ch <- b
+	}
+	close(in.ch)
+	worker := &Ctx{WorkerID: 0, Term: &TermFlag{}}
+	shrunk := &Ctx{WorkerID: 1, Term: &TermFlag{}}
+	var reached sync.Once
+	atNext, parked := make(chan struct{}), make(chan struct{})
+	child := &hookNext{Iterator: NewMerger(in, sch),
+		before: func(ctx *Ctx) {
+			if ctx == worker { // holding a fresh heap of its own
+				reached.Do(func() { close(atNext) })
+				<-parked
+			}
+		},
+		after: func(ctx *Ctx) {
+			if ctx == shrunk {
+				ctx.Term.Request() // after its first block: key 0
+			}
+		}}
+	tn := NewTopN(child, sch, []SortKey{{E: expr.NewCol(0, "k")}}, n)
+	opened := make(chan Status)
+	go func() { opened <- tn.Open(worker) }()
+	<-atNext
+	if st := tn.Open(shrunk); st != Terminated {
+		t.Fatalf("shrunk worker Open = %v, want Terminated", st)
+	}
+	close(parked)
+	for !tn.done.Passed() {
+		runtime.Gosched()
+	}
+	if st := tn.Open(&Ctx{WorkerID: 2, Term: &TermFlag{}}); st != OK {
+		t.Fatalf("late worker Open = %v, want OK", st)
+	}
+	if st := <-opened; st != OK {
+		t.Fatalf("worker Open = %v, want OK", st)
+	}
+	b, st := tn.Next(worker)
+	if st != OK || b.NumTuples() != n {
+		t.Fatalf("top-%d emitted %v rows (status %v)", n, b.NumTuples(), st)
+	}
+	if k := b.Get(0, 0).I; k != 0 {
+		t.Fatalf("top-%d starts at %d, want 0: the shrunk worker's heap was lost", n, k)
 	}
 }
 

@@ -96,11 +96,14 @@ func (t *TopN) Open(ctx *Ctx) Status {
 		ctx.BroadcastExit()
 		return Terminated
 	}
-	var h *topHeap
-	if v := t.pool.Get(ctx); v != nil {
-		h = v.(*topHeap)
-	} else {
-		h = &topHeap{keys: t.keys, n: t.n}
+	h := &topHeap{keys: t.keys, n: t.n}
+	// A worker expanded after the input phase passed is not its member:
+	// the merge may be running, and a parked heap taken now would never
+	// reach it. Such a worker sees only the input's end.
+	if !t.done.Passed() {
+		if v := t.pool.Get(ctx); v != nil {
+			h = v.(*topHeap)
+		}
 	}
 	for {
 		b, st := t.child.Next(ctx)

@@ -3,15 +3,14 @@ package network
 import (
 	"fmt"
 	"testing"
-	"time"
 
 	"repro/internal/block"
 	"repro/internal/iterator"
 	"repro/internal/types"
 )
 
-// Send-path benchmarks over loopback TCP, fast path and reliable path:
-// small blocks (64 rows), a 16 KB block and the engine's 64 KB block.
+// Send-path benchmarks over loopback TCP: small blocks (64 rows), a
+// 32 KB block and the engine's 64 KB block.
 // Allocations per op include the drain goroutine's decode and read
 // buffers. EXPERIMENTS.md records before/after figures across the wire
 // protocol's changes.
@@ -44,7 +43,7 @@ func benchDrain(in *Inbox, done chan<- int) {
 	done <- n
 }
 
-func benchPair(b *testing.B, reliable bool) (*TCPNode, *TCPNode) {
+func benchPair(b *testing.B) (*TCPNode, *TCPNode) {
 	b.Helper()
 	n0, err := NewTCPNode(0, "127.0.0.1:0", nil)
 	if err != nil {
@@ -60,19 +59,13 @@ func benchPair(b *testing.B, reliable bool) (*TCPNode, *TCPNode) {
 	n0.SetPeer(1, peers[1])
 	n1.SetPeer(0, peers[0])
 	n1.SetPeer(1, peers[1])
-	if reliable {
-		pol := RetryPolicy{Base: 50 * time.Millisecond, Max: time.Second,
-			Deadline: 30 * time.Second, Jitter: 0.2}
-		n0.SetRetryPolicy(pol)
-		n1.SetRetryPolicy(pol)
-	}
 	b.Cleanup(func() { n0.Close(); n1.Close() })
 	return n0, n1
 }
 
-func benchSend(b *testing.B, reliable bool, rows int) {
+func benchSend(b *testing.B, rows int) {
 	sch := benchSchema()
-	n0, n1 := benchPair(b, reliable)
+	n0, n1 := benchPair(b)
 	in := n1.RegisterInbox(1, 1, 0, 1, sch, 64, nil)
 	ob := n0.NewOutbox(1, 1, []int{1})
 	blk := benchBlock(sch, rows)
@@ -94,21 +87,19 @@ func benchSend(b *testing.B, reliable bool, rows int) {
 	<-done
 }
 
-func BenchmarkTCPSendFastSmall(b *testing.B)     { benchSend(b, false, 64) }
-func BenchmarkTCPSendReliableSmall(b *testing.B) { benchSend(b, true, 64) }
-func BenchmarkTCPSendReliableWide(b *testing.B)  { benchSend(b, true, 2048) }
+func BenchmarkTCPSendReliableSmall(b *testing.B) { benchSend(b, 64) }
+func BenchmarkTCPSendReliableWide(b *testing.B)  { benchSend(b, 2048) }
 
 // The engine's frame shape: iterator.Sender ships full Config.BlockSize
 // blocks, here 4096 rows × 16 B = 64 KB.
-func BenchmarkTCPSendFastBlock(b *testing.B)     { benchSend(b, false, 4096) }
-func BenchmarkTCPSendReliableBlock(b *testing.B) { benchSend(b, true, 4096) }
+func BenchmarkTCPSendReliableBlock(b *testing.B) { benchSend(b, 4096) }
 
 // BenchmarkTCPRepartitionReliable is the acceptance workload shape: two
 // producers each shuffling small blocks to two consumer instances on
-// opposite nodes, reliable mode.
+// opposite nodes.
 func BenchmarkTCPRepartitionReliable(b *testing.B) {
 	sch := benchSchema()
-	n0, n1 := benchPair(b, true)
+	n0, n1 := benchPair(b)
 	nodes := []*TCPNode{n0, n1}
 	ins := make([]*Inbox, 2)
 	obs := make([]iterator.Outbox, 2)

@@ -7,9 +7,9 @@ import (
 	"time"
 )
 
-// poolConns is the number of multiplexed connections kept per peer.
-// Flows (query, exchange) hash onto pool members, so one wide shuffle
-// does not serialize everything behind a single socket.
+// poolConns is the number of multiplexed data connections kept per
+// peer. Flows (query, exchange) hash onto pool members, so one wide
+// shuffle does not serialize everything behind a single socket.
 const poolConns = 2
 
 // connPool is the fixed set of connections one node keeps to one peer.
@@ -17,10 +17,14 @@ const poolConns = 2
 // connection setup is charged to membership changes, not to the first
 // Send of a query) and redialed on demand with bounded, jittered
 // backoff so a restarting peer is not hammered.
+// Acks have a connection of their own, whose reader only applies them:
+// behind data writes, two read loops could each wait on a write the
+// other's peer is not reading.
 type connPool struct {
 	peer  int
 	addr  string
-	slots []*poolConn
+	slots []*poolConn // data, by flow hash
+	acks  *poolConn
 }
 
 // poolConn is one pooled connection. The mutex serializes writes (a
@@ -39,7 +43,7 @@ const (
 )
 
 func newConnPool(peer int, addr string) *connPool {
-	p := &connPool{peer: peer, addr: addr, slots: make([]*poolConn, poolConns)}
+	p := &connPool{peer: peer, addr: addr, slots: make([]*poolConn, poolConns), acks: &poolConn{}}
 	for i := range p.slots {
 		p.slots[i] = &poolConn{}
 	}
@@ -110,9 +114,12 @@ func (pc *poolConn) predial(addr string, peer int) {
 	pc.mu.Unlock()
 }
 
+// all returns every pooled connection, the ack connection last.
+func (p *connPool) all() []*poolConn { return append(append([]*poolConn(nil), p.slots...), p.acks) }
+
 // closeAll closes every pooled connection.
 func (p *connPool) closeAll() {
-	for _, pc := range p.slots {
+	for _, pc := range p.all() {
 		pc.drop()
 	}
 }

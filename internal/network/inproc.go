@@ -8,10 +8,10 @@
 //     emulation and the in-process fault model (faultyOutbox). The
 //     default fabric of engine.NewCluster, tests and examples.
 //   - TCP (tcp.go): blocks go through the wire codec, one frame per
-//     write, over pooled sockets — fire-and-forget on a healthy link,
-//     windowed ack + retransmit under injected faults. One TCPNode per
-//     cluster node (all on loopback in engine.NewClusterTCP, one per
-//     claims-node process), one record per (query, exchange) on each.
+//     write, over pooled sockets, under one protocol: per-stream send
+//     windows whose credit is the only backpressure (a read loop never
+//     waits on an Inbox). One TCPNode per cluster node (all on loopback
+//     in engine.NewClusterTCP, one per claims-node process).
 //
 // exchangeAccount (fabric.go) is the traffic accounting both share, so
 // the two report identical network statistics.
@@ -19,6 +19,7 @@ package network
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 
 	"repro/internal/block"
@@ -173,7 +174,9 @@ func (o *outbox) CloseSend() error {
 // Inbox buffers blocks arriving for one consumer instance and satisfies
 // iterator.Inbox. The buffer is a lock-guarded deque so it can be
 // bounded (pipelined modes: backpressure propagates to senders) or
-// unbounded (materialized execution).
+// unbounded (materialized execution). An in-process sender waits in put
+// for room; the TCP read loop delivers without waiting and withholds
+// credit instead, which the Recv that makes room grants.
 type Inbox struct {
 	sch     *types.Schema // what the socket transports decode frames with
 	tracker *block.Tracker
@@ -195,6 +198,8 @@ type Inbox struct {
 	peakBuf   int64
 	received  int64
 	abandoned bool
+	withheld  []streamKey       // TCP streams whose credit waits for room
+	grant     func([]streamKey) // the TCP node's re-grant, set at registration
 }
 
 func newInbox(producers, capB int, sch *types.Schema, tracker *block.Tracker) *Inbox {
@@ -213,23 +218,42 @@ func (in *Inbox) wake() {
 	}
 }
 
-// enqueue takes b — the in-process sender gave it away, the read loop
-// decoded it for this inbox — and appends it, first waiting out a full
-// bounded inbox, or, with wait false, returning false instead (b is
-// then still the caller's). An abandoned inbox recycles the block: a
-// dead dataflow has no consumer left to do it.
-func (in *Inbox) enqueue(b *block.Block, wait bool) bool {
+func (in *Inbox) full() bool { return in.capB > 0 && len(in.queue) >= in.capB }
+
+// put appends b for an in-process sender, first waiting for room.
+func (in *Inbox) put(b *block.Block) {
 	in.mu.Lock()
 	defer in.mu.Unlock()
-	for in.capB > 0 && len(in.queue) >= in.capB && !in.abandoned {
-		if !wait {
-			return false
-		}
+	for in.full() && !in.abandoned {
 		in.notFull.Wait()
 	}
+	in.appendLocked(b)
+}
+
+// deliver appends b (nil: none) for the TCP read loop without waiting
+// and reports whether stream sk gets credit; if not, sk is recorded for
+// the Recv that makes room.
+func (in *Inbox) deliver(b *block.Block, sk streamKey) bool {
+	in.mu.Lock()
+	defer in.mu.Unlock()
+	if b != nil {
+		in.appendLocked(b)
+	}
+	if !in.full() || in.abandoned {
+		return true
+	}
+	if !slices.Contains(in.withheld, sk) {
+		in.withheld = append(in.withheld, sk)
+	}
+	return false
+}
+
+// appendLocked queues b and charges it. An abandoned inbox recycles it:
+// a dead dataflow has no consumer left to.
+func (in *Inbox) appendLocked(b *block.Block) {
 	if in.abandoned {
 		b.Recycle()
-		return true
+		return
 	}
 	in.queue = append(in.queue, b)
 	in.received += int64(b.NumTuples())
@@ -241,15 +265,7 @@ func (in *Inbox) enqueue(b *block.Block, wait bool) bool {
 		in.tracker.Alloc(int64(b.SizeBytes()))
 	}
 	in.wake()
-	return true
 }
-
-func (in *Inbox) put(b *block.Block) { in.enqueue(b, true) }
-
-// tryPut is put without the backpressure wait. The TCP read loop uses
-// it to detect that an insert is about to block so it can flush pending
-// acks first — acks must never be stuck behind a full inbox.
-func (in *Inbox) tryPut(b *block.Block) bool { return in.enqueue(b, false) }
 
 func (in *Inbox) producerDone() {
 	in.mu.Lock()
@@ -288,7 +304,14 @@ func (in *Inbox) Recv(cancel <-chan struct{}) (*block.Block, iterator.RecvStatus
 				in.wake()
 			}
 			in.notFull.Broadcast()
+			var grant []streamKey
+			if len(in.withheld) > 0 && !in.full() {
+				grant, in.withheld = in.withheld, nil
+			}
 			in.mu.Unlock()
+			if grant != nil {
+				in.grant(grant)
+			}
 			return b, iterator.RecvOK
 		}
 		if finished {

@@ -30,7 +30,7 @@ func twoTCPNodes(t *testing.T) (*TCPNode, *TCPNode) {
 	return n0, n1
 }
 
-// fastRetry keeps reliable-path tests quick.
+// fastRetry keeps retransmission tests quick.
 var fastRetry = RetryPolicy{Base: 2 * time.Millisecond, Max: 20 * time.Millisecond,
 	Deadline: 10 * time.Second, Jitter: 0.2}
 
@@ -59,7 +59,7 @@ func drain(t *testing.T, in *Inbox) []int64 {
 	return got
 }
 
-// TestTCPRetryRecoversFromDrops is the reliable path under heavy loss:
+// TestTCPRetryRecoversFromDrops is the send window under heavy loss:
 // with 30% of frame attempts dropped and 20% duplicated, every block
 // must still arrive exactly once, in order, with the retries visible in
 // telemetry and zero duplicates applied.
@@ -346,37 +346,5 @@ func TestTCPNodeGoroutineLeak(t *testing.T) {
 			t.Fatalf("goroutines leaked: %d before, %d after\n%s", before, after, buf[:n])
 		}
 		time.Sleep(50 * time.Millisecond)
-	}
-}
-
-// TestTCPFastPathStaysUnreliable checks the default path (no injector,
-// no forced policy) stays fire-and-forget: no send windows (and hence
-// no retransmission pumps or ack traffic) are ever created.
-func TestTCPFastPathStaysUnreliable(t *testing.T) {
-	n0, n1 := twoTCPNodes(t)
-	const exID = 8
-	in := n1.RegisterInbox(0, exID, 0, 1, sch, 8, nil)
-	ob := n0.NewOutbox(0, exID, []int{1})
-	for i := 0; i < 5; i++ {
-		if err := ob.Send(0, mkBlock(int64(i))); err != nil {
-			t.Fatal(err)
-		}
-	}
-	ob.CloseSend()
-	if got := drain(t, in); len(got) != 5 {
-		t.Fatalf("received %d blocks, want 5", len(got))
-	}
-	ex := ob.ex
-	ex.mu.Lock()
-	wins := len(ex.wins)
-	ex.mu.Unlock()
-	if wins != 0 {
-		t.Fatalf("%d send windows registered on the fast path", wins)
-	}
-	if n0.lookup(ex.key) != ex {
-		t.Fatal("the outbox's record is not the node's record for its key")
-	}
-	if ob.wins != nil {
-		t.Fatal("outbox allocated send windows on the fast path")
 	}
 }

@@ -184,7 +184,7 @@ func FuzzReadLoop(f *testing.F) {
 	data := rawFrame(frameHeader{query: 1, exchange: 1, kind: frameData, src: 1, seq: 1 << 32}, mkBlock(1, 2, 3).Encode(nil))
 	eof := rawFrame(frameHeader{query: 1, exchange: 1, kind: frameEOF, src: 1, seq: 1<<32 + 1}, nil)
 	stray := rawFrame(frameHeader{query: 9, exchange: 9, kind: frameData, src: 1, seq: 1 << 32}, mkBlock(4).Encode(nil))
-	ack := rawFrame(frameHeader{query: 1, exchange: 1, kind: frameAck, src: 1, seq: 5}, nil)
+	ack := rawFrame(frameHeader{query: 1, exchange: 1, kind: frameAck, src: 1, seq: 5}, make([]byte, ackPayloadLen))
 	whole := rawBatch(data, ack, stray, eof)
 	f.Add(whole)
 	f.Add(whole[:len(whole)-5])

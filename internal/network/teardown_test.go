@@ -18,10 +18,9 @@ import (
 // teardownEnv is one two-node mesh of the teardown table: n0 sends, n1
 // receives, every inbox charges trk.
 type teardownEnv struct {
-	t        *testing.T
-	n0, n1   *TCPNode
-	trk      *block.Tracker
-	reliable bool
+	t      *testing.T
+	n0, n1 *TCPNode
+	trk    *block.Tracker
 }
 
 // held is what a case keeps of an exchange's record across its release:
@@ -46,6 +45,16 @@ func hold(n *TCPNode, k exchangeKey) held {
 	}
 	ex.mu.Unlock()
 	return h
+}
+
+// window returns the held send window toward instance dest, if any.
+func (h held) window(dest int) *sendWindow {
+	for _, w := range h.wins {
+		if w.dest == dest {
+			return w
+		}
+	}
+	return nil
 }
 
 // assertEmpty checks every component of a released record: a frame that
@@ -76,9 +85,9 @@ func (h held) assertEmpty(t *testing.T, who string) {
 	if nSt != 0 {
 		t.Errorf("%s: a late frame recorded %d watermarks on a released record", who, nSt)
 	}
-	// An aborted record's reliable sends report the abort first.
+	// An aborted record's sends report the abort first.
 	want := fmt.Sprintf("exchange %d released", ex.key.exchange)
-	if ex.n.reliable() && ex.aborted.Load() {
+	if ex.aborted.Load() {
 		want = fmt.Sprintf("exchange %d aborted", ex.key.exchange)
 	}
 	before, _, _, _, _ := ex.n.NetStats()
@@ -134,8 +143,7 @@ func rawFrame(h frameHeader, payload []byte) []byte {
 	return appendFrame(nil, h, payload)
 }
 
-// bigBlock is wide enough that a few hundred of them overrun loopback
-// socket buffers, so a fire-and-forget sender really blocks in write.
+// bigBlock is a 64 KB block: the engine's frame size.
 func bigBlock() *block.Block {
 	vals := make([]int64, 8192)
 	return mkBlock(vals...)
@@ -191,12 +199,12 @@ func teardownAbortMidStream(e *teardownEnv) {
 	}()
 
 	// The sender is blocked once the inbox is full and its progress has
-	// stopped: on window space (reliable) or in a socket write.
+	// stopped: on the credit the full inbox withholds.
 	deadline := time.Now().Add(20 * time.Second)
 	for last := int64(-1); ; {
 		time.Sleep(50 * time.Millisecond)
 		cur := sent.Load()
-		if full.Len() == 1 && cur == last {
+		if full.Len() > 0 && cur == last {
 			break
 		}
 		if time.Now().After(deadline) {
@@ -205,6 +213,11 @@ func teardownAbortMidStream(e *teardownEnv) {
 		last = cur
 	}
 
+	// The full inbox holds its bound plus at most one window of the one
+	// producer node's frames: the credit it withheld held the rest back.
+	if got := full.Len(); got > 1+windowFrames {
+		e.t.Errorf("a never-read inbox of bound 1 holds %d blocks, want at most %d", got, 1+windowFrames)
+	}
 	e.n1.AbortExchange(tdQuery, 2)
 	e.n0.AbortExchange(tdQuery, 2)
 	within(e.t, "blocked Recv returning after the abort", recvDone)
@@ -213,8 +226,8 @@ func teardownAbortMidStream(e *teardownEnv) {
 	}
 	stop.Store(true)
 	within(e.t, "blocked sender returning after the abort", sendDone)
-	if e.reliable && (sendErr == nil || !strings.Contains(sendErr.Error(), "aborted")) {
-		e.t.Errorf("reliable sender returned %v, want an abort error", sendErr)
+	if sendErr == nil || !strings.Contains(sendErr.Error(), "aborted") {
+		e.t.Errorf("sender returned %v, want an abort error", sendErr)
 	}
 	if _, st := full.Recv(nil); st != iterator.RecvEOF {
 		e.t.Errorf("aborted inbox recv = %v, want EOF", st)
@@ -234,8 +247,8 @@ func teardownAbortBeforeRegistration(e *teardownEnv) {
 	}
 	ob := e.n0.NewOutbox(tdQuery, 3, []int{1})
 	err := ob.Send(0, mkBlock(1))
-	if e.reliable && (err == nil || !strings.Contains(err.Error(), "aborted")) {
-		e.t.Errorf("reliable send on an aborted exchange returned %v, want an abort error", err)
+	if err == nil || !strings.Contains(err.Error(), "aborted") {
+		e.t.Errorf("send on an aborted exchange returned %v, want an abort error", err)
 	}
 	_ = ob.CloseSend()
 	e.releaseBoth(tdQuery, 3)
@@ -254,16 +267,16 @@ func teardownReleaseThenLateFrames(e *teardownEnv) {
 	if got := drainCount(e.t, in, 10*time.Second); got != 1 {
 		e.t.Fatalf("received %d tuples, want 1", got)
 	}
-	// A second outbox sends toward a peer with no address. Fire-and-forget,
-	// the write fails on the Send itself; reliable, the frame waits in a
-	// window whose pump retransmits it until the release fails the window.
+	// A second outbox sends toward a peer with no address: a missing
+	// address is permanent, so the stream fails on the Send itself
+	// instead of retransmitting until the Deadline.
 	stray := e.n0.NewOutbox(tdQuery, released, []int{9})
 	err := stray.Send(0, mkBlock(2))
-	if e.reliable && err != nil {
-		e.t.Fatal(err)
-	}
-	if !e.reliable && (err == nil || !strings.Contains(err.Error(), "no address for node 9")) {
+	if err == nil || !strings.Contains(err.Error(), "no address for node 9") {
 		e.t.Errorf("send toward an unknown peer returned %v, want a no-address error", err)
+	}
+	if err := stray.Send(0, mkBlock(3)); err == nil || !strings.Contains(err.Error(), "no address for node 9") {
+		e.t.Errorf("a second send on the failed stream returned %v, want the no-address error", err)
 	}
 	e.releaseBoth(tdQuery, released)
 
@@ -303,36 +316,35 @@ func teardownReleaseThenLateFrames(e *teardownEnv) {
 }
 
 func teardownCloseWithOpenSends(e *teardownEnv) {
-	in := e.n1.RegisterInbox(tdQuery, 6, 0, 1, sch, 1, e.trk)
-	ob := e.n0.NewOutbox(tdQuery, 6, []int{1})
-	if !e.reliable {
-		// A block decoded into the receiver's inbox and never read: Close
-		// must give its tracked bytes back.
-		if err := ob.Send(0, bigBlock()); err != nil {
-			e.t.Fatal(err)
-		}
-		for deadline := time.Now().Add(10 * time.Second); in.Len() == 0; time.Sleep(5 * time.Millisecond) {
-			if time.Now().After(deadline) {
-				e.t.Fatal("the block never reached the receiver's inbox")
-			}
-		}
-		return
+	kept := e.n1.RegisterInbox(tdQuery, 6, 0, 1, sch, 1, e.trk)
+	e.n1.RegisterInbox(tdQuery, 6, 1, 1, sch, 1, e.trk)
+	ob := e.n0.NewOutbox(tdQuery, 6, []int{1, 1})
+	// A block decoded into the receiver's inbox and never read: Close
+	// must give its tracked bytes back.
+	if err := ob.Send(0, bigBlock()); err != nil {
+		e.t.Fatal(err)
 	}
-	// Every attempt is dropped before the wire, so no ack ever comes:
-	// the window fills and the sender blocks until Close fails it.
+	for deadline := time.Now().Add(10 * time.Second); kept.Len() == 0; time.Sleep(5 * time.Millisecond) {
+		if time.Now().After(deadline) {
+			e.t.Fatal("the block never reached the receiver's inbox")
+		}
+	}
+	// Every attempt toward instance 1 is dropped before the wire, so no
+	// ack ever comes: the window fills its credit and the sender blocks
+	// until Close fails it.
 	e.n0.SetFaults(faults.New(faults.Config{Drop: 1}))
 	sendDone := make(chan struct{})
 	go func() {
 		defer close(sendDone)
-		for ob.Send(0, mkBlock(1)) == nil {
+		for ob.Send(1, mkBlock(1)) == nil {
 		}
 	}()
 	for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(5 * time.Millisecond) {
 		h := hold(e.n0, exchangeKey{tdQuery, 6})
-		if len(h.wins) == 1 {
-			h.wins[0].mu.Lock()
-			n := len(h.wins[0].pending)
-			h.wins[0].mu.Unlock()
+		if w := h.window(1); w != nil {
+			w.mu.Lock()
+			n := len(w.pending)
+			w.mu.Unlock()
 			if n >= windowFrames {
 				break
 			}
@@ -349,7 +361,7 @@ func teardownCloseWithOpenSends(e *teardownEnv) {
 
 // TestTeardownLeavesNothing is the transport slice of "every error,
 // cancel and crash path leaves nothing behind": each way an exchange
-// can end, on both protocols, must leave no record on either node, no
+// can end must leave no record on either node, no
 // goroutine, no tracked byte — and nothing on the released record that a
 // late frame, ack or send could still bring back to life.
 func TestTeardownLeavesNothing(t *testing.T) {
@@ -364,59 +376,52 @@ func TestTeardownLeavesNothing(t *testing.T) {
 		{"close with open sends", teardownCloseWithOpenSends},
 	}
 	for _, tc := range cases {
-		for _, reliable := range []bool{false, true} {
-			name := tc.name + "/fire-and-forget"
-			if reliable {
-				name = tc.name + "/reliable"
+		// The suffix names the protocol: the socket has one.
+		t.Run(tc.name+"/reliable", func(t *testing.T) {
+			before := runtime.NumGoroutine()
+			e := &teardownEnv{t: t, trk: block.NewTracker()}
+			var err error
+			if e.n0, err = NewTCPNode(0, "127.0.0.1:0", nil); err != nil {
+				t.Fatal(err)
 			}
-			t.Run(name, func(t *testing.T) {
-				before := runtime.NumGoroutine()
-				e := &teardownEnv{t: t, trk: block.NewTracker(), reliable: reliable}
-				var err error
-				if e.n0, err = NewTCPNode(0, "127.0.0.1:0", nil); err != nil {
-					t.Fatal(err)
-				}
-				if e.n1, err = NewTCPNode(1, "127.0.0.1:0", nil); err != nil {
-					e.n0.Close()
-					t.Fatal(err)
-				}
-				for _, n := range []*TCPNode{e.n0, e.n1} {
-					n.SetPeer(0, e.n0.Addr())
-					n.SetPeer(1, e.n1.Addr())
-					if reliable {
-						n.SetRetryPolicy(fastRetry)
-					}
-				}
-				tc.run(e)
-				if t.Failed() {
-					e.n0.Close()
-					e.n1.Close()
-					return
-				}
-				if tc.name != "close with open sends" {
-					if a, b := e.n0.OpenExchanges(), e.n1.OpenExchanges(); a != 0 || b != 0 {
-						t.Errorf("records left after release: node0=%d node1=%d", a, b)
-					}
-				}
+			if e.n1, err = NewTCPNode(1, "127.0.0.1:0", nil); err != nil {
+				e.n0.Close()
+				t.Fatal(err)
+			}
+			for _, n := range []*TCPNode{e.n0, e.n1} {
+				n.SetPeer(0, e.n0.Addr())
+				n.SetPeer(1, e.n1.Addr())
+				n.SetRetryPolicy(fastRetry)
+			}
+			tc.run(e)
+			if t.Failed() {
 				e.n0.Close()
 				e.n1.Close()
+				return
+			}
+			if tc.name != "close with open sends" {
 				if a, b := e.n0.OpenExchanges(), e.n1.OpenExchanges(); a != 0 || b != 0 {
-					t.Errorf("records left after Close: node0=%d node1=%d", a, b)
+					t.Errorf("records left after release: node0=%d node1=%d", a, b)
 				}
-				if cur := e.trk.Current(); cur != 0 {
-					t.Errorf("tracker at %d bytes after teardown", cur)
+			}
+			e.n0.Close()
+			e.n1.Close()
+			if a, b := e.n0.OpenExchanges(), e.n1.OpenExchanges(); a != 0 || b != 0 {
+				t.Errorf("records left after Close: node0=%d node1=%d", a, b)
+			}
+			if cur := e.trk.Current(); cur != 0 {
+				t.Errorf("tracker at %d bytes after teardown", cur)
+			}
+			for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(20 * time.Millisecond) {
+				after := runtime.NumGoroutine()
+				if after <= before {
+					break
 				}
-				for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(20 * time.Millisecond) {
-					after := runtime.NumGoroutine()
-					if after <= before {
-						break
-					}
-					if time.Now().After(deadline) {
-						buf := make([]byte, 1<<16)
-						t.Fatalf("goroutines: %d before, %d after\n%s", before, after, buf[:runtime.Stack(buf, true)])
-					}
+				if time.Now().After(deadline) {
+					buf := make([]byte, 1<<16)
+					t.Fatalf("goroutines: %d before, %d after\n%s", before, after, buf[:runtime.Stack(buf, true)])
 				}
-			})
-		}
+			}
+		})
 	}
 }

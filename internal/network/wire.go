@@ -20,7 +20,8 @@ import (
 //	uint32 frameLen | uint32 queryID | uint32 exchangeID |
 //	uint32 destInstance | uint8 kind (0=data, 1=eof, 2=ack) |
 //	uint32 srcNode | uint64 seq | uint32 checksum |
-//	payload (encoded block; empty for eof/ack)
+//	payload (encoded block; empty for eof; for an ack, the uint64
+//	credit: the highest seq the sender may send)
 //
 // The reader pulls one batch header, reads the whole payload into a
 // pooled arena buffer with a single ReadFull, then walks the frames in
@@ -46,6 +47,9 @@ const batchHdrLen = 4 + 4 + 4
 
 // oneFrameHdrLen is what precedes the payload in a one-frame batch.
 const oneFrameHdrLen = batchHdrLen + frameHdrLen
+
+// ackPayloadLen is an ack's payload: its credit.
+const ackPayloadLen = 8
 
 // batchMagic guards against desynchronized or foreign streams: a reader
 // that sees anything else drops the connection rather than misparse.

@@ -52,7 +52,6 @@ func main() {
 		cores    = flag.Int("cores", 4, "cores per node")
 		mode     = flag.String("mode", "EP", "EP | SP | ME")
 		par      = flag.Int("p", 2, "fixed parallelism for SP/ME")
-		netBps   = flag.Float64("net", 0, "NIC bytes/sec per node (0 = unlimited)")
 		query    = flag.String("q", "", "run one query and exit")
 		telem    = flag.Duration("telemetry", 0,
 			"print a periodic telemetry summary to stderr every period (0 = off)")
@@ -157,7 +156,6 @@ func main() {
 		CoresPerNode:     *cores,
 		Mode:             m,
 		FixedParallelism: *par,
-		NetBytesPerSec:   *netBps,
 		MemoryPerNode:    memBudget,
 		SpillDir:         *spillDir,
 		FastPath:         *fastPath,

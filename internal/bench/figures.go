@@ -34,8 +34,8 @@ const sseRows = 840_000_000
 // The curves derive from the simulator's service-rate law — compute
 // scaling with a hyper-threading knee at 12 cores, a shared
 // memory-bandwidth ceiling, and an Amdahl-style contention ceiling for
-// shared hash tables — with per-tuple costs calibrated by cmd/calibrate
-// against the real operators.
+// shared hash tables — with the simulator's per-tuple costs, which
+// model the paper's interpreted operators rather than this engine's.
 func Figure8() *Report {
 	r := &Report{Title: "Figure 8: scalability of intra-segment parallelism (speedup vs p)"}
 	c := paperCluster()

@@ -409,8 +409,8 @@ func (a *Analysis) Render() string {
 	out := head + a.Plan.Render(plan.Annotations{
 		Op: func(op plan.PhysOp) string {
 			rows, blocks, busy := a.OpStats(op)
-			s := fmt.Sprintf("  (rows=%d blocks=%d time=%v self=%v",
-				rows, blocks,
+			s := fmt.Sprintf("  (rows=%d est=%d blocks=%d time=%v self=%v",
+				rows, op.Estimate().Rows, blocks,
 				busy.Round(time.Microsecond),
 				a.selfTime(op).Round(time.Microsecond))
 			if peak, mean := a.OpMemStats(op); peak > 0 {

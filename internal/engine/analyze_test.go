@@ -48,8 +48,9 @@ func TestExplainAnalyzeMatchesTelemetry(t *testing.T) {
 			rows, blocks, busy := an.OpStats(op)
 			// The rendered annotation must carry exactly the counter
 			// values (the analyzer reads them from the scope; any drift
-			// means a second bookkeeping path crept in).
-			want := fmt.Sprintf("(rows=%d blocks=%d time=", rows, blocks)
+			// means a second bookkeeping path crept in), with the plan's
+			// estimate beside the measured rows.
+			want := fmt.Sprintf("(rows=%d est=%d blocks=%d time=", rows, op.Estimate().Rows, blocks)
 			if !strings.Contains(rendered, want) {
 				t.Errorf("%s: rendering lacks %q\n%s", plan.OpLabel(op), want, rendered)
 			}

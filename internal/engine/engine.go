@@ -86,8 +86,6 @@ type Config struct {
 	CoresPerNode int
 	// Sockets emulates NUMA sockets per node.
 	Sockets int
-	// NetBytesPerSec limits each node's NIC (0 = unlimited).
-	NetBytesPerSec float64
 	// Mode selects EP / SP / ME.
 	Mode Mode
 	// FixedParallelism is the per-segment worker count in SP and ME
@@ -278,11 +276,11 @@ func (c *Config) resolveFaults() *faults.Injector {
 }
 
 // NewCluster creates a cluster with empty stores over the in-process
-// exchange fabric (optionally bandwidth-limited via NetBytesPerSec).
+// exchange fabric.
 func NewCluster(cfg Config, cat *catalog.Catalog) *Cluster {
 	cfg.defaults()
 	inj := cfg.resolveFaults()
-	fabric := network.NewInProc(cfg.NetBytesPerSec)
+	fabric := network.NewInProc()
 	fabric.Faults, fabric.Retry = inj, cfg.Retry
 	c := &Cluster{cfg: cfg, cat: cat, faultInj: inj, fabric: fabric}
 	for i := 0; i < cfg.Nodes; i++ {

@@ -526,10 +526,20 @@ func (e *exec) drive(ctx context.Context) ([]*block.Block, error) {
 
 	// Route caller cancellation into the fail-fast teardown: aborting
 	// the exchanges unwedges every worker, and the query returns the
-	// context's error. The watcher exits with the query (e.stop closes
-	// below on every path).
+	// context's error. A context already done fails the query before it
+	// starts, so a short query cannot outrun the watcher and succeed.
+	// The watcher exits with the dataflow and is joined before the
+	// verdict is read: its abort can then neither cut short the drain of
+	// a successful result nor, after release, re-create the exchanges it
+	// aborts.
+	var watcherDone chan struct{}
 	if ctx.Done() != nil {
+		if err := ctx.Err(); err != nil {
+			e.fail(err)
+		}
+		watcherDone = make(chan struct{})
 		go func() {
+			defer close(watcherDone)
 			select {
 			case <-ctx.Done():
 				e.fail(ctx.Err())
@@ -578,17 +588,20 @@ func (e *exec) drive(ctx context.Context) ([]*block.Block, error) {
 	} else {
 		e.runPipelined()
 	}
+	close(e.stop)
+	if watcherDone != nil {
+		<-watcherDone
+	}
+	<-samplerDone
+	if watchdogDone != nil {
+		<-watchdogDone
+	}
 	err := e.err()
 	if err == nil {
 		// A half-written spill partition would silently drop rows; a
 		// spill I/O failure therefore fails the query rather than
 		// returning a plausible-but-wrong result.
 		err = e.spillErr()
-	}
-	close(e.stop)
-	<-samplerDone
-	if watchdogDone != nil {
-		<-watchdogDone
 	}
 	if err != nil {
 		// The result reader unblocks because fail() abandoned the

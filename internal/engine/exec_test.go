@@ -132,8 +132,7 @@ func cancelLeavesNothingBehind(t *testing.T, tcp bool) {
 	if _, err := c.Run(join); err != nil { // dial the pools, warm the arenas
 		t.Fatal(err)
 	}
-	runtime.GC()
-	baseline := runtime.NumGoroutine()
+	baseline := settledGoroutines()
 
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
@@ -169,6 +168,25 @@ func cancelLeavesNothingBehind(t *testing.T, tcp bool) {
 	if _, err := c.Run(metamorphicQueries[0]); err != nil {
 		t.Fatalf("query after cancellations: %v", err)
 	}
+}
+
+// settledGoroutines is the goroutine count once it has held still for
+// 100ms (at most 5s). A TCP cluster's connection pools pre-dial in the
+// background and every accepted connection starts a read loop, so a
+// count taken while that is under way would read the late read loops
+// as a leak.
+func settledGoroutines() int {
+	runtime.GC()
+	n, still := runtime.NumGoroutine(), 0
+	for deadline := time.Now().Add(5 * time.Second); still < 5 && time.Now().Before(deadline); {
+		time.Sleep(20 * time.Millisecond)
+		if m := runtime.NumGoroutine(); m != n {
+			n, still = m, 0
+		} else {
+			still++
+		}
+	}
+	return n
 }
 
 // TestExecRejectsMisplacedDist: the placement guard exists once, in

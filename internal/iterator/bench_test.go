@@ -9,9 +9,9 @@ import (
 	"repro/internal/types"
 )
 
-// Operator micro-benchmarks: per-tuple throughput of the hot paths.
-// cmd/calibrate reports the same quantities as a standalone tool; these
-// keep them visible in `go test -bench`.
+// Operator micro-benchmarks: per-tuple throughput of the hot paths,
+// visible in `go test -bench`. They measure this engine's operators;
+// the simulator's cost constants (internal/sim) model the paper's.
 
 func benchPartition(b *testing.B, rows int) (sch *types.Schema, mk func() Iterator) {
 	sch = types.NewSchema(

@@ -4,9 +4,9 @@
 // transports implement Fabric:
 //
 //   - InProc (this file): blocks move by pointer between the goroutine
-//     "nodes" of one process, optionally through token-bucket NIC
-//     emulation and the in-process fault model (faultyOutbox). The
-//     default fabric of engine.NewCluster, tests and examples.
+//     "nodes" of one process, optionally through the in-process fault
+//     model (faultyOutbox). The default fabric of engine.NewCluster,
+//     tests and examples.
 //   - TCP (tcp.go): blocks go through the wire codec, one frame per
 //     write, over pooled sockets, under one protocol: per-stream send
 //     windows whose credit is the only backpressure (a read loop never
@@ -30,9 +30,7 @@ import (
 )
 
 // InProc is the in-process transport: blocks move by pointer between
-// goroutine "nodes", with per-node egress/ingress NIC limiters charging
-// the wire size of each block for inter-node traffic. Same-node traffic
-// bypasses the NIC, as on the paper's cluster.
+// goroutine "nodes".
 //
 // Faults optionally attaches a fault injector: in-process "frames"
 // (block handoffs) then pass through the same drop/delay/duplicate/
@@ -43,35 +41,10 @@ import (
 type InProc struct {
 	Faults *faults.Injector
 	Retry  *RetryPolicy
-
-	rate    float64
-	mu      sync.Mutex
-	egress  map[int]*Limiter
-	ingress map[int]*Limiter
 }
 
-// NewInProc creates a transport whose per-node NICs are limited to
-// bytesPerSec in each direction (0 = unlimited).
-func NewInProc(bytesPerSec float64) *InProc {
-	return &InProc{
-		egress:  make(map[int]*Limiter),
-		ingress: make(map[int]*Limiter),
-		rate:    bytesPerSec,
-	}
-}
-
-// nic returns one direction of a node's NIC. Only rate-limited
-// transports call it: with no rate set a send takes no lock here.
-func (t *InProc) nic(m map[int]*Limiter, node int) *Limiter {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	l, ok := m[node]
-	if !ok {
-		l = NewLimiter(t.rate)
-		m[node] = l
-	}
-	return l
-}
+// NewInProc creates an in-process transport.
+func NewInProc() *InProc { return &InProc{} }
 
 // Exchange is one wired in-process exchange: one producer segment group
 // shipping to one inbox per consumer instance.
@@ -154,11 +127,6 @@ func (o *outbox) Destinations() int { return len(o.ex.consumerNodes) }
 func (o *outbox) Send(dest int, b *block.Block) error {
 	if dest < 0 || dest >= len(o.ex.inboxes) {
 		return fmt.Errorf("network: bad destination %d", dest)
-	}
-	if tr, to := o.ex.tr, o.ex.consumerNodes[dest]; tr.rate > 0 && to != o.node {
-		wire := b.WireSize()
-		tr.nic(tr.egress, o.node).Take(wire)
-		tr.nic(tr.ingress, to).Take(wire)
 	}
 	o.ex.inboxes[dest].put(b)
 	return nil

@@ -21,7 +21,7 @@ func mkBlock(vals ...int64) *block.Block {
 }
 
 func TestExchangeDelivery(t *testing.T) {
-	tr := NewInProc(0)
+	tr := NewInProc()
 	ex := tr.NewExchange(0, 1, 2, []int{0, 1}, sch, 16, nil, nil)
 	var wg sync.WaitGroup
 	// Two producers, each sending to both consumers.
@@ -64,7 +64,7 @@ func TestExchangeDelivery(t *testing.T) {
 }
 
 func TestInboxEOFOnlyAfterAllProducers(t *testing.T) {
-	tr := NewInProc(0)
+	tr := NewInProc()
 	ex := tr.NewExchange(0, 1, 3, []int{0}, sch, 16, nil, nil)
 	in := ex.Inbox(0)
 	ob0 := ex.Outbox(0)
@@ -80,7 +80,7 @@ func TestInboxEOFOnlyAfterAllProducers(t *testing.T) {
 }
 
 func TestInboxRecvCancellation(t *testing.T) {
-	tr := NewInProc(0)
+	tr := NewInProc()
 	ex := tr.NewExchange(0, 1, 1, []int{0}, sch, 16, nil, nil)
 	in := ex.Inbox(0)
 	cancel := make(chan struct{})
@@ -102,7 +102,7 @@ func TestInboxRecvCancellation(t *testing.T) {
 }
 
 func TestInboxBackpressure(t *testing.T) {
-	tr := NewInProc(0)
+	tr := NewInProc()
 	ex := tr.NewExchange(0, 1, 1, []int{0}, sch, 2, nil, nil)
 	ob := ex.Outbox(0)
 	ob.Send(0, mkBlock(1))
@@ -127,7 +127,7 @@ func TestInboxBackpressure(t *testing.T) {
 
 func TestInboxTrackerAccounting(t *testing.T) {
 	trk := block.NewTracker()
-	tr := NewInProc(0)
+	tr := NewInProc()
 	ex := tr.NewExchange(0, 1, 1, []int{0}, sch, 0, trk, nil) // unbounded, tracked (ME mode)
 	ob := ex.Outbox(0)
 	for i := 0; i < 10; i++ {
@@ -146,47 +146,6 @@ func TestInboxTrackerAccounting(t *testing.T) {
 	}
 	if in.PeakBufferedBytes() == 0 || peak == 0 {
 		t.Fatal("peak not recorded")
-	}
-}
-
-func TestBandwidthLimiterThrottles(t *testing.T) {
-	// 1 MB/s limiter; pushing 200 KB must take ≥ ~150 ms.
-	l := NewLimiter(1 << 20)
-	start := time.Now()
-	for i := 0; i < 20; i++ {
-		l.Take(10 * 1024)
-	}
-	elapsed := time.Since(start)
-	if elapsed < 100*time.Millisecond {
-		t.Fatalf("200KB at 1MB/s took only %v", elapsed)
-	}
-	if l.Taken() != 200*1024 {
-		t.Fatalf("accounted %d bytes", l.Taken())
-	}
-}
-
-func TestUnlimitedLimiterIsFree(t *testing.T) {
-	l := NewLimiter(0)
-	start := time.Now()
-	for i := 0; i < 1000; i++ {
-		l.Take(1 << 20)
-	}
-	if time.Since(start) > 100*time.Millisecond {
-		t.Fatal("unlimited limiter throttled")
-	}
-}
-
-func TestSameNodeTrafficBypassesNIC(t *testing.T) {
-	tr := NewInProc(1 << 10) // 1 KB/s: inter-node would crawl
-	ex := tr.NewExchange(0, 1, 1, []int{0}, sch, 16, nil, nil)
-	ob := ex.Outbox(0) // producer on node 0, consumer on node 0
-	start := time.Now()
-	for i := 0; i < 50; i++ {
-		ob.Send(0, mkBlock(int64(i)))
-		ex.Inbox(0).Recv(nil)
-	}
-	if time.Since(start) > 200*time.Millisecond {
-		t.Fatal("local traffic went through the NIC limiter")
 	}
 }
 

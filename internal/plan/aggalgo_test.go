@@ -40,6 +40,32 @@ func TestAggAlgorithmOfBenchmarkStatements(t *testing.T) {
 	for _, tc := range cases {
 		checkAggAlgorithms(t, cat, tc.name, tc.sql, tc.want)
 	}
+
+	// q3 and q10 repartition their rows and aggregate once: their group
+	// estimates (products of key NDVs) are far above the two-phase
+	// threshold (100 000 groups). Their rows, capped by the input, are
+	// not above it, so a rule that read the capped estimate would split
+	// both into partial and final aggregations.
+	for _, name := range []string{"Q3", "Q10"} {
+		p, err := plan.Compile(tpch.Queries[name], cat)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, s := range p.Segments {
+			plan.Walk(s.Root, func(op plan.PhysOp) {
+				a, ok := op.(*plan.PHashAgg)
+				if !ok {
+					return
+				}
+				if a.Partial {
+					t.Errorf("%s aggregates in two phases, want one after a repartition\n%s", name, p)
+				}
+				if a.Groups <= 100_000 || a.Rows > 100_000 {
+					t.Errorf("%s: estimate %+v no longer tells groups (above 100 000) from rows (at most 100 000)", name, a.Est)
+				}
+			})
+		}
+	}
 }
 
 // TestAggAlgorithmOfUnknownEstimates: a GROUP BY whose estimate rests on

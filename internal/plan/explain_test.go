@@ -10,7 +10,10 @@ import (
 // pushed-down scan filter, repartitioned join, partial/final
 // aggregation split, top-N pushdown and the master-side gather. The
 // [vec] markers are part of the contract: they must appear exactly
-// where the annotate pass proves full batch-kernel coverage.
+// where the annotate pass proves full batch-kernel coverage. So are the
+// estimates: a scan's pushed filter keeps a third, a join emits its
+// probe side's rows, an aggregation min(groups, input), and a merger
+// carries its producer's.
 func TestExplainGolden(t *testing.T) {
 	p := compile(t, `SELECT t.acct_id a, sum(t.trade_volume)
 		FROM trades t JOIN securities s ON t.acct_id = s.acct_id
@@ -18,26 +21,26 @@ func TestExplainGolden(t *testing.T) {
 		GROUP BY t.acct_id
 		ORDER BY a LIMIT 10`)
 	want := `segment 0 (all-nodes):
-  project (2 exprs) [vec]
-    scan trades filter (t.order_price > 100) [vec]
+  project (2 exprs) [vec]  (est=280000000)
+    scan trades filter (t.order_price > 100) [vec]  (est=280000000)
   -> repartition via exchange 0
 segment 1 (all-nodes):
-  hash join (word key) [vec]
+  hash join (word key) [vec]  (est=840000000)
     build:
-      merger (exchange 0)
+      merger (exchange 0)  (est=280000000)
     probe:
-      project (1 exprs) [vec]
-        scan securities
+      project (1 exprs) [vec]  (est=840000000)
+        scan securities  (est=840000000)
   -> repartition via exchange 1
 segment 2 (all-nodes):
-  top-10
-    project (2 exprs) [vec]
-      hash agg (1 keys, 1 aggs, shared, word key) [vec]
-        merger (exchange 1)
+  top-10  (est=10)
+    project (2 exprs) [vec]  (est=4200000)
+      hash agg (1 keys, 1 aggs, shared, word key) [vec]  (est=4200000)
+        merger (exchange 1)  (est=840000000)
   -> gather via exchange 2
 segment 3 (master):
-  top-10
-    merger (exchange 2)
+  top-10  (est=10)
+    merger (exchange 2)  (est=10)
   -> result
 `
 	if got := p.String(); got != want {

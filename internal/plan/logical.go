@@ -19,6 +19,9 @@ import (
 // Logical is a bound logical operator.
 type Logical interface {
 	Schema() *types.Schema
+	// Estimate is the operator's cardinality estimate, set when the
+	// binder creates it (estimate.go).
+	Estimate() Est
 }
 
 // LScan reads one table, with an optional pushed-down predicate.
@@ -27,6 +30,7 @@ type LScan struct {
 	Alias string
 	Pred  expr.Expr // may be nil
 	sch   *types.Schema
+	Est
 }
 
 // Schema implements Logical.
@@ -36,6 +40,7 @@ func (s *LScan) Schema() *types.Schema { return s.sch }
 type LFilter struct {
 	Child Logical
 	Pred  expr.Expr
+	Est
 }
 
 // Schema implements Logical.
@@ -50,6 +55,7 @@ type LJoin struct {
 	// detection); empty strings otherwise.
 	LeftKeyCols, RightKeyCols []string
 	sch                       *types.Schema
+	Est
 }
 
 // Schema implements Logical.
@@ -62,14 +68,10 @@ type LAgg struct {
 	KeyNames []string
 	KeyCols  []string // qualified names when keys are plain columns
 	Specs    []iterator.AggSpec
-	// EstGroups is the binder's group-cardinality estimate (product of
-	// key NDVs, guessed for a key the catalog has none for), driving the
-	// partial-aggregation decision; 0 = unknown.
-	EstGroups int64
-	// EstKnown: no key's factor of EstGroups was guessed. Only a known
-	// estimate picks the aggregation algorithm (chooseAggAlgorithm).
-	EstKnown bool
 	sch      *types.Schema
+	// Est's Groups and Known decide the aggregation's phases and
+	// algorithm (lowerer.lower, chooseAggAlgorithm).
+	Est
 }
 
 // Schema implements Logical.
@@ -80,6 +82,7 @@ type LProject struct {
 	Child Logical
 	Exprs []expr.Expr
 	sch   *types.Schema
+	Est
 }
 
 // Schema implements Logical.
@@ -89,6 +92,7 @@ func (p *LProject) Schema() *types.Schema { return p.sch }
 type LSort struct {
 	Child Logical
 	Keys  []iterator.SortKey
+	Est
 }
 
 // Schema implements Logical.
@@ -99,6 +103,7 @@ type LTopN struct {
 	Child Logical
 	Keys  []iterator.SortKey
 	N     int64
+	Est
 }
 
 // Schema implements Logical.
@@ -108,6 +113,7 @@ func (s *LTopN) Schema() *types.Schema { return s.Child.Schema() }
 type LLimit struct {
 	Child Logical
 	N     int64
+	Est
 }
 
 // Schema implements Logical.
@@ -150,18 +156,18 @@ func (b *binder) buildSelect(stmt *sql.SelectStmt) (Logical, error) {
 			if err != nil {
 				return nil, err
 			}
-			inputs[i] = &derived{child: sub, sch: qualify(ref.Alias, sub.Schema())}
+			inputs[i] = b.estimated(&derived{child: sub, sch: qualify(ref.Alias, sub.Schema())})
 			continue
 		}
 		tbl, err := b.cat.Lookup(ref.Name)
 		if err != nil {
 			return nil, err
 		}
-		inputs[i] = &LScan{
+		inputs[i] = b.estimated(&LScan{
 			Table: tbl,
 			Alias: ref.DisplayName(),
 			sch:   qualify(strings.ToLower(ref.DisplayName()), tbl.Schema),
-		}
+		})
 	}
 
 	// 2. WHERE: split conjuncts into per-input filters, equi-join
@@ -177,7 +183,7 @@ func (b *binder) buildSelect(stmt *sql.SelectStmt) (Logical, error) {
 				if err != nil {
 					return nil, err
 				}
-				inputs[ii] = pushFilter(in, pred)
+				inputs[ii] = b.pushFilter(in, pred)
 				used[ci] = true
 				break
 			}
@@ -224,17 +230,17 @@ func (b *binder) buildSelect(stmt *sql.SelectStmt) (Logical, error) {
 		}
 		// Build on the smaller estimated side: swap so Left is smaller.
 		left := cur
-		if estimateRows(right) < estimateRows(left) {
+		if right.Estimate().Rows < left.Estimate().Rows {
 			left, right = right, left
 			lKeys, rKeys = rKeys, lKeys
 			lCols, rCols = rCols, lCols
 		}
-		cur = &LJoin{
+		cur = b.estimated(&LJoin{
 			Left: left, Right: right,
 			LeftKeys: lKeys, RightKeys: rKeys,
 			LeftKeyCols: lCols, RightKeyCols: rCols,
 			sch: left.Schema().Concat(right.Schema()),
-		}
+		})
 		joined = append(joined, right)
 	}
 
@@ -251,7 +257,7 @@ func (b *binder) buildSelect(stmt *sql.SelectStmt) (Logical, error) {
 		residual = append(residual, pred)
 	}
 	if len(residual) > 0 {
-		cur = &LFilter{Child: cur, Pred: expr.NewAnd(residual...)}
+		cur = b.estimated(&LFilter{Child: cur, Pred: expr.NewAnd(residual...)})
 	}
 
 	// 4. Aggregation and projection.
@@ -267,12 +273,12 @@ func (b *binder) buildSelect(stmt *sql.SelectStmt) (Logical, error) {
 			return nil, err
 		}
 		if stmt.Limit >= 0 {
-			cur = &LTopN{Child: cur, Keys: keys, N: stmt.Limit}
+			cur = b.estimated(&LTopN{Child: cur, Keys: keys, N: stmt.Limit})
 		} else {
-			cur = &LSort{Child: cur, Keys: keys}
+			cur = b.estimated(&LSort{Child: cur, Keys: keys})
 		}
 	} else if stmt.Limit >= 0 {
-		cur = &LLimit{Child: cur, N: stmt.Limit}
+		cur = b.estimated(&LLimit{Child: cur, N: stmt.Limit})
 	}
 	return cur, nil
 }
@@ -281,59 +287,28 @@ func (b *binder) buildSelect(stmt *sql.SelectStmt) (Logical, error) {
 type derived struct {
 	child Logical
 	sch   *types.Schema
+	Est
 }
 
 // Schema implements Logical.
 func (d *derived) Schema() *types.Schema { return d.sch }
 
-func pushFilter(in Logical, pred expr.Expr) Logical {
+// pushFilter adds pred to in: to a scan's or a filter's predicate, or
+// as a new filter above in. A scan's estimate follows its predicate.
+func (b *binder) pushFilter(in Logical, pred expr.Expr) Logical {
 	if s, ok := in.(*LScan); ok {
 		if s.Pred == nil {
 			s.Pred = pred
 		} else {
 			s.Pred = expr.NewAnd(s.Pred, pred)
 		}
-		return s
+		return b.estimated(s)
 	}
 	if f, ok := in.(*LFilter); ok {
 		f.Pred = expr.NewAnd(f.Pred, pred)
 		return f
 	}
-	return &LFilter{Child: in, Pred: pred}
-}
-
-// estimateRows is the binder's crude cardinality prior, which picks a
-// join's build side. The switch is closed over the Logical operators: a
-// new one must say what it does to its input's row count, because a
-// silent "very large" default is how every column-pruned input (an
-// LProject over its scan) once tied with every other and the smaller
-// side was never chosen.
-func estimateRows(l Logical) int64 {
-	switch n := l.(type) {
-	case *LScan:
-		r := n.Table.Stats.Rows
-		if n.Pred != nil {
-			r /= 3 // crude filter selectivity prior
-		}
-		return r
-	case *LFilter:
-		return estimateRows(n.Child) / 3
-	case *LJoin:
-		return estimateRows(n.Right)
-	case *derived:
-		return estimateRows(n.child)
-	case *LAgg:
-		return estimateRows(n.Child) / 10
-	case *LProject:
-		return estimateRows(n.Child)
-	case *LSort:
-		return estimateRows(n.Child)
-	case *LTopN:
-		return min(estimateRows(n.Child), n.N)
-	case *LLimit:
-		return min(estimateRows(n.Child), n.N)
-	}
-	panic(fmt.Sprintf("plan: estimateRows has no case for %T", l))
+	return b.estimated(&LFilter{Child: in, Pred: pred})
 }
 
 // pruneInputs narrows each FROM input to the columns referenced by the
@@ -385,6 +360,6 @@ func (b *binder) pruneInputs(stmt *sql.SelectStmt, inputs []Logical,
 		if len(cols) == 0 || len(cols) == sch.NumCols() {
 			continue // nothing referenced (scalar count(*)) or nothing to prune
 		}
-		inputs[i] = &LProject{Child: in, Exprs: cols, sch: types.NewSchema(names...)}
+		inputs[i] = b.estimated(&LProject{Child: in, Exprs: cols, sch: types.NewSchema(names...)})
 	}
 }

@@ -251,7 +251,7 @@ func (lw *lowerer) cut(child PhysOp, partKeys []expr.Expr, fromMaster bool) *PMe
 	lw.nextEx++
 	lw.plan.Exchanges = append(lw.plan.Exchanges, ex)
 	lw.finishSegment(child, &OutSpec{Exchange: ex.ID, PartKeys: partKeys}, fromMaster)
-	return &PMerger{Exchange: ex.ID, Sch: child.Schema()}
+	return &PMerger{Exchange: ex.ID, Sch: child.Schema(), Est: child.Estimate()}
 }
 
 func (lw *lowerer) lower(l Logical) (PhysOp, partProp, error) {
@@ -261,7 +261,7 @@ func (lw *lowerer) lower(l Logical) (PhysOp, partProp, error) {
 		for _, idx := range n.Table.PartKey {
 			prop.cols = append(prop.cols, n.sch.Cols[idx].Name)
 		}
-		return &PScan{Table: n.Table, Alias: n.Alias, Pred: n.Pred, Sch: n.sch}, prop, nil
+		return &PScan{Table: n.Table, Alias: n.Alias, Pred: n.Pred, Sch: n.sch, Est: n.Est}, prop, nil
 
 	case *derived:
 		child, prop, err := lw.lower(n.child)
@@ -283,14 +283,14 @@ func (lw *lowerer) lower(l Logical) (PhysOp, partProp, error) {
 				}
 			}
 		}
-		return &PProject{Child: child, Exprs: exprs, Sch: n.sch}, newProp, nil
+		return &PProject{Child: child, Exprs: exprs, Sch: n.sch, Est: n.Est}, newProp, nil
 
 	case *LFilter:
 		child, prop, err := lw.lower(n.Child)
 		if err != nil {
 			return nil, prop, err
 		}
-		return &PFilter{Child: child, Pred: n.Pred}, prop, nil
+		return &PFilter{Child: child, Pred: n.Pred, Est: n.Est}, prop, nil
 
 	case *LProject:
 		child, prop, err := lw.lower(n.Child)
@@ -310,7 +310,7 @@ func (lw *lowerer) lower(l Logical) (PhysOp, partProp, error) {
 		if len(newProp.cols) != len(prop.cols) {
 			newProp.cols = nil
 		}
-		return &PProject{Child: child, Exprs: n.Exprs, Sch: n.sch}, newProp, nil
+		return &PProject{Child: child, Exprs: n.Exprs, Sch: n.sch, Est: n.Est}, newProp, nil
 
 	case *LJoin:
 		build, bProp, err := lw.lower(n.Left)
@@ -331,7 +331,7 @@ func (lw *lowerer) lower(l Logical) (PhysOp, partProp, error) {
 		out := &PHashJoin{
 			Build: build, Probe: probe,
 			BuildKeys: n.LeftKeys, ProbeKeys: n.RightKeys,
-			Sch: n.sch,
+			Sch: n.sch, Est: n.Est,
 		}
 		// Join output partitioning is reported as unknown, mirroring the
 		// CLAIMS optimizer: SSE-Q9's plan (Figure 1b) repartitions the
@@ -346,15 +346,15 @@ func (lw *lowerer) lower(l Logical) (PhysOp, partProp, error) {
 		if err != nil {
 			return nil, prop, err
 		}
-		algo := chooseAggAlgorithm(n)
+		algo := chooseAggAlgorithm(n.Est)
 		if len(n.Keys) > 0 && prop.subsetOf(n.KeyCols) {
 			// Groups are node-local: single-phase aggregation.
 			out := &PHashAgg{Child: child, Keys: n.Keys, KeyNames: n.KeyNames,
-				Specs: n.Specs, Algo: algo, Sch: n.sch}
+				Specs: n.Specs, Algo: algo, Sch: n.sch, Est: n.Est}
 			return out, partProp{gathered: prop.gathered}, nil
 		}
 		if len(n.Keys) == 0 || lw.opts.PartialAgg ||
-			(n.EstGroups > 0 && n.EstGroups <= partialAggThreshold) {
+			(n.Groups > 0 && n.Groups <= partialAggThreshold) {
 			// Scalar aggregates and low-cardinality group-bys combine
 			// cheap per-node partials instead of shipping raw rows; the
 			// PartialAgg option forces the same for the ablation study.
@@ -364,7 +364,7 @@ func (lw *lowerer) lower(l Logical) (PhysOp, partProp, error) {
 		// the group keys, then aggregate once on the receiving side.
 		merger := lw.cut(child, n.Keys, prop.gathered)
 		out := &PHashAgg{Child: merger, Keys: n.Keys, KeyNames: n.KeyNames,
-			Specs: n.Specs, Algo: algo, Sch: n.sch}
+			Specs: n.Specs, Algo: algo, Sch: n.sch, Est: n.Est}
 		return out, partProp{}, nil
 
 	case *LSort:
@@ -375,7 +375,7 @@ func (lw *lowerer) lower(l Logical) (PhysOp, partProp, error) {
 		if !prop.gathered {
 			child = lw.cut(child, nil, false)
 		}
-		return &PSort{Child: child, Keys: n.Keys}, partProp{gathered: true}, nil
+		return &PSort{Child: child, Keys: n.Keys, Est: n.Est}, partProp{gathered: true}, nil
 
 	case *LTopN:
 		child, prop, err := lw.lower(n.Child)
@@ -384,9 +384,9 @@ func (lw *lowerer) lower(l Logical) (PhysOp, partProp, error) {
 		}
 		if !prop.gathered {
 			// Local top-N before the gather bounds network traffic.
-			child = lw.cut(&PTopN{Child: child, Keys: n.Keys, N: n.N}, nil, false)
+			child = lw.cut(&PTopN{Child: child, Keys: n.Keys, N: n.N, Est: n.Est}, nil, false)
 		}
-		return &PTopN{Child: child, Keys: n.Keys, N: n.N}, partProp{gathered: true}, nil
+		return &PTopN{Child: child, Keys: n.Keys, N: n.N, Est: n.Est}, partProp{gathered: true}, nil
 
 	case *LLimit:
 		child, prop, err := lw.lower(n.Child)
@@ -394,9 +394,9 @@ func (lw *lowerer) lower(l Logical) (PhysOp, partProp, error) {
 			return nil, prop, err
 		}
 		if !prop.gathered {
-			child = lw.cut(&PLimit{Child: child, N: n.N}, nil, false)
+			child = lw.cut(&PLimit{Child: child, N: n.N, Est: n.Est}, nil, false)
 		}
-		return &PLimit{Child: child, N: n.N}, partProp{gathered: true}, nil
+		return &PLimit{Child: child, N: n.N, Est: n.Est}, partProp{gathered: true}, nil
 	}
 	return nil, partProp{}, fmt.Errorf("plan: cannot lower %T", l)
 }
@@ -441,6 +441,7 @@ func (lw *lowerer) lowerTwoPhaseAgg(n *LAgg, child PhysOp, prop partProp,
 		Child: child, Keys: n.Keys, KeyNames: n.KeyNames, Specs: pSpecs,
 		Algo: algo, Partial: true,
 		Sch: aggOutputSchema(n.Keys, n.KeyNames, pSpecs, inSch),
+		Est: n.Est,
 	}
 	if j, ok := child.(*PHashJoin); ok {
 		if pj, merges, ok := perBuildRow(j, n.Keys, pSpecs, guard); ok {
@@ -482,6 +483,7 @@ func (lw *lowerer) lowerTwoPhaseAgg(n *LAgg, child PhysOp, prop partProp,
 		Child: merger, Keys: fKeys, KeyNames: n.KeyNames, Specs: fSpecs,
 		Algo: algo,
 		Sch:  aggOutputSchema(fKeys, n.KeyNames, fSpecs, partial.Sch),
+		Est:  n.Est,
 	}
 
 	// Restore the canonical aggregation schema (keys + __agg_j).
@@ -498,7 +500,7 @@ func (lw *lowerer) lowerTwoPhaseAgg(n *LAgg, child PhysOp, prop partProp,
 			exprs = append(exprs, expr.NewCol(nk+refs[j].sum, s.Name))
 		}
 	}
-	proj := &PProject{Child: final, Exprs: exprs, Sch: n.sch}
+	proj := &PProject{Child: final, Exprs: exprs, Sch: n.sch, Est: Est{Rows: n.Rows}}
 	outProp := partProp{gathered: toMaster || prop.gathered && toMaster}
 	if !toMaster {
 		outProp = partProp{} // partitioned on group keys (internal names)
@@ -569,16 +571,18 @@ func perBuildRow(j *PHashJoin, keys []expr.Expr, specs []iterator.AggSpec, guard
 	out := *j
 	out.PerBuildRow, out.Aggs = true, aggs
 	out.Sch = iterator.PerBuildRowSchema(j.Build.Schema(), j.Probe.Schema(), aggs)
+	out.Est = Est{Rows: j.Build.Estimate().Rows}
 	return &out, merges, true
 }
 
-// chooseAggAlgorithm picks by the binder's group estimate, mirroring
-// the paper's observation (Figure 8b) that a shared table contends
-// under few groups and private tables stop paying under many: hybrid
-// when the estimate fits in one private table (a scalar aggregate's is
-// 1), shared when it does not or when a key's NDV had to be guessed.
-func chooseAggAlgorithm(n *LAgg) iterator.AggAlgorithm {
-	if n.EstKnown && n.EstGroups > 0 && n.EstGroups <= iterator.MaxPrivateGroups {
+// chooseAggAlgorithm picks by the aggregation's group estimate,
+// mirroring the paper's observation (Figure 8b) that a shared table
+// contends under few groups and private tables stop paying under many:
+// hybrid when the estimate fits in one private table (a scalar
+// aggregate's is 1), shared when it does not or when a key's NDV had to
+// be guessed.
+func chooseAggAlgorithm(e Est) iterator.AggAlgorithm {
+	if e.Known && e.Groups > 0 && e.Groups <= iterator.MaxPrivateGroups {
 		return iterator.HybridAgg
 	}
 	return iterator.SharedAgg

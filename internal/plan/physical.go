@@ -14,6 +14,9 @@ import (
 // iterator tree per node a segment runs on.
 type PhysOp interface {
 	Schema() *types.Schema
+	// Estimate is the estimate lowering copied from the logical
+	// operator the physical one implements (estimate.go).
+	Estimate() Est
 }
 
 // PScan scans the node-local partition of a table, with an optional
@@ -26,6 +29,7 @@ type PScan struct {
 	// Vectorized reports whether Pred compiles entirely to fused batch
 	// kernels (set by the post-lowering annotate pass; Explain only).
 	Vectorized bool
+	Est
 }
 
 // Schema implements PhysOp.
@@ -38,6 +42,7 @@ type PFilter struct {
 	// Vectorized reports whether Pred compiles entirely to fused batch
 	// kernels (Explain only).
 	Vectorized bool
+	Est
 }
 
 // Schema implements PhysOp.
@@ -51,6 +56,7 @@ type PProject struct {
 	// Vectorized reports whether every expression compiles entirely to
 	// fused batch kernels (Explain only).
 	Vectorized bool
+	Est
 }
 
 // Schema implements PhysOp.
@@ -75,6 +81,9 @@ type PHashJoin struct {
 	// WordKey reports whether both keys are one Int64 or Date column,
 	// so the join matches them by hash alone (Explain only).
 	WordKey bool
+	// Est.Rows is the probe side's, or the build side's when the join
+	// aggregates per build row (it emits at most one row per build row).
+	Est
 }
 
 // Schema implements PhysOp.
@@ -129,6 +138,9 @@ type PHashAgg struct {
 	// WordKey reports whether the group key packs into one word that is
 	// its own hash (expr.NewGroupKeyEncoder; Explain only).
 	WordKey bool
+	// Est is the logical aggregation's, on both halves of a two-phase
+	// one.
+	Est
 }
 
 // Schema implements PhysOp.
@@ -152,6 +164,7 @@ func (a *PHashAgg) label() string {
 type PSort struct {
 	Child PhysOp
 	Keys  []iterator.SortKey
+	Est
 }
 
 // Schema implements PhysOp.
@@ -162,6 +175,7 @@ type PTopN struct {
 	Child PhysOp
 	Keys  []iterator.SortKey
 	N     int64
+	Est
 }
 
 // Schema implements PhysOp.
@@ -171,6 +185,7 @@ func (t *PTopN) Schema() *types.Schema { return t.Child.Schema() }
 type PLimit struct {
 	Child PhysOp
 	N     int64
+	Est
 }
 
 // Schema implements PhysOp.
@@ -181,6 +196,8 @@ func (l *PLimit) Schema() *types.Schema { return l.Child.Schema() }
 type PMerger struct {
 	Exchange int
 	Sch      *types.Schema
+	// Est is the producer segment root's.
+	Est
 }
 
 // Schema implements PhysOp.
@@ -260,7 +277,8 @@ func (p *Plan) String() string {
 // ANALYZE decorates the same tree EXPLAIN prints with measured rows,
 // times and bytes, without duplicating the renderer. Every callback is
 // optional; returned strings are appended verbatim after the line they
-// annotate (conventionally "  (rows=… time=…)").
+// annotate (conventionally "  (rows=… time=…)"). Without an Op callback
+// each operator line ends in its estimated rows, "  (est=…)".
 type Annotations struct {
 	// Op annotates one operator line.
 	Op func(op PhysOp) string
@@ -304,7 +322,12 @@ func annot[T any](fn func(T) string, v T) string {
 
 func renderOp(sb *strings.Builder, op PhysOp, depth int, a Annotations) {
 	pad := strings.Repeat("  ", depth)
-	tail := annot(a.Op, op)
+	var tail string
+	if a.Op != nil {
+		tail = a.Op(op)
+	} else {
+		tail = fmt.Sprintf("  (est=%d)", op.Estimate().Rows)
+	}
 	switch n := op.(type) {
 	case *PScan:
 		fmt.Fprintf(sb, "%sscan %s", pad, n.Table.Name)

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"repro/internal/catalog"
+	"repro/internal/expr"
 	"repro/internal/iterator"
 	"repro/internal/types"
 )
@@ -361,23 +362,30 @@ func TestOrderSegmentsRejectsCycle(t *testing.T) {
 	}
 }
 
-// TestEstimateRowsCoversEveryLogical: estimateRows decides which side
-// of a join is built, and its switch is closed — a Logical it has no
-// case for panics instead of estimating "very large", which is how
-// every column-pruned input once tied and no join ever swapped sides.
-// The table has one value per Logical type declared in logical.go (read
-// from the source, so a new operator fails here until it has a row and
-// a case), each over a 900-row scan.
+// TestEstimateRowsCoversEveryLogical: the estimate's rows decide which
+// side of a join is built, and the rule's switch is closed — a Logical
+// it has no case for panics instead of estimating "very large", which
+// is how every column-pruned input once tied and no join ever swapped
+// sides. The table has one value per Logical type declared in
+// logical.go (read from the source, so a new operator fails here until
+// it has a row and a case), each over a 900-row scan whose column has
+// 40 distinct values.
 func TestEstimateRowsCoversEveryLogical(t *testing.T) {
-	scan := &LScan{Table: &catalog.Table{Name: "t", Stats: catalog.TableStats{Rows: 900}}}
+	cat := catalog.New(2)
+	tbl := &catalog.Table{Name: "t", Stats: catalog.TableStats{Rows: 900,
+		Cols: map[string]catalog.ColStats{"g": {NDV: 40}}}}
+	cat.MustAdd(tbl)
+	b := &binder{cat: cat}
+	scan := b.estimated(&LScan{Table: tbl})
+	g := expr.NewCol(0, "t.g")
 	rows := map[string]struct {
 		l    Logical
 		want int64
 	}{
-		"LScan":    {scan, 900},
+		"LScan":    {&LScan{Table: tbl, Pred: expr.NewConst(types.IntVal(1))}, 300},
 		"LFilter":  {&LFilter{Child: scan}, 300},
-		"LJoin":    {&LJoin{Left: &LFilter{Child: scan}, Right: scan}, 900},
-		"LAgg":     {&LAgg{Child: scan}, 90},
+		"LJoin":    {&LJoin{Left: b.estimated(&LFilter{Child: scan}), Right: scan}, 900},
+		"LAgg":     {&LAgg{Child: scan, Keys: []expr.Expr{g}}, 40},
 		"LProject": {&LProject{Child: scan}, 900},
 		"LSort":    {&LSort{Child: scan}, 900},
 		"LTopN":    {&LTopN{Child: scan, N: 10}, 10},
@@ -402,11 +410,11 @@ func TestEstimateRowsCoversEveryLogical(t *testing.T) {
 		declared++
 		row, ok := rows[name]
 		if !ok {
-			t.Errorf("Logical %s has no row here: give estimateRows a case for it", name)
+			t.Errorf("Logical %s has no row here: give binder.estimated a case for it", name)
 			continue
 		}
-		if got := estimateRows(row.l); got != row.want {
-			t.Errorf("estimateRows(%s) = %d, want %d", name, got, row.want)
+		if got := b.estimated(row.l).Estimate().Rows; got != row.want {
+			t.Errorf("estimated(%s).Rows = %d, want %d", name, got, row.want)
 		}
 	}
 	if declared != len(rows) {
@@ -433,8 +441,8 @@ func TestChooseAggAlgorithmByEstimate(t *testing.T) {
 		{iterator.MaxPrivateGroups + 1, true, iterator.SharedAgg},
 		{1 << 60, true, iterator.SharedAgg},
 	} {
-		if got := chooseAggAlgorithm(&LAgg{EstGroups: tc.est, EstKnown: tc.known}); got != tc.want {
-			t.Errorf("EstGroups %d known %v: %s, want %s", tc.est, tc.known, got, tc.want)
+		if got := chooseAggAlgorithm(Est{Groups: tc.est, Known: tc.known}); got != tc.want {
+			t.Errorf("Groups %d known %v: %s, want %s", tc.est, tc.known, got, tc.want)
 		}
 	}
 }

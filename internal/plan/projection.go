@@ -69,7 +69,7 @@ func (b *binder) buildProjection(stmt *sql.SelectStmt, cur Logical) (Logical, []
 			names = append(names, itemName(it))
 		}
 		out := projectSchema(exprs, names, cur.Schema())
-		return &LProject{Child: cur, Exprs: exprs, sch: out}, names, nil
+		return b.estimated(&LProject{Child: cur, Exprs: exprs, sch: out}), names, nil
 	}
 
 	// Aggregation. Bind group keys over the input.
@@ -112,23 +112,21 @@ func (b *binder) buildProjection(stmt *sql.SelectStmt, cur Logical) (Logical, []
 		rewrittenHaving = r
 	}
 
-	node := &LAgg{
+	plan := b.estimated(&LAgg{
 		Child:    cur,
 		Keys:     keys,
 		KeyNames: keyNames,
 		KeyCols:  keyCols,
 		Specs:    agg.specs,
 		sch:      aggOutputSchema(keys, keyNames, agg.specs, cur.Schema()),
-	}
-	node.EstGroups, node.EstKnown = b.estimateGroups(stmt.GroupBy, cur.Schema())
-	var plan Logical = node
+	})
 
 	if rewrittenHaving != nil {
 		pred, err := bindExpr(rewrittenHaving, plan.Schema())
 		if err != nil {
 			return nil, nil, fmt.Errorf("plan: HAVING: %w", err)
 		}
-		plan = &LFilter{Child: plan, Pred: pred}
+		plan = b.estimated(&LFilter{Child: plan, Pred: pred})
 	}
 
 	// Final projection over the aggregation output.
@@ -143,7 +141,7 @@ func (b *binder) buildProjection(stmt *sql.SelectStmt, cur Logical) (Logical, []
 		names = append(names, itemName(stmt.Items[i]))
 	}
 	out := projectSchema(exprs, names, plan.Schema())
-	return &LProject{Child: plan, Exprs: exprs, sch: out}, names, nil
+	return b.estimated(&LProject{Child: plan, Exprs: exprs, sch: out}), names, nil
 }
 
 // aggCollector rewrites expressions for evaluation above an aggregation:
@@ -324,28 +322,4 @@ func bareName(name string) string {
 		return name[dot+1:]
 	}
 	return name
-}
-
-// estimateGroups multiplies the catalog NDVs of the group-by columns;
-// non-column keys contribute a small constant (EXTRACT year ≈ 7) and a
-// column without an NDV 1000. known reports that no key needed such a
-// guess (a scalar aggregate's single group is known).
-func (b *binder) estimateGroups(groupBy []sql.Expr, sch *types.Schema) (est int64, known bool) {
-	est, known = 1, true
-	for _, g := range groupBy {
-		n, ok := int64(50), false
-		if c, isCol := g.(*sql.ColRef); isCol {
-			if n, ok = b.cat.ColNDV(c.Name); !ok {
-				n = 1000
-			}
-		} else if _, isExtract := g.(*sql.ExtractExpr); isExtract {
-			n = 7
-		}
-		known = known && ok
-		if est > (1<<60)/n {
-			return 1 << 60, known
-		}
-		est *= n
-	}
-	return est, known
 }

@@ -339,6 +339,17 @@ func (a *Analysis) OpStats(op plan.PhysOp) (rows, blocks int64, busy time.Durati
 			a.Scope.Counter(telemetry.OpCtr(id, telemetry.OpOpenNs)).Load())
 }
 
+// ScanParts returns how many table partitions a scan read, of the
+// data nodes' it was placed on. ok is false for an operator that is not
+// a scan.
+func (a *Analysis) ScanParts(op plan.PhysOp) (read, of int64, ok bool) {
+	id, okID := a.ops[op]
+	if _, isScan := op.(*plan.PScan); !isScan || !okID {
+		return 0, 0, false
+	}
+	return a.Scope.Counter(telemetry.OpCtr(id, telemetry.OpPartsRead)).Load(), int64(len(a.dataNodes)), true
+}
+
 // OpMemStats returns an operator's tracked working-memory high-water
 // mark and sampled mean, in bytes, cluster-wide across its per-node
 // instances. Both are zero for stateless (streaming) operators.
@@ -413,6 +424,9 @@ func (a *Analysis) Render() string {
 				rows, op.Estimate().Rows, blocks,
 				busy.Round(time.Microsecond),
 				a.selfTime(op).Round(time.Microsecond))
+			if read, of, ok := a.ScanParts(op); ok {
+				s += fmt.Sprintf(" parts=%d/%d", read, of)
+			}
 			if peak, mean := a.OpMemStats(op); peak > 0 {
 				s += fmt.Sprintf(" mem peak=%dB mean=%.0fB", peak, mean)
 			}

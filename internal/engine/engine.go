@@ -23,7 +23,6 @@ import (
 
 	"repro/internal/block"
 	"repro/internal/catalog"
-	"repro/internal/expr"
 	"repro/internal/faults"
 	"repro/internal/network"
 	"repro/internal/plan"
@@ -445,7 +444,7 @@ func (c *Cluster) master() int { return c.cfg.Nodes }
 type TableLoader struct {
 	table   *catalog.Table
 	loaders []*storage.Loader
-	keyEnc  *expr.KeyEncoder
+	key     []types.Value // the partition-key values of the row in scratch
 	scratch []byte
 	rows    int64
 }
@@ -458,13 +457,9 @@ func (c *Cluster) NewTableLoader(name string) (*TableLoader, error) {
 	}
 	tl := &TableLoader{
 		table:   tbl,
+		key:     make([]types.Value, len(tbl.PartKey)),
 		scratch: make([]byte, tbl.Schema.Stride()),
 	}
-	var keyExprs []expr.Expr
-	for _, idx := range tbl.PartKey {
-		keyExprs = append(keyExprs, expr.NewCol(idx, tbl.Schema.Cols[idx].Name))
-	}
-	tl.keyEnc = expr.NewKeyEncoder(keyExprs)
 	// In distributed mode only the local node's store exists; the other
 	// slots stay nil so the hash routing below still sees the full
 	// cluster width and rows bound for remote partitions are dropped
@@ -484,9 +479,10 @@ func (c *Cluster) NewTableLoader(name string) (*TableLoader, error) {
 // Row returns a scratch record to fill; commit it with Add.
 func (l *TableLoader) Row() []byte { return l.scratch }
 
-// Add routes the filled scratch record to node KeyEncoder.Hash % nodes,
-// where a Sender on the same key routes it, so a side left where it was
-// loaded meets a side repartitioned onto it. The row count
+// Add routes the filled scratch record to the node ownerOf names for its
+// partition key: where a Sender on the same key routes it, so a side
+// left where it was loaded meets a side repartitioned onto it, and where
+// a scan pinned to the key looks for it. The row count
 // advances even when the destination partition lives in another process
 // (nil loader): table statistics must reflect the CLUSTER-WIDE row
 // count on every process, or the per-process plan compilations of one
@@ -494,8 +490,10 @@ func (l *TableLoader) Row() []byte { return l.scratch }
 func (l *TableLoader) Add() {
 	node := 0
 	if len(l.loaders) > 1 {
-		h := l.keyEnc.Hash(l.scratch, l.table.Schema)
-		node = int(h % uint64(len(l.loaders)))
+		for i, idx := range l.table.PartKey {
+			l.key[i] = types.GetValue(l.scratch, l.table.Schema, idx)
+		}
+		node = ownerOf(l.key, len(l.loaders))
 	}
 	if ld := l.loaders[node]; ld != nil {
 		copy(ld.Row(), l.scratch)

@@ -194,6 +194,11 @@ type exec struct {
 	// feeds[ex] is the serial driver's exchange edge: the producer
 	// segment's whole output, replayed at the consumer's merger position.
 	feeds map[int][]*block.Block
+	// wctx is the serial driver's worker context, fresh for each
+	// segment; term is its termination flag, which nothing raises. They
+	// live here so a statement does not allocate them.
+	wctx iterator.Ctx
+	term iterator.TermFlag
 
 	// resultExID is the result collector's exchange id, derived as one
 	// past the plan's highest exchange id — unique within the query's
@@ -733,14 +738,16 @@ func (e *exec) instantiate(seg *plan.Segment, node int) (*segInst, error) {
 // mergers read, and whether stateful operators are governed.
 //
 // With inst set — the parallel drivers — the tree is one node's
-// instance of the segment: a scan reads that node's partition, a merger
+// instance of the segment: a scan reads that node's partition (an empty
+// one when the scan's predicate pins its partition key elsewhere), a merger
 // reads its fabric inbox, stateful operators charge a memory account
 // and may spill, and what the scheduler adapter and the spill check
 // need later (mergers, inboxes, joins, aggregates) is recorded on inst.
 //
 // With inst nil — the serial driver — the tree is the segment's single
 // fused instance over every node it is placed on: a scan chains those
-// nodes' partitions, a merger replays the finished producer's blocks
+// nodes' partitions (only the owners' when its predicate pins its
+// partition key), a merger replays the finished producer's blocks
 // (exec.feeds), and stateful operators run unaccounted and unsharded
 // (the fastPathRows cap bounds their state; one worker has no
 // contention to shard for). Fusing is what makes the serial driver
@@ -776,32 +783,54 @@ func (e *exec) buildOp(op plan.PhysOp, env buildEnv) (iterator.Iterator, error) 
 func (e *exec) buildBare(op plan.PhysOp, env buildEnv) (iterator.Iterator, error) {
 	switch n := op.(type) {
 	case *plan.PScan:
+		var pred expr.Expr
+		if n.Pred != nil {
+			var err error
+			if pred, err = e.bind(n.Pred); err != nil {
+				return nil, err
+			}
+		}
+		// A predicate that pins the partition key reads only the
+		// partitions of the nodes that own its constants.
+		pin, pinned := pinOf(pred, n.Table)
+		nodes := len(e.c.stores)
 		var it iterator.Iterator
+		read := 0 // partitions this build reads
 		if env.inst != nil {
 			part, err := e.c.store(env.node).Partition(n.Table.Name)
 			if err != nil {
 				return nil, err
 			}
+			if pinned && !pin.owns(env.node, nodes) {
+				// An empty scan: the instance still runs, and closes its
+				// streams, with nothing to read.
+				part = &storage.Partition{Schema: part.Schema, Sockets: part.Sockets}
+			} else {
+				read = 1
+			}
 			env.inst.hasScan = true
 			env.inst.scanBlocks = max(env.inst.scanBlocks, len(part.Blocks))
 			it = iterator.NewScanWithSchema(part, n.Sch)
 		} else {
-			nodes := e.nodesOf(env.seg)
-			parts := make([]*storage.Partition, len(nodes))
-			for i, node := range nodes {
+			placed := e.nodesOf(env.seg)
+			parts := make([]*storage.Partition, 0, len(placed))
+			for _, node := range placed {
+				if pinned && !pin.owns(node, nodes) {
+					continue
+				}
 				part, err := e.c.store(node).Partition(n.Table.Name)
 				if err != nil {
 					return nil, err
 				}
-				parts[i] = part
+				parts = append(parts, part)
 			}
+			read = len(parts)
 			it = iterator.NewSerialScan(parts, n.Sch)
 		}
-		if n.Pred != nil {
-			pred, err := e.bind(n.Pred)
-			if err != nil {
-				return nil, err
-			}
+		if e.ops != nil {
+			e.scope.Counter(telemetry.OpCtr(e.ops[n], telemetry.OpPartsRead)).Add(int64(read))
+		}
+		if pred != nil {
 			it = iterator.NewFilter(it, n.Sch, pred)
 		}
 		return it, nil

@@ -103,7 +103,8 @@ func (e *exec) runSegmentSerial(ctx context.Context, seg *plan.Segment) ([]*bloc
 		return nil, err
 	}
 	defer it.Close()
-	wctx := &iterator.Ctx{Term: &iterator.TermFlag{}}
+	e.wctx = iterator.Ctx{Term: &e.term}
+	wctx := &e.wctx
 	if st := it.Open(wctx); st != iterator.OK {
 		return nil, nil
 	}

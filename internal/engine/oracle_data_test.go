@@ -42,12 +42,42 @@ type edge struct {
 	pairs [][2]string
 }
 
+// holds reports whether a row of t holds v in column col.
+func (t *otable) holds(col int, v types.Value) bool {
+	for _, r := range t.rows {
+		if order(r[col], v) == 0 {
+			return true
+		}
+	}
+	return false
+}
+
 // odb is one database: the tables in load order, the catalog they are
 // registered in, and the key edges the generator joins along.
 type odb struct {
 	tables   []*otable
 	register func(*catalog.Catalog)
 	edges    []edge
+	partKeys map[string][]int // by table, read from the catalog on first use
+}
+
+// partKey returns the first column of a table's partition key, and
+// whether the key has more than one.
+func (db *odb) partKey(name string) (col int, composite bool) {
+	if db.partKeys == nil {
+		cat := catalog.New(1)
+		db.register(cat)
+		db.partKeys = map[string][]int{}
+		for _, t := range db.tables {
+			tbl, err := cat.Lookup(t.name)
+			if err != nil {
+				panic(err)
+			}
+			db.partKeys[t.name] = tbl.PartKey
+		}
+	}
+	k := db.partKeys[name]
+	return k[0], len(k) > 1
 }
 
 func (db *odb) table(name string) *otable {

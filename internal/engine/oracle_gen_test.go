@@ -86,8 +86,9 @@ var kindName = map[types.Kind]string{types.Int64: "int", types.Float64: "float",
 
 var numeric = []types.Kind{types.Int64, types.Float64}
 
-// statement draws one statement.
-func (g *gen) statement() *stmt {
+// statement draws one statement; a pinned one also pins a partition
+// key (pin).
+func (g *gen) statement(pinned bool) *stmt {
 	s := &stmt{limit: -1, feats: map[string]bool{}}
 	g.from(s)
 	s.nJoin = len(s.where)
@@ -98,6 +99,9 @@ func (g *gen) statement() *stmt {
 		} else {
 			s.where = append(s.where, g.pred(s, pos, 2))
 		}
+	}
+	if pinned {
+		s.where = append(s.where, g.pin(s))
 	}
 	if g.chance(2) {
 		g.aggregate(s)
@@ -313,6 +317,71 @@ func (g *gen) pred(s *stmt, pos, depth int) node {
 	}
 	s.mark("pred:not")
 	return &not{g.pred(s, pos, depth-1)}
+}
+
+// pin is a conjunct on the partition key of one FROM table (the first
+// column of a composite key): = or IN over keys the table holds and keys
+// it does not, a float equal to a stored integer key, or a $n. On a
+// one-column key of the constant's own kind the engine reads only the
+// partitions of the constants' owners; the answer must not show it.
+func (g *gen) pin(s *stmt) node {
+	pos := g.rng.Intn(len(s.from))
+	t := s.from[pos].t
+	key, composite := g.db.partKey(t.name)
+	if composite {
+		s.mark("pin:composite")
+	}
+	c := s.ref(pos, key)
+	present := func() types.Value { return t.rows[g.rng.Intn(len(t.rows))][key] }
+	absent := func() types.Value {
+		v := present()
+		for {
+			v.I += int64(1 + g.rng.Intn(7))
+			if !t.holds(key, v) {
+				return v
+			}
+		}
+	}
+	draw := func() types.Value {
+		if c.k == types.Int64 && g.chance(3) {
+			s.mark("pin:absent")
+			return absent()
+		}
+		return present()
+	}
+	switch n := g.rng.Intn(6); {
+	case n < 3:
+		v := draw()
+		s.mark("pin:=")
+		if g.chance(3) {
+			s.mark("pin:$n")
+			return &cmp{op: "=", l: c, r: s.newParam(v)}
+		}
+		return &cmp{op: "=", l: c, r: &lit{v}}
+	case n < 5:
+		var list []types.Value
+		for k := 1 + g.rng.Intn(4); k > 0; k-- {
+			list = append(list, draw())
+		}
+		s.mark("pin:in")
+		return &in{e: c, list: list}
+	}
+	if c.k != types.Int64 {
+		s.mark("pin:=")
+		return &cmp{op: "=", l: c, r: &lit{present()}}
+	}
+	// A float against the integer key: equal to a stored key (a $n of
+	// it is an integer once bound) or half a step off every key.
+	s.mark("pin:other-kind")
+	f := float64(present().I)
+	if g.chance(2) {
+		s.mark("pin:$n")
+		return &cmp{op: "=", l: c, r: s.newParam(fv(f))}
+	}
+	if g.chance(3) {
+		f += 0.5
+	}
+	return &cmp{op: "=", l: c, r: &lit{fv(f)}}
 }
 
 func (g *gen) cmpOp() string {

@@ -219,7 +219,7 @@ func TestGeneratedMetamorphic(t *testing.T) {
 		// Another stream than TestGeneratedStatements draws from.
 		g := &gen{rng: rand.New(rand.NewSource(seed + 100)), db: db}
 		for i := 0; i < perSeed; i++ {
-			s := g.statement()
+			s := g.statement(false)
 			fail := func(rel string, err error, q *stmt) {
 				t.Errorf("seed %d statement %d, %s: %v\n%s\nderived: %s", seed, i, rel, err, s.sql(false), q.sql(false))
 			}

@@ -553,6 +553,7 @@ var required = []string{
 	"$n:PScan.Pred", "$n:PFilter.Pred", "$n:PProject.Exprs", "$n:PHashJoin.BuildKeys",
 	"$n:PHashJoin.ProbeKeys", "$n:PHashJoin.Aggs", "$n:PHashAgg.Keys", "$n:PHashAgg.Specs", "$n:PSort.Keys",
 	"$n:PTopN.Keys", "$n:OutSpec.PartKeys",
+	"pin:=", "pin:in", "pin:absent", "pin:other-kind", "pin:$n", "pin:composite",
 }
 
 // coverage counts statements per feature and runs per configuration.
@@ -588,7 +589,9 @@ func (cv *coverage) report(t *testing.T, enforce bool) {
 // TestGeneratedStatements runs seeded generated statements through the
 // engine and holds each to the oracle. Statement i runs on every
 // configuration while i < everywhere, and on configuration i mod n
-// after that.
+// after that. perSeed/4 statements follow the perSeed plain ones, each
+// also pinning a partition key, so a seed's plain statements are the
+// ones it always drew.
 func TestGeneratedStatements(t *testing.T) {
 	seeds, perSeed, everywhere := []int64{1, 2, 3}, 200, 16
 	if testing.Short() {
@@ -600,8 +603,8 @@ func TestGeneratedStatements(t *testing.T) {
 			db := tpchSSE(seed)
 			cfgs := configurations(t, db)
 			g := &gen{rng: rand.New(rand.NewSource(seed)), db: db}
-			for i := 0; i < perSeed; i++ {
-				s := g.statement()
+			for i := 0; i < perSeed+perSeed/4; i++ {
+				s := g.statement(i >= perSeed)
 				p, _, err := cfgs[0].c.CompileCached(s.sql(true))
 				if err != nil {
 					t.Fatalf("seed %d statement %d does not compile: %v\n%s", seed, i, err, s.sql(true))

@@ -2,6 +2,7 @@ package expr
 
 import (
 	"fmt"
+	"math/rand"
 	"testing"
 
 	"repro/internal/block"
@@ -82,6 +83,30 @@ func BenchmarkFilterConjunctionBatch(b *testing.B) {
 		sel = bp.Select(blk, nil, sel[:0])
 	}
 	b.ReportMetric(float64(b.N)*benchRows/b.Elapsed().Seconds(), "tuples/s")
+}
+
+// BenchmarkFilterEqualBatch measures the equality kernel on an integer
+// column holding k values in random order, so a = 0 keeps one row in k:
+// from every row (k = 1) and every other row (k = 2), where a branch on
+// the match is mispredicted most, down to a point lookup's one in 1000.
+func BenchmarkFilterEqualBatch(b *testing.B) {
+	sch := types.NewSchema(types.Col("a", types.Int64), types.Col("b", types.Int64))
+	bp := CompilePredicate(NewCmp(EQ, col(sch, "a"), NewConst(types.IntVal(0))), sch)
+	for _, k := range []int{1, 2, 10, 1000} {
+		b.Run(fmt.Sprintf("keep1of%d", k), func(b *testing.B) {
+			rng := rand.New(rand.NewSource(int64(k)))
+			blk := block.New(sch, benchRows*sch.Stride(), nil)
+			for i := 0; i < benchRows; i++ {
+				types.PutValue(blk.AppendRowTo(), sch, 0, types.IntVal(int64(rng.Intn(k))))
+			}
+			sel := make([]int32, 0, benchRows)
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				sel = bp.Select(blk, nil, sel[:0])
+			}
+			b.ReportMetric(float64(b.N)*benchRows/b.Elapsed().Seconds(), "tuples/s")
+		})
+	}
 }
 
 func benchKeyExprs(sch *types.Schema) map[string][]Expr {

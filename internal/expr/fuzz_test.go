@@ -72,6 +72,15 @@ func FuzzKeyEncoder(f *testing.F) {
 		if h, want := enc.Hash(rec, sch), Hash64(key); h != want {
 			t.Fatalf("Hash = %#x, Hash64(Encode) = %#x", h, want)
 		}
+		// HashValues, which places rows at load and prunes scans, agrees
+		// with the hash Senders route by.
+		if h, want := HashValues([]types.Value{types.IntVal(i), types.FloatVal(fv)}), enc.Hash(rec, sch); h != want {
+			t.Fatalf("HashValues = %#x, Hash = %#x", h, want)
+		}
+		one := NewKeyEncoder([]Expr{NewCol(1, "b")})
+		if h, want := HashValues([]types.Value{types.FloatVal(fv)}), one.Hash(rec, sch); h != want {
+			t.Fatalf("one float: HashValues = %#x, Hash = %#x", h, want)
+		}
 		blk := block.New(sch, sch.Stride(), nil)
 		blk.AppendRow(rec)
 		benc := NewBatchKeyEncoder(enc.Exprs, sch)

@@ -59,6 +59,20 @@ func (k *KeyEncoder) Hash(rec []byte, sch *types.Schema) uint64 {
 	return Hash64(k.buf)
 }
 
+// HashValues is the hash of a key holding vals, by Hash's rule. It
+// encodes into a stack buffer, so a key that fits allocates nothing.
+func HashValues(vals []types.Value) uint64 {
+	if len(vals) == 1 && isWordValue(vals[0]) {
+		return mixWord(uint64(vals[0].I))
+	}
+	var tmp [64]byte
+	buf := tmp[:0]
+	for _, v := range vals {
+		buf = appendValue(buf, v)
+	}
+	return Hash64(buf)
+}
+
 // isWordValue reports whether v, as a key's only value, hashes by its
 // word: a non-NULL Int64 or Date.
 func isWordValue(v types.Value) bool {

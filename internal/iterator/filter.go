@@ -11,11 +11,10 @@ import (
 )
 
 // selPool recycles selection-vector buffers across Next calls; workers
-// call Next concurrently, so the buffer cannot live on the iterator.
-var selPool = sync.Pool{New: func() any { return make([]int32, 0, 1024) }}
-
-func getSel() []int32  { return selPool.Get().([]int32)[:0] }
-func putSel(s []int32) { selPool.Put(s) }
+// call Next concurrently, so the buffer cannot live on the iterator. It
+// holds pointers: a slice put into the pool as it is would be boxed, one
+// allocation per Next.
+var selPool = sync.Pool{New: func() any { s := make([]int32, 0, 1024); return &s }}
 
 // Filter drops tuples failing a predicate. Its state (the compiled
 // predicate) is read-only after Open, so Next needs no synchronization
@@ -96,8 +95,9 @@ func newFilterOut(sch *types.Schema, in *block.Block, n int, ctx *Ctx) *block.Bl
 // Next pulls child blocks and emits the qualifying tuples.
 func (f *Filter) Next(ctx *Ctx) (*block.Block, Status) {
 	var outB *block.Block
-	sel := getSel()
-	defer func() { putSel(sel) }()
+	sp := selPool.Get().(*[]int32)
+	sel := (*sp)[:0]
+	defer func() { *sp = sel; selPool.Put(sp) }()
 	target := 0
 	for {
 		in, st := f.child.Next(ctx)
@@ -174,7 +174,8 @@ type colMove struct{ src, dst, width int }
 // one run. Schemas have no padding, so the moves and the kernels between
 // them write every byte of an output row.
 func NewProject(child Iterator, inSch, outSch *types.Schema, exprs []expr.Expr) *Project {
-	p := &Project{child: child, inSch: inSch, outSch: outSch, barrier: NewBarrier()}
+	p := &Project{child: child, inSch: inSch, outSch: outSch, barrier: NewBarrier(),
+		moves: make([]colMove, 0, len(exprs))}
 	for c, e := range exprs {
 		out := outSch.Cols[c]
 		col, ok := e.(*expr.Col)

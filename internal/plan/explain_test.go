@@ -34,9 +34,8 @@ segment 1 (all-nodes):
   -> repartition via exchange 1
 segment 2 (all-nodes):
   top-10  (est=10)
-    project (2 exprs) [vec]  (est=4200000)
-      hash agg (1 keys, 1 aggs, shared, word key) [vec]  (est=4200000)
-        merger (exchange 1)  (est=840000000)
+    hash agg (1 keys, 1 aggs, shared, word key) [vec]  (est=4200000)
+      merger (exchange 1)  (est=840000000)
   -> gather via exchange 2
 segment 3 (master):
   top-10  (est=10)

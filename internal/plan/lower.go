@@ -310,6 +310,12 @@ func (lw *lowerer) lower(l Logical) (PhysOp, partProp, error) {
 		if len(newProp.cols) != len(prop.cols) {
 			newProp.cols = nil
 		}
+		if isIdentity(n.Exprs, n.Child.Schema()) {
+			// It re-lists its child's columns in order (a SELECT list
+			// over the columns the FROM input was pruned to): the rows
+			// pass unchanged, and the names travel in Plan.OutputNames.
+			return child, newProp, nil
+		}
 		return &PProject{Child: child, Exprs: n.Exprs, Sch: n.sch, Est: n.Est}, newProp, nil
 
 	case *LJoin:
@@ -610,6 +616,20 @@ func anyEmpty(ss []string) bool {
 		}
 	}
 	return false
+}
+
+// isIdentity reports whether exprs are exactly the columns of in, in
+// order.
+func isIdentity(exprs []expr.Expr, in *types.Schema) bool {
+	if len(exprs) != in.NumCols() {
+		return false
+	}
+	for i, e := range exprs {
+		if c, ok := e.(*expr.Col); !ok || c.Idx != i {
+			return false
+		}
+	}
+	return true
 }
 
 // outputNames recovers the result column names of the logical root.

@@ -185,6 +185,9 @@ const (
 	// OpMemBytes is a gauge of the operator's budgeted state bytes; its
 	// peak is the per-operator figure EXPLAIN ANALYZE reports.
 	OpMemBytes = "mem_bytes"
+	// OpPartsRead counts the table partitions a scan read: a scan
+	// pinned to its table's partition key reads only the key's owners.
+	OpPartsRead = "parts_read"
 )
 
 // OpCtr names one per-operator counter: "op.<id>.<what>".

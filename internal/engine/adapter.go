@@ -84,9 +84,10 @@ func (a *segAdapter) Metrics() sched.Metrics {
 
 // Expand implements sched.SegmentHandle. Scheduler expansions are
 // elective: they fail when the node's core-lease pool is exhausted by
-// other segments (of this or any concurrent query), except the revive
-// of a zero-worker pool, which oversubscribes rather than stall the
-// dataflow.
+// other segments (of this or any concurrent query), except on a pool
+// with no worker left, which oversubscribes rather than stall the
+// dataflow (exec.expand). A pool a crash emptied is the engine
+// watchdog's to re-expand.
 func (a *segAdapter) Expand() bool {
 	if a.inst.el.Finished() {
 		return false

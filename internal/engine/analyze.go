@@ -369,9 +369,9 @@ func (a *Analysis) ExchangeStats(ex int) (rows, blocks, bytes int64) {
 }
 
 // ExchangeStall returns the cumulative time this exchange's senders
-// spent waiting for their turn on the per-node transmit scheduler —
-// the TCP fabric's ex.<id>.stall_ns counter. Always zero on the
-// in-process fabric, which has no shared transmit path.
+// spent waiting for credit from its receivers (a full inbox withholds
+// it) — the TCP fabric's ex.<id>.stall_ns counter. Always zero on the
+// in-process fabric, which has no send windows.
 func (a *Analysis) ExchangeStall(ex int) time.Duration {
 	return time.Duration(a.Scope.Counter(telemetry.ExCtr(ex, "stall_ns")).Load())
 }

@@ -258,11 +258,11 @@ func (c *Cluster) NodeMemory(node int) (cur, peak, limit int64) {
 
 // memPressureHigh reports whether a node is above the expansion
 // watermark. Elective pool expansions are refused there — the first,
-// cheapest rung of the degradation ladder — mirroring the resident
-// scheduler's own gate so neither path can grow a pool into a node
+// cheapest rung of the degradation ladder — at the resident
+// scheduler's own default, so neither path can grow a pool into a node
 // that is about to spill.
 func (c *Cluster) memPressureHigh(node int) bool {
-	return c.memBudgets[node].Pressure() >= 0.75
+	return c.memBudgets[node].Pressure() >= sched.DefaultMemHighWater
 }
 
 // resolveFaults picks the cluster's injector: an explicit Config.Faults

@@ -206,13 +206,14 @@ func TestExecRejectsMisplacedDist(t *testing.T) {
 
 // TestExecPreparedLookupAllocs pins the serving path's garbage: one
 // Exec(Request{Plan, Args}) of the prepared point lookup on a FastPath
-// cluster, arenas warm. The ceiling is what Cluster.RunBound
-// measured on this fixture at the commit before Exec existed (38
-// allocations, five runs of 500, no spread), so neither the Request
-// struct nor the shared stages and builder can quietly add
-// per-statement allocations.
+// cluster, arenas warm. The ceiling is what Exec measured on this
+// fixture at commit 71732a6, where a pinned scan started reading only
+// the partition that holds its key (20 allocations, three runs of 500,
+// no spread; 38 when Exec was new), so neither the Request struct nor
+// the shared stages and builder can quietly add per-statement
+// allocations.
 func TestExecPreparedLookupAllocs(t *testing.T) {
-	const parentAllocs = 38
+	const ceiling = 20
 	if raceEnabled {
 		t.Skip("allocation counts are not reproducible under the race detector")
 	}
@@ -236,10 +237,10 @@ func TestExecPreparedLookupAllocs(t *testing.T) {
 	for i := 0; i < 10; i++ {
 		run() // warm the arenas
 	}
-	if got := testing.AllocsPerRun(500, run); got > parentAllocs {
-		t.Errorf("Exec of the prepared lookup allocates %v per statement, parent RunBound allocated %d", got, parentAllocs)
+	if got := testing.AllocsPerRun(500, run); got > ceiling {
+		t.Errorf("Exec of the prepared lookup allocates %v per statement, commit 71732a6 allocated %d", got, ceiling)
 	} else {
-		t.Logf("%v allocs per Exec (parent RunBound: %d)", got, parentAllocs)
+		t.Logf("%v allocs per Exec (ceiling: %d)", got, ceiling)
 	}
 }
 
@@ -247,12 +248,12 @@ func TestExecPreparedLookupAllocs(t *testing.T) {
 // group-by the serial driver answers in microseconds (the benchmark's
 // adhoc_text sends this text one statement in eight): four groups out
 // of a filtered scan, on a FastPath cluster, plan cached, arenas warm.
-// The ceiling is what the map-of-groups aggregation allocated on this
-// fixture at the commit before the block-at-a-time one (109 per
-// statement, five runs of 500, no spread), so the flat group table and
-// its accumulator columns cannot tax statements this small.
+// The ceiling is what Exec allocated on this fixture at commit 71732a6
+// (82 per statement, three runs of 500, no spread; 109 under the
+// map-of-groups aggregation), so the flat group table and its
+// accumulator columns cannot tax statements this small.
 func TestExecGroupByAllocs(t *testing.T) {
-	const parentAllocs = 109
+	const ceiling = 82
 	if raceEnabled {
 		t.Skip("allocation counts are not reproducible under the race detector")
 	}
@@ -272,9 +273,9 @@ func TestExecGroupByAllocs(t *testing.T) {
 	for i := 0; i < 10; i++ {
 		run() // warm the plan cache and the arenas
 	}
-	if got := testing.AllocsPerRun(500, run); got > parentAllocs {
-		t.Errorf("Exec of the small group-by allocates %v per statement, the parent allocated %d", got, parentAllocs)
+	if got := testing.AllocsPerRun(500, run); got > ceiling {
+		t.Errorf("Exec of the small group-by allocates %v per statement, commit 71732a6 allocated %d", got, ceiling)
 	} else {
-		t.Logf("%v allocs per Exec (parent: %d)", got, parentAllocs)
+		t.Logf("%v allocs per Exec (ceiling: %d)", got, ceiling)
 	}
 }

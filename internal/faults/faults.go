@@ -250,8 +250,8 @@ func (j *Injector) Config() Config {
 // (DESIGN.md §15) a go-back-N round retransmits every in-flight frame
 // of a stream; each frame in the round consults Frame with its own
 // incremented attempt, so the coordinate space — and therefore any
-// recorded fault schedule — is identical whether frames travel alone
-// or coalesced into batches.
+// recorded fault schedule — depends on the frames alone, not on how
+// they are written.
 func (j *Injector) Frame(from, to, exchange int, seq uint64, attempt int) FrameVerdict {
 	if j == nil {
 		return FrameVerdict{}

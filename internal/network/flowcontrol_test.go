@@ -39,7 +39,9 @@ func rowBlock(producer, i int) *block.Block {
 // nodes keep sending to it, and B, on the same connection, still runs
 // to completion. A's inbox holds no more than its bound plus one window
 // per producer node, A then drains whole and in order, no stream fails
-// for the stall, and nothing is retransmitted.
+// for the stall, and nothing is retransmitted. Each of A's producers
+// waited for credit through the whole hold, and that wait is what A's
+// ex.<id>.stall_ns and each node's NetStats stall count.
 func TestStalledConsumerHoldsOnlyItsOwnStreams(t *testing.T) {
 	n0, n1 := twoTCPNodes(t)
 	pol := DefaultRetryPolicy
@@ -136,5 +138,21 @@ func TestStalledConsumerHoldsOnlyItsOwnStreams(t *testing.T) {
 	}
 	if trkA.Current() != 0 {
 		t.Errorf("tracker at %d bytes after the drain", trkA.Current())
+	}
+
+	held := 3 * pol.Deadline
+	stallA := time.Duration(scope.Counter(telemetry.ExCtr(exA, "stall_ns")).Load())
+	if stallA < 2*held {
+		t.Errorf("exchange A's stall_ns = %v, want at least %v: two producers waited for credit through a %v hold",
+			stallA, 2*held, held)
+	}
+	for _, n := range []*TCPNode{n0, n1} {
+		if _, _, _, stall, _ := n.NetStats(); stall < held {
+			t.Errorf("node %d: NetStats stall = %v, want at least the %v hold", n.ID(), stall, held)
+		}
+	}
+	stallB := scope.Counter(telemetry.ExCtr(exB, "stall_ns")).Load()
+	if total := scope.Counter(telemetry.CtrNetStallNs).Load(); total != int64(stallA)+stallB {
+		t.Errorf("net.stall_ns = %d, want A's %d + B's %d", total, int64(stallA), stallB)
 	}
 }

@@ -5,7 +5,6 @@ import (
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
-	"io"
 	"net"
 	"strconv"
 	"sync"
@@ -21,12 +20,10 @@ import (
 
 // TCP transport: the claims-node daemon runs one TCPNode per process.
 // A frame is written when it is sent: Send encodes the block once into
-// a one-frame wire batch (wire.go) and writes it before returning, on
-// one of a small fixed pool of connections per peer pair (conn.go)
-// dialed ahead of traffic at SetPeer time. A per-node transmit
-// scheduler (flow.go) rotates the wire across active (query, exchange)
-// flows so one wide shuffle cannot incast-starve the rest; the waiting
-// is surfaced as net.stall_ns.
+// a wire frame (wire.go) and writes it before returning, on one of a
+// small fixed pool of connections per peer pair (conn.go) dialed ahead
+// of traffic at SetPeer time. Writes on different connections run in
+// parallel; the connection's mutex orders the writes on one.
 //
 // Every exchange is keyed by (queryID, exchangeID): plan exchange ids
 // repeat across queries (and across concurrent queries), so the query
@@ -51,7 +48,8 @@ import (
 // withholds its streams' credit until a Recv makes room, so it holds at
 // most its bound plus windowFrames blocks per producer node, and a
 // stalled consumer stalls only its own streams, never the other flows
-// sharing the connection.
+// sharing the connection. The time a producer waits for that credit is
+// surfaced as net.stall_ns.
 type TCPNode struct {
 	id    int
 	ln    net.Listener
@@ -60,8 +58,6 @@ type TCPNode struct {
 	flts  atomic.Pointer[faults.Injector]
 	retry atomic.Pointer[RetryPolicy]
 	epoch atomic.Uint32
-
-	flow flowScheduler
 
 	statBatches atomic.Int64
 	statBytes   atomic.Int64
@@ -106,7 +102,7 @@ type exchangeRec struct {
 	n         *TCPNode
 	key       exchangeKey
 	hash      uint64      // conn-pool slot selector, stable per flow
-	stallSpan string      // built once: StartSpan must see no work when spans are off
+	stallSpan string      // built once: a credit wait's span costs no string
 	aborted   atomic.Bool // set by AbortExchange
 	// scope counts both halves' events. The first non-nil scope attached
 	// wins, so senders and read loops load it without a lock.
@@ -147,10 +143,10 @@ func (n *TCPNode) Addr() string { return n.ln.Addr().String() }
 // ID returns the node's id in the mesh.
 func (n *TCPNode) ID() int { return n.id }
 
-// NetStats reports node-lifetime wire totals: batches written, frames
-// they carried, bytes on the wire, cumulative transmit-scheduler stall,
-// and ack writes lost after retry. Acks are not counted. Every batch
-// carries one frame, so frames equals batches.
+// NetStats reports node-lifetime wire totals: writes, frames they
+// carried, bytes on the wire, the cumulative time producers waited for
+// credit (send windows), and ack writes lost after retry. Acks are not
+// counted. Every write carries one frame, so the first two are equal.
 func (n *TCPNode) NetStats() (batches, frames, bytes int64, stall time.Duration, ackErrs int64) {
 	batches = n.statBatches.Load()
 	return batches, batches, n.statBytes.Load(),
@@ -429,50 +425,36 @@ func (ex *exchangeRec) accept(k streamKey, seq uint64) (*Inbox, applyVerdict, ui
 // ack is what a stream is owed: its receipt and credit (0: none).
 type ack struct{ seq, credit uint64 }
 
-// readLoop drains one accepted connection batch by batch. Each batch is
-// read with a single ReadFull into a pooled arena buffer and its frames
-// are handled in place; a malformed batch (bad magic, inconsistent
-// lengths) means the stream is desynchronized and the connection is
-// dropped — peers redial. Acks are collected per stream and written
-// when the read buffer runs dry. The buffer is one engine frame (64 KB):
-// a larger payload is read straight into its arena buffer.
+// readLoop drains one accepted connection frame by frame (readFrame):
+// a malformed header (bad magic, length out of bounds) means the stream
+// is desynchronized and the connection is dropped — peers redial. Acks
+// are collected per stream and written when the read buffer runs dry.
+// The buffer is one engine frame (64 KB): a larger payload is read
+// straight into its arena buffer.
 func (n *TCPNode) readLoop(c net.Conn) {
 	defer c.Close()
 	r := bufio.NewReaderSize(c, 64<<10)
-	var bh [batchHdrLen]byte
+	var hdr [frameHdrLen]byte
 	acks := make(map[streamKey]ack)
 	for {
-		if _, err := io.ReadFull(r, bh[:]); err != nil {
-			return
-		}
-		payloadLen, nFrames, err := parseBatchHeader(bh[:])
+		h, payload, err := readFrame(r, &hdr)
 		if err != nil {
-			return
-		}
-		payload := block.GetBuf(payloadLen)
-		if _, err := io.ReadFull(r, payload); err != nil {
-			block.PutBuf(payload)
-			return
-		}
-		err = walkBatch(payload, nFrames, func(h frameHeader, pl []byte) error {
-			n.handleFrame(h, pl, acks)
-			return nil
-		})
-		block.PutBuf(payload)
-		if r.Buffered() == 0 || err != nil {
 			n.flushAcks(acks)
-		}
-		if err != nil {
 			return
+		}
+		n.handleFrame(h, payload, acks)
+		block.PutBuf(payload)
+		if r.Buffered() == 0 {
+			n.flushAcks(acks)
 		}
 	}
 }
 
-// handleFrame processes one frame of a batch: one record lookup under
-// the node lock, then only the record's lock. It never waits: a data
-// frame goes into its inbox even at the bound, which the credit of the
-// frame's ack keeps instead. The ack is recorded in acks (one per
-// stream) for the caller to flush.
+// handleFrame processes one frame: one record lookup under the node
+// lock, then only the record's lock. It never waits: a data frame goes
+// into its inbox even at the bound, which the credit of the frame's ack
+// keeps instead. The ack is recorded in acks (one per stream) for the
+// caller to flush.
 func (n *TCPNode) handleFrame(h frameHeader, pl []byte, acks map[streamKey]ack) {
 	ex := n.lookup(exchangeKey{h.query, h.exchange})
 	if ex == nil {
@@ -555,14 +537,15 @@ func (ex *exchangeRec) regrant(sks []streamKey) {
 	}
 }
 
-// sendAck writes one ack as a one-frame batch on the source node's ack
-// connection, skipping the flow scheduler. A failed write dropped the
-// connection, so one retry redials. A receipt lost even then costs a
-// retransmission (its duplicate is acked again), a lost grant leaves
-// the stream to the peer-loss path; either is counted.
+// sendAck writes one ack frame on the source node's ack connection,
+// which carries nothing else, so an ack never waits behind data. A
+// failed write dropped the connection, so one retry redials. A receipt
+// lost even then costs a retransmission (its duplicate is acked again),
+// a lost grant leaves the stream to the peer-loss path; either is
+// counted.
 func (n *TCPNode) sendAck(sk streamKey, a ack) {
-	var buf [oneFrameHdrLen + ackPayloadLen]byte
-	binary.LittleEndian.PutUint64(buf[oneFrameHdrLen:], a.credit)
+	var buf [frameHdrLen + ackPayloadLen]byte
+	binary.LittleEndian.PutUint64(buf[frameHdrLen:], a.credit)
 	stampFrame(buf[:], frameHeader{
 		query: sk.query, exchange: sk.exchange, inst: sk.instance,
 		kind: frameAck, src: n.id, seq: a.seq,
@@ -647,7 +630,7 @@ func (o *TCPOutbox) header(dest int, kind byte) frameHeader {
 }
 
 // Send implements iterator.Outbox. The block is encoded once, into the
-// one-frame batch the send window keeps until it is received.
+// frame the send window keeps until it is received.
 func (o *TCPOutbox) Send(dest int, b *block.Block) error {
 	return o.send(o.header(dest, frameData), newFrameBuf(b))
 }
@@ -677,7 +660,7 @@ func (o *TCPOutbox) CloseSend() error {
 // which it takes: stamped once, into the window once the stream has
 // credit, then written. If the stream failed, buf goes back.
 func (o *TCPOutbox) send(h frameHeader, buf []byte) error {
-	h.sum = crc32.Checksum(buf[oneFrameHdrLen:], crcTable)
+	h.sum = crc32.Checksum(buf[frameHdrLen:], crcTable)
 	stampFrame(buf, h)
 	w, err := o.window(h)
 	if err == nil {
@@ -690,47 +673,53 @@ func (o *TCPOutbox) send(h frameHeader, buf []byte) error {
 	return err
 }
 
-// transmit writes one stamped batch to a peer: refused once the record
-// is released, otherwise the exchange's turn on the node transmit
-// scheduler (the wait accounted as its net.stall_ns), then one write on
-// the flow's pooled connection.
-func (ex *exchangeRec) transmit(peer int, batch []byte) error {
+// transmit writes one stamped frame to a peer: refused once the record
+// is released, otherwise one write on the flow's pooled connection.
+func (ex *exchangeRec) transmit(peer int, frame []byte) error {
 	ex.mu.Lock()
 	released := ex.released
 	ex.mu.Unlock()
 	if released {
 		return fmt.Errorf("network: exchange %d released", ex.key.exchange)
 	}
-	n, scope := ex.n, ex.scope.Load()
-	var sp *telemetry.Span
-	if scope != nil {
-		sp = scope.StartSpan(ex.stallSpan, "net").
-			WithNode(n.id).WithBytes(int64(len(batch)))
-	}
-	stall := n.flow.acquire(ex.key)
-	if stall > 0 {
-		n.statStallNs.Add(int64(stall))
-		if scope != nil {
-			scope.Counter(telemetry.CtrNetStallNs).Add(int64(stall))
-			scope.Counter(telemetry.ExCtr(ex.key.exchange, "stall_ns")).Add(int64(stall))
-			scope.Histogram(telemetry.HistNetStall, telemetry.DurationBuckets).Observe(stall.Seconds())
-			sp.End()
-		}
-	}
+	n := ex.n
 	// All traffic of one flow shares a pool slot, so per-stream frame
 	// order survives the multiplexing.
 	p, err := n.pool(peer)
 	if err == nil {
-		err = p.slot(ex.hash).write(p.addr, peer, batch)
+		err = p.slot(ex.hash).write(p.addr, peer, frame)
 	}
-	n.flow.release()
 	n.statBatches.Add(1)
-	n.statBytes.Add(int64(len(batch)))
-	if scope != nil {
+	n.statBytes.Add(int64(len(frame)))
+	if scope := ex.scope.Load(); scope != nil {
 		scope.Counter(telemetry.CtrNetBatches).Inc()
 		scope.Counter(telemetry.CtrNetBatchFrames).Inc()
 	}
 	return err
+}
+
+// startStall opens the net.stall span of a producer about to wait for
+// the credit to send a frame of frameBytes: nil without a scope, or
+// with spans off.
+func (ex *exchangeRec) startStall(frameBytes int) *telemetry.Span {
+	scope := ex.scope.Load()
+	if scope == nil {
+		return nil
+	}
+	return scope.StartSpan(ex.stallSpan, "net").WithNode(ex.n.id).WithBytes(int64(frameBytes))
+}
+
+// stalled accounts one producer's wait for credit: the node's stall
+// total, net.stall_ns, ex.<id>.stall_ns, net.stall_seconds and the span
+// startStall opened.
+func (ex *exchangeRec) stalled(stall time.Duration, sp *telemetry.Span) {
+	ex.n.statStallNs.Add(int64(stall))
+	if scope := ex.scope.Load(); scope != nil {
+		scope.Counter(telemetry.CtrNetStallNs).Add(int64(stall))
+		scope.Counter(telemetry.ExCtr(ex.key.exchange, "stall_ns")).Add(int64(stall))
+		scope.Histogram(telemetry.HistNetStall, telemetry.DurationBuckets).Observe(stall.Seconds())
+	}
+	sp.End()
 }
 
 // window returns the send window h goes through — creating it on first

@@ -2,6 +2,7 @@ package network
 
 import (
 	"net"
+	"slices"
 	"testing"
 	"time"
 
@@ -153,10 +154,10 @@ func feedReadLoop(t *testing.T, n *TCPNode, data []byte) {
 	client.Close()
 }
 
-// TestReadLoopDropsConnectionOnMalformedBatch: a batch that does not
-// parse desynchronizes the stream, so nothing after it is delivered —
-// not even a well-formed batch.
-func TestReadLoopDropsConnectionOnMalformedBatch(t *testing.T) {
+// TestReadLoopDropsConnectionOnMalformedFrame: a frame header that
+// does not parse desynchronizes the stream, so nothing after it is
+// delivered — not even a well-formed frame.
+func TestReadLoopDropsConnectionOnMalformedFrame(t *testing.T) {
 	n, err := NewTCPNode(0, "127.0.0.1:0", nil)
 	if err != nil {
 		t.Fatal(err)
@@ -164,14 +165,14 @@ func TestReadLoopDropsConnectionOnMalformedBatch(t *testing.T) {
 	defer n.Close()
 	in := n.RegisterInbox(1, 1, 0, 1, sch, 0, nil)
 	good := func(seq uint64) []byte {
-		return rawBatch(rawFrame(frameHeader{query: 1, exchange: 1, kind: frameData, src: 1, seq: seq},
-			mkBlock(7, 8).Encode(nil)))
+		return rawFrame(frameHeader{query: 1, exchange: 1, kind: frameData, src: 1, seq: seq},
+			mkBlock(7, 8).Encode(nil))
 	}
 	bad := good(1<<32 + 1)
 	bad[0] ^= 0xFF // magic
-	feedReadLoop(t, n, append(append(good(1<<32), bad...), good(1<<32+1)...))
+	feedReadLoop(t, n, slices.Concat(good(1<<32), bad, good(1<<32+1)))
 	if got := in.Received(); got != 2 {
-		t.Fatalf("%d tuples delivered, want the 2 ahead of the malformed batch", got)
+		t.Fatalf("%d tuples delivered, want the 2 ahead of the malformed frame", got)
 	}
 }
 
@@ -185,12 +186,12 @@ func FuzzReadLoop(f *testing.F) {
 	eof := rawFrame(frameHeader{query: 1, exchange: 1, kind: frameEOF, src: 1, seq: 1<<32 + 1}, nil)
 	stray := rawFrame(frameHeader{query: 9, exchange: 9, kind: frameData, src: 1, seq: 1 << 32}, mkBlock(4).Encode(nil))
 	ack := rawFrame(frameHeader{query: 1, exchange: 1, kind: frameAck, src: 1, seq: 5}, make([]byte, ackPayloadLen))
-	whole := rawBatch(data, ack, stray, eof)
+	whole := slices.Concat(data, ack, stray, eof)
 	f.Add(whole)
 	f.Add(whole[:len(whole)-5])
-	f.Add(append(rawBatch(data), 0xEE, 0xEE, 0xEE, 0xEE))
-	flipped := append([]byte(nil), whole...)
-	flipped[batchHdrLen+frameHdrLen+2] ^= 0x10 // payload bit: CRC must reject the frame
+	f.Add(append(slices.Clone(data), 0xEE, 0xEE, 0xEE, 0xEE))
+	flipped := slices.Clone(whole)
+	flipped[frameHdrLen+2] ^= 0x10 // payload bit: CRC must reject the frame
 	f.Add(flipped)
 	f.Add([]byte{})
 
@@ -210,8 +211,8 @@ func FuzzReadLoop(f *testing.F) {
 		if got > int64(len(data)) {
 			t.Fatalf("%d tuples delivered from %d bytes", got, len(data))
 		}
-		if _, _, err := parseBatchHeader(data[:min(len(data), batchHdrLen)]); err != nil && got != 0 {
-			t.Fatalf("%d tuples delivered from a stream whose first batch header is malformed: %v", got, err)
+		if _, err := parseFrameHeader(data[:min(len(data), frameHdrLen)]); err != nil && got != 0 {
+			t.Fatalf("%d tuples delivered from a stream whose first frame header is malformed: %v", got, err)
 		}
 	})
 }

@@ -5,6 +5,7 @@ import (
 	"hash/crc32"
 	"net"
 	"runtime"
+	"slices"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -128,19 +129,12 @@ func within(t *testing.T, what string, ch <-chan struct{}) {
 	}
 }
 
-// rawBatch builds one wire batch from complete frames.
-func rawBatch(frames ...[]byte) []byte {
-	buf := make([]byte, batchHdrLen)
-	for _, f := range frames {
-		buf = append(buf, f...)
-	}
-	putBatchHeader(buf, len(buf)-batchHdrLen, len(frames))
-	return buf
-}
-
+// rawFrame builds one complete wire frame: header, CRC and payload.
 func rawFrame(h frameHeader, payload []byte) []byte {
 	h.sum = crc32.Checksum(payload, crcTable)
-	return appendFrame(nil, h, payload)
+	buf := append(make([]byte, frameHdrLen), payload...)
+	stampFrame(buf, h)
+	return buf
 }
 
 // bigBlock is a 64 KB block: the engine's frame size.
@@ -293,7 +287,7 @@ func teardownReleaseThenLateFrames(e *teardownEnv) {
 		if err != nil {
 			e.t.Fatal(err)
 		}
-		_, err = c.Write(rawBatch(
+		_, err = c.Write(slices.Concat(
 			rawFrame(data, mkBlock(3).Encode(nil)), rawFrame(ack, nil), rawFrame(eof, nil)))
 		c.Close()
 		if err != nil {

@@ -40,9 +40,9 @@ type sendWindow struct {
 	err       error       // sticky failure: every later send fails fast
 }
 
-// wframe is one frame in flight: its header, its one-frame batch buffer
-// (stamped once, read-only after) and its retransmission state, which
-// the window mutex guards.
+// wframe is one frame in flight: its header, its wire buffer (stamped
+// once, read-only after) and its retransmission state, which the window
+// mutex guards.
 type wframe struct {
 	frameHeader
 	buf      []byte // from newFrameBuf
@@ -122,13 +122,22 @@ func (w *sendWindow) advance(received, credit uint64) {
 }
 
 // add waits for the credit to send f, then takes it (and its buffer)
-// into the window. On error the buffer is still the caller's.
+// into the window. On error the buffer is still the caller's. A wait
+// for credit is the producer's stall: net.stall_ns and its kin time it
+// and nothing else.
 func (w *sendWindow) add(f *wframe) error {
 	w.mu.Lock()
-	defer w.mu.Unlock()
-	for w.err == nil && f.seq > w.credit {
-		w.space.Wait()
+	if w.err == nil && f.seq > w.credit {
+		sp, t0 := w.o.ex.startStall(len(f.buf)), time.Now()
+		for w.err == nil && f.seq > w.credit {
+			w.space.Wait()
+		}
+		// Accounted after the unlock deferred below (deferred calls run
+		// last in, first out), so an ack never waits on a telemetry sink.
+		stall := time.Since(t0)
+		defer w.o.ex.stalled(stall, sp)
 	}
+	defer w.mu.Unlock()
 	if w.err != nil {
 		return w.err
 	}

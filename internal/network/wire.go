@@ -4,32 +4,27 @@ import (
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
+	"io"
 
 	"repro/internal/block"
 )
 
-// Wire protocol v2: frames travel in batches, one batch per write. A
-// batch is
+// Wire protocol v3: one frame per write, one header per frame.
 //
-//	uint32 magic ("EPB2") | uint32 payloadLen | uint32 nFrames |
-//	nFrames × frame
-//
-// and each frame keeps the v1 layout so the per-frame seq/CRC semantics
-// (dedupe watermarks, fault verdicts, retransmit units) are unchanged:
-//
-//	uint32 frameLen | uint32 queryID | uint32 exchangeID |
-//	uint32 destInstance | uint8 kind (0=data, 1=eof, 2=ack) |
-//	uint32 srcNode | uint64 seq | uint32 checksum |
+//	uint32 magic ("EPF3") | uint32 frameLen | uint32 queryID |
+//	uint32 exchangeID | uint32 destInstance |
+//	uint8 kind (0=data, 1=eof, 2=ack) | uint32 srcNode | uint64 seq |
+//	uint32 checksum |
 //	payload (encoded block; empty for eof; for an ack, the uint64
 //	credit: the highest seq the sender may send)
 //
-// The reader pulls one batch header, reads the whole payload into a
-// pooled arena buffer with a single ReadFull, then walks the frames in
-// place, so it takes any number of frames per batch. The sender writes
-// one frame per batch: iterator.Sender already packs tuples into full
-// blocks, so there is nothing left to coalesce. newFrameBuf encodes the
-// block once, behind room for both headers, straight into the bytes the
-// write sends.
+// frameLen is the payload's length. The reader pulls one header, checks
+// the magic and the length bound, then reads the payload with a single
+// ReadFull into a pooled arena buffer (readFrame). The sender needs no
+// more than one frame per write: iterator.Sender already packs tuples
+// into full blocks, so there is nothing left to coalesce. newFrameBuf
+// encodes the block once, behind room for the header, straight into
+// the bytes the write sends.
 
 const (
 	frameData = 0
@@ -37,31 +32,23 @@ const (
 	frameAck  = 2
 )
 
-// frameHdrLen is the fixed frame header: frameLen(4) query(4)
+// frameHdrLen is the fixed frame header: magic(4) frameLen(4) query(4)
 // exchange(4) inst(4) kind(1) srcNode(4) seq(8) checksum(4).
-const frameHdrLen = 4 + 4 + 4 + 4 + 1 + 4 + 8 + 4
-
-// batchHdrLen is the fixed batch header: magic(4) payloadLen(4)
-// nFrames(4).
-const batchHdrLen = 4 + 4 + 4
-
-// oneFrameHdrLen is what precedes the payload in a one-frame batch.
-const oneFrameHdrLen = batchHdrLen + frameHdrLen
+const frameHdrLen = 4 + 4 + 4 + 4 + 4 + 1 + 4 + 8 + 4
 
 // ackPayloadLen is an ack's payload: its credit.
 const ackPayloadLen = 8
 
-// batchMagic guards against desynchronized or foreign streams: a reader
-// that sees anything else drops the connection rather than misparse.
-const batchMagic = 0x45504232 // "EPB2"
+// frameMagic guards against desynchronized or foreign streams: a reader
+// that sees anything else drops the connection rather than misparse. It
+// differs from the v2 batch magic ("EPB2"), so a peer speaking the older
+// protocol is dropped too.
+const frameMagic = 0x45504633 // "EPF3"
 
-// Decode-side sanity bounds. A header that exceeds them is treated as
-// corruption (the connection is dropped); they exist so a flipped
-// length field cannot make the reader allocate gigabytes.
-const (
-	maxBatchBytes  = 64 << 20
-	maxBatchFrames = 1 << 20
-)
+// maxFrameBytes bounds the payload length a reader accepts. A header
+// over it is treated as corruption (the connection is dropped), so a
+// flipped length field cannot make the reader allocate gigabytes.
+const maxFrameBytes = 64 << 20
 
 var crcTable = crc32.MakeTable(crc32.Castagnoli)
 
@@ -77,108 +64,79 @@ type frameHeader struct {
 	length   int // payload length
 }
 
-// putFrameHeader writes h into b, which must have frameHdrLen bytes.
+// putFrameHeader writes h, magic first, into b, which must have
+// frameHdrLen bytes.
 func putFrameHeader(b []byte, h frameHeader) {
-	binary.LittleEndian.PutUint32(b[0:], uint32(h.length))
-	binary.LittleEndian.PutUint32(b[4:], uint32(h.query))
-	binary.LittleEndian.PutUint32(b[8:], uint32(h.exchange))
-	binary.LittleEndian.PutUint32(b[12:], uint32(h.inst))
-	b[16] = h.kind
-	binary.LittleEndian.PutUint32(b[17:], uint32(h.src))
-	binary.LittleEndian.PutUint64(b[21:], h.seq)
-	binary.LittleEndian.PutUint32(b[29:], h.sum)
+	binary.LittleEndian.PutUint32(b[0:], frameMagic)
+	binary.LittleEndian.PutUint32(b[4:], uint32(h.length))
+	binary.LittleEndian.PutUint32(b[8:], uint32(h.query))
+	binary.LittleEndian.PutUint32(b[12:], uint32(h.exchange))
+	binary.LittleEndian.PutUint32(b[16:], uint32(h.inst))
+	b[20] = h.kind
+	binary.LittleEndian.PutUint32(b[21:], uint32(h.src))
+	binary.LittleEndian.PutUint64(b[25:], h.seq)
+	binary.LittleEndian.PutUint32(b[33:], h.sum)
 }
 
-// parseFrameHeader decodes the frame header at the start of b, which
-// must have at least frameHdrLen bytes.
-func parseFrameHeader(b []byte) frameHeader {
-	return frameHeader{
-		length:   int(binary.LittleEndian.Uint32(b[0:])),
-		query:    int(binary.LittleEndian.Uint32(b[4:])),
-		exchange: int(binary.LittleEndian.Uint32(b[8:])),
-		inst:     int(binary.LittleEndian.Uint32(b[12:])),
-		kind:     b[16],
-		src:      int(int32(binary.LittleEndian.Uint32(b[17:]))),
-		seq:      binary.LittleEndian.Uint64(b[21:]),
-		sum:      binary.LittleEndian.Uint32(b[29:]),
+// parseFrameHeader decodes and validates the frame header at the start
+// of b: it must be whole, carry the magic and claim no more than
+// maxFrameBytes of payload.
+func parseFrameHeader(b []byte) (frameHeader, error) {
+	if len(b) < frameHdrLen {
+		return frameHeader{}, fmt.Errorf("network: short frame header (%d bytes)", len(b))
 	}
+	if m := binary.LittleEndian.Uint32(b[0:]); m != frameMagic {
+		return frameHeader{}, fmt.Errorf("network: bad frame magic %#x", m)
+	}
+	h := frameHeader{
+		length:   int(binary.LittleEndian.Uint32(b[4:])),
+		query:    int(binary.LittleEndian.Uint32(b[8:])),
+		exchange: int(binary.LittleEndian.Uint32(b[12:])),
+		inst:     int(binary.LittleEndian.Uint32(b[16:])),
+		kind:     b[20],
+		src:      int(int32(binary.LittleEndian.Uint32(b[21:]))),
+		seq:      binary.LittleEndian.Uint64(b[25:]),
+		sum:      binary.LittleEndian.Uint32(b[33:]),
+	}
+	if h.length > maxFrameBytes {
+		return frameHeader{}, fmt.Errorf("network: frame payload %d out of bounds", h.length)
+	}
+	return h, nil
 }
 
-// putBatchHeader stamps the batch header into b (batchHdrLen bytes):
-// payloadLen is the byte length of the frames that follow the header.
-func putBatchHeader(b []byte, payloadLen, nFrames int) {
-	binary.LittleEndian.PutUint32(b[0:], batchMagic)
-	binary.LittleEndian.PutUint32(b[4:], uint32(payloadLen))
-	binary.LittleEndian.PutUint32(b[8:], uint32(nFrames))
+// readFrame reads one frame from r: the header into hdr, then its
+// payload into a pooled buffer the caller hands back with block.PutBuf.
+// Any error leaves the stream unusable.
+func readFrame(r io.Reader, hdr *[frameHdrLen]byte) (frameHeader, []byte, error) {
+	if _, err := io.ReadFull(r, hdr[:]); err != nil {
+		return frameHeader{}, nil, err
+	}
+	h, err := parseFrameHeader(hdr[:])
+	if err != nil {
+		return h, nil, err
+	}
+	payload := block.GetBuf(h.length)
+	if _, err := io.ReadFull(r, payload); err != nil {
+		block.PutBuf(payload)
+		return h, nil, err
+	}
+	return h, payload, nil
 }
 
-// parseBatchHeader decodes and validates a batch header, returning the
-// payload length and frame count.
-func parseBatchHeader(b []byte) (payloadLen, nFrames int, err error) {
-	if len(b) < batchHdrLen {
-		return 0, 0, fmt.Errorf("network: short batch header (%d bytes)", len(b))
-	}
-	if m := binary.LittleEndian.Uint32(b[0:]); m != batchMagic {
-		return 0, 0, fmt.Errorf("network: bad batch magic %#x", m)
-	}
-	payloadLen = int(binary.LittleEndian.Uint32(b[4:]))
-	nFrames = int(binary.LittleEndian.Uint32(b[8:]))
-	if payloadLen < 0 || payloadLen > maxBatchBytes {
-		return 0, 0, fmt.Errorf("network: batch payload %d out of bounds", payloadLen)
-	}
-	if nFrames < 1 || nFrames > maxBatchFrames {
-		return 0, 0, fmt.Errorf("network: batch frame count %d out of bounds", nFrames)
-	}
-	if payloadLen < nFrames*frameHdrLen {
-		return 0, 0, fmt.Errorf("network: batch payload %d too small for %d frames",
-			payloadLen, nFrames)
-	}
-	return payloadLen, nFrames, nil
-}
-
-// newFrameBuf returns a pooled one-frame batch buffer: room for both
-// headers, then b encoded (nothing for a nil b, an eof). stampFrame
-// fills the headers in.
+// newFrameBuf returns a pooled frame buffer: room for the header, then
+// b encoded (nothing for a nil b, an eof). stampFrame fills the header
+// in.
 func newFrameBuf(b *block.Block) []byte {
 	if b == nil {
-		return block.GetBuf(oneFrameHdrLen)
+		return block.GetBuf(frameHdrLen)
 	}
-	buf := block.GetBuf(oneFrameHdrLen + b.WireSize())[:oneFrameHdrLen]
+	buf := block.GetBuf(frameHdrLen + b.WireSize())[:frameHdrLen]
 	return b.EncodeAppend(buf)
 }
 
-// stampFrame writes the batch and frame headers of a one-frame batch
-// around the payload already in buf; h.length is taken from buf.
+// stampFrame writes the header of the frame whose payload is already in
+// buf; h.length is taken from buf.
 func stampFrame(buf []byte, h frameHeader) {
-	h.length = len(buf) - oneFrameHdrLen
-	putBatchHeader(buf, frameHdrLen+h.length, 1)
-	putFrameHeader(buf[batchHdrLen:], h)
-}
-
-// walkBatch iterates the frames of a batch payload, calling fn with
-// each header and its payload sub-slice (valid only during the call).
-// It validates every frame boundary; a malformed batch returns an error
-// without calling fn past the damage.
-func walkBatch(payload []byte, nFrames int, fn func(h frameHeader, payload []byte) error) error {
-	off := 0
-	for i := 0; i < nFrames; i++ {
-		if len(payload)-off < frameHdrLen {
-			return fmt.Errorf("network: batch truncated at frame %d/%d", i, nFrames)
-		}
-		h := parseFrameHeader(payload[off:])
-		off += frameHdrLen
-		if h.length < 0 || h.length > len(payload)-off {
-			return fmt.Errorf("network: frame %d/%d claims %d payload bytes, %d remain",
-				i, nFrames, h.length, len(payload)-off)
-		}
-		if err := fn(h, payload[off:off+h.length]); err != nil {
-			return err
-		}
-		off += h.length
-	}
-	if off != len(payload) {
-		return fmt.Errorf("network: batch has %d trailing bytes after %d frames",
-			len(payload)-off, nFrames)
-	}
-	return nil
+	h.length = len(buf) - frameHdrLen
+	putFrameHeader(buf, h)
 }

@@ -2,7 +2,10 @@ package network
 
 import (
 	"bytes"
+	"encoding/binary"
+	"errors"
 	"hash/crc32"
+	"io"
 	"math"
 	"testing"
 
@@ -10,187 +13,95 @@ import (
 	"repro/internal/types"
 )
 
-// appendFrame appends one complete frame (header + payload) to dst and
-// returns the extended slice: how the tests build multi-frame batches,
-// which the reader accepts though the sender writes one frame per batch.
-func appendFrame(dst []byte, h frameHeader, payload []byte) []byte {
-	h.length = len(payload)
-	at := len(dst)
-	dst = append(dst, make([]byte, frameHdrLen)...)
-	putFrameHeader(dst[at:], h)
-	return append(dst, payload...)
-}
-
 func TestFrameHeaderRoundTrip(t *testing.T) {
 	cases := []frameHeader{
 		{query: 0, exchange: 0, inst: 0, kind: frameData, src: 0, seq: 0, sum: 0, length: 0},
 		{query: 7, exchange: 3, inst: 2, kind: frameEOF, src: 5, seq: 1<<40 | 9, sum: 0xDEADBEEF, length: 4096},
-		{query: math.MaxInt32, exchange: 1, inst: 1, kind: frameAck, src: -1, seq: math.MaxUint64, sum: 1, length: 1},
+		{query: math.MaxInt32, exchange: 1, inst: 1, kind: frameAck, src: -1, seq: math.MaxUint64, sum: 1, length: maxFrameBytes},
 	}
 	for i, h := range cases {
 		var b [frameHdrLen]byte
 		putFrameHeader(b[:], h)
-		got := parseFrameHeader(b[:])
-		if got != h {
-			t.Errorf("case %d: round trip mismatch: put %+v got %+v", i, h, got)
+		got, err := parseFrameHeader(b[:])
+		if err != nil || got != h {
+			t.Errorf("case %d: round trip mismatch: put %+v got %+v (%v)", i, h, got, err)
 		}
 	}
 }
 
-func TestBatchHeaderRoundTrip(t *testing.T) {
-	var b [batchHdrLen]byte
-	putBatchHeader(b[:], 3*frameHdrLen+100, 3)
-	pl, nf, err := parseBatchHeader(b[:])
-	if err != nil {
-		t.Fatalf("parseBatchHeader: %v", err)
-	}
-	if pl != 3*frameHdrLen+100 || nf != 3 {
-		t.Fatalf("got payloadLen=%d nFrames=%d", pl, nf)
-	}
-}
-
-func TestBatchHeaderRejectsGarbage(t *testing.T) {
-	mk := func(magic uint32, payloadLen, nFrames int) []byte {
-		var b [batchHdrLen]byte
-		putBatchHeader(b[:], payloadLen, nFrames)
-		b[0] = byte(magic)
-		b[1] = byte(magic >> 8)
-		b[2] = byte(magic >> 16)
-		b[3] = byte(magic >> 24)
+// TestFrameHeaderRejectsGarbage: a short header, a foreign magic (the
+// v2 batch magic included) and a length over the bound are errors.
+func TestFrameHeaderRejectsGarbage(t *testing.T) {
+	mk := func(magic uint32, length int) []byte {
+		var b [frameHdrLen]byte
+		putFrameHeader(b[:], frameHeader{kind: frameData, seq: 1, length: length})
+		binary.LittleEndian.PutUint32(b[0:], magic)
 		return b[:]
 	}
 	bad := [][]byte{
 		{},
-		{1, 2, 3},                          // short header
-		mk(0x12345678, frameHdrLen, 1),     // wrong magic
-		mk(batchMagic, maxBatchBytes+1, 1), // oversized payload
-		mk(batchMagic, frameHdrLen, 0),     // zero frames
-		mk(batchMagic, frameHdrLen, maxBatchFrames+1),
-		mk(batchMagic, frameHdrLen-1, 1), // payload too small for headers
+		{0x33, 0x46, 0x50, 0x45},          // bare magic
+		mk(frameMagic, 4)[:frameHdrLen-1], // short header
+		mk(0x12345678, 4),                 // wrong magic
+		mk(0x45504232, 4),                 // the v2 batch magic, "EPB2"
+		mk(frameMagic, maxFrameBytes+1),   // oversized payload
+		mk(frameMagic, math.MaxUint32),    // a flipped top bit
 	}
 	for i, b := range bad {
-		if _, _, err := parseBatchHeader(b); err == nil {
-			t.Errorf("case %d: parseBatchHeader accepted malformed header %v", i, b)
+		if _, err := parseFrameHeader(b); err == nil {
+			t.Errorf("case %d: parseFrameHeader accepted malformed header %v", i, b)
 		}
 	}
 }
 
-func TestBatchRoundTrip(t *testing.T) {
-	type f struct {
-		h  frameHeader
-		pl []byte
-	}
-	in := []f{
-		{frameHeader{query: 1, exchange: 2, inst: 0, kind: frameData, src: 3, seq: 42}, []byte("hello")},
-		{frameHeader{query: 1, exchange: 2, inst: 0, kind: frameEOF, src: 3, seq: 43}, nil},
-		{frameHeader{query: 9, exchange: 9, inst: 4, kind: frameAck, src: 0, seq: 7}, []byte{}},
-		{frameHeader{query: 1, exchange: 2, inst: 1, kind: frameData, src: 3, seq: 44}, bytes.Repeat([]byte{0xAB}, 1000)},
-	}
-	buf := make([]byte, batchHdrLen)
-	for _, x := range in {
-		buf = appendFrame(buf, x.h, x.pl)
-	}
-	putBatchHeader(buf, len(buf)-batchHdrLen, len(in))
-
-	pl, nf, err := parseBatchHeader(buf[:batchHdrLen])
-	if err != nil {
-		t.Fatalf("parseBatchHeader: %v", err)
-	}
-	if nf != len(in) || pl != len(buf)-batchHdrLen {
-		t.Fatalf("header says payloadLen=%d nFrames=%d, want %d/%d",
-			pl, nf, len(buf)-batchHdrLen, len(in))
-	}
-	i := 0
-	err = walkBatch(buf[batchHdrLen:], nf, func(h frameHeader, payload []byte) error {
-		want := in[i]
-		wh := want.h
-		wh.length = len(want.pl)
-		if h != wh {
-			t.Errorf("frame %d: header %+v, want %+v", i, h, wh)
-		}
-		if !bytes.Equal(payload, want.pl) {
-			t.Errorf("frame %d: payload mismatch (%d vs %d bytes)", i, len(payload), len(want.pl))
-		}
-		i++
-		return nil
-	})
-	if err != nil {
-		t.Fatalf("walkBatch: %v", err)
-	}
-	if i != len(in) {
-		t.Fatalf("walked %d frames, want %d", i, len(in))
-	}
-}
-
-// TestOneFrameBatchRoundTrip: what the sender writes — a block encoded
-// by newFrameBuf with both headers stamped around it — is one
-// well-formed batch whose one frame carries the block; an eof is the
-// headers alone.
-func TestOneFrameBatchRoundTrip(t *testing.T) {
+// TestFrameRoundTrip: what the sender writes — a block encoded by
+// newFrameBuf with the header stamped in front of it — is one frame that
+// readFrame returns whole; an eof is the header alone. Every truncation
+// of it is an error.
+func TestFrameRoundTrip(t *testing.T) {
 	for _, b := range []*block.Block{mkBlock(1, 2, 3), nil} {
 		buf := newFrameBuf(b)
 		h := frameHeader{query: 3, exchange: 4, inst: 1, kind: frameEOF, src: 2, seq: 1<<32 + 7}
 		if b != nil {
 			h.kind = frameData
 		}
-		h.sum = crc32.Checksum(buf[oneFrameHdrLen:], crcTable)
+		h.sum = crc32.Checksum(buf[frameHdrLen:], crcTable)
 		stampFrame(buf, h)
-		pl, nf, err := parseBatchHeader(buf[:batchHdrLen])
-		if err != nil || nf != 1 || pl != len(buf)-batchHdrLen {
-			t.Fatalf("batch header: payloadLen=%d nFrames=%d err=%v for a %d-byte buffer", pl, nf, err, len(buf))
+		var hdr [frameHdrLen]byte
+		got, payload, err := readFrame(bytes.NewReader(buf), &hdr)
+		if err != nil {
+			t.Fatalf("readFrame of a %d-byte frame: %v", len(buf), err)
 		}
-		walked := 0
-		err = walkBatch(buf[batchHdrLen:], nf, func(got frameHeader, payload []byte) error {
-			walked++
-			h.length = len(payload)
-			if got != h {
-				t.Errorf("frame header %+v, want %+v", got, h)
+		h.length = len(buf) - frameHdrLen
+		if got != h || len(payload) != h.length {
+			t.Fatalf("frame header %+v with %d payload bytes, want %+v", got, len(payload), h)
+		}
+		if b == nil {
+			if len(payload) != 0 {
+				t.Errorf("eof frame carries %d payload bytes", len(payload))
 			}
-			if b == nil {
-				if len(payload) != 0 {
-					t.Errorf("eof frame carries %d payload bytes", len(payload))
-				}
-				return nil
-			}
+		} else {
 			dec, err := block.Decode(sch, payload, nil)
 			if err != nil {
-				return err
+				t.Fatal(err)
 			}
 			if dec.NumTuples() != 3 || dec.Get(2, 0).I != 3 {
 				t.Errorf("decoded %d tuples, want 1, 2, 3", dec.NumTuples())
 			}
-			return nil
-		})
-		if err != nil || walked != 1 {
-			t.Fatalf("walked %d frames: %v", walked, err)
+		}
+		block.PutBuf(payload)
+		for cut := range len(buf) {
+			if _, _, err := readFrame(bytes.NewReader(buf[:cut]), &hdr); err == nil {
+				t.Errorf("readFrame accepted the first %d of %d bytes", cut, len(buf))
+			}
 		}
 		block.PutBuf(buf)
 	}
 }
 
-func TestWalkBatchRejectsMalformed(t *testing.T) {
-	good := appendFrame(nil, frameHeader{kind: frameData, seq: 1}, []byte("abcd"))
-
-	// Truncated mid-header.
-	if err := walkBatch(good[:frameHdrLen-2], 1, nil); err == nil {
-		t.Error("walkBatch accepted truncated header")
-	}
-	// Frame length pointing past the payload.
-	over := append([]byte(nil), good...)
-	over[0] = 0xFF // length low byte: now claims 250+ bytes
-	if err := walkBatch(over, 1, func(frameHeader, []byte) error { return nil }); err == nil {
-		t.Error("walkBatch accepted frame length past buffer end")
-	}
-	// Trailing bytes after the declared frames.
-	trail := append(append([]byte(nil), good...), 0x00)
-	if err := walkBatch(trail, 1, func(frameHeader, []byte) error { return nil }); err == nil {
-		t.Error("walkBatch accepted trailing bytes")
-	}
-}
-
 // TestBlockEncodeAppendMatchesEncode pins the zero-copy frame encoder
 // to the canonical block codec: newFrameBuf serializes blocks with
-// EncodeAppend straight into the batch buffer, and the receiver decodes
+// EncodeAppend straight into the frame buffer, and the receiver decodes
 // them with the ordinary Decode.
 func TestBlockEncodeAppendMatchesEncode(t *testing.T) {
 	schema := types.NewSchema(types.Col("a", types.Int64), types.Col("b", types.Int64))
@@ -219,62 +130,46 @@ func TestBlockEncodeAppendMatchesEncode(t *testing.T) {
 	}
 }
 
-// FuzzWireDecodeBatch drives the read-side decoder — batch header
-// validation plus the in-place frame walk — with arbitrary bytes. The
-// decoder must never panic or read out of bounds, and every frame it
-// does yield must be self-consistent.
-func FuzzWireDecodeBatch(f *testing.F) {
-	// Seed: one well-formed two-frame batch and a few corruptions.
-	buf := make([]byte, batchHdrLen)
-	buf = appendFrame(buf, frameHeader{query: 1, exchange: 2, kind: frameData, src: 1, seq: 1}, []byte("payload"))
-	buf = appendFrame(buf, frameHeader{query: 1, exchange: 2, kind: frameEOF, src: 1, seq: 2}, nil)
-	putBatchHeader(buf, len(buf)-batchHdrLen, 2)
-	f.Add(buf)
-	f.Add(buf[:len(buf)-3])
-	short := append([]byte(nil), buf...)
-	short[5] ^= 0x40 // corrupt payloadLen
-	f.Add(short)
+// FuzzWireDecodeFrame drives readFrame, the read loop's decoder, over
+// arbitrary bytes until it errs. It must never panic, every frame it
+// yields has a header that parses and a payload of exactly the length
+// the header claims, and it consumes no more bytes than it was given.
+func FuzzWireDecodeFrame(f *testing.F) {
+	data := rawFrame(frameHeader{query: 1, exchange: 2, kind: frameData, src: 1, seq: 1}, []byte("payload"))
+	eof := rawFrame(frameHeader{query: 1, exchange: 2, kind: frameEOF, src: 1, seq: 2}, nil)
+	two := append(append([]byte(nil), data...), eof...)
+	f.Add(two)
+	f.Add(two[:len(two)-3])
+	long := append([]byte(nil), two...)
+	long[5] ^= 0x40 // the first frame's length: now past the stream's end
+	f.Add(long)
 	f.Add([]byte{})
-	f.Add([]byte{0x32, 0x42, 0x50, 0x45}) // bare magic
+	f.Add([]byte{0x33, 0x46, 0x50, 0x45}) // bare magic
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		if len(data) < batchHdrLen {
-			if _, _, err := parseBatchHeader(data); err == nil {
-				t.Fatal("parseBatchHeader accepted short input")
+		r := bytes.NewReader(data)
+		var hdr [frameHdrLen]byte
+		consumed := 0
+		for {
+			h, payload, err := readFrame(r, &hdr)
+			if err != nil {
+				if errors.Is(err, io.EOF) && r.Len() != 0 {
+					t.Fatalf("clean EOF with %d bytes unread", r.Len())
+				}
+				return
 			}
-			return
-		}
-		payloadLen, nFrames, err := parseBatchHeader(data[:batchHdrLen])
-		if err != nil {
-			return
-		}
-		body := data[batchHdrLen:]
-		if len(body) > payloadLen {
-			body = body[:payloadLen]
-		}
-		// The real read loop ReadFulls exactly payloadLen bytes; a short
-		// body here stands in for a truncated connection.
-		walked := 0
-		err = walkBatch(body, nFrames, func(h frameHeader, payload []byte) error {
-			if h.length != len(payload) {
-				t.Fatalf("frame header length %d but payload %d bytes", h.length, len(payload))
+			if len(payload) != h.length {
+				t.Fatalf("frame header claims %d payload bytes, readFrame yielded %d", h.length, len(payload))
 			}
-			// CRC over the yielded payload must be computable (bounds are
-			// good) even if it mismatches the header sum.
+			if again, err := parseFrameHeader(hdr[:]); err != nil || again != h {
+				t.Fatalf("yielded header %+v does not reparse: %+v, %v", h, again, err)
+			}
 			_ = crc32.Checksum(payload, crcTable)
-			walked++
-			return nil
-		})
-		if err == nil {
-			if walked != nFrames {
-				t.Fatalf("walkBatch returned nil after %d/%d frames", walked, nFrames)
+			consumed += frameHdrLen + len(payload)
+			if consumed+r.Len() != len(data) {
+				t.Fatalf("consumed %d + unread %d != %d bytes given", consumed, r.Len(), len(data))
 			}
-			if len(body) < payloadLen {
-				// Full declared payload wasn't present; a successful walk
-				// must then have consumed exactly what was given — which
-				// walkBatch's trailing-bytes check guarantees.
-				t.Logf("short body parsed cleanly (%d < %d)", len(body), payloadLen)
-			}
+			block.PutBuf(payload)
 		}
 	})
 }

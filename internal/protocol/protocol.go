@@ -72,7 +72,7 @@ const Magic = 0x45505131 // "EPQ1"
 const hdrLen = 4 + 1 + 4
 
 // MaxFrameBytes bounds a frame a reader will accept (decode-side
-// sanity, like the exchange fabric's maxBatchBytes).
+// sanity, like the exchange fabric's maxFrameBytes).
 const MaxFrameBytes = 16 << 20
 
 // BeginFrame appends a frame header whose payload length is still open.

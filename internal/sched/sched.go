@@ -138,7 +138,7 @@ type Config struct {
 	// Cores is m, the node's core budget.
 	Cores int
 	// Delta is the improvement threshold ∆ of Algorithm 1, as a fraction
-	// of λ (default 0.05).
+	// of λ (default 0.02).
 	Delta float64
 	// Theta is the scalability-vector freshness window θ (default 2s).
 	Theta time.Duration
@@ -154,14 +154,19 @@ type Config struct {
 	// the watermarks never engage.
 	MemPressure func() float64
 	// MemHighWater is the pressure above which the scheduler stops
-	// expanding pools (default 0.75): refusing growth is the first,
-	// cheapest rung of the degradation ladder.
+	// expanding pools (default DefaultMemHighWater): refusing growth is
+	// the first, cheapest rung of the degradation ladder.
 	MemHighWater float64
 	// MemCriticalWater is the pressure above which the scheduler
 	// actively shrinks the widest pool each tick (default 0.9), shedding
 	// working memory before any operator is forced to spill.
 	MemCriticalWater float64
 }
+
+// DefaultMemHighWater is the memory pressure at which elective pool
+// expansions stop: the scheduler's default MemHighWater, and the gate
+// the engine tests before every elective expansion it makes.
+const DefaultMemHighWater = 0.75
 
 func (c *Config) defaults() {
 	if c.Delta == 0 {
@@ -174,7 +179,7 @@ func (c *Config) defaults() {
 		c.Tolerance = 0.25
 	}
 	if c.MemHighWater == 0 {
-		c.MemHighWater = 0.75
+		c.MemHighWater = DefaultMemHighWater
 	}
 	if c.MemCriticalWater == 0 {
 		c.MemCriticalWater = 0.9
@@ -347,29 +352,12 @@ func (s *NodeScheduler) Tick(now time.Time) {
 		return
 	}
 
-	// 1b. Revive: a live segment whose worker pool died entirely (a
-	// fault-injected crash fires only between blocks, so no input was
-	// lost) is given a worker back before any provisioning math — a
-	// zero-worker pipeline would never drive its dataflow to EOF.
-	revived := make(map[*segState]bool)
-	for _, st := range active {
-		if st.last.Parallelism == 0 && st.h.Expand() {
-			st.last.Parallelism = 1
-			used++
-			revived[st] = true
-			s.decide(st, telemetry.SchedDecision{
-				Expanded: st.name, Reason: "revive", Applied: true,
-			})
-		}
-	}
-
 	// 2. Publish local bottleneck; read global λ. Starved segments are
 	// excluded: their measured rate reflects missing input, not
-	// capacity, and would drag λ to zero. Just-revived segments are
-	// excluded for the same reason: their zero rate measured the crash.
+	// capacity, and would drag λ to zero.
 	localMin := math.Inf(1)
 	for _, st := range active {
-		if st.last.Starved || revived[st] {
+		if st.last.Starved {
 			continue
 		}
 		if st.normRate < localMin {

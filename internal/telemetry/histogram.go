@@ -42,7 +42,8 @@ const (
 	HistQueryLatency = "query.latency_seconds"
 	// HistAdmitWait is admission-queue wait in seconds (internal/server).
 	HistAdmitWait = "admit.wait_seconds"
-	// HistNetStall is per-batch transmit-scheduler stall in seconds.
+	// HistNetStall is one TCP producer's wait for send-window credit,
+	// in seconds: one observation per wait.
 	HistNetStall = "net.stall_seconds"
 	// HistSpill is per-partition spill (or reabsorb) duration in seconds.
 	HistSpill = "mem.spill_seconds"

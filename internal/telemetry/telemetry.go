@@ -145,19 +145,20 @@ const (
 	// engine refused at the memory high watermark (the degradation
 	// ladder's first rung).
 	CtrMemRefusedExpands = "mem.refused_expands"
-	// CtrNetStallNs is cumulative time senders spent waiting for their
-	// turn on the node's transmit scheduler — the flow-scheduling
-	// overhead one exchange pays to fairness. Per-exchange splits live
-	// under ExCtr(ex, "stall_ns").
+	// CtrNetStallNs is cumulative time TCP producers spent waiting for
+	// credit in their streams' send windows: time a receiver's full
+	// inbox held its senders back. Per-exchange splits live under
+	// ExCtr(ex, "stall_ns").
 	CtrNetStallNs = "net.stall_ns"
 	// CtrNetAckSendErrors counts ack writes that failed even after the
 	// one-shot fresh-connection retry; each one costs the sender a full
 	// retransmit timeout.
 	CtrNetAckSendErrors = "net.ack_send_errors"
-	// CtrNetBatches counts wire batches written (one write syscall each).
+	// CtrNetBatches counts wire writes (one write syscall each). Every
+	// write carries one frame; the name predates that.
 	CtrNetBatches = "net.batches"
-	// CtrNetBatchFrames counts frames carried inside those batches;
-	// frames/batches is the realized coalescing factor.
+	// CtrNetBatchFrames counts frames written: equal to CtrNetBatches,
+	// kept under its name for the readers of frames per write.
 	CtrNetBatchFrames = "net.batch_frames"
 	// CtrNetGapDropped counts in-window frames the receiver discarded
 	// because an earlier frame of the stream was still missing (go-back-N

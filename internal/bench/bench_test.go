@@ -51,6 +51,9 @@ func TestFigure8ReportShapes(t *testing.T) {
 	}
 }
 
+// TestFigure10Dynamics pins Figure 10's hand-off: while S2 waits at one
+// worker, S1 takes at least 75 % of the node's cores; later S2 takes at
+// least 75 % as the hash build becomes the bottleneck.
 func TestFigure10Dynamics(t *testing.T) {
 	r, err := Figure10()
 	if err != nil {
@@ -58,6 +61,25 @@ func TestFigure10Dynamics(t *testing.T) {
 	}
 	if len(r.Rows) < 10 {
 		t.Fatalf("trace too short: %d rows", len(r.Rows))
+	}
+	const cores = 24 // paperCluster's logical cores per node
+	var s1Alone, s2Peak float64
+	for _, row := range r.Rows {
+		n := rowNums(row)
+		if len(n) != 4 { // t, S1, S2, S3
+			continue
+		}
+		s1, s2 := n[1], n[2]
+		if s2 == 1 && s2Peak <= 1 {
+			s1Alone = max(s1Alone, s1)
+		}
+		s2Peak = max(s2Peak, s2)
+	}
+	if s1Alone < 0.75*cores {
+		t.Errorf("S1 peaked at %.0f of %d cores while S2 was at 1, want >= 75%%:\n%s", s1Alone, cores, r)
+	}
+	if s2Peak < 0.75*cores {
+		t.Errorf("S2 reached only %.0f of %d cores, want >= 75%%:\n%s", s2Peak, cores, r)
 	}
 }
 

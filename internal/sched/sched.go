@@ -145,9 +145,9 @@ type Config struct {
 	// Tolerance classifies under-performers: R_i ≤ λ·(1+Tolerance)
 	// (default 0.25).
 	Tolerance float64
-	// Scope receives one telemetry.SchedDecision event per scheduling
-	// move (applied or rejected). Nil disables event emission; the
-	// decision counter still advances.
+	// Scope receives one telemetry.SchedDecision event per core move the
+	// scheduler makes. Nil disables event emission; the decision counter
+	// still advances.
 	Scope *telemetry.Scope
 	// MemPressure reports the node's memory pressure in [0,1] (tracked
 	// bytes over the node budget). Nil means memory is unmonitored and
@@ -196,7 +196,7 @@ type NodeScheduler struct {
 	cfg  Config
 	bus  LambdaBus
 
-	applied atomic.Int64
+	moves atomic.Int64
 
 	mu   sync.Mutex
 	segs []*segState
@@ -248,23 +248,16 @@ func (s *NodeScheduler) Detach(h SegmentHandle) {
 	s.segs = keep
 }
 
-// Attached returns the number of segments currently registered.
-func (s *NodeScheduler) Attached() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return len(s.segs)
-}
-
-// Decisions returns the cumulative count of applied scheduling moves —
-// each one migrates a worker thread, so the simulator charges it as a
+// Decisions returns the cumulative count of scheduling moves — each
+// one migrates a worker thread, so the simulator charges it as a
 // context switch.
-func (s *NodeScheduler) Decisions() int64 { return s.applied.Load() }
+func (s *NodeScheduler) Decisions() int64 { return s.moves.Load() }
 
-// decide publishes one scheduling decision: the counter advances for
-// applied moves, and the event lands on the scope of the segment the
-// decision concerns (the beneficiary of an expansion, the donor of a
-// lone shrink) so each query's telemetry stream sees exactly the moves
-// that touched it.
+// decide publishes one scheduling move that happened: the counter
+// advances, and the event lands on the scope of the segment the move
+// concerns (the beneficiary of an expansion, the donor of a lone shrink)
+// so each query's telemetry stream sees exactly the moves that touched
+// it.
 func (s *NodeScheduler) decide(st *segState, d telemetry.SchedDecision) {
 	d.Node = s.node
 	// λ is +Inf before any segment has a measured bottleneck; JSON has
@@ -273,38 +266,24 @@ func (s *NodeScheduler) decide(st *segState, d telemetry.SchedDecision) {
 	if math.IsInf(d.Lambda, 0) || math.IsNaN(d.Lambda) {
 		d.Lambda = 0
 	}
-	if d.Applied {
-		s.applied.Add(1)
-	}
+	s.moves.Add(1)
 	scope := s.cfg.Scope
 	if st != nil && st.scope != nil {
 		scope = st.scope
 	}
 	if scope != nil {
 		scope.Emit(d)
-		if d.Applied {
-			scope.Counter(telemetry.CtrSchedDecisions).Inc()
-			// Instant span: applied moves dot the trace timeline next to
-			// the expand/shrink spans they trigger.
-			scope.StartSpan("decision "+d.Reason, "sched").
-				WithNode(s.node).End()
-		}
+		scope.Counter(telemetry.CtrSchedDecisions).Inc()
+		// Instant span: moves dot the trace timeline next to the
+		// expand/shrink spans they trigger.
+		scope.StartSpan("decision "+d.Reason, "sched").
+			WithNode(s.node).End()
 	}
-}
-
-// UsedCores returns the cores currently assigned to attached segments.
-func (s *NodeScheduler) UsedCores() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	used := 0
-	for _, st := range s.segs {
-		used += st.last.Parallelism
-	}
-	return used
 }
 
 // Tick runs one scheduling round: refresh metrics and scalability
-// vectors, publish the local λ, then either hand out free cores or run
+// vectors, publish the local λ, release cores that add nothing, apply
+// the memory watermarks, hand out the cores nobody holds, and run
 // Algorithm 1's pairwise reassignment.
 func (s *NodeScheduler) Tick(now time.Time) {
 	// The tick span shows scheduler activity (and its overhead) on the
@@ -370,55 +349,45 @@ func (s *NodeScheduler) Tick(now time.Time) {
 		lambda = localMin
 	}
 
-	// 3a. Idle-shrink: a starved segment holding more than one core
-	// donates it back (Figure 11: S2 shrinks while filter selectivity
-	// is zero).
+	// 3a. Release: a segment whose last core adds nothing gives it back
+	// to the node, one core per round. The three reasons are this repo's
+	// rules, not Algorithm 1's: a core with no receiver on this node must
+	// still go back (to other queries in the engine, to Figure 12's
+	// interfering program); step 3b or a later round hands it out. The
+	// counts are the releases `epbench -trace` records per figure.
 	for _, st := range active {
-		if st.last.Starved && st.last.Parallelism > 1 && st.last.Rate == 0 {
-			if st.h.Shrink() {
-				used--
-				s.decide(st, telemetry.SchedDecision{
-					Shrunk: st.name, Reason: "starved", Lambda: lambda, Applied: true,
-				})
-			}
-		}
-	}
-
-	// 3a-ter. Over-producing shrink: an output-blocked segment is
-	// producing faster than the network or its consumers can absorb
-	// (Section 2.3); it donates one core per tick until its rate
-	// matches — Figure 10's S1 settling at the bandwidth-matched
-	// parallelism.
-	for _, st := range active {
-		if st.last.Blocked && st.last.Parallelism > 1 {
-			if st.h.Shrink() {
-				used--
-				s.decide(st, telemetry.SchedDecision{
-					Shrunk: st.name, Reason: "over-producing", Lambda: lambda, Applied: true,
-				})
-			}
-		}
-	}
-
-	// 3a-bis. No-gain shrink: a segment whose last core contributes no
-	// measurable throughput (plateaued on memory bandwidth, the
-	// network, or an interfering program — Figures 10 and 12) releases
-	// it, keeping CPU utilization high.
-	for _, st := range active {
-		p := st.last.Parallelism
-		if p <= 1 || st.last.Starved {
+		m := st.last
+		if m.Parallelism <= 1 {
 			continue
 		}
-		cur, okCur := s.freshAt(st, p, now)
-		below, okBelow := s.freshAt(st, p-1, now)
-		if okCur && okBelow && cur <= below*(1+s.cfg.Delta) {
-			if st.h.Shrink() {
-				used--
-				s.decide(st, telemetry.SchedDecision{
-					Shrunk: st.name, Reason: "no gain", Lambda: lambda,
-					Gain: cur - below, Applied: true,
-				})
+		d := telemetry.SchedDecision{Shrunk: st.name, Lambda: lambda}
+		switch {
+		case m.Starved && m.Rate == 0:
+			// Input-starved, nothing processed: Figure 13's final
+			// aggregation S3 started wider than its input (660).
+			d.Reason = "starved"
+		case m.Blocked:
+			// Output-blocked, producing faster than the network or the
+			// consumers absorb (Section 2.3): Figure 11's scan S1 after the
+			// selectivity jump (25). Figure 10 makes none.
+			d.Reason = "over-producing"
+		case m.Starved:
+			continue // its rate measures its input, not its last core
+		default:
+			// Fresh plateau, t(p) <= t(p-1)·(1+∆): the last core buys
+			// nothing. Figure 12's S1 and S2 while the interfering program
+			// runs (107).
+			cur, okCur := s.freshAt(st, m.Parallelism, now)
+			below, okBelow := s.freshAt(st, m.Parallelism-1, now)
+			if !okCur || !okBelow || cur > below*(1+s.cfg.Delta) {
+				continue
 			}
+			d.Reason, d.Gain = "no gain", cur-below
+		}
+		if st.h.Shrink() {
+			st.last.Parallelism--
+			used--
+			s.decide(st, d)
 		}
 	}
 
@@ -444,7 +413,6 @@ func (s *NodeScheduler) Tick(now time.Time) {
 			used--
 			s.decide(widest, telemetry.SchedDecision{
 				Shrunk: widest.name, Reason: "mem pressure", Lambda: lambda,
-				Applied: true,
 			})
 		}
 	}
@@ -452,44 +420,35 @@ func (s *NodeScheduler) Tick(now time.Time) {
 		return
 	}
 
-	// 3b. Free cores: hand them to the most promising under-performers.
-	// Unlike Algorithm 1's conservative one-pair moves, initial
-	// allocation of unassigned cores proceeds several cores per round —
-	// the segments are waiting for their first assignment (Figure 6).
-	if used < s.cfg.Cores {
-		grew := make(map[*segState]int)
-		for n := 0; n < freeCoresPerTick && used < s.cfg.Cores; n++ {
-			// One speculative core per segment per round on the back of
-			// the last measurement; a second only when the scalability
-			// vector's fresh slope supports it. The next round's
-			// measurement confirms or reverts either.
-			cand, gain := s.pickExpand(active, lambda, now, grew)
-			if cand == nil || !cand.h.Expand() {
-				break
-			}
-			grew[cand]++
-			cand.last.Parallelism++
-			used++
-			s.decide(cand, telemetry.SchedDecision{
-				Expanded: cand.name, Reason: "free core", Lambda: lambda,
-				Gain: gain, Applied: true,
-			})
+	// 3b. Free cores: hand the cores nobody holds to the most promising
+	// under-performers. Unlike Algorithm 1's one-pair moves, this
+	// proceeds several cores per round: the segments are waiting for
+	// their first assignment (Figure 6).
+	grew := make(map[*segState]int)
+	for n := 0; n < freeCoresPerTick && used < s.cfg.Cores; n++ {
+		// One speculative core per segment per round on the back of the
+		// last measurement; a second only when the scalability vector's
+		// fresh slope supports it. The next round's measurement confirms
+		// or reverts either.
+		cand, gain := s.pickExpand(active, lambda, now, grew)
+		if cand == nil || !cand.h.Expand() {
+			break
 		}
-		return
+		grew[cand]++
+		cand.last.Parallelism++
+		used++
+		s.decide(cand, telemetry.SchedDecision{
+			Expanded: cand.name, Reason: "free core", Lambda: lambda, Gain: gain,
+		})
 	}
 
-	// 3c. No free cores: Algorithm 1 pairwise move.
+	// 3c. Algorithm 1's pairwise move, every round.
 	s.algorithm1(active, lambda, now)
 }
 
 // normalize computes R_i = T_i / V_i, treating a segment with no
 // expected input as infinitely fast (never the bottleneck).
-func normalize(m Metrics) float64 {
-	if m.VisitRate <= 0 {
-		return math.Inf(1)
-	}
-	return m.Rate / m.VisitRate
-}
+func normalize(m Metrics) float64 { return normWith(m.Rate, m.VisitRate) }
 
 // freshAt returns the scalability-vector entry at parallelism p if it
 // is valid and within the freshness window.
@@ -510,23 +469,15 @@ func (s *NodeScheduler) estimate(st *segState, p int, now time.Time) (float64, b
 	if p < 1 {
 		return 0, true
 	}
-	fresh := func(q int) (float64, bool) {
-		if q >= 1 && q < len(st.vec) {
-			if e := st.vec[q]; e.valid && now.Sub(e.at) <= s.cfg.Theta {
-				return e.rate, true
-			}
-		}
-		return 0, false
-	}
-	if r, ok := fresh(p); ok {
+	if r, ok := s.freshAt(st, p, now); ok {
 		return r, true
 	}
 	// Marginal-slope extrapolation: with fresh measurements at the two
 	// parallelisms below p, predict t(p) = t(p-1) + slope. On a plateau
 	// the slope is ~0, so the scheduler stops predicting gains — the
 	// "quickly identified and corrected" behavior of Section 4.4.
-	if r1, ok1 := fresh(p - 1); ok1 {
-		if r2, ok2 := fresh(p - 2); ok2 {
+	if r1, ok1 := s.freshAt(st, p-1, now); ok1 {
+		if r2, ok2 := s.freshAt(st, p-2, now); ok2 {
 			slope := r1 - r2
 			if slope < 0 {
 				slope = 0
@@ -535,7 +486,7 @@ func (s *NodeScheduler) estimate(st *segState, p int, now time.Time) (float64, b
 		}
 		return r1 * float64(p) / float64(p-1), true
 	}
-	if r, ok := fresh(p + 1); ok {
+	if r, ok := s.freshAt(st, p+1, now); ok {
 		return r * float64(p) / float64(p+1), true
 	}
 	if st.last.Parallelism >= 1 && st.last.Rate > 0 {
@@ -553,7 +504,7 @@ func (s *NodeScheduler) pickExpand(active []*segState, lambda float64,
 	bestGain := 0.0
 	for _, st := range active {
 		m := st.last
-		if m.Starved || m.Blocked || m.Done || grew[st] >= 2 {
+		if m.Limited() || grew[st] >= 2 {
 			continue
 		}
 		if m.Parallelism == 0 {
@@ -581,7 +532,11 @@ func (s *NodeScheduler) pickExpand(active []*segState, lambda float64,
 
 // algorithm1 is the paper's Algorithm 1: move one core from an
 // over-performing segment to an under-performing one when the estimated
-// post-move normalized rates of both still exceed λ+∆.
+// post-move normalized rates of both still exceed λ+∆. A starved or
+// blocked segment is an over-performer: its measured rate
+// under-estimates its capacity, and one core less cannot make a segment
+// that waits on its input or output the bottleneck, so its post-move
+// rate counts as passing λ+∆.
 func (s *NodeScheduler) algorithm1(active []*segState, lambda float64, now time.Time) {
 	if math.IsInf(lambda, 1) || lambda <= 0 {
 		return
@@ -591,14 +546,10 @@ func (s *NodeScheduler) algorithm1(active []*segState, lambda float64, now time.
 
 	var under, over []*segState
 	for _, st := range active {
-		switch {
-		case st.last.Done:
-		case st.normRate <= lambda*tol && !st.last.Starved && !st.last.Blocked:
+		if st.normRate <= lambda*tol && !st.last.Limited() {
 			under = append(under, st)
-		case st.normRate > lambda*tol || st.last.Starved:
-			if st.last.Parallelism > 1 {
-				over = append(over, st)
-			}
+		} else if st.last.Parallelism > 1 {
+			over = append(over, st)
 		}
 	}
 	if len(under) == 0 || len(over) == 0 {
@@ -619,9 +570,12 @@ func (s *NodeScheduler) algorithm1(active []*segState, lambda float64, now time.
 				continue
 			}
 			ti, _ := s.estimate(ui, ui.last.Parallelism+1, now)
-			tj, _ := s.estimate(oj, oj.last.Parallelism-1, now)
 			tiN := normWith(ti, ui.last.VisitRate)
-			tjN := normWith(tj, oj.last.VisitRate)
+			tjN := math.Inf(1)
+			if !oj.last.Limited() {
+				tj, _ := s.estimate(oj, oj.last.Parallelism-1, now)
+				tjN = normWith(tj, oj.last.VisitRate)
+			}
 			if tiN >= lambda+delta && tjN >= lambda+delta {
 				gain := math.Min(tiN, tjN) - lambda
 				if best == nil || gain > best.gain {
@@ -633,23 +587,22 @@ func (s *NodeScheduler) algorithm1(active []*segState, lambda float64, now time.
 	if best == nil {
 		return
 	}
-	if best.oj.h.Shrink() {
-		if best.ui.h.Expand() {
-			s.decide(best.ui, telemetry.SchedDecision{
-				Expanded: best.ui.name, Shrunk: best.oj.name,
-				Reason: "algorithm1", Lambda: lambda, Gain: best.gain,
-				Applied: true,
-			})
-		} else {
-			// Could not expand the target: give the core back.
-			best.oj.h.Expand()
-			s.decide(best.ui, telemetry.SchedDecision{
-				Expanded: best.ui.name, Shrunk: best.oj.name,
-				Reason: "algorithm1", Lambda: lambda, Gain: best.gain,
-				Applied: false,
-			})
-		}
+	// The donor's core goes to the receiver if it takes it; a core the
+	// receiver refuses (in the engine a shrunk worker returns its lease
+	// only when it exits) is free, and a later round's step 3b hands it
+	// out.
+	if !best.oj.h.Shrink() {
+		return
 	}
+	d := telemetry.SchedDecision{
+		Shrunk: best.oj.name, Reason: "algorithm1", Lambda: lambda, Gain: best.gain,
+	}
+	if best.ui.h.Expand() {
+		d.Expanded = best.ui.name
+		s.decide(best.ui, d)
+		return
+	}
+	s.decide(best.oj, d)
 }
 
 func normWith(rate, visit float64) float64 {

@@ -5,6 +5,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"repro/internal/telemetry"
 )
 
 // fakeSeg is a synthetic segment whose rate follows a configurable
@@ -21,6 +23,7 @@ type fakeSeg struct {
 	done    bool
 	stageID int
 	maxPar  int
+	expands int // Expand calls, granted or refused
 }
 
 func newFakeSeg(name string, base, visit float64) *fakeSeg {
@@ -53,6 +56,7 @@ func (f *fakeSeg) Metrics() Metrics {
 func (f *fakeSeg) Expand() bool {
 	f.mu.Lock()
 	defer f.mu.Unlock()
+	f.expands++
 	if f.par >= f.maxPar {
 		return false
 	}
@@ -165,14 +169,18 @@ func TestSchedulerShrinksStarvedSegment(t *testing.T) {
 }
 
 func TestSchedulerReassignsWhenWorkloadShifts(t *testing.T) {
+	scope := telemetry.NewScope("test")
+	mem := telemetry.NewMemSink(telemetry.KindSchedDecision)
+	scope.Attach(mem)
 	bus := NewMasterBus()
-	s := NewNodeScheduler(0, Config{Cores: 10}, bus)
+	s := NewNodeScheduler(0, Config{Cores: 10, Scope: scope}, bus)
 	a := newFakeSeg("a", 100, 1)
 	b := newFakeSeg("b", 100, 1)
 	s.Attach(a)
 	s.Attach(b)
 	tickN(s, 40)
 	paBefore := a.parallelism()
+	before := mem.Len()
 	// b's per-core speed collapses 5x (selectivity burst downstream).
 	b.mu.Lock()
 	b.base = 20
@@ -181,11 +189,23 @@ func TestSchedulerReassignsWhenWorkloadShifts(t *testing.T) {
 	if got := b.parallelism(); got <= 10-paBefore {
 		t.Fatalf("slowed segment did not gain cores: before≈%d now b=%d", 10-paBefore, got)
 	}
+	// Every core is held, so the move is Algorithm 1's: a donates, b
+	// receives.
+	moved := 0
+	for _, ev := range mem.Events()[before:] {
+		d := ev.Rec.(telemetry.SchedDecision)
+		if d.Reason == "algorithm1" && d.Expanded == "b" && d.Shrunk == "a" {
+			moved++
+		}
+	}
+	if moved == 0 {
+		t.Fatalf("no algorithm1 move from a to b after the shift: %+v", mem.Events()[before:])
+	}
 }
 
 func TestSchedulerIgnoresBlockedSegments(t *testing.T) {
-	// A network-blocked segment must not be expanded (Figure 10:
-	// parallelism stops growing at the bandwidth limit).
+	// A network-blocked segment must not be expanded: more cores cannot
+	// help a segment that waits on its output.
 	bus := NewMasterBus()
 	s := NewNodeScheduler(0, Config{Cores: 16}, bus)
 	a := newFakeSeg("a", 100, 1)
@@ -271,8 +291,9 @@ func TestVisitRateNormalization(t *testing.T) {
 
 func TestSchedulerShrinksOverProducingSegment(t *testing.T) {
 	// A network-blocked segment is over-producing (Section 2.3): it
-	// must donate cores until its rate matches the sink, as Figure 10's
-	// S1 does at the bandwidth limit.
+	// must donate cores until its rate matches the sink, even with no
+	// segment on the node to take them (Figure 11's scan after the
+	// selectivity jump releases 25 this way).
 	bus := NewMasterBus()
 	s := NewNodeScheduler(0, Config{Cores: 8}, bus)
 	a := newFakeSeg("a", 100, 1)

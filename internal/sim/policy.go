@@ -62,7 +62,7 @@ type EPPolicy struct {
 	bus      *sched.MasterBus
 	scheds   []*sched.NodeScheduler
 	handles  []*simHandle
-	lastDec  []int64 // per-scheduler applied-decision counts at last tick
+	lastDec  []int64 // per-scheduler decision counts at last tick
 	lastTick time.Duration
 	started  bool
 }

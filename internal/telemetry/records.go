@@ -12,8 +12,7 @@ type Kind uint8
 // shares; the sampling kinds carry the periodic timelines the paper's
 // figures are drawn from.
 const (
-	// KindSchedDecision is one Algorithm-1 scheduling move (or rejected
-	// candidate move).
+	// KindSchedDecision is one core move the dynamic scheduler made.
 	KindSchedDecision Kind = iota
 	// KindWorkerExpand is an elastic pool growing by one worker.
 	KindWorkerExpand
@@ -92,26 +91,26 @@ type Event struct {
 	Rec Record `json:"rec"`
 }
 
-// SchedDecision is one scheduling move of the dynamic scheduler
-// (Algorithm 1 and the free-core/shrink rules around it).
+// SchedDecision is one core move the dynamic scheduler made (Algorithm 1
+// and the free-core, release and memory rules around it). Every record
+// is a move that happened: a rule that finds nothing to move emits none.
 type SchedDecision struct {
 	// Node is the deciding node scheduler.
 	Node int `json:"node"`
-	// Expanded and Shrunk name the segment pair; either may be empty
-	// (free-core handouts only expand, idle-shrinks only shrink).
+	// Expanded names the segment that gained a worker and Shrunk the one
+	// that lost one. A free-core handout only expands; a release, a
+	// memory shrink, and an Algorithm 1 move whose receiver refused the
+	// core only shrink.
 	Expanded string `json:"expanded,omitempty"`
 	Shrunk   string `json:"shrunk,omitempty"`
 	// Reason is the rule that fired: "algorithm1", "free core",
-	// "starved", "over-producing", "no gain".
+	// "starved", "over-producing", "no gain", "mem pressure".
 	Reason string `json:"reason"`
 	// Lambda is the global normalized pipeline rate λ (Equation 3) the
 	// decision was taken against.
 	Lambda float64 `json:"lambda"`
 	// Gain is the estimated throughput gain of the move.
 	Gain float64 `json:"gain"`
-	// Applied is false for rejected moves (e.g. the expansion target
-	// refused the core after the donor shrank).
-	Applied bool `json:"applied"`
 }
 
 // Kind implements Record.

@@ -86,13 +86,13 @@ func TestMemSinkFilter(t *testing.T) {
 	dec := NewMemSink(KindSchedDecision)
 	sc.Attach(dec)
 	sc.Emit(WorkerExpand{Segment: "S1", Workers: 2})
-	sc.Emit(SchedDecision{Expanded: "S1", Reason: "free core", Applied: true})
+	sc.Emit(SchedDecision{Expanded: "S1", Reason: "free core"})
 	sc.Emit(WorkerShrink{Segment: "S1", Workers: 1})
 	if dec.Len() != 1 {
 		t.Fatalf("filtered sink kept %d events, want 1", dec.Len())
 	}
 	d := dec.Events()[0].Rec.(SchedDecision)
-	if d.Expanded != "S1" || d.Reason != "free core" || !d.Applied {
+	if d.Expanded != "S1" || d.Reason != "free core" {
 		t.Fatalf("unexpected decision %+v", d)
 	}
 }
@@ -103,7 +103,7 @@ func TestJSONLSinkRoundTrip(t *testing.T) {
 	sc := NewScope("q7")
 	sc.Attach(sink)
 	sc.Emit(SchedDecision{Node: 3, Expanded: "S2", Shrunk: "S1", Reason: "algorithm1",
-		Lambda: 1e6, Gain: 5e4, Applied: true})
+		Lambda: 1e6, Gain: 5e4})
 	sc.Emit(BlockSent{Exchange: 1, From: 0, To: 2, Tuples: 100, Bytes: 6400})
 	if err := sink.Flush(); err != nil {
 		t.Fatal(err)
@@ -119,14 +119,13 @@ func TestJSONLSinkRoundTrip(t *testing.T) {
 		Rec   struct {
 			Expanded string  `json:"expanded"`
 			Lambda   float64 `json:"lambda"`
-			Applied  bool    `json:"applied"`
 		} `json:"rec"`
 	}
 	if err := json.Unmarshal([]byte(lines[0]), &first); err != nil {
 		t.Fatalf("line 1 is not valid JSON: %v", err)
 	}
 	if first.Scope != "q7" || first.Seq != 1 || first.Kind != "SchedDecision" ||
-		first.Rec.Expanded != "S2" || first.Rec.Lambda != 1e6 || !first.Rec.Applied {
+		first.Rec.Expanded != "S2" || first.Rec.Lambda != 1e6 {
 		t.Fatalf("unexpected first line: %+v", first)
 	}
 }
@@ -159,8 +158,8 @@ func TestSummarySink(t *testing.T) {
 	sc.Attach(sum)
 	sc.Emit(WorkerExpand{Segment: "S1", Workers: 1})
 	sc.Emit(WorkerExpand{Segment: "S2", Workers: 1})
-	sc.Emit(SchedDecision{Expanded: "S1", Reason: "free core", Applied: true})
-	sc.Emit(SchedDecision{Shrunk: "S2", Reason: "no gain", Applied: true})
+	sc.Emit(SchedDecision{Expanded: "S1", Reason: "free core"})
+	sc.Emit(SchedDecision{Shrunk: "S2", Reason: "no gain"})
 	s := sum.Summary()
 	for _, want := range []string{"WorkerExpand=2", "SchedDecision=2", "free core:1", "no gain:1"} {
 		if !strings.Contains(s, want) {

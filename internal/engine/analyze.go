@@ -119,6 +119,7 @@ func (az *analyzeState) finish(e *exec) *Analysis {
 		resultEx:    e.resultExID,
 		Duration:    e.scope.Elapsed() - e.startAt,
 		ops:         e.ops,
+		folded:      foldedOps(e.p),
 		master:      e.master,
 		dataNodes:   e.dataNodes,
 		perNode:     az.perNode,
@@ -220,7 +221,10 @@ type Analysis struct {
 	// ("hit" / "miss"); empty when the request carried its own Plan.
 	CacheState string
 
-	ops      map[plan.PhysOp]int
+	ops map[plan.PhysOp]int
+	// folded holds the operators that ran inside their parents and have
+	// no counters of their own (foldedProject).
+	folded   map[plan.PhysOp]bool
 	resultEx int           // the run's derived result-collector exchange id
 	exBytes  map[int]int64 // exchange id → bytes crossing node boundaries
 	exBlocks map[int]int64
@@ -327,7 +331,8 @@ func (a *Analysis) OpID(op plan.PhysOp) (int, bool) {
 // scope counters the execution wrote. busy is cumulative worker time
 // inside the operator's Open and Next — Open included because blocking
 // operators (hash agg, hash join build, sort) do their real work
-// draining the child during Open, with Next just replaying results.
+// draining the child during Open, with Next just replaying results. A
+// folded projection ran no iterator and wrote no counter: all zero.
 func (a *Analysis) OpStats(op plan.PhysOp) (rows, blocks int64, busy time.Duration) {
 	id, ok := a.ops[op]
 	if !ok {
@@ -384,10 +389,14 @@ func (a *Analysis) SegmentWorkers(seg *plan.Segment) (peak int64, mean float64) 
 
 // selfTime is an operator's busy time minus its children's: the time
 // workers spent in this operator itself. Busy time is cumulative across
-// concurrent workers, so totals can exceed wall time.
+// concurrent workers, so totals can exceed wall time. A folded child ran
+// as part of its parent, so its own children are subtracted instead.
 func (a *Analysis) selfTime(op plan.PhysOp) time.Duration {
 	_, _, busy := a.OpStats(op)
 	for _, c := range plan.Children(op) {
+		if a.folded[c] {
+			c = plan.Children(c)[0]
+		}
 		_, _, cb := a.OpStats(c)
 		busy -= cb
 	}
@@ -395,6 +404,21 @@ func (a *Analysis) selfTime(op plan.PhysOp) time.Duration {
 		busy = 0
 	}
 	return busy
+}
+
+// foldedOps lists the operators of p that run inside their parents.
+func foldedOps(p *plan.Plan) map[plan.PhysOp]bool {
+	out := map[plan.PhysOp]bool{}
+	for _, s := range p.Segments {
+		plan.Walk(s.Root, func(op plan.PhysOp) {
+			if agg, ok := op.(*plan.PHashAgg); ok {
+				if p := foldedProject(agg); p != nil {
+					out[p] = true
+				}
+			}
+		})
+	}
+	return out
 }
 
 // Render renders the analyzed plan: the EXPLAIN tree with a measurement
@@ -419,6 +443,9 @@ func (a *Analysis) Render() string {
 	head += "\n"
 	out := head + a.Plan.Render(plan.Annotations{
 		Op: func(op plan.PhysOp) string {
+			if a.folded[op] {
+				return "  (folded into the aggregation)"
+			}
 			rows, blocks, busy := a.OpStats(op)
 			s := fmt.Sprintf("  (rows=%d est=%d blocks=%d time=%v self=%v",
 				rows, op.Estimate().Rows, blocks,
@@ -489,7 +516,7 @@ func (a *Analysis) renderPerNode() string {
 	seen := map[int]bool{}
 	for _, s := range a.Plan.Segments {
 		plan.Walk(s.Root, func(op plan.PhysOp) {
-			if id, ok := a.ops[op]; ok && !seen[id] {
+			if id, ok := a.ops[op]; ok && !seen[id] && !a.folded[op] {
 				seen[id] = true
 				ops = append(ops, op)
 			}

@@ -916,7 +916,15 @@ func (e *exec) buildBare(op plan.PhysOp, env buildEnv) (iterator.Iterator, error
 		return hj, nil
 
 	case *plan.PHashAgg:
-		child, err := e.buildOp(n.Child, env)
+		// A projection of plain columns under the aggregation (the
+		// binder's pruning projection) is not built: the aggregation reads
+		// its keys and arguments from the projection's input.
+		in := n.Child
+		proj := foldedProject(n)
+		if proj != nil {
+			in = proj.Child
+		}
+		child, err := e.buildOp(in, env)
 		if err != nil {
 			return nil, err
 		}
@@ -928,7 +936,10 @@ func (e *exec) buildBare(op plan.PhysOp, env buildEnv) (iterator.Iterator, error
 		if err != nil {
 			return nil, err
 		}
-		ha := iterator.NewHashAgg(child, n.Child.Schema(), keys, n.KeyNames, specs, n.Algo)
+		if proj != nil {
+			keys, specs = throughProject(keys, specs, proj.Exprs)
+		}
+		ha := iterator.NewHashAgg(child, in.Schema(), keys, n.KeyNames, specs, n.Algo)
 		ha.Partial = n.Partial
 		if env.inst == nil {
 			ha.Serial()
@@ -972,6 +983,44 @@ func (e *exec) buildBare(op plan.PhysOp, env buildEnv) (iterator.Iterator, error
 		return iterator.NewLimit(child, n.Child.Schema(), n.N), nil
 	}
 	return nil, fmt.Errorf("engine: cannot instantiate %T", op)
+}
+
+// foldedProject returns the projection under an aggregation that
+// buildBare folds into it, or nil: one whose every expression is a
+// column of its input, of the same kind and width. Folding spares a copy
+// of every input row; the plan, EXPLAIN and the simulator keep the
+// projection (EXPLAIN ANALYZE marks it folded).
+func foldedProject(agg *plan.PHashAgg) *plan.PProject {
+	p, ok := agg.Child.(*plan.PProject)
+	if !ok {
+		return nil
+	}
+	inSch := p.Child.Schema()
+	for i, x := range p.Exprs {
+		c, ok := x.(*expr.Col)
+		if !ok {
+			return nil
+		}
+		if in, out := inSch.Cols[c.Idx], p.Sch.Cols[i]; in.Kind != out.Kind || in.Width != out.Width {
+			return nil
+		}
+	}
+	return p
+}
+
+// throughProject moves an aggregation's keys and arguments from a
+// projection's output to its input (expr.Remap), copying the lists: they
+// may be a cached plan's.
+func throughProject(keys []expr.Expr, specs []iterator.AggSpec, exprs []expr.Expr) ([]expr.Expr, []iterator.AggSpec) {
+	ks := make([]expr.Expr, len(keys))
+	for i, k := range keys {
+		ks[i] = expr.Remap(k, exprs)
+	}
+	ss := append([]iterator.AggSpec(nil), specs...)
+	for i := range ss {
+		ss[i].Arg = expr.Remap(ss[i].Arg, exprs)
+	}
+	return ks, ss
 }
 
 // bind and bindEach are where a query's arguments meet its plan: each

@@ -248,12 +248,15 @@ func TestExecPreparedLookupAllocs(t *testing.T) {
 // group-by the serial driver answers in microseconds (the benchmark's
 // adhoc_text sends this text one statement in eight): four groups out
 // of a filtered scan, on a FastPath cluster, plan cached, arenas warm.
-// The ceiling is what Exec allocated on this fixture at commit 71732a6
-// (82 per statement, three runs of 500, no spread; 109 under the
-// map-of-groups aggregation), so the flat group table and its
-// accumulator columns cannot tax statements this small.
+// The ceiling is what Exec allocates on this fixture since the
+// aggregation reads the filter's selection and folds the pruning
+// projection, its plans and argument program built once per operator
+// and its key encoder forked per worker (75 per statement, three runs
+// of 500, no spread; 82 at commit 71732a6, 109 under the map-of-groups
+// aggregation), so the flat group table, its accumulator columns and
+// the fused input path cannot tax statements this small.
 func TestExecGroupByAllocs(t *testing.T) {
-	const ceiling = 82
+	const ceiling = 75
 	if raceEnabled {
 		t.Skip("allocation counts are not reproducible under the race detector")
 	}
@@ -274,7 +277,7 @@ func TestExecGroupByAllocs(t *testing.T) {
 		run() // warm the plan cache and the arenas
 	}
 	if got := testing.AllocsPerRun(500, run); got > ceiling {
-		t.Errorf("Exec of the small group-by allocates %v per statement, commit 71732a6 allocated %d", got, ceiling)
+		t.Errorf("Exec of the small group-by allocates %v per statement, the ceiling is %d", got, ceiling)
 	} else {
 		t.Logf("%v allocs per Exec (ceiling: %d)", got, ceiling)
 	}

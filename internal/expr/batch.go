@@ -25,27 +25,42 @@ import (
 // Vec is a typed column vector: the result of evaluating one expression
 // over the selected rows of a block. Exactly one payload slice is
 // populated, chosen by Kind (I for Int64 and Date, F for Float64, S for
-// String). Null is always sized; record columns are never NULL, so it
-// stays all-false except for expression-produced NULLs (x/0, CASE
-// without ELSE).
+// String). Null is always sized. A kernel that cannot yield NULL — a
+// record column is never NULL, and neither is arithmetic over such
+// columns short of a division (NotNull) — points Null at a shared
+// all-false mask and writes no mask at all; only expression-produced
+// NULLs (x/0, CASE without ELSE) are ever set, in a mask of the
+// vector's own. Readers never write Null.
 type Vec struct {
 	Kind types.Kind
 	Null []bool
 	I    []int64
 	F    []float64
 	S    []string
+
+	mask []bool // the vector's own null mask, kept while Null is the shared one
 }
 
-// alloc sizes the vector for kind over n rows and clears the null mask.
-func (v *Vec) alloc(kind types.Kind, n int) {
+// falses is the shared mask of every vector whose kernel cannot yield
+// NULL, as long as a block holds rows. Nothing writes it: alloc gives a
+// nullable vector its own mask.
+var falses [1 << 16]bool
+
+// alloc sizes the vector for kind over n rows. A nullable vector gets
+// its own cleared null mask; a vector that cannot hold a NULL gets the
+// shared all-false one, so neither the kernel nor alloc touches a mask.
+func (v *Vec) alloc(kind types.Kind, n int, notNull bool) {
 	v.Kind = kind
-	if cap(v.Null) < n {
-		v.Null = make([]bool, n)
-	} else {
-		v.Null = v.Null[:n]
-		for i := range v.Null {
-			v.Null[i] = false
-		}
+	switch {
+	case notNull && n <= len(falses):
+		v.Null = falses[:n:n]
+	case cap(v.mask) < n:
+		v.mask = make([]bool, n)
+		v.Null = v.mask
+	default:
+		v.mask = v.mask[:n]
+		clear(v.mask)
+		v.Null = v.mask
 	}
 	switch kind {
 	case types.Int64, types.Date:
@@ -150,7 +165,7 @@ func CompileBatch(e Expr, sch *types.Schema) BatchExpr {
 		l, r := CompileBatch(n.L, sch), CompileBatch(n.R, sch)
 		lk, rk := n.L.Kind(sch), n.R.Kind(sch)
 		if l.Fused() && r.Fused() && numericOrDate(lk) && numericOrDate(rk) {
-			k := &arithKernel{op: n.Op, l: l, r: r, outKind: n.Kind(sch)}
+			k := &arithKernel{op: n.Op, l: l, r: r, outKind: n.Kind(sch), notNull: NotNull(n)}
 			if k.outKind == types.Float64 && n.Op != Div {
 				var lok, rok bool
 				k.ls, k.lScalar, lok = floatOperand(l, lk)
@@ -164,19 +179,41 @@ func CompileBatch(e Expr, sch *types.Schema) BatchExpr {
 		l, r := CompileBatch(n.L, sch), CompileBatch(n.R, sch)
 		lk, rk := n.L.Kind(sch), n.R.Kind(sch)
 		if l.Fused() && r.Fused() && numericOrDate(lk) && numericOrDate(rk) {
-			return &cmpKernel{op: n.Op, l: l, r: r,
+			return &cmpKernel{op: n.Op, l: l, r: r, notNull: NotNull(n),
 				flt: lk == types.Float64 || rk == types.Float64}
 		}
 		return &rowKernel{e: e, sch: sch, kind: e.Kind(sch)}
 	case *Extract:
 		child := CompileBatch(n.E, sch)
 		if child.Fused() && n.E.Kind(sch) == types.Date {
-			return &extractKernel{part: n.Part, child: child}
+			return &extractKernel{part: n.Part, child: child, notNull: NotNull(n)}
 		}
 		return &rowKernel{e: e, sch: sch, kind: e.Kind(sch)}
 	default:
 		return &rowKernel{e: e, sch: sch, kind: e.Kind(sch)}
 	}
+}
+
+// NotNull reports whether e is non-NULL on every row: a record column
+// is never NULL, nor a non-NULL literal, nor arithmetic, a comparison or
+// a date function over such operands — except a division, which is
+// NULL where its divisor is zero. Anything else may be NULL.
+func NotNull(e Expr) bool {
+	switch n := e.(type) {
+	case *Col:
+		return true
+	case *Const:
+		return !n.V.Null
+	case *Arith:
+		return n.Op != Div && NotNull(n.L) && NotNull(n.R)
+	case *Cmp:
+		return NotNull(n.L) && NotNull(n.R)
+	case *Extract:
+		return NotNull(n.E)
+	case *AddMonths:
+		return NotNull(n.E)
+	}
+	return false
 }
 
 func numericOrDate(k types.Kind) bool {
@@ -219,28 +256,28 @@ func (k *colKernel) Fused() bool { return true }
 
 func (k *colKernel) EvalVec(b *block.Block, sel []int32, out *Vec) {
 	n := selCount(b, sel)
-	out.alloc(k.kind, n)
+	out.alloc(k.kind, n, true)
 	st := b.Schema().Stride()
 	buf := b.Bytes()
 	switch k.kind {
 	case types.Int64, types.Date:
 		if sel == nil {
 			for i := 0; i < n; i++ {
-				out.I[i] = types.GetInt(buf[i*st:], k.off)
+				out.I[i] = types.GetInt(buf, i*st+k.off)
 			}
 		} else {
 			for j, i := range sel {
-				out.I[j] = types.GetInt(buf[int(i)*st:], k.off)
+				out.I[j] = types.GetInt(buf, int(i)*st+k.off)
 			}
 		}
 	case types.Float64:
 		if sel == nil {
 			for i := 0; i < n; i++ {
-				out.F[i] = types.GetFloat(buf[i*st:], k.off)
+				out.F[i] = types.GetFloat(buf, i*st+k.off)
 			}
 		} else {
 			for j, i := range sel {
-				out.F[j] = types.GetFloat(buf[int(i)*st:], k.off)
+				out.F[j] = types.GetFloat(buf, int(i)*st+k.off)
 			}
 		}
 	case types.String:
@@ -257,7 +294,7 @@ func (k *constKernel) Fused() bool { return true }
 
 func (k *constKernel) EvalVec(b *block.Block, sel []int32, out *Vec) {
 	n := selCount(b, sel)
-	out.alloc(k.v.Kind, n)
+	out.alloc(k.v.Kind, n, !k.v.Null)
 	for i := 0; i < n; i++ {
 		if k.v.Null {
 			out.Null[i] = true
@@ -282,6 +319,7 @@ type arithKernel struct {
 	op      ArithOp
 	l, r    BatchExpr
 	outKind types.Kind
+	notNull bool // NotNull: no mask to write or combine
 	// typed marks float + - * whose operands are each a Float64 vector
 	// or a non-NULL literal, at least one a vector: such a kernel runs
 	// one typed loop per operator, the literal kept as the scalar ls or
@@ -303,18 +341,34 @@ func floatOperand(c BatchExpr, k types.Kind) (v float64, scalar, ok bool) {
 
 func (k *arithKernel) Fused() bool { return true }
 
+// scalarL and scalarR report whether the typed loop reads that operand
+// as its scalar, so that no vector of it is evaluated.
+func (k *arithKernel) scalarL() bool { return k.typed && k.lScalar }
+func (k *arithKernel) scalarR() bool { return k.typed && k.rScalar }
+
 func (k *arithKernel) EvalVec(b *block.Block, sel []int32, out *Vec) {
+	var lv, rv *Vec
+	if !k.scalarL() {
+		lv = GetVec()
+		defer PutVec(lv)
+		k.l.EvalVec(b, sel, lv)
+	}
+	if !k.scalarR() {
+		rv = GetVec()
+		defer PutVec(rv)
+		k.r.EvalVec(b, sel, rv)
+	}
+	k.combine(lv, rv, selCount(b, sel), out)
+}
+
+// combine computes out = lv op rv over n entries from the operands'
+// vectors; an operand the typed loop reads as its scalar is nil.
+func (k *arithKernel) combine(lv, rv *Vec, n int, out *Vec) {
+	out.alloc(k.outKind, n, k.notNull)
 	if k.typed {
-		k.evalTyped(b, sel, out)
+		k.combineTyped(lv, rv, out)
 		return
 	}
-	lv, rv := GetVec(), GetVec()
-	defer PutVec(lv)
-	defer PutVec(rv)
-	k.l.EvalVec(b, sel, lv)
-	k.r.EvalVec(b, sel, rv)
-	n := selCount(b, sel)
-	out.alloc(k.outKind, n)
 	switch k.outKind {
 	case types.Date: // date ± integer days
 		for i := 0; i < n; i++ {
@@ -368,34 +422,29 @@ func (k *arithKernel) EvalVec(b *block.Block, sel []int32, out *Vec) {
 	}
 }
 
-// evalTyped is the typed float loop: a row is NULL where a vector
+// combineTyped is the typed float loop: a row is NULL where a vector
 // operand is, and its value is computed regardless, which costs less
-// than a branch (a NULL entry's value is never read).
-func (k *arithKernel) evalTyped(b *block.Block, sel []int32, out *Vec) {
-	var lv, rv *Vec
-	if !k.lScalar {
-		lv = GetVec()
-		defer PutVec(lv)
-		k.l.EvalVec(b, sel, lv)
-	}
-	if !k.rScalar {
-		rv = GetVec()
-		defer PutVec(rv)
-		k.r.EvalVec(b, sel, rv)
-	}
-	out.alloc(types.Float64, selCount(b, sel))
+// than a branch (a NULL entry's value is never read). Operands that
+// cannot be NULL leave no mask to combine.
+func (k *arithKernel) combineTyped(lv, rv, out *Vec) {
 	switch {
 	case lv != nil && rv != nil:
 		floatVV(k.op, out.F, lv.F, rv.F)
-		for i, ln := range lv.Null[:len(out.Null)] {
-			out.Null[i] = ln || rv.Null[i]
+		if !k.notNull {
+			for i, ln := range lv.Null[:len(out.Null)] {
+				out.Null[i] = ln || rv.Null[i]
+			}
 		}
 	case lv != nil:
 		floatVS(k.op, out.F, lv.F, k.rs)
-		copy(out.Null, lv.Null)
+		if !k.notNull {
+			copy(out.Null, lv.Null)
+		}
 	default:
 		floatSV(k.op, out.F, k.ls, rv.F)
-		copy(out.Null, rv.Null)
+		if !k.notNull {
+			copy(out.Null, rv.Null)
+		}
 	}
 }
 
@@ -458,9 +507,10 @@ func floatSV(op ArithOp, out []float64, l float64, r []float64) {
 // cmpKernel is vectorized Cmp.Eval over numeric/date children, yielding
 // the boolean Int64 0/1 vector (NULL-in → NULL-out).
 type cmpKernel struct {
-	op   CmpOp
-	l, r BatchExpr
-	flt  bool // either side is Float64: compare as floats
+	op      CmpOp
+	l, r    BatchExpr
+	flt     bool // either side is Float64: compare as floats
+	notNull bool
 }
 
 func (k *cmpKernel) Fused() bool { return true }
@@ -472,7 +522,7 @@ func (k *cmpKernel) EvalVec(b *block.Block, sel []int32, out *Vec) {
 	k.l.EvalVec(b, sel, lv)
 	k.r.EvalVec(b, sel, rv)
 	n := selCount(b, sel)
-	out.alloc(types.Int64, n)
+	out.alloc(types.Int64, n, k.notNull)
 	for i := 0; i < n; i++ {
 		if lv.Null[i] || rv.Null[i] {
 			out.Null[i] = true
@@ -522,8 +572,9 @@ func cmpHolds(op CmpOp, d int) bool {
 
 // extractKernel is vectorized EXTRACT(YEAR|MONTH FROM date).
 type extractKernel struct {
-	part  DatePart
-	child BatchExpr
+	part    DatePart
+	child   BatchExpr
+	notNull bool
 }
 
 func (k *extractKernel) Fused() bool { return true }
@@ -533,7 +584,7 @@ func (k *extractKernel) EvalVec(b *block.Block, sel []int32, out *Vec) {
 	defer PutVec(cv)
 	k.child.EvalVec(b, sel, cv)
 	n := selCount(b, sel)
-	out.alloc(types.Int64, n)
+	out.alloc(types.Int64, n, k.notNull)
 	for i := 0; i < n; i++ {
 		if cv.Null[i] {
 			out.Null[i] = true
@@ -562,7 +613,7 @@ func (k *rowKernel) Fused() bool { return false }
 
 func (k *rowKernel) EvalVec(b *block.Block, sel []int32, out *Vec) {
 	n := selCount(b, sel)
-	out.alloc(k.kind, n)
+	out.alloc(k.kind, n, false)
 	forEach(n, sel, func(j, i int) {
 		v := k.e.Eval(b.Row(i), k.sch)
 		if v.Null {

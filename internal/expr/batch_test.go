@@ -526,3 +526,106 @@ func TestPredVectorized(t *testing.T) {
 		t.Error("CASE projection should fall back")
 	}
 }
+
+// TestProgramMatchesKernels evaluates every fused case through one
+// Program, whose steps share what the cases have in common, and holds
+// each case's vector to its own kernel's, on every row and under a
+// selection. The cases outside the fused shapes are refused.
+func TestProgramMatchesKernels(t *testing.T) {
+	sch := batchTestSchema()
+	blk := fillBatchBlock(sch, 257, 3)
+	var sparse []int32
+	for i := 0; i < blk.NumTuples(); i += 5 {
+		sparse = append(sparse, int32(i))
+	}
+	p := NewProgram(sch)
+	cases := batchExprCases(sch)
+	at := make([]int, len(cases))
+	for ci, e := range cases {
+		k := CompileBatch(e, sch)
+		var ok bool
+		if at[ci], ok = p.Add(e); ok != k.Fused() {
+			t.Fatalf("case %d (%s): Add ok=%v, kernel fused=%v", ci, e, ok, k.Fused())
+		}
+	}
+	for _, sel := range [][]int32{nil, sparse} {
+		vecs := p.Vecs()
+		p.Run(blk, sel, vecs)
+		for ci, e := range cases {
+			if at[ci] < 0 {
+				continue
+			}
+			var want Vec
+			CompileBatch(e, sch).EvalVec(blk, sel, &want)
+			got := vecs[at[ci]]
+			if got.Len() != want.Len() || got.Kind != want.Kind {
+				t.Fatalf("case %d (%s): %d %v entries, want %d %v", ci, e, got.Len(), got.Kind, want.Len(), want.Kind)
+			}
+			for j := 0; j < want.Len(); j++ {
+				if g, w := got.Value(j), want.Value(j); g.Null != w.Null || (!w.Null && g.Compare(w) != 0) {
+					t.Fatalf("case %d (%s) entry %d: got %s, want %s", ci, e, j, g, w)
+				}
+			}
+		}
+	}
+}
+
+// TestProgramSharesSubexpressions compiles Q1's two computed arguments,
+// each written out as its own tree: the columns, 1-d and p*(1-d) are
+// one step each, so the program makes seven vectors where two kernels
+// made ten, and adding an equal tree again adds nothing.
+func TestProgramSharesSubexpressions(t *testing.T) {
+	sch := types.NewSchema(types.Col("p", types.Float64), types.Col("d", types.Float64), types.Col("t", types.Float64))
+	p, d, tax := NewCol(0, "p"), NewCol(1, "d"), NewCol(2, "t")
+	one := func() Expr { return NewConst(types.FloatVal(1)) }
+	discPrice := func() Expr { return NewArith(Mul, p, NewArith(Sub, one(), d)) }
+	charge := NewArith(Mul, discPrice(), NewArith(Add, one(), tax))
+	prog := NewProgram(sch)
+	a, _ := prog.Add(discPrice())
+	b, _ := prog.Add(charge)
+	// p, d, 1-d, p*(1-d), t, 1+t, the product: the literals are the
+	// typed loops' scalars, no vector of their own.
+	if n := len(prog.Vecs()); n != 7 {
+		t.Errorf("program has %d steps, want 7", n)
+	}
+	if again, _ := prog.Add(discPrice()); again != a || len(prog.Vecs()) != 7 {
+		t.Errorf("an equal tree got step %d of %d, want step %d of 7", again, len(prog.Vecs()), a)
+	}
+	if a == b {
+		t.Error("two different arguments share a step")
+	}
+}
+
+// TestNeverNullVectorsShareOneMask: a kernel whose expression NotNull
+// says cannot be NULL points its vector at the shared all-false mask,
+// one that can gets a mask of its own, and reusing one vector for both
+// kinds in turn never writes the shared mask. NotNull must also be true
+// to Eval: no row of a NotNull expression evaluates to NULL.
+func TestNeverNullVectorsShareOneMask(t *testing.T) {
+	sch := batchTestSchema()
+	blk := fillBatchBlock(sch, 300, 4)
+	var v Vec
+	for round := 0; round < 2; round++ {
+		for ci, e := range batchExprCases(sch) {
+			CompileBatch(e, sch).EvalVec(blk, nil, &v)
+			shared := &v.Null[0] == &falses[0]
+			if NotNull(e) {
+				if !shared {
+					t.Errorf("case %d (%s): never NULL, but the vector has a mask of its own", ci, e)
+				}
+				for i := 0; i < blk.NumTuples(); i++ {
+					if e.Eval(blk.Row(i), sch).Null {
+						t.Fatalf("case %d (%s): NotNull, but row %d is NULL", ci, e, i)
+					}
+				}
+			} else if shared {
+				t.Errorf("case %d (%s): may be NULL, but the vector has the shared mask", ci, e)
+			}
+			for i, x := range falses {
+				if x {
+					t.Fatalf("case %d (%s) wrote the shared mask at %d", ci, e, i)
+				}
+			}
+		}
+	}
+}

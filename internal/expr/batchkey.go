@@ -112,13 +112,33 @@ func (enc *BatchKeyEncoder) WithKeys() *BatchKeyEncoder {
 	return enc
 }
 
+// Fork returns an encoder of the same keys with scratch of its own, for
+// another worker: the compiled sources and word layout are shared (only
+// a fused kernel's vector is copied), so an operator compiles its keys
+// once and each worker pays one allocation for its encoder.
+func (enc *BatchKeyEncoder) Fork() *BatchKeyEncoder {
+	f := &BatchKeyEncoder{sch: enc.sch, srcs: enc.srcs, fixedW: enc.fixedW, words: enc.words}
+	for i := range enc.srcs {
+		if enc.srcs[i].mode == ksVec {
+			f.srcs = append([]keySrc(nil), enc.srcs...)
+			for j := range f.srcs {
+				if f.srcs[j].mode == ksVec {
+					f.srcs[j].vec = new(Vec)
+				}
+			}
+			break
+		}
+	}
+	return f
+}
+
 // wordField is one column of a word key: where it sits in the record
 // and which bits of the word it fills.
 type wordField struct {
 	off, width int
 	shift      uint   // the field's first byte lands at bit shift
 	mask       uint64 // the low 8*width bits
-	char       bool   // a CHAR field: cut at its first NUL, as GetStringBytes is
+	char       bool   // a CHAR field of two bytes or more: cut at its first NUL, as GetStringBytes is
 }
 
 // NewGroupKeyEncoder is NewBatchKeyEncoder for a hash aggregation's
@@ -154,7 +174,8 @@ func wordFields(exprs []Expr, sch *types.Schema) []wordField {
 		case types.Int64, types.Date:
 			f.width = 8
 		case types.String:
-			f.char = true
+			// A one-byte field cut at its NUL is itself.
+			f.char = col.Width > 1
 		default:
 			return nil
 		}
@@ -164,7 +185,18 @@ func wordFields(exprs []Expr, sch *types.Schema) []wordField {
 		f.mask = ^uint64(0) >> (64 - 8*f.width)
 		fs = append(fs, f)
 	}
-	return fs
+	// Fields that sit side by side in the record in key order, none of
+	// them cut at a NUL (Q1's two flags), are the word's bytes as they
+	// stand: one field, one load.
+	if len(fs) < 2 || fs[0].char {
+		return fs
+	}
+	for i := 1; i < len(fs); i++ {
+		if fs[i].off != fs[i-1].off+fs[i-1].width || fs[i].char {
+			return fs
+		}
+	}
+	return []wordField{{off: fs[0].off, width: used / 8, mask: ^uint64(0) >> (64 - used)}}
 }
 
 // Word reports whether the encoder packs its keys into words: Hash is

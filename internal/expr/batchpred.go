@@ -541,8 +541,9 @@ func (p *inIntPred) Select(b *block.Block, sel []int32, buf []int32) []int32 {
 	})
 }
 
-// likePred: LIKE / NOT LIKE over a fixed-width CHAR column, matching the
-// NUL-trimmed bytes in place.
+// likePred: LIKE / NOT LIKE over a fixed-width CHAR column, matching in
+// place: a %…% pattern over the whole field (Like.matchField), any other
+// over the NUL-trimmed bytes.
 type likePred struct {
 	off, width int
 	like       *Like
@@ -551,12 +552,13 @@ type likePred struct {
 func (p *likePred) Fused() bool { return true }
 
 func (p *likePred) Select(b *block.Block, sel []int32, buf []int32) []int32 {
+	if p.like.contains {
+		return selFilter(b, sel, buf, func(rec []byte) bool {
+			return p.like.matchField(rec[p.off:p.off+p.width]) != p.like.Negate
+		})
+	}
 	return selFilter(b, sel, buf, func(rec []byte) bool {
-		ok := p.like.MatchBytes(types.GetStringBytes(rec, p.off, p.width))
-		if p.like.Negate {
-			ok = !ok
-		}
-		return ok
+		return p.like.MatchBytes(types.GetStringBytes(rec, p.off, p.width)) != p.like.Negate
 	})
 }
 

@@ -3,6 +3,7 @@ package expr
 import (
 	"bytes"
 	"math"
+	"strings"
 	"testing"
 
 	"repro/internal/block"
@@ -13,7 +14,11 @@ import (
 // against likeGeneral, the reference backtracking matcher: for any
 // pattern the two must agree on any input. (Patterns containing '_'
 // take the general path directly, so the assertion is vacuous there but
-// still guards against panics.)
+// still guards against panics.) For a %…% pattern it also checks the
+// in-place matcher a CHAR field gets (matchField) against Match over the
+// value the field holds, up to its first NUL: s NUL-padded, s filling
+// the whole width, and s followed by a NUL and the pattern's own text,
+// which the search finds and must reject.
 func FuzzLikeMatch(f *testing.F) {
 	seeds := [][2]string{
 		{"%special%requests%", "the special set of requests"},
@@ -28,15 +33,33 @@ func FuzzLikeMatch(f *testing.F) {
 		{"_%_", "xy"},
 		{"ab", "ab"},
 		{"%aa%aa", "aaa"},
+		{"%ab%", "a\x00ab"},
+		{"%ab%cd%", "ab\x00cd"},
+		{"%ab%", "xxab"},
+		{"%%", "\x00"},
 	}
 	for _, s := range seeds {
 		f.Add(s[0], s[1])
 	}
 	f.Fuzz(func(t *testing.T, pattern, s string) {
-		got := NewLike(nil, pattern, false).Match(s)
+		l := NewLike(nil, pattern, false)
+		got := l.Match(s)
 		want := likeGeneral(s, pattern)
 		if got != want {
 			t.Fatalf("Match(%q, %q) = %v, likeGeneral = %v", pattern, s, got, want)
+		}
+		if !l.contains {
+			return
+		}
+		value := s
+		if i := strings.IndexByte(s, 0); i >= 0 {
+			value = s[:i]
+		}
+		want = l.Match(value)
+		for _, field := range []string{s + "\x00\x00\x00", s, s + "\x00" + strings.ReplaceAll(pattern, "%", "")} {
+			if got := l.matchField([]byte(field)); got != want {
+				t.Fatalf("matchField(%q, %q) = %v, Match of the value %q = %v", pattern, field, got, value, want)
+			}
 		}
 	})
 }
@@ -136,10 +159,11 @@ func FuzzKeyEncoder(f *testing.F) {
 
 // FuzzWordKey checks the aggregation's word key against the general
 // encoding: for keys that pack into one word — two CHAR columns whose
-// widths sum to at most 8, or one Int64 column — two rows get equal
-// hashes exactly when their general encodings are equal, whatever
-// bytes follow a NUL in a CHAR field. A key one byte too wide for a
-// word keeps the general encoding and Hash64.
+// widths sum to at most 8, two adjacent CHAR(1) columns (one load for
+// both, in key order; two loads out of it), or one Int64 column — two
+// rows get equal hashes exactly when their general encodings are equal,
+// whatever bytes follow a NUL in a CHAR field. A key one byte too wide
+// for a word keeps the general encoding and Hash64.
 func FuzzWordKey(f *testing.F) {
 	f.Add("", "A", "A", "", uint8(3), uint8(5), int64(-1), int64(1))
 	f.Add("A\x00x", "b", "A\x00y", "b", uint8(3), uint8(5), int64(math.MinInt64), int64(math.MinInt64))
@@ -152,7 +176,7 @@ func FuzzWordKey(f *testing.F) {
 		// b is last, so the record ends less than 8 bytes after it starts
 		// and the encoder reads it byte by byte; a is read with one load.
 		sch := types.NewSchema(types.Char("a", w1), types.Col("n", types.Int64),
-			types.Char("c", 9-w1), types.Char("b", w2))
+			types.Char("c", 9-w1), types.Char("f", 1), types.Char("g", 1), types.Char("b", w2))
 		blk := block.New(sch, 2*sch.Stride(), nil)
 		for _, r := range [][]any{{a0, b0, n0}, {a1, b1, n1}} {
 			rec := blk.AppendRowTo()
@@ -160,10 +184,13 @@ func FuzzWordKey(f *testing.F) {
 			types.PutString(rec, sch.Offset(0), w1, r[0].(string))
 			types.PutInt(rec, sch.Offset(1), r[2].(int64))
 			types.PutString(rec, sch.Offset(2), 9-w1, r[1].(string))
-			types.PutString(rec, sch.Offset(3), w2, r[1].(string))
+			types.PutString(rec, sch.Offset(3), 1, r[0].(string))
+			types.PutString(rec, sch.Offset(4), 1, r[1].(string))
+			types.PutString(rec, sch.Offset(5), w2, r[1].(string))
 		}
-		a, n, c, b := NewCol(0, "a"), NewCol(1, "n"), NewCol(2, "c"), NewCol(3, "b")
-		for _, keys := range [][]Expr{{a, b}, {b, a}, {n}, {a}} {
+		a, n, c, b := NewCol(0, "a"), NewCol(1, "n"), NewCol(2, "c"), NewCol(5, "b")
+		fl, gl := NewCol(3, "f"), NewCol(4, "g")
+		for _, keys := range [][]Expr{{a, b}, {b, a}, {n}, {a}, {fl, gl}, {gl, fl}} {
 			general, word := NewBatchKeyEncoder(keys, sch).WithKeys(), NewGroupKeyEncoder(keys, sch)
 			if !word.Word() {
 				t.Fatalf("keys %v (widths %d, %d) do not make a word key", keys, w1, w2)

@@ -23,6 +23,9 @@ type Like struct {
 	trailPct bool     // pattern ends with %
 	hasUnder bool     // pattern contains _, forcing the general matcher
 	patternB []byte   // pattern bytes, for the general byte matcher
+	// contains: the pattern is %…% with no _ and no NUL, so a CHAR field
+	// matches in place (matchField).
+	contains bool
 }
 
 // NewLike compiles a LIKE pattern.
@@ -40,6 +43,7 @@ func NewLike(e Expr, pattern string, negate bool) *Like {
 		}
 	}
 	l.patternB = []byte(pattern)
+	l.contains = l.leadPct && l.trailPct && !strings.ContainsRune(pattern, 0)
 	return l
 }
 
@@ -124,6 +128,27 @@ func (l *Like) MatchBytes(s []byte) bool {
 		rest = rest[idx+len(seg):]
 	}
 	return true
+}
+
+// matchField is MatchBytes over a whole fixed-width CHAR field, whose
+// value ends at its first NUL (GetStringBytes), for a pattern of the
+// form %…% with no _ and no NUL in it (contains). It searches the
+// untrimmed field for the segments in order, leftmost first, and keeps a
+// match only if it ends before the first NUL. No segment holds a NUL,
+// so no occurrence straddles one: the leftmost occurrence of a segment
+// lies before the first NUL exactly when some occurrence does, and the
+// answer is MatchBytes's on the trimmed value. A field without a match
+// is searched once and never scanned for its NUL.
+func (l *Like) matchField(f []byte) bool {
+	end := 0
+	for _, seg := range l.segsB {
+		i := bytes.Index(f[end:], seg)
+		if i < 0 {
+			return false
+		}
+		end += i + len(seg)
+	}
+	return bytes.IndexByte(f[:end], 0) < 0
 }
 
 // likeGeneralBytes is likeGeneral over byte slices.

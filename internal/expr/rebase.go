@@ -9,29 +9,39 @@ import "fmt"
 // cached plan.
 func Rebase(e Expr, n int) (Expr, bool) {
 	ok := true
-	out := rebase(e, n, &ok)
+	out := mapCols(e, func(c *Col) Expr {
+		if c.Idx < n {
+			ok = false
+			return c
+		}
+		return NewCol(c.Idx-n, c.Name)
+	})
 	return out, ok
 }
 
-func rebase(e Expr, n int, ok *bool) Expr {
-	r := func(x Expr) Expr { return rebase(x, n, ok) }
+// Remap moves e from the output of a projection to its input: column i
+// becomes to[i], the projection's i-th expression. The result is a
+// copy, as Rebase's is.
+func Remap(e Expr, to []Expr) Expr {
+	return mapCols(e, func(c *Col) Expr { return to[c.Idx] })
+}
+
+// mapCols copies e with every column replaced by f's answer for it.
+func mapCols(e Expr, f func(*Col) Expr) Expr {
+	r := func(x Expr) Expr { return mapCols(x, f) }
 	switch x := e.(type) {
 	case nil, *Const, *Param:
 		return e
 	case *Col:
-		if x.Idx < n {
-			*ok = false
-			return e
-		}
-		return NewCol(x.Idx-n, x.Name)
+		return f(x)
 	case *Arith:
 		return NewArith(x.Op, r(x.L), r(x.R))
 	case *Cmp:
 		return NewCmp(x.Op, r(x.L), r(x.R))
 	case *And:
-		return &And{Terms: rebaseList(x.Terms, r)}
+		return &And{Terms: mapList(x.Terms, r)}
 	case *Or:
-		return &Or{Terms: rebaseList(x.Terms, r)}
+		return &Or{Terms: mapList(x.Terms, r)}
 	case *Not:
 		return NewNot(r(x.E))
 	case *Like:
@@ -51,10 +61,10 @@ func rebase(e Expr, n int, ok *bool) Expr {
 	case *AddMonths:
 		return NewAddMonths(r(x.E), x.Months)
 	}
-	panic(fmt.Sprintf("expr: Rebase does not know %T", e))
+	panic(fmt.Sprintf("expr: mapCols does not know %T", e))
 }
 
-func rebaseList(terms []Expr, r func(Expr) Expr) []Expr {
+func mapList(terms []Expr, r func(Expr) Expr) []Expr {
 	out := make([]Expr, len(terms))
 	for i, t := range terms {
 		out[i] = r(t)

@@ -24,7 +24,10 @@ var selPool = sync.Pool{New: func() any { s := make([]int32, 0, 1024); return &s
 //
 // The predicate runs block-at-a-time: a compiled expr.BatchPredicate
 // evaluates each input block into a selection vector and survivors are
-// gathered with one bulk AppendSelected copy.
+// gathered with one bulk AppendSelected copy — by Next. A consumer that
+// reads a selection in place (a hash aggregation) calls lend instead,
+// which hands over the input block and its selection and gathers only
+// what is too sparse to be worth reading in place.
 type Filter struct {
 	child Iterator
 	sch   *types.Schema
@@ -92,12 +95,55 @@ func newFilterOut(sch *types.Schema, in *block.Block, n int, ctx *Ctx) *block.Bl
 	return b
 }
 
-// Next pulls child blocks and emits the qualifying tuples.
+// Next pulls child blocks and emits the qualifying tuples: the
+// selection, then the gather.
 func (f *Filter) Next(ctx *Ctx) (*block.Block, Status) {
-	var outB *block.Block
 	sp := selPool.Get().(*[]int32)
-	sel := (*sp)[:0]
-	defer func() { *sp = sel; selPool.Put(sp) }()
+	b, _, st := f.next(ctx, sp, false)
+	selPool.Put(sp)
+	return b, st
+}
+
+// lender is an operator that can hand its consumer a selection over an
+// input block in place of a gathered copy: a compacting Filter, or the
+// Instrumented wrapper around one, so that EXPLAIN ANALYZE and span
+// traces run the path the bare chain runs.
+type lender interface {
+	// lend is Next without the gather. It returns a block and the rows
+	// of it that qualify (nil: all of them), in ascending order, using
+	// *buf as the selection's buffer and leaving the buffer, regrown if
+	// need be, there. The block is the caller's, as Next's is.
+	lend(ctx *Ctx, buf *[]int32) (*block.Block, []int32, Status)
+}
+
+// lenderOf returns it as a lender, or nil when it cannot lend: a
+// BlockPerBlock filter emits one block per input block for an
+// order-preserving buffer, and stays on Next.
+func lenderOf(it Iterator) lender {
+	switch x := it.(type) {
+	case *Filter:
+		if !x.BlockPerBlock {
+			return x
+		}
+	case *Instrumented:
+		if lenderOf(x.child) != nil {
+			return x
+		}
+	}
+	return nil
+}
+
+func (f *Filter) lend(ctx *Ctx, buf *[]int32) (*block.Block, []int32, Status) {
+	return f.next(ctx, buf, true)
+}
+
+// next is Next, and with lend set, lend: a block that keeps at least
+// half its rows is handed over with its selection; the survivors of
+// sparser blocks are gathered into a block of their own, as Next
+// gathers every block, so that a consumer reading in place does not pay
+// its per-block costs for a handful of rows.
+func (f *Filter) next(ctx *Ctx, buf *[]int32, lend bool) (*block.Block, []int32, Status) {
+	var outB *block.Block
 	target := 0
 	for {
 		in, st := f.child.Next(ctx)
@@ -107,13 +153,25 @@ func (f *Filter) Next(ctx *Ctx) (*block.Block, Status) {
 			// to reach the output before the worker exits (Section 3.1).
 			if outB != nil {
 				if outB.NumTuples() > 0 {
-					return outB, OK
+					return outB, nil, OK
 				}
 				outB.Recycle() // started, and nothing survived into it
 			}
-			return nil, st
+			return nil, nil, st
 		}
-		sel = f.bpred.Select(in, nil, sel)
+		sel := f.bpred.Select(in, nil, (*buf)[:0])
+		*buf = sel
+		n := in.NumTuples()
+		f.in.Add(int64(n))
+		f.out.Add(int64(len(sel)))
+		vr := in.VisitRate * f.Selectivity()
+		if lend && outB == nil && 2*len(sel) >= n {
+			in.VisitRate = vr
+			if len(sel) == n {
+				return in, nil, OK
+			}
+			return in, sel, OK
+		}
 		if outB == nil {
 			// Size the block to the survivors of this first batch (it
 			// grows on demand after that): a selective filter allocates
@@ -122,18 +180,16 @@ func (f *Filter) Next(ctx *Ctx) (*block.Block, Status) {
 			target = in.Cap()/2 + 1
 		}
 		outB.AppendSelected(in, sel)
-		f.in.Add(int64(in.NumTuples()))
-		f.out.Add(int64(len(sel)))
-		outB.VisitRate = in.VisitRate * f.Selectivity()
+		outB.VisitRate = vr
 		in.Recycle() // the survivors are copied
 		if f.BlockPerBlock {
 			// outB was started from this input block and carries its Seq.
-			return outB, OK
+			return outB, nil, OK
 		}
 		// Compacting mode: keep pulling until the output block reaches
 		// half its original capacity, then emit.
 		if outB.NumTuples() >= target {
-			return outB, OK
+			return outB, nil, OK
 		}
 	}
 }

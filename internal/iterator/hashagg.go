@@ -2,6 +2,7 @@ package iterator
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -115,92 +116,149 @@ const (
 	accExtreme
 )
 
-// aggPlan is the static half of one aggregate: what NewHashAgg works
+// aggPlan is the static half of one aggregate: what the operator works
 // out from the AggSpec and the input schema.
 type aggPlan struct {
 	fn   AggFunc
 	mode accMode
-	arg  expr.Expr // nil for COUNT(*) and COUNT(col)
+	arg  expr.Expr // nil for COUNT(*) and COUNT of an argument never NULL
 	kind types.Kind
 	// off is the argument's record offset when the aggregate is a SUM or
-	// AVG of an Int64, Float64 or Date column, which the update loop
-	// reads in place; -1 otherwise.
+	// AVG of an Int64, Float64 or Date column that the program does not
+	// load for another argument anyway: the update loop reads it in
+	// place. -1 otherwise.
 	off int
-	// kern is arg's fused batch kernel. It is nil without an argument,
-	// for a column read in place, and for an argument outside the fused
-	// shapes, whose runtime kind a vector would coerce to the static one:
-	// those rows are Eval'd into boxed Values instead.
-	kern expr.BatchExpr
+	// vec is the step of the operator's program (aggArgs) whose vector is
+	// arg over the block. It is -1 without an argument, for a column read
+	// in place, and for an argument outside the fused shapes, whose
+	// runtime kind a vector would coerce to the static one: those rows
+	// are Eval'd into boxed Values instead.
+	vec int
 	// own: the aggregate keeps its own count, of the rows whose argument
-	// was not NULL. Only an argument that is not a record column can be
-	// NULL; MIN and MAX of a column keep one too, to tell their first
-	// value. Every other aggregate reads the table's row count.
+	// was not NULL. A SUM or AVG of an argument that is never NULL
+	// (expr.NotNull) reads the table's row count instead, as COUNT(*)
+	// does; MIN, MAX and the boxed sums keep one to tell their first
+	// value and to follow each row's runtime kind.
 	own bool
 }
 
-func planAgg(s AggSpec, inSch *types.Schema) aggPlan {
-	p := aggPlan{fn: s.Func, arg: s.Arg, off: -1}
-	col, isCol := s.Arg.(*expr.Col)
-	if isCol && s.Func == Count {
-		p.arg = nil // a record column is never NULL: COUNT(col) counts rows
+// argOf is the argument an aggregate reads: none for a COUNT of an
+// argument that is never NULL, which counts every row as COUNT(*) does.
+func argOf(s AggSpec) expr.Expr {
+	if s.Func == Count && expr.NotNull(s.Arg) {
+		return nil
 	}
+	return s.Arg
+}
+
+// planAgg plans one aggregate, adding its argument to prog.
+func planAgg(s AggSpec, inSch *types.Schema, prog *expr.Program) aggPlan {
+	p := aggPlan{fn: s.Func, arg: argOf(s), off: -1, vec: -1}
 	if p.arg != nil {
 		p.kind = p.arg.Kind(inSch)
-		if isCol && (s.Func == Sum || s.Func == Avg) && p.kind != types.String {
+		if at, ok := prog.Find(p.arg); ok {
+			p.vec = at
+		} else if col, isCol := p.arg.(*expr.Col); isCol && (s.Func == Sum || s.Func == Avg) && p.kind != types.String {
 			p.off = inSch.Offset(col.Idx)
-		} else if k := expr.CompileBatch(p.arg, inSch); k.Fused() {
-			p.kern = k
+		} else if at, ok := prog.Add(p.arg); ok {
+			p.vec = at
 		}
 	}
-	p.own = p.arg != nil && p.off < 0
 	switch {
 	case s.Func == Count:
 		p.mode = accCount
 	case s.Func == Min || s.Func == Max:
 		p.mode = accExtreme
-	case p.off < 0 && (p.kern == nil || p.kind == types.String):
+	case p.off < 0 && (p.vec < 0 || p.kind == types.String):
 		p.mode = accBoxed
 	case s.Func == Sum && p.kind == types.Int64:
 		p.mode = accSumInt
 	default:
 		p.mode = accSumFloat
 	}
+	p.own = p.arg != nil && p.off < 0 &&
+		!(expr.NotNull(p.arg) && (p.mode == accSumInt || p.mode == accSumFloat))
 	return p
 }
 
-// value boxes the aggregate's argument for row i of b: from the vector
-// when the argument has a kernel, by Eval otherwise.
-func (p *aggPlan) value(b *block.Block, sch *types.Schema, v *expr.Vec, i int32) types.Value {
-	if v != nil {
-		return v.Value(int(i))
-	}
-	return p.arg.Eval(b.Row(int(i)), sch)
+// aggPlans is the static half of an operator's aggregates: one plan,
+// and so one accumulator, per distinct function and argument — a
+// two-phase AVG splits into a SUM and a COUNT, and Q1's partial then
+// asks for SUM(l_quantity) twice — and the program that evaluates their
+// arguments, each distinct subexpression once per block. It is built
+// once per operator and shared by its workers.
+type aggPlans struct {
+	plans []aggPlan
+	accOf []int // per AggSpec, the plan that answers it
+	prog  expr.Program
+	// boxed: some argument is outside the fused shapes and is Eval'd row
+	// by row (plan display).
+	boxed bool
 }
 
-// aggArgs runs the aggregate arguments that have a kernel, once per
+// init plans specs over inSch, in place: the program is a field of the
+// operator, and its workers point at it there.
+func (a *aggPlans) init(specs []AggSpec, inSch *types.Schema) {
+	a.accOf = make([]int, len(specs))
+	a.plans = make([]aggPlan, 0, len(specs))
+	a.prog = *expr.NewProgram(inSch)
+	// Computed arguments first, so that a column they load is there for
+	// a SUM of that column to read rather than read it again in place.
+	for _, s := range specs {
+		if _, isCol := s.Arg.(*expr.Col); !isCol && argOf(s) != nil {
+			a.prog.Add(s.Arg)
+		}
+	}
+	for j, s := range specs {
+		if i := slices.IndexFunc(specs[:j], func(t AggSpec) bool {
+			return t.Func == s.Func && expr.Same(argOf(t), argOf(s))
+		}); i >= 0 {
+			a.accOf[j] = a.accOf[i]
+			continue
+		}
+		p := planAgg(s, inSch, &a.prog)
+		a.boxed = a.boxed || (p.arg != nil && p.off < 0 && p.vec < 0)
+		a.accOf[j] = len(a.plans)
+		a.plans = append(a.plans, p)
+	}
+}
+
+// aggArgs is one worker's vectors of an operator's program: the
+// arguments of every aggregate that has a kernel, evaluated once per
 // block, for a hash aggregation's worker or an aggregating join's.
 type aggArgs struct {
-	kerns []expr.BatchExpr // per aggregate, nil where there is none to run
-	vecs  []*expr.Vec      // per aggregate, its argument over the current block; nil without a kernel
+	prog *expr.Program
+	vecs []*expr.Vec // per program step
 }
 
-func newAggArgs(plans []aggPlan) aggArgs {
-	a := aggArgs{kerns: make([]expr.BatchExpr, len(plans)), vecs: make([]*expr.Vec, len(plans))}
-	for j := range plans {
-		if k := plans[j].kern; k != nil {
-			a.kerns[j], a.vecs[j] = k, new(expr.Vec)
-		}
-	}
-	return a
+func newAggArgs(prog *expr.Program) aggArgs {
+	return aggArgs{prog: prog, vecs: prog.Vecs()}
 }
 
-// eval evaluates every kernel over all of b's rows.
-func (a *aggArgs) eval(b *block.Block) {
-	for j, k := range a.kerns {
-		if k != nil {
-			k.EvalVec(b, nil, a.vecs[j])
-		}
+// eval runs the program over the selected rows of b (sel nil = all).
+func (a *aggArgs) eval(b *block.Block, sel []int32) {
+	if len(a.vecs) > 0 {
+		a.prog.Run(b, sel, a.vecs)
 	}
+}
+
+// vec returns plan p's argument vector over the current block, nil when
+// it has none.
+func (a *aggArgs) vec(p *aggPlan) *expr.Vec {
+	if p.vec < 0 {
+		return nil
+	}
+	return a.vecs[p.vec]
+}
+
+// value boxes the aggregate's argument for one row: entry pos of the
+// vector when the argument has a kernel, Eval of record rec of b
+// otherwise.
+func (p *aggPlan) value(b *block.Block, sch *types.Schema, v *expr.Vec, pos, rec int32) types.Value {
+	if v != nil {
+		return v.Value(int(pos))
+	}
+	return p.arg.Eval(b.Row(int(rec)), sch)
 }
 
 // aggAcc is one aggregate's accumulator columns, indexed by group id.
@@ -242,15 +300,31 @@ func extend[T any](s []T, n, room int) []T {
 	return s[:len(s)+n]
 }
 
-// update folds rows of b into the accumulators of their groups: row
-// rows[j] belongs to group gids[j]. v is the argument's vector over the
-// whole block, nil when the plan has no kernel.
-func (a *aggAcc) update(p *aggPlan, b *block.Block, sch *types.Schema, v *expr.Vec, rows, gids []int32) {
+// update folds rows of b into the accumulators of their groups: the
+// row at position rows[j] of the block's vectors, which is record
+// recs[j] of b, belongs to group gids[j]. v is the argument's vector,
+// nil when the plan has none.
+func (a *aggAcc) update(p *aggPlan, b *block.Block, sch *types.Schema, v *expr.Vec, rows, recs, gids []int32) {
 	cnt := a.cnt
 	switch {
 	case p.arg == nil: // the table's row count is the answer
 	case p.off >= 0:
-		a.updateColumn(p, b.Bytes(), sch.Stride(), rows, gids)
+		a.updateColumn(p, b.Bytes(), sch.Stride(), recs, gids)
+	case p.mode == accSumInt && !p.own:
+		sum, in := a.sumI, v.I
+		for j, g := range gids {
+			sum[g] += in[rows[j]]
+		}
+	case p.mode == accSumFloat && !p.own && v.Kind == types.Float64:
+		sum, in := a.sumF, v.F
+		for j, g := range gids {
+			sum[g] += in[rows[j]]
+		}
+	case p.mode == accSumFloat && !p.own:
+		sum, in := a.sumF, v.I
+		for j, g := range gids {
+			sum[g] += float64(in[rows[j]])
+		}
 	case p.mode == accCount && v != nil:
 		for j, g := range gids {
 			if !v.Null[rows[j]] {
@@ -283,34 +357,34 @@ func (a *aggAcc) update(p *aggPlan, b *block.Block, sch *types.Schema, v *expr.V
 		}
 	default: // boxed Values: accBoxed, accExtreme, COUNT of an unfused argument
 		for j, g := range gids {
-			if x := p.value(b, sch, v, rows[j]); !x.Null {
+			if x := p.value(b, sch, v, rows[j], recs[j]); !x.Null {
 				a.fold(p, g, x)
 			}
 		}
 	}
 }
 
-// updateColumn is update for a SUM or AVG of a column: it reads row
-// rows[j]'s value at p.off in the block's payload in, whose records are
+// updateColumn is update for a SUM or AVG of a column: it reads record
+// recs[j]'s value at p.off in the block's payload in, whose records are
 // st bytes apart. A record column is never NULL, so there is no count
 // to keep.
-func (a *aggAcc) updateColumn(p *aggPlan, in []byte, st int, rows, gids []int32) {
+func (a *aggAcc) updateColumn(p *aggPlan, in []byte, st int, recs, gids []int32) {
 	off := p.off
 	switch {
 	case p.mode == accSumInt:
 		sum := a.sumI
 		for j, g := range gids {
-			sum[g] += types.GetInt(in, int(rows[j])*st+off)
+			sum[g] += types.GetInt(in, int(recs[j])*st+off)
 		}
 	case p.kind == types.Float64:
 		sum := a.sumF
 		for j, g := range gids {
-			sum[g] += types.GetFloat(in, int(rows[j])*st+off)
+			sum[g] += types.GetFloat(in, int(recs[j])*st+off)
 		}
 	default: // an Int64 or Date column into a float sum
 		sum := a.sumF
 		for j, g := range gids {
-			sum[g] += float64(types.GetInt(in, int(rows[j])*st+off))
+			sum[g] += float64(types.GetInt(in, int(recs[j])*st+off))
 		}
 	}
 }
@@ -465,33 +539,51 @@ func (t *aggTable) lookup(ha *HashAgg, h uint64, key []byte) int32 {
 	return t.tab.lookup(h, key)
 }
 
-// resolve finds the group of every row in sel (row indexes into b,
-// whose keys w.keys last encoded), adding a group for a key the table
-// does not hold when admit allows one more. The rows that now have a
-// group and their ids are left in w.rows and w.gids; the rows refused
-// one are appended to rest.
+// resolve finds the group of every row in sel (positions in the block's
+// encoded keys and vectors), adding a group for a key the table does
+// not hold when admit allows one more. The rows that now have a group,
+// their records in b and their ids are left in w.rows, w.recs and
+// w.gids; the rows refused one are appended to rest. A keyless
+// aggregation has one group, which holds every row: its table adds the
+// group if admit allows and every row resolves to 0, with no key to
+// encode, hash or look up.
 func (t *aggTable) resolve(ha *HashAgg, w *aggWorker, b *block.Block, sel, rest []int32, admit func() bool) []int32 {
-	rows, gids := w.rows[:0], w.gids[:0]
-	for _, i := range sel {
-		h := w.keys.Hash(int(i))
+	if ha.scalar {
+		w.rows, w.recs, w.gids = sel[:0], w.recs[:0], w.zeros[:0]
+		if t.groups() == 0 {
+			if !admit() {
+				return append(rest, sel...)
+			}
+			t.add(ha, ha.scalarHash, nil)
+		}
+		w.rows, w.gids = sel, w.zeros[:len(sel)]
+		for _, j := range sel {
+			w.recs = append(w.recs, w.at[j])
+		}
+		return rest
+	}
+	rows, recs, gids := w.rows[:0], w.recs[:0], w.gids[:0]
+	for _, j := range sel {
+		h := w.keys.Hash(int(j))
 		var key []byte
 		if !ha.wordKey {
-			key = w.keys.Key(int(i))
+			key = w.keys.Key(int(j))
 		}
 		g := t.lookup(ha, h, key)
 		if g < 0 {
 			if !admit() {
-				rest = append(rest, i)
+				rest = append(rest, j)
 				continue
 			}
 			var keyRow []byte
 			g, keyRow = t.add(ha, h, key)
-			ha.putKey(keyRow, b.Row(int(i)))
+			ha.putKey(keyRow, b.Row(int(w.at[j])))
 		}
-		rows = append(rows, i)
+		rows = append(rows, j)
+		recs = append(recs, w.at[j])
 		gids = append(gids, g)
 	}
-	w.rows, w.gids = rows, gids
+	w.rows, w.recs, w.gids = rows, recs, gids
 	return rest
 }
 
@@ -549,12 +641,17 @@ func (t *aggTable) update(ha *HashAgg, w *aggWorker, b *block.Block) {
 	if len(w.rows) == 0 {
 		return
 	}
-	cnt := t.cnt
-	for _, g := range w.gids {
-		cnt[g]++
+	if ha.scalar {
+		t.cnt[0] += int64(len(w.rows))
+	} else {
+		cnt := t.cnt
+		for _, g := range w.gids {
+			cnt[g]++
+		}
 	}
 	for j := range ha.plans {
-		t.accs[j].update(&ha.plans[j], b, ha.inSch, w.vecs[j], w.rows, w.gids)
+		p := &ha.plans[j]
+		t.accs[j].update(p, b, ha.inSch, w.vec(p), w.rows, w.recs, w.gids)
 	}
 }
 
@@ -568,9 +665,9 @@ func (t *aggTable) emit(ha *HashAgg, out *block.Block) {
 	for g := 0; g < n; g++ {
 		copy(buf[g*st:g*st+ks], t.keyRows[g*ks:])
 	}
-	for j := range ha.plans {
-		p := &ha.plans[j]
-		t.accs[j].emit(p, ha.outSch, len(ha.keys)+j, buf, n, nil, counts(p, &t.accs[j], t.cnt))
+	for j, k := range ha.accOf {
+		p := &ha.plans[k]
+		t.accs[k].emit(p, ha.outSch, len(ha.keys)+j, buf, n, nil, counts(p, &t.accs[k], t.cnt))
 	}
 }
 
@@ -599,15 +696,23 @@ const MaxPrivateGroups = 4096
 // aggWorker is one worker's consume-phase scratch, reused block after
 // block. The private table is not part of it: that is parked in the
 // context pool when the worker leaves, this is dropped.
+//
+// A block's rows have positions 0 to n-1: the order of its encoded keys
+// and argument vectors, which cover only the rows its input's selection
+// keeps. at maps a position to its record in the block.
 type aggWorker struct {
-	keys *expr.BatchKeyEncoder
+	keys *expr.BatchKeyEncoder // nil for a keyless aggregation
 	aggArgs
 	byShard scatter
-	all     []int32 // 0, 1, 2, …: the selection naming every row of a block
-	rows    []int32 // resolve's output: the rows it placed
-	gids    []int32 // and their group ids
-	over    []int32 // rows the private table handed on
-	spilt   []int32 // rows a shard refused a group
+	sel     *[]int32 // the input filter's selection buffer (lender), from selPool
+	at      []int32  // per position of the current block, its record
+	all     []int32  // 0, 1, 2, …: the positions of a block, and its records when nothing is selected
+	zeros   []int32  // group 0 for every row: a keyless aggregation's ids
+	rows    []int32  // resolve's output: the positions it placed
+	recs    []int32  // and their records
+	gids    []int32  // and their group ids
+	over    []int32  // positions the private table handed on
+	spilt   []int32  // positions a shard refused a group
 }
 
 // HashAgg is the hash aggregation iterator (Appendix Algorithm 7):
@@ -615,19 +720,28 @@ type aggWorker struct {
 // under the configured algorithm; Next emits result blocks from the
 // global table behind an atomic shard cursor.
 //
-// Open works a block at a time. A worker encodes the block's keys and
-// evaluates every computed aggregate argument once, resolves each row
-// to a dense group id — first in its private table, then, for the rows
-// that table handed on, shard by shard in the global one, each shard's
-// lock taken once per block — counts the rows into their groups, and
-// runs one loop per aggregate over the resolved ids into accumulator
-// columns. A SUM or AVG of a column reads it in place in that loop.
+// Open works a block at a time. Over a filter it reads the filter's
+// selection over the input block in place of a gathered copy (lender).
+// A worker encodes the selected rows' keys and runs the arguments'
+// program once, resolves each row to a dense group id — first in its
+// private table, then, for the rows that table handed on, shard by
+// shard in the global one, each shard's lock taken once per block —
+// counts the rows into their groups, and runs one loop per distinct
+// aggregate over the resolved ids into accumulator columns. A SUM or AVG
+// of a column the program does not load reads it in place in that loop.
+// A keyless aggregation resolves every row to its one group without a
+// key.
 type HashAgg struct {
 	child  Iterator
 	inSch  *types.Schema
 	outSch *types.Schema
 	keys   []expr.Expr
 	algo   AggAlgorithm
+	aggPlans
+
+	// scalar: no keys, one group, of hash scalarHash.
+	scalar     bool
+	scalarHash uint64
 
 	// Partial marks one node's share of a two-phase aggregation (set
 	// before Open). Without keys and without input it emits no row: the
@@ -636,12 +750,13 @@ type HashAgg struct {
 	// as a value.
 	Partial bool
 
-	plans []aggPlan
 	// keyStride is the byte length of the key columns in an output row.
 	keyStride int
 	// vectorized: the keys and every aggregate argument avoid the row
 	// fallback; see Vectorized.
 	vectorized bool
+	// enc encodes the group keys; each worker forks it (nil when keyless).
+	enc *expr.BatchKeyEncoder
 	// wordKey: the group key packs into one word, whose hash is the key
 	// (expr.NewGroupKeyEncoder). Tables then hold no key bytes and
 	// compare hashes only.
@@ -692,7 +807,7 @@ func NewHashAgg(child Iterator, inSch *types.Schema, keys []expr.Expr,
 		child: child, inSch: inSch,
 		outSch: types.NewSchema(cols...),
 		keys:   keys, algo: algo,
-		plans:   make([]aggPlan, len(specs)),
+		scalar:  len(keys) == 0,
 		shards:  make([]aggShard, aggShards),
 		done:    NewBarrier(),
 		flushed: NewBarrier(),
@@ -702,16 +817,14 @@ func NewHashAgg(child Iterator, inSch *types.Schema, keys []expr.Expr,
 	if len(specs) > 0 {
 		ha.keyStride = ha.outSch.Offset(len(keys))
 	}
-	ha.groupBytes = int64(112 + 56*len(specs) + 32*len(keys))
+	ha.aggPlans.init(specs, inSch)
+	ha.groupBytes = int64(112 + 56*len(ha.plans) + 32*len(keys))
 	ha.keyMoves = keyMoves(keys, inSch, ha.outSch)
-	enc := expr.NewGroupKeyEncoder(keys, inSch)
-	ha.vectorized, ha.wordKey = enc.Vectorized(), enc.Word()
-	for j, s := range specs {
-		ha.plans[j] = planAgg(s, inSch)
-		if p := &ha.plans[j]; p.arg != nil && p.off < 0 && p.kern == nil {
-			ha.vectorized = false
-		}
+	if !ha.scalar {
+		ha.enc = expr.NewGroupKeyEncoder(keys, inSch)
+		ha.wordKey = ha.enc.Word()
 	}
+	ha.vectorized = (ha.scalar || ha.enc.Vectorized()) && !ha.boxed
 	ha.seedScalar()
 	return ha
 }
@@ -720,9 +833,9 @@ func NewHashAgg(child Iterator, inSch *types.Schema, keys []expr.Expr,
 // it returns exactly one row even on empty input (COUNT(*) of nothing
 // is 0).
 func (ha *HashAgg) seedScalar() {
-	if len(ha.keys) == 0 {
-		h := expr.Hash64(nil)
-		ha.shard(h).add(ha, h, nil)
+	if ha.scalar {
+		ha.scalarHash = expr.Hash64(nil)
+		ha.shard(ha.scalarHash).add(ha, ha.scalarHash, nil)
 		ha.memGroups.Store(1)
 	}
 }
@@ -781,10 +894,11 @@ func (ha *HashAgg) setSpillErr(err error) {
 // newWorker builds the scratch of one consumer of input blocks: an
 // Open call, or the reabsorption of one spilled shard.
 func (ha *HashAgg) newWorker() *aggWorker {
-	return &aggWorker{
-		keys:    expr.NewGroupKeyEncoder(ha.keys, ha.inSch),
-		aggArgs: newAggArgs(ha.plans),
+	w := &aggWorker{aggArgs: newAggArgs(&ha.prog)}
+	if !ha.scalar {
+		w.keys = ha.enc.Fork()
 	}
+	return w
 }
 
 // Open runs the parallel aggregation phase.
@@ -805,8 +919,21 @@ func (ha *HashAgg) Open(ctx *Ctx) Status {
 		}
 	}
 	w := ha.newWorker()
+	src := lenderOf(ha.child)
+	if src != nil {
+		sp := selPool.Get().(*[]int32)
+		defer selPool.Put(sp)
+		w.sel = sp
+	}
 	for {
-		b, st := ha.child.Next(ctx)
+		var b *block.Block
+		var sel []int32
+		var st Status
+		if src != nil {
+			b, sel, st = src.lend(ctx, w.sel)
+		} else {
+			b, st = ha.child.Next(ctx)
+		}
 		if st == Terminated {
 			// Park the private table for reuse by a future worker
 			// before detaching (Algorithm 7 lines 9-13).
@@ -822,12 +949,12 @@ func (ha *HashAgg) Open(ctx *Ctx) Status {
 		if b.VisitRate > 0 {
 			ha.lastVR.Store(b.VisitRate)
 		}
-		sel := w.encode(b)
+		rows := w.encode(b, sel)
 		if priv != nil {
-			sel = ha.absorbPrivate(w, priv, b, sel)
+			rows = ha.absorbPrivate(w, priv, b, rows)
 		}
-		ha.absorbGlobal(w, b, sel, true)
-		ha.rowsIn.Add(int64(b.NumTuples()))
+		ha.absorbGlobal(w, b, rows, true)
+		ha.rowsIn.Add(int64(len(w.at)))
 		// Key rows, extremes and spilled rows are copies: nothing the
 		// tables keep points into b.
 		b.Recycle()
@@ -849,19 +976,30 @@ func (ha *HashAgg) Open(ctx *Ctx) Status {
 	return OK
 }
 
-// encode makes the column passes over b — the keys of every row, then
-// each aggregate argument that has a kernel — and returns the selection
-// naming all of b's rows.
-func (w *aggWorker) encode(b *block.Block) []int32 {
-	n := w.keys.EncodeBlock(b, nil)
-	w.eval(b)
+// encode makes the column passes over the rows of b that sel selects
+// (nil: all of them) — the keys, then the arguments' program — and
+// returns their positions, 0 to n-1.
+func (w *aggWorker) encode(b *block.Block, sel []int32) []int32 {
+	n := b.NumTuples()
+	if sel != nil {
+		n = len(sel)
+	}
+	if w.keys != nil {
+		w.keys.EncodeBlock(b, sel)
+	}
+	w.eval(b, sel)
 	if n > cap(w.all) {
-		// One backing array for the three vectors no block outgrows.
-		buf := make([]int32, 3*n)
-		w.all, w.rows, w.gids = buf[:n:n], buf[n:n:2*n], buf[2*n:2*n]
+		// One backing array for the vectors no block outgrows.
+		buf := make([]int32, 5*n)
+		w.all, w.zeros = buf[:n:n], buf[n:2*n:2*n]
+		w.rows, w.recs, w.gids = buf[2*n:2*n:3*n], buf[3*n:3*n:4*n], buf[4*n:4*n]
 		for i := range w.all {
 			w.all[i] = int32(i)
 		}
+	}
+	w.at = sel
+	if sel == nil {
+		w.at = w.all[:n]
 	}
 	return w.all[:n]
 }
@@ -886,11 +1024,11 @@ func (ha *HashAgg) absorbGlobal(w *aggWorker, b *block.Block, sel []int32, maySp
 	if len(sel) == 0 {
 		return
 	}
-	if len(ha.shards) == 1 {
-		ha.absorbShard(w, &ha.shards[0], b, sel, maySpill)
+	if len(ha.shards) == 1 || ha.scalar {
+		ha.absorbShard(w, ha.shard(ha.scalarHash), b, sel, maySpill)
 		return
 	}
-	for shi, s := range w.byShard.shards(w.keys, sel, b.NumTuples()) {
+	for shi, s := range w.byShard.shards(w.keys, sel, len(w.at)) {
 		if len(s) > 0 {
 			ha.absorbShard(w, &ha.shards[shi], b, s, maySpill)
 		}
@@ -925,8 +1063,8 @@ func (ha *HashAgg) absorbShard(w *aggWorker, sh *aggShard, b *block.Block, sel [
 	})
 	sh.update(ha, w, b)
 	ha.memGroups.Add(int64(sh.groups() - before))
-	for _, i := range w.spilt {
-		if err := sh.spill.add(b.Row(int(i))); err != nil {
+	for _, j := range w.spilt {
+		if err := sh.spill.add(b.Row(int(w.at[j]))); err != nil {
 			ha.setSpillErr(err)
 			return
 		}
@@ -1096,7 +1234,7 @@ func (ha *HashAgg) reabsorb(sh *aggShard, idx int) error {
 	reabsorbStart := time.Now()
 	w := ha.newWorker()
 	err := sf.iterate(func(b *block.Block) error {
-		ha.absorbShard(w, sh, b, w.encode(b), false)
+		ha.absorbShard(w, sh, b, w.encode(b, nil), false)
 		return nil
 	})
 	ha.Mem.spilled(idx, sf.bytes, sf.rows, "input", time.Since(reabsorbStart))

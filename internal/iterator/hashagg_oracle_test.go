@@ -517,7 +517,7 @@ func TestHashAggConcurrentFlushesByShard(t *testing.T) {
 			privs[f] = new(aggTable)
 			w := ha.newWorker()
 			for _, b := range blocks {
-				if over := ha.absorbPrivate(w, privs[f], b, w.encode(b)); len(over) > 0 {
+				if over := ha.absorbPrivate(w, privs[f], b, w.encode(b, nil)); len(over) > 0 {
 					t.Fatalf("%d rows did not fit the private table", len(over))
 				}
 			}

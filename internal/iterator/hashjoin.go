@@ -66,10 +66,10 @@ type HashJoin struct {
 	// perBuildRow: the join aggregates its matches per build row with
 	// aggs (NewHashJoinAgg).
 	perBuildRow bool
-	aggs        []aggPlan
-	probed      atomic.Int64 // probe rows read
-	outRows     atomic.Int64 // rows put out, or owed once the probe ends
-	lastVR      atomicFloat  // the last visit rate the probe input carried
+	aggPlans
+	probed  atomic.Int64 // probe rows read
+	outRows atomic.Int64 // rows put out, or owed once the probe ends
+	lastVR  atomicFloat  // the last visit rate the probe input carried
 
 	shards     []joinShard
 	built      *Barrier
@@ -200,13 +200,8 @@ func NewHashJoinAgg(build, probe Iterator, buildSch, probeSch *types.Schema,
 	hj := NewHashJoin(build, probe, buildSch, probeSch, buildKeys, probeKeys)
 	hj.perBuildRow = true
 	hj.outSch = PerBuildRowSchema(buildSch, probeSch, specs)
-	hj.aggs = make([]aggPlan, len(specs))
-	for j, s := range specs {
-		hj.aggs[j] = planAgg(s, probeSch)
-		if p := &hj.aggs[j]; p.arg != nil && p.off < 0 && p.kern == nil {
-			hj.vectorized = false
-		}
-	}
+	hj.aggPlans.init(specs, probeSch)
+	hj.vectorized = hj.vectorized && !hj.boxed
 	return hj
 }
 
@@ -490,7 +485,7 @@ func (hj *HashJoin) worker(ctx *Ctx) *joinWorker {
 	}
 	w := &joinWorker{keys: hj.encoder(hj.probeKeys, hj.probeSch)}
 	if hj.perBuildRow {
-		w.aggArgs = newAggArgs(hj.aggs)
+		w.aggArgs = newAggArgs(&hj.prog)
 	}
 	hj.workers.Store(ctx, w)
 	return w
@@ -636,7 +631,7 @@ func (hj *HashJoin) processSpilledShard(ctx *Ctx, w *joinWorker, sh *joinShard, 
 	err = probes.iterate(func(b *block.Block) error {
 		n := w.keys.EncodeBlock(b, nil)
 		if hj.perBuildRow {
-			w.eval(b)
+			w.eval(b, nil)
 			hj.probed.Add(int64(n))
 			out = hj.absorb(ctx, w, rs, b, w.every(n), out)
 			return nil
@@ -709,7 +704,7 @@ func (hj *HashJoin) nextPerBuildRow(ctx *Ctx, w *joinWorker) (*block.Block, Stat
 			hj.lastVR.Store(in.VisitRate)
 		}
 		n := w.keys.EncodeBlock(in, nil)
-		w.eval(in)
+		w.eval(in, nil)
 		hj.probed.Add(int64(n))
 		for shi, sel := range w.byShard.shards(w.keys, nil, n) {
 			if len(sel) == 0 {
@@ -779,8 +774,9 @@ func (hj *HashJoin) absorb(ctx *Ctx, w *joinWorker, sh *joinShard, in *block.Blo
 		}
 		acc.cnt[id]++
 	}
-	for j := range hj.aggs {
-		acc.accs[j].update(&hj.aggs[j], in, hj.probeSch, w.vecs[j], rows, ids)
+	for j := range hj.plans {
+		p := &hj.plans[j]
+		acc.accs[j].update(p, in, hj.probeSch, w.vec(p), rows, rows, ids)
 	}
 	sh.mu.Unlock()
 	hj.outRows.Add(matched)
@@ -791,12 +787,12 @@ func (hj *HashJoin) absorb(ctx *Ctx, w *joinWorker, sh *joinShard, in *block.Blo
 // to the budget at a round 8 bytes per build row for the count and for
 // each aggregate, or marks it perMatch when the budget refuses them.
 func (hj *HashJoin) startAcc(sh *joinShard) {
-	bytes := int64(sh.nrows) * int64(8*(1+len(hj.aggs)))
+	bytes := int64(sh.nrows) * int64(8*(1+len(hj.plans)))
 	if !hj.Mem.reserveSmall(bytes) {
 		sh.perMatch = true
 		return
 	}
-	sh.acc = newJoinAcc(hj.aggs, sh.nrows)
+	sh.acc = newJoinAcc(hj.plans, sh.nrows)
 	sh.acc.bytes = bytes
 	hj.memTracked.Add(bytes)
 }
@@ -807,12 +803,13 @@ func (hj *HashJoin) startAcc(sh *joinShard) {
 // them like any other partial row.
 func (hj *HashJoin) emitPerMatch(ctx *Ctx, w *joinWorker, sh *joinShard, in *block.Block, out *block.Block) *block.Block {
 	m := len(w.ids)
-	acc := newJoinAcc(hj.aggs, m)
+	acc := newJoinAcc(hj.plans, m)
 	for r := range acc.cnt {
 		acc.cnt[r] = 1
 	}
-	for j := range hj.aggs {
-		acc.accs[j].update(&hj.aggs[j], in, hj.probeSch, w.vecs[j], w.rows, w.every(m))
+	for j := range hj.plans {
+		p := &hj.plans[j]
+		acc.accs[j].update(p, in, hj.probeSch, w.vec(p), w.rows, w.rows, w.every(m))
 	}
 	if out == nil {
 		out = block.New(hj.outSch, 0, ctx.Tracker)
@@ -909,9 +906,9 @@ func (hj *HashJoin) writeRows(out *block.Block, sh *joinShard, ids []int32, acc 
 		}
 		types.PutInt(buf[r*st:], cntOff, acc.cnt[g])
 	}
-	for j := range hj.aggs {
-		p := &hj.aggs[j]
-		acc.accs[j].emit(p, hj.outSch, nb+1+j, buf, n, gids, counts(p, &acc.accs[j], acc.cnt))
+	for j, k := range hj.accOf {
+		p := &hj.plans[k]
+		acc.accs[k].emit(p, hj.outSch, nb+1+j, buf, n, gids, counts(p, &acc.accs[k], acc.cnt))
 	}
 }
 

@@ -75,20 +75,43 @@ func (it *Instrumented) Open(ctx *Ctx) Status {
 
 // Next implements Iterator.
 func (it *Instrumented) Next(ctx *Ctx) (*block.Block, Status) {
+	sp, t0 := it.beginNext(ctx)
+	b, st := it.child.Next(ctx)
+	it.endNext(sp, t0, b, nil, st)
+	return b, st
+}
+
+// lend is Next's accounting around the wrapped filter's lend (lenderOf
+// admits the wrapper only around a lender): the rows it counts are the
+// selected ones, the rows the filter would have gathered.
+func (it *Instrumented) lend(ctx *Ctx, buf *[]int32) (*block.Block, []int32, Status) {
+	sp, t0 := it.beginNext(ctx)
+	b, sel, st := lenderOf(it.child).lend(ctx, buf)
+	it.endNext(sp, t0, b, sel, st)
+	return b, sel, st
+}
+
+func (it *Instrumented) beginNext(ctx *Ctx) (*telemetry.Span, time.Time) {
 	sp := it.scope.StartSpan("next "+it.label, "op").
 		WithNode(it.node).WithWorker(ctx.WorkerID).WithSegment(it.seg).WithOp(it.op)
-	t0 := time.Now()
-	b, st := it.child.Next(ctx)
+	return sp, time.Now()
+}
+
+// endNext accounts one call that returned b, whose rows are sel (nil:
+// all of them).
+func (it *Instrumented) endNext(sp *telemetry.Span, t0 time.Time, b *block.Block, sel []int32, st Status) {
 	it.busy.Add(time.Since(t0).Nanoseconds())
 	it.calls.Inc()
 	if st == OK {
 		n := int64(b.NumTuples())
+		if sel != nil {
+			n = int64(len(sel))
+		}
 		it.rows.Add(n)
 		it.blks.Inc()
 		sp.WithRows(n).WithBlocks(1)
 	}
 	sp.End()
-	return b, st
 }
 
 // Close implements Iterator.

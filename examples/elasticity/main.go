@@ -26,8 +26,7 @@ func main() {
 	)
 
 	// One million rows in a node-local partition.
-	store := storage.NewStore(2)
-	part := store.CreatePartition("t", sch)
+	part := new(storage.Store).CreatePartition("t", sch)
 	loader := storage.NewLoader(part, 16*1024)
 	const rows = 1_000_000
 	for i := 0; i < rows; i++ {
@@ -39,7 +38,7 @@ func main() {
 
 	// The segment: scan → filter(k < 512) → hybrid hash aggregation.
 	chain := iterator.NewHashAgg(
-		iterator.NewFilter(iterator.NewScan(part), sch,
+		iterator.NewFilter(iterator.NewScan(sch, part), sch,
 			expr.NewCmp(expr.LT, expr.NewCol(0, "k"), expr.NewConst(types.IntVal(512)))),
 		sch,
 		[]expr.Expr{expr.NewCol(0, "k")}, []string{"k"},
@@ -52,7 +51,7 @@ func main() {
 
 	el := elastic.New(chain, elastic.Config{BufferCap: 128})
 	fmt.Println("starting with 1 worker...")
-	el.Expand(0, 0)
+	el.Expand()
 
 	// Consumer drains the segment's output buffer.
 	results := make(chan int, 1)
@@ -73,7 +72,7 @@ func main() {
 	// printing the measured delays — while the segment keeps running.
 	for w := 1; w <= 3; w++ {
 		time.Sleep(3 * time.Millisecond)
-		el.Expand(w, w%2)
+		el.Expand()
 		fmt.Printf("expanded to %d workers\n", el.Parallelism())
 	}
 	for _, d := range el.ExpandDelays() {

@@ -139,8 +139,7 @@ func Figure9() *Report {
 var fig9Sch = types.NewSchema(types.Col("k", types.Int64), types.Col("v", types.Int64))
 
 func fig9Partition(rows int) *storage.Partition {
-	st := storage.NewStore(1)
-	p := st.CreatePartition("t", fig9Sch)
+	p := new(storage.Store).CreatePartition("t", fig9Sch)
 	l := storage.NewLoader(p, 32*1024)
 	for i := 0; i < rows; i++ {
 		rec := l.Row()
@@ -152,7 +151,7 @@ func fig9Partition(rows int) *storage.Partition {
 }
 
 func filterChain(depth int, rows int) iterator.Iterator {
-	var it iterator.Iterator = iterator.NewScan(fig9Partition(rows))
+	var it iterator.Iterator = iterator.NewScan(fig9Sch, fig9Partition(rows))
 	for i := 0; i < depth; i++ {
 		it = iterator.NewFilter(it, fig9Sch,
 			expr.NewCmp(expr.GE, expr.NewCol(1, "v"), expr.NewConst(types.IntVal(-1))))
@@ -165,7 +164,7 @@ func measureExpand(nIters int) time.Duration {
 	var total time.Duration
 	for t := 0; t < trials; t++ {
 		el := elastic.New(filterChain(nIters-1, 200_000), elastic.Config{BufferCap: 512})
-		el.Expand(0, 0)
+		el.Expand()
 		done := make(chan struct{})
 		go func() {
 			ctx := &iterator.Ctx{Term: &iterator.TermFlag{}}
@@ -177,7 +176,7 @@ func measureExpand(nIters int) time.Duration {
 			}
 		}()
 		time.Sleep(200 * time.Microsecond)
-		el.Expand(1, 0)
+		el.Expand()
 		<-done
 		for _, d := range el.ExpandDelays()[1:] {
 			total += d
@@ -194,7 +193,7 @@ func measureShrink(joins int, agg bool) time.Duration {
 	for t := 0; t < trials; t++ {
 		var it iterator.Iterator = filterChain(1, 400_000)
 		for j := 0; j < joins; j++ {
-			build := iterator.NewScan(fig9Partition(2_000))
+			build := iterator.NewScan(fig9Sch, fig9Partition(2_000))
 			it = iterator.NewHashJoin(build, it, fig9Sch, fig9Sch,
 				[]expr.Expr{expr.NewCol(0, "k")}, []expr.Expr{expr.NewCol(0, "k")})
 		}
@@ -205,8 +204,8 @@ func measureShrink(joins int, agg bool) time.Duration {
 				iterator.HybridAgg)
 		}
 		el := elastic.New(it, elastic.Config{BufferCap: 512})
-		el.Expand(0, 0)
-		el.Expand(1, 0)
+		el.Expand()
+		el.Expand()
 		go func() {
 			ctx := &iterator.Ctx{Term: &iterator.TermFlag{}}
 			for {

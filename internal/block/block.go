@@ -47,10 +47,6 @@ type Block struct {
 	// stage beginner that produced the tuples in this block.
 	Seq uint64
 
-	// Socket is the (emulated) NUMA socket the block's memory belongs
-	// to; stage beginners prefer handing workers local blocks.
-	Socket int
-
 	tracker *Tracker
 	// shared marks a payload with readers besides the holder of this
 	// Block value; see MarkShared.
@@ -191,11 +187,7 @@ func (b *Block) EnsureRoom(n int) {
 	b.cap = newCap
 }
 
-// Reset empties the block for reuse, keeping metadata defaults. Socket
-// deliberately survives Reset: it describes where the block's backing
-// memory physically lives (its NUMA home), a property of the buffer
-// itself that reuse does not change — unlike VisitRate and Seq, which
-// describe the tuples and are re-stamped by the next producer.
+// Reset empties the block for reuse, restoring the metadata defaults.
 func (b *Block) Reset() {
 	b.n = 0
 	b.VisitRate = 1.0
@@ -259,9 +251,8 @@ func (b *Block) WireSize() int { return headerLen + b.n*b.sch.Stride() }
 
 // --- wire format ----------------------------------------------------------
 
-// headerLen is the fixed encoded header: numTuples(4) visitRate(8) seq(8)
-// socket(4).
-const headerLen = 4 + 8 + 8 + 4
+// headerLen is the fixed encoded header: numTuples(4) visitRate(8) seq(8).
+const headerLen = 4 + 8 + 8
 
 // Encode serializes the block (header + used payload) into dst, which
 // must have capacity WireSize. It returns the encoded slice.
@@ -274,7 +265,6 @@ func (b *Block) Encode(dst []byte) []byte {
 	binary.LittleEndian.PutUint32(dst[0:], uint32(b.n))
 	binary.LittleEndian.PutUint64(dst[4:], math.Float64bits(b.VisitRate))
 	binary.LittleEndian.PutUint64(dst[12:], b.Seq)
-	binary.LittleEndian.PutUint32(dst[20:], uint32(b.Socket))
 	copy(dst[headerLen:], b.Bytes())
 	return dst
 }
@@ -289,7 +279,6 @@ func (b *Block) EncodeAppend(dst []byte) []byte {
 	binary.LittleEndian.PutUint32(dst[at+0:], uint32(b.n))
 	binary.LittleEndian.PutUint64(dst[at+4:], math.Float64bits(b.VisitRate))
 	binary.LittleEndian.PutUint64(dst[at+12:], b.Seq)
-	binary.LittleEndian.PutUint32(dst[at+20:], uint32(b.Socket))
 	return append(dst, b.Bytes()...)
 }
 
@@ -320,6 +309,5 @@ func Decode(sch *types.Schema, src []byte, tr *Tracker) (*Block, error) {
 	b.n = n
 	b.VisitRate = math.Float64frombits(binary.LittleEndian.Uint64(src[4:]))
 	b.Seq = binary.LittleEndian.Uint64(src[12:])
-	b.Socket = int(int32(binary.LittleEndian.Uint32(src[20:])))
 	return b, nil
 }

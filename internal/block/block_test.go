@@ -69,15 +69,19 @@ func TestEncodeDecodeRoundTrip(t *testing.T) {
 	}
 	b.VisitRate = 0.125
 	b.Seq = 99
-	b.Socket = 1
 
 	enc := b.Encode(nil)
+	// The header is the tuple count, the visit rate and the sequence
+	// number: 4 + 8 + 8 bytes.
+	if want := 20 + b.NumTuples()*sch.Stride(); len(enc) != want {
+		t.Fatalf("encoded %d bytes, want %d", len(enc), want)
+	}
 	got, err := Decode(sch, enc, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if got.NumTuples() != b.NumTuples() || got.VisitRate != 0.125 ||
-		got.Seq != 99 || got.Socket != 1 {
+		got.Seq != 99 {
 		t.Fatalf("metadata mismatch: %+v", got)
 	}
 	for i := 0; i < b.NumTuples(); i++ {

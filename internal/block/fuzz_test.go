@@ -23,7 +23,7 @@ func FuzzBlockDecode(f *testing.F) {
 		types.PutValue(r, sch, 1, types.FloatVal(float64(i)/3))
 		types.PutValue(r, sch, 2, types.StrVal("abcdefgh"))
 	}
-	b.VisitRate, b.Seq, b.Socket = 0.125, 99, 1
+	b.VisitRate, b.Seq = 0.125, 99
 	enc := b.Encode(nil)
 	f.Add(enc)
 	f.Add(enc[:len(enc)-1])                        // truncated payload

@@ -113,7 +113,6 @@ func TestEncodeDecodeGrownBlock(t *testing.T) {
 	fillRows(b, sch, 75, 11)
 	b.VisitRate = 0.25
 	b.Seq = 42
-	b.Socket = 1
 
 	enc := b.Encode(nil)
 	tr2 := NewTracker()
@@ -124,8 +123,8 @@ func TestEncodeDecodeGrownBlock(t *testing.T) {
 	if d.NumTuples() != b.NumTuples() || !bytes.Equal(d.Bytes(), b.Bytes()) {
 		t.Fatal("grown block payload did not round-trip")
 	}
-	if d.VisitRate != 0.25 || d.Seq != 42 || d.Socket != 1 {
-		t.Fatalf("metadata did not round-trip: vr=%v seq=%d socket=%d", d.VisitRate, d.Seq, d.Socket)
+	if d.VisitRate != 0.25 || d.Seq != 42 {
+		t.Fatalf("metadata did not round-trip: vr=%v seq=%d", d.VisitRate, d.Seq)
 	}
 	d.Release()
 	if got := tr2.Current(); got != 0 {

@@ -39,10 +39,9 @@ type Config struct {
 	// injects nothing.
 	Faults *faults.Injector
 	// OnWorkerExit, if non-nil, is called exactly once per worker as it
-	// detaches (normal drain, shrink, and crash paths alike) with the
-	// core id the worker was pinned to. The engine uses it to return
-	// core-slot leases to the cluster pool.
-	OnWorkerExit func(core int)
+	// detaches (normal drain, shrink, and crash paths alike). The engine
+	// uses it to return core slots to the node's pool.
+	OnWorkerExit func()
 }
 
 // Elastic wraps a segment's iterator chain with an elastic worker pool
@@ -116,10 +115,10 @@ func New(child iterator.Iterator, cfg Config) *Elastic {
 	}
 }
 
-// Expand adds one worker thread pinned to the given emulated core and
-// socket (Section 3.1, Expand). It returns the worker id, or -1 if the
-// pool is at MaxWorkers or the iterator is closed.
-func (e *Elastic) Expand(core, socket int) int {
+// Expand adds one worker thread (Section 3.1, Expand). It returns the
+// worker id, or -1 if the pool is at MaxWorkers or the iterator is
+// closed.
+func (e *Elastic) Expand() int {
 	e.mu.Lock()
 	if e.closed || (e.cfg.MaxWorkers > 0 && len(e.workers) >= e.cfg.MaxWorkers) {
 		e.mu.Unlock()
@@ -133,8 +132,6 @@ func (e *Elastic) Expand(core, socket int) int {
 		done:    make(chan struct{}),
 		ctx: &iterator.Ctx{
 			WorkerID: id,
-			Core:     core,
-			Socket:   socket,
 			Term:     &iterator.TermFlag{},
 		},
 	}
@@ -151,7 +148,7 @@ func (e *Elastic) Expand(core, socket int) int {
 	e.mu.Unlock()
 	if e.cfg.Scope != nil {
 		e.cfg.Scope.Emit(telemetry.WorkerExpand{
-			Node: e.cfg.Node, Segment: e.cfg.Name, Workers: pool, Core: core,
+			Node: e.cfg.Node, Segment: e.cfg.Name, Workers: pool,
 		})
 		e.cfg.Scope.Gauge(telemetry.GaugeSegWorkers(e.cfg.Name)).Set(int64(pool))
 		// The expansion span covers request-to-first-work — the Figure 9a
@@ -276,7 +273,7 @@ func (e *Elastic) finish(w *worker) {
 	// that reached end-of-flow, or whose Close returned, has run it for
 	// every worker.
 	if e.cfg.OnWorkerExit != nil {
-		e.cfg.OnWorkerExit(w.ctx.Core)
+		e.cfg.OnWorkerExit()
 	}
 	e.mu.Lock()
 	delete(e.workers, w.id)

@@ -17,16 +17,7 @@ import (
 var sch = types.NewSchema(types.Col("id", types.Int64), types.Col("v", types.Int64))
 
 func makePartition(rows, blockSize int) *storage.Partition {
-	return makePartitionSockets(rows, blockSize, 2)
-}
-
-// makePartitionSockets controls the emulated socket count; order-
-// preservation tests use a single socket so the scan's block handoff
-// order (which defines sequence numbers) is independent of worker
-// socket placement.
-func makePartitionSockets(rows, blockSize, sockets int) *storage.Partition {
-	st := storage.NewStore(sockets)
-	p := st.CreatePartition("t", sch)
+	p := new(storage.Store).CreatePartition("t", sch)
 	l := storage.NewLoader(p, blockSize)
 	for i := 0; i < rows; i++ {
 		rec := l.Row()
@@ -59,8 +50,8 @@ func countTuples(blocks []*block.Block) int {
 }
 
 func TestElasticSingleWorkerCompletes(t *testing.T) {
-	e := New(iterator.NewScan(makePartition(5000, 512)), Config{})
-	e.Expand(0, 0)
+	e := New(iterator.NewScan(sch, makePartition(5000, 512)), Config{})
+	e.Expand()
 	out := drain(e)
 	if got := countTuples(out); got != 5000 {
 		t.Fatalf("drained %d tuples, want 5000", got)
@@ -72,9 +63,9 @@ func TestElasticSingleWorkerCompletes(t *testing.T) {
 }
 
 func TestElasticManyWorkersNoLossNoDup(t *testing.T) {
-	e := New(iterator.NewScan(makePartition(20000, 256)), Config{BufferCap: 128})
+	e := New(iterator.NewScan(sch, makePartition(20000, 256)), Config{BufferCap: 128})
 	for i := 0; i < 6; i++ {
-		e.Expand(i, i%2)
+		e.Expand()
 	}
 	out := drain(e)
 	seen := make(map[int64]bool)
@@ -94,13 +85,13 @@ func TestElasticManyWorkersNoLossNoDup(t *testing.T) {
 }
 
 func TestElasticExpandDuringRun(t *testing.T) {
-	e := New(iterator.NewScan(makePartition(50000, 256)), Config{BufferCap: 32})
-	e.Expand(0, 0)
+	e := New(iterator.NewScan(sch, makePartition(50000, 256)), Config{BufferCap: 32})
+	e.Expand()
 	done := make(chan []*block.Block)
 	go func() { done <- drain(e) }()
 	for i := 1; i <= 4; i++ {
 		time.Sleep(time.Millisecond)
-		e.Expand(i, i%2)
+		e.Expand()
 	}
 	out := <-done
 	if got := countTuples(out); got != 50000 {
@@ -110,9 +101,9 @@ func TestElasticExpandDuringRun(t *testing.T) {
 }
 
 func TestElasticShrinkDuringRun(t *testing.T) {
-	e := New(iterator.NewScan(makePartition(50000, 256)), Config{BufferCap: 32})
+	e := New(iterator.NewScan(sch, makePartition(50000, 256)), Config{BufferCap: 32})
 	for i := 0; i < 4; i++ {
-		e.Expand(i, i%2)
+		e.Expand()
 	}
 	done := make(chan []*block.Block)
 	go func() { done <- drain(e) }()
@@ -141,16 +132,15 @@ func TestElasticRandomExpandShrinkProperty(t *testing.T) {
 		rng := rand.New(rand.NewSource(int64(trial)))
 		const rows = 30000
 		pred := expr.NewCmp(expr.LT, expr.NewCol(1, "v"), expr.NewConst(types.IntVal(50)))
-		chain := iterator.NewFilter(iterator.NewScan(makePartition(rows, 256)), sch, pred)
+		chain := iterator.NewFilter(iterator.NewScan(sch, makePartition(rows, 256)), sch, pred)
 		e := New(chain, Config{BufferCap: 64})
-		e.Expand(0, 0)
+		e.Expand()
 
 		var wg sync.WaitGroup
 		stop := make(chan struct{})
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			core := 1
 			for {
 				select {
 				case <-stop:
@@ -158,8 +148,7 @@ func TestElasticRandomExpandShrinkProperty(t *testing.T) {
 				default:
 				}
 				if rng.Intn(2) == 0 {
-					e.Expand(core, core%2)
-					core++
+					e.Expand()
 				} else if e.Parallelism() > 1 {
 					e.Shrink()
 				}
@@ -189,11 +178,11 @@ func TestElasticRandomExpandShrinkProperty(t *testing.T) {
 func TestElasticOrderPreservation(t *testing.T) {
 	run := func(workers int, churn bool) []int64 {
 		pred := expr.NewCmp(expr.GE, expr.NewCol(1, "v"), expr.NewConst(types.IntVal(20)))
-		f := iterator.NewFilter(iterator.NewScan(makePartitionSockets(20000, 256, 1)), sch, pred)
+		f := iterator.NewFilter(iterator.NewScan(sch, makePartition(20000, 256)), sch, pred)
 		f.BlockPerBlock = true
 		e := New(f, Config{BufferCap: 256, OrderPreserving: true})
 		for i := 0; i < workers; i++ {
-			e.Expand(i, i%2)
+			e.Expand()
 		}
 		stop := make(chan struct{})
 		var wg sync.WaitGroup
@@ -201,7 +190,6 @@ func TestElasticOrderPreservation(t *testing.T) {
 			wg.Add(1)
 			go func() {
 				defer wg.Done()
-				core := workers
 				for i := 0; ; i++ {
 					select {
 					case <-stop:
@@ -209,8 +197,7 @@ func TestElasticOrderPreservation(t *testing.T) {
 					default:
 					}
 					if i%2 == 0 {
-						e.Expand(core, core%2)
-						core++
+						e.Expand()
 					} else if e.Parallelism() > 1 {
 						e.Shrink()
 					}
@@ -242,9 +229,9 @@ func TestElasticOrderPreservation(t *testing.T) {
 }
 
 func TestElasticExpandDelayRecorded(t *testing.T) {
-	e := New(iterator.NewScan(makePartition(10000, 256)), Config{})
-	e.Expand(0, 0)
-	e.Expand(1, 1)
+	e := New(iterator.NewScan(sch, makePartition(10000, 256)), Config{})
+	e.Expand()
+	e.Expand()
 	drain(e)
 	delays := e.ExpandDelays()
 	if len(delays) != 2 {
@@ -295,8 +282,8 @@ func (s *slowIter) Close() {}
 func TestElasticShrinkDelayRecorded(t *testing.T) {
 	e := New(&slowIter{remaining: 100000, delay: 200 * time.Microsecond},
 		Config{BufferCap: 1024})
-	e.Expand(0, 0)
-	e.Expand(1, 0)
+	e.Expand()
+	e.Expand()
 	go drain(e)
 	time.Sleep(time.Millisecond)
 	ch := e.Shrink()
@@ -315,11 +302,11 @@ func TestElasticShrinkDelayRecorded(t *testing.T) {
 }
 
 func TestElasticMaxWorkers(t *testing.T) {
-	e := New(iterator.NewScan(makePartition(100, 256)), Config{MaxWorkers: 2})
-	if e.Expand(0, 0) < 0 || e.Expand(1, 0) < 0 {
+	e := New(iterator.NewScan(sch, makePartition(100, 256)), Config{MaxWorkers: 2})
+	if e.Expand() < 0 || e.Expand() < 0 {
 		t.Fatal("expand under cap failed")
 	}
-	if e.Expand(2, 0) != -1 {
+	if e.Expand() != -1 {
 		t.Fatal("expand above MaxWorkers should fail")
 	}
 	drain(e)
@@ -327,8 +314,8 @@ func TestElasticMaxWorkers(t *testing.T) {
 }
 
 func TestElasticSnapshot(t *testing.T) {
-	e := New(iterator.NewScan(makePartition(10000, 512)), Config{BufferCap: 16})
-	e.Expand(0, 0)
+	e := New(iterator.NewScan(sch, makePartition(10000, 512)), Config{BufferCap: 16})
+	e.Expand()
 	drain(e)
 	p := e.Snapshot()
 	if p.InTuples != 10000 {
@@ -346,9 +333,9 @@ func TestElasticSnapshot(t *testing.T) {
 func TestElasticCloseUnblocksWorkers(t *testing.T) {
 	// Tiny buffer, no consumer: workers block on Insert; Close must
 	// still return promptly.
-	e := New(iterator.NewScan(makePartition(100000, 256)), Config{BufferCap: 2})
-	e.Expand(0, 0)
-	e.Expand(1, 0)
+	e := New(iterator.NewScan(sch, makePartition(100000, 256)), Config{BufferCap: 2})
+	e.Expand()
+	e.Expand()
 	time.Sleep(2 * time.Millisecond)
 	done := make(chan struct{})
 	go func() { e.Close(); close(done) }()
@@ -432,7 +419,7 @@ func TestElasticRandomResizeAggregatingJoin(t *testing.T) {
 	facts := types.NewSchema(types.Col("fk", types.Int64), types.Col("v", types.Int64), types.Col("w", types.Int64))
 	const dimRows, factRows = 3000, 200000
 	load := func(s *types.Schema, rows int, fill func(i int, rec []byte)) *storage.Partition {
-		p := storage.NewStore(2).CreatePartition("t", s)
+		p := new(storage.Store).CreatePartition("t", s)
 		l := storage.NewLoader(p, 256)
 		for i := 0; i < rows; i++ {
 			fill(i, l.Row())
@@ -491,20 +478,19 @@ func TestElasticRandomResizeAggregatingJoin(t *testing.T) {
 		rng := rand.New(rand.NewSource(int64(trial)))
 		// Every 16th probe block waits for one resize, so the churn
 		// happens while the join probes however the host schedules it.
-		probe := &everyN{Iterator: iterator.NewScan(fp), every: 16, ch: make(chan struct{})}
-		hj := iterator.NewHashJoinAgg(iterator.NewScan(dp), probe, dims, facts,
+		probe := &everyN{Iterator: iterator.NewScan(facts, fp), every: 16, ch: make(chan struct{})}
+		hj := iterator.NewHashJoinAgg(iterator.NewScan(dims, dp), probe, dims, facts,
 			[]expr.Expr{expr.NewCol(0, "k")}, []expr.Expr{expr.NewCol(0, "fk")}, aggs)
 		ha := iterator.NewHashAgg(hj, hj.Schema(), []expr.Expr{expr.NewCol(1, "g")}, []string{"g"},
 			merges, iterator.HybridAgg)
 		e := New(ha, Config{BufferCap: 64})
-		e.Expand(0, 0)
+		e.Expand()
 		var wg sync.WaitGroup
 		stop := make(chan struct{})
 		resizes := 0
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			core := 1
 			for {
 				select {
 				case <-stop:
@@ -512,8 +498,7 @@ func TestElasticRandomResizeAggregatingJoin(t *testing.T) {
 				case <-probe.ch:
 				}
 				if rng.Intn(2) == 0 {
-					e.Expand(core, core%2)
-					core++
+					e.Expand()
 					resizes++
 				} else if e.PendingWorkers() > 1 {
 					e.Shrink()

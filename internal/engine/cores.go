@@ -2,95 +2,67 @@ package engine
 
 import "sync"
 
-// coreLease is one node's core-slot pool. Every worker the engine
-// starts on the node holds a lease on a concrete core id; leases are
-// shared across all concurrent queries, so the sum of leased slots can
-// never exceed CoresPerNode — the per-node budget m of Section 4 —
-// no matter how many queries are in flight.
+// coreLease is one node's core budget, kept as counts. Every worker the
+// engine starts on the node takes a slot; slots are shared across all
+// concurrent queries, so the leased count can never exceed CoresPerNode
+// — the per-node budget m of Section 4 — no matter how many queries are
+// in flight. A slot names no core: the Go runtime places goroutines.
 //
 // When every slot is leased the pool does not refuse outright: a
 // segment's first worker must always start or the dataflow would never
-// reach end-of-flow (liveness). Instead AcquireOversub hands out the
-// least-loaded core id and accounts the overdraft explicitly, so
-// oversubscription is visible (Oversubscribed) rather than silent — the
-// failure mode of the old per-query `% CoresPerNode` wrap, which let
-// two queries pin workers to the same core with no record of it.
+// reach end-of-flow (liveness). Instead AcquireOversub records the
+// overdraft, so oversubscription is visible (Oversubscribed) rather
+// than silent.
 type coreLease struct {
 	mu sync.Mutex
-	// free is a LIFO of unleased core ids: recently vacated cores are
-	// re-handed first (warm caches on a real machine; determinism here).
-	free []int
-	// oversub counts extra (beyond the lease) workers per core id.
-	oversub []int
-	// over is the total outstanding oversubscribed workers.
+	// used counts leased slots, at most cap_.
+	used int
+	// over counts workers running beyond the budget.
 	over int
 	cap_ int
 }
 
-func newCoreLease(cores int) *coreLease {
-	l := &coreLease{
-		free:    make([]int, cores),
-		oversub: make([]int, cores),
-		cap_:    cores,
-	}
-	for i := range l.free {
-		l.free[i] = cores - 1 - i // pop order: core 0 first
-	}
-	return l
-}
+func newCoreLease(cores int) *coreLease { return &coreLease{cap_: cores} }
 
-// Acquire leases a free core slot, returning (core, true), or (-1,
-// false) when the node is fully booked.
-func (l *coreLease) Acquire() (int, bool) {
+// Acquire leases a free slot, or reports false when the node is fully
+// booked.
+func (l *coreLease) Acquire() bool {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	if n := len(l.free); n > 0 {
-		c := l.free[n-1]
-		l.free = l.free[:n-1]
-		return c, true
+	if l.used == l.cap_ {
+		return false
 	}
-	return -1, false
+	l.used++
+	return true
 }
 
-// AcquireOversub hands out the least-loaded core id without a lease,
-// recording the overdraft. Used only when Acquire failed and the caller
-// must start a worker anyway (a segment's first worker).
-func (l *coreLease) AcquireOversub() int {
+// AcquireOversub starts a worker without a slot, recording the
+// overdraft. Used only when Acquire failed and the caller must start a
+// worker anyway (a segment's first worker).
+func (l *coreLease) AcquireOversub() {
 	l.mu.Lock()
-	defer l.mu.Unlock()
-	best := 0
-	for c := 1; c < l.cap_; c++ {
-		if l.oversub[c] < l.oversub[best] {
-			best = c
-		}
-	}
-	l.oversub[best]++
 	l.over++
-	return best
+	l.mu.Unlock()
 }
 
-// Release returns a worker's core slot. Oversubscribed workers on the
-// core settle their overdraft first; only then does the underlying
-// lease return to the free list.
-func (l *coreLease) Release(core int) {
+// Release returns one worker's share. The overdraft is settled first,
+// so Oversubscribed is always max(0, live workers − budget) whichever
+// worker leaves.
+func (l *coreLease) Release() {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	if core < 0 || core >= l.cap_ {
-		return
-	}
-	if l.oversub[core] > 0 {
-		l.oversub[core]--
+	if l.over > 0 {
 		l.over--
-		return
+	} else if l.used > 0 {
+		l.used--
 	}
-	l.free = append(l.free, core)
 }
 
-// Used returns the number of leased (non-oversubscribed) core slots.
+// Used returns the number of leased (non-oversubscribed) slots.
 func (l *coreLease) Used() int {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	return l.cap_ - len(l.free)
+	return l.used
 }
 
 // Oversubscribed returns the outstanding overdraft: workers running

@@ -192,7 +192,7 @@ func NewClusterDist(cfg Config, cat *catalog.Catalog, node *network.TCPNode) (*C
 		},
 	}
 	c.stores = make([]*storage.Store, cfg.Nodes)
-	c.stores[node.ID()] = storage.NewStore(cfg.Sockets)
+	c.stores[node.ID()] = new(storage.Store)
 	c.initShared()
 	return c, nil
 }

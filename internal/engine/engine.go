@@ -83,8 +83,6 @@ type Config struct {
 	Nodes int
 	// CoresPerNode is m, the per-node core budget for the scheduler.
 	CoresPerNode int
-	// Sockets emulates NUMA sockets per node.
-	Sockets int
 	// Mode selects EP / SP / ME.
 	Mode Mode
 	// FixedParallelism is the per-segment worker count in SP and ME
@@ -143,9 +141,6 @@ func (c *Config) defaults() {
 	}
 	if c.CoresPerNode <= 0 {
 		c.CoresPerNode = 4
-	}
-	if c.Sockets <= 0 {
-		c.Sockets = 1
 	}
 	if c.FixedParallelism <= 0 {
 		c.FixedParallelism = 1
@@ -283,7 +278,7 @@ func NewCluster(cfg Config, cat *catalog.Catalog) *Cluster {
 	fabric.Faults, fabric.Retry = inj, cfg.Retry
 	c := &Cluster{cfg: cfg, cat: cat, faultInj: inj, fabric: fabric}
 	for i := 0; i < cfg.Nodes; i++ {
-		c.stores = append(c.stores, storage.NewStore(cfg.Sockets))
+		c.stores = append(c.stores, new(storage.Store))
 	}
 	c.initShared()
 	return c
@@ -326,7 +321,7 @@ func NewClusterTCP(cfg Config, cat *catalog.Catalog) (*Cluster, error) {
 		tcpNodes: nodes,
 	}
 	for i := 0; i < cfg.Nodes; i++ {
-		c.stores = append(c.stores, storage.NewStore(cfg.Sockets))
+		c.stores = append(c.stores, new(storage.Store))
 	}
 	c.initShared()
 	return c, nil

@@ -794,39 +794,33 @@ func (e *exec) buildBare(op plan.PhysOp, env buildEnv) (iterator.Iterator, error
 		// partitions of the nodes that own its constants.
 		pin, pinned := pinOf(pred, n.Table)
 		nodes := len(e.c.stores)
-		var it iterator.Iterator
-		read := 0 // partitions this build reads
-		if env.inst != nil {
-			part, err := e.c.store(env.node).Partition(n.Table.Name)
+		// The parallel drivers read this node's partition, the serial
+		// driver every partition of the segment's nodes.
+		placed := []int{env.node}
+		if env.inst == nil {
+			placed = e.nodesOf(env.seg)
+		}
+		parts := make([]*storage.Partition, 0, len(placed))
+		for _, node := range placed {
+			if pinned && !pin.owns(node, nodes) {
+				continue
+			}
+			part, err := e.c.store(node).Partition(n.Table.Name)
 			if err != nil {
 				return nil, err
 			}
-			if pinned && !pin.owns(env.node, nodes) {
-				// An empty scan: the instance still runs, and closes its
-				// streams, with nothing to read.
-				part = &storage.Partition{Schema: part.Schema, Sockets: part.Sockets}
-			} else {
-				read = 1
-			}
-			env.inst.hasScan = true
-			env.inst.scanBlocks = max(env.inst.scanBlocks, len(part.Blocks))
-			it = iterator.NewScanWithSchema(part, n.Sch)
-		} else {
-			placed := e.nodesOf(env.seg)
-			parts := make([]*storage.Partition, 0, len(placed))
-			for _, node := range placed {
-				if pinned && !pin.owns(node, nodes) {
-					continue
-				}
-				part, err := e.c.store(node).Partition(n.Table.Name)
-				if err != nil {
-					return nil, err
-				}
-				parts = append(parts, part)
-			}
-			read = len(parts)
-			it = iterator.NewSerialScan(parts, n.Sch)
+			parts = append(parts, part)
 		}
+		read := len(parts)
+		if env.inst != nil {
+			// A pruned instance still runs, and closes its streams,
+			// with nothing to read.
+			env.inst.hasScan = true
+			if read > 0 {
+				env.inst.scanBlocks = max(env.inst.scanBlocks, len(parts[0].Blocks))
+			}
+		}
+		var it iterator.Iterator = iterator.NewScan(n.Sch, parts...)
 		if e.ops != nil {
 			e.scope.Counter(telemetry.OpCtr(e.ops[n], telemetry.OpPartsRead)).Add(int64(read))
 		}
@@ -939,12 +933,13 @@ func (e *exec) buildBare(op plan.PhysOp, env buildEnv) (iterator.Iterator, error
 		if proj != nil {
 			keys, specs = throughProject(keys, specs, proj.Exprs)
 		}
-		ha := iterator.NewHashAgg(child, in.Schema(), keys, n.KeyNames, specs, n.Algo)
-		ha.Partial = n.Partial
 		if env.inst == nil {
-			ha.Serial()
+			ha := iterator.NewSerialHashAgg(child, in.Schema(), keys, n.KeyNames, specs)
+			ha.Partial = n.Partial
 			return ha, nil
 		}
+		ha := iterator.NewHashAgg(child, in.Schema(), keys, n.KeyNames, specs, n.Algo)
+		ha.Partial = n.Partial
 		ha.Mem = e.opMem(n, "hashagg", env.node)
 		env.inst.aggs = append(env.inst.aggs, ha)
 		return ha, nil
@@ -1142,11 +1137,10 @@ func (e *exec) watchdog(done chan struct{}) {
 // must distinguishes mandatory workers — the fixed parallelism SP/ME
 // start with, a segment's initial worker, watchdog recovery — from EP's
 // elective expansions (its start-time fill and the scheduler's). When
-// the node is fully booked, a mandatory worker still starts on the
-// least-loaded core with the overdraft accounted (a dataflow with a
-// zero-worker segment would never finish), while an elective expansion
-// is refused so scheduled parallelism never exceeds the per-node core
-// budget.
+// the node is fully booked, a mandatory worker still starts with the
+// overdraft accounted (a dataflow with a zero-worker segment would
+// never finish), while an elective expansion is refused so scheduled
+// parallelism never exceeds the per-node core budget.
 func (e *exec) expand(inst *segInst, must bool) bool {
 	if !must && e.c.memPressureHigh(inst.node) {
 		// Above the memory watermark the node refuses to widen pools:
@@ -1156,19 +1150,14 @@ func (e *exec) expand(inst *segInst, must bool) bool {
 		return false
 	}
 	lease := e.c.leases[inst.node]
-	core, ok := lease.Acquire()
-	if !ok {
+	if !lease.Acquire() {
 		if !must && inst.el.Parallelism() > 0 {
 			return false
 		}
-		core = lease.AcquireOversub()
+		lease.AcquireOversub()
 	}
-	socket := 0
-	if e.c.cfg.Sockets > 1 {
-		socket = core * e.c.cfg.Sockets / e.c.cfg.CoresPerNode
-	}
-	if inst.el.Expand(core, socket) < 0 {
-		lease.Release(core)
+	if inst.el.Expand() < 0 {
+		lease.Release()
 		return false
 	}
 	return true

@@ -250,13 +250,15 @@ func TestExecPreparedLookupAllocs(t *testing.T) {
 // of a filtered scan, on a FastPath cluster, plan cached, arenas warm.
 // The ceiling is what Exec allocates on this fixture since the
 // aggregation reads the filter's selection and folds the pruning
-// projection, its plans and argument program built once per operator
-// and its key encoder forked per worker (75 per statement, three runs
-// of 500, no spread; 82 at commit 71732a6, 109 under the map-of-groups
+// projection, its plans and argument program built once per operator,
+// its key encoder forked per worker, and the serial driver builds only
+// its one-shard table (73 per statement, three runs of 500, no spread;
+// 75 at commit d527abf, which built the 64-shard table first and then
+// replaced it; 82 at commit 71732a6, 109 under the map-of-groups
 // aggregation), so the flat group table, its accumulator columns and
 // the fused input path cannot tax statements this small.
 func TestExecGroupByAllocs(t *testing.T) {
-	const ceiling = 75
+	const ceiling = 73
 	if raceEnabled {
 		t.Skip("allocation counts are not reproducible under the race detector")
 	}

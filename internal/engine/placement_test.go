@@ -86,7 +86,7 @@ func TestLoaderPlacesWhereSendersRoute(t *testing.T) {
 						t.Fatal(err)
 					}
 					out := &destCounter{rows: make([]int64, n)}
-					if err := iterator.NewSender(iterator.NewScan(part), sch, out, keys).Run(&iterator.Ctx{Term: &iterator.TermFlag{}}); err != nil {
+					if err := iterator.NewSender(iterator.NewScan(part.Schema, part), sch, out, keys).Run(&iterator.Ctx{Term: &iterator.TermFlag{}}); err != nil {
 						t.Fatal(err)
 					}
 					if out.rows[d] == 0 {

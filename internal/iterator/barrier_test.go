@@ -2,6 +2,7 @@ package iterator
 
 import (
 	"math/rand"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -134,49 +135,36 @@ func TestBarrierFuzzedMembership(t *testing.T) {
 	}
 }
 
+// TestContextPoolModes checks the one reuse mode: a context parked by a
+// departing worker goes to whichever worker asks next.
 func TestContextPoolModes(t *testing.T) {
-	core0 := &Ctx{Core: 0, Socket: 0}
-	core1 := &Ctx{Core: 1, Socket: 0}
-	sock1 := &Ctx{Core: 2, Socket: 1}
-
-	// Core mode: only the same core gets the context back.
-	p := NewContextPool(CoreMode)
-	p.Put(core0, "ctx0")
-	if v := p.Get(core1); v != nil {
-		t.Fatal("core mode leaked across cores")
+	var p contextPool[string]
+	p.put("ctx0")
+	if v := p.get(); v != "ctx0" {
+		t.Fatalf("get = %q, want the parked context", v)
 	}
-	if v := p.Get(core0); v != "ctx0" {
-		t.Fatalf("core mode Get = %v", v)
-	}
-
-	// Processor mode: same socket only.
-	p = NewContextPool(ProcessorMode)
-	p.Put(core0, "s0")
-	if v := p.Get(sock1); v != nil {
-		t.Fatal("processor mode leaked across sockets")
-	}
-	if v := p.Get(core1); v != "s0" {
-		t.Fatalf("processor mode Get = %v", v)
-	}
-
-	// Void mode: anyone.
-	p = NewContextPool(VoidMode)
-	p.Put(core0, "any")
-	if v := p.Get(sock1); v != "any" {
-		t.Fatalf("void mode Get = %v", v)
+	if v := p.get(); v != "" {
+		t.Fatalf("get on an empty pool = %q", v)
 	}
 }
 
+// TestContextPoolDrain checks that drain returns each parked context
+// once.
 func TestContextPoolDrain(t *testing.T) {
-	p := NewContextPool(CoreMode)
-	p.Put(&Ctx{Core: 0}, 1)
-	p.Put(&Ctx{Core: 1}, 2)
-	p.Put(&Ctx{Core: 2}, 3)
-	got := p.Drain()
-	if len(got) != 3 {
-		t.Fatalf("drained %d contexts, want 3", len(got))
+	var p contextPool[int]
+	for v := 1; v <= 3; v++ {
+		p.put(v)
 	}
-	if len(p.Drain()) != 0 {
+	if v := p.get(); v != 3 {
+		t.Fatalf("get = %d, want 3", v)
+	}
+	p.put(4)
+	got := p.drain()
+	slices.Sort(got)
+	if !slices.Equal(got, []int{1, 2, 4}) {
+		t.Fatalf("drained %v, want [1 2 4]", got)
+	}
+	if len(p.drain()) != 0 {
 		t.Fatal("second drain should be empty")
 	}
 }

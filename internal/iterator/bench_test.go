@@ -24,7 +24,7 @@ func benchPartition(b *testing.B, rows int) (sch *types.Schema, mk func() Iterat
 		types.PutValue(rec, sch, 1, types.FloatVal(float64(i)))
 		types.PutValue(rec, sch, 2, types.StrVal("carefully final deposits"))
 	})
-	return sch, func() Iterator { return NewScan(p) }
+	return sch, func() Iterator { return NewScan(p.Schema, p) }
 }
 
 func drainAll(b *testing.B, it Iterator) {
@@ -92,7 +92,7 @@ func benchHashJoin(b *testing.B, timeBuild, timeProbe bool) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		hj := NewHashJoin(NewScan(bp), NewScan(pp), sch, sch,
+		hj := NewHashJoin(NewScan(bp.Schema, bp), NewScan(pp.Schema, pp), sch, sch,
 			[]expr.Expr{expr.NewCol(0, "k")}, []expr.Expr{expr.NewCol(0, "k")})
 		if !timeBuild {
 			b.StopTimer()
@@ -286,7 +286,7 @@ func BenchmarkHashAggQ1Shape(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		ha := NewHashAgg(NewScan(p), sch, keys, []string{"flag", "status"}, specs, HybridAgg)
+		ha := NewHashAgg(NewScan(p.Schema, p), sch, keys, []string{"flag", "status"}, specs, HybridAgg)
 		drainAll(b, ha)
 		ha.Close()
 	}
@@ -318,7 +318,7 @@ func BenchmarkHashAggDateKey(b *testing.B) {
 		b.Run(algo.String(), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				ha := NewHashAgg(NewScan(p), sch, keys, []string{"commit"}, specs, algo)
+				ha := NewHashAgg(NewScan(p.Schema, p), sch, keys, []string{"commit"}, specs, algo)
 				drainAll(b, ha)
 				ha.Close()
 			}
@@ -366,10 +366,10 @@ func BenchmarkJoinAggPerBuildRow(b *testing.B) {
 				var ha *HashAgg
 				if shape == "per-build-row" {
 					probeSums := sums(1)
-					hj := NewHashJoinAgg(NewScan(bp), NewScan(pp), bsch, psch, bkey, pkey, probeSums)
+					hj := NewHashJoinAgg(NewScan(bp.Schema, bp), NewScan(pp.Schema, pp), bsch, psch, bkey, pkey, probeSums)
 					ha = NewHashAgg(hj, hj.Schema(), keys, names, sums(bsch.NumCols()+1), HybridAgg)
 				} else {
-					hj := NewHashJoin(NewScan(bp), NewScan(pp), bsch, psch, bkey, pkey)
+					hj := NewHashJoin(NewScan(bp.Schema, bp), NewScan(pp.Schema, pp), bsch, psch, bkey, pkey)
 					ha = NewHashAgg(hj, hj.Schema(), keys, names, sums(bsch.NumCols()+1), HybridAgg)
 				}
 				drainAll(b, ha)
@@ -410,7 +410,7 @@ func BenchmarkJoinWordKey(b *testing.B) {
 		b.Run(tc.name, func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				hj := NewHashJoin(NewScan(bp), NewScan(pp), bsch, psch,
+				hj := NewHashJoin(NewScan(bp.Schema, bp), NewScan(pp.Schema, pp), bsch, psch,
 					[]expr.Expr{expr.NewCol(0, "c_custkey")}, []expr.Expr{tc.key})
 				if hj.WordKey() != tc.word {
 					b.Fatalf("WordKey = %v, want %v", hj.WordKey(), tc.word)

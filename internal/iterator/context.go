@@ -2,101 +2,41 @@ package iterator
 
 import "sync"
 
-// ReuseMode selects the locality policy for context reuse
-// (Section 3.2(1)): when a worker thread terminates, its private context
-// (e.g. a hybrid aggregation's private hash table) is parked instead of
-// destroyed, and a later worker reuses it — preferably one whose core
-// still has the context cache-resident.
-type ReuseMode uint8
-
-const (
-	// VoidMode ignores locality: any worker may reuse any context.
-	VoidMode ReuseMode = iota
-	// ProcessorMode restricts reuse to workers on the same NUMA socket.
-	ProcessorMode
-	// CoreMode restricts reuse to workers on the same core.
-	CoreMode
-)
-
-// ContextPool parks and hands out per-worker contexts under a reuse
-// mode. Safe for concurrent use.
-type ContextPool struct {
-	mode   ReuseMode
-	mu     sync.Mutex
-	byCore map[int][]any
-	bySock map[int][]any
-	free   []any
+// contextPool parks the private contexts of departing workers (Section
+// 3.2(1)): when a worker thread terminates, its private state (a hybrid
+// aggregation's private hash table, a top-N heap) is parked instead of
+// destroyed, and any later worker of the operator reuses it. Safe for
+// concurrent use; the zero value is an empty pool.
+type contextPool[T any] struct {
+	mu   sync.Mutex
+	free []T
 }
 
-// NewContextPool creates a pool with the given locality mode.
-func NewContextPool(mode ReuseMode) *ContextPool {
-	// The locality maps are created on first Put: iterators build a
-	// pool unconditionally but many queries never park a context.
-	return &ContextPool{mode: mode}
-}
-
-// Get returns a parked context matching the worker's locality, or nil if
-// none is available and the caller must initialize a fresh one.
-func (p *ContextPool) Get(ctx *Ctx) any {
+// get takes a parked context, or returns the zero T if none is parked
+// and the caller must initialise a fresh one.
+func (p *contextPool[T]) get() (v T) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	switch p.mode {
-	case CoreMode:
-		if l := p.byCore[ctx.Core]; len(l) > 0 {
-			v := l[len(l)-1]
-			p.byCore[ctx.Core] = l[:len(l)-1]
-			return v
-		}
-	case ProcessorMode:
-		if l := p.bySock[ctx.Socket]; len(l) > 0 {
-			v := l[len(l)-1]
-			p.bySock[ctx.Socket] = l[:len(l)-1]
-			return v
-		}
-	default:
-		if len(p.free) > 0 {
-			v := p.free[len(p.free)-1]
-			p.free = p.free[:len(p.free)-1]
-			return v
-		}
+	if n := len(p.free); n > 0 {
+		v = p.free[n-1]
+		p.free = p.free[:n-1]
 	}
-	return nil
+	return v
 }
 
-// Put parks a context for reuse, keyed by the departing worker's
-// locality.
-func (p *ContextPool) Put(ctx *Ctx, v any) {
+// put parks a context for reuse.
+func (p *contextPool[T]) put(v T) {
 	p.mu.Lock()
-	defer p.mu.Unlock()
-	if p.byCore == nil {
-		p.byCore = make(map[int][]any)
-		p.bySock = make(map[int][]any)
-	}
-	switch p.mode {
-	case CoreMode:
-		p.byCore[ctx.Core] = append(p.byCore[ctx.Core], v)
-	case ProcessorMode:
-		p.bySock[ctx.Socket] = append(p.bySock[ctx.Socket], v)
-	default:
-		p.free = append(p.free, v)
-	}
+	p.free = append(p.free, v)
+	p.mu.Unlock()
 }
 
-// Drain removes and returns every parked context (used when the iterator
-// finishes and residual private state must be merged).
-func (p *ContextPool) Drain() []any {
+// drain removes and returns every parked context (used when the
+// iterator finishes and residual private state must be merged).
+func (p *contextPool[T]) drain() []T {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	var out []any
-	out = append(out, p.free...)
+	out := p.free
 	p.free = nil
-	for k, l := range p.byCore {
-		out = append(out, l...)
-		delete(p.byCore, k)
-	}
-	for k, l := range p.bySock {
-		out = append(out, l...)
-		delete(p.bySock, k)
-	}
 	return out
 }

@@ -87,7 +87,7 @@ func TestSenderRepartition(t *testing.T) {
 			for _, reuse := range []bool{false, true} {
 				t.Run(fmt.Sprintf("%s/n=%d/reuse=%v", name, n, reuse), func(t *testing.T) {
 					out := newSnapshotOutbox(t, sch, n, !reuse)
-					s := NewSender(NewScan(p), sch, out, keys)
+					s := NewSender(NewScan(p.Schema, p), sch, out, keys)
 					s.SetBlockSize(blockSize)
 					s.SendCopies = reuse
 					if err := s.Run(&Ctx{Term: &TermFlag{}}); err != nil {
@@ -140,7 +140,7 @@ func TestSenderGather(t *testing.T) {
 	})
 	// Nil keys gather at destination 0 however many there are.
 	out := newChanOutbox(2)
-	s := NewSender(NewScan(p), sch, out, nil)
+	s := NewSender(NewScan(p.Schema, p), sch, out, nil)
 	if err := s.Run(&Ctx{Term: &TermFlag{}}); err != nil {
 		t.Fatal(err)
 	}

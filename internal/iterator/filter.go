@@ -91,7 +91,6 @@ func newFilterOut(sch *types.Schema, in *block.Block, n int, ctx *Ctx) *block.Bl
 	}
 	b := block.New(sch, n*sch.Stride(), ctx.Tracker)
 	b.Seq = in.Seq
-	b.Socket = in.Socket
 	return b
 }
 
@@ -286,7 +285,6 @@ func (p *Project) Next(ctx *Ctx) (*block.Block, Status) {
 	n := in.NumTuples()
 	out := block.New(p.outSch, n*p.outSch.Stride(), ctx.Tracker)
 	out.Seq = in.Seq
-	out.Socket = in.Socket
 	out.VisitRate = in.VisitRate
 	out.SetLen(n)
 	for _, m := range p.moves {

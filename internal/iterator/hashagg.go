@@ -777,7 +777,7 @@ type HashAgg struct {
 	done      *Barrier
 	flushed   *Barrier
 	drainOnce once
-	pool      *ContextPool
+	pool      contextPool[*aggTable]
 	emitCur   atomic.Int64
 	rowsIn    atomic.Int64
 	memGroups atomic.Int64
@@ -791,6 +791,23 @@ type HashAgg struct {
 // key columns followed by one column per aggregate.
 func NewHashAgg(child Iterator, inSch *types.Schema, keys []expr.Expr,
 	keyNames []string, specs []AggSpec, algo AggAlgorithm) *HashAgg {
+	return newHashAgg(child, inSch, keys, keyNames, specs, algo, aggShards)
+}
+
+// NewSerialHashAgg builds a hash aggregation for a single-worker driver
+// (the engine's serial fast path). Shard fan-out only pays off under
+// concurrent workers, so its global table has one shard: setting up 64
+// would dominate a microsecond-scale query. Private tables exist to cut
+// shared-table contention, which a lone worker has none of, so it runs
+// the shared algorithm and skips the private table, its merge pass and
+// the context-pool round trip.
+func NewSerialHashAgg(child Iterator, inSch *types.Schema, keys []expr.Expr,
+	keyNames []string, specs []AggSpec) *HashAgg {
+	return newHashAgg(child, inSch, keys, keyNames, specs, SharedAgg, 1)
+}
+
+func newHashAgg(child Iterator, inSch *types.Schema, keys []expr.Expr,
+	keyNames []string, specs []AggSpec, algo AggAlgorithm, shards int) *HashAgg {
 	cols := make([]types.Column, 0, len(keys)+len(specs))
 	for i, k := range keys {
 		kind := k.Kind(inSch)
@@ -808,10 +825,9 @@ func NewHashAgg(child Iterator, inSch *types.Schema, keys []expr.Expr,
 		outSch: types.NewSchema(cols...),
 		keys:   keys, algo: algo,
 		scalar:  len(keys) == 0,
-		shards:  make([]aggShard, aggShards),
+		shards:  make([]aggShard, shards),
 		done:    NewBarrier(),
 		flushed: NewBarrier(),
-		pool:    NewContextPool(CoreMode),
 	}
 	ha.keyStride = ha.outSch.Stride()
 	if len(specs) > 0 {
@@ -838,19 +854,6 @@ func (ha *HashAgg) seedScalar() {
 		ha.shard(ha.scalarHash).add(ha, ha.scalarHash, nil)
 		ha.memGroups.Store(1)
 	}
-}
-
-// Serial reshapes the aggregation to a single shard. Shard fan-out
-// only pays off under concurrent workers; a single-worker driver (the
-// engine's serial fast path) saves the setup cost of 64 shards, which
-// dominates a microsecond-scale query. Call before Open.
-func (ha *HashAgg) Serial() {
-	ha.shards = make([]aggShard, 1)
-	// Private tables exist to cut shared-table contention; a single
-	// worker has none, so the shared algorithm skips the private
-	// table, its merge pass and the context-pool round trip.
-	ha.algo = SharedAgg
-	ha.seedScalar()
 }
 
 // shard returns the global-table shard of a key with hash h.
@@ -912,9 +915,7 @@ func (ha *HashAgg) Open(ctx *Ctx) Status {
 
 	var priv *aggTable
 	if ha.algo != SharedAgg {
-		if v := ha.pool.Get(ctx); v != nil {
-			priv = v.(*aggTable)
-		} else {
+		if priv = ha.pool.get(); priv == nil {
 			priv = new(aggTable)
 		}
 	}
@@ -938,7 +939,7 @@ func (ha *HashAgg) Open(ctx *Ctx) Status {
 			// Park the private table for reuse by a future worker
 			// before detaching (Algorithm 7 lines 9-13).
 			if priv != nil {
-				ha.pool.Put(ctx, priv)
+				ha.pool.put(priv)
 			}
 			ctx.BroadcastExit()
 			return Terminated
@@ -968,8 +969,8 @@ func (ha *HashAgg) Open(ctx *Ctx) Status {
 	}
 	ha.done.Arrive()
 	if ha.drainOnce.First() {
-		for _, v := range ha.pool.Drain() {
-			ha.flushPrivate(v.(*aggTable))
+		for _, pt := range ha.pool.drain() {
+			ha.flushPrivate(pt)
 		}
 	}
 	ha.flushed.Arrive()
@@ -1248,8 +1249,7 @@ func (ha *HashAgg) reabsorb(sh *aggShard, idx int) error {
 // pins dead private hash tables until the GC finds the whole operator.
 func (ha *HashAgg) Close() {
 	ha.child.Close()
-	for _, v := range ha.pool.Drain() {
-		pt := v.(*aggTable)
+	for _, pt := range ha.pool.drain() {
 		ha.Mem.freeSmall(int64(pt.groups()) * ha.groupBytes)
 		*pt = aggTable{}
 	}

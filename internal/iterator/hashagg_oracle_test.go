@@ -282,18 +282,18 @@ func oracleSpecs() []AggSpec {
 // elastic layer would, collecting the output blocks. With resize set,
 // worker 0 is asked to terminate when the source serves the block a
 // third of the way in (shrink: it parks its private table and leaves at
-// the block boundary), and a fresh worker starts on the same core two
-// thirds in (expand: it finds the parked table). A lone worker is
+// the block boundary), and a fresh worker starts two thirds in (expand:
+// it takes the parked table). A lone worker is
 // replaced at the shrink point, or nobody would be left to expand.
 func runElastic(it Iterator, src *blockSource, workers int, resize bool, tr *block.Tracker) []*block.Block {
 	var mu sync.Mutex
 	var out []*block.Block
 	var wg sync.WaitGroup
-	start := func(id, core int, term *TermFlag) {
+	start := func(id int, term *TermFlag) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			ctx := &Ctx{WorkerID: id, Core: core, Socket: core % 2, Term: term, Tracker: tr}
+			ctx := &Ctx{WorkerID: id, Term: term, Tracker: tr}
 			if st := it.Open(ctx); st != OK {
 				return
 			}
@@ -323,12 +323,12 @@ func runElastic(it Iterator, src *blockSource, workers int, resize bool, tr *blo
 				terms[0].Request()
 			}
 			if i == expandAt {
-				start(workers, 0, new(TermFlag))
+				start(workers, new(TermFlag))
 			}
 		}
 	}
 	for w := 0; w < workers; w++ {
-		start(w, w, terms[w])
+		start(w, terms[w])
 	}
 	wg.Wait()
 	return out

@@ -450,7 +450,6 @@ func (hj *HashJoin) Next(ctx *Ctx) (*block.Block, Status) {
 		if out == nil {
 			out = block.New(hj.outSch, 0, ctx.Tracker)
 			out.Seq = in.Seq
-			out.Socket = in.Socket
 		}
 		n := w.keys.EncodeBlock(in, nil)
 		// Room for one match per probe row, taken once per block: only

@@ -13,8 +13,7 @@ import (
 // buildPartition fills a partition with rows produced by fill(i, rec).
 func buildPartition(sch *types.Schema, rows int, blockSize int,
 	fill func(i int, rec []byte)) *storage.Partition {
-	st := storage.NewStore(2)
-	p := st.CreatePartition("t", sch)
+	p := new(storage.Store).CreatePartition("t", sch)
 	l := storage.NewLoader(p, blockSize)
 	for i := 0; i < rows; i++ {
 		fill(i, l.Row())
@@ -38,7 +37,7 @@ func runWorkersTracked(it Iterator, n int, tr *block.Tracker) []*block.Block {
 		wg.Add(1)
 		go func(id int) {
 			defer wg.Done()
-			ctx := &Ctx{WorkerID: id, Core: id, Socket: id % 2, Term: &TermFlag{}, Tracker: tr}
+			ctx := &Ctx{WorkerID: id, Term: &TermFlag{}, Tracker: tr}
 			if st := it.Open(ctx); st != OK {
 				return
 			}

@@ -88,11 +88,6 @@ func (t *TermFlag) Done() <-chan struct{} {
 type Ctx struct {
 	// WorkerID identifies the worker within its segment.
 	WorkerID int
-	// Core is the emulated CPU core the worker is pinned to.
-	Core int
-	// Socket is the emulated NUMA socket of Core; stage beginners prefer
-	// handing the worker blocks whose memory lives on this socket.
-	Socket int
 	// Term carries this worker's termination request.
 	Term *TermFlag
 	// Tracker accounts block memory for the query, if non-nil.

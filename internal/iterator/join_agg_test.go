@@ -21,7 +21,7 @@ func TestHashJoinInnerEqui(t *testing.T) {
 		types.PutValue(rec, probeSch, 0, types.IntVal(int64(i%150)))
 		types.PutValue(rec, probeSch, 1, types.IntVal(int64(i)))
 	})
-	hj := NewHashJoin(NewScan(bp), NewScan(pp), buildSch, probeSch,
+	hj := NewHashJoin(NewScan(bp.Schema, bp), NewScan(pp.Schema, pp), buildSch, probeSch,
 		[]expr.Expr{expr.NewCol(0, "bk")}, []expr.Expr{expr.NewCol(0, "pk")})
 	out := runWorkers(hj, 4)
 
@@ -61,7 +61,7 @@ func TestHashJoinDuplicateBuildKeys(t *testing.T) {
 	pp := buildPartition(probeSch, 3, 512, func(i int, rec []byte) {
 		types.PutValue(rec, probeSch, 0, types.IntVal(int64(i)))
 	})
-	hj := NewHashJoin(NewScan(bp), NewScan(pp), buildSch, probeSch,
+	hj := NewHashJoin(NewScan(bp.Schema, bp), NewScan(pp.Schema, pp), buildSch, probeSch,
 		[]expr.Expr{expr.NewCol(0, "k")}, []expr.Expr{expr.NewCol(0, "k")})
 	out := runWorkers(hj, 2)
 	if got := totalTuples(out); got != 30 {
@@ -75,7 +75,7 @@ func TestHashJoinEmptyBuild(t *testing.T) {
 	pp := buildPartition(sch, 100, 512, func(i int, rec []byte) {
 		types.PutValue(rec, sch, 0, types.IntVal(int64(i)))
 	})
-	hj := NewHashJoin(NewScan(bp), NewScan(pp), sch, sch,
+	hj := NewHashJoin(NewScan(bp.Schema, bp), NewScan(pp.Schema, pp), sch, sch,
 		[]expr.Expr{expr.NewCol(0, "k")}, []expr.Expr{expr.NewCol(0, "k")})
 	out := runWorkers(hj, 3)
 	if got := totalTuples(out); got != 0 {
@@ -106,7 +106,7 @@ func TestHashJoinAgainstReference(t *testing.T) {
 			types.PutValue(rec, sch, 0, types.IntVal(pkeys[i]))
 			types.PutValue(rec, sch, 1, types.IntVal(int64(i)))
 		})
-		hj := NewHashJoin(NewScan(bp), NewScan(pp), sch, sch,
+		hj := NewHashJoin(NewScan(bp.Schema, bp), NewScan(pp.Schema, pp), sch, sch,
 			[]expr.Expr{expr.NewCol(0, "k")}, []expr.Expr{expr.NewCol(0, "k")})
 		out := runWorkers(hj, 1+int(seed%3+3)%3)
 		want := 0
@@ -130,7 +130,7 @@ func aggPartition(rows, mod int) (sch *types.Schema, mk func() Iterator) {
 		types.PutValue(rec, sch, 0, types.IntVal(int64(i%mod)))
 		types.PutValue(rec, sch, 1, types.IntVal(int64(i)))
 	})
-	return sch, func() Iterator { return NewScan(p) }
+	return sch, func() Iterator { return NewScan(p.Schema, p) }
 }
 
 func checkAggResult(t *testing.T, algo AggAlgorithm, workers int) {
@@ -221,7 +221,7 @@ func TestHashAggStringKeys(t *testing.T) {
 		types.PutValue(rec, sch, 0, types.StrVal(flags[i%3]))
 		types.PutValue(rec, sch, 1, types.IntVal(1))
 	})
-	ha := NewHashAgg(NewScan(p), sch,
+	ha := NewHashAgg(NewScan(p.Schema, p), sch,
 		[]expr.Expr{expr.NewCol(0, "flag")}, []string{"flag"},
 		[]AggSpec{{Func: Sum, Arg: expr.NewCol(1, "v"), Name: "s"}}, SharedAgg)
 	out := runWorkers(ha, 3)
@@ -256,7 +256,7 @@ func TestAggAlgorithmsAgree(t *testing.T) {
 				types.PutValue(rec, sch, 0, types.IntVal(vals[i][0]))
 				types.PutValue(rec, sch, 1, types.IntVal(vals[i][1]))
 			})
-			return NewScan(p)
+			return NewScan(p.Schema, p)
 		}
 		results := make([]map[int64]int64, 3)
 		for ai, algo := range []AggAlgorithm{SharedAgg, IndependentAgg, HybridAgg} {

@@ -121,7 +121,7 @@ func TestHashJoinBuildAllocs(t *testing.T) {
 	keys := []expr.Expr{expr.NewCol(0, "k")}
 	ctx := &Ctx{Term: &TermFlag{}}
 	build := func() {
-		hj := NewHashJoin(NewScan(p), NewScan(empty), sch, sch, keys, keys)
+		hj := NewHashJoin(NewScan(p.Schema, p), NewScan(empty.Schema, empty), sch, sch, keys, keys)
 		if st := hj.Open(ctx); st != OK {
 			t.Fatalf("Open = %v", st)
 		}

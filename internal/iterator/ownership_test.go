@@ -84,8 +84,8 @@ func TestConsumersRecycleTheirInput(t *testing.T) {
 			return NewProject(fresh(), sch, types.NewSchema(types.Col("k", types.Int64), types.Char("s", 24)),
 				[]expr.Expr{k, expr.NewCol(2, "s")})
 		}, rows},
-		{"join-probe", func() Iterator { return NewHashJoin(NewScan(dim), fresh(), sch, sch, keys, keys) }, rows / 2},
-		{"join-build", func() Iterator { return NewHashJoin(fresh(), NewScan(dim), sch, sch, keys, keys) }, rows / 2},
+		{"join-probe", func() Iterator { return NewHashJoin(NewScan(dim.Schema, dim), fresh(), sch, sch, keys, keys) }, rows / 2},
+		{"join-build", func() Iterator { return NewHashJoin(fresh(), NewScan(dim.Schema, dim), sch, sch, keys, keys) }, rows / 2},
 		{"join-spill", func() Iterator {
 			return spill(NewHashJoin(fresh(), &freshSource{part: dim}, sch, sch, keys, keys))
 		}, rows / 2},
@@ -179,7 +179,7 @@ func TestTrackerIsLiveBytes(t *testing.T) {
 		types.PutValue(rec, sch, 2, types.StrVal("carefully final deposits"))
 	})
 	k := expr.NewCol(0, "k")
-	f := NewFilter(NewScan(part), sch, expr.NewCmp(expr.LT, k, expr.NewConst(types.IntVal(7500))))
+	f := NewFilter(NewScan(part.Schema, part), sch, expr.NewCmp(expr.LT, k, expr.NewConst(types.IntVal(7500))))
 	ha := NewHashAgg(f, sch, []expr.Expr{k}, []string{"k"},
 		[]AggSpec{{Func: Sum, Arg: expr.NewCol(1, "v"), Name: "s"}}, HybridAgg)
 	tr := block.NewTracker()

@@ -14,7 +14,7 @@ func TestScanSingleWorker(t *testing.T) {
 		types.PutValue(rec, twoColSch, 0, types.IntVal(int64(i)))
 		types.PutValue(rec, twoColSch, 1, types.IntVal(int64(i*2)))
 	})
-	out := runWorkers(NewScan(p), 1)
+	out := runWorkers(NewScan(p.Schema, p), 1)
 	if got := totalTuples(out); got != 1000 {
 		t.Fatalf("scanned %d tuples, want 1000", got)
 	}
@@ -30,7 +30,7 @@ func TestScanManyWorkersNoDuplicates(t *testing.T) {
 	p := buildPartition(twoColSch, 5000, 512, func(i int, rec []byte) {
 		types.PutValue(rec, twoColSch, 0, types.IntVal(int64(i)))
 	})
-	out := runWorkers(NewScan(p), 8)
+	out := runWorkers(NewScan(p.Schema, p), 8)
 	if got := totalTuples(out); got != 5000 {
 		t.Fatalf("scanned %d tuples, want 5000", got)
 	}
@@ -44,7 +44,7 @@ func TestScanSeqNumbersUnique(t *testing.T) {
 	p := buildPartition(twoColSch, 2000, 256, func(i int, rec []byte) {
 		types.PutValue(rec, twoColSch, 0, types.IntVal(int64(i)))
 	})
-	out := runWorkers(NewScan(p), 4)
+	out := runWorkers(NewScan(p.Schema, p), 4)
 	seen := make(map[uint64]bool)
 	for _, b := range out {
 		if seen[b.Seq] {
@@ -56,7 +56,7 @@ func TestScanSeqNumbersUnique(t *testing.T) {
 
 func TestScanStampsVisitRateOne(t *testing.T) {
 	p := buildPartition(twoColSch, 100, 1024, func(i int, rec []byte) {})
-	out := runWorkers(NewScan(p), 2)
+	out := runWorkers(NewScan(p.Schema, p), 2)
 	for _, b := range out {
 		if b.VisitRate != 1.0 {
 			t.Fatalf("scan visit rate = %f, want 1", b.VisitRate)
@@ -66,7 +66,7 @@ func TestScanStampsVisitRateOne(t *testing.T) {
 
 func TestScanTermination(t *testing.T) {
 	p := buildPartition(twoColSch, 100, 256, func(i int, rec []byte) {})
-	s := NewScan(p)
+	s := NewScan(p.Schema, p)
 	ctx := &Ctx{Term: &TermFlag{}}
 	if st := s.Open(ctx); st != OK {
 		t.Fatal(st)
@@ -83,7 +83,7 @@ func TestFilterSelectivityAndValues(t *testing.T) {
 		types.PutValue(rec, twoColSch, 1, types.IntVal(int64(i%10)))
 	})
 	pred := expr.NewCmp(expr.LT, expr.NewCol(1, "v"), expr.NewConst(types.IntVal(3)))
-	f := NewFilter(NewScan(p), twoColSch, pred)
+	f := NewFilter(NewScan(p.Schema, p), twoColSch, pred)
 	out := runWorkers(f, 4)
 	if got := totalTuples(out); got != 300 {
 		t.Fatalf("filtered %d tuples, want 300", got)
@@ -105,7 +105,7 @@ func TestFilterVisitRatePropagation(t *testing.T) {
 		types.PutValue(rec, twoColSch, 1, types.IntVal(int64(i%4)))
 	})
 	pred := expr.NewCmp(expr.EQ, expr.NewCol(1, "v"), expr.NewConst(types.IntVal(0)))
-	f := NewFilter(NewScan(p), twoColSch, pred)
+	f := NewFilter(NewScan(p.Schema, p), twoColSch, pred)
 	out := runWorkers(f, 2)
 	// After the counters settle, block tails should read δ·V = 0.25·1.
 	last := out[len(out)-1]
@@ -119,7 +119,7 @@ func TestFilterBlockPerBlockPreservesSeq(t *testing.T) {
 		types.PutValue(rec, twoColSch, 0, types.IntVal(int64(i)))
 		types.PutValue(rec, twoColSch, 1, types.IntVal(int64(i%2)))
 	})
-	sc := NewScan(p)
+	sc := NewScan(p.Schema, p)
 	f := NewFilter(sc, twoColSch, expr.NewCmp(expr.EQ, expr.NewCol(1, "v"),
 		expr.NewConst(types.IntVal(0))))
 	f.BlockPerBlock = true
@@ -151,7 +151,7 @@ func TestProject(t *testing.T) {
 		types.PutValue(rec, twoColSch, 1, types.IntVal(int64(i+1)))
 	})
 	outSch := types.NewSchema(types.Col("sum", types.Int64))
-	pr := NewProject(NewScan(p), twoColSch, outSch,
+	pr := NewProject(NewScan(p.Schema, p), twoColSch, outSch,
 		[]expr.Expr{expr.NewArith(expr.Add, expr.NewCol(0, "id"), expr.NewCol(1, "v"))})
 	out := runWorkers(pr, 3)
 	if got := totalTuples(out); got != 500 {

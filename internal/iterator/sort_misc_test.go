@@ -23,12 +23,12 @@ func TestSortAscDesc(t *testing.T) {
 		types.PutValue(rec, sch, 0, types.IntVal(keys[i]))
 		types.PutValue(rec, sch, 1, types.IntVal(int64(i)))
 	})
-	s := NewSort(NewScan(p), sch, []SortKey{{E: expr.NewCol(0, "k")}})
+	s := NewSort(NewScan(p.Schema, p), sch, []SortKey{{E: expr.NewCol(0, "k")}})
 	// Multi-worker open (parallel phases), single-worker ordered emit.
 	var wg sync.WaitGroup
 	ctxs := make([]*Ctx, 4)
 	for w := range ctxs {
-		ctxs[w] = &Ctx{WorkerID: w, Core: w, Term: &TermFlag{}}
+		ctxs[w] = &Ctx{WorkerID: w, Term: &TermFlag{}}
 		wg.Add(1)
 		go func(c *Ctx) { defer wg.Done(); s.Open(c) }(ctxs[w])
 	}
@@ -59,7 +59,7 @@ func TestSortDescMultiKey(t *testing.T) {
 		types.PutValue(rec, sch, 0, types.IntVal(int64(i%5)))
 		types.PutValue(rec, sch, 1, types.IntVal(int64(i)))
 	})
-	s := NewSort(NewScan(p), sch, []SortKey{
+	s := NewSort(NewScan(p.Schema, p), sch, []SortKey{
 		{E: expr.NewCol(0, "a"), Desc: true},
 		{E: expr.NewCol(1, "b"), Desc: false},
 	})
@@ -94,7 +94,7 @@ func TestSortDescMultiKey(t *testing.T) {
 func TestSortEmptyInput(t *testing.T) {
 	sch := types.NewSchema(types.Col("k", types.Int64))
 	p := buildPartition(sch, 0, 256, func(int, []byte) {})
-	s := NewSort(NewScan(p), sch, []SortKey{{E: expr.NewCol(0, "k")}})
+	s := NewSort(NewScan(p.Schema, p), sch, []SortKey{{E: expr.NewCol(0, "k")}})
 	ctx := &Ctx{Term: &TermFlag{}}
 	if st := s.Open(ctx); st != OK {
 		t.Fatal(st)
@@ -115,7 +115,7 @@ func TestTopN(t *testing.T) {
 	p := buildPartition(sch, rows, 512, func(i int, rec []byte) {
 		types.PutValue(rec, sch, 0, types.IntVal(vals[i]))
 	})
-	tn := NewTopN(NewScan(p), sch, []SortKey{{E: expr.NewCol(0, "k")}}, 20)
+	tn := NewTopN(NewScan(p.Schema, p), sch, []SortKey{{E: expr.NewCol(0, "k")}}, 20)
 	out := runWorkers(tn, 4)
 	if got := totalTuples(out); got != 20 {
 		t.Fatalf("top-20 emitted %d rows", got)
@@ -228,7 +228,7 @@ func TestLimit(t *testing.T) {
 	p := buildPartition(sch, 1000, 256, func(i int, rec []byte) {
 		types.PutValue(rec, sch, 0, types.IntVal(int64(i)))
 	})
-	lim := NewLimit(NewScan(p), sch, 137)
+	lim := NewLimit(NewScan(p.Schema, p), sch, 137)
 	out := runWorkers(lim, 1)
 	if got := totalTuples(out); got != 137 {
 		t.Fatalf("limit emitted %d rows, want 137", got)
@@ -240,7 +240,7 @@ func TestLimitParallelNeverExceeds(t *testing.T) {
 	p := buildPartition(sch, 10000, 256, func(i int, rec []byte) {
 		types.PutValue(rec, sch, 0, types.IntVal(int64(i)))
 	})
-	lim := NewLimit(NewScan(p), sch, 500)
+	lim := NewLimit(NewScan(p.Schema, p), sch, 500)
 	out := runWorkers(lim, 8)
 	if got := totalTuples(out); got != 500 {
 		t.Fatalf("parallel limit emitted %d rows, want exactly 500", got)

@@ -39,7 +39,7 @@ func runJoinWithBudget(t *testing.T, probeKey expr.Expr, limit int64, dir string
 		types.PutValue(rec, probeSch, 0, types.IntVal(int64(i%1500)))
 		types.PutValue(rec, probeSch, 1, types.IntVal(int64(i)))
 	})
-	hj := NewHashJoin(NewScan(bp), NewScan(pp), buildSch, probeSch,
+	hj := NewHashJoin(NewScan(bp.Schema, bp), NewScan(pp.Schema, pp), buildSch, probeSch,
 		[]expr.Expr{expr.NewCol(0, "bk")}, []expr.Expr{probeKey})
 	var acct *block.Tracker
 	if limit > 0 {
@@ -113,7 +113,7 @@ func runAggWithBudget(t *testing.T, algo AggAlgorithm, limit int64, dir string) 
 		types.PutValue(rec, sch, 0, types.IntVal(int64(i%7001)))
 		types.PutValue(rec, sch, 1, types.IntVal(int64(i)))
 	})
-	ha := NewHashAgg(NewScan(p), sch,
+	ha := NewHashAgg(NewScan(p.Schema, p), sch,
 		[]expr.Expr{expr.NewCol(0, "k")}, []string{"k"},
 		[]AggSpec{{Func: Sum, Arg: expr.NewCol(1, "v"), Name: "s"},
 			{Func: Count, Name: "c"}}, algo)
@@ -165,7 +165,7 @@ func TestHashAggCloseDrainsPool(t *testing.T) {
 	p := buildPartition(sch, 10, 4096, func(i int, rec []byte) {
 		types.PutValue(rec, sch, 0, types.IntVal(int64(i)))
 	})
-	ha := NewHashAgg(NewScan(p), sch, []expr.Expr{expr.NewCol(0, "k")},
+	ha := NewHashAgg(NewScan(p.Schema, p), sch, []expr.Expr{expr.NewCol(0, "k")},
 		[]string{"k"}, []AggSpec{{Func: Count, Name: "c"}}, HybridAgg)
 	acct := block.NewBudget("node", 1<<20).Sub("agg")
 	ha.Mem = &MemConfig{Acct: acct, Op: "hashagg"}
@@ -178,11 +178,10 @@ func TestHashAggCloseDrainsPool(t *testing.T) {
 	for _, k := range []string{"a", "b", "c"} {
 		pt.add(ha, expr.Hash64([]byte(k)), []byte(k))
 	}
-	ctx := &Ctx{Core: 1, Term: &TermFlag{}}
-	ha.pool.Put(ctx, pt)
+	ha.pool.put(pt)
 
 	ha.Close()
-	if left := ha.pool.Drain(); len(left) != 0 {
+	if left := ha.pool.drain(); len(left) != 0 {
 		t.Fatalf("%d contexts still parked after Close", len(left))
 	}
 	if pt.groups() != 0 || pt.keyRows != nil || pt.accs != nil {

@@ -21,7 +21,7 @@ type TopN struct {
 	keys  []SortKey
 	n     int
 
-	pool      *ContextPool
+	pool      contextPool[*topHeap]
 	done      *Barrier
 	merged    *Barrier
 	mergeOnce once
@@ -79,7 +79,6 @@ func (h *topHeap) offer(r rowRef) {
 func NewTopN(child Iterator, sch *types.Schema, keys []SortKey, n int) *TopN {
 	return &TopN{
 		child: child, sch: sch, keys: keys, n: n,
-		pool:   NewContextPool(VoidMode),
 		done:   NewBarrier(),
 		merged: NewBarrier(),
 	}
@@ -96,19 +95,20 @@ func (t *TopN) Open(ctx *Ctx) Status {
 		ctx.BroadcastExit()
 		return Terminated
 	}
-	h := &topHeap{keys: t.keys, n: t.n}
 	// A worker expanded after the input phase passed is not its member:
 	// the merge may be running, and a parked heap taken now would never
 	// reach it. Such a worker sees only the input's end.
+	var h *topHeap
 	if !t.done.Passed() {
-		if v := t.pool.Get(ctx); v != nil {
-			h = v.(*topHeap)
-		}
+		h = t.pool.get()
+	}
+	if h == nil {
+		h = &topHeap{keys: t.keys, n: t.n}
 	}
 	for {
 		b, st := t.child.Next(ctx)
 		if st == Terminated {
-			t.pool.Put(ctx, h)
+			t.pool.put(h)
 			ctx.BroadcastExit()
 			return Terminated
 		}
@@ -150,8 +150,8 @@ func (t *TopN) merge() {
 			final.offer(r)
 		}
 	}
-	for _, v := range t.pool.Drain() {
-		for _, r := range v.(*topHeap).rows {
+	for _, v := range t.pool.drain() {
+		for _, r := range v.rows {
 			final.offer(r)
 		}
 	}

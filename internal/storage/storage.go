@@ -1,6 +1,6 @@
 // Package storage implements the per-node in-memory table store: each
 // slave node holds one partition of every table, as a list of data
-// blocks spread round-robin over emulated NUMA sockets (Section 3.2(3)).
+// blocks.
 package storage
 
 import (
@@ -14,35 +14,26 @@ import (
 
 // Partition is one node's slice of a table.
 type Partition struct {
-	Schema  *types.Schema
-	Blocks  []*block.Block
-	Rows    int64
-	Sockets int
+	Schema *types.Schema
+	Blocks []*block.Block
+	Rows   int64
 }
 
-// Store is the table store of a single node.
+// Store is the table store of a single node. The zero value is an empty
+// store.
 type Store struct {
-	mu      sync.RWMutex
-	parts   map[string]*Partition
-	sockets int
-}
-
-// NewStore creates a store emulating the given number of NUMA sockets
-// (≥1). Blocks loaded into the store are tagged with a socket in
-// round-robin order; NUMA-aware scans prefer handing a worker blocks
-// from its own socket.
-func NewStore(sockets int) *Store {
-	if sockets < 1 {
-		sockets = 1
-	}
-	return &Store{parts: make(map[string]*Partition), sockets: sockets}
+	mu    sync.RWMutex
+	parts map[string]*Partition
 }
 
 // CreatePartition registers an empty partition for a table.
 func (s *Store) CreatePartition(table string, sch *types.Schema) *Partition {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	p := &Partition{Schema: sch, Sockets: s.sockets}
+	p := &Partition{Schema: sch}
+	if s.parts == nil {
+		s.parts = make(map[string]*Partition)
+	}
 	s.parts[strings.ToLower(table)] = p
 	return p
 }
@@ -58,12 +49,11 @@ func (s *Store) Partition(table string) (*Partition, error) {
 	return p, nil
 }
 
-// Append adds a sealed block to the partition, assigning its socket.
+// Append adds a sealed block to the partition.
 // The block becomes shared: every scan of every query hands its payload
 // out again, so no consumer's Recycle may give it to the arena.
 func (p *Partition) Append(b *block.Block) {
 	b.MarkShared()
-	b.Socket = len(p.Blocks) % p.Sockets
 	p.Blocks = append(p.Blocks, b)
 	p.Rows += int64(b.NumTuples())
 }

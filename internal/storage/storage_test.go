@@ -9,7 +9,7 @@ import (
 var sch = types.NewSchema(types.Col("id", types.Int64), types.Char("s", 6))
 
 func TestLoaderFillsBlocks(t *testing.T) {
-	st := NewStore(2)
+	var st Store
 	p := st.CreatePartition("t", sch)
 	l := NewLoader(p, 64) // tiny blocks: 64/14 = 4 tuples each
 	const rows = 41
@@ -32,22 +32,10 @@ func TestLoaderFillsBlocks(t *testing.T) {
 	if total != rows {
 		t.Fatalf("block tuples = %d", total)
 	}
-	// Round-robin socket tagging across the emulated sockets.
-	sock0, sock1 := 0, 0
-	for _, b := range p.Blocks {
-		if b.Socket == 0 {
-			sock0++
-		} else {
-			sock1++
-		}
-	}
-	if sock0 == 0 || sock1 == 0 {
-		t.Fatalf("socket spread %d/%d", sock0, sock1)
-	}
 }
 
 func TestPartitionLookup(t *testing.T) {
-	st := NewStore(1)
+	var st Store
 	st.CreatePartition("orders", sch)
 	if _, err := st.Partition("ORDERS"); err != nil {
 		t.Fatal("case-insensitive partition lookup failed")
@@ -58,7 +46,7 @@ func TestPartitionLookup(t *testing.T) {
 }
 
 func TestPartitionBytes(t *testing.T) {
-	st := NewStore(1)
+	var st Store
 	p := st.CreatePartition("t", sch)
 	l := NewLoader(p, 1024)
 	for i := 0; i < 100; i++ {
@@ -72,7 +60,7 @@ func TestPartitionBytes(t *testing.T) {
 }
 
 func TestEmptyLoaderClose(t *testing.T) {
-	st := NewStore(1)
+	var st Store
 	p := st.CreatePartition("t", sch)
 	NewLoader(p, 256).Close()
 	if len(p.Blocks) != 0 || p.Rows != 0 {

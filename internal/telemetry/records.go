@@ -122,8 +122,6 @@ type WorkerExpand struct {
 	Segment string `json:"segment"`
 	// Workers is the pool size after the expansion.
 	Workers int `json:"workers"`
-	// Core is the emulated core the new worker was pinned to.
-	Core int `json:"core"`
 }
 
 // Kind implements Record.

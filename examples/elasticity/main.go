@@ -10,14 +10,53 @@ package main
 
 import (
 	"fmt"
+	"sync"
 	"time"
 
+	"repro/internal/block"
 	"repro/internal/elastic"
 	"repro/internal/expr"
 	"repro/internal/iterator"
 	"repro/internal/storage"
 	"repro/internal/types"
 )
+
+// pacedScan is the segment's source: it hands out the scan's blocks no
+// faster than one per pace until release is closed, and at full speed
+// after that. However fast the machine, the segment then still has
+// input while the controller expands and shrinks it. A worker waiting
+// for its turn answers a termination request, as the scan does.
+type pacedScan struct {
+	*iterator.Scan
+	pace    time.Duration
+	release chan struct{}
+
+	mu   sync.Mutex
+	next time.Time // when the next block may leave
+}
+
+func (p *pacedScan) Next(ctx *iterator.Ctx) (*block.Block, iterator.Status) {
+	for {
+		select {
+		case <-p.release:
+			return p.Scan.Next(ctx)
+		default:
+		}
+		if ctx.Term.Requested() {
+			return nil, iterator.Terminated
+		}
+		p.mu.Lock()
+		now := time.Now()
+		if !now.Before(p.next) {
+			p.next = now.Add(p.pace)
+			p.mu.Unlock()
+			return p.Scan.Next(ctx)
+		}
+		wait := p.next.Sub(now)
+		p.mu.Unlock()
+		time.Sleep(wait)
+	}
+}
 
 func main() {
 	sch := types.NewSchema(
@@ -29,16 +68,19 @@ func main() {
 	part := new(storage.Store).CreatePartition("t", sch)
 	loader := storage.NewLoader(part, 16*1024)
 	const rows = 1_000_000
+	rec := make([]byte, sch.Stride())
 	for i := 0; i < rows; i++ {
-		rec := loader.Row() // the slot is committed in place
 		types.PutValue(rec, sch, 0, types.IntVal(int64(i%1024)))
 		types.PutValue(rec, sch, 1, types.FloatVal(float64(i)))
+		loader.Append(rec)
 	}
 	loader.Close()
 
 	// The segment: scan → filter(k < 512) → hybrid hash aggregation.
+	src := &pacedScan{Scan: iterator.NewScan(sch, part), pace: 200 * time.Microsecond,
+		release: make(chan struct{})}
 	chain := iterator.NewHashAgg(
-		iterator.NewFilter(iterator.NewScan(sch, part), sch,
+		iterator.NewFilter(src, sch,
 			expr.NewCmp(expr.LT, expr.NewCol(0, "k"), expr.NewConst(types.IntVal(512)))),
 		sch,
 		[]expr.Expr{expr.NewCol(0, "k")}, []string{"k"},
@@ -75,9 +117,6 @@ func main() {
 		el.Expand()
 		fmt.Printf("expanded to %d workers\n", el.Parallelism())
 	}
-	for _, d := range el.ExpandDelays() {
-		fmt.Printf("  expansion delay: %v (worker joined the shared hash build mid-flight)\n", d)
-	}
 	for el.Parallelism() > 1 {
 		time.Sleep(2 * time.Millisecond)
 		if ch := el.Shrink(); ch != nil {
@@ -90,8 +129,16 @@ func main() {
 			}
 		}
 	}
+	// The controller is done: let the last worker read the rest.
+	close(src.release)
 
 	groups := <-results
+	// A worker records its expansion delay (Expand to its first block)
+	// when its Open returns, which for the blocking aggregation is when
+	// it leaves the segment.
+	for _, d := range el.ExpandDelays() {
+		fmt.Printf("  expansion delay: %v (worker joined the shared hash build mid-flight)\n", d)
+	}
 	snap := el.Snapshot()
 	fmt.Printf("\ndone: %d groups from %d input tuples; no tuple was lost or "+
 		"duplicated across the expansions and shrinkages\n", groups, snap.InTuples)

@@ -141,10 +141,11 @@ var fig9Sch = types.NewSchema(types.Col("k", types.Int64), types.Col("v", types.
 func fig9Partition(rows int) *storage.Partition {
 	p := new(storage.Store).CreatePartition("t", fig9Sch)
 	l := storage.NewLoader(p, 32*1024)
+	rec := make([]byte, fig9Sch.Stride())
 	for i := 0; i < rows; i++ {
-		rec := l.Row()
 		types.PutValue(rec, fig9Sch, 0, types.IntVal(int64(i%1000)))
 		types.PutValue(rec, fig9Sch, 1, types.IntVal(int64(i)))
+		l.Append(rec)
 	}
 	l.Close()
 	return p

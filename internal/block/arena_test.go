@@ -48,7 +48,7 @@ func TestBlockRecycle(t *testing.T) {
 	sch := types.NewSchema(types.Col("a", types.Int64))
 	tr := NewTracker()
 	b := New(sch, DefaultSize, tr)
-	b.AppendRow(make([]byte, sch.Stride()))
+	b.AppendRows(make([]byte, sch.Stride()))
 	b.Recycle()
 	if tr.Current() != 0 {
 		t.Fatalf("recycle left %d tracked bytes", tr.Current())
@@ -83,8 +83,10 @@ func TestRecycleTwiceIsHarmless(t *testing.T) {
 func TestSharedBlockSurvivesRecycle(t *testing.T) {
 	sch := types.NewSchema(types.Col("a", types.Int64))
 	b := New(sch, DefaultSize, nil)
+	rec := make([]byte, sch.Stride())
 	for !b.Full() {
-		types.PutInt(b.AppendRowTo(), 0, int64(b.NumTuples()))
+		types.PutInt(rec, 0, int64(b.NumTuples()+1))
+		b.AppendRows(rec)
 	}
 	b.MarkShared()
 	stamp := *b
@@ -99,7 +101,7 @@ func TestSharedBlockSurvivesRecycle(t *testing.T) {
 		t.Fatalf("shared block lost its rows: %d of %d", b.NumTuples(), b.Cap())
 	}
 	for i := 0; i < b.NumTuples(); i++ {
-		if got := types.GetInt(b.Row(i), 0); got != int64(i+1) {
+		if got := types.GetInt(b.ReadRow(i, nil), 0); got != int64(i+1) {
 			t.Fatalf("row %d reads %d after Recycle, want %d", i, got, i+1)
 		}
 	}

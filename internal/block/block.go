@@ -2,6 +2,14 @@
 // data blocks of tuples, sized to fit the L2 cache (64 KB by default, as
 // in the paper, Section 5.1).
 //
+// Inside its buffer a block stores each column contiguously (PAX): for
+// a block of capacity cap, column c starts at cap times the sum of the
+// widths of the columns before it (types.Schema.Offset), and value i of
+// it sits i widths further on. A kernel that reads one column reads
+// consecutive bytes (Col); a row exists only as a record a caller
+// gathers (ReadRow) or scatters (AppendRows), and operations on whole
+// rows copy column by column (AppendSelected, EnsureRoom, the codec).
+//
 // A block carries two pieces of tail metadata on top of its tuples:
 //
 //   - the average visit rate of its tuples (Section 4.3): the scheduler's
@@ -24,7 +32,8 @@ import (
 // matches the paper's choice, tuned to the per-core L2 cache.
 const DefaultSize = 64 * 1024
 
-// Block is a batch of fixed-stride tuples plus tail metadata. Blocks are
+// Block is a batch of tuples, one contiguous run of bytes per column,
+// plus tail metadata. Blocks are
 // not safe for concurrent mutation; ownership passes along the dataflow
 // under one rule (DESIGN.md, "Block ownership"): a block returned by an
 // iterator's Next, an inbox's Recv or Decode belongs to its caller
@@ -35,7 +44,7 @@ type Block struct {
 	sch *types.Schema
 	buf []byte
 	n   int
-	cap int // max tuples
+	cap int // max tuples; column c starts at cap*sch.Offset(c)
 
 	// VisitRate is the average visit rate of the tuples in this block
 	// relative to the pipeline's input group (Section 4.3). The input
@@ -56,8 +65,8 @@ type Block struct {
 // New allocates an empty block for the schema with the given payload
 // capacity in bytes. A nil tracker disables memory accounting. The
 // payload is not zeroed: records carry no null bitmap and no padding,
-// so a producer that writes whole rows below NumTuples leaves nothing
-// of the buffer's previous contents readable.
+// so a producer that writes every column of the rows below NumTuples
+// leaves nothing of the buffer's previous contents readable.
 func New(sch *types.Schema, sizeBytes int, tr *Tracker) *Block {
 	if sizeBytes <= 0 {
 		sizeBytes = DefaultSize
@@ -99,8 +108,8 @@ func (b *Block) MarkShared() { b.shared = true }
 
 // Recycle is how the block's owner disposes of it: it releases the
 // accounting like Release and hands the buffer to the arena, whose next
-// GetBuf caller overwrites it — so no view of the block (Row, Bytes,
-// string Values) may still be live, and the block must not be used
+// GetBuf caller overwrites it — so no view of the block (Col, string
+// Values) may still be live, and the block must not be used
 // afterwards. A second Recycle is a no-op. A shared block keeps its
 // payload (see MarkShared).
 func (b *Block) Recycle() {
@@ -126,39 +135,77 @@ func (b *Block) Cap() int { return b.cap }
 // Full reports whether no more tuples fit.
 func (b *Block) Full() bool { return b.n >= b.cap }
 
-// Bytes returns the used payload region (n tuples worth of bytes).
-func (b *Block) Bytes() []byte { return b.buf[:b.n*b.sch.Stride()] }
+// Col returns column c of the block's tuples, the one column view every
+// kernel reads and every vectorized writer fills: value i occupies bytes
+// [i*w, (i+1)*w), w being the column's width. The view covers the
+// NumTuples rows (a writer sizes the block with SetLen first) and is
+// valid until the block grows or is recycled.
+func (b *Block) Col(c int) []byte {
+	base, w := b.cap*b.sch.Offset(c), b.sch.Cols[c].Width
+	end := base + b.n*w
+	return b.buf[base:end:end]
+}
 
-// Row returns the i-th tuple as a byte slice view into the block.
-func (b *Block) Row(i int) []byte {
+// ReadRow gathers tuple i into rec as a record (the schema's row layout:
+// types.Schema.Offset and Stride), reusing rec's storage when it holds a
+// record, and returns it. The record is the caller's; the row-at-a-time
+// paths (Eval, the spill stage, join pages, sort) read rows this way.
+func (b *Block) ReadRow(i int, rec []byte) []byte {
+	if i < 0 || i >= b.n {
+		panic(fmt.Sprintf("block: ReadRow(%d) outside %d tuples", i, b.n))
+	}
 	st := b.sch.Stride()
-	return b.buf[i*st : (i+1)*st]
+	if cap(rec) < st {
+		rec = make([]byte, st)
+	}
+	rec = rec[:st]
+	for c, col := range b.sch.Cols {
+		off, w := b.sch.Offset(c), col.Width
+		at := b.cap*off + i*w
+		if w == 8 {
+			binary.LittleEndian.PutUint64(rec[off:], binary.LittleEndian.Uint64(b.buf[at:]))
+		} else {
+			copy(rec[off:off+w], b.buf[at:at+w])
+		}
+	}
+	return rec
 }
 
-// AppendRow copies a record into the block. It panics if the block is
-// full; callers check Full first.
-func (b *Block) AppendRow(rec []byte) {
-	if b.n >= b.cap {
-		panic("block: append to full block")
+// AppendRows scatters records, laid out back to back in the schema's
+// row layout, into the next tuples: one record for a row-at-a-time
+// writer, a staged batch of them for the loader. It panics if they do
+// not fit; callers check Full or Cap first.
+func (b *Block) AppendRows(recs []byte) {
+	st := b.sch.Stride()
+	n := len(recs) / st
+	if n*st != len(recs) || b.n+n > b.cap {
+		panic(fmt.Sprintf("block: append of %d bytes of %d-byte records to %d of %d tuples", len(recs), st, b.n, b.cap))
 	}
-	copy(b.Row(b.n), rec)
-	b.n++
-}
-
-// AppendRowTo reserves the next row slot and returns it for in-place
-// construction.
-func (b *Block) AppendRowTo() []byte {
-	if b.n >= b.cap {
-		panic("block: append to full block")
+	for c, col := range b.sch.Cols {
+		off, w := b.sch.Offset(c), col.Width
+		dst := b.buf[b.cap*off+b.n*w : b.cap*off+(b.n+n)*w]
+		switch w {
+		case 8:
+			for r := 0; r < n; r++ {
+				binary.LittleEndian.PutUint64(dst[r*8:], binary.LittleEndian.Uint64(recs[r*st+off:]))
+			}
+		case 1:
+			for r := range dst {
+				dst[r] = recs[r*st+off]
+			}
+		default:
+			for r := 0; r < n; r++ {
+				copy(dst[r*w:r*w+w], recs[r*st+off:])
+			}
+		}
 	}
-	r := b.Row(b.n)
-	b.n++
-	return r
+	b.n += n
 }
 
 // EnsureRoom grows the block's payload so at least n more tuples fit.
 // Operators with data-dependent fan-out (join probe, aggregation
-// emission) use it to stay single-block per call.
+// emission) use it to stay single-block per call. Each column moves to
+// its place under the new capacity.
 //
 // Accounting: while a tracker is attached, growth records only the byte
 // delta (New recorded the initial allocation), so Release — which frees
@@ -175,7 +222,10 @@ func (b *Block) EnsureRoom(n int) {
 		newCap = need
 	}
 	buf := GetBuf(newCap * b.sch.Stride())
-	copy(buf, b.Bytes())
+	for c, col := range b.sch.Cols {
+		off := b.sch.Offset(c)
+		copy(buf[newCap*off:], b.buf[b.cap*off:b.cap*off+b.n*col.Width])
+	}
 	if b.tracker != nil {
 		b.tracker.Alloc(int64(len(buf) - len(b.buf)))
 	}
@@ -195,8 +245,9 @@ func (b *Block) Reset() {
 }
 
 // SetLen sets the tuple count directly. Vectorized writers (batch
-// projection) pre-size a block and fill rows in place through Bytes
-// instead of appending row-at-a-time. n must not exceed Cap.
+// projection, aggregation and join emission) pre-size a block and fill
+// its columns through Col instead of appending row-at-a-time. n must
+// not exceed Cap.
 func (b *Block) SetLen(n int) {
 	if n < 0 || n > b.cap {
 		panic(fmt.Sprintf("block: SetLen(%d) outside capacity %d", n, b.cap))
@@ -204,43 +255,91 @@ func (b *Block) SetLen(n int) {
 	b.n = n
 }
 
-// AppendSelected bulk-copies the rows of src named by the selection
-// vector sel, growing the block as needed. Runs of consecutive indexes
-// coalesce into single copies, so a low-selectivity filter degenerates
-// to a handful of memmoves instead of one copy per surviving tuple.
-// src must share this block's record layout (equal strides).
+// AppendSelected copies the rows of src named by the selection vector
+// sel, which ascends strictly (a filter's or a split's), column by
+// column, growing the block as needed. A selection that is one run is
+// one copy per column. src must share this block's column widths.
 func (b *Block) AppendSelected(src *Block, sel []int32) {
 	if len(sel) == 0 {
 		return
 	}
-	st := b.sch.Stride()
-	if src.sch.Stride() != st {
-		panic("block: AppendSelected across different record layouts")
+	if !sameWidths(b.sch, src.sch) {
+		panic("block: AppendSelected across different column layouts")
 	}
 	b.EnsureRoom(len(sel))
-	dst := b.buf[b.n*st:]
-	d := 0
-	for i := 0; i < len(sel); {
-		j := i + 1
-		for j < len(sel) && sel[j] == sel[j-1]+1 {
-			j++
+	first := int(sel[0])
+	run := int(sel[len(sel)-1])-first == len(sel)-1
+	for c, col := range b.sch.Cols {
+		off, w := b.sch.Offset(c), col.Width
+		dst, from := b.buf[b.cap*off+b.n*w:], src.buf[src.cap*off:src.cap*off+src.n*w]
+		if run {
+			copy(dst[:len(sel)*w], from[first*w:])
+		} else {
+			Gather(dst, from, w, sel)
 		}
-		run := (j - i) * st
-		copy(dst[d:d+run], src.buf[int(sel[i])*st:])
-		d += run
-		i = j
 	}
 	b.n += len(sel)
 }
 
+// sameWidths reports whether two schemas have the same column widths,
+// in order: blocks of either can exchange rows column by column.
+func sameWidths(a, b *types.Schema) bool {
+	if a == b {
+		return true
+	}
+	if len(a.Cols) != len(b.Cols) {
+		return false
+	}
+	for c := range a.Cols {
+		if a.Cols[c].Width != b.Cols[c].Width {
+			return false
+		}
+	}
+	return true
+}
+
+// Gather copies values sel[0], sel[1], … of a column src, w bytes each,
+// densely to dst: the column copy behind every whole-row operation. sel
+// may repeat an index (a join's probe row with several matches). 8- and
+// 1-byte columns move a value per load and store, wider ones a run of
+// consecutive indexes per copy.
+func Gather(dst, src []byte, w int, sel []int32) {
+	switch w {
+	case 8:
+		dst = dst[:len(sel)*8]
+		for j, i := range sel {
+			binary.LittleEndian.PutUint64(dst[j*8:], binary.LittleEndian.Uint64(src[int(i)*8:]))
+		}
+	case 1:
+		dst = dst[:len(sel)]
+		for j, i := range sel {
+			dst[j] = src[i]
+		}
+	default:
+		d := 0
+		for i := 0; i < len(sel); {
+			j := i + 1
+			for j < len(sel) && sel[j] == sel[j-1]+1 {
+				j++
+			}
+			run := (j - i) * w
+			copy(dst[d:d+run], src[int(sel[i])*w:])
+			d += run
+			i = j
+		}
+	}
+}
+
 // Get reads column col of tuple row.
 func (b *Block) Get(row, col int) types.Value {
-	return types.GetValue(b.Row(row), b.sch, col)
+	c := b.sch.Cols[col]
+	return types.GetField(b.buf, b.cap*b.sch.Offset(col)+row*c.Width, c)
 }
 
 // Set writes column col of tuple row.
 func (b *Block) Set(row, col int, v types.Value) {
-	types.PutValue(b.Row(row), b.sch, col, v)
+	c := b.sch.Cols[col]
+	types.PutField(b.buf, b.cap*b.sch.Offset(col)+row*c.Width, c, v)
 }
 
 // SizeBytes returns the allocated payload size.
@@ -254,6 +353,11 @@ func (b *Block) WireSize() int { return headerLen + b.n*b.sch.Stride() }
 // headerLen is the fixed encoded header: numTuples(4) visitRate(8) seq(8).
 const headerLen = 4 + 8 + 8
 
+// The payload after the header is the block's columns compacted to its
+// tuples: column c's n values start at n*Offset(c). That is the buffer
+// of a block whose capacity is n, so a full block encodes, and every
+// block decodes, with one copy.
+
 // Encode serializes the block (header + used payload) into dst, which
 // must have capacity WireSize. It returns the encoded slice.
 func (b *Block) Encode(dst []byte) []byte {
@@ -261,12 +365,7 @@ func (b *Block) Encode(dst []byte) []byte {
 	if cap(dst) < need {
 		dst = make([]byte, need)
 	}
-	dst = dst[:need]
-	binary.LittleEndian.PutUint32(dst[0:], uint32(b.n))
-	binary.LittleEndian.PutUint64(dst[4:], math.Float64bits(b.VisitRate))
-	binary.LittleEndian.PutUint64(dst[12:], b.Seq)
-	copy(dst[headerLen:], b.Bytes())
-	return dst
+	return b.EncodeAppend(dst[:0])
 }
 
 // EncodeAppend serializes the block onto the end of dst and returns the
@@ -274,12 +373,17 @@ func (b *Block) Encode(dst []byte) []byte {
 // contents, so callers can pack several blocks (plus framing) into one
 // pooled buffer without an intermediate copy per block.
 func (b *Block) EncodeAppend(dst []byte) []byte {
-	at := len(dst)
-	dst = append(dst, make([]byte, headerLen)...)
-	binary.LittleEndian.PutUint32(dst[at+0:], uint32(b.n))
-	binary.LittleEndian.PutUint64(dst[at+4:], math.Float64bits(b.VisitRate))
-	binary.LittleEndian.PutUint64(dst[at+12:], b.Seq)
-	return append(dst, b.Bytes()...)
+	dst = binary.LittleEndian.AppendUint32(dst, uint32(b.n))
+	dst = binary.LittleEndian.AppendUint64(dst, math.Float64bits(b.VisitRate))
+	dst = binary.LittleEndian.AppendUint64(dst, b.Seq)
+	if b.n == b.cap {
+		return append(dst, b.buf[:b.n*b.sch.Stride()]...)
+	}
+	for c, col := range b.sch.Cols {
+		base := b.cap * b.sch.Offset(c)
+		dst = append(dst, b.buf[base:base+b.n*col.Width]...)
+	}
+	return dst
 }
 
 // Decode parses an encoded block for the given schema. The payload is
@@ -305,7 +409,7 @@ func Decode(sch *types.Schema, src []byte, tr *Tracker) (*Block, error) {
 	if tr != nil {
 		tr.Alloc(int64(len(b.buf)))
 	}
-	copy(b.buf, payload)
+	copy(b.buf, payload) // capacity n: the compacted columns are the layout
 	b.n = n
 	b.VisitRate = math.Float64frombits(binary.LittleEndian.Uint64(src[4:]))
 	b.Seq = binary.LittleEndian.Uint64(src[12:])

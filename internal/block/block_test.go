@@ -28,7 +28,7 @@ func TestAppendAndRead(t *testing.T) {
 		types.PutValue(rec, sch, 0, types.IntVal(int64(i)))
 		types.PutValue(rec, sch, 1, types.FloatVal(float64(i)*0.5))
 		types.PutValue(rec, sch, 2, types.StrVal("row"))
-		b.AppendRow(rec)
+		b.AppendRows(rec)
 	}
 	if b.NumTuples() != 10 {
 		t.Fatalf("n = %d", b.NumTuples())
@@ -49,23 +49,24 @@ func TestAppendAndRead(t *testing.T) {
 func TestAppendFullPanics(t *testing.T) {
 	sch := types.NewSchema(types.Col("x", types.Int64))
 	b := New(sch, 8, nil) // capacity exactly 1 tuple
-	b.AppendRow(make([]byte, 8))
+	b.AppendRows(make([]byte, 8))
 	defer func() {
 		if recover() == nil {
 			t.Fatal("expected panic on overflow append")
 		}
 	}()
-	b.AppendRow(make([]byte, 8))
+	b.AppendRows(make([]byte, 8))
 }
 
 func TestEncodeDecodeRoundTrip(t *testing.T) {
 	sch := testSchema()
 	b := New(sch, 4096, nil)
 	for i := 0; !b.Full(); i++ {
-		r := b.AppendRowTo()
+		r := make([]byte, b.Schema().Stride())
 		types.PutValue(r, sch, 0, types.IntVal(int64(i*7)))
 		types.PutValue(r, sch, 1, types.FloatVal(float64(i)/3))
 		types.PutValue(r, sch, 2, types.StrVal("abcdefgh"))
+		b.AppendRows(r)
 	}
 	b.VisitRate = 0.125
 	b.Seq = 99
@@ -99,7 +100,7 @@ func TestDecodeErrors(t *testing.T) {
 		t.Error("short frame should error")
 	}
 	b := New(sch, 1024, nil)
-	b.AppendRow(make([]byte, sch.Stride()))
+	b.AppendRows(make([]byte, sch.Stride()))
 	enc := b.Encode(nil)
 	if _, err := Decode(sch, enc[:len(enc)-1], nil); err == nil {
 		t.Error("truncated payload should error")
@@ -114,9 +115,10 @@ func TestRoundTripProperty(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		b := New(sch, int(n%64+1)*sch.Stride(), nil)
 		for i := 0; i < int(n)%b.Cap(); i++ {
-			r := b.AppendRowTo()
+			r := make([]byte, b.Schema().Stride())
 			types.PutValue(r, sch, 0, types.IntVal(rng.Int63()))
 			types.PutValue(r, sch, 1, types.StrVal(string(rune('a'+rng.Intn(26)))))
+			b.AppendRows(r)
 		}
 		b.Seq = uint64(seed)
 		got, err := Decode(sch, b.Encode(nil), nil)
@@ -180,10 +182,11 @@ func BenchmarkEncodeDecode(b *testing.B) {
 	sch := testSchema()
 	blk := New(sch, DefaultSize, nil)
 	for !blk.Full() {
-		r := blk.AppendRowTo()
+		r := make([]byte, blk.Schema().Stride())
 		types.PutValue(r, sch, 0, types.IntVal(7))
 		types.PutValue(r, sch, 1, types.FloatVal(1.5))
 		types.PutValue(r, sch, 2, types.StrVal("abc"))
+		blk.AppendRows(r)
 	}
 	var buf []byte
 	b.ResetTimer()

@@ -17,15 +17,30 @@ func FuzzBlockDecode(f *testing.F) {
 	sch := testSchema()
 	b := New(sch, 4*sch.Stride(), nil)
 	f.Add(b.Encode(nil)) // zero tuples
-	for i := 0; !b.Full(); i++ {
-		r := b.AppendRowTo()
+	r := make([]byte, sch.Stride())
+	fill := func(b *Block, i int) {
 		types.PutValue(r, sch, 0, types.IntVal(int64(i*7)))
 		types.PutValue(r, sch, 1, types.FloatVal(float64(i)/3))
-		types.PutValue(r, sch, 2, types.StrVal("abcdefgh"))
+		types.PutValue(r, sch, 2, types.StrVal("abcdefgh"[:i%9]))
+		b.AppendRows(r)
+	}
+	for i := 0; i < 3; i++ {
+		fill(b, i)
+	}
+	f.Add(b.Encode(nil)) // partly filled: 3 of 4 tuples, columns compacted
+	for i := 3; !b.Full(); i++ {
+		fill(b, i)
 	}
 	b.VisitRate, b.Seq = 0.125, 99
 	enc := b.Encode(nil)
 	f.Add(enc)
+	grown := New(sch, sch.Stride(), nil)
+	for i := 0; i < 7; i++ {
+		grown.EnsureRoom(1)
+		fill(grown, i)
+	}
+	// Grown by EnsureRoom to 8 tuples, holding 7.
+	f.Add(grown.Encode(nil))
 	f.Add(enc[:len(enc)-1])                        // truncated payload
 	f.Add(append(bytes.Clone(enc), 0))             // one byte too many
 	f.Add(enc[:headerLen-1])                       // short header

@@ -20,10 +20,11 @@ func fillRows(b *Block, sch *types.Schema, n int, seed int64) {
 	rng := rand.New(rand.NewSource(seed))
 	for i := 0; i < n; i++ {
 		b.EnsureRoom(1)
-		r := b.AppendRowTo()
+		r := make([]byte, b.Schema().Stride())
 		types.PutValue(r, sch, 0, types.IntVal(int64(i)))
 		types.PutValue(r, sch, 1, types.StrVal(string(rune('a'+rng.Intn(26)))))
 		types.PutValue(r, sch, 2, types.FloatVal(rng.Float64()*100))
+		b.AppendRows(r)
 	}
 }
 
@@ -56,9 +57,9 @@ func TestAppendSelected(t *testing.T) {
 		want := New(sch, 0, nil)
 		for _, i := range sel {
 			want.EnsureRoom(1)
-			want.AppendRow(src.Row(int(i)))
+			want.AppendRows(src.ReadRow(int(i), nil))
 		}
-		if got.NumTuples() != want.NumTuples() || !bytes.Equal(got.Bytes(), want.Bytes()) {
+		if got.NumTuples() != want.NumTuples() || !bytes.Equal(got.Encode(nil), want.Encode(nil)) {
 			t.Fatalf("sel %d: AppendSelected diverged from row-at-a-time gather", si)
 		}
 		// Appending again must extend, not overwrite.
@@ -66,7 +67,7 @@ func TestAppendSelected(t *testing.T) {
 		if got.NumTuples() != want.NumTuples()+2 {
 			t.Fatalf("sel %d: second append: %d tuples", si, got.NumTuples())
 		}
-		if !bytes.Equal(got.Row(want.NumTuples()), src.Row(3)) {
+		if !bytes.Equal(got.ReadRow(want.NumTuples(), nil), src.ReadRow(3, nil)) {
 			t.Fatalf("sel %d: second append wrote wrong row", si)
 		}
 	}
@@ -120,7 +121,7 @@ func TestEncodeDecodeGrownBlock(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if d.NumTuples() != b.NumTuples() || !bytes.Equal(d.Bytes(), b.Bytes()) {
+	if d.NumTuples() != b.NumTuples() || !bytes.Equal(d.Encode(nil), b.Encode(nil)) {
 		t.Fatal("grown block payload did not round-trip")
 	}
 	if d.VisitRate != 0.25 || d.Seq != 42 {

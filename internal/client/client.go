@@ -284,13 +284,12 @@ func (r *Rows) fetch() bool {
 // until the next Next: the slice is reused, and the block they were read
 // from is recycled when the stream moves past it.
 func (r *Rows) Row() []types.Value {
-	rec := r.cur.Row(r.idx - 1)
 	if cap(r.vals) < len(r.sch.Cols) {
 		r.vals = make([]types.Value, len(r.sch.Cols))
 	}
 	r.vals = r.vals[:len(r.sch.Cols)]
 	for i := range r.sch.Cols {
-		r.vals[i] = types.GetValue(rec, r.sch, i)
+		r.vals[i] = r.cur.Get(r.idx-1, i)
 	}
 	return r.vals
 }

@@ -24,9 +24,10 @@ func TestRowsRecycleTheirBlocks(t *testing.T) {
 	for k := 0; k < blocks; k++ {
 		b := block.New(sch, perBlock*sch.Stride(), nil)
 		for i := 0; !b.Full(); i++ {
-			r := b.AppendRowTo()
+			r := make([]byte, b.Schema().Stride())
 			types.PutValue(r, sch, 0, types.IntVal(int64(k*perBlock+i)))
 			types.PutValue(r, sch, 1, types.StrVal("abc"))
+			b.AppendRows(r)
 		}
 		protocol.WriteFrame(&reply, protocol.MsgBlock, b.EncodeAppend(nil))
 	}

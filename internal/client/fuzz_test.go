@@ -48,9 +48,10 @@ func FuzzClientReply(f *testing.F) {
 	sch := types.NewSchema(types.Col("id", types.Int64), types.Char("name", 5))
 	b := block.New(sch, 3*sch.Stride(), nil)
 	for i := 0; !b.Full(); i++ {
-		r := b.AppendRowTo()
+		r := make([]byte, b.Schema().Stride())
 		types.PutValue(r, sch, 0, types.IntVal(int64(i)))
 		types.PutValue(r, sch, 1, types.StrVal("abc"))
+		b.AppendRows(r)
 	}
 	schema := protocol.AppendSchema(nil, nil, sch)
 	blk := b.EncodeAppend(nil)

@@ -315,15 +315,6 @@ func (c *Cluster) Run(id int, sql string) (*QueryResult, error) {
 	return &qr, nil
 }
 
-// RunAny coordinates sql on the lowest-id running node.
-func (c *Cluster) RunAny(sql string) (*QueryResult, error) {
-	ids := c.Running()
-	if len(ids) == 0 {
-		return nil, fmt.Errorf("clustertest: no running nodes")
-	}
-	return c.Run(ids[0], sql)
-}
-
 // RunAll coordinates sql once on every running node and returns the
 // per-coordinator results, keyed by node id.
 func (c *Cluster) RunAll(sql string) (map[int]*QueryResult, error) {

@@ -66,7 +66,6 @@ type Elastic struct {
 	outBlocks atomic.Int64
 
 	expandDelays delayRecorder
-	shrinkDelays delayRecorder
 }
 
 type worker struct {
@@ -199,7 +198,6 @@ func (e *Elastic) Shrink() <-chan time.Duration {
 	go func() {
 		<-victim.done
 		d := time.Duration(time.Now().UnixNano() - victim.termAt.Load())
-		e.shrinkDelays.add(d)
 		shrinkSpan.End()
 		out <- d
 	}()
@@ -333,9 +331,6 @@ func (e *Elastic) Dead() bool {
 
 // ExpandDelays drains the recorded expansion delays (Figure 9a).
 func (e *Elastic) ExpandDelays() []time.Duration { return e.expandDelays.Take() }
-
-// ShrinkDelays drains the recorded shrinkage delays (Figure 9b).
-func (e *Elastic) ShrinkDelays() []time.Duration { return e.shrinkDelays.Take() }
 
 // Probe is a point-in-time metrics snapshot consumed by the dynamic
 // scheduler (Section 4.3-4.4).

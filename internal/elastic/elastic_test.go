@@ -19,10 +19,11 @@ var sch = types.NewSchema(types.Col("id", types.Int64), types.Col("v", types.Int
 func makePartition(rows, blockSize int) *storage.Partition {
 	p := new(storage.Store).CreatePartition("t", sch)
 	l := storage.NewLoader(p, blockSize)
+	rec := make([]byte, sch.Stride())
 	for i := 0; i < rows; i++ {
-		rec := l.Row()
 		types.PutValue(rec, sch, 0, types.IntVal(int64(i)))
 		types.PutValue(rec, sch, 1, types.IntVal(int64(i%97)))
+		l.Append(rec)
 	}
 	l.Close()
 	return p
@@ -272,8 +273,9 @@ func (s *slowIter) Next(ctx *iterator.Ctx) (*block.Block, iterator.Status) {
 	time.Sleep(s.delay)
 	b := block.New(sch, 256, nil)
 	b.Seq = uint64(seq)
-	r := b.AppendRowTo()
+	r := make([]byte, b.Schema().Stride())
 	types.PutValue(r, sch, 0, types.IntVal(seq))
+	b.AppendRows(r)
 	return b, iterator.OK
 }
 
@@ -421,8 +423,11 @@ func TestElasticRandomResizeAggregatingJoin(t *testing.T) {
 	load := func(s *types.Schema, rows int, fill func(i int, rec []byte)) *storage.Partition {
 		p := new(storage.Store).CreatePartition("t", s)
 		l := storage.NewLoader(p, 256)
+		rec := make([]byte, s.Stride())
 		for i := 0; i < rows; i++ {
-			fill(i, l.Row())
+			clear(rec) // fill may set only some columns
+			fill(i, rec)
+			l.Append(rec)
 		}
 		l.Close()
 		return p

@@ -197,15 +197,6 @@ func NewClusterDist(cfg Config, cat *catalog.Catalog, node *network.TCPNode) (*C
 	return c, nil
 }
 
-// LocalNode returns the data node this process owns in distributed
-// mode, or -1 for an all-in-one-process cluster.
-func (c *Cluster) LocalNode() int {
-	if c.dist == nil {
-		return -1
-	}
-	return c.dist.local
-}
-
 // NextQueryID allocates a query id for a new coordinated query. In
 // distributed mode ids must be unique across every process that can
 // coordinate, so the low byte carries the local node id (+1, so a

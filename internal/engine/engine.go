@@ -491,7 +491,7 @@ func (l *TableLoader) Add() {
 		node = ownerOf(l.key, len(l.loaders))
 	}
 	if ld := l.loaders[node]; ld != nil {
-		copy(ld.Row(), l.scratch)
+		ld.Append(l.scratch)
 	}
 	l.rows++
 }

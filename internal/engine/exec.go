@@ -58,10 +58,10 @@ type Request struct {
 	// elsewhere. The spec is the unit every participant must agree on,
 	// so its SQL and Analyze are what runs. This process coordinates —
 	// hosts the master segments and returns the rows — when
-	// Dist.Coordinator == LocalNode(), and otherwise runs its share as a
-	// participant and returns no rows (an analyzed participant's
-	// Result.Snapshot carries its telemetry for the control plane to
-	// ship to the coordinator's DeliverStats).
+	// Dist.Coordinator is the data node it owns, and otherwise runs its
+	// share as a participant and returns no rows (an analyzed
+	// participant's Result.Snapshot carries its telemetry for the
+	// control plane to ship to the coordinator's DeliverStats).
 	Dist *ExecSpec
 }
 

@@ -66,7 +66,7 @@ func TestSharedBlocksSurviveRecycle(t *testing.T) {
 						}
 						for i, b := range blocks {
 							out[fmt.Sprintf("%s/node%d/block%d/%d rows", tbl, node, i, b.NumTuples())] =
-								crc32.ChecksumIEEE(b.Bytes())
+								crc32.ChecksumIEEE(b.EncodeAppend(nil))
 						}
 					}
 				}

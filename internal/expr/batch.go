@@ -7,7 +7,7 @@
 // evaluation unit is the block. CompileBatch fuses the common shapes —
 // column loads, constants, arithmetic over numeric columns, numeric
 // comparisons, EXTRACT over dates — into tight loops over the block's
-// fixed-stride payload; every other expression compiles to a fallback
+// columns (block.Col); every other expression compiles to a fallback
 // kernel that wraps the row-at-a-time Eval, so the batch path is total.
 //
 // Kernels are immutable after compilation and safe for concurrent use
@@ -150,7 +150,7 @@ func CompileBatch(e Expr, sch *types.Schema) BatchExpr {
 	switch n := e.(type) {
 	case *Col:
 		c := sch.Cols[n.Idx]
-		return &colKernel{off: sch.Offset(n.Idx), width: c.Width, kind: c.Kind}
+		return &colKernel{col: n.Idx, width: c.Width, kind: c.Kind}
 	case *Const:
 		return &constKernel{v: n.V}
 	}
@@ -244,10 +244,10 @@ func selCount(b *block.Block, sel []int32) int {
 
 // --- fused kernels ---------------------------------------------------------
 
-// colKernel loads one column of the block into a vector: the gather that
-// turns the row store's fixed strides into a contiguous typed array.
+// colKernel loads one column of the block into a vector: a pass over
+// the column's contiguous bytes.
 type colKernel struct {
-	off   int
+	col   int
 	width int
 	kind  types.Kind
 }
@@ -257,32 +257,31 @@ func (k *colKernel) Fused() bool { return true }
 func (k *colKernel) EvalVec(b *block.Block, sel []int32, out *Vec) {
 	n := selCount(b, sel)
 	out.alloc(k.kind, n, true)
-	st := b.Schema().Stride()
-	buf := b.Bytes()
+	col := b.Col(k.col)
 	switch k.kind {
 	case types.Int64, types.Date:
 		if sel == nil {
-			for i := 0; i < n; i++ {
-				out.I[i] = types.GetInt(buf, i*st+k.off)
+			for i := range out.I {
+				out.I[i] = types.GetInt(col, i*8)
 			}
 		} else {
 			for j, i := range sel {
-				out.I[j] = types.GetInt(buf, int(i)*st+k.off)
+				out.I[j] = types.GetInt(col, int(i)*8)
 			}
 		}
 	case types.Float64:
 		if sel == nil {
-			for i := 0; i < n; i++ {
-				out.F[i] = types.GetFloat(buf, i*st+k.off)
+			for i := range out.F {
+				out.F[i] = types.GetFloat(col, i*8)
 			}
 		} else {
 			for j, i := range sel {
-				out.F[j] = types.GetFloat(buf, int(i)*st+k.off)
+				out.F[j] = types.GetFloat(col, int(i)*8)
 			}
 		}
 	case types.String:
 		forEach(n, sel, func(j, i int) {
-			out.S[j] = types.GetString(buf[i*st:], k.off, k.width)
+			out.S[j] = types.GetString(col, i*k.width, k.width)
 		})
 	}
 }
@@ -601,8 +600,9 @@ func (k *extractKernel) EvalVec(b *block.Block, sel []int32, out *Vec) {
 // --- fallback --------------------------------------------------------------
 
 // rowKernel wraps row-at-a-time Eval so every expression still compiles
-// to the batch interface: one Value box per tuple, exactly the cost the
-// fused kernels avoid, but semantically identical by construction.
+// to the batch interface: a gathered record and one Value box per tuple,
+// exactly the cost the fused kernels avoid, but semantically identical
+// by construction.
 type rowKernel struct {
 	e    Expr
 	sch  *types.Schema
@@ -614,8 +614,10 @@ func (k *rowKernel) Fused() bool { return false }
 func (k *rowKernel) EvalVec(b *block.Block, sel []int32, out *Vec) {
 	n := selCount(b, sel)
 	out.alloc(k.kind, n, false)
+	var rec []byte
 	forEach(n, sel, func(j, i int) {
-		v := k.e.Eval(b.Row(i), k.sch)
+		rec = b.ReadRow(i, rec)
+		v := k.e.Eval(rec, k.sch)
 		if v.Null {
 			out.Null[j] = true
 			return

@@ -32,11 +32,13 @@ func BenchmarkFilterRow(b *testing.B) {
 	for name, pred := range benchSelExprs(sch) {
 		b.Run(name, func(b *testing.B) {
 			kept := 0
+			var rec []byte
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				kept = 0
 				for r := 0; r < blk.NumTuples(); r++ {
-					if Truthy(pred.Eval(blk.Row(r), sch)) {
+					rec = blk.ReadRow(r, rec)
+					if Truthy(pred.Eval(rec, sch)) {
 						kept++
 					}
 				}
@@ -96,8 +98,9 @@ func BenchmarkFilterEqualBatch(b *testing.B) {
 		b.Run(fmt.Sprintf("keep1of%d", k), func(b *testing.B) {
 			rng := rand.New(rand.NewSource(int64(k)))
 			blk := block.New(sch, benchRows*sch.Stride(), nil)
+			blk.SetLen(benchRows)
 			for i := 0; i < benchRows; i++ {
-				types.PutValue(blk.AppendRowTo(), sch, 0, types.IntVal(int64(rng.Intn(k))))
+				blk.Set(i, 0, types.IntVal(int64(rng.Intn(k))))
 			}
 			sel := make([]int32, 0, benchRows)
 			b.ResetTimer()
@@ -126,10 +129,12 @@ func BenchmarkKeyHashRow(b *testing.B) {
 		b.Run(name, func(b *testing.B) {
 			enc := NewKeyEncoder(keys)
 			var h uint64
+			var rec []byte
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				for r := 0; r < blk.NumTuples(); r++ {
-					key := enc.Encode(blk.Row(r), sch)
+					rec = blk.ReadRow(r, rec)
+					key := enc.Encode(rec, sch)
 					h ^= Hash64(key)
 				}
 			}
@@ -178,10 +183,11 @@ func BenchmarkArithFloatBatch(b *testing.B) {
 		types.Col("disc", types.Float64), types.Col("tax", types.Float64))
 	blk := block.New(sch, benchRows*sch.Stride(), nil)
 	for i := 0; i < benchRows; i++ {
-		r := blk.AppendRowTo()
+		r := make([]byte, blk.Schema().Stride())
 		types.PutFloat(r, sch.Offset(0), 900+float64(i%100000))
 		types.PutFloat(r, sch.Offset(1), float64(i%11)/100)
 		types.PutFloat(r, sch.Offset(2), float64(i%9)/100)
+		blk.AppendRows(r)
 	}
 	one := NewConst(types.IntVal(1))
 	price, disc, tax := col(sch, "price"), col(sch, "disc"), col(sch, "tax")
@@ -204,10 +210,11 @@ func BenchmarkProjectionRow(b *testing.B) {
 	blk := fillBatchBlock(sch, benchRows, 3)
 	exprs := benchProjExprs(sch)
 	var sink types.Value
+	var rec []byte
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		for r := 0; r < blk.NumTuples(); r++ {
-			rec := blk.Row(r)
+			rec = blk.ReadRow(r, rec)
 			for _, e := range exprs {
 				sink = e.Eval(rec, sch)
 			}
@@ -237,4 +244,87 @@ func BenchmarkProjectionBatch(b *testing.B) {
 		}
 	}
 	b.ReportMetric(float64(b.N)*benchRows/b.Elapsed().Seconds(), "tuples/s")
+}
+
+// BenchmarkColumnLoad times the column loads a scan's kernels start
+// from, over 300 000 lineitem-shaped rows (the TPC-H schema's fourteen
+// columns, 100 bytes a row) in 64 KB blocks — a table well past the
+// caches, as a scan reads it: Q1's column passes (the shipdate range
+// predicate, the two one-byte group keys packed into a word, and the
+// quantity and price loads) over every row and over the predicate's
+// selection, and S-Q4's three (the date key's hash and two price
+// loads). ns/row is per row of the table.
+func BenchmarkColumnLoad(b *testing.B) {
+	sch := types.NewSchema(
+		types.Col("l_orderkey", types.Int64), types.Col("l_partkey", types.Int64),
+		types.Col("l_suppkey", types.Int64), types.Col("l_linenumber", types.Int64),
+		types.Col("l_quantity", types.Float64), types.Col("l_extendedprice", types.Float64),
+		types.Col("l_discount", types.Float64), types.Col("l_tax", types.Float64),
+		types.Char("l_returnflag", 1), types.Char("l_linestatus", 1),
+		types.Col("l_shipdate", types.Date), types.Col("l_commitdate", types.Date),
+		types.Col("l_receiptdate", types.Date), types.Char("l_shipmode", 10),
+	)
+	const rows = 300_000
+	rng := rand.New(rand.NewSource(5))
+	day0 := types.MustParseDate("1992-01-01")
+	rec := make([]byte, sch.Stride())
+	var blocks []*block.Block
+	for r := 0; r < rows; r++ {
+		if r == 0 || blocks[len(blocks)-1].Full() {
+			blocks = append(blocks, block.New(sch, block.DefaultSize, nil))
+		}
+		for c, col := range sch.Cols {
+			switch col.Kind {
+			case types.Int64:
+				types.PutValue(rec, sch, c, types.IntVal(rng.Int63n(1<<20)))
+			case types.Float64:
+				types.PutValue(rec, sch, c, types.FloatVal(float64(rng.Intn(10000))/100))
+			case types.Date:
+				types.PutValue(rec, sch, c, types.DateVal(day0+int64(rng.Intn(2500))))
+			default:
+				types.PutValue(rec, sch, c, types.StrVal(string(rune('A'+rng.Intn(3)))))
+			}
+		}
+		blocks[len(blocks)-1].AppendRows(rec)
+	}
+	q1Pred := CompilePredicate(NewCmp(LE, col(sch, "l_shipdate"),
+		NewConst(types.DateVal(day0+2300))), sch)
+	q1Keys := NewGroupKeyEncoder([]Expr{col(sch, "l_returnflag"), col(sch, "l_linestatus")}, sch)
+	sq4Key := NewGroupKeyEncoder([]Expr{col(sch, "l_commitdate")}, sch)
+	qty, price := CompileBatch(col(sch, "l_quantity"), sch), CompileBatch(col(sch, "l_extendedprice"), sch)
+	v := GetVec()
+	defer PutVec(v)
+	sel := make([]int32, 0, blocks[0].Cap())
+	for _, tc := range []struct {
+		name string
+		run  func(blk *block.Block)
+	}{
+		{"q1", func(blk *block.Block) {
+			sel = q1Pred.Select(blk, nil, sel[:0])
+			q1Keys.EncodeBlock(blk, nil)
+			qty.EvalVec(blk, nil, v)
+			price.EvalVec(blk, nil, v)
+		}},
+		{"q1-selected", func(blk *block.Block) {
+			sel = q1Pred.Select(blk, nil, sel[:0])
+			q1Keys.EncodeBlock(blk, sel)
+			qty.EvalVec(blk, sel, v)
+			price.EvalVec(blk, sel, v)
+		}},
+		{"sq4", func(blk *block.Block) {
+			sq4Key.EncodeBlock(blk, nil)
+			qty.EvalVec(blk, nil, v)
+			price.EvalVec(blk, nil, v)
+		}},
+	} {
+		b.Run(tc.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				for _, blk := range blocks {
+					tc.run(blk)
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/rows, "ns/row")
+		})
+	}
 }

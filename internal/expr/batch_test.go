@@ -31,13 +31,14 @@ func fillBatchBlock(sch *types.Schema, n int, seed int64) *block.Block {
 	b := block.New(sch, n*sch.Stride(), nil)
 	words := []string{"alpha", "beta", "gamma", "alphabet", "", "ab", "a%b", "a_b", "beta-max"}
 	for i := 0; i < n; i++ {
-		r := b.AppendRowTo()
+		r := make([]byte, b.Schema().Stride())
 		types.PutValue(r, sch, 0, types.IntVal(int64(rng.Intn(100)-50)))
 		types.PutValue(r, sch, 1, types.IntVal(int64(rng.Intn(10))))
 		types.PutValue(r, sch, 2, types.FloatVal(float64(rng.Intn(200)-100)/4))
 		types.PutValue(r, sch, 3, types.FloatVal(float64(rng.Intn(5)))) // zeros for x/0
 		types.PutValue(r, sch, 4, types.DateVal(int64(14000+rng.Intn(800))))
 		types.PutValue(r, sch, 5, types.StrVal(words[rng.Intn(len(words))]))
+		b.AppendRows(r)
 	}
 	return b
 }
@@ -111,7 +112,7 @@ func TestCompileBatchMatchesEval(t *testing.T) {
 				if tc.sel != nil {
 					row = int(tc.sel[j])
 				}
-				want := e.Eval(blk.Row(row), sch)
+				want := e.Eval(blk.ReadRow(row, nil), sch)
 				got := out.Value(j)
 				if want.Null != got.Null {
 					t.Fatalf("case %d (%s) %s row %d: null %v, want %v", ci, e, tc.name, row, got.Null, want.Null)
@@ -136,11 +137,12 @@ func TestArithKernelsMatchEval(t *testing.T) {
 	blk := block.New(sch, len(vals)*len(vals)*sch.Stride(), nil)
 	for i, f := range vals {
 		for j, g := range vals {
-			r := blk.AppendRowTo()
+			r := make([]byte, blk.Schema().Stride())
 			types.PutFloat(r, sch.Offset(0), f)
 			types.PutFloat(r, sch.Offset(1), g)
 			types.PutFloat(r, sch.Offset(2), vals[(i+j)%len(vals)])
 			types.PutInt(r, sch.Offset(3), int64(i-j))
+			blk.AppendRows(r)
 		}
 	}
 	f, g, h, a := col(sch, "f"), col(sch, "g"), col(sch, "h"), col(sch, "a")
@@ -188,7 +190,7 @@ func TestArithKernelsMatchEval(t *testing.T) {
 				if sel != nil {
 					row = int(sel[j])
 				}
-				want, got := c.e.Eval(blk.Row(row), sch), out.Value(j)
+				want, got := c.e.Eval(blk.ReadRow(row, nil), sch), out.Value(j)
 				if want.Null != got.Null || got.Kind != types.Float64 ||
 					!want.Null && math.Float64bits(want.F) != math.Float64bits(got.F) {
 					t.Fatalf("%s row %d (sel %v): got %v (%x), want %v (%x)", c.e, row, sel != nil,
@@ -271,7 +273,7 @@ func TestCompilePredicateMatchesEval(t *testing.T) {
 		p := CompilePredicate(e, sch)
 		var want []int32
 		for i := 0; i < n; i++ {
-			if Truthy(e.Eval(blk.Row(i), sch)) {
+			if Truthy(e.Eval(blk.ReadRow(i, nil), sch)) {
 				want = append(want, int32(i))
 			}
 		}
@@ -287,7 +289,7 @@ func TestCompilePredicateMatchesEval(t *testing.T) {
 		}
 		var wantEven []int32
 		for _, i := range evens {
-			if Truthy(e.Eval(blk.Row(int(i)), sch)) {
+			if Truthy(e.Eval(blk.ReadRow(int(i), nil), sch)) {
 				wantEven = append(wantEven, i)
 			}
 		}
@@ -315,10 +317,10 @@ func TestRangeKernelsAtTheEdges(t *testing.T) {
 	blk := block.New(sch, n*sch.Stride(), nil)
 	for _, i := range ints {
 		for _, f := range floats {
-			r := blk.AppendRowTo()
-			clear(r)
+			r := make([]byte, blk.Schema().Stride())
 			types.PutValue(r, sch, 0, types.IntVal(i))
 			types.PutValue(r, sch, 2, types.FloatVal(f))
+			blk.AppendRows(r)
 		}
 	}
 	a, f := col(sch, "a"), col(sch, "f")
@@ -351,7 +353,7 @@ func TestRangeKernelsAtTheEdges(t *testing.T) {
 		var want, wantOdd []int32
 		odds = odds[:0]
 		for i := 0; i < n; i++ {
-			keep := Truthy(e.Eval(blk.Row(i), sch))
+			keep := Truthy(e.Eval(blk.ReadRow(i, nil), sch))
 			if keep {
 				want = append(want, int32(i))
 			}
@@ -427,11 +429,11 @@ func TestBatchKeyEncoderMatchesRowEncoder(t *testing.T) {
 				if tc.sel != nil {
 					r = int(tc.sel[j])
 				}
-				want := row.Encode(blk.Row(r), sch)
+				want := row.Encode(blk.ReadRow(r, nil), sch)
 				if got := benc.Key(j); !bytes.Equal(got, want) {
 					t.Fatalf("keys %d %s row %d: key %x, want %x", ki, tc.name, r, got, want)
 				}
-				wantH := row.Hash(blk.Row(r), sch)
+				wantH := row.Hash(blk.ReadRow(r, nil), sch)
 				if got := benc.Hash(j); got != wantH {
 					t.Fatalf("keys %d %s row %d: hash %x, want %x", ki, tc.name, r, got, wantH)
 				}
@@ -614,7 +616,7 @@ func TestNeverNullVectorsShareOneMask(t *testing.T) {
 					t.Errorf("case %d (%s): never NULL, but the vector has a mask of its own", ci, e)
 				}
 				for i := 0; i < blk.NumTuples(); i++ {
-					if e.Eval(blk.Row(i), sch).Null {
+					if e.Eval(blk.ReadRow(i, nil), sch).Null {
 						t.Fatalf("case %d (%s): NotNull, but row %d is NULL", ci, e, i)
 					}
 				}

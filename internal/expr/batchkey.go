@@ -25,7 +25,7 @@ import (
 
 // key-source strategies, picked once at construction per key expression.
 const (
-	ksIntCol   = iota // Int64/Date column: 0x01 + 8 LE bytes straight off the record
+	ksIntCol   = iota // Int64/Date column: 0x01 + 8 LE bytes straight off the column
 	ksFloatCol        // Float64 column: 0x01 + normalized bits
 	ksStrCol          // CHAR column: 0x01 + trimmed bytes + 0xFF, no string alloc
 	ksVec             // fused kernel: evaluate into a Vec, then append by kind
@@ -34,7 +34,7 @@ const (
 
 type keySrc struct {
 	mode       int
-	off, width int       // ksIntCol/ksFloatCol/ksStrCol
+	col, width int       // ksIntCol/ksFloatCol/ksStrCol
 	kern       BatchExpr // ksVec
 	vec        *Vec      // ksVec scratch, owned by the encoder
 	e          Expr      // ksRow
@@ -59,6 +59,8 @@ type BatchKeyEncoder struct {
 	slab   []byte  // concatenated keys
 	ends   []int32 // ends[j] = end offset of key j in slab (start = ends[j-1])
 	hashes []uint64
+	cols   [][]byte // per source, its column of the current block (column sources)
+	rec    []byte   // the gathered row a ksRow source evaluates
 }
 
 // NewBatchKeyEncoder builds a batch encoder for the key expressions
@@ -73,7 +75,7 @@ func NewBatchKeyEncoder(exprs []Expr, sch *types.Schema) *BatchKeyEncoder {
 		var s keySrc
 		if c, ok := e.(*Col); ok {
 			col := sch.Cols[c.Idx]
-			s.off, s.width = sch.Offset(c.Idx), col.Width
+			s.col, s.width = c.Idx, col.Width
 			switch col.Kind {
 			case types.Int64, types.Date:
 				s.mode = ksIntCol
@@ -97,7 +99,7 @@ func NewBatchKeyEncoder(exprs []Expr, sch *types.Schema) *BatchKeyEncoder {
 		}
 	}
 	if len(enc.srcs) == 1 && enc.srcs[0].mode == ksIntCol {
-		enc.words = []wordField{{off: enc.srcs[0].off, width: 8, mask: ^uint64(0)}}
+		enc.words = []wordField{{col: enc.srcs[0].col, width: 8, mask: ^uint64(0)}}
 	}
 	return enc
 }
@@ -132,10 +134,10 @@ func (enc *BatchKeyEncoder) Fork() *BatchKeyEncoder {
 	return f
 }
 
-// wordField is one column of a word key: where it sits in the record
-// and which bits of the word it fills.
+// wordField is one column of a word key: which column it is and which
+// bits of the word it fills.
 type wordField struct {
-	off, width int
+	col, width int
 	shift      uint   // the field's first byte lands at bit shift
 	mask       uint64 // the low 8*width bits
 	char       bool   // a CHAR field of two bytes or more: cut at its first NUL, as GetStringBytes is
@@ -169,7 +171,7 @@ func wordFields(exprs []Expr, sch *types.Schema) []wordField {
 			return nil
 		}
 		col := sch.Cols[c.Idx]
-		f := wordField{off: sch.Offset(c.Idx), width: col.Width, shift: uint(used)}
+		f := wordField{col: c.Idx, width: col.Width, shift: uint(used)}
 		switch col.Kind {
 		case types.Int64, types.Date:
 			f.width = 8
@@ -185,18 +187,7 @@ func wordFields(exprs []Expr, sch *types.Schema) []wordField {
 		f.mask = ^uint64(0) >> (64 - 8*f.width)
 		fs = append(fs, f)
 	}
-	// Fields that sit side by side in the record in key order, none of
-	// them cut at a NUL (Q1's two flags), are the word's bytes as they
-	// stand: one field, one load.
-	if len(fs) < 2 || fs[0].char {
-		return fs
-	}
-	for i := 1; i < len(fs); i++ {
-		if fs[i].off != fs[i-1].off+fs[i-1].width || fs[i].char {
-			return fs
-		}
-	}
-	return []wordField{{off: fs[0].off, width: used / 8, mask: ^uint64(0) >> (64 - used)}}
+	return fs
 }
 
 // Word reports whether the encoder packs its keys into words: Hash is
@@ -251,33 +242,32 @@ func (enc *BatchKeyEncoder) EncodeBlock(b *block.Block, sel []int32) int {
 		enc.slab = make([]byte, 0, n*worst)
 	}
 	// Column pass: evaluate each fused kernel once over the whole block.
+	enc.loadCols(b)
 	for i := range enc.srcs {
 		if s := &enc.srcs[i]; s.mode == ksVec {
 			s.kern.EvalVec(b, sel, s.vec)
 		}
 	}
-	st := enc.sch.Stride()
-	payload := b.Bytes()
 	// Assembly pass: concatenate per-row keys into the slab and hash
-	// them. Direct column sources read the record bytes in place.
+	// them. Direct column sources read the column bytes in place.
 	for j := 0; j < n; j++ {
 		row := j
 		if sel != nil {
 			row = int(sel[j])
 		}
-		rec := payload[row*st : row*st+st]
 		start := len(enc.slab)
 		// word: the row's key is one integer value, hashed by its word.
 		var word uint64
 		isWord := false
 		for i := range enc.srcs {
 			s := &enc.srcs[i]
+			col := enc.cols[i]
 			switch s.mode {
 			case ksIntCol:
 				enc.slab = append(enc.slab, 1)
-				enc.slab = append(enc.slab, rec[s.off:s.off+8]...)
+				enc.slab = append(enc.slab, col[row*8:row*8+8]...)
 			case ksFloatCol:
-				f := types.GetFloat(rec, s.off)
+				f := types.GetFloat(col, row*8)
 				if f == 0 {
 					f = 0 // normalize -0.0, matching appendValue
 				}
@@ -287,7 +277,7 @@ func (enc *BatchKeyEncoder) EncodeBlock(b *block.Block, sel []int32) int {
 				enc.slab = append(enc.slab, tmp[:]...)
 			case ksStrCol:
 				// Capacity was reserved above: extend once, copy in place.
-				sb := types.GetStringBytes(rec, s.off, s.width)
+				sb := types.GetStringBytes(col, row*s.width, s.width)
 				l := len(enc.slab)
 				enc.slab = enc.slab[:l+len(sb)+2]
 				enc.slab[l] = 1
@@ -299,7 +289,8 @@ func (enc *BatchKeyEncoder) EncodeBlock(b *block.Block, sel []int32) int {
 					word, isWord = uint64(s.vec.I[j]), true
 				}
 			default: // ksRow
-				v := s.e.Eval(rec, enc.sch)
+				enc.rec = b.ReadRow(row, enc.rec)
+				v := s.e.Eval(enc.rec, enc.sch)
 				enc.slab = appendValue(enc.slab, v)
 				if len(enc.srcs) == 1 && isWordValue(v) {
 					word, isWord = uint64(v.I), true
@@ -338,24 +329,22 @@ func (enc *BatchKeyEncoder) encodeFixed(b *block.Block, sel []int32, n int) int 
 	enc.ends = enc.ends[:n]
 	enc.hashes = enc.hashes[:n]
 
-	st := enc.sch.Stride()
-	payload := b.Bytes()
+	enc.loadCols(b)
 	oneInt := len(enc.srcs) == 1 && enc.srcs[0].mode == ksIntCol
 	for j := 0; j < n; j++ {
 		row := j
 		if sel != nil {
 			row = int(sel[j])
 		}
-		rec := payload[row*st : row*st+st]
 		out := enc.slab[j*kw : (j+1)*kw]
 		o := 0
 		for i := range enc.srcs {
-			s := &enc.srcs[i]
+			s, col := &enc.srcs[i], enc.cols[i]
 			out[o] = 1
 			if s.mode == ksIntCol {
-				copy(out[o+1:o+9], rec[s.off:s.off+8])
+				copy(out[o+1:o+9], col[row*8:row*8+8])
 			} else {
-				f := types.GetFloat(rec, s.off)
+				f := types.GetFloat(col, row*8)
 				if f == 0 {
 					f = 0 // normalize -0.0, matching appendValue
 				}
@@ -373,57 +362,89 @@ func (enc *BatchKeyEncoder) encodeFixed(b *block.Block, sel []int32, n int) int 
 	return n
 }
 
+// loadCols points enc.cols at the columns of b its column sources read.
+func (enc *BatchKeyEncoder) loadCols(b *block.Block) {
+	if len(enc.cols) < len(enc.srcs) {
+		enc.cols = make([][]byte, len(enc.srcs))
+	}
+	for i := range enc.srcs {
+		if s := &enc.srcs[i]; s.mode <= ksStrCol {
+			enc.cols[i] = b.Col(s.col)
+		}
+	}
+}
+
 // encodeWords is EncodeBlock for a word key: each row's fields are
 // packed into one uint64 and the word's mix is its hash. A CHAR field
 // keeps its bytes up to the first NUL and zeroes the rest, so two
 // fields pack equal exactly when GetStringBytes reads them equal; the
 // fields sit at fixed bit positions, so ("", "A") and ("A", "") differ.
+// The words are built a field at a time, each pass over one column.
 func (enc *BatchKeyEncoder) encodeWords(b *block.Block, sel []int32, n int) int {
 	if cap(enc.hashes) < n {
 		enc.hashes = make([]uint64, n)
 	}
 	hashes := enc.hashes[:n]
-	st := enc.sch.Stride()
-	payload := b.Bytes()
+	enc.hashes = hashes
 	if f := enc.words[0]; len(enc.words) == 1 && !f.char && f.width == 8 {
 		// One integer column: one load and the mix per row.
+		col := b.Col(f.col)
+		if sel == nil {
+			for j := range hashes {
+				hashes[j] = mixWord(binary.LittleEndian.Uint64(col[j*8:]))
+			}
+			return n
+		}
+		for j, row := range sel {
+			hashes[j] = mixWord(binary.LittleEndian.Uint64(col[int(row)*8:]))
+		}
+		return n
+	}
+	clear(hashes)
+	for i := range enc.words {
+		f := &enc.words[i]
+		col, w := b.Col(f.col), f.width
+		if w == 1 {
+			// A one-byte field is its byte (a NUL cut leaves it as is).
+			shift := f.shift
+			if sel == nil {
+				col = col[:n]
+				for j := range hashes {
+					hashes[j] |= uint64(col[j]) << shift
+				}
+			} else {
+				hashes := hashes[:len(sel)]
+				for j, row := range sel {
+					hashes[j] |= uint64(col[row]) << shift
+				}
+			}
+			continue
+		}
 		for j := range hashes {
 			row := j
 			if sel != nil {
 				row = int(sel[j])
 			}
-			hashes[j] = mixWord(binary.LittleEndian.Uint64(payload[row*st+f.off:]))
-		}
-		enc.hashes = hashes
-		return n
-	}
-	for j := range hashes {
-		row := j
-		if sel != nil {
-			row = int(sel[j])
-		}
-		base := row * st
-		var w uint64
-		for i := range enc.words {
-			f := &enc.words[i]
 			var v uint64
-			// One load and the mask, unless the field ends within 8
-			// bytes of the block's last byte: then byte by byte.
-			if at := base + f.off; at+8 <= len(payload) {
-				v = binary.LittleEndian.Uint64(payload[at:]) & f.mask
-			} else {
-				for k := at + f.width - 1; k >= at; k-- {
-					v = v<<8 | uint64(payload[k])
+			switch at := row * w; {
+			case at+8 <= len(col):
+				// One load and the mask, unless the field ends within 8
+				// bytes of the column's end: then byte by byte.
+				v = binary.LittleEndian.Uint64(col[at:]) & f.mask
+			default:
+				for k := at + w - 1; k >= at; k-- {
+					v = v<<8 | uint64(col[k])
 				}
 			}
 			if f.char {
 				v = cutAtNUL(v)
 			}
-			w |= v << f.shift
+			hashes[j] |= v << f.shift
 		}
+	}
+	for j, w := range hashes {
 		hashes[j] = mixWord(w)
 	}
-	enc.hashes = hashes
 	return n
 }
 

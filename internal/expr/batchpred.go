@@ -1,8 +1,8 @@
 // Batch predicate evaluation: predicates compile to kernels that turn a
 // block into a selection vector — the surviving row indexes — instead
-// of one boxed boolean per tuple. Filters then gather survivors with a
-// single bulk copy (block.AppendSelected) rather than row-at-a-time
-// appends.
+// of one boxed boolean per tuple. Filters then gather survivors with
+// one bulk copy per column (block.AppendSelected) rather than
+// row-at-a-time appends.
 package expr
 
 import (
@@ -61,7 +61,7 @@ func CompilePredicate(e Expr, sch *types.Schema) BatchPredicate {
 		}
 	case *Like:
 		if col, ok := n.E.(*Col); ok && sch.Cols[col.Idx].Kind == types.String {
-			return &likePred{off: sch.Offset(col.Idx),
+			return &likePred{col: col.Idx,
 				width: sch.Cols[col.Idx].Width, like: n}
 		}
 	}
@@ -75,16 +75,14 @@ func PredVectorized(e Expr, sch *types.Schema) bool {
 }
 
 // selFilter runs the shared selection-vector scaffolding around a
-// per-row verdict: append-scan when sel is nil, in-place narrowing
-// otherwise.
-func selFilter(b *block.Block, sel []int32, buf []int32, keep func(rec []byte) bool) []int32 {
-	st := b.Schema().Stride()
-	payload := b.Bytes()
+// per-row verdict on row i: append-scan when sel is nil, in-place
+// narrowing otherwise.
+func selFilter(b *block.Block, sel []int32, buf []int32, keep func(i int) bool) []int32 {
 	if sel == nil {
 		out := buf[:0]
 		n := b.NumTuples()
 		for i := 0; i < n; i++ {
-			if keep(payload[i*st : i*st+st]) {
+			if keep(i) {
 				out = append(out, int32(i))
 			}
 		}
@@ -92,7 +90,7 @@ func selFilter(b *block.Block, sel []int32, buf []int32, keep func(rec []byte) b
 	}
 	w := 0
 	for _, i := range sel {
-		if keep(payload[int(i)*st : int(i)*st+st]) {
+		if keep(int(i)) {
 			sel[w] = i
 			w++
 		}
@@ -205,23 +203,22 @@ func colConstCmp(op CmpOp, sch *types.Schema, c *Col, v types.Value) BatchPredic
 		return nil // NULL comparisons never qualify; keep row semantics
 	}
 	col := sch.Cols[c.Idx]
-	off := sch.Offset(c.Idx)
 	switch col.Kind {
 	case types.Int64, types.Date:
 		if v.Kind == types.Float64 {
 			// Mixed int/float compares as float (Value.Compare).
-			return floatCmpRange(off, op, v.F, true)
+			return floatCmpRange(c.Idx, op, v.F, true)
 		}
 		if v.Kind == types.Int64 || v.Kind == types.Date {
-			return intCmpRange(off, op, v.I)
+			return intCmpRange(c.Idx, op, v.I)
 		}
 	case types.Float64:
 		if v.Kind.Numeric() || v.Kind == types.Date {
-			return floatCmpRange(off, op, v.AsFloat(), false)
+			return floatCmpRange(c.Idx, op, v.AsFloat(), false)
 		}
 	case types.String:
 		if v.Kind == types.String {
-			return &cmpStrConstPred{off: off, width: col.Width, op: op, c: []byte(v.S)}
+			return &cmpStrConstPred{col: c.Idx, width: col.Width, op: op, c: []byte(v.S)}
 		}
 	}
 	return nil
@@ -233,7 +230,7 @@ func colColCmp(op CmpOp, sch *types.Schema, l, r *Col) BatchPredicate {
 		return nil
 	}
 	return &cmpColColPred{
-		lOff: sch.Offset(l.Idx), rOff: sch.Offset(r.Idx), op: op,
+		l: l.Idx, r: r.Idx, op: op,
 		flt:  lk == types.Float64 || rk == types.Float64,
 		lInt: lk != types.Float64, rInt: rk != types.Float64,
 	}
@@ -272,14 +269,14 @@ func selAll(buf []int32, n int) []int32 {
 // intRangePred: Int64/Date column in [lo, hi] (not in, when inv is 1).
 // lo > hi is the empty range.
 type intRangePred struct {
-	off    int
+	col    int
 	lo, hi int64
 	inv    int
 }
 
 // intCmpRange states column op c as a range over int64.
-func intCmpRange(off int, op CmpOp, c int64) *intRangePred {
-	p := &intRangePred{off: off, lo: math.MinInt64, hi: math.MaxInt64}
+func intCmpRange(col int, op CmpOp, c int64) *intRangePred {
+	p := &intRangePred{col: col, lo: math.MinInt64, hi: math.MaxInt64}
 	switch op {
 	case EQ:
 		p.lo, p.hi = c, c
@@ -304,23 +301,23 @@ func intCmpRange(off int, op CmpOp, c int64) *intRangePred {
 func (p *intRangePred) Fused() bool { return true }
 
 func (p *intRangePred) Select(b *block.Block, sel []int32, buf []int32) []int32 {
-	off, lo, hi, inv := p.off, p.lo, p.hi, p.inv
-	st, payload, w := b.Schema().Stride(), b.Bytes(), 0
+	lo, hi, inv := p.lo, p.hi, p.inv
+	col, w := b.Col(p.col), 0
 	if lo == hi && inv == 0 && sel == nil {
-		return p.selectEqual(b, buf)
+		return p.selectEqual(col, b.NumTuples(), buf)
 	}
 	if sel == nil {
 		n := b.NumTuples()
 		out := selAll(buf, n)
 		for i := 0; i < n; i++ {
-			x := types.GetInt(payload, i*st+off)
+			x := types.GetInt(col, i*8)
 			out[w] = int32(i)
 			w += inRange(x, lo, hi) ^ inv
 		}
 		return out[:w]
 	}
 	for _, i := range sel {
-		x := types.GetInt(payload, int(i)*st+off)
+		x := types.GetInt(col, int(i)*8)
 		sel[w] = i
 		w += inRange(x, lo, hi) ^ inv
 	}
@@ -332,13 +329,11 @@ func (p *intRangePred) Select(b *block.Block, sel []int32, buf []int32) []int32 
 // row. BenchmarkFilterEqualBatch times it; against the range loop it
 // read a row in about half the time, whether the equality kept one row
 // in a thousand or every other row (EXPERIMENTS.md).
-func (p *intRangePred) selectEqual(b *block.Block, buf []int32) []int32 {
-	off, c := p.off, p.lo
-	st, payload, w := b.Schema().Stride(), b.Bytes(), 0
-	n := b.NumTuples()
+func (p *intRangePred) selectEqual(col []byte, n int, buf []int32) []int32 {
+	c, w := p.lo, 0
 	out := selAll(buf, n)
-	for i, at := 0, off; i < n; i, at = i+1, at+st {
-		if types.GetInt(payload, at) == c {
+	for i := 0; i < n; i++ {
+		if types.GetInt(col, i*8) == c {
 			out[w] = int32(i)
 			w++
 		}
@@ -350,7 +345,7 @@ func (p *intRangePred) selectEqual(b *block.Block, buf []int32) []int32 {
 // in [lo, hi] (not in, when inv is 1). A NaN is in no range, so it fails
 // every comparison but <>, as it does under the language's operators.
 type floatRangePred struct {
-	off    int
+	col    int
 	lo, hi float64
 	inv    int
 	colInt bool // decode the column as int64, compare as float
@@ -358,8 +353,8 @@ type floatRangePred struct {
 
 // floatCmpRange states column op c as a closed range over float64: x < c
 // is x <= the float just below c, there being none in between.
-func floatCmpRange(off int, op CmpOp, c float64, colInt bool) *floatRangePred {
-	p := &floatRangePred{off: off, lo: math.Inf(-1), hi: math.Inf(1), colInt: colInt}
+func floatCmpRange(col int, op CmpOp, c float64, colInt bool) *floatRangePred {
+	p := &floatRangePred{col: col, lo: math.Inf(-1), hi: math.Inf(1), colInt: colInt}
 	switch op {
 	case EQ:
 		p.lo, p.hi = c, c
@@ -384,28 +379,28 @@ func floatCmpRange(off int, op CmpOp, c float64, colInt bool) *floatRangePred {
 func (p *floatRangePred) Fused() bool { return true }
 
 func (p *floatRangePred) Select(b *block.Block, sel []int32, buf []int32) []int32 {
-	off, lo, hi, inv, colInt := p.off, p.lo, p.hi, p.inv, p.colInt
-	st, payload, w := b.Schema().Stride(), b.Bytes(), 0
+	lo, hi, inv, colInt := p.lo, p.hi, p.inv, p.colInt
+	col, w := b.Col(p.col), 0
 	// colInt is the same for every row: a branch, but not one the data
 	// decides.
-	get := func(at int) float64 {
+	get := func(i int) float64 {
 		if colInt {
-			return float64(types.GetInt(payload, at))
+			return float64(types.GetInt(col, i*8))
 		}
-		return types.GetFloat(payload, at)
+		return types.GetFloat(col, i*8)
 	}
 	if sel == nil {
 		n := b.NumTuples()
 		out := selAll(buf, n)
 		for i := 0; i < n; i++ {
-			x := get(i*st + off)
+			x := get(i)
 			out[w] = int32(i)
 			w += inRange(x, lo, hi) ^ inv
 		}
 		return out[:w]
 	}
 	for _, i := range sel {
-		x := get(int(i)*st + off)
+		x := get(int(i))
 		sel[w] = i
 		w += inRange(x, lo, hi) ^ inv
 	}
@@ -415,7 +410,7 @@ func (p *floatRangePred) Select(b *block.Block, sel []int32, buf []int32) []int3
 // cmpStrConstPred: CHAR column op string constant, compared on the
 // NUL-trimmed bytes — no per-row string allocation.
 type cmpStrConstPred struct {
-	off, width int
+	col, width int
 	op         CmpOp
 	c          []byte
 }
@@ -423,15 +418,16 @@ type cmpStrConstPred struct {
 func (p *cmpStrConstPred) Fused() bool { return true }
 
 func (p *cmpStrConstPred) Select(b *block.Block, sel []int32, buf []int32) []int32 {
-	return selFilter(b, sel, buf, func(rec []byte) bool {
-		d := bytes.Compare(types.GetStringBytes(rec, p.off, p.width), p.c)
+	col := b.Col(p.col)
+	return selFilter(b, sel, buf, func(i int) bool {
+		d := bytes.Compare(types.GetStringBytes(col, i*p.width, p.width), p.c)
 		return cmpHolds(p.op, d)
 	})
 }
 
 // cmpColColPred: numeric/date column op numeric/date column.
 type cmpColColPred struct {
-	lOff, rOff int
+	l, r       int // columns
 	op         CmpOp
 	flt        bool // compare as floats
 	lInt, rInt bool // decode sides as int64
@@ -440,9 +436,10 @@ type cmpColColPred struct {
 func (p *cmpColColPred) Fused() bool { return true }
 
 func (p *cmpColColPred) Select(b *block.Block, sel []int32, buf []int32) []int32 {
-	return selFilter(b, sel, buf, func(rec []byte) bool {
+	lc, rc := b.Col(p.l), b.Col(p.r)
+	return selFilter(b, sel, buf, func(i int) bool {
 		if !p.flt {
-			l, r := types.GetInt(rec, p.lOff), types.GetInt(rec, p.rOff)
+			l, r := types.GetInt(lc, i*8), types.GetInt(rc, i*8)
 			var d int
 			switch {
 			case l < r:
@@ -454,14 +451,14 @@ func (p *cmpColColPred) Select(b *block.Block, sel []int32, buf []int32) []int32
 		}
 		var l, r float64
 		if p.lInt {
-			l = float64(types.GetInt(rec, p.lOff))
+			l = float64(types.GetInt(lc, i*8))
 		} else {
-			l = types.GetFloat(rec, p.lOff)
+			l = types.GetFloat(lc, i*8)
 		}
 		if p.rInt {
-			r = float64(types.GetInt(rec, p.rOff))
+			r = float64(types.GetInt(rc, i*8))
 		} else {
-			r = types.GetFloat(rec, p.rOff)
+			r = types.GetFloat(rc, i*8)
 		}
 		var d int
 		switch {
@@ -487,15 +484,14 @@ func compileBetweenPred(n *Between, sch *types.Schema) BatchPredicate {
 		return nil
 	}
 	k := sch.Cols[col.Idx].Kind
-	off := sch.Offset(col.Idx)
 	allInt := k != types.Float64 && lo.Kind != types.Float64 && hi.Kind != types.Float64
 	switch {
 	case !numericOrDate(k) || !numericOrDate(lo.Kind) || !numericOrDate(hi.Kind):
 		return nil
 	case allInt:
-		return &intRangePred{off: off, lo: lo.I, hi: hi.I}
+		return &intRangePred{col: col.Idx, lo: lo.I, hi: hi.I}
 	default:
-		return &floatRangePred{off: off, lo: lo.AsFloat(), hi: hi.AsFloat(),
+		return &floatRangePred{col: col.Idx, lo: lo.AsFloat(), hi: hi.AsFloat(),
 			colInt: k != types.Float64}
 	}
 }
@@ -516,22 +512,22 @@ func compileInPred(n *In, sch *types.Schema) BatchPredicate {
 		}
 		list = append(list, v.I)
 	}
-	return &inIntPred{off: sch.Offset(col.Idx), list: list}
+	return &inIntPred{col: col.Idx, list: list}
 }
 
 // inIntPred: integer column IN a small literal list (linear scan: the
 // workloads' IN lists hold a handful of codes).
 type inIntPred struct {
-	off  int
+	col  int
 	list []int64
 }
 
 func (p *inIntPred) Fused() bool { return true }
 
 func (p *inIntPred) Select(b *block.Block, sel []int32, buf []int32) []int32 {
-	off, list := p.off, p.list
-	return selFilter(b, sel, buf, func(rec []byte) bool {
-		x := types.GetInt(rec, off)
+	col, list := b.Col(p.col), p.list
+	return selFilter(b, sel, buf, func(i int) bool {
+		x := types.GetInt(col, i*8)
 		for _, c := range list {
 			if x == c {
 				return true
@@ -545,20 +541,21 @@ func (p *inIntPred) Select(b *block.Block, sel []int32, buf []int32) []int32 {
 // place: a %…% pattern over the whole field (Like.matchField), any other
 // over the NUL-trimmed bytes.
 type likePred struct {
-	off, width int
+	col, width int
 	like       *Like
 }
 
 func (p *likePred) Fused() bool { return true }
 
 func (p *likePred) Select(b *block.Block, sel []int32, buf []int32) []int32 {
+	col, w := b.Col(p.col), p.width
 	if p.like.contains {
-		return selFilter(b, sel, buf, func(rec []byte) bool {
-			return p.like.matchField(rec[p.off:p.off+p.width]) != p.like.Negate
+		return selFilter(b, sel, buf, func(i int) bool {
+			return p.like.matchField(col[i*w:i*w+w]) != p.like.Negate
 		})
 	}
-	return selFilter(b, sel, buf, func(rec []byte) bool {
-		return p.like.MatchBytes(types.GetStringBytes(rec, p.off, p.width)) != p.like.Negate
+	return selFilter(b, sel, buf, func(i int) bool {
+		return p.like.MatchBytes(types.GetStringBytes(col, i*w, w)) != p.like.Negate
 	})
 }
 
@@ -589,8 +586,8 @@ func (p *andPred) Select(b *block.Block, sel []int32, buf []int32) []int32 {
 	return out
 }
 
-// rowPred is the total fallback: Truthy(Eval) per row under the
-// selection scaffolding, so OR / NOT / computed predicates still flow
+// rowPred is the total fallback: Truthy(Eval) of each gathered row
+// under the selection scaffolding, so OR / NOT / computed predicates still flow
 // through selection vectors and bulk gathers.
 type rowPred struct {
 	e   Expr
@@ -600,7 +597,9 @@ type rowPred struct {
 func (p *rowPred) Fused() bool { return false }
 
 func (p *rowPred) Select(b *block.Block, sel []int32, buf []int32) []int32 {
-	return selFilter(b, sel, buf, func(rec []byte) bool {
+	var rec []byte
+	return selFilter(b, sel, buf, func(i int) bool {
+		rec = b.ReadRow(i, rec)
 		return Truthy(p.e.Eval(rec, p.sch))
 	})
 }

@@ -105,7 +105,7 @@ func FuzzKeyEncoder(f *testing.F) {
 			t.Fatalf("one float: HashValues = %#x, Hash = %#x", h, want)
 		}
 		blk := block.New(sch, sch.Stride(), nil)
-		blk.AppendRow(rec)
+		blk.AppendRows(rec)
 		benc := NewBatchKeyEncoder(enc.Exprs, sch)
 		benc.EncodeBlock(blk, nil)
 		if !bytes.Equal(benc.Key(0), key) || benc.Hash(0) != enc.Hash(rec, sch) {
@@ -159,11 +159,11 @@ func FuzzKeyEncoder(f *testing.F) {
 
 // FuzzWordKey checks the aggregation's word key against the general
 // encoding: for keys that pack into one word — two CHAR columns whose
-// widths sum to at most 8, two adjacent CHAR(1) columns (one load for
-// both, in key order; two loads out of it), or one Int64 column — two
-// rows get equal hashes exactly when their general encodings are equal,
-// whatever bytes follow a NUL in a CHAR field. A key one byte too wide
-// for a word keeps the general encoding and Hash64.
+// widths sum to at most 8, two CHAR(1) columns in either order, or one
+// Int64 column — two rows get equal hashes exactly when their general
+// encodings are equal, whatever bytes follow a NUL in a CHAR field. A
+// key one byte too wide for a word keeps the general encoding and
+// Hash64.
 func FuzzWordKey(f *testing.F) {
 	f.Add("", "A", "A", "", uint8(3), uint8(5), int64(-1), int64(1))
 	f.Add("A\x00x", "b", "A\x00y", "b", uint8(3), uint8(5), int64(math.MinInt64), int64(math.MinInt64))
@@ -173,20 +173,22 @@ func FuzzWordKey(f *testing.F) {
 	f.Fuzz(func(t *testing.T, a0, b0, a1, b1 string, wa, wb uint8, n0, n1 int64) {
 		w1 := 1 + int(wa)%7      // 1..7
 		w2 := 1 + int(wb)%(8-w1) // 1..8-w1: the pair fits in a word
-		// b is last, so the record ends less than 8 bytes after it starts
-		// and the encoder reads it byte by byte; a is read with one load.
+		// The two rows repeat five times: a CHAR field is one load and a
+		// mask at the front of its column (rows 0 and 1), and is read
+		// byte by byte within 8 bytes of the column's end (rows 8 and 9).
 		sch := types.NewSchema(types.Char("a", w1), types.Col("n", types.Int64),
 			types.Char("c", 9-w1), types.Char("f", 1), types.Char("g", 1), types.Char("b", w2))
-		blk := block.New(sch, 2*sch.Stride(), nil)
-		for _, r := range [][]any{{a0, b0, n0}, {a1, b1, n1}} {
-			rec := blk.AppendRowTo()
-			clear(rec)
+		blk := block.New(sch, 10*sch.Stride(), nil)
+		for k := 0; k < 10; k++ {
+			r := [][]any{{a0, b0, n0}, {a1, b1, n1}}[k%2]
+			rec := make([]byte, blk.Schema().Stride())
 			types.PutString(rec, sch.Offset(0), w1, r[0].(string))
 			types.PutInt(rec, sch.Offset(1), r[2].(int64))
 			types.PutString(rec, sch.Offset(2), 9-w1, r[1].(string))
 			types.PutString(rec, sch.Offset(3), 1, r[0].(string))
 			types.PutString(rec, sch.Offset(4), 1, r[1].(string))
 			types.PutString(rec, sch.Offset(5), w2, r[1].(string))
+			blk.AppendRows(rec)
 		}
 		a, n, c, b := NewCol(0, "a"), NewCol(1, "n"), NewCol(2, "c"), NewCol(5, "b")
 		fl, gl := NewCol(3, "f"), NewCol(4, "g")
@@ -198,9 +200,11 @@ func FuzzWordKey(f *testing.F) {
 			general.EncodeBlock(blk, nil)
 			word.EncodeBlock(blk, nil)
 			sameKey := bytes.Equal(general.Key(0), general.Key(1))
-			if sameHash := word.Hash(0) == word.Hash(1); sameKey != sameHash {
-				t.Fatalf("keys %v: general keys %x, %x (equal %v), word hashes %#x, %#x",
-					keys, general.Key(0), general.Key(1), sameKey, word.Hash(0), word.Hash(1))
+			for _, i := range []int{0, 8} {
+				if sameHash := word.Hash(i) == word.Hash(i+1); sameKey != sameHash || word.Hash(i) != word.Hash(0) {
+					t.Fatalf("keys %v, rows %d and %d: general keys %x, %x (equal %v), word hashes %#x, %#x (rows 0 and 1: %#x, %#x)",
+						keys, i, i+1, general.Key(0), general.Key(1), sameKey, word.Hash(i), word.Hash(i+1), word.Hash(0), word.Hash(1))
+				}
 			}
 		}
 		// a + c is 9 bytes wide: the general encoding, byte for byte.

@@ -136,7 +136,7 @@ func BenchmarkSenderRepartition(b *testing.B) {
 	s.sent = make([]int64, 3)
 	var bytes int64
 	for _, blk := range blocks {
-		bytes += int64(len(blk.Bytes()))
+		bytes += int64(blk.NumTuples() * sch.Stride())
 	}
 	b.SetBytes(bytes)
 	b.ReportAllocs()

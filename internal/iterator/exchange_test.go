@@ -107,7 +107,7 @@ func TestSenderRepartition(t *testing.T) {
 									d, i, b.NumTuples(), blockSize/sch.Stride())
 							}
 							for r := 0; r < b.NumTuples(); r++ {
-								rec := b.Row(r)
+								rec := b.ReadRow(r, nil)
 								if want := int(row.Hash(rec, sch) % uint64(n)); want != d {
 									t.Fatalf("row id %d arrived at %d, hashes to %d", b.Get(r, 0).I, d, want)
 								}
@@ -177,14 +177,14 @@ func lineitemBlocks(n int) (*types.Schema, []*block.Block) {
 	for i := range blocks {
 		b := block.New(sch, 0, nil)
 		for !b.Full() {
-			rec := b.AppendRowTo()
-			clear(rec) // not every column is set below
+			rec := make([]byte, b.Schema().Stride())
 			types.PutValue(rec, sch, 0, types.IntVal(int64(row/4)))
 			types.PutValue(rec, sch, 1, types.IntVal(int64(row*7919%200000)))
 			types.PutValue(rec, sch, 2, types.FloatVal(float64(row%50)))
 			types.PutValue(rec, sch, 6, types.DateVal(int64(9000+row%2500)))
 			types.PutValue(rec, sch, 8, types.StrVal("TRUCK"))
 			row++
+			b.AppendRows(rec)
 		}
 		b.MarkShared()
 		blocks[i] = b

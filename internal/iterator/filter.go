@@ -1,7 +1,6 @@
 package iterator
 
 import (
-	"encoding/binary"
 	"sync"
 	"sync/atomic"
 
@@ -200,9 +199,9 @@ func (f *Filter) Close() { f.child.Close() }
 // schema. Like Filter, its state is read-only after construction.
 //
 // It copies every output column that is a plain input column of the
-// same kind and width as bytes, row to row, and evaluates each other
-// expression column-at-a-time through compiled batch kernels, scattering
-// the typed vectors into the output block's fixed-stride rows.
+// same kind and width as one run of bytes, column to column, and
+// evaluates each other expression column-at-a-time through compiled
+// batch kernels, writing the typed vectors into the output's columns.
 type Project struct {
 	child  Iterator
 	inSch  *types.Schema
@@ -217,17 +216,15 @@ type Project struct {
 	barrier *Barrier
 }
 
-// colMove copies width bytes at offset src of every input row to offset
-// dst of the output row.
-type colMove struct{ src, dst, width int }
+// colMove copies input column src to output column dst.
+type colMove struct{ src, dst int }
 
 // NewProject builds a projection. outSch must have one column per
 // expression, with kinds matching the expressions' result kinds.
 //
-// A column reference whose input and output slots agree in kind and
-// width becomes a byte move, and moves adjacent in both rows merge into
-// one run. Schemas have no padding, so the moves and the kernels between
-// them write every byte of an output row.
+// A column reference whose input and output columns agree in kind and
+// width becomes a byte move. The moves and the kernels write every
+// output column.
 func NewProject(child Iterator, inSch, outSch *types.Schema, exprs []expr.Expr) *Project {
 	p := &Project{child: child, inSch: inSch, outSch: outSch, barrier: NewBarrier(),
 		moves: make([]colMove, 0, len(exprs))}
@@ -239,14 +236,7 @@ func NewProject(child Iterator, inSch, outSch *types.Schema, exprs []expr.Expr) 
 			p.kerns = append(p.kerns, expr.CompileBatch(e, inSch))
 			continue
 		}
-		m := colMove{src: inSch.Offset(col.Idx), dst: outSch.Offset(c), width: out.Width}
-		if k := len(p.moves) - 1; k >= 0 {
-			if last := &p.moves[k]; last.src+last.width == m.src && last.dst+last.width == m.dst {
-				last.width += m.width
-				continue
-			}
-		}
-		p.moves = append(p.moves, m)
+		p.moves = append(p.moves, colMove{src: col.Idx, dst: c})
 	}
 	return p
 }
@@ -288,7 +278,7 @@ func (p *Project) Next(ctx *Ctx) (*block.Block, Status) {
 	out.VisitRate = in.VisitRate
 	out.SetLen(n)
 	for _, m := range p.moves {
-		m.copyRows(out.Bytes(), in.Bytes(), p.outSch.Stride(), p.inSch.Stride())
+		copy(out.Col(m.dst), in.Col(m.src))
 	}
 	if len(p.kerns) > 0 {
 		v := expr.GetVec()
@@ -302,43 +292,20 @@ func (p *Project) Next(ctx *Ctx) (*block.Block, Status) {
 	return out, OK
 }
 
-// copyRows applies the move to every row: a run as wide as both rows is
-// one copy of the payload, an 8-byte slot one word load and store.
-func (m colMove) copyRows(dst, src []byte, dstStride, srcStride int) {
-	n := len(src) / srcStride
-	switch {
-	case m.width == srcStride && m.width == dstStride:
-		copy(dst, src)
-	case m.width == 8:
-		for i := 0; i < n; i++ {
-			d, s := i*dstStride+m.dst, i*srcStride+m.src
-			binary.LittleEndian.PutUint64(dst[d:d+8], binary.LittleEndian.Uint64(src[s:s+8]))
-		}
-	default:
-		for i := 0; i < n; i++ {
-			d, s := i*dstStride+m.dst, i*srcStride+m.src
-			copy(dst[d:d+m.width], src[s:s+m.width])
-		}
-	}
-}
-
-// writeVecColumn scatters vector v into column c of every row of out,
+// writeVecColumn writes vector v into column c of every row of out,
 // mirroring types.PutValue's coercions: the column kind decides the
 // stored representation, and NULLs store as zero values (records carry
 // no null bitmap).
 func writeVecColumn(out *block.Block, c int, v *expr.Vec) {
-	sch := out.Schema()
-	col := sch.Cols[c]
-	off := sch.Offset(c)
-	st := sch.Stride()
-	buf := out.Bytes()
+	col := out.Schema().Cols[c]
+	dst := out.Col(c)
 	n := out.NumTuples()
 	// Kind-class mismatch between the expression and the output column
 	// (should not happen: NewProject requires matching kinds) falls back
 	// to the boxed coercion path rather than guessing.
 	if (col.Kind == types.String) != (v.Kind == types.String) {
 		for i := 0; i < n; i++ {
-			types.PutValue(buf[i*st:], sch, c, v.Value(i))
+			types.PutField(dst, i*col.Width, col, v.Value(i))
 		}
 		return
 	}
@@ -349,7 +316,7 @@ func writeVecColumn(out *block.Block, c int, v *expr.Vec) {
 			if !v.Null[i] {
 				x = v.AsInt(i)
 			}
-			types.PutInt(buf[i*st:], off, x)
+			types.PutInt(dst, i*8, x)
 		}
 	case types.Float64:
 		for i := 0; i < n; i++ {
@@ -357,11 +324,11 @@ func writeVecColumn(out *block.Block, c int, v *expr.Vec) {
 			if !v.Null[i] {
 				x = v.AsFloat(i)
 			}
-			types.PutFloat(buf[i*st:], off, x)
+			types.PutFloat(dst, i*8, x)
 		}
 	default: // String; NULL stores the empty string, like PutValue
 		for i := 0; i < n; i++ {
-			types.PutString(buf[i*st:], off, col.Width, v.S[i])
+			types.PutString(dst, i*col.Width, col.Width, v.S[i])
 		}
 	}
 }

@@ -38,10 +38,11 @@ func wideBlocks(rng *rand.Rand, narrow []*block.Block) []*block.Block {
 	for _, nb := range narrow {
 		b := block.New(wideSchema, nb.NumTuples()*st, nil)
 		for i := 0; i < nb.NumTuples(); i++ {
-			rec := b.AppendRowTo()
+			rec := make([]byte, b.Schema().Stride())
 			types.PutValue(rec, wideSchema, 0, types.StrVal(fmt.Sprintf("padding %d", i)))
 			types.PutValue(rec, wideSchema, 1, types.IntVal(int64(rng.Intn(1000))))
-			copy(rec[off:], nb.Row(i))
+			copy(rec[off:], nb.ReadRow(i, nil))
+			b.AppendRows(rec)
 		}
 		b.MarkShared()
 		out = append(out, b)
@@ -57,8 +58,8 @@ func narrowPassing(wide []*block.Block, t int64) []*block.Block {
 	for _, b := range wide {
 		nb := block.New(oracleSchema, b.NumTuples()*oracleSchema.Stride(), nil)
 		for i := 0; i < b.NumTuples(); i++ {
-			if rec := b.Row(i); types.GetInt(rec, keepOff) < t {
-				copy(nb.AppendRowTo(), rec[off:])
+			if rec := b.ReadRow(i, nil); types.GetInt(rec, keepOff) < t {
+				nb.AppendRows(rec[off:])
 			}
 		}
 		out = append(out, nb)
@@ -283,7 +284,7 @@ func TestDuplicateSpecsShareOneAccumulator(t *testing.T) {
 		sch := ha.Schema()
 		for _, b := range out {
 			for i := 0; i < b.NumTuples(); i++ {
-				rec := b.Row(i)
+				rec := b.ReadRow(i, nil)
 				for _, pair := range [][2]int{{1, 2}, {3, 4}, {5, 6}, {7, 9}, {10, 11}, {10, 12}} {
 					x, y := types.GetValue(rec, sch, pair[0]), types.GetValue(rec, sch, pair[1])
 					if x.Compare(y) != 0 {

@@ -123,11 +123,11 @@ type aggPlan struct {
 	mode accMode
 	arg  expr.Expr // nil for COUNT(*) and COUNT of an argument never NULL
 	kind types.Kind
-	// off is the argument's record offset when the aggregate is a SUM or
-	// AVG of an Int64, Float64 or Date column that the program does not
-	// load for another argument anyway: the update loop reads it in
-	// place. -1 otherwise.
-	off int
+	// col is the argument's column when the aggregate is a SUM or AVG
+	// of an Int64, Float64 or Date column that the program does not load
+	// for another argument anyway: the update loop reads it in place. -1
+	// otherwise.
+	col int
 	// vec is the step of the operator's program (aggArgs) whose vector is
 	// arg over the block. It is -1 without an argument, for a column read
 	// in place, and for an argument outside the fused shapes, whose
@@ -153,13 +153,13 @@ func argOf(s AggSpec) expr.Expr {
 
 // planAgg plans one aggregate, adding its argument to prog.
 func planAgg(s AggSpec, inSch *types.Schema, prog *expr.Program) aggPlan {
-	p := aggPlan{fn: s.Func, arg: argOf(s), off: -1, vec: -1}
+	p := aggPlan{fn: s.Func, arg: argOf(s), col: -1, vec: -1}
 	if p.arg != nil {
 		p.kind = p.arg.Kind(inSch)
 		if at, ok := prog.Find(p.arg); ok {
 			p.vec = at
 		} else if col, isCol := p.arg.(*expr.Col); isCol && (s.Func == Sum || s.Func == Avg) && p.kind != types.String {
-			p.off = inSch.Offset(col.Idx)
+			p.col = col.Idx
 		} else if at, ok := prog.Add(p.arg); ok {
 			p.vec = at
 		}
@@ -169,14 +169,14 @@ func planAgg(s AggSpec, inSch *types.Schema, prog *expr.Program) aggPlan {
 		p.mode = accCount
 	case s.Func == Min || s.Func == Max:
 		p.mode = accExtreme
-	case p.off < 0 && (p.vec < 0 || p.kind == types.String):
+	case p.col < 0 && (p.vec < 0 || p.kind == types.String):
 		p.mode = accBoxed
 	case s.Func == Sum && p.kind == types.Int64:
 		p.mode = accSumInt
 	default:
 		p.mode = accSumFloat
 	}
-	p.own = p.arg != nil && p.off < 0 &&
+	p.own = p.arg != nil && p.col < 0 &&
 		!(expr.NotNull(p.arg) && (p.mode == accSumInt || p.mode == accSumFloat))
 	return p
 }
@@ -217,7 +217,7 @@ func (a *aggPlans) init(specs []AggSpec, inSch *types.Schema) {
 			continue
 		}
 		p := planAgg(s, inSch, &a.prog)
-		a.boxed = a.boxed || (p.arg != nil && p.off < 0 && p.vec < 0)
+		a.boxed = a.boxed || (p.arg != nil && p.col < 0 && p.vec < 0)
 		a.accOf[j] = len(a.plans)
 		a.plans = append(a.plans, p)
 	}
@@ -252,13 +252,14 @@ func (a *aggArgs) vec(p *aggPlan) *expr.Vec {
 }
 
 // value boxes the aggregate's argument for one row: entry pos of the
-// vector when the argument has a kernel, Eval of record rec of b
-// otherwise.
-func (p *aggPlan) value(b *block.Block, sch *types.Schema, v *expr.Vec, pos, rec int32) types.Value {
+// vector when the argument has a kernel, Eval of row rec of b, gathered
+// into *scratch, otherwise.
+func (p *aggPlan) value(b *block.Block, sch *types.Schema, v *expr.Vec, pos, rec int32, scratch *[]byte) types.Value {
 	if v != nil {
 		return v.Value(int(pos))
 	}
-	return p.arg.Eval(b.Row(int(rec)), sch)
+	*scratch = b.ReadRow(int(rec), *scratch)
+	return p.arg.Eval(*scratch, sch)
 }
 
 // aggAcc is one aggregate's accumulator columns, indexed by group id.
@@ -308,8 +309,8 @@ func (a *aggAcc) update(p *aggPlan, b *block.Block, sch *types.Schema, v *expr.V
 	cnt := a.cnt
 	switch {
 	case p.arg == nil: // the table's row count is the answer
-	case p.off >= 0:
-		a.updateColumn(p, b.Bytes(), sch.Stride(), recs, gids)
+	case p.col >= 0:
+		a.updateColumn(p, b.Col(p.col), recs, gids)
 	case p.mode == accSumInt && !p.own:
 		sum, in := a.sumI, v.I
 		for j, g := range gids {
@@ -356,35 +357,34 @@ func (a *aggAcc) update(p *aggPlan, b *block.Block, sch *types.Schema, v *expr.V
 			}
 		}
 	default: // boxed Values: accBoxed, accExtreme, COUNT of an unfused argument
+		var rec []byte
 		for j, g := range gids {
-			if x := p.value(b, sch, v, rows[j], recs[j]); !x.Null {
+			if x := p.value(b, sch, v, rows[j], recs[j], &rec); !x.Null {
 				a.fold(p, g, x)
 			}
 		}
 	}
 }
 
-// updateColumn is update for a SUM or AVG of a column: it reads record
-// recs[j]'s value at p.off in the block's payload in, whose records are
-// st bytes apart. A record column is never NULL, so there is no count
-// to keep.
-func (a *aggAcc) updateColumn(p *aggPlan, in []byte, st int, recs, gids []int32) {
-	off := p.off
+// updateColumn is update for a SUM or AVG of a column: it reads row
+// recs[j]'s value in col, the column p.col of the block. A record column
+// is never NULL, so there is no count to keep.
+func (a *aggAcc) updateColumn(p *aggPlan, col []byte, recs, gids []int32) {
 	switch {
 	case p.mode == accSumInt:
 		sum := a.sumI
 		for j, g := range gids {
-			sum[g] += types.GetInt(in, int(recs[j])*st+off)
+			sum[g] += types.GetInt(col, int(recs[j])*8)
 		}
 	case p.kind == types.Float64:
 		sum := a.sumF
 		for j, g := range gids {
-			sum[g] += types.GetFloat(in, int(recs[j])*st+off)
+			sum[g] += types.GetFloat(col, int(recs[j])*8)
 		}
 	default: // an Int64 or Date column into a float sum
 		sum := a.sumF
 		for j, g := range gids {
-			sum[g] += float64(types.GetInt(in, int(recs[j])*st+off))
+			sum[g] += float64(types.GetInt(col, int(recs[j])*8))
 		}
 	}
 }
@@ -437,12 +437,12 @@ func (a *aggAcc) merge(p *aggPlan, g int32, src *aggAcc, gs int32) {
 	}
 }
 
-// emit writes the aggregate's result into column col of the n rows at
-// buf (laid out per sch): row r gets group gids[r], or group r when gids
-// is nil. cnt is the count it reads (counts). A NULL result stores the
-// zero value, as PutValue does: records carry no null bitmap.
-func (a *aggAcc) emit(p *aggPlan, sch *types.Schema, col int, buf []byte, n int, gids []int32, cnt []int64) {
-	st, off, kind := sch.Stride(), sch.Offset(col), sch.Cols[col].Kind
+// emit writes the aggregate's result, a value of column c, into the n
+// slots of dst, a column: slot r gets group gids[r], or group r when
+// gids is nil. cnt is the count it reads (counts). A NULL result stores
+// the zero value, as PutValue does: records carry no null bitmap.
+func (a *aggAcc) emit(p *aggPlan, c types.Column, dst []byte, n int, gids []int32, cnt []int64) {
+	kind := c.Kind
 	g := func(r int) int {
 		if gids == nil {
 			return r
@@ -452,15 +452,15 @@ func (a *aggAcc) emit(p *aggPlan, sch *types.Schema, col int, buf []byte, n int,
 	switch {
 	case p.fn == Count:
 		for r := 0; r < n; r++ {
-			types.PutInt(buf[r*st:], off, cnt[g(r)])
+			types.PutInt(dst, r*8, cnt[g(r)])
 		}
 	case p.fn == Sum && kind == types.Int64:
 		for r := 0; r < n; r++ {
-			types.PutInt(buf[r*st:], off, a.sumI[g(r)])
+			types.PutInt(dst, r*8, a.sumI[g(r)])
 		}
 	case p.fn == Sum:
 		for r := 0; r < n; r++ {
-			types.PutFloat(buf[r*st:], off, a.sumF[g(r)])
+			types.PutFloat(dst, r*8, a.sumF[g(r)])
 		}
 	case p.fn == Avg:
 		for r := 0; r < n; r++ {
@@ -468,7 +468,7 @@ func (a *aggAcc) emit(p *aggPlan, sch *types.Schema, col int, buf []byte, n int,
 			if c := cnt[g(r)]; c > 0 {
 				avg = a.sumF[g(r)] / float64(c)
 			}
-			types.PutFloat(buf[r*st:], off, avg)
+			types.PutFloat(dst, r*8, avg)
 		}
 	default: // Min, Max
 		for r := 0; r < n; r++ {
@@ -476,7 +476,7 @@ func (a *aggAcc) emit(p *aggPlan, sch *types.Schema, col int, buf []byte, n int,
 			if a.cnt[g(r)] > 0 {
 				x = a.ext[g(r)]
 			}
-			types.PutValue(buf[r*st:], sch, col, x)
+			types.PutField(dst, r*c.Width, c, x)
 		}
 	}
 }
@@ -577,7 +577,7 @@ func (t *aggTable) resolve(ha *HashAgg, w *aggWorker, b *block.Block, sel, rest 
 			}
 			var keyRow []byte
 			g, keyRow = t.add(ha, h, key)
-			ha.putKey(keyRow, b.Row(int(w.at[j])))
+			ha.putKey(keyRow, b, int(w.at[j]), &w.rec)
 		}
 		rows = append(rows, j)
 		recs = append(recs, w.at[j])
@@ -587,10 +587,11 @@ func (t *aggTable) resolve(ha *HashAgg, w *aggWorker, b *block.Block, sel, rest 
 	return rest
 }
 
-// keyMove copies one key column of an input row to the output row's
-// key prefix. A CHAR column is cut at its first NUL and zero-filled, as
-// PutValue writes the string Eval reads: keys equal up to a NUL are one
-// group, and the group's key must not depend on which row came first.
+// keyMove copies one key column of an input row (column src) to the
+// output row's key prefix (at offset dst). A CHAR column is cut at its
+// first NUL and zero-filled, as PutValue writes the string Eval reads:
+// keys equal up to a NUL are one group, and the group's key must not
+// depend on which row came first.
 type keyMove struct {
 	src, dst, width int
 	char            bool
@@ -609,28 +610,30 @@ func keyMoves(keys []expr.Expr, inSch, outSch *types.Schema) []keyMove {
 		if in.Kind != out.Kind || in.Width != out.Width {
 			return nil
 		}
-		moves[c] = keyMove{src: inSch.Offset(col.Idx), dst: outSch.Offset(c), width: out.Width, char: out.Kind == types.String}
+		moves[c] = keyMove{src: col.Idx, dst: outSch.Offset(c), width: out.Width, char: out.Kind == types.String}
 	}
 	return moves
 }
 
-// putKey writes the key columns of input row rec to keyRow, a new
-// group's key prefix: by byte moves when there are moves, by Eval and
-// PutValue otherwise.
-func (ha *HashAgg) putKey(keyRow, rec []byte) {
+// putKey writes the key columns of row i of b to keyRow, a new group's
+// key prefix: by byte moves when there are moves, by Eval of the row,
+// gathered into *scratch, and PutValue otherwise.
+func (ha *HashAgg) putKey(keyRow []byte, b *block.Block, i int, scratch *[]byte) {
 	if ha.keyMoves == nil {
+		*scratch = b.ReadRow(i, *scratch)
 		for c, k := range ha.keys {
-			types.PutValue(keyRow, ha.outSch, c, k.Eval(rec, ha.inSch))
+			types.PutValue(keyRow, ha.outSch, c, k.Eval(*scratch, ha.inSch))
 		}
 		return
 	}
 	for _, m := range ha.keyMoves {
-		dst := keyRow[m.dst : m.dst+m.width]
+		dst, at := keyRow[m.dst:m.dst+m.width], i*m.width
+		col := b.Col(m.src)
 		if !m.char {
-			copy(dst, rec[m.src:m.src+m.width])
+			copy(dst, col[at:at+m.width])
 			continue
 		}
-		n := copy(dst, types.GetStringBytes(rec, m.src, m.width))
+		n := copy(dst, types.GetStringBytes(col, at, m.width))
 		clear(dst[n:])
 	}
 }
@@ -660,14 +663,19 @@ func (t *aggTable) emit(ha *HashAgg, out *block.Block) {
 	n, base := t.groups(), out.NumTuples()
 	out.EnsureRoom(n)
 	out.SetLen(base + n)
-	st, ks := ha.outSch.Stride(), ha.keyStride
-	buf := out.Bytes()[base*st:]
-	for g := 0; g < n; g++ {
-		copy(buf[g*st:g*st+ks], t.keyRows[g*ks:])
+	ks := ha.keyStride
+	for c := range ha.keys {
+		off, w := ha.outSch.Offset(c), ha.outSch.Cols[c].Width
+		dst := out.Col(c)[base*w:]
+		for g := 0; g < n; g++ {
+			copy(dst[g*w:g*w+w], t.keyRows[g*ks+off:])
+		}
 	}
 	for j, k := range ha.accOf {
 		p := &ha.plans[k]
-		t.accs[k].emit(p, ha.outSch, len(ha.keys)+j, buf, n, nil, counts(p, &t.accs[k], t.cnt))
+		c := len(ha.keys) + j
+		col := ha.outSch.Cols[c]
+		t.accs[k].emit(p, col, out.Col(c)[base*col.Width:], n, nil, counts(p, &t.accs[k], t.cnt))
 	}
 }
 
@@ -713,6 +721,7 @@ type aggWorker struct {
 	gids    []int32  // and their group ids
 	over    []int32  // positions the private table handed on
 	spilt   []int32  // positions a shard refused a group
+	rec     []byte   // a gathered input row, for a key that is Eval'd
 }
 
 // HashAgg is the hash aggregation iterator (Appendix Algorithm 7):
@@ -750,7 +759,8 @@ type HashAgg struct {
 	// as a value.
 	Partial bool
 
-	// keyStride is the byte length of the key columns in an output row.
+	// keyStride is the byte length of a group's key row: the key columns
+	// laid out as the prefix of an output record.
 	keyStride int
 	// vectorized: the keys and every aggregate argument avoid the row
 	// fallback; see Vectorized.
@@ -1065,7 +1075,7 @@ func (ha *HashAgg) absorbShard(w *aggWorker, sh *aggShard, b *block.Block, sel [
 	sh.update(ha, w, b)
 	ha.memGroups.Add(int64(sh.groups() - before))
 	for _, j := range w.spilt {
-		if err := sh.spill.add(b.Row(int(w.at[j]))); err != nil {
+		if err := sh.spill.addRow(b, int(w.at[j])); err != nil {
 			ha.setSpillErr(err)
 			return
 		}

@@ -107,7 +107,7 @@ func oracleAgg(blocks []*block.Block, inSch, outSch *types.Schema, keys []expr.E
 	}
 	for _, b := range blocks {
 		for i := 0; i < b.NumTuples(); i++ {
-			rec := b.Row(i)
+			rec := b.ReadRow(i, nil)
 			id := ""
 			keyVals := make([]types.Value, len(keys))
 			for c, k := range keys {
@@ -225,7 +225,7 @@ func oracleBlocks(rng *rand.Rand, rows, card int) []*block.Block {
 		b := block.New(sch, n*sch.Stride(), nil)
 		for i := 0; i < n; i++ {
 			k := rng.Intn(card)
-			rec := b.AppendRowTo()
+			rec := make([]byte, b.Schema().Stride())
 			types.PutValue(rec, sch, 0, types.IntVal(int64(k+1)))
 			types.PutValue(rec, sch, 1, types.FloatVal(float64(k%97+1)/4))
 			types.PutValue(rec, sch, 2, types.DateVal(9000+int64(k%400)))
@@ -239,6 +239,7 @@ func oracleBlocks(rng *rand.Rand, rows, card int) []*block.Block {
 			types.PutValue(rec, sch, 10, types.StrVal(cbVals[k/len(caVals)%len(cbVals)]))
 			types.PutValue(rec, sch, 11, types.StrVal(ccVals[k/len(caVals)%len(ccVals)]))
 			types.PutValue(rec, sch, 12, types.IntVal(knVal(k)))
+			b.AppendRows(rec)
 		}
 		b.MarkShared()
 		out = append(out, b)
@@ -413,7 +414,7 @@ func checkAggOutput(t *testing.T, name string, out []*block.Block, want map[stri
 	rows := 0
 	for _, b := range out {
 		for i := 0; i < b.NumTuples(); i++ {
-			got[string(b.Row(i))]++
+			got[string(b.ReadRow(i, nil))]++
 		}
 		rows += b.NumTuples()
 	}

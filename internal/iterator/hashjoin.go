@@ -1,6 +1,7 @@
 package iterator
 
 import (
+	"encoding/binary"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -106,12 +107,16 @@ type joinWorker struct {
 	byShard   scatter
 	rows, ids []int32
 	all       []int32 // 0, 1, 2, …: see every
+
+	// recs is the build record of each match (a plain join's rows), or
+	// of each row being written (writeRows).
+	recs [][]byte
 }
 
 type joinShard struct {
 	mu    sync.Mutex
 	tab   joinTable // key → row ids (page-major offsets)
-	pages [][]byte  // arena-backed fixed-stride row pages
+	pages [][]byte  // arena-backed pages of build records (the schema's row layout)
 	nrows int       // rows resident in pages
 	bytes int64     // resident page bytes
 
@@ -313,16 +318,15 @@ func (hj *HashJoin) insertBuild(sh *joinShard, b *block.Block, sel []int32, keys
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
 	for _, i := range sel {
-		rec := b.Row(int(i))
 		if !hj.ensurePage(sh) {
-			if err := sh.build.add(rec); err != nil {
+			if err := sh.build.addRow(b, int(i)); err != nil {
 				hj.setSpillErr(err)
 				return
 			}
 			continue
 		}
-		pg := sh.pages[sh.nrows/hj.pageRows]
-		copy(pg[(sh.nrows%hj.pageRows)*stride:], rec)
+		pg, at := sh.pages[sh.nrows/hj.pageRows], (sh.nrows%hj.pageRows)*stride
+		b.ReadRow(int(i), pg[at:at+stride])
 		sh.tab.insert(keys.Hash(int(i)), hj.key(keys, int(i)))
 		sh.nrows++
 	}
@@ -452,18 +456,17 @@ func (hj *HashJoin) Next(ctx *Ctx) (*block.Block, Status) {
 			out.Seq = in.Seq
 		}
 		n := w.keys.EncodeBlock(in, nil)
-		// Room for one match per probe row, taken once per block: only
-		// fan-out beyond that grows the block inside the row loop.
-		out.EnsureRoom(n)
+		w.rows, w.recs = w.rows[:0], w.recs[:0]
 		for i := 0; i < n; i++ {
 			h := w.keys.Hash(i)
 			sh := &hj.shards[shardOf(h)]
 			if sh.spilled {
-				hj.deferProbe(sh, in.Row(i))
+				hj.deferProbe(sh, in, i)
 				continue
 			}
-			hj.emitMatches(out, &sh.tab, sh.pages, h, hj.key(w.keys, i), in.Row(i))
+			hj.matches(w, sh, h, hj.key(w.keys, i), int32(i))
 		}
+		hj.emitMatches(out, in, w)
 		sel := 1.0
 		if n > 0 {
 			sel = float64(out.NumTuples()) / float64(n)
@@ -490,11 +493,11 @@ func (hj *HashJoin) worker(ctx *Ctx) *joinWorker {
 	return w
 }
 
-// emitMatches appends to out the concatenation of probe row rec with
-// every build row of t (stored in pages) whose key equals the probe key:
-// hash h and bytes key, or hash h alone on a word-key join.
-func (hj *HashJoin) emitMatches(out *block.Block, t *joinTable, pages [][]byte, h uint64, key, rec []byte) {
-	stride := hj.buildSch.Stride()
+// matches appends to w.rows and w.recs probe row i once for every
+// build row of sh whose key equals the probe key — hash h and bytes
+// key, or hash h alone on a word-key join — and that build row's record.
+func (hj *HashJoin) matches(w *joinWorker, sh *joinShard, h uint64, key []byte, i int32) {
+	t := &sh.tab
 	var id int32
 	if hj.wordKey {
 		id = t.lookupWord(h)
@@ -502,12 +505,8 @@ func (hj *HashJoin) emitMatches(out *block.Block, t *joinTable, pages [][]byte, 
 		id = t.lookup(h, key)
 	}
 	for id >= 0 {
-		pg := pages[int(id)/hj.pageRows]
-		po := (int(id) % hj.pageRows) * stride
-		out.EnsureRoom(1)
-		dst := out.AppendRowTo()
-		copy(dst[:stride], pg[po:po+stride])
-		copy(dst[stride:], rec)
+		w.rows = append(w.rows, i)
+		w.recs = append(w.recs, hj.record(sh, id))
 		if hj.wordKey {
 			id = t.afterWord(id, h)
 		} else {
@@ -516,8 +515,51 @@ func (hj *HashJoin) emitMatches(out *block.Block, t *joinTable, pages [][]byte, 
 	}
 }
 
-// deferProbe appends a probe row to its spilled shard's probe file.
-func (hj *HashJoin) deferProbe(sh *joinShard, rec []byte) {
+// record returns build row id of sh, a record in its page.
+func (hj *HashJoin) record(sh *joinShard, id int32) []byte {
+	stride := hj.buildSch.Stride()
+	at := (int(id) % hj.pageRows) * stride
+	return sh.pages[int(id)/hj.pageRows][at : at+stride]
+}
+
+// emitMatches appends to out, column by column, the rows matches
+// collected in w over probe block in: each build record, then its
+// probe row.
+func (hj *HashJoin) emitMatches(out, in *block.Block, w *joinWorker) {
+	m, base := len(w.rows), out.NumTuples()
+	if m == 0 {
+		return
+	}
+	out.EnsureRoom(m)
+	out.SetLen(base + m)
+	hj.putBuild(out, base, w.recs)
+	nb := hj.buildSch.NumCols()
+	for c, col := range hj.probeSch.Cols {
+		block.Gather(out.Col(nb + c)[base*col.Width:], in.Col(c), col.Width, w.rows)
+	}
+}
+
+// putBuild scatters build records into the build columns (out's first
+// columns) of rows base, base+1, … of out, which must hold them: row
+// base+r gets recs[r]. One pass per column.
+func (hj *HashJoin) putBuild(out *block.Block, base int, recs [][]byte) {
+	for c, col := range hj.buildSch.Cols {
+		off, w := hj.buildSch.Offset(c), col.Width
+		dst := out.Col(c)[base*w : (base+len(recs))*w]
+		if w == 8 {
+			for r, rec := range recs {
+				binary.LittleEndian.PutUint64(dst[r*8:], binary.LittleEndian.Uint64(rec[off:]))
+			}
+			continue
+		}
+		for r, rec := range recs {
+			copy(dst[r*w:r*w+w], rec[off:off+w])
+		}
+	}
+}
+
+// deferProbe appends probe row i of in to its spilled shard's probe file.
+func (hj *HashJoin) deferProbe(sh *joinShard, in *block.Block, i int) {
 	sh.mu.Lock()
 	if sh.probes == nil {
 		sf, err := newSpillFile(hj.Mem.SpillDir, hj.probeSch)
@@ -528,7 +570,7 @@ func (hj *HashJoin) deferProbe(sh *joinShard, rec []byte) {
 		}
 		sh.probes = sf
 	}
-	err := sh.probes.add(rec)
+	err := sh.probes.addRow(in, i)
 	sh.mu.Unlock()
 	if err != nil {
 		hj.setSpillErr(err)
@@ -635,9 +677,11 @@ func (hj *HashJoin) processSpilledShard(ctx *Ctx, w *joinWorker, sh *joinShard, 
 			out = hj.absorb(ctx, w, rs, b, w.every(n), out)
 			return nil
 		}
+		w.rows, w.recs = w.rows[:0], w.recs[:0]
 		for i := 0; i < n; i++ {
-			hj.emitMatches(out, &rs.tab, rs.pages, w.keys.Hash(i), hj.key(w.keys, i), b.Row(i))
+			hj.matches(w, rs, w.keys.Hash(i), hj.key(w.keys, i), int32(i))
 		}
+		hj.emitMatches(out, b, w)
 		return nil
 	})
 	if hj.perBuildRow {
@@ -669,7 +713,8 @@ func (hj *HashJoin) rebuild(build *spillFile) (*joinShard, error) {
 				rs.bytes += int64(hj.pageBytes)
 				hj.memTracked.Add(int64(hj.pageBytes))
 			}
-			copy(rs.pages[rs.nrows/hj.pageRows][(rs.nrows%hj.pageRows)*stride:], b.Row(i))
+			at := (rs.nrows % hj.pageRows) * stride
+			b.ReadRow(i, rs.pages[rs.nrows/hj.pageRows][at:at+stride])
 			rs.tab.insert(keys.Hash(i), hj.key(keys, i))
 			rs.nrows++
 		}
@@ -712,7 +757,7 @@ func (hj *HashJoin) nextPerBuildRow(ctx *Ctx, w *joinWorker) (*block.Block, Stat
 			sh := &hj.shards[shi]
 			if sh.spilled {
 				for _, i := range sel {
-					hj.deferProbe(sh, in.Row(int(i)))
+					hj.deferProbe(sh, in, int(i))
 				}
 				continue
 			}
@@ -813,7 +858,7 @@ func (hj *HashJoin) emitPerMatch(ctx *Ctx, w *joinWorker, sh *joinShard, in *blo
 	if out == nil {
 		out = block.New(hj.outSch, 0, ctx.Tracker)
 	}
-	hj.writeRows(out, sh, w.ids, acc, nil)
+	hj.writeRows(out, w, sh, w.ids, acc, nil)
 	hj.outRows.Add(int64(m))
 	return out
 }
@@ -880,34 +925,36 @@ func (hj *HashJoin) emitShard(ctx *Ctx, w *joinWorker, sh *joinShard, out *block
 	if out == nil {
 		out = block.New(hj.outSch, 0, ctx.Tracker)
 	}
-	hj.writeRows(out, sh, ids, sh.acc, ids)
+	hj.writeRows(out, w, sh, ids, sh.acc, ids)
 	return out
 }
 
 // writeRows appends one output row per build row ids[r] of sh: the
 // build row, then the match count and the partials of group gids[r] of
 // acc (group r when gids is nil).
-func (hj *HashJoin) writeRows(out *block.Block, sh *joinShard, ids []int32, acc *joinAcc, gids []int32) {
+func (hj *HashJoin) writeRows(out *block.Block, w *joinWorker, sh *joinShard, ids []int32, acc *joinAcc, gids []int32) {
 	n, base := len(ids), out.NumTuples()
 	out.EnsureRoom(n)
 	out.SetLen(base + n)
-	st, bst := hj.outSch.Stride(), hj.buildSch.Stride()
+	w.recs = w.recs[:0]
+	for _, id := range ids {
+		w.recs = append(w.recs, hj.record(sh, id))
+	}
+	hj.putBuild(out, base, w.recs)
 	nb := hj.buildSch.NumCols()
-	cntOff := hj.outSch.Offset(nb)
-	buf := out.Bytes()[base*st:]
-	for r, id := range ids {
-		pg := sh.pages[int(id)/hj.pageRows]
-		po := (int(id) % hj.pageRows) * bst
-		copy(buf[r*st:r*st+bst], pg[po:po+bst])
+	cnt := out.Col(nb)[base*8:]
+	for r := range ids {
 		g := r
 		if gids != nil {
 			g = int(gids[r])
 		}
-		types.PutInt(buf[r*st:], cntOff, acc.cnt[g])
+		types.PutInt(cnt, r*8, acc.cnt[g])
 	}
 	for j, k := range hj.accOf {
 		p := &hj.plans[k]
-		acc.accs[k].emit(p, hj.outSch, nb+1+j, buf, n, gids, counts(p, &acc.accs[k], acc.cnt))
+		c := nb + 1 + j
+		col := hj.outSch.Cols[c]
+		acc.accs[k].emit(p, col, out.Col(c)[base*col.Width:], n, gids, counts(p, &acc.accs[k], acc.cnt))
 	}
 }
 

@@ -15,8 +15,11 @@ func buildPartition(sch *types.Schema, rows int, blockSize int,
 	fill func(i int, rec []byte)) *storage.Partition {
 	p := new(storage.Store).CreatePartition("t", sch)
 	l := storage.NewLoader(p, blockSize)
+	rec := make([]byte, sch.Stride())
 	for i := 0; i < rows; i++ {
-		fill(i, l.Row())
+		clear(rec) // fill may set only some columns
+		fill(i, rec)
+		l.Append(rec)
 	}
 	l.Close()
 	return p

@@ -37,7 +37,7 @@ func joinAggBuildBlocks(rng *rand.Rand, card int) []*block.Block {
 				b = block.New(sch, 0, nil)
 			}
 			b.EnsureRoom(1)
-			rec := b.AppendRowTo()
+			rec := make([]byte, b.Schema().Stride())
 			label := fmt.Sprintf("g%d", k%7)
 			if k > card {
 				label = fmt.Sprintf("u%d", k%3)
@@ -45,6 +45,7 @@ func joinAggBuildBlocks(rng *rand.Rand, card int) []*block.Block {
 			types.PutValue(rec, sch, 0, types.IntVal(int64(k)))
 			types.PutValue(rec, sch, 1, types.StrVal(label))
 			types.PutValue(rec, sch, 2, types.IntVal(int64(rng.Intn(4))))
+			b.AppendRows(rec)
 		}
 	}
 	b.MarkShared()
@@ -58,7 +59,7 @@ func joinRows(build, probe []*block.Block, sch *types.Schema) []*block.Block {
 	for _, b := range build {
 		for i := 0; i < b.NumTuples(); i++ {
 			k := b.Get(i, 0).I
-			byKey[k] = append(byKey[k], b.Row(i))
+			byKey[k] = append(byKey[k], b.ReadRow(i, nil))
 		}
 	}
 	out := block.New(sch, 0, nil)
@@ -66,9 +67,10 @@ func joinRows(build, probe []*block.Block, sch *types.Schema) []*block.Block {
 		for i := 0; i < p.NumTuples(); i++ {
 			for _, rec := range byKey[p.Get(i, 0).I] {
 				out.EnsureRoom(1)
-				dst := out.AppendRowTo()
+				dst := make([]byte, out.Schema().Stride())
 				copy(dst, rec)
-				copy(dst[len(rec):], p.Row(i))
+				copy(dst[len(rec):], p.ReadRow(i, nil))
+				out.AppendRows(dst)
 			}
 		}
 	}

@@ -36,9 +36,11 @@ func (s *freshSource) Next(ctx *Ctx) (*block.Block, Status) {
 		return nil, End
 	}
 	src := s.part.Blocks[i]
-	b := block.New(src.Schema(), len(src.Bytes()), ctx.Tracker)
+	b := block.New(src.Schema(), src.NumTuples()*src.Schema().Stride(), ctx.Tracker)
+	var rec []byte
 	for r := 0; r < src.NumTuples(); r++ {
-		b.AppendRow(src.Row(r))
+		rec = src.ReadRow(r, rec)
+		b.AppendRows(rec)
 	}
 	b.Seq = uint64(i)
 	return b, OK

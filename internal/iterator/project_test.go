@@ -12,15 +12,15 @@ import (
 	"repro/internal/types"
 )
 
-// TestProjectMovesMatchRowExec holds Project — byte moves for plain
-// columns, kernels for the rest — to putValueRows, the per-row
-// Eval + PutValue loop the operator once kept as its row-at-a-time
-// mode, byte for byte, on seeded random schemas and projections:
-// permuted, duplicated and adjacent columns, the identity, and columns
-// mixed with computed expressions and width changes. Under the race
-// detector the output blocks come from a poisoned arena, so a byte no
-// move or kernel writes shows as 0xA5. (The name, and the subtest names
-// under it, predate the reference's move into this file.)
+// TestProjectMovesMatchRowExec holds Project — column moves for plain
+// columns, kernels for the rest — to putValueRows, a per-row
+// Eval + PutValue reference, byte for byte, on seeded random schemas
+// and projections: permuted, duplicated and adjacent columns, the
+// identity, and columns mixed with computed expressions and width
+// changes. Under the race detector the output blocks come from a
+// poisoned arena, so a byte no move or kernel writes shows as 0xA5.
+// (The name, and the subtest names under it, predate the reference's
+// move into this file.)
 func TestProjectMovesMatchRowExec(t *testing.T) {
 	for seed := int64(1); seed <= 40; seed++ {
 		rng := rand.New(rand.NewSource(seed))
@@ -58,12 +58,13 @@ func TestProjectMovesMatchRowExec(t *testing.T) {
 // putValueRows is the reference projection: every expression Eval'd
 // per input row and stored with PutValue, rows back to back.
 func putValueRows(blocks []*block.Block, sch, outSch *types.Schema, exprs []expr.Expr) []byte {
-	var out []byte
+	var out, rec []byte
 	for _, b := range blocks {
 		for i := 0; i < b.NumTuples(); i++ {
+			rec = b.ReadRow(i, rec)
 			dst := make([]byte, outSch.Stride())
 			for c, e := range exprs {
-				types.PutValue(dst, outSch, c, e.Eval(b.Row(i), sch))
+				types.PutValue(dst, outSch, c, e.Eval(rec, sch))
 			}
 			out = append(out, dst...)
 		}
@@ -72,20 +73,23 @@ func putValueRows(blocks []*block.Block, sch, outSch *types.Schema, exprs []expr
 }
 
 // drainBytes runs a projection on one worker and returns its output
-// rows back to back, recycling each block once copied.
+// rows back to back as records, recycling each block once copied.
 func drainBytes(t *testing.T, p *Project) []byte {
 	t.Helper()
 	ctx := &Ctx{Term: &TermFlag{}}
 	if st := p.Open(ctx); st != OK {
 		t.Fatal(st)
 	}
-	var out []byte
+	var out, rec []byte
 	for {
 		b, st := p.Next(ctx)
 		if st != OK {
 			return out
 		}
-		out = append(out, b.Bytes()...)
+		for i := 0; i < b.NumTuples(); i++ {
+			rec = b.ReadRow(i, rec)
+			out = append(out, rec...)
+		}
 		b.Recycle()
 	}
 }
@@ -112,7 +116,7 @@ func randomProjBlocks(rng *rand.Rand, sch *types.Schema) []*block.Block {
 		n := 1 + rng.Intn(300)
 		b := block.New(sch, n*sch.Stride(), nil)
 		for r := 0; r < n; r++ {
-			rec := b.AppendRowTo()
+			rec := make([]byte, b.Schema().Stride())
 			for c, col := range sch.Cols {
 				switch col.Kind {
 				case types.Int64, types.Date:
@@ -127,6 +131,7 @@ func randomProjBlocks(rng *rand.Rand, sch *types.Schema) []*block.Block {
 					types.PutString(rec, sch.Offset(c), col.Width, string(s))
 				}
 			}
+			b.AppendRows(rec)
 		}
 		b.MarkShared() // replayed by both projections
 		blocks[i] = b
@@ -138,14 +143,14 @@ type projShape struct {
 	name  string
 	exprs []expr.Expr
 	widen []int // per output column, bytes added to a string column's width
-	moves int   // the number of merged moves NewProject must find; 0: not checked
+	moves int   // the number of column moves NewProject must find; 0: not checked
 }
 
 func randomProjections(rng *rand.Rand, sch *types.Schema) []projShape {
 	n := sch.NumCols()
 	ref := func(i int) expr.Expr { return expr.NewCol(i, sch.Cols[i].Name) }
-	shape := func(name string, moves int, idx ...int) projShape {
-		s := projShape{name: name, moves: moves, widen: make([]int, len(idx))}
+	shape := func(name string, idx ...int) projShape {
+		s := projShape{name: name, moves: len(idx), widen: make([]int, len(idx))}
 		for _, i := range idx {
 			s.exprs = append(s.exprs, ref(i))
 		}
@@ -162,10 +167,10 @@ func randomProjections(rng *rand.Rand, sch *types.Schema) []projShape {
 		dup[i] = rng.Intn(n)
 	}
 	shapes := []projShape{
-		shape("identity", 1, all...),
-		shape("permuted", 0, rng.Perm(n)...),
-		shape("duplicated", 0, dup...),
-		shape("adjacent", 1, all[lo:hi]...),
+		shape("identity", all...),
+		shape("permuted", rng.Perm(n)...),
+		shape("duplicated", dup...),
+		shape("adjacent", all[lo:hi]...),
 	}
 	// Mixed: each column either as itself, computed from itself, or (for
 	// a string) widened so kind and width no longer both agree.

@@ -81,8 +81,8 @@ type Sort struct {
 }
 
 // rowRef is one row on its way through a sort: its record bytes and
-// its evaluated sort keys. Sort's rec is a view into a collected block,
-// which the operator owns until Close; TopN's is a private copy.
+// its evaluated sort keys. The record is the operator's own copy of a
+// row it read.
 type rowRef struct {
 	rec  []byte
 	vals []types.Value
@@ -144,11 +144,17 @@ func (s *Sort) Open(ctx *Ctx) Status {
 		if idx >= int64(len(s.collected)) {
 			break
 		}
+		// The chunk's rows move into records of its own, and the block
+		// goes back to the arena.
 		blk := s.collected[idx]
+		s.collected[idx] = nil
 		rows := make([]rowRef, blk.NumTuples())
+		st := s.sch.Stride()
+		recs := make([]byte, len(rows)*st)
 		for r := range rows {
-			rows[r] = s.makeRef(blk.Row(r))
+			rows[r] = s.makeRef(blk.ReadRow(r, recs[r*st:(r+1)*st]))
 		}
+		blk.Recycle()
 		sort.Slice(rows, func(i, j int) bool {
 			return compareKeys(s.keys, rows[i].vals, rows[j].vals) < 0
 		})
@@ -266,20 +272,22 @@ func (s *Sort) Next(ctx *Ctx) (*block.Block, Status) {
 		out := block.New(s.sch, len(rows)*s.sch.Stride(), ctx.Tracker)
 		out.Seq = uint64(r)
 		for _, rr := range rows {
-			out.AppendRow(rr.rec)
+			out.AppendRows(rr.rec)
 		}
 		return out, OK
 	}
 }
 
-// Close implements Iterator. Runs after every worker exited, so every
-// emitted row has been copied out of the collected blocks: they go back
-// to the arena, and dropping the merge state keeps a serving node from
-// pinning sorted runs until the GC finds the operator.
+// Close implements Iterator. Runs after every worker exited: the blocks
+// no chunk sort took (a worker left first) go back to the arena, and
+// dropping the merge state keeps a serving node from pinning sorted
+// runs until the GC finds the operator.
 func (s *Sort) Close() {
 	s.child.Close()
 	for _, b := range s.collected {
-		b.Recycle()
+		if b != nil {
+			b.Recycle()
+		}
 	}
 	s.collected = nil
 	s.chunks.list = nil

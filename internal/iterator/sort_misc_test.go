@@ -173,7 +173,7 @@ func TestTopNLateWorkerKeepsParkedHeap(t *testing.T) {
 		b := block.New(sch, 512*sch.Stride(), nil)
 		for !b.Full() && next <= n {
 			types.PutValue(rec, sch, 0, types.IntVal(next))
-			b.AppendRow(rec)
+			b.AppendRows(rec)
 			if next++; next == 1 {
 				break
 			}
@@ -252,8 +252,9 @@ func TestMerger(t *testing.T) {
 	ch := make(chan *block.Block, 8)
 	for i := 0; i < 5; i++ {
 		b := block.New(sch, 256, nil)
-		r := b.AppendRowTo()
+		r := make([]byte, b.Schema().Stride())
 		types.PutValue(r, sch, 0, types.IntVal(int64(i)))
+		b.AppendRows(r)
 		b.VisitRate = 0.5
 		ch <- b
 	}

@@ -13,7 +13,7 @@ import (
 // spillFile is one operator partition serialized to disk: a temp file
 // of length-prefixed frames in the existing block wire encoding, so
 // spilled data round-trips through exactly the code path the network
-// already exercises. Writes stage rows into an arena-backed block and
+// already exercises. Writes scatter rows into an arena-backed block and
 // flush it as one frame when full; iterate flushes the remainder, then
 // decodes the frames back and streams the rows.
 //
@@ -25,6 +25,7 @@ type spillFile struct {
 	sch   *types.Schema
 	stage *block.Block
 	enc   []byte
+	rec   []byte // addRow's gathered row
 	// bytes and rows describe what was written (bytes only counts
 	// flushed frames until iterate runs).
 	bytes int64
@@ -42,14 +43,20 @@ func newSpillFile(dir string, sch *types.Schema) (*spillFile, error) {
 	}, nil
 }
 
-// add appends one row.
+// addRow appends row i of b.
+func (s *spillFile) addRow(b *block.Block, i int) error {
+	s.rec = b.ReadRow(i, s.rec)
+	return s.add(s.rec)
+}
+
+// add appends one record (the schema's row layout).
 func (s *spillFile) add(rec []byte) error {
 	if s.stage.Full() {
 		if err := s.flush(); err != nil {
 			return err
 		}
 	}
-	s.stage.AppendRow(rec)
+	s.stage.AppendRows(rec)
 	s.rows++
 	return nil
 }

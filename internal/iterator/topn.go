@@ -115,16 +115,18 @@ func (t *TopN) Open(ctx *Ctx) Status {
 		if st == End {
 			break
 		}
+		var rec []byte
 		for i := 0; i < b.NumTuples(); i++ {
-			rec := b.Row(i)
+			rec = b.ReadRow(i, rec)
 			vals := make([]types.Value, len(t.keys))
 			for k, sk := range t.keys {
 				vals[k] = copyVal(sk.E.Eval(rec, t.sch))
 			}
-			// A retained row is copied out, so the heap pins n records
-			// and not the blocks they arrived in.
+			// A retained row keeps the record, so the heap pins n
+			// records and not the blocks they arrived in.
 			if h.admits(vals) {
-				h.keep(rowRef{rec: append([]byte(nil), rec...), vals: vals})
+				h.keep(rowRef{rec: rec, vals: vals})
+				rec = nil
 			}
 		}
 		b.Recycle()
@@ -177,7 +179,7 @@ func (t *TopN) Next(ctx *Ctx) (*block.Block, Status) {
 	}
 	out := block.New(t.sch, len(t.result)*t.sch.Stride(), ctx.Tracker)
 	for _, rr := range t.result {
-		out.AppendRow(rr.rec)
+		out.AppendRows(rr.rec)
 	}
 	return out, OK
 }
@@ -226,9 +228,11 @@ func (l *Limit) Next(ctx *Ctx) (*block.Block, Status) {
 			out := block.New(l.sch, int(granted)*l.sch.Stride(), ctx.Tracker)
 			out.Seq = b.Seq
 			out.VisitRate = b.VisitRate
-			for i := 0; i < int(granted); i++ {
-				out.AppendRow(b.Row(i))
+			first := make([]int32, granted)
+			for i := range first {
+				first[i] = int32(i)
 			}
+			out.AppendSelected(b, first)
 			b.Recycle()
 			return out, OK
 		}

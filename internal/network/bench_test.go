@@ -23,9 +23,10 @@ func benchSchema() *types.Schema {
 func benchBlock(sch *types.Schema, rows int) *block.Block {
 	b := block.New(sch, rows*sch.Stride(), nil)
 	for i := 0; i < rows; i++ {
-		r := b.AppendRowTo()
+		r := make([]byte, b.Schema().Stride())
 		types.PutValue(r, sch, 0, types.IntVal(int64(i)))
 		types.PutValue(r, sch, 1, types.IntVal(int64(i*2)))
+		b.AppendRows(r)
 	}
 	return b
 }

@@ -14,8 +14,10 @@ var sch = types.NewSchema(types.Col("k", types.Int64))
 
 func mkBlock(vals ...int64) *block.Block {
 	b := block.New(sch, len(vals)*8, nil)
+	rec := make([]byte, sch.Stride())
 	for _, v := range vals {
-		types.PutValue(b.AppendRowTo(), sch, 0, types.IntVal(v))
+		types.PutValue(rec, sch, 0, types.IntVal(v))
+		b.AppendRows(rec)
 	}
 	return b
 }

@@ -122,11 +122,12 @@ func TestTCPBlockContentIntegrity(t *testing.T) {
 func mkWide(wide *types.Schema) *block.Block {
 	b := block.New(wide, 1024, nil)
 	for i := 0; i < 3; i++ {
-		r := b.AppendRowTo()
+		r := make([]byte, b.Schema().Stride())
 		types.PutValue(r, wide, 0, types.IntVal(int64(i)))
 		types.PutValue(r, wide, 1, types.FloatVal(float64(i)+0.5))
 		types.PutValue(r, wide, 2, types.StrVal("hello world"))
 		types.PutValue(r, wide, 3, types.DateVal(types.MustParseDate("2010-10-30")))
+		b.AppendRows(r)
 	}
 	return b
 }

@@ -107,9 +107,10 @@ func TestBlockEncodeAppendMatchesEncode(t *testing.T) {
 	schema := types.NewSchema(types.Col("a", types.Int64), types.Col("b", types.Int64))
 	b := block.New(schema, 64*schema.Stride(), nil)
 	for i := 0; i < 64; i++ {
-		r := b.AppendRowTo()
+		r := make([]byte, b.Schema().Stride())
 		types.PutValue(r, schema, 0, types.IntVal(int64(i)))
 		types.PutValue(r, schema, 1, types.IntVal(int64(i*i)))
+		b.AppendRows(r)
 	}
 	canonical := b.Encode(nil)
 	appended := b.EncodeAppend([]byte("prefix--"))

@@ -125,7 +125,7 @@ func (x planExpr) check(b *block.Block) error {
 func checkPred(e expr.Expr, sch *types.Schema, b *block.Block, sel, rows []int32) error {
 	var want []int32
 	for _, r := range rows {
-		if expr.Truthy(e.Eval(b.Row(int(r)), sch)) {
+		if expr.Truthy(e.Eval(b.ReadRow(int(r), nil), sch)) {
 			want = append(want, r)
 		}
 	}
@@ -144,7 +144,7 @@ func checkValue(e expr.Expr, sch *types.Schema, b *block.Block, sel, rows []int3
 		return fmt.Errorf("kernel gave %d %v values, want %d %v", v.Len(), v.Kind, len(rows), k)
 	}
 	for j, r := range rows {
-		want := e.Eval(b.Row(int(r)), sch)
+		want := e.Eval(b.ReadRow(int(r), nil), sch)
 		if want.Null || v.Null[j] {
 			if want.Null != v.Null[j] {
 				return fmt.Errorf("row %d: kernel NULL=%v, Eval %v", r, v.Null[j], want)
@@ -175,7 +175,7 @@ func checkKeys(es []expr.Expr, sch *types.Schema, b *block.Block, sel, rows []in
 	}
 	hashOnly.EncodeBlock(b, sel)
 	for j, r := range rows {
-		rec := b.Row(int(r))
+		rec := b.ReadRow(int(r), nil)
 		if got, want := enc.Key(j), row.Encode(rec, sch); !bytes.Equal(got, want) {
 			return fmt.Errorf("row %d: key %x, row encoder %x", r, got, want)
 		}
@@ -263,8 +263,8 @@ func randomBlock(rng *rand.Rand, sch *types.Schema, cs *constants) *block.Block 
 	const rows = 300
 	b := block.New(sch, rows*sch.Stride(), nil)
 	day0 := types.MustParseDate("1992-01-01")
+	rec := make([]byte, sch.Stride())
 	for i := 0; i < rows; i++ {
-		rec := b.AppendRowTo()
 		for c, col := range sch.Cols {
 			var v types.Value
 			near := cs.byKind[col.Kind]
@@ -291,6 +291,7 @@ func randomBlock(rng *rand.Rand, sch *types.Schema, cs *constants) *block.Block 
 			}
 			types.PutValue(rec, sch, c, v)
 		}
+		b.AppendRows(rec)
 	}
 	return b
 }

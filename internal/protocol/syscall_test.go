@@ -249,7 +249,7 @@ func TestPipelinedRequestsAnswerInOrder(t *testing.T) {
 				t.Fatal(err)
 			}
 			for r := 0; r < b.NumTuples(); r++ {
-				got = append(got, types.GetValue(b.Row(r), sch, 0).I)
+				got = append(got, types.GetValue(b.ReadRow(r, nil), sch, 0).I)
 			}
 		}
 		if typ != protocol.MsgDone || binary.LittleEndian.Uint64(pl) != 1 {

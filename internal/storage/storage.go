@@ -68,11 +68,14 @@ func (p *Partition) Bytes() int64 {
 }
 
 // Loader accumulates rows into blocks and appends sealed blocks to a
-// partition. Not safe for concurrent use.
+// partition. It stages the current block's records back to back and
+// scatters them into the block's columns when the block is sealed, one
+// pass per column. Not safe for concurrent use.
 type Loader struct {
 	part      *Partition
 	blockSize int
 	cur       *block.Block
+	staged    []byte // cur's records, back to back
 }
 
 // NewLoader creates a loader targeting the partition with the given
@@ -81,23 +84,25 @@ func NewLoader(p *Partition, blockSize int) *Loader {
 	return &Loader{part: p, blockSize: blockSize}
 }
 
-// Row returns the next record slot to fill in, zeroed: a caller may
-// set only some of the columns, and block.New does not clear.
-func (l *Loader) Row() []byte {
-	if l.cur == nil || l.cur.Full() {
-		l.flush()
+// Append copies a record (the schema's row layout) into the current
+// block, sealing the block when it is full.
+func (l *Loader) Append(rec []byte) {
+	st := l.part.Schema.Stride()
+	if l.cur == nil {
 		l.cur = block.New(l.part.Schema, l.blockSize, nil)
 	}
-	rec := l.cur.AppendRowTo()
-	clear(rec)
-	return rec
+	l.staged = append(l.staged, rec[:st]...)
+	if len(l.staged) == l.cur.Cap()*st {
+		l.flush()
+	}
 }
 
 func (l *Loader) flush() {
-	if l.cur != nil && l.cur.NumTuples() > 0 {
+	if l.cur != nil && len(l.staged) > 0 {
+		l.cur.AppendRows(l.staged)
 		l.part.Append(l.cur)
 	}
-	l.cur = nil
+	l.cur, l.staged = nil, l.staged[:0]
 }
 
 // Close seals the trailing partial block.

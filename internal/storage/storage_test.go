@@ -13,10 +13,11 @@ func TestLoaderFillsBlocks(t *testing.T) {
 	p := st.CreatePartition("t", sch)
 	l := NewLoader(p, 64) // tiny blocks: 64/14 = 4 tuples each
 	const rows = 41
+	rec := make([]byte, sch.Stride())
 	for i := 0; i < rows; i++ {
-		rec := l.Row()
 		types.PutValue(rec, sch, 0, types.IntVal(int64(i)))
 		types.PutValue(rec, sch, 1, types.StrVal("x"))
+		l.Append(rec)
 	}
 	l.Close()
 	if p.Rows != rows {
@@ -49,9 +50,10 @@ func TestPartitionBytes(t *testing.T) {
 	var st Store
 	p := st.CreatePartition("t", sch)
 	l := NewLoader(p, 1024)
+	rec := make([]byte, sch.Stride())
 	for i := 0; i < 100; i++ {
-		rec := l.Row()
 		types.PutValue(rec, sch, 0, types.IntVal(int64(i)))
+		l.Append(rec)
 	}
 	l.Close()
 	if p.Bytes() == 0 {

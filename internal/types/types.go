@@ -1,11 +1,15 @@
 // Package types defines the value model of the engine: column kinds,
-// schemas with fixed-stride row layouts, and the scalar Value used by the
+// schemas with fixed-width columns, and the scalar Value used by the
 // expression evaluator.
 //
-// Rows are stored as fixed-width byte records so that a 64 KB data block
-// holds a predictable number of tuples and field access is a constant
-// offset computation — the layout the paper assumes for its
-// block-at-a-time processing (Section 2.1).
+// Every column has a fixed byte width, so a 64 KB data block holds a
+// predictable number of tuples and field access is a constant offset
+// computation — the layout the paper assumes for its block-at-a-time
+// processing (Section 2.1). A schema also lays its columns out as a
+// record, the row-at-a-time form (Offset, Stride): Eval reads one, and
+// operators that keep rows of their own (join pages, sort, spill
+// staging) store them so. A block stores each column contiguously
+// instead (package block).
 package types
 
 import (
@@ -97,10 +101,12 @@ func NewSchema(cols ...Column) *Schema {
 	return s
 }
 
-// Stride returns the byte length of one record.
+// Stride returns the byte length of one record: the sum of the column
+// widths.
 func (s *Schema) Stride() int { return s.stride }
 
-// Offset returns the byte offset of column i within a record.
+// Offset returns the byte offset of column i within a record: the sum
+// of the widths of the columns before it.
 func (s *Schema) Offset(i int) int { return s.offsets[i] }
 
 // NumCols returns the number of columns.
@@ -342,5 +348,36 @@ func PutValue(rec []byte, s *Schema, col int, v Value) {
 		PutFloat(rec, off, v.AsFloat())
 	case String:
 		PutString(rec, off, c.Width, v.S)
+	}
+}
+
+// GetField is GetValue for a value of column c stored at offset off of
+// buf: a slot of a block's column. GetValue and PutValue keep switches
+// of their own: the loaders call them once per field, and routing them
+// through these made an SF 0.05 TPC-H load about 30 ms (of 230) slower
+// on a 2-vCPU host.
+func GetField(buf []byte, off int, c Column) Value {
+	switch c.Kind {
+	case Int64:
+		return IntVal(GetInt(buf, off))
+	case Float64:
+		return FloatVal(GetFloat(buf, off))
+	case Date:
+		return DateVal(GetInt(buf, off))
+	case String:
+		return StrVal(GetString(buf, off, c.Width))
+	}
+	panic("types: unknown kind")
+}
+
+// PutField is PutValue for a value of column c at offset off of buf.
+func PutField(buf []byte, off int, c Column, v Value) {
+	switch c.Kind {
+	case Int64, Date:
+		PutInt(buf, off, v.AsInt())
+	case Float64:
+		PutFloat(buf, off, v.AsFloat())
+	case String:
+		PutString(buf, off, c.Width, v.S)
 	}
 }

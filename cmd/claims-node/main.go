@@ -250,15 +250,10 @@ func runClusterNode(nc clusterNodeConfig) {
 	}
 
 	timing := agent.Timing()
-	// Exchange sends outliving a dead peer must keep retrying until the
-	// detector's verdict arrives, so the error the query dies with is
-	// the typed NodeLost and not a transient transport symptom.
-	retry := network.DefaultRetryPolicy
 	cfg := engine.Config{
 		Nodes:         spec.DataNodes,
 		CoresPerNode:  nc.cores,
 		Mode:          nc.mode,
-		Retry:         &retry,
 		NodeLossGrace: timing.DeadAfter + 4*timing.HeartbeatEvery + 500*time.Millisecond,
 	}
 	c, err := engine.NewClusterDist(cfg, cat, node)

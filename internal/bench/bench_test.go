@@ -83,6 +83,49 @@ func TestFigure10Dynamics(t *testing.T) {
 	}
 }
 
+// TestFigure12RecoversInGaps pins Figure 12's recovery: inside an
+// interference-free gap S2 takes at least 75 % of a node's cores again,
+// and the query answers faster than the 10.4 s it took while the
+// freshness window θ outlasted a gap (2 s, or 20 of the figure's 100 ms
+// rounds), when rates measured under the interferer still vetoed
+// expansion all through the quiet phase.
+func TestFigure12RecoversInGaps(t *testing.T) {
+	r, err := Figure12()
+	if err != nil {
+		t.Fatal(err)
+	}
+	const cores = 24 // paperCluster's logical cores per node
+	var s2Gap float64
+	for _, row := range r.Rows {
+		n := rowNums(row)
+		if len(n) != 4 { // t, S1, S2, S3
+			continue
+		}
+		// A row's time is rounded to 0.1 s: it is in a gap only if the
+		// whole rounding interval is.
+		at := time.Duration(n[0] * float64(time.Second))
+		if figure12Interference(at-50*time.Millisecond) == 0 &&
+			figure12Interference(at+50*time.Millisecond) == 0 {
+			s2Gap = max(s2Gap, n[2])
+		}
+	}
+	if s2Gap < 0.75*cores {
+		t.Errorf("S2 reached only %.0f of %d cores inside an interference-free gap, want >= 75%%:\n%s", s2Gap, cores, r)
+	}
+	resp := -1.0
+	for _, note := range r.Notes {
+		if _, after, ok := strings.Cut(note, "response time "); ok {
+			resp, err = strconv.ParseFloat(strings.TrimSuffix(after, "s"), 64)
+			if err != nil {
+				t.Fatalf("note %q: %v", note, err)
+			}
+		}
+	}
+	if resp <= 0 || resp >= 10.4 {
+		t.Errorf("response %.1fs, want below 10.4s:\n%s", resp, r)
+	}
+}
+
 func TestConvergenceDelayHelper(t *testing.T) {
 	if d := convergenceDelay(&simMetricsStub); d <= 0 {
 		t.Fatalf("convergence delay = %v", d)

@@ -316,9 +316,22 @@ func Figure11() (*Report, error) {
 	return r, nil
 }
 
+// figure12Interference is the cores Figure 12's interfering program
+// claims at virtual time now. The paper's interference runs 20s of
+// every 40s on a ~160s query; our simulated query is ~20x shorter, so
+// the duty cycle scales to 2s-on / 2s-off to show several adaptation
+// rounds.
+func figure12Interference(now time.Duration) float64 {
+	if int(now.Seconds())%4 < 2 {
+		return 20 // interference claims 20 of 24 logical cores
+	}
+	return 0
+}
+
 // Figure12 runs SSE-Q9 while a CPU-intensive interference program
-// claims most cores on a 20s-on/20s-off duty cycle; the scheduler must
-// shrink while it runs and re-expand when it pauses (Section 5.3).
+// claims most cores on a duty cycle (figure12Interference); the
+// scheduler must shrink while it runs and re-expand when it pauses
+// (Section 5.3).
 func Figure12() (*Report, error) {
 	r := &Report{Title: "Figure 12: adaptivity to an interfering CPU-bound program"}
 	g, err := sseQ9Graph()
@@ -330,15 +343,7 @@ func Figure12() (*Report, error) {
 		return nil, err
 	}
 	s.TraceEvery = 100 * time.Millisecond
-	// The paper's interference runs 20s of every 40s on a ~160s query;
-	// our simulated query is ~20x shorter, so the duty cycle scales to
-	// 2s-on / 2s-off to show several adaptation rounds.
-	s.ExternalCores = func(now time.Duration) float64 {
-		if int(now.Seconds())%4 < 2 {
-			return 20 // interference claims 20 of 24 logical cores
-		}
-		return 0
-	}
+	s.ExternalCores = figure12Interference
 	m, err := s.Run()
 	if err != nil {
 		return nil, err

@@ -89,7 +89,9 @@ type Config struct {
 	// mode (default 1). EP does not read it: a segment there starts on
 	// the cores its node has free.
 	FixedParallelism int
-	// SchedTick is the EP scheduler period (default 20ms).
+	// SchedTick is the period of the EP scheduler's rounds (default
+	// 20ms). The scheduler counts its freshness window θ in rounds, so
+	// θ lasts five periods: 100ms at the default.
 	SchedTick time.Duration
 	// ExchangeBuffer bounds exchange inboxes in pipelined modes, in
 	// blocks (default 128). ME mode always uses unbounded inboxes.
@@ -410,10 +412,10 @@ func (c *Cluster) schedLoop(stop, done chan struct{}) {
 		select {
 		case <-stop:
 			return
-		case now := <-tick.C:
+		case <-tick.C:
 			t0 := time.Now()
 			for _, ns := range c.scheds {
-				ns.Tick(now)
+				ns.Tick()
 			}
 			elapsed := time.Since(t0).Nanoseconds()
 			c.schedMu.Lock()

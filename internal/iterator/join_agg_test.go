@@ -69,6 +69,55 @@ func TestHashJoinDuplicateBuildKeys(t *testing.T) {
 	}
 }
 
+// TestHashJoinProbeRowsRepeatThenSkip probes with one block whose match
+// rows are exactly [0, 0, 2]: row 0 matches two build rows, row 1 none,
+// row 2 one. Those indexes span as many positions as there are matches,
+// yet they are not one contiguous run, so every output row must carry
+// its own probe row's columns, of every width.
+func TestHashJoinProbeRowsRepeatThenSkip(t *testing.T) {
+	buildSch := types.NewSchema(types.Col("bk", types.Int64), types.Col("tag", types.Int64))
+	probeSch := types.NewSchema(types.Col("pk", types.Int64), types.Col("pv", types.Int64),
+		types.Char("ps", 3))
+	buildKeys := []int64{10, 10, 30}
+	bp := buildPartition(buildSch, len(buildKeys), 512, func(i int, rec []byte) {
+		types.PutValue(rec, buildSch, 0, types.IntVal(buildKeys[i]))
+		types.PutValue(rec, buildSch, 1, types.IntVal(int64(i)))
+	})
+	probe := []struct {
+		k int64
+		s string
+	}{{10, "aaa"}, {20, "bbb"}, {30, "ccc"}}
+	pp := buildPartition(probeSch, len(probe), 512, func(i int, rec []byte) {
+		types.PutValue(rec, probeSch, 0, types.IntVal(probe[i].k))
+		types.PutValue(rec, probeSch, 1, types.IntVal(probe[i].k*10))
+		types.PutValue(rec, probeSch, 2, types.StrVal(probe[i].s))
+	})
+	if blocks := len(pp.Blocks); blocks != 1 {
+		t.Fatalf("probe side is %d blocks, want the one block [0, 0, 2] comes from", blocks)
+	}
+	hj := NewHashJoin(NewScan(bp.Schema, bp), NewScan(pp.Schema, pp), buildSch, probeSch,
+		[]expr.Expr{expr.NewCol(0, "bk")}, []expr.Expr{expr.NewCol(0, "pk")})
+	out := runWorkers(hj, 1)
+	if got := totalTuples(out); got != 3 {
+		t.Fatalf("join produced %d rows, want 3", got)
+	}
+	wantS := map[int64]string{10: "aaa", 30: "ccc"}
+	tags := map[int64]bool{}
+	for _, b := range out {
+		for i := 0; i < b.NumTuples(); i++ {
+			bk, tag := b.Get(i, 0).I, b.Get(i, 1).I
+			pk, pv, ps := b.Get(i, 2).I, b.Get(i, 3).I, b.Get(i, 4).S
+			if pk != bk || pv != bk*10 || ps != wantS[bk] {
+				t.Errorf("row %d: build (%d, tag %d) beside probe (%d, %d, %q)", i, bk, tag, pk, pv, ps)
+			}
+			tags[tag] = true
+		}
+	}
+	if len(tags) != 3 {
+		t.Errorf("build rows matched: %v, want tags 0, 1 and 2", tags)
+	}
+}
+
 func TestHashJoinEmptyBuild(t *testing.T) {
 	sch := types.NewSchema(types.Col("k", types.Int64))
 	bp := buildPartition(sch, 0, 512, func(int, []byte) {})

@@ -28,7 +28,11 @@ type RetryPolicy struct {
 // credit instead), so only loss or a late receipt times out. Base sits
 // well above a receipt's round trip on a busy host: receipts took up to
 // 55 ms on a 2-vCPU host running the benchmark, and a 25 ms Base
-// retransmitted frames that were never lost.
+// retransmitted frames that were never lost. Deadline sits far past the
+// membership detector's dead verdict (1.5 s at cluster.Timing's
+// defaults): a send to a dead peer keeps retrying until the verdict
+// arrives, so the query fails with the typed NodeLost and not with a
+// transient transport error.
 var DefaultRetryPolicy = RetryPolicy{
 	Base:     200 * time.Millisecond,
 	Max:      2 * time.Second,

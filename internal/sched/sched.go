@@ -7,7 +7,9 @@
 //
 // The same scheduler drives both the real engine (internal/engine) and
 // the virtual-time cluster simulator (internal/sim): segments are
-// abstracted behind SegmentHandle.
+// abstracted behind SegmentHandle. It reads no clock and takes no
+// tuning: each Tick is one round, θ is a count of rounds, and ∆, the
+// tolerance, θ and the memory watermarks are constants.
 package sched
 
 import (
@@ -15,7 +17,6 @@ import (
 	"sort"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"repro/internal/telemetry"
 )
@@ -77,16 +78,11 @@ type ScopedHandle interface {
 	DecisionScope() *telemetry.Scope
 }
 
-// LambdaBus shares the pipeline's global throughput λ (Equation 3)
-// across node schedulers: every node publishes its local minimum
-// normalized rate, and reads the global minimum. This is the only
-// cross-node coordination the algorithm needs.
-type LambdaBus interface {
-	Publish(node int, localMin float64)
-	Global() float64
-}
-
-// MasterBus is the master node's LambdaBus implementation.
+// MasterBus shares the global throughput λ (Equation 3) across node
+// schedulers: every node publishes its local minimum normalized rate,
+// and reads the global minimum. This is the only cross-node
+// coordination the algorithm needs. The engine builds one bus per
+// cluster, so λ spans every concurrent query (DESIGN.md §3).
 type MasterBus struct {
 	mu    sync.Mutex
 	nodes map[int]float64
@@ -95,14 +91,14 @@ type MasterBus struct {
 // NewMasterBus returns an empty bus.
 func NewMasterBus() *MasterBus { return &MasterBus{nodes: make(map[int]float64)} }
 
-// Publish implements LambdaBus.
+// Publish records node's local minimum normalized rate.
 func (b *MasterBus) Publish(node int, v float64) {
 	b.mu.Lock()
 	b.nodes[node] = v
 	b.mu.Unlock()
 }
 
-// Global implements LambdaBus.
+// Global returns λ, the minimum over every node's last publication.
 func (b *MasterBus) Global() float64 {
 	b.mu.Lock()
 	defer b.mu.Unlock()
@@ -116,11 +112,12 @@ func (b *MasterBus) Global() float64 {
 }
 
 // scalEntry is one slot of a scalability vector: the measured rate t_ij
-// with j workers and its timestamp l_ij (Section 4.4).
+// with j workers and its timestamp l_ij (Section 4.4), the scheduler
+// round it was measured in. Rounds count from 1, so round 0 is an empty
+// slot.
 type scalEntry struct {
 	rate  float64
-	at    time.Time
-	valid bool
+	round int64
 }
 
 type segState struct {
@@ -133,18 +130,11 @@ type segState struct {
 	normRate float64 // R_i = T_i / V_i
 }
 
-// Config tunes the scheduler.
+// Config names a node scheduler's budget and what it reports to; the
+// scheduler takes no tuning.
 type Config struct {
 	// Cores is m, the node's core budget.
 	Cores int
-	// Delta is the improvement threshold ∆ of Algorithm 1, as a fraction
-	// of λ (default 0.02).
-	Delta float64
-	// Theta is the scalability-vector freshness window θ (default 2s).
-	Theta time.Duration
-	// Tolerance classifies under-performers: R_i ≤ λ·(1+Tolerance)
-	// (default 0.25).
-	Tolerance float64
 	// Scope receives one telemetry.SchedDecision event per core move the
 	// scheduler makes. Nil disables event emission; the decision counter
 	// still advances.
@@ -153,38 +143,28 @@ type Config struct {
 	// bytes over the node budget). Nil means memory is unmonitored and
 	// the watermarks never engage.
 	MemPressure func() float64
-	// MemHighWater is the pressure above which the scheduler stops
-	// expanding pools (default DefaultMemHighWater): refusing growth is
-	// the first, cheapest rung of the degradation ladder.
-	MemHighWater float64
-	// MemCriticalWater is the pressure above which the scheduler
-	// actively shrinks the widest pool each tick (default 0.9), shedding
-	// working memory before any operator is forced to spill.
-	MemCriticalWater float64
 }
+
+const (
+	// delta is the improvement threshold ∆ of Algorithm 1, as a fraction
+	// of λ (and of a segment's rate for a free core or a release).
+	delta = 0.02
+	// tolerance classifies under-performers: R_i ≤ λ·(1+tolerance).
+	tolerance = 0.25
+	// thetaRounds is the freshness window θ of a scalability-vector
+	// entry, in the scheduler's own rounds: an entry measured θ rounds
+	// ago is fresh, one θ+1 rounds ago is not (DESIGN.md §3).
+	thetaRounds = 5
+	// memCriticalWater is the pressure above which the scheduler
+	// actively shrinks the widest pool each round, shedding working
+	// memory before any operator is forced to spill.
+	memCriticalWater = 0.9
+)
 
 // DefaultMemHighWater is the memory pressure at which elective pool
-// expansions stop: the scheduler's default MemHighWater, and the gate
-// the engine tests before every elective expansion it makes.
+// expansions stop, the scheduler's and every one the engine makes:
+// refusing growth is the first, cheapest rung of the degradation ladder.
 const DefaultMemHighWater = 0.75
-
-func (c *Config) defaults() {
-	if c.Delta == 0 {
-		c.Delta = 0.02
-	}
-	if c.Theta == 0 {
-		c.Theta = 2 * time.Second
-	}
-	if c.Tolerance == 0 {
-		c.Tolerance = 0.25
-	}
-	if c.MemHighWater == 0 {
-		c.MemHighWater = DefaultMemHighWater
-	}
-	if c.MemCriticalWater == 0 {
-		c.MemCriticalWater = 0.9
-	}
-}
 
 // NodeScheduler provisions the cores of one slave node (Figure 6). It
 // is driven by periodic Tick calls from the engine or the simulator.
@@ -194,17 +174,17 @@ func (c *Config) defaults() {
 type NodeScheduler struct {
 	node int
 	cfg  Config
-	bus  LambdaBus
+	bus  *MasterBus
 
 	moves atomic.Int64
 
-	mu   sync.Mutex
-	segs []*segState
+	mu    sync.Mutex
+	segs  []*segState
+	round int64 // rounds run so far; the clock of the scalability vectors
 }
 
 // NewNodeScheduler builds a scheduler for the given node.
-func NewNodeScheduler(node int, cfg Config, bus LambdaBus) *NodeScheduler {
-	cfg.defaults()
+func NewNodeScheduler(node int, cfg Config, bus *MasterBus) *NodeScheduler {
 	return &NodeScheduler{node: node, cfg: cfg, bus: bus}
 }
 
@@ -285,7 +265,7 @@ func (s *NodeScheduler) decide(st *segState, d telemetry.SchedDecision) {
 // vectors, publish the local λ, release cores that add nothing, apply
 // the memory watermarks, hand out the cores nobody holds, and run
 // Algorithm 1's pairwise reassignment.
-func (s *NodeScheduler) Tick(now time.Time) {
+func (s *NodeScheduler) Tick() {
 	// The tick span shows scheduler activity (and its overhead) on the
 	// trace timeline; no-cost when tracing is off.
 	var sp *telemetry.Span
@@ -295,6 +275,7 @@ func (s *NodeScheduler) Tick(now time.Time) {
 	defer sp.End()
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	s.round++
 
 	// 1. Measurement refresh.
 	active := s.segs[:0]
@@ -314,7 +295,7 @@ func (s *NodeScheduler) Tick(now time.Time) {
 			}
 		}
 		if p := m.Parallelism; p >= 1 && p < len(st.vec) && !m.Limited() && m.Rate > 0 {
-			st.vec[p] = scalEntry{rate: m.Rate, at: now, valid: true}
+			st.vec[p] = scalEntry{rate: m.Rate, round: s.round}
 		}
 		st.normRate = normalize(m)
 		active = append(active, st)
@@ -376,10 +357,10 @@ func (s *NodeScheduler) Tick(now time.Time) {
 		default:
 			// Fresh plateau, t(p) <= t(p-1)·(1+∆): the last core buys
 			// nothing. Figure 12's S1 and S2 while the interfering program
-			// runs (107).
-			cur, okCur := s.freshAt(st, m.Parallelism, now)
-			below, okBelow := s.freshAt(st, m.Parallelism-1, now)
-			if !okCur || !okBelow || cur > below*(1+s.cfg.Delta) {
+			// runs (40).
+			cur, okCur := s.freshAt(st, m.Parallelism)
+			below, okBelow := s.freshAt(st, m.Parallelism-1)
+			if !okCur || !okBelow || cur > below*(1+delta) {
 				continue
 			}
 			d.Reason, d.Gain = "no gain", cur-below
@@ -395,14 +376,14 @@ func (s *NodeScheduler) Tick(now time.Time) {
 	// water the scheduler refuses all expansions — pipelines keep running
 	// at their current width, so throughput degrades gracefully instead
 	// of allocations failing. Above the critical water it also forces the
-	// widest pool to shrink one worker per tick, actively returning
+	// widest pool to shrink one worker per round, actively returning
 	// working memory (parked states, private tables) before any operator
 	// has to spill.
 	pressure := 0.0
 	if s.cfg.MemPressure != nil {
 		pressure = s.cfg.MemPressure()
 	}
-	if pressure >= s.cfg.MemCriticalWater {
+	if pressure >= memCriticalWater {
 		var widest *segState
 		for _, st := range active {
 			if st.last.Parallelism > 1 && (widest == nil || st.last.Parallelism > widest.last.Parallelism) {
@@ -416,7 +397,7 @@ func (s *NodeScheduler) Tick(now time.Time) {
 			})
 		}
 	}
-	if pressure >= s.cfg.MemHighWater {
+	if pressure >= DefaultMemHighWater {
 		return
 	}
 
@@ -430,7 +411,7 @@ func (s *NodeScheduler) Tick(now time.Time) {
 		// last measurement; a second only when the scalability vector's
 		// fresh slope supports it. The next round's measurement confirms
 		// or reverts either.
-		cand, gain := s.pickExpand(active, lambda, now, grew)
+		cand, gain := s.pickExpand(active, lambda, grew)
 		if cand == nil || !cand.h.Expand() {
 			break
 		}
@@ -443,7 +424,7 @@ func (s *NodeScheduler) Tick(now time.Time) {
 	}
 
 	// 3c. Algorithm 1's pairwise move, every round.
-	s.algorithm1(active, lambda, now)
+	s.algorithm1(active, lambda)
 }
 
 // normalize computes R_i = T_i / V_i, treating a segment with no
@@ -451,10 +432,10 @@ func (s *NodeScheduler) Tick(now time.Time) {
 func normalize(m Metrics) float64 { return normWith(m.Rate, m.VisitRate) }
 
 // freshAt returns the scalability-vector entry at parallelism p if it
-// is valid and within the freshness window.
-func (s *NodeScheduler) freshAt(st *segState, p int, now time.Time) (float64, bool) {
+// holds a measurement at most thetaRounds rounds old.
+func (s *NodeScheduler) freshAt(st *segState, p int) (float64, bool) {
 	if p >= 1 && p < len(st.vec) {
-		if e := st.vec[p]; e.valid && now.Sub(e.at) <= s.cfg.Theta {
+		if e := st.vec[p]; e.round > 0 && s.round-e.round <= thetaRounds {
 			return e.rate, true
 		}
 	}
@@ -465,19 +446,19 @@ func (s *NodeScheduler) freshAt(st *segState, p int, now time.Time) (float64, bo
 // (Section 4.4): a fresh vector entry if present, otherwise linear
 // scaling from the nearest fresh neighbor, otherwise linear scaling
 // from the current measurement.
-func (s *NodeScheduler) estimate(st *segState, p int, now time.Time) (float64, bool) {
+func (s *NodeScheduler) estimate(st *segState, p int) (float64, bool) {
 	if p < 1 {
 		return 0, true
 	}
-	if r, ok := s.freshAt(st, p, now); ok {
+	if r, ok := s.freshAt(st, p); ok {
 		return r, true
 	}
 	// Marginal-slope extrapolation: with fresh measurements at the two
 	// parallelisms below p, predict t(p) = t(p-1) + slope. On a plateau
 	// the slope is ~0, so the scheduler stops predicting gains — the
 	// "quickly identified and corrected" behavior of Section 4.4.
-	if r1, ok1 := s.freshAt(st, p-1, now); ok1 {
-		if r2, ok2 := s.freshAt(st, p-2, now); ok2 {
+	if r1, ok1 := s.freshAt(st, p-1); ok1 {
+		if r2, ok2 := s.freshAt(st, p-2); ok2 {
 			slope := r1 - r2
 			if slope < 0 {
 				slope = 0
@@ -486,7 +467,7 @@ func (s *NodeScheduler) estimate(st *segState, p int, now time.Time) (float64, b
 		}
 		return r1 * float64(p) / float64(p-1), true
 	}
-	if r, ok := s.freshAt(st, p+1, now); ok {
+	if r, ok := s.freshAt(st, p+1); ok {
 		return r * float64(p) / float64(p+1), true
 	}
 	if st.last.Parallelism >= 1 && st.last.Rate > 0 {
@@ -499,7 +480,7 @@ func (s *NodeScheduler) estimate(st *segState, p int, now time.Time) (float64, b
 // skipping segments in the exclude set. It returns the choice and its
 // estimated throughput gain.
 func (s *NodeScheduler) pickExpand(active []*segState, lambda float64,
-	now time.Time, grew map[*segState]int) (*segState, float64) {
+	grew map[*segState]int) (*segState, float64) {
 	var best *segState
 	bestGain := 0.0
 	for _, st := range active {
@@ -512,17 +493,17 @@ func (s *NodeScheduler) pickExpand(active []*segState, lambda float64,
 		}
 		// Expansion helps only bottleneck-side segments; a segment far
 		// above λ gains nothing for the pipeline.
-		if st.normRate > lambda*(1+s.cfg.Tolerance) {
+		if st.normRate > lambda*(1+tolerance) {
 			continue
 		}
-		est, fresh := s.estimate(st, m.Parallelism+1, now)
+		est, fresh := s.estimate(st, m.Parallelism+1)
 		if grew[st] >= 1 && !fresh {
 			continue // a second speculative core needs measured backing
 		}
 		gain := est - m.Rate
 		// Require a material improvement (relative to current rate) so
 		// plateaued segments stop absorbing cores.
-		if gain > m.Rate*s.cfg.Delta && gain > bestGain+1e-9 {
+		if gain > m.Rate*delta && gain > bestGain+1e-9 {
 			bestGain = gain
 			best = st
 		}
@@ -537,12 +518,12 @@ func (s *NodeScheduler) pickExpand(active []*segState, lambda float64,
 // under-estimates its capacity, and one core less cannot make a segment
 // that waits on its input or output the bottleneck, so its post-move
 // rate counts as passing λ+∆.
-func (s *NodeScheduler) algorithm1(active []*segState, lambda float64, now time.Time) {
+func (s *NodeScheduler) algorithm1(active []*segState, lambda float64) {
 	if math.IsInf(lambda, 1) || lambda <= 0 {
 		return
 	}
-	tol := 1 + s.cfg.Tolerance
-	delta := lambda * s.cfg.Delta
+	tol := 1 + tolerance
+	margin := lambda * delta
 
 	var under, over []*segState
 	for _, st := range active {
@@ -569,14 +550,14 @@ func (s *NodeScheduler) algorithm1(active []*segState, lambda float64, now time.
 			if ui == oj {
 				continue
 			}
-			ti, _ := s.estimate(ui, ui.last.Parallelism+1, now)
+			ti, _ := s.estimate(ui, ui.last.Parallelism+1)
 			tiN := normWith(ti, ui.last.VisitRate)
 			tjN := math.Inf(1)
 			if !oj.last.Limited() {
-				tj, _ := s.estimate(oj, oj.last.Parallelism-1, now)
+				tj, _ := s.estimate(oj, oj.last.Parallelism-1)
 				tjN = normWith(tj, oj.last.VisitRate)
 			}
-			if tiN >= lambda+delta && tjN >= lambda+delta {
+			if tiN >= lambda+margin && tjN >= lambda+margin {
 				gain := math.Min(tiN, tjN) - lambda
 				if best == nil || gain > best.gain {
 					best = &move{gain: gain, ui: ui, oj: oj}

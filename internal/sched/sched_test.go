@@ -4,7 +4,6 @@ import (
 	"math"
 	"sync"
 	"testing"
-	"time"
 
 	"repro/internal/telemetry"
 )
@@ -80,13 +79,10 @@ func (f *fakeSeg) parallelism() int {
 	return f.par
 }
 
-func tickN(s *NodeScheduler, n int) time.Time {
-	now := time.Unix(0, 0)
+func tickN(s *NodeScheduler, n int) {
 	for i := 0; i < n; i++ {
-		now = now.Add(100 * time.Millisecond)
-		s.Tick(now)
+		s.Tick()
 	}
-	return now
 }
 
 func TestSchedulerAssignsFreeCores(t *testing.T) {
@@ -133,10 +129,8 @@ func TestSchedulerRespectsCoreBudgetInvariant(t *testing.T) {
 	for _, f := range segs {
 		s.Attach(f)
 	}
-	now := time.Unix(0, 0)
 	for i := 0; i < 100; i++ {
-		now = now.Add(100 * time.Millisecond)
-		s.Tick(now)
+		s.Tick()
 		total := 0
 		for _, f := range segs {
 			total += f.parallelism()
@@ -243,7 +237,7 @@ func TestSchedulerPlateauStopsExpansion(t *testing.T) {
 	// the scheduler should not pile further cores onto the segment once
 	// measurements show no gain.
 	bus := NewMasterBus()
-	s := NewNodeScheduler(0, Config{Cores: 16, Delta: 0.05}, bus)
+	s := NewNodeScheduler(0, Config{Cores: 16}, bus)
 	a := newFakeSeg("a", 100, 1)
 	a.speedup = func(p int) float64 { return math.Min(float64(p), 4) }
 	s.Attach(a)
@@ -359,11 +353,11 @@ func TestSchedulerMemWatermarks(t *testing.T) {
 
 	// Critical water: widest pool shrinks one worker per tick.
 	pressure = 0.95
-	s.Tick(time.Unix(10, 0))
+	s.Tick()
 	if got := a.parallelism(); got != grown-1 {
 		t.Fatalf("expected forced shrink to %d, got %d", grown-1, got)
 	}
-	s.Tick(time.Unix(11, 0))
+	s.Tick()
 	if got := a.parallelism(); got != grown-2 {
 		t.Fatalf("expected second forced shrink to %d, got %d", grown-2, got)
 	}
@@ -373,5 +367,70 @@ func TestSchedulerMemWatermarks(t *testing.T) {
 	tickN(s, 6)
 	if got := a.parallelism(); got <= grown-2 {
 		t.Fatalf("did not re-expand after pressure dropped: %d", got)
+	}
+}
+
+// TestFreshnessWindowEdge fixes θ's edge in rounds: a scalability-vector
+// entry measured thetaRounds rounds ago is still read, one measured
+// thetaRounds+1 rounds ago is not, and estimate falls back to linear
+// scaling from the fresh neighbour below.
+func TestFreshnessWindowEdge(t *testing.T) {
+	s := NewNodeScheduler(0, Config{Cores: 8}, NewMasterBus())
+	a := newFakeSeg("a", 100, 1)
+	a.par, a.maxPar = 2, 2 // measured at p = 2 every round, never at 3
+	s.Attach(a)
+	s.Tick()
+	st := s.segs[0]
+	// A measurement at p = 3 that linear scaling (200·3/2 = 300) would
+	// not predict.
+	st.vec[3] = scalEntry{rate: 250, round: s.round}
+	planted := s.round
+	for s.round-planted <= thetaRounds {
+		if got, fresh := s.estimate(st, 3); got != 250 || !fresh {
+			t.Fatalf("entry %d rounds old: estimate %.0f (fresh %v), want the entry's 250",
+				s.round-planted, got, fresh)
+		}
+		s.Tick()
+	}
+	if got, fresh := s.estimate(st, 3); got != 300 || !fresh {
+		t.Fatalf("entry %d rounds old: estimate %.0f (fresh %v), want 300 scaled from t(2)",
+			s.round-planted, got, fresh)
+	}
+}
+
+// TestLambdaSpansPipelines pins λ's scope (DESIGN.md §3): one MasterBus
+// serves every node scheduler of a cluster, so λ is the minimum over
+// the segments of every concurrent pipeline, not each pipeline's own.
+// A fast pipeline on node 1 reads the slow pipeline's λ from node 0: its
+// segment runs far above that λ, so it is no bottleneck and gets none
+// of node 1's free cores. With a bus of its own its λ would be its own
+// rate, and it would take them all.
+func TestLambdaSpansPipelines(t *testing.T) {
+	scope := telemetry.NewScope("test")
+	mem := telemetry.NewMemSink(telemetry.KindSchedDecision)
+	scope.Attach(mem)
+	bus := NewMasterBus() // the engine's initShared builds one per cluster
+	slowNode := NewNodeScheduler(0, Config{Cores: 8, Scope: scope}, bus)
+	fastNode := NewNodeScheduler(1, Config{Cores: 8, Scope: scope}, bus)
+	slow := newFakeSeg("slow", 10, 1)
+	slow.par, slow.maxPar = 1, 1 // the slow pipeline's bottleneck: R = 10
+	fast := newFakeSeg("fast", 100, 1)
+	fast.par = 1 // R = 100 at one core
+	slowNode.Attach(slow)
+	fastNode.Attach(fast)
+	for i := 0; i < 20; i++ {
+		slowNode.Tick()
+		fastNode.Tick()
+	}
+	if got := bus.Global(); got != 10 {
+		t.Fatalf("λ = %.0f, want the slow pipeline's 10", got)
+	}
+	if got := fast.parallelism(); got != 1 {
+		t.Errorf("fast pipeline grew to %d cores under the slow pipeline's λ, want 1", got)
+	}
+	for _, ev := range mem.Events() {
+		if d := ev.Rec.(telemetry.SchedDecision); d.Node == 1 {
+			t.Errorf("node 1 moved a core: %+v", d)
+		}
 	}
 }

@@ -108,7 +108,6 @@ func (p *EPPolicy) Step(s *Sim, now time.Duration) {
 	}
 	p.started = true
 	p.lastTick = now
-	virtual := time.Unix(0, 0).Add(now)
 	live := 0
 	for _, inst := range s.insts {
 		if !inst.done {
@@ -116,7 +115,7 @@ func (p *EPPolicy) Step(s *Sim, now time.Duration) {
 		}
 	}
 	for _, ns := range p.scheds {
-		ns.Tick(virtual)
+		ns.Tick()
 	}
 	s.AddSchedOverhead(p.PerSegTickCost.Seconds() * float64(live))
 	// Core migrations are the only thread context switches EP incurs.

@@ -5,7 +5,9 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"sort"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -530,6 +532,78 @@ func TestHavingClause(t *testing.T) {
 	for _, row := range res.Rows() {
 		if row[1].I <= 20 {
 			t.Fatalf("group %d with count %d leaked through HAVING", row[0].I, row[1].I)
+		}
+	}
+}
+
+// TestGroupedPredicates: BETWEEN and IN over an aggregate in HAVING, and
+// over a group key in the SELECT list, bind above the aggregation and
+// return the reference answer in every mode.
+func TestGroupedPredicates(t *testing.T) {
+	for _, mode := range []Mode{EP, SP, ME} {
+		c, ref := buildTestCluster(t, mode, 2)
+		perAcct, perSec := map[int64]int64{}, map[int64]int64{}
+		for _, r := range ref.trades {
+			perAcct[r.acct]++
+			perSec[r.sec]++
+		}
+		// want renders the reference rows, one "a b c" line per group.
+		want := func(counts map[int64]int64, row func(k, n int64) string) []string {
+			var out []string
+			for k, n := range counts {
+				if r := row(k, n); r != "" {
+					out = append(out, r)
+				}
+			}
+			sort.Strings(out)
+			return out
+		}
+		boolOf := func(ok bool) int64 {
+			if ok {
+				return 1
+			}
+			return 0
+		}
+		cases := []struct {
+			sql  string
+			want []string
+		}{
+			{`SELECT acct_id, count(*) AS n FROM trades GROUP BY acct_id HAVING count(*) BETWEEN 10 AND 20`,
+				want(perAcct, func(k, n int64) string {
+					if n < 10 || n > 20 {
+						return ""
+					}
+					return fmt.Sprint(k, n)
+				})},
+			{`SELECT acct_id, count(*) AS n FROM trades GROUP BY acct_id HAVING count(*) IN (15, 16)`,
+				want(perAcct, func(k, n int64) string {
+					if n != 15 && n != 16 {
+						return ""
+					}
+					return fmt.Sprint(k, n)
+				})},
+			{`SELECT sec_code, sec_code IN (1, 2, 3) AS lowsec, count(*) FROM trades GROUP BY sec_code`,
+				want(perSec, func(k, n int64) string { return fmt.Sprint(k, boolOf(k == 1 || k == 2 || k == 3), n) })},
+			{`SELECT sec_code, sec_code BETWEEN 1 AND 3 AS lowsec, count(*) FROM trades GROUP BY sec_code`,
+				want(perSec, func(k, n int64) string { return fmt.Sprint(k, boolOf(k >= 1 && k <= 3), n) })},
+		}
+		for _, tc := range cases {
+			res, err := c.Run(tc.sql)
+			if err != nil {
+				t.Fatalf("%v: %s: %v", mode, tc.sql, err)
+			}
+			var got []string
+			for _, row := range res.Rows() {
+				parts := make([]string, len(row))
+				for i, v := range row {
+					parts[i] = fmt.Sprint(v.AsInt())
+				}
+				got = append(got, strings.Join(parts, " "))
+			}
+			sort.Strings(got)
+			if len(tc.want) == 0 || !slices.Equal(got, tc.want) {
+				t.Fatalf("%v: %s: %d groups, want %d\ngot  %v\nwant %v", mode, tc.sql, len(got), len(tc.want), got, tc.want)
+			}
 		}
 	}
 }

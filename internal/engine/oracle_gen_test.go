@@ -557,6 +557,7 @@ func (g *gen) aggregate(s *stmt) {
 		}
 	}
 	s.mark(fmt.Sprintf("groupby:%d", len(s.groupBy)))
+	var groups []*group
 	for i, k := range s.groupBy {
 		if k.kind() == types.String {
 			s.mark("group-key:char")
@@ -565,7 +566,16 @@ func (g *gen) aggregate(s *stmt) {
 			s.mark("group-key:computed")
 		}
 		if g.rng.Intn(10) < 7 {
-			s.items = append(s.items, item{e: &keyRef{i: i, e: k}})
+			var e node = &keyRef{i: i, e: k}
+			if g.chance(5) {
+				if groups == nil {
+					groups = s.groups()
+				}
+				if len(groups) > 0 {
+					e = g.overKey(s, e, groups, func(grp *group) types.Value { return grp.keys[i] })
+				}
+			}
+			s.items = append(s.items, item{e: e})
 		}
 	}
 	for n := 1 + g.rng.Intn(3); n > 0; n-- {
@@ -711,10 +721,41 @@ func (g *gen) having(s *stmt) {
 	if len(groups) == 0 {
 		return
 	}
+	s.mark("having")
+	if g.chance(3) {
+		s.having = g.overKey(s, a, groups, func(grp *group) types.Value { return a.eval(&ectx{grp: grp}) })
+		return
+	}
 	bound := a.eval(&ectx{grp: groups[g.rng.Intn(len(groups))]})
 	ops := []string{"<", "<=", ">", ">="}
 	s.having = &cmp{op: ops[g.rng.Intn(len(ops))], l: a, r: g.literalOr(s, bound)}
-	s.mark("having")
+}
+
+// overKey tests e, a group key or an aggregate, with BETWEEN or IN over
+// the values valueOf gives some of the groups, so the answer is true for
+// some groups and false for others. In HAVING it filters the groups, in
+// the SELECT list it is projected: either way it is bound above the
+// aggregation. A CHAR value only takes IN.
+func (g *gen) overKey(s *stmt, e node, groups []*group, valueOf func(*group) types.Value) node {
+	pick := func() types.Value { return valueOf(groups[g.rng.Intn(len(groups))]) }
+	where := "proj:key-"
+	if _, ok := e.(*aggCall); ok {
+		where = "having:"
+	}
+	if e.kind() != types.String && g.chance(2) {
+		lo, hi := pick(), pick()
+		if order(lo, hi) > 0 {
+			lo, hi = hi, lo
+		}
+		s.mark(where + "between")
+		return &between{e: e, lo: g.literalOr(s, lo), hi: g.literalOr(s, hi)}
+	}
+	var list []types.Value
+	for n := 1 + g.rng.Intn(3); n > 0; n-- {
+		list = append(list, pick())
+	}
+	s.mark(where + "in")
+	return &in{e: e, list: list, negate: g.chance(4)}
 }
 
 // orderLimit adds ORDER BY output columns (sometimes one scaled by a

@@ -548,6 +548,7 @@ var required = []string{
 	"join-key:computed", "join:word-key", "join:byte-key",
 	"groupby:0", "groupby:1", "groupby:2", "groupby:3", "group-key:char", "group-key:computed",
 	"agg:count*", "agg:count", "agg:sum", "agg:avg", "agg:min", "agg:max", "agg:over-expr", "agg:over-div", "having",
+	"having:between", "having:in", "proj:key-between", "proj:key-in",
 	"agg:per-build-row", "per-build-row:scalar", "per-build-row:unmatched-build", "per-build-row:many-to-many",
 	"proj:arith", "proj:div", "proj:case", "proj:extract", "order", "order+limit", "limit",
 	"$n:PScan.Pred", "$n:PFilter.Pred", "$n:PProject.Exprs", "$n:PHashJoin.BuildKeys",

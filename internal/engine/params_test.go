@@ -125,7 +125,11 @@ func slotsAt(p *plan.Plan, site string) int {
 				continue
 			}
 			for _, e := range exprsAt(v.Field(i)) {
-				expr.WalkParams(e, func(*expr.Param) { n++ })
+				expr.Walk(e, func(x expr.Expr) {
+					if _, ok := x.(*expr.Param); ok {
+						n++
+					}
+				})
 			}
 		}
 	}
@@ -224,7 +228,7 @@ func builtHoldsParam(t *testing.T, c *Cluster, p *plan.Plan, args []types.Value)
 
 // TestParamSitesParity: for every expression-bearing field of every
 // struct in plan/physical.go, a template with a `$1` there reports it
-// (NumParams, through plan.walkOpExprs and expr.WalkParams) and comes
+// (NumParams, through plan.walkOpExprs and expr.Walk) and comes
 // out of the builder with no slot left. The same build without the
 // substitution must trip the check, or the check could not have seen
 // the site.

@@ -135,51 +135,16 @@ func constOf(e Expr) (types.Value, bool) {
 }
 
 // rowFree reports whether e evaluates to the same value for every row:
-// no node of it is a Col or a Param. Like WalkParams it is closed over
-// the package's Expr types; an unknown node counts as row-dependent.
+// no node of it is a Col or a Param.
 func rowFree(e Expr) bool {
-	switch n := e.(type) {
-	case nil, *Const:
-		return true
-	case *Arith:
-		return rowFree(n.L) && rowFree(n.R)
-	case *Cmp:
-		return rowFree(n.L) && rowFree(n.R)
-	case *And:
-		return allRowFree(n.Terms)
-	case *Or:
-		return allRowFree(n.Terms)
-	case *Not:
-		return rowFree(n.E)
-	case *Like:
-		return rowFree(n.E)
-	case *Between:
-		return rowFree(n.E) && rowFree(n.Lo) && rowFree(n.Hi)
-	case *In:
-		return rowFree(n.E)
-	case *Case:
-		for _, w := range n.Whens {
-			if !rowFree(w.Cond) || !rowFree(w.Then) {
-				return false
-			}
+	free := true
+	Walk(e, func(x Expr) {
+		switch x.(type) {
+		case *Col, *Param:
+			free = false
 		}
-		return rowFree(n.Else)
-	case *Extract:
-		return rowFree(n.E)
-	case *AddMonths:
-		return rowFree(n.E)
-	default: // *Col, *Param
-		return false
-	}
-}
-
-func allRowFree(es []Expr) bool {
-	for _, e := range es {
-		if !rowFree(e) {
-			return false
-		}
-	}
-	return true
+	})
+	return free
 }
 
 // flipCmp mirrors an operator across swapped operands: c op x ≡ x op' c.

@@ -6,9 +6,9 @@ package expr
 // beside it, and the executor calls SubstParams on each expression at
 // the moment it hands that expression to an iterator constructor, so
 // the template is never mutated or cloned and the batch kernels compile
-// against plain constants. WalkParams and substParams are the only two
-// switches that know where a Param can sit; both are closed over every
-// Expr type in this package, so a new node must join both.
+// against plain constants. Where a Param can sit is what Rewrite knows
+// of every node's children: SubstParams and the compile-time count
+// (Walk) both run on it.
 
 import (
 	"fmt"
@@ -51,226 +51,27 @@ func (p *Param) SetKind(k types.Kind) {
 	}
 }
 
-// WalkParams visits every Param in the tree. It runs at compile time
-// only (slot count and kinds); nothing on the EXECUTE path walks.
-func WalkParams(e Expr, fn func(*Param)) {
-	switch n := e.(type) {
-	case nil:
-	case *Param:
-		fn(n)
-	case *Col, *Const:
-	case *Arith:
-		WalkParams(n.L, fn)
-		WalkParams(n.R, fn)
-	case *Cmp:
-		WalkParams(n.L, fn)
-		WalkParams(n.R, fn)
-	case *And:
-		for _, t := range n.Terms {
-			WalkParams(t, fn)
-		}
-	case *Or:
-		for _, t := range n.Terms {
-			WalkParams(t, fn)
-		}
-	case *Not:
-		WalkParams(n.E, fn)
-	case *Like:
-		WalkParams(n.E, fn)
-	case *Between:
-		WalkParams(n.E, fn)
-		WalkParams(n.Lo, fn)
-		WalkParams(n.Hi, fn)
-	case *In:
-		WalkParams(n.E, fn)
-	case *Case:
-		for _, w := range n.Whens {
-			WalkParams(w.Cond, fn)
-			WalkParams(w.Then, fn)
-		}
-		WalkParams(n.Else, fn)
-	case *Extract:
-		WalkParams(n.E, fn)
-	case *AddMonths:
-		WalkParams(n.E, fn)
-	default:
-		// A slot the walk cannot see would run unsubstituted and read as
-		// NULL: refuse loudly instead.
-		panic(fmt.Sprintf("expr: WalkParams does not know %T", e))
-	}
-}
-
 // SubstParams returns the expression with every Param replaced by the
-// corresponding constant from vals (vals[N-1] binds $N). Subtrees
-// without parameters are shared, not copied — and cost no allocation —
-// so substitution clones only the spine above each slot. The input tree
-// is never mutated — it may be a cached, concurrently shared plan.
+// corresponding constant from vals (vals[N-1] binds $N). It is a
+// Rewrite: subtrees without parameters are shared, not copied — and
+// cost no allocation — so substitution clones only the spine above each
+// slot, and the input tree, which may be a cached plan, is never
+// mutated.
 func SubstParams(e Expr, vals []types.Value) (Expr, error) {
-	out, _, err := substParams(e, vals)
-	return out, err
-}
-
-func substParams(e Expr, vals []types.Value) (Expr, bool, error) {
-	switch n := e.(type) {
-	case nil:
-		return nil, false, nil
-	case *Param:
-		if n.N < 1 || n.N > len(vals) {
-			return nil, false, fmt.Errorf("expr: no value bound for $%d (%d bound)", n.N, len(vals))
+	var err error
+	out := Rewrite(e, func(x Expr) (Expr, bool) {
+		p, ok := x.(*Param)
+		if !ok {
+			return nil, false
 		}
-		return NewConst(vals[n.N-1]), true, nil
-	case *Col, *Const:
-		return e, false, nil
-	case *Arith:
-		l, cl, err := substParams(n.L, vals)
-		if err != nil {
-			return nil, false, err
+		if p.N < 1 || p.N > len(vals) {
+			err = fmt.Errorf("expr: no value bound for $%d (%d bound)", p.N, len(vals))
+			return p, true
 		}
-		r, cr, err := substParams(n.R, vals)
-		if err != nil {
-			return nil, false, err
-		}
-		if !cl && !cr {
-			return e, false, nil
-		}
-		return NewArith(n.Op, l, r), true, nil
-	case *Cmp:
-		l, cl, err := substParams(n.L, vals)
-		if err != nil {
-			return nil, false, err
-		}
-		r, cr, err := substParams(n.R, vals)
-		if err != nil {
-			return nil, false, err
-		}
-		if !cl && !cr {
-			return e, false, nil
-		}
-		return NewCmp(n.Op, l, r), true, nil
-	case *And:
-		terms, changed, err := substList(n.Terms, vals)
-		if err != nil {
-			return nil, false, err
-		}
-		if !changed {
-			return e, false, nil
-		}
-		return &And{Terms: terms}, true, nil
-	case *Or:
-		terms, changed, err := substList(n.Terms, vals)
-		if err != nil {
-			return nil, false, err
-		}
-		if !changed {
-			return e, false, nil
-		}
-		return &Or{Terms: terms}, true, nil
-	case *Not:
-		c, changed, err := substParams(n.E, vals)
-		if err != nil {
-			return nil, false, err
-		}
-		if !changed {
-			return e, false, nil
-		}
-		return NewNot(c), true, nil
-	case *Like:
-		c, changed, err := substParams(n.E, vals)
-		if err != nil {
-			return nil, false, err
-		}
-		if !changed {
-			return e, false, nil
-		}
-		return NewLike(c, n.Pattern, n.Negate), true, nil
-	case *Between:
-		c, cc, err := substParams(n.E, vals)
-		if err != nil {
-			return nil, false, err
-		}
-		lo, cl, err := substParams(n.Lo, vals)
-		if err != nil {
-			return nil, false, err
-		}
-		hi, ch, err := substParams(n.Hi, vals)
-		if err != nil {
-			return nil, false, err
-		}
-		if !cc && !cl && !ch {
-			return e, false, nil
-		}
-		return NewBetween(c, lo, hi), true, nil
-	case *In:
-		c, changed, err := substParams(n.E, vals)
-		if err != nil {
-			return nil, false, err
-		}
-		if !changed {
-			return e, false, nil
-		}
-		return NewIn(c, n.List), true, nil
-	case *Case:
-		whens, changed := n.Whens, false
-		for i, w := range n.Whens {
-			cond, cc, err := substParams(w.Cond, vals)
-			if err != nil {
-				return nil, false, err
-			}
-			then, ct, err := substParams(w.Then, vals)
-			if err != nil {
-				return nil, false, err
-			}
-			if cc || ct {
-				if !changed {
-					whens, changed = append([]When(nil), n.Whens...), true
-				}
-				whens[i] = When{Cond: cond, Then: then}
-			}
-		}
-		els, ce, err := substParams(n.Else, vals)
-		if err != nil {
-			return nil, false, err
-		}
-		if !changed && !ce {
-			return e, false, nil
-		}
-		return NewCase(whens, els), true, nil
-	case *Extract:
-		c, changed, err := substParams(n.E, vals)
-		if err != nil {
-			return nil, false, err
-		}
-		if !changed {
-			return e, false, nil
-		}
-		return NewExtract(n.Part, c), true, nil
-	case *AddMonths:
-		c, changed, err := substParams(n.E, vals)
-		if err != nil {
-			return nil, false, err
-		}
-		if !changed {
-			return e, false, nil
-		}
-		return NewAddMonths(c, n.Months), true, nil
-	default:
-		return nil, false, fmt.Errorf("expr: SubstParams does not know %T", e)
+		return NewConst(vals[p.N-1]), true
+	})
+	if err != nil {
+		return nil, err
 	}
-}
-
-func substList(terms []Expr, vals []types.Value) ([]Expr, bool, error) {
-	out, changed := terms, false
-	for i, t := range terms {
-		s, c, err := substParams(t, vals)
-		if err != nil {
-			return nil, false, err
-		}
-		if c {
-			if !changed {
-				out, changed = append([]Expr(nil), terms...), true
-			}
-			out[i] = s
-		}
-	}
-	return out, changed, nil
+	return out, nil
 }

@@ -13,10 +13,10 @@ import (
 
 // paramNodes decides, for every concrete Expr type, how many child
 // positions can hold a parameter slot and builds the node with a
-// distinct slot ($1, $2, …) in each of them. WalkParams, substParams
-// and Rebase are closed switches over exactly these types: a new node
-// fails TestParamSwitchesAreClosed until it has a row here, which is to
-// say until someone has decided where its slots sit in all three.
+// distinct slot ($1, $2, …) in each of them. Rewrite is the closed
+// switch over exactly these types: a new node fails
+// TestParamSwitchesAreClosed until it has a row here, which is to say
+// until someone has decided where its children sit.
 var paramNodes = map[string]struct {
 	slots int
 	build func(slot func() Expr) Expr
@@ -65,9 +65,16 @@ func exprTypes(t *testing.T) []string {
 }
 
 func countParams(e Expr) (n int) {
-	WalkParams(e, func(*Param) { n++ })
+	Walk(e, func(x Expr) {
+		if _, ok := x.(*Param); ok {
+			n++
+		}
+	})
 	return n
 }
+
+// claimNothing is a rewrite that leaves every node to Rewrite.
+func claimNothing(Expr) (Expr, bool) { return nil, false }
 
 func TestParamSwitchesAreClosed(t *testing.T) {
 	declared := exprTypes(t)
@@ -78,7 +85,7 @@ func TestParamSwitchesAreClosed(t *testing.T) {
 	for _, name := range declared {
 		row, ok := paramNodes[name]
 		if !ok {
-			t.Errorf("expr.%s has no row in paramNodes: decide its slots in WalkParams and substParams", name)
+			t.Errorf("expr.%s has no row in paramNodes: decide its children in Rewrite", name)
 			continue
 		}
 		n := 0
@@ -86,8 +93,21 @@ func TestParamSwitchesAreClosed(t *testing.T) {
 		if got := reflect.TypeOf(tmpl).Elem().Name(); got != name {
 			t.Fatalf("row %s builds a %s", name, got)
 		}
-		if n != row.slots || countParams(tmpl) != row.slots {
-			t.Errorf("%s: built with %d slots, WalkParams sees %d, want %d", name, n, countParams(tmpl), row.slots)
+		// Walk reaches every child position: each distinct slot once.
+		seen := map[int]int{}
+		Walk(tmpl, func(x Expr) {
+			if p, ok := x.(*Param); ok {
+				seen[p.N]++
+			}
+		})
+		if n != row.slots || len(seen) != row.slots || countParams(tmpl) != row.slots {
+			t.Errorf("%s: built with %d slots, Walk sees %v, want %d", name, n, seen, row.slots)
+		}
+		if row.slots > 0 && rowFree(tmpl) {
+			t.Errorf("%s with slots: rowFree says it reads no row", name)
+		}
+		if got, want := rowFree(row.build(func() Expr { return NewConst(types.IntVal(2)) })), name != "Col"; got != want {
+			t.Errorf("%s over constants: rowFree = %v, want %v", name, got, want)
 		}
 		before := tmpl.String()
 		bound, err := SubstParams(tmpl, vals)
@@ -118,8 +138,20 @@ func TestParamSwitchesAreClosed(t *testing.T) {
 		if n := testing.AllocsPerRun(10, func() { SubstParams(free, vals) }); n != 0 {
 			t.Errorf("%s without slots: SubstParams allocates %v times", name, n)
 		}
-		// Rebase is the other closed switch: every column moves down, and
-		// a column below the cut refuses the move.
+		if Rewrite(tmpl, claimNothing) != tmpl {
+			t.Errorf("%s: a rewrite that claims nothing rebuilt the node", name)
+		}
+		if n := testing.AllocsPerRun(10, func() {
+			Rewrite(tmpl, claimNothing)
+			Walk(tmpl, func(Expr) {})
+		}); n != 0 {
+			t.Errorf("%s: a rewrite that claims nothing, or a walk, allocates %v times", name, n)
+		}
+		if row.slots > 0 && rowFree(free) {
+			t.Errorf("%s over columns: rowFree says it reads no row", name)
+		}
+		// Rebase runs on Rewrite too: every column moves down, and a
+		// column below the cut refuses the move.
 		if row.slots > 0 {
 			if _, ok := Rebase(free, 2); ok {
 				t.Errorf("%s: Rebase past column 1 succeeded", name)

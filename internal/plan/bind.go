@@ -24,7 +24,7 @@ func splitConjuncts(e sql.Expr) []sql.Expr {
 // colsOf collects the column references of an AST expression.
 func colsOf(e sql.Expr) []*sql.ColRef {
 	var out []*sql.ColRef
-	sql.WalkExpr(e, func(n sql.Expr) {
+	sql.Walk(e, func(n sql.Expr) {
 		if c, ok := n.(*sql.ColRef); ok {
 			out = append(out, c)
 		}

@@ -48,46 +48,18 @@ type planExpr struct {
 }
 
 // planExprs lists the expressions of every operator and every
-// repartition of p.
+// repartition of p, but the sort keys: those run row at a time.
 func planExprs(p *plan.Plan) []planExpr {
 	var out []planExpr
-	add := func(role string, sch *types.Schema, es ...expr.Expr) {
-		out = append(out, planExpr{role: role, exprs: es, sch: sch})
-	}
-	for _, seg := range p.Segments {
-		plan.Walk(seg.Root, func(op plan.PhysOp) {
-			switch n := op.(type) {
-			case *plan.PScan:
-				if n.Pred != nil {
-					add("pred", n.Sch, n.Pred)
-				}
-			case *plan.PFilter:
-				add("pred", n.Child.Schema(), n.Pred)
-			case *plan.PProject:
-				for _, e := range n.Exprs {
-					add("value", n.Child.Schema(), e)
-				}
-			case *plan.PHashJoin:
-				add("keys", n.Build.Schema(), n.BuildKeys...)
-				add("keys", n.Probe.Schema(), n.ProbeKeys...)
-				for _, s := range n.Aggs {
-					if s.Arg != nil {
-						add("value", n.Probe.Schema(), s.Arg)
-					}
-				}
-			case *plan.PHashAgg:
-				add("keys", n.Child.Schema(), n.Keys...)
-				for _, s := range n.Specs {
-					if s.Arg != nil {
-						add("value", n.Child.Schema(), s.Arg)
-					}
-				}
-			}
-		})
-		if seg.Out != nil && seg.Out.PartKeys != nil {
-			add("keys", seg.Root.Schema(), seg.Out.PartKeys...)
+	p.WalkExprs(func(role string, sch *types.Schema, e expr.Expr, keys []expr.Expr) {
+		switch role {
+		case "order":
+		case "keys":
+			out = append(out, planExpr{role: role, exprs: keys, sch: sch})
+		default:
+			out = append(out, planExpr{role: role, exprs: []expr.Expr{e}, sch: sch})
 		}
-	}
+	})
 	return out
 }
 
@@ -200,58 +172,28 @@ type constants struct {
 
 func constantsOf(es []expr.Expr) *constants {
 	cs := &constants{byKind: map[types.Kind][]types.Value{}}
-	var visit func(e expr.Expr)
-	visit = func(e expr.Expr) {
-		var kids []expr.Expr
-		switch n := e.(type) {
-		case *expr.Const:
-			cs.byKind[n.V.Kind] = append(cs.byKind[n.V.Kind], n.V)
-		case *expr.In:
-			for _, v := range n.List {
-				cs.byKind[v.Kind] = append(cs.byKind[v.Kind], v)
-			}
-			kids = []expr.Expr{n.E}
-		case *expr.Like:
-			for _, f := range bytes.FieldsFunc([]byte(n.Pattern), func(r rune) bool { return r == '%' || r == '_' }) {
-				cs.frags = append(cs.frags, string(f))
-			}
-			kids = []expr.Expr{n.E}
-		case *expr.Arith:
-			kids = []expr.Expr{n.L, n.R}
-		case *expr.Cmp:
-			kids = []expr.Expr{n.L, n.R}
-		case *expr.And:
-			kids = n.Terms
-		case *expr.Or:
-			kids = n.Terms
-		case *expr.Not:
-			kids = []expr.Expr{n.E}
-		case *expr.Between:
-			kids = []expr.Expr{n.E, n.Lo, n.Hi}
-		case *expr.Case:
-			for _, w := range n.Whens {
-				kids = append(kids, w.Cond, w.Then)
-			}
-			if n.Else != nil {
-				kids = append(kids, n.Else)
-			}
-		case *expr.Extract:
-			kids = []expr.Expr{n.E}
-		case *expr.AddMonths:
-			kids = []expr.Expr{n.E}
-			// A shifted date meets a column on the other side of the
-			// comparison: aim values there too.
-			if c, ok := n.E.(*expr.Const); ok {
-				d := types.AddMonths(c.V.I, n.Months)
-				cs.byKind[types.Date] = append(cs.byKind[types.Date], types.DateVal(d))
-			}
-		}
-		for _, k := range kids {
-			visit(k)
-		}
-	}
 	for _, e := range es {
-		visit(e)
+		expr.Walk(e, func(e expr.Expr) {
+			switch n := e.(type) {
+			case *expr.Const:
+				cs.byKind[n.V.Kind] = append(cs.byKind[n.V.Kind], n.V)
+			case *expr.In:
+				for _, v := range n.List {
+					cs.byKind[v.Kind] = append(cs.byKind[v.Kind], v)
+				}
+			case *expr.Like:
+				for _, f := range bytes.FieldsFunc([]byte(n.Pattern), func(r rune) bool { return r == '%' || r == '_' }) {
+					cs.frags = append(cs.frags, string(f))
+				}
+			case *expr.AddMonths:
+				// A shifted date meets a column on the other side of the
+				// comparison: aim values there too.
+				if c, ok := n.E.(*expr.Const); ok {
+					d := types.AddMonths(c.V.I, n.Months)
+					cs.byKind[types.Date] = append(cs.byKind[types.Date], types.DateVal(d))
+				}
+			}
+		})
 	}
 	return cs
 }

@@ -27,7 +27,7 @@ func isAggFunc(e sql.Expr) (*sql.FuncExpr, bool) {
 
 func containsAgg(e sql.Expr) bool {
 	found := false
-	sql.WalkExpr(e, func(n sql.Expr) {
+	sql.Walk(e, func(n sql.Expr) {
 		if _, ok := isAggFunc(n); ok {
 			found = true
 		}
@@ -154,92 +154,54 @@ type aggCollector struct {
 	seen    map[string]int // canonical aggregate text → spec index
 }
 
+// rewrite claims the group expressions and the aggregates of e and
+// leaves every other node to sql.Rewrite.
 func (a *aggCollector) rewrite(e sql.Expr) (sql.Expr, error) {
-	// Group-expression match takes precedence (e.g. GROUP BY
-	// extract(year from d) ... SELECT extract(year from d)). Column
-	// references match by resolved position so that qualified and bare
-	// spellings (T.sec_code vs sec_code) agree; other expressions match
-	// by canonical text.
+	var err error
+	out := sql.Rewrite(e, func(n sql.Expr) (sql.Expr, bool) {
+		if i := a.groupIndex(n); i >= 0 {
+			return &sql.ColRef{Name: fmt.Sprintf("__key_%d", i)}, true
+		}
+		f, ok := isAggFunc(n)
+		if !ok {
+			return nil, false
+		}
+		idx, specErr := a.addSpec(f)
+		if err == nil {
+			err = specErr
+		}
+		return &sql.ColRef{Name: fmt.Sprintf("__agg_%d", idx)}, true
+	})
+	return out, err
+}
+
+// groupIndex is the position of the GROUP BY expression e matches, or
+// -1. Group-expression match takes precedence over everything else
+// (e.g. GROUP BY extract(year from d) ... SELECT extract(year from d)).
+// Column references match by resolved position so that qualified and
+// bare spellings (T.sec_code vs sec_code) agree; other expressions
+// match by canonical text.
+func (a *aggCollector) groupIndex(e sql.Expr) int {
 	for i, g := range a.groupBy {
 		if e.String() == g.String() {
-			return &sql.ColRef{Name: fmt.Sprintf("__key_%d", i)}, nil
+			return i
 		}
 		ec, eOK := e.(*sql.ColRef)
 		gc, gOK := g.(*sql.ColRef)
 		if eOK && gOK {
 			if resolve(ec, a.in) >= 0 && resolve(ec, a.in) == resolve(gc, a.in) {
-				return &sql.ColRef{Name: fmt.Sprintf("__key_%d", i)}, nil
+				return i
 			}
 			// A bare SELECT column also matches a qualified GROUP BY
 			// column of the same name (the paper's SSE-Q9 selects
 			// acct_id while grouping by S.acct_id; the join equality
 			// makes the spellings equivalent).
 			if ec.Qualifier == "" && strings.EqualFold(ec.Name, gc.Name) {
-				return &sql.ColRef{Name: fmt.Sprintf("__key_%d", i)}, nil
+				return i
 			}
 		}
 	}
-	if f, ok := isAggFunc(e); ok {
-		idx, err := a.addSpec(f)
-		if err != nil {
-			return nil, err
-		}
-		return &sql.ColRef{Name: fmt.Sprintf("__agg_%d", idx)}, nil
-	}
-	switch n := e.(type) {
-	case *sql.ColRef, *sql.IntLit, *sql.FloatLit, *sql.StrLit, *sql.DateLit, *sql.IntervalLit:
-		return e, nil
-	case *sql.BinExpr:
-		l, err := a.rewrite(n.L)
-		if err != nil {
-			return nil, err
-		}
-		r, err := a.rewrite(n.R)
-		if err != nil {
-			return nil, err
-		}
-		return &sql.BinExpr{Op: n.Op, L: l, R: r}, nil
-	case *sql.NotExpr:
-		c, err := a.rewrite(n.E)
-		if err != nil {
-			return nil, err
-		}
-		return &sql.NotExpr{E: c}, nil
-	case *sql.NegExpr:
-		c, err := a.rewrite(n.E)
-		if err != nil {
-			return nil, err
-		}
-		return &sql.NegExpr{E: c}, nil
-	case *sql.ExtractExpr:
-		c, err := a.rewrite(n.E)
-		if err != nil {
-			return nil, err
-		}
-		return &sql.ExtractExpr{Part: n.Part, E: c}, nil
-	case *sql.CaseExpr:
-		out := &sql.CaseExpr{}
-		for _, w := range n.Whens {
-			c, err := a.rewrite(w.Cond)
-			if err != nil {
-				return nil, err
-			}
-			t, err := a.rewrite(w.Then)
-			if err != nil {
-				return nil, err
-			}
-			out.Whens = append(out.Whens, sql.WhenClause{Cond: c, Then: t})
-		}
-		if n.Else != nil {
-			el, err := a.rewrite(n.Else)
-			if err != nil {
-				return nil, err
-			}
-			out.Else = el
-		}
-		return out, nil
-	}
-	return e, nil
+	return -1
 }
 
 func (a *aggCollector) addSpec(f *sql.FuncExpr) (int, error) {

@@ -90,88 +90,100 @@ const maxParams = 1<<16 - 1
 func (p *Plan) inferParams() error {
 	var pinned []bool
 	var err error
-	see := func(e expr.Expr, pred bool) {
-		expr.WalkParams(e, func(pr *expr.Param) {
-			if pr.N > maxParams {
-				err = fmt.Errorf("plan: $%d is beyond the %d parameters a statement may take", pr.N, maxParams)
-				return
+	see := func(pr *expr.Param, pred bool) {
+		if pr.N > maxParams {
+			err = fmt.Errorf("plan: $%d is beyond the %d parameters a statement may take", pr.N, maxParams)
+			return
+		}
+		for len(pinned) < pr.N {
+			pinned = append(pinned, false)
+			p.paramKinds = append(p.paramKinds, types.Int64)
+			p.paramTyped = append(p.paramTyped, false)
+		}
+		i := pr.N - 1
+		switch {
+		case !pred:
+			if pinned[i] && p.paramKinds[i] != pr.Kind(nil) {
+				err = fmt.Errorf("plan: cannot infer the type of $%d: used as %v and as %v",
+					pr.N, p.paramKinds[i], pr.Kind(nil))
 			}
-			for len(pinned) < pr.N {
-				pinned = append(pinned, false)
-				p.paramKinds = append(p.paramKinds, types.Int64)
-				p.paramTyped = append(p.paramTyped, false)
-			}
-			i := pr.N - 1
-			switch {
-			case !pred:
-				if pinned[i] && p.paramKinds[i] != pr.Kind(nil) {
-					err = fmt.Errorf("plan: cannot infer the type of $%d: used as %v and as %v",
-						pr.N, p.paramKinds[i], pr.Kind(nil))
-				}
-				p.paramKinds[i], p.paramTyped[i], pinned[i] = pr.Kind(nil), true, true
-			case pr.Typed && !p.paramTyped[i]:
-				p.paramKinds[i], p.paramTyped[i] = pr.K, true
-			}
-		})
-	}
-	for _, seg := range p.Segments {
-		walkOpExprs(seg.Root, see)
-		if seg.Out != nil {
-			for _, e := range seg.Out.PartKeys {
-				see(e, false)
-			}
+			p.paramKinds[i], p.paramTyped[i], pinned[i] = pr.Kind(nil), true, true
+		case pr.Typed && !p.paramTyped[i]:
+			p.paramKinds[i], p.paramTyped[i] = pr.K, true
 		}
 	}
+	p.WalkExprs(func(role string, _ *types.Schema, e expr.Expr, keys []expr.Expr) {
+		visit := func(x expr.Expr) {
+			if pr, ok := x.(*expr.Param); ok {
+				see(pr, role == "pred")
+			}
+		}
+		expr.Walk(e, visit)
+		for _, k := range keys {
+			expr.Walk(k, visit)
+		}
+	})
 	p.NumParams = len(pinned)
 	return err
 }
 
-// walkOpExprs visits every expression attached to the operator tree —
-// the one PhysOp switch that knows where parameters can sit; the
-// executor's builder substitutes at the same fields. pred marks a
-// predicate: its own result is a boolean, so the kinds of the slots
-// inside it reach no schema.
-func walkOpExprs(op PhysOp, fn func(e expr.Expr, pred bool)) {
+// WalkExprs calls fn on every site where p hands expressions to an
+// iterator, with the schema the expressions read and their role: "pred"
+// for a scan or filter predicate (its own result is a boolean, so the
+// kinds of the slots inside it reach no schema), "value" for a
+// projected expression or an aggregate argument, "order" for a sort key,
+// and "keys" for a join, group or partition key list. A key list comes
+// whole, in keys, with e nil; any other site is one expression, e, with
+// keys nil. Segment by segment it visits the operators (walkOpExprs)
+// and then the segment's repartition keys.
+func (p *Plan) WalkExprs(fn func(role string, in *types.Schema, e expr.Expr, keys []expr.Expr)) {
+	for _, seg := range p.Segments {
+		walkOpExprs(seg.Root, fn)
+		if seg.Out != nil && seg.Out.PartKeys != nil {
+			fn("keys", seg.Root.Schema(), nil, seg.Out.PartKeys)
+		}
+	}
+}
+
+// walkOpExprs visits every expression attached to the operator tree, as
+// WalkExprs describes. It is the one PhysOp switch that knows where
+// expressions sit; the executor's builder substitutes parameters at the
+// same fields.
+func walkOpExprs(op PhysOp, fn func(role string, in *types.Schema, e expr.Expr, keys []expr.Expr)) {
 	Walk(op, func(o PhysOp) {
 		switch n := o.(type) {
 		case *PScan:
 			if n.Pred != nil {
-				fn(n.Pred, true)
+				fn("pred", n.Sch, n.Pred, nil)
 			}
 		case *PFilter:
-			fn(n.Pred, true)
+			fn("pred", n.Child.Schema(), n.Pred, nil)
 		case *PProject:
 			for _, e := range n.Exprs {
-				fn(e, false)
+				fn("value", n.Child.Schema(), e, nil)
 			}
 		case *PHashJoin:
-			for _, e := range n.BuildKeys {
-				fn(e, false)
-			}
-			for _, e := range n.ProbeKeys {
-				fn(e, false)
-			}
+			fn("keys", n.Build.Schema(), nil, n.BuildKeys)
+			fn("keys", n.Probe.Schema(), nil, n.ProbeKeys)
 			for _, s := range n.Aggs {
 				if s.Arg != nil {
-					fn(s.Arg, false)
+					fn("value", n.Probe.Schema(), s.Arg, nil)
 				}
 			}
 		case *PHashAgg:
-			for _, e := range n.Keys {
-				fn(e, false)
-			}
+			fn("keys", n.Child.Schema(), nil, n.Keys)
 			for _, s := range n.Specs {
 				if s.Arg != nil {
-					fn(s.Arg, false)
+					fn("value", n.Child.Schema(), s.Arg, nil)
 				}
 			}
 		case *PSort:
 			for _, k := range n.Keys {
-				fn(k.E, false)
+				fn("order", n.Child.Schema(), k.E, nil)
 			}
 		case *PTopN:
 			for _, k := range n.Keys {
-				fn(k.E, false)
+				fn("order", n.Child.Schema(), k.E, nil)
 			}
 		}
 	})

@@ -113,8 +113,14 @@ func TestParseParams(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := MaxParam(stmt); got != 3 {
-		t.Fatalf("MaxParam = %d, want 3", got)
+	slots := 0
+	Walk(stmt.Where, func(e Expr) {
+		if p, ok := e.(*ParamRef); ok && p.N == slots+1 {
+			slots++
+		}
+	})
+	if slots != 3 {
+		t.Fatalf("WHERE holds $1..$%d, want $1..$3", slots)
 	}
 	if stmt.Where == nil || !strings.Contains(stmt.Where.String(), "$1") {
 		t.Fatalf("WHERE lost the parameter: %v", stmt.Where)
